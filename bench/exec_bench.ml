@@ -76,14 +76,14 @@ let run (options : Figures.options) =
           let r = f pool in
           ((Subql_storage.Buffer_pool.stats pool).Subql_storage.Buffer_pool.page_reads, r)
         in
+        let gmdj pool base blocks =
+          Subql_gmdj.Gmdj.eval ~domains:1 ~base (Subql_storage.Heap_file.source hf ~pool) blocks
+        in
         let chained, r_chained =
           reads (fun pool ->
-              Subql_storage.Paged_gmdj.eval_chained ~pool ~base ~detail:hf [ [ b1 ]; [ b2 ] ])
+              List.fold_left (fun base blocks -> gmdj pool base blocks) base [ [ b1 ]; [ b2 ] ])
         in
-        let coalesced, r_coalesced =
-          reads (fun pool ->
-              Subql_storage.Paged_gmdj.eval ~pool ~base ~detail:hf [ b1; b2 ])
-        in
+        let coalesced, r_coalesced = reads (fun pool -> gmdj pool base [ b1; b2 ]) in
         (chained, coalesced, Relation.equal_as_multiset r_chained r_coalesced))
   in
   let run_json reports =

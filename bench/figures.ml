@@ -490,9 +490,6 @@ let ablation options =
         stats.Subql_gmdj.Gmdj.early_exit (Relation.cardinality result))
     variants;
   Format.printf "@.";
-  (* Segmented evaluation: the memory-bounded variant trades extra detail
-     scans for a bounded base-side working set. *)
-  Format.printf "segmented GMDJ (fig-1-style two-block MD over Flow, %d users):@." users;
   let base = Relation.rename "u" (Catalog.find catalog "User") in
   let detail = Relation.rename "f" (Catalog.find catalog "Flow") in
   let blocks =
@@ -505,21 +502,6 @@ let ablation options =
         (Expr.eq (Expr.attr ~rel:"f" "DestIP") (Expr.attr ~rel:"u" "IPAddress"));
     ]
   in
-  Format.printf "%-24s %10s %14s@." "segment size" "seconds" "detail-rows";
-  List.iter
-    (fun segment_size ->
-      let stats = Subql_gmdj.Gmdj.fresh_stats () in
-      let seconds, _ =
-        time_run (fun () ->
-            let fresh = Subql_gmdj.Gmdj.fresh_stats () in
-            let r = Subql_gmdj.Gmdj.eval_segmented ~stats:fresh ~segment_size ~base ~detail blocks in
-            stats.Subql_gmdj.Gmdj.detail_scanned <- fresh.Subql_gmdj.Gmdj.detail_scanned;
-            r)
-      in
-      Format.printf "%-24d %9.3fs %14d@." segment_size seconds
-        stats.Subql_gmdj.Gmdj.detail_scanned)
-    [ max 1 (users / 8); max 1 (users / 2); users ];
-  Format.printf "@.";
   (* Disk-resident detail: exact page I/O for chained vs coalesced GMDJs
      (the paper's central I/O argument, measured through the buffer
      pool). *)
@@ -545,8 +527,10 @@ let ablation options =
         Format.printf "%-40s %9.3fs %12d@." name seconds
           (Subql_storage.Buffer_pool.stats pool).Subql_storage.Buffer_pool.page_reads
       in
+      let gmdj pool base blocks =
+        Subql_gmdj.Gmdj.eval ~domains:1 ~base (Subql_storage.Heap_file.source hf ~pool) blocks
+      in
       run "chained GMDJs (two detail scans)" (fun pool ->
-          Subql_storage.Paged_gmdj.eval_chained ~pool ~base ~detail:hf [ b1; b2 ]);
-      run "coalesced GMDJ (one detail scan)" (fun pool ->
-          Subql_storage.Paged_gmdj.eval ~pool ~base ~detail:hf blocks));
+          List.fold_left (fun base blocks -> gmdj pool base blocks) base [ b1; b2 ]);
+      run "coalesced GMDJ (one detail scan)" (fun pool -> gmdj pool base blocks));
   Format.printf "@."

@@ -59,7 +59,7 @@ let () =
       Gmdj.block [ Aggregate.sum (Expr.attr ~rel:"F" "NumBytes") "sum2" ] in_hour;
     ]
   in
-  let md = Gmdj.eval ~base:hours ~detail:flow blocks in
+  let md = Gmdj.eval ~domains:1 ~base:hours (Chunk.Source.of_relation flow) blocks in
   Format.printf "MD(Hours, Flow, (sum1, sum2), (θ1, θ2)) — the table of Figure 1:@.%a@."
     Relation.pp md;
 

@@ -1,13 +1,13 @@
-(* Scaling the GMDJ: memory-bounded segments, parallel partitions, and
+(* Scaling the GMDJ: parallel evaluation, incremental maintenance and
    cost-based plan choice.
 
-   The paper notes that the GMDJ "can be computed at a well-defined
-   cost" even when the base-values table exceeds memory (segmented
-   evaluation), and that the operator "is well-suited to evaluation in a
-   parallel or distributed DBMS environment".  This example demonstrates
-   both on one analysis — per-user traffic totals over a large Flow
-   table — plus the cost-based planner choosing between GMDJ and join
-   plans.
+   The paper notes that the GMDJ "is well-suited to evaluation in a
+   parallel or distributed DBMS environment": every detail row only
+   folds into mergeable per-base-tuple accumulators.  This example
+   demonstrates that on one analysis — per-user traffic totals over a
+   large Flow table — evaluated over one and several domains, then
+   maintains the result under appends and lets the cost-based planner
+   choose between GMDJ and join plans.
 
    Run with: dune exec examples/scaling.exe *)
 
@@ -53,16 +53,11 @@ let () =
   Format.printf "Per-user traffic analysis: %d users x %d flows, 3 aggregates@.@."
     (Relation.cardinality base) (Relation.cardinality detail);
 
-  let t_whole, whole = time (fun () -> Gmdj.eval ~base ~detail blocks) in
+  let eval ~domains detail =
+    Gmdj.eval ~domains ~base (Chunk.Source.of_relation detail) blocks
+  in
+  let t_whole, whole = time (fun () -> eval ~domains:1 detail) in
   Format.printf "single scan, one domain:        %6.3fs@." t_whole;
-
-  List.iter
-    (fun segment_size ->
-      let t, seg = time (fun () -> Gmdj.eval_segmented ~segment_size ~base ~detail blocks) in
-      assert (Relation.equal_as_multiset whole seg);
-      Format.printf "segmented (%4d users/segment): %6.3fs  (%d detail scans)@." segment_size t
-        ((Relation.cardinality base + segment_size - 1) / segment_size))
-    [ 500; 1000 ];
 
   let cores = Domain.recommended_domain_count () in
   let domain_counts =
@@ -74,25 +69,11 @@ let () =
       \ correctness but cannot speed up here)@.";
   List.iter
     (fun domains ->
-      let t, par = time (fun () -> Gmdj.eval_partitioned ~domains ~base ~detail blocks) in
+      let t, par = time (fun () -> eval ~domains detail) in
       assert (Relation.equal_as_multiset whole par);
       Format.printf "partitioned over %d domains:    %6.3fs  (speedup %.2fx on %d cores)@."
         domains t (t_whole /. t) cores)
     domain_counts;
-
-  Format.printf "@.Distributed warehouse: the same analysis over %d sites@."
-    4;
-  let cluster = Distributed.Cluster.create ~sites:4 ~partition:(`Hash_on (Some "f", "SourceIP")) detail in
-  List.iter
-    (fun strategy ->
-      let t, report = time (fun () -> Distributed.execute ~strategy cluster ~base blocks) in
-      assert (Relation.equal_as_multiset whole report.Distributed.result);
-      Format.printf "  %-18s %6.3fs  %9.2f MB shipped (%d messages)@."
-        (Distributed.strategy_to_string strategy)
-        t
-        (float_of_int (Distributed.total_bytes report) /. 1e6)
-        report.Distributed.messages)
-    [ Distributed.Ship_all; Distributed.Ship_filtered; Distributed.Partial_aggregates ];
 
   Format.printf "@.Incremental maintenance: a day of new flows arrives@.";
   let view = Gmdj.Maintain.create ~base ~detail blocks in
@@ -107,10 +88,7 @@ let () =
   let t_delta, () = time (fun () -> Gmdj.Maintain.insert_detail view fresh_flows) in
   let t_recompute, recomputed =
     time (fun () ->
-        Gmdj.eval ~base
-          ~detail:
-            (Ops.union_all detail fresh_flows)
-          blocks)
+        eval ~domains:1 (Ops.union_all detail fresh_flows))
   in
   assert (Relation.equal_as_multiset recomputed (Gmdj.Maintain.result view));
   Format.printf "  delta fold: %.3fs vs full recompute: %.3fs (%.1fx)@." t_delta t_recompute

@@ -261,24 +261,20 @@ let run_group_by ctx ~keys ~aggs src =
     end
     else Ops.group_by_source ~keys ~aggs src
 
-let gmdj_trace_attrs ~strategy ~blocks ~base ~completion =
-  let base_attrs =
-    [
-      ( "strategy",
-        match strategy with `Reference -> "scan" | `Scan -> "scan" | `Hash -> "hash" );
-      ("blocks", string_of_int (List.length blocks));
-      ("base_rows", string_of_int (Relation.cardinality base));
-      ("detail", "streamed");
-    ]
+(* GMDJ over the child streams: the base side is materialized (every
+   detail row probes it), the detail side is folded in one pass through
+   [Gmdj.eval] — inline at one domain, over the exchange at more. *)
+let run_md ctx ?gmdj_stats ?completion ~child alg ~base:b ~detail:d blocks =
+  let cb = child b in
+  let base, bfree = materialize ctx cb in
+  let cd = child d in
+  let out =
+    Gmdj.eval ~strategy:ctx.config.gmdj_strategy ?stats:gmdj_stats ?completion
+      ~domains:ctx.config.domains ~base cd.src blocks
   in
-  match completion with
-  | None -> base_attrs
-  | Some c ->
-    base_attrs
-    @ [
-        ("kill_preds", string_of_int (List.length c.Gmdj.kill_when));
-        ("require_preds", string_of_int (List.length c.Gmdj.require_fired));
-      ]
+  cd.release ();
+  bfree ();
+  emit ctx alg out
 
 (* The one per-node dispatch.  [child] yields each operand's streamed
    value, in [children] order.  Fully pipelined operators pass the
@@ -389,119 +385,9 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
     let out = Ops.aggregate_all_source aggs c.src in
     c.release ();
     emit ctx alg out
-  | Algebra.Md { blocks; base = b; detail = d } -> (
-    let cb = child b in
-    let base, bfree = materialize ctx cb in
-    let cd = child d in
-    let strategy = ctx.config.gmdj_strategy in
-    match Chunk.Source.origin cd.src with
-    | Some detail ->
-      (* Materialized detail: the classic evaluator (its own span and
-         registry publication, including the `Reference strategy) — or
-         its partitioned twin when parallelism is configured. *)
-      Chunk.Source.close cd.src;
-      let out =
-        if ctx.config.domains > 1 then
-          Gmdj.eval_partitioned ~strategy ?stats:gmdj_stats ~domains:ctx.config.domains
-            ~base ~detail blocks
-        else Gmdj.eval ~strategy ?stats:gmdj_stats ~base ~detail blocks
-      in
-      cd.release ();
-      bfree ();
-      emit ctx alg out
-    | None when ctx.config.domains > 1 ->
-      (* Streamed detail over the exchange: the coordinator pulls chunks
-         (storage scans stay single-domain) and [domains] workers fold
-         them into per-domain accumulator matrices, merged at the end. *)
-      let out =
-        Gmdj.Parallel.fold_source ~strategy ?stats:gmdj_stats ~domains:ctx.config.domains
-          ~base
-          ~detail_schema:(Chunk.Source.schema cd.src)
-          cd.src blocks
-      in
-      cd.release ();
-      bfree ();
-      emit ctx alg out
-    | None ->
-      (* Streamed detail: one pass over the chunk stream, |B|
-         accumulators of state, never the detail in memory. *)
-      let out =
-        Subql_obs.Trace.with_
-          ~attrs:(gmdj_trace_attrs ~strategy ~blocks ~base ~completion:None)
-          "gmdj.eval"
-          (fun () ->
-            let acc = Gmdj.Fold.start ~strategy ?stats:gmdj_stats ~base
-                ~detail:(Chunk.Source.schema cd.src) blocks
-            in
-            let acc =
-              Chunk.Source.fold (fun acc c -> Gmdj.Fold.fold_detail c acc) acc cd.src
-            in
-            Gmdj.Fold.finish acc)
-      in
-      cd.release ();
-      bfree ();
-      emit ctx alg out)
-  | Algebra.Md_completed { blocks; completion; base = b; detail = d } -> (
-    let cb = child b in
-    let base, bfree = materialize ctx cb in
-    let cd = child d in
-    let strategy = ctx.config.gmdj_strategy in
-    match Chunk.Source.origin cd.src with
-    | Some detail ->
-      Chunk.Source.close cd.src;
-      let out =
-        if ctx.config.domains > 1 then
-          Gmdj.eval_completed_partitioned ~strategy ?stats:gmdj_stats
-            ~domains:ctx.config.domains ~completion ~base ~detail blocks
-        else
-          Gmdj.eval_completed ~strategy ?stats:gmdj_stats ~completion ~base ~detail blocks
-      in
-      cd.release ();
-      bfree ();
-      emit ctx alg out
-    | None when ctx.config.domains > 1 ->
-      (* Streamed detail over the exchange: workers run the completion
-         machinery on their shares and the verdicts merge (kill/fire are
-         monotone).  The coordinator keeps pulling the whole stream —
-         the saturation-driven storage exit below is a serial-only
-         refinement. *)
-      let out =
-        Gmdj.Parallel.fold_completed_source ~strategy ?stats:gmdj_stats
-          ~domains:ctx.config.domains ~completion ~base
-          ~detail_schema:(Chunk.Source.schema cd.src)
-          cd.src blocks
-      in
-      cd.release ();
-      bfree ();
-      emit ctx alg out
-    | None ->
-      let out =
-        Subql_obs.Trace.with_
-          ~attrs:(gmdj_trace_attrs ~strategy ~blocks ~base ~completion:(Some completion))
-          "gmdj.eval_completed"
-          (fun () ->
-            let acc =
-              ref
-                (Gmdj.Fold_completed.start ~strategy ?stats:gmdj_stats ~completion ~base
-                   ~detail:(Chunk.Source.schema cd.src) blocks)
-            in
-            (* Saturation turns the early scan exit into an early
-               storage exit: stop pulling pages mid-stream. *)
-            let rec pull () =
-              if Gmdj.Fold_completed.saturated !acc then Chunk.Source.close cd.src
-              else
-                match Chunk.Source.next cd.src with
-                | None -> ()
-                | Some c ->
-                  acc := Gmdj.Fold_completed.fold_detail c !acc;
-                  pull ()
-            in
-            pull ();
-            Gmdj.Fold_completed.finish !acc)
-      in
-      cd.release ();
-      bfree ();
-      emit ctx alg out)
+  | Algebra.Md { blocks; base; detail } -> run_md ctx ?gmdj_stats ~child alg ~base ~detail blocks
+  | Algebra.Md_completed { blocks; completion; base; detail } ->
+    run_md ctx ?gmdj_stats ~completion ~child alg ~base ~detail blocks
   | Algebra.Union_all (l, r) ->
     let cl = child l and cr = child r in
     {

@@ -3,9 +3,8 @@
     The configuration selects physical strategies without changing
     results: [`Hash] joins model the paper's "all important attributes
     were indexed" setting, [`Nested_loop] the index-free ablation; the
-    GMDJ strategy selects between the definition-style reference
-    evaluator, the plain single scan, and the hash-partitioned single
-    scan. *)
+    GMDJ strategy selects between the plain single scan and the
+    hash-partitioned single scan. *)
 
 open Subql_relational
 open Subql_gmdj

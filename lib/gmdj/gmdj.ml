@@ -2,7 +2,7 @@ open Subql_relational
 
 type block = { aggs : Aggregate.spec list; theta : Expr.t }
 
-type strategy = [ `Reference | `Scan | `Hash ]
+type strategy = [ `Scan | `Hash ]
 
 type stats = {
   mutable detail_scanned : int;
@@ -25,16 +25,16 @@ let ensure_block_slots s n =
   let have = Array.length s.block_updates in
   if have < n then s.block_updates <- Array.append s.block_updates (Array.make (n - have) 0)
 
-let strategy_name = function `Reference -> "reference" | `Scan -> "scan" | `Hash -> "hash"
+let strategy_name = function `Scan -> "scan" | `Hash -> "hash"
 
 (* Registry publication: the engine-wide counters under "gmdj.*" in
    {!Subql_obs.Metrics.default}.  Only coordinator-side code calls this
-   — parallel workers accumulate into local stats records which are
+   — exchange workers accumulate into local stats records which are
    merged before publication (the registry is single-domain). *)
-let publish ?(evals = 1) ~owned ~passes0 ~rows0 ~thetas0 () =
+let publish ~owned ~passes0 ~rows0 ~thetas0 =
   let open Subql_obs in
   let c name = Metrics.counter Metrics.default ("gmdj." ^ name) in
-  Metrics.incr ~by:evals (c "evals");
+  Metrics.incr (c "evals");
   Metrics.incr ~by:(owned.detail_passes - passes0) (c "detail_passes");
   Metrics.incr ~by:(owned.detail_scanned - rows0) (c "detail_rows_scanned");
   Metrics.incr ~by:(owned.theta_evals - thetas0) (c "theta_evals")
@@ -47,7 +47,7 @@ let with_owned_stats ?attrs ~span stats f =
   and rows0 = owned.detail_scanned
   and thetas0 = owned.theta_evals in
   let result = Subql_obs.Trace.with_ ?attrs span (fun () -> f owned) in
-  publish ~owned ~passes0 ~rows0 ~thetas0 ();
+  publish ~owned ~passes0 ~rows0 ~thetas0;
   result
 
 let block aggs theta = { aggs; theta }
@@ -148,7 +148,7 @@ let make_plan ~strategy ~stats ~bs ~ds ~base_rows theta =
   in
   let probe =
     match strategy, correlated_expr with
-    | (`Scan | `Reference), _ | `Hash, None ->
+    | `Scan, _ | `Hash, None ->
       Probe_all { test = make_pair_test ~stats ~bs ~ds correlated_expr }
     | `Hash, Some expr -> (
       let pairs, residual = Expr.split_equi ~left:bs ~right:ds expr in
@@ -190,15 +190,14 @@ let emit_row base_row accs_row =
   Tuple.concat base_row agg_values
 
 (* ------------------------------------------------------------------ *)
-(* Plain evaluation                                                     *)
+(* The definition                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let reference_eval ~stats ~base ~detail blocks =
+let reference ~base ~detail blocks =
   let bs = Relation.schema base and ds = Relation.schema detail in
   let out_schema = output_schema ~base:bs ~detail:ds blocks in
   let frames = [| bs; ds |] in
   let blocks = Array.of_list blocks in
-  ensure_block_slots stats (Array.length blocks);
   Array.iter (fun b -> Expr.typecheck_bool frames b.theta) blocks;
   let thetas = Array.map (fun b -> Expr.compile_frames frames b.theta) blocks in
   let compiled =
@@ -209,21 +208,15 @@ let reference_eval ~stats ~base ~detail blocks =
     Array.map
       (fun brow ->
         let accs_row = Array.map (Array.map Aggregate.make) compiled in
+        (* One full detail pass per base tuple and block. *)
         Array.iteri
           (fun i theta ->
-            (* One full detail pass per base tuple and block: the
-               definition's cost, made visible in the stats. *)
-            stats.detail_passes <- stats.detail_passes + 1;
             Relation.iter
               (fun drow ->
-                stats.detail_scanned <- stats.detail_scanned + 1;
-                stats.theta_evals <- stats.theta_evals + 1;
                 ctx.(0) <- brow;
                 ctx.(1) <- drow;
-                if Expr.is_true (theta ctx) then begin
-                  stats.block_updates.(i) <- stats.block_updates.(i) + 1;
-                  Array.iter (fun acc -> Aggregate.step acc ctx) accs_row.(i)
-                end)
+                if Expr.is_true (theta ctx) then
+                  Array.iter (fun acc -> Aggregate.step acc ctx) accs_row.(i))
               detail)
           thetas;
         emit_row brow accs_row)
@@ -231,19 +224,112 @@ let reference_eval ~stats ~base ~detail blocks =
   in
   Relation.create ~check:false out_schema rows
 
-(* Feed the detail rows in positions [lo, hi) into the accumulators;
-   [apply] is {!Aggregate.step} for evaluation and insertions, and
-   {!Aggregate.step_back} for deletion maintenance. *)
-let accumulate_range ?(apply = Aggregate.step) ~plans ~accs ~base_rows ~detail_rows ~stats lo
-    hi =
+(* ------------------------------------------------------------------ *)
+(* The fold state                                                       *)
+(* ------------------------------------------------------------------ *)
+
+exception Scan_done
+
+(* One in-flight evaluation on one domain: compiled θ-plans, the
+   per-base-tuple accumulator matrix and, for a completion
+   (Section 4.2), the kill/require verdicts.  Detail rows arrive as
+   chunks ([feed]); every domain of an exchange owns one state (compiled
+   closures and hash indexes carry per-evaluation mutable buffers) and
+   the states combine with [merge].  [stats] is the state's own record
+   for row/θ/block counts; detail passes and registry publication
+   belong to the coordinator. *)
+type state = {
+  base_rows : Tuple.t array;
+  out_schema : Schema.t;
+  block_plans : plan array;  (** empty when aggregates are not maintained *)
+  accs : Aggregate.acc array array array;
+  stats : stats;
+  verdicts : verdicts option;
+}
+
+(* [saturated] means no further detail rows can change the answer — the
+   feeder stops pulling (Thms 4.1–4.2's early scan exit, an early
+   storage exit for disk-resident details). *)
+and verdicts = {
+  kill_plans : plan array;
+  fired_plans : plan array;
+  alive : bool array;
+  fired : bool array array;
+  unfired : int array;
+  settled : bool array;
+  mutable n_settled : int;
+  positive_settles : bool;
+  early_exit_allowed : bool;
+  mutable active : int array;
+  mutable settled_at_compact : int;
+  ctx : Tuple.t array;
+  mutable saturated : bool;
+}
+
+let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
+  let stats = fresh_stats () in
+  ensure_block_slots stats (List.length blocks);
+  let bs = Relation.schema base and ds = detail_schema in
+  let base_rows = Relation.rows base in
   let n_base = Array.length base_rows in
-  ensure_block_slots stats (Array.length plans);
+  let mk =
+    make_plan ~strategy ~stats:(if theta then Some stats else None) ~bs ~ds ~base_rows
+  in
+  let maintain_aggregates =
+    match completion with None -> true | Some c -> c.maintain_aggregates
+  in
+  let verdicts =
+    Option.map
+      (fun c ->
+        let fired_plans = Array.of_list (List.map mk c.require_fired) in
+        let n_fired_preds = Array.length fired_plans in
+        {
+          kill_plans = Array.of_list (List.map mk c.kill_when);
+          fired_plans;
+          alive = Array.make n_base true;
+          fired = Array.make_matrix (max n_fired_preds 1) n_base false;
+          unfired = Array.make n_base n_fired_preds;
+          (* A base tuple is settled — removable from the scan — once it
+             is killed (Thm 4.2), or, when there are no kill predicates
+             and the aggregates are not needed, once every require-fired
+             predicate has fired for it (Thm 4.1). *)
+          positive_settles = c.kill_when = [] && not c.maintain_aggregates;
+          settled = Array.make n_base false;
+          n_settled = 0;
+          (* Early termination is sound only when settled tuples account
+             for the whole base: killed ones produce no output and
+             positively-settled ones need no further updates. *)
+          early_exit_allowed = not c.maintain_aggregates;
+          active = Array.init n_base (fun i -> i);
+          settled_at_compact = 0;
+          ctx = [| Tuple.empty; Tuple.empty |];
+          saturated = false;
+        })
+      completion
+  in
+  {
+    base_rows;
+    out_schema = output_schema ~base:bs ~detail:ds blocks;
+    block_plans =
+      (if maintain_aggregates then Array.of_list (List.map (fun b -> mk b.theta) blocks)
+       else [||]);
+    accs = make_accs ~bs ~ds ~n_base blocks;
+    stats;
+    verdicts;
+  }
+
+(* Plain accumulation of the rows [lo, hi) of [detail_rows]; [apply] is
+   {!Aggregate.step} for evaluation and insertions, and
+   {!Aggregate.step_back} for deletion maintenance. *)
+let accumulate ~apply st detail_rows lo hi =
+  let n_base = Array.length st.base_rows in
+  let stats = st.stats in
   let ctx = [| Tuple.empty; Tuple.empty |] in
   let update block_i drow bi =
-    ctx.(0) <- base_rows.(bi);
+    ctx.(0) <- st.base_rows.(bi);
     ctx.(1) <- drow;
     stats.block_updates.(block_i) <- stats.block_updates.(block_i) + 1;
-    Array.iter (fun acc -> apply acc ctx) accs.(bi).(block_i)
+    Array.iter (fun acc -> apply acc ctx) st.accs.(bi).(block_i)
   in
   for ri = lo to hi - 1 do
     let drow = detail_rows.(ri) in
@@ -254,578 +340,230 @@ let accumulate_range ?(apply = Aggregate.step) ~plans ~accs ~base_rows ~detail_r
           match plan.probe with
           | Probe_hash { key_of_detail; index; test } ->
             Index.probe_iter index (key_of_detail drow) (fun bi ->
-                if test base_rows.(bi) drow then update block_i drow bi)
+                if test st.base_rows.(bi) drow then update block_i drow bi)
           | Probe_all { test } ->
             for bi = 0 to n_base - 1 do
-              if test base_rows.(bi) drow then update block_i drow bi
+              if test st.base_rows.(bi) drow then update block_i drow bi
             done)
-      plans
+      st.block_plans
   done
 
-(* ------------------------------------------------------------------ *)
-(* The chunk-consuming fold core                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* One in-flight `Scan`/`Hash` evaluation: compiled θ-plans plus the
-   per-base-tuple accumulator matrix.  Detail rows arrive as chunks
-   ([fold_feed]) — the whole-relation evaluators below feed a single
-   chunk, the streaming executor and [Paged_gmdj] feed page-sized ones —
-   so the detail side is never required to exist as one array and
-   [stats.detail_passes] counts storage passes, not materializations.
-
-   [theta_stats] controls the per-pair θ-evaluation counting (a closure
-   wrapper on the hottest path, so it stays opt-in); [stats] is the
-   always-on owned record for pass/row/accumulator counts. *)
-type fold_state = {
-  f_plans : plan array;
-  f_accs : Aggregate.acc array array array;
-  f_base_rows : Tuple.t array;
-  f_out_schema : Schema.t;
-  f_stats : stats;
-}
-
-let fold_start ~strategy ~theta_stats ~stats ~base ~detail_schema blocks =
-  let bs = Relation.schema base and ds = detail_schema in
-  let base_rows = Relation.rows base in
-  let plans =
-    Array.of_list
-      (List.map
-         (fun b -> make_plan ~strategy ~stats:theta_stats ~bs ~ds ~base_rows b.theta)
-         blocks)
-  in
-  let accs = make_accs ~bs ~ds ~n_base:(Array.length base_rows) blocks in
-  stats.detail_passes <- stats.detail_passes + 1;
-  {
-    f_plans = plans;
-    f_accs = accs;
-    f_base_rows = base_rows;
-    f_out_schema = output_schema ~base:bs ~detail:ds blocks;
-    f_stats = stats;
-  }
-
-let fold_feed st chunk =
-  let lo = Chunk.offset chunk in
-  accumulate_range ~plans:st.f_plans ~accs:st.f_accs ~base_rows:st.f_base_rows
-    ~detail_rows:(Chunk.buffer chunk) ~stats:st.f_stats lo
-    (lo + Chunk.length chunk)
-
-let fold_finish st =
-  Relation.create ~check:false st.f_out_schema
-    (Array.mapi (fun bi brow -> emit_row brow st.f_accs.(bi)) st.f_base_rows)
-
-let scan_eval ~strategy ~theta_stats ~stats ~base ~detail blocks =
-  let st =
-    fold_start ~strategy ~theta_stats ~stats ~base ~detail_schema:(Relation.schema detail)
-      blocks
-  in
-  fold_feed st (Chunk.whole detail);
-  fold_finish st
-
-let dispatch ~strategy ~theta_stats ~stats ~base ~detail blocks =
-  match strategy with
-  | `Reference -> reference_eval ~stats ~base ~detail blocks
-  | `Scan | `Hash -> scan_eval ~strategy ~theta_stats ~stats ~base ~detail blocks
-
-let eval ?(strategy = `Hash) ?stats ~base ~detail blocks =
-  with_owned_stats
-    ~attrs:
-      [
-        ("strategy", strategy_name strategy);
-        ("blocks", string_of_int (List.length blocks));
-        ("base_rows", string_of_int (Relation.cardinality base));
-        ("detail_rows", string_of_int (Relation.cardinality detail));
-      ]
-    ~span:"gmdj.eval" stats
-    (fun owned -> dispatch ~strategy ~theta_stats:stats ~stats:owned ~base ~detail blocks)
-
-(* ------------------------------------------------------------------ *)
-(* Exchange-parallel evaluation                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Parallel_base = struct
-  (* GMDJ over an exchange: the coordinator pulls detail chunks and
-     routes them round-robin to [domains] workers; each worker owns its
-     θ-plans (compiled closures and hash indexes carry per-evaluation
-     mutable buffers), its accumulator matrix and its stats record, and
-     folds its share of the detail with the same [accumulate_range] core
-     as the serial path.  At the merge, worker accumulators combine with
-     {!Aggregate.merge} — every SQL aggregate state is mergeable, so the
-     exchange is a plain commutative reduction and round-robin routing
-     (no key) is sound.  Base rows and detail chunks are shared
-     read-only; the registry is only touched on the coordinator. *)
-  let fold_source ?(strategy = `Hash) ?stats ~domains ~base ~detail_schema source blocks =
-    if domains <= 0 then invalid_arg "Gmdj.Parallel.fold_source: domains must be positive";
-    let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-    with_owned_stats
-      ~attrs:
-        [
-          ("strategy", strategy_name strategy);
-          ("blocks", string_of_int (List.length blocks));
-          ("domains", string_of_int domains);
-        ]
-      ~span:"gmdj.eval_exchange" stats
-    @@ fun owned ->
-    let bs = Relation.schema base and ds = detail_schema in
-    let out_schema = output_schema ~base:bs ~detail:ds blocks in
-    let base_rows = Relation.rows base in
-    let results =
-      Chunk.Exchange.fold ~domains
-        ~init:(fun _ctx ->
-          let local = fresh_stats () in
-          let plans =
-            Array.of_list
-              (List.map
-                 (fun b -> make_plan ~strategy ~stats:(Some local) ~bs ~ds ~base_rows b.theta)
-                 blocks)
-          in
-          let accs = make_accs ~bs ~ds ~n_base:(Array.length base_rows) blocks in
-          (plans, accs, local))
-        ~fold:(fun ((plans, accs, local) as st) chunk ->
-          let lo = Chunk.offset chunk in
-          accumulate_range ~plans ~accs ~base_rows ~detail_rows:(Chunk.buffer chunk)
-            ~stats:local lo
-            (lo + Chunk.length chunk);
-          st)
-        ~finish:(fun (_, accs, local) -> (accs, local))
-        source
-    in
-    (* The exchange touches every detail row exactly once across all
-       workers, so it counts as one logical pass of the detail. *)
-    owned.detail_passes <- owned.detail_passes + 1;
-    ensure_block_slots owned (List.length blocks);
-    let merged = match results with (accs, _) :: _ -> accs | [] -> assert false in
-    List.iteri
-      (fun i (accs, st) ->
-        if i > 0 then
-          Array.iteri
-            (fun bi per_block ->
-              Array.iteri
-                (fun block_i per_agg ->
-                  Array.iteri
-                    (fun agg_i acc -> Aggregate.merge ~into:merged.(bi).(block_i).(agg_i) acc)
-                    per_agg)
-                per_block)
-            accs;
-        owned.detail_scanned <- owned.detail_scanned + st.detail_scanned;
-        owned.theta_evals <- owned.theta_evals + st.theta_evals;
-        Array.iteri
-          (fun block_i n ->
-            owned.block_updates.(block_i) <- owned.block_updates.(block_i) + n)
-          st.block_updates)
-      results;
-    Relation.create ~check:false out_schema
-      (Array.mapi (fun bi brow -> emit_row brow merged.(bi)) base_rows)
-end
-
-let eval_partitioned ?(strategy = `Hash) ?stats ~domains ~base ~detail blocks =
-  if domains <= 0 then invalid_arg "Gmdj.eval_partitioned: domains must be positive";
-  let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-  let n_detail = Relation.cardinality detail in
-  let domains = max 1 (min domains n_detail) in
-  if domains = 1 then eval ~strategy ?stats ~base ~detail blocks
-  else
-    (* Slice the detail so every worker gets work even on small inputs,
-       and ride the exchange: this is now just [Parallel.fold_source]
-       over a whole-relation chunk stream. *)
-    let chunk_rows = max 1 (min Chunk.default_rows ((n_detail + domains - 1) / domains)) in
-    Parallel_base.fold_source ~strategy ?stats ~domains ~base
-      ~detail_schema:(Relation.schema detail)
-      (Chunk.Source.of_relation ~chunk_rows detail)
-      blocks
-
-let eval_segmented ?(strategy = `Hash) ?stats ~segment_size ~base ~detail blocks =
-  if segment_size <= 0 then invalid_arg "Gmdj.eval_segmented: segment_size must be positive";
-  let bs = Relation.schema base and ds = Relation.schema detail in
-  let out_schema = output_schema ~base:bs ~detail:ds blocks in
-  let base_rows = Relation.rows base in
-  let n_base = Array.length base_rows in
-  if n_base <= segment_size then eval ~strategy ?stats ~base ~detail blocks
-  else
-    with_owned_stats
-      ~attrs:[ ("segment_size", string_of_int segment_size) ]
-      ~span:"gmdj.eval_segmented" stats
-    @@ fun owned ->
-    let out = Vec.create ~capacity:n_base ~dummy:Tuple.empty () in
-    let offset = ref 0 in
-    while !offset < n_base do
-      let len = min segment_size (n_base - !offset) in
-      let segment =
-        Relation.create ~check:false bs (Array.sub base_rows !offset len)
-      in
-      let partial =
-        dispatch ~strategy ~theta_stats:stats ~stats:owned ~base:segment ~detail blocks
-      in
-      Relation.iter (Vec.push out) partial;
-      offset := !offset + len
-    done;
-    Relation.create ~check:false out_schema (Vec.to_array out)
-
-(* ------------------------------------------------------------------ *)
-(* Completion-aware evaluation (Section 4.2)                            *)
-(* ------------------------------------------------------------------ *)
-
-exception Scan_done
-
-(* Completion-aware fold state: the kill/require/block plans plus the
-   per-base-tuple decision bookkeeping.  [c_saturated] means no further
-   detail rows can change the answer — the feeder must stop pulling the
-   detail stream (Thms 4.1–4.2's early scan exit, now an early *storage*
-   exit for disk-resident details). *)
-type completed_state = {
-  c_out_schema : Schema.t;
-  c_base_rows : Tuple.t array;
-  c_accs : Aggregate.acc array array array;
-  c_kill_plans : plan array;
-  c_fired_plans : plan array;
-  c_block_plans : plan array;
-  c_alive : bool array;
-  c_fired : bool array array;
-  c_unfired : int array;
-  c_settled : bool array;
-  mutable c_n_settled : int;
-  c_positive_settles : bool;
-  c_early_exit_allowed : bool;
-  mutable c_active : int array;
-  mutable c_settled_at_compact : int;
-  c_ctx : Tuple.t array;
-  c_stats : stats;
-  (* Exchange workers must not touch the (single-domain) registry, so
-     the early-exit count is routed through this hook: the default bumps
-     the registry, parallel workers substitute a no-op and the
-     coordinator counts once after the merge. *)
-  c_on_early_exit : unit -> unit;
-  mutable c_saturated : bool;
-}
-
-let count_early_exit () = Subql_obs.Metrics.(incr (counter default "gmdj.early_exits"))
-
-let mark_early_exit st =
-  st.c_stats.early_exit <- true;
-  st.c_on_early_exit ()
-
-let completed_start ~strategy ~theta_stats ~stats ?(on_early_exit = count_early_exit)
-    ~completion ~base ~detail_schema blocks =
-  let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-  ensure_block_slots stats (List.length blocks);
-  let bs = Relation.schema base and ds = detail_schema in
-  let out_schema = output_schema ~base:bs ~detail:ds blocks in
-  let base_rows = Relation.rows base in
-  let n_base = Array.length base_rows in
-  let mk = make_plan ~strategy ~stats:theta_stats ~bs ~ds ~base_rows in
-  let kill_plans = Array.of_list (List.map mk completion.kill_when) in
-  let fired_plans = Array.of_list (List.map mk completion.require_fired) in
-  let block_plans =
-    if completion.maintain_aggregates then
-      Array.of_list (List.map (fun b -> mk b.theta) blocks)
-    else [||]
-  in
-  let n_fired_preds = Array.length fired_plans in
-  let has_kills = Array.length kill_plans > 0 in
-  let early_exit_allowed = not completion.maintain_aggregates in
-  let st =
-    {
-      c_out_schema = out_schema;
-      c_base_rows = base_rows;
-      c_accs = make_accs ~bs ~ds ~n_base blocks;
-      c_kill_plans = kill_plans;
-      c_fired_plans = fired_plans;
-      c_block_plans = block_plans;
-      c_alive = Array.make n_base true;
-      c_fired = Array.make_matrix (max n_fired_preds 1) n_base false;
-      c_unfired = Array.make n_base n_fired_preds;
-      (* A base tuple is settled — removable from the scan — once it is
-         killed (Thm 4.2), or, when there are no kill predicates and the
-         aggregates are not needed, once every require-fired predicate
-         has fired for it (Thm 4.1). *)
-      c_positive_settles = (not has_kills) && not completion.maintain_aggregates;
-      c_settled = Array.make n_base false;
-      c_n_settled = 0;
-      (* Early termination is sound only when settled tuples account for
-         the whole base: killed ones produce no output and positively-
-         settled ones need no further updates. *)
-      c_early_exit_allowed = early_exit_allowed;
-      c_active = Array.init n_base (fun i -> i);
-      c_settled_at_compact = 0;
-      c_ctx = [| Tuple.empty; Tuple.empty |];
-      c_stats = stats;
-      c_on_early_exit = on_early_exit;
-      c_saturated = false;
-    }
-  in
-  if n_base = 0 then st.c_saturated <- true
-  else if early_exit_allowed && (not has_kills) && n_fired_preds = 0 then begin
-    (* Nothing can kill and nothing must fire: every base tuple is
-       already decided without reading a single detail row. *)
-    st.c_saturated <- true;
-    mark_early_exit st
-  end
-  else stats.detail_passes <- stats.detail_passes + 1;
-  st
-
-let settle st bi =
-  if not st.c_settled.(bi) then begin
-    st.c_settled.(bi) <- true;
-    st.c_n_settled <- st.c_n_settled + 1;
-    if st.c_early_exit_allowed && st.c_n_settled >= Array.length st.c_base_rows then
-      raise Scan_done
+let settle st v bi =
+  if not v.settled.(bi) then begin
+    v.settled.(bi) <- true;
+    v.n_settled <- v.n_settled + 1;
+    if v.early_exit_allowed && v.n_settled >= Array.length st.base_rows then raise Scan_done
   end
 
 (* The scan probes of Probe_all plans iterate an explicit active list;
    it is compacted whenever at least a quarter of it has settled, so a
    mostly-decided base stops costing per-pair work (the paper's
    "transferring the completed tuples to disk"). *)
-let compact st =
+let compact v =
   if
-    Array.length st.c_active > 64
-    && 4 * (st.c_n_settled - st.c_settled_at_compact) > Array.length st.c_active
+    Array.length v.active > 64 && 4 * (v.n_settled - v.settled_at_compact) > Array.length v.active
   then begin
-    st.c_active <-
-      Array.of_seq (Seq.filter (fun bi -> not st.c_settled.(bi)) (Array.to_seq st.c_active));
-    st.c_settled_at_compact <- st.c_n_settled
+    v.active <- Array.of_seq (Seq.filter (fun bi -> not v.settled.(bi)) (Array.to_seq v.active));
+    v.settled_at_compact <- v.n_settled
   end
 
-let iterate_candidates st plan drow f =
+let iterate_candidates st v plan drow f =
   match plan.probe with
   | Probe_hash { key_of_detail; index; test } ->
     Index.probe_iter index (key_of_detail drow) (fun bi ->
-        if (not st.c_settled.(bi)) && test st.c_base_rows.(bi) drow then f bi)
+        if (not v.settled.(bi)) && test st.base_rows.(bi) drow then f bi)
   | Probe_all { test } ->
-    let a = st.c_active in
+    let a = v.active in
     for i = 0 to Array.length a - 1 do
       let bi = a.(i) in
-      if (not st.c_settled.(bi)) && test st.c_base_rows.(bi) drow then f bi
+      if (not v.settled.(bi)) && test st.base_rows.(bi) drow then f bi
     done
 
-let completed_feed_row st drow =
-  st.c_stats.detail_scanned <- st.c_stats.detail_scanned + 1;
+let feed_verdict_row st v drow =
+  st.stats.detail_scanned <- st.stats.detail_scanned + 1;
   Array.iter
     (fun plan ->
       if prefilter_passes plan drow then
-        iterate_candidates st plan drow (fun bi ->
-            if st.c_alive.(bi) then begin
-              st.c_alive.(bi) <- false;
-              settle st bi
+        iterate_candidates st v plan drow (fun bi ->
+            if v.alive.(bi) then begin
+              v.alive.(bi) <- false;
+              settle st v bi
             end))
-    st.c_kill_plans;
+    v.kill_plans;
   Array.iteri
     (fun pi plan ->
       if prefilter_passes plan drow then
-        iterate_candidates st plan drow (fun bi ->
-            if st.c_alive.(bi) && not st.c_fired.(pi).(bi) then begin
-              st.c_fired.(pi).(bi) <- true;
-              st.c_unfired.(bi) <- st.c_unfired.(bi) - 1;
-              if st.c_positive_settles && st.c_unfired.(bi) = 0 then settle st bi
+        iterate_candidates st v plan drow (fun bi ->
+            if v.alive.(bi) && not v.fired.(pi).(bi) then begin
+              v.fired.(pi).(bi) <- true;
+              v.unfired.(bi) <- v.unfired.(bi) - 1;
+              if v.positive_settles && v.unfired.(bi) = 0 then settle st v bi
             end))
-    st.c_fired_plans;
+    v.fired_plans;
   Array.iteri
     (fun block_i plan ->
       if prefilter_passes plan drow then
-        iterate_candidates st plan drow (fun bi ->
-            if st.c_alive.(bi) then begin
-              st.c_ctx.(0) <- st.c_base_rows.(bi);
-              st.c_ctx.(1) <- drow;
-              st.c_stats.block_updates.(block_i) <- st.c_stats.block_updates.(block_i) + 1;
-              Array.iter (fun acc -> Aggregate.step acc st.c_ctx) st.c_accs.(bi).(block_i)
+        iterate_candidates st v plan drow (fun bi ->
+            if v.alive.(bi) then begin
+              v.ctx.(0) <- st.base_rows.(bi);
+              v.ctx.(1) <- drow;
+              st.stats.block_updates.(block_i) <- st.stats.block_updates.(block_i) + 1;
+              Array.iter (fun acc -> Aggregate.step acc v.ctx) st.accs.(bi).(block_i)
             end))
-    st.c_block_plans;
-  compact st
+    st.block_plans;
+  compact v
 
-let completed_feed st chunk =
-  if not st.c_saturated then begin
-    try Chunk.iter (completed_feed_row st) chunk
-    with Scan_done ->
-      st.c_saturated <- true;
-      mark_early_exit st
-  end
+let feed ?(apply = Aggregate.step) st chunk =
+  match st.verdicts with
+  | None ->
+    let lo = Chunk.offset chunk in
+    accumulate ~apply st (Chunk.buffer chunk) lo (lo + Chunk.length chunk)
+  | Some v ->
+    if not v.saturated then begin
+      try Chunk.iter (feed_verdict_row st v) chunk
+      with Scan_done ->
+        v.saturated <- true;
+        st.stats.early_exit <- true
+    end
 
-let completed_finish st =
-  let out = Vec.create ~dummy:Tuple.empty () in
+let saturated st = match st.verdicts with Some v -> v.saturated | None -> false
+
+(* Fold state [b] (another domain's share of the detail) into [a]: every
+   SQL aggregate state merges ({!Aggregate.merge}), and kill/fire
+   verdicts are monotone under more detail rows, so alive ANDs and fired
+   ORs.  A domain may have kept stepping aggregates for a base tuple
+   another domain killed — harmless, the merged [alive] excludes that
+   tuple from the output. *)
+let merge ~into:a b =
   Array.iteri
-    (fun bi brow ->
-      if st.c_alive.(bi) && st.c_unfired.(bi) = 0 then
-        Vec.push out (emit_row brow st.c_accs.(bi)))
-    st.c_base_rows;
-  Relation.create ~check:false st.c_out_schema (Vec.to_array out)
+    (fun bi per_block ->
+      Array.iteri
+        (fun block_i per_agg ->
+          Array.iteri
+            (fun agg_i acc -> Aggregate.merge ~into:acc b.accs.(bi).(block_i).(agg_i))
+            per_agg)
+        per_block)
+    a.accs;
+  match (a.verdicts, b.verdicts) with
+  | Some va, Some vb ->
+    let n_preds = Array.length va.fired_plans in
+    Array.iteri
+      (fun bi _ ->
+        va.alive.(bi) <- va.alive.(bi) && vb.alive.(bi);
+        let unfired = ref n_preds in
+        for pi = 0 to n_preds - 1 do
+          va.fired.(pi).(bi) <- va.fired.(pi).(bi) || vb.fired.(pi).(bi);
+          if va.fired.(pi).(bi) then decr unfired
+        done;
+        va.unfired.(bi) <- !unfired)
+      a.base_rows
+  | _ -> ()
 
-let eval_completed ?(strategy = `Hash) ?stats ~completion ~base ~detail blocks =
-  let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
+(* The result in base order: every base row, or — for a completion —
+   the surviving ones, extended with the aggregate columns. *)
+let finish st =
+  let rows =
+    match st.verdicts with
+    | None -> Array.mapi (fun bi brow -> emit_row brow st.accs.(bi)) st.base_rows
+    | Some v ->
+      let out = Vec.create ~dummy:Tuple.empty () in
+      Array.iteri
+        (fun bi brow ->
+          if v.alive.(bi) && v.unfired.(bi) = 0 then Vec.push out (emit_row brow st.accs.(bi)))
+        st.base_rows;
+      Vec.to_array out
+  in
+  Relation.create ~check:false st.out_schema rows
+
+(* ------------------------------------------------------------------ *)
+(* The evaluator                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let count_early_exit (owned : stats) =
+  owned.early_exit <- true;
+  Subql_obs.Metrics.(incr (counter default "gmdj.early_exits"))
+
+(* A completion whose answer needs no detail row: an empty base, or
+   nothing can kill, nothing must fire and no aggregate is kept. *)
+let decided_without_detail ~n_base = function
+  | None -> false
+  | Some c ->
+    n_base = 0 || (c.kill_when = [] && c.require_fired = [] && not c.maintain_aggregates)
+
+(* An untouched whole-relation detail is re-sliced so that every domain
+   gets work even on small inputs; the domain count is capped at its
+   cardinality.  (At one domain the source's own slicing stands.) *)
+let spread ~domains detail =
+  match Chunk.Source.origin detail with
+  | Some r when domains > 1 ->
+    Chunk.Source.close detail;
+    let n = Relation.cardinality r in
+    let domains = max 1 (min domains n) in
+    let chunk_rows = max 1 (min Chunk.default_rows ((n + domains - 1) / domains)) in
+    (domains, Chunk.Source.of_relation ~chunk_rows r)
+  | _ -> (domains, detail)
+
+let eval ?(strategy = `Hash) ?stats ?completion ~domains ~base detail blocks =
+  if domains <= 0 then invalid_arg "Gmdj.eval: domains must be positive";
+  let span, completion_attrs =
+    match completion with
+    | None -> ("gmdj.eval", [])
+    | Some c ->
+      ( "gmdj.eval_completed",
+        [
+          ("kill_preds", string_of_int (List.length c.kill_when));
+          ("require_preds", string_of_int (List.length c.require_fired));
+        ] )
+  in
   with_owned_stats
     ~attrs:
-      [
-        ("strategy", strategy_name strategy);
-        ("blocks", string_of_int (List.length blocks));
-        ("kill_preds", string_of_int (List.length completion.kill_when));
-        ("require_preds", string_of_int (List.length completion.require_fired));
-      ]
-    ~span:"gmdj.eval_completed" stats
+      ([
+         ("strategy", strategy_name strategy);
+         ("blocks", string_of_int (List.length blocks));
+         ("base_rows", string_of_int (Relation.cardinality base));
+         ("domains", string_of_int domains);
+       ]
+      @ completion_attrs)
+    ~span stats
   @@ fun owned ->
-  let st =
-    completed_start ~strategy ~theta_stats:stats ~stats:owned ~completion ~base
-      ~detail_schema:(Relation.schema detail) blocks
+  let detail_schema = Chunk.Source.schema detail in
+  let start () =
+    start ~strategy ~theta:(Option.is_some stats) ?completion ~base ~detail_schema blocks
   in
-  completed_feed st (Chunk.whole detail);
-  completed_finish st
-
-(* Fold worker [b]'s completion verdicts into [a]: killed and fired are
-   monotone under more detail rows, so alive ANDs, fired ORs, and the
-   aggregate states merge.  A worker may have kept stepping aggregates
-   for a base tuple another worker killed — harmless, the merged
-   [c_alive] excludes that tuple from the output. *)
-let completed_merge ~into:a b =
-  let n_base = Array.length a.c_base_rows in
-  let n_preds = Array.length a.c_fired_plans in
-  for bi = 0 to n_base - 1 do
-    a.c_alive.(bi) <- a.c_alive.(bi) && b.c_alive.(bi);
-    let unfired = ref n_preds in
-    for pi = 0 to n_preds - 1 do
-      a.c_fired.(pi).(bi) <- a.c_fired.(pi).(bi) || b.c_fired.(pi).(bi);
-      if a.c_fired.(pi).(bi) then decr unfired
-    done;
-    a.c_unfired.(bi) <- !unfired;
-    Array.iteri
-      (fun block_i per_agg ->
-        Array.iteri
-          (fun agg_i acc -> Aggregate.merge ~into:acc b.c_accs.(bi).(block_i).(agg_i))
-          per_agg)
-      a.c_accs.(bi)
-  done
-
-module Parallel = struct
-  include Parallel_base
-
-  (* Completion-aware GMDJ over the exchange.  Each worker runs the
-     serial completion machinery on its share of the detail — including
-     local early exit, which is sound because kill/fire verdicts are
-     monotone: once a worker's share has settled every base tuple, its
-     remaining detail rows cannot change its contribution.  Workers
-     never touch the registry (the early-exit hook is a no-op on their
-     domains); the coordinator counts one logical pass and one early
-     exit for the whole evaluation. *)
-  let fold_completed_source ?(strategy = `Hash) ?stats ~domains ~completion ~base
-      ~detail_schema source blocks =
-    if domains <= 0 then
-      invalid_arg "Gmdj.Parallel.fold_completed_source: domains must be positive";
-    let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-    with_owned_stats
-      ~attrs:
-        [
-          ("strategy", strategy_name strategy);
-          ("blocks", string_of_int (List.length blocks));
-          ("kill_preds", string_of_int (List.length completion.kill_when));
-          ("require_preds", string_of_int (List.length completion.require_fired));
-          ("domains", string_of_int domains);
-        ]
-      ~span:"gmdj.eval_completed" stats
-    @@ fun owned ->
-    let results =
-      Chunk.Exchange.fold ~domains
-        ~init:(fun _ctx ->
-          let local = fresh_stats () in
-          completed_start ~strategy ~theta_stats:(Some local) ~stats:local
-            ~on_early_exit:ignore ~completion ~base ~detail_schema blocks)
-        ~fold:(fun st chunk ->
-          completed_feed st chunk;
-          st)
-        ~finish:(fun st -> st)
-        source
-    in
+  ensure_block_slots owned (List.length blocks);
+  let n_base = Relation.cardinality base in
+  if decided_without_detail ~n_base completion then begin
+    (* Decided on the coordinator: no pass, no storage read. *)
+    Chunk.Source.close detail;
+    if n_base > 0 then count_early_exit owned;
+    finish (start ())
+  end
+  else begin
+    let domains, detail = spread ~domains detail in
+    (* The exchange touches every detail row at most once across all
+       domains, so it counts as one logical pass of the detail. *)
     owned.detail_passes <- owned.detail_passes + 1;
-    ensure_block_slots owned (List.length blocks);
-    let merged = match results with st :: _ -> st | [] -> assert false in
+    let states =
+      Chunk.Exchange.fold ~domains ~stop:saturated
+        ~init:(fun _ -> start ())
+        ~fold:(fun st chunk ->
+          feed st chunk;
+          st)
+        ~finish:Fun.id detail
+    in
+    let merged = List.hd states in
     List.iteri
       (fun i st ->
-        if i > 0 then completed_merge ~into:merged st;
-        owned.detail_scanned <- owned.detail_scanned + st.c_stats.detail_scanned;
-        owned.theta_evals <- owned.theta_evals + st.c_stats.theta_evals;
+        if i > 0 then merge ~into:merged st;
+        owned.detail_scanned <- owned.detail_scanned + st.stats.detail_scanned;
+        owned.theta_evals <- owned.theta_evals + st.stats.theta_evals;
         Array.iteri
-          (fun block_i n ->
-            owned.block_updates.(block_i) <- owned.block_updates.(block_i) + n)
-          st.c_stats.block_updates)
-      results;
-    if List.exists (fun st -> st.c_stats.early_exit) results then begin
-      owned.early_exit <- true;
-      count_early_exit ()
-    end;
-    completed_finish merged
-end
-
-let eval_completed_partitioned ?(strategy = `Hash) ?stats ~domains ~completion ~base
-    ~detail blocks =
-  if domains <= 0 then
-    invalid_arg "Gmdj.eval_completed_partitioned: domains must be positive";
-  let n_detail = Relation.cardinality detail in
-  let domains = max 1 (min domains n_detail) in
-  if domains = 1 then eval_completed ~strategy ?stats ~completion ~base ~detail blocks
-  else
-    let chunk_rows = max 1 (min Chunk.default_rows ((n_detail + domains - 1) / domains)) in
-    Parallel.fold_completed_source ~strategy ?stats ~domains ~completion ~base
-      ~detail_schema:(Relation.schema detail)
-      (Chunk.Source.of_relation ~chunk_rows detail)
-      blocks
-
-(* ------------------------------------------------------------------ *)
-(* Public chunk-at-a-time evaluation                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The streaming counterparts of [eval] / [eval_completed]: the caller
-   owns the detail scan and pushes chunks in, so the detail relation
-   never has to exist in memory.  [start] snapshots the registry
-   baselines and [finish] publishes the deltas — exactly one publication
-   per evaluation, mirroring [with_owned_stats].  Callers that want a
-   trace span open it around the whole start/feed/finish sequence. *)
-
-module Fold = struct
-  type acc = { st : fold_state; passes0 : int; rows0 : int; thetas0 : int }
-
-  let start ?(strategy = `Hash) ?stats ~base ~detail blocks =
-    let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-    let owned = match stats with Some s -> s | None -> fresh_stats () in
-    let passes0 = owned.detail_passes
-    and rows0 = owned.detail_scanned
-    and thetas0 = owned.theta_evals in
-    let st =
-      fold_start ~strategy ~theta_stats:stats ~stats:owned ~base ~detail_schema:detail blocks
-    in
-    { st; passes0; rows0; thetas0 }
-
-  let fold_detail chunk acc =
-    fold_feed acc.st chunk;
-    acc
-
-  let finish acc =
-    let r = fold_finish acc.st in
-    publish ~owned:acc.st.f_stats ~passes0:acc.passes0 ~rows0:acc.rows0 ~thetas0:acc.thetas0
-      ();
-    r
-end
-
-module Fold_completed = struct
-  type acc = { st : completed_state; passes0 : int; rows0 : int; thetas0 : int }
-
-  let start ?(strategy = `Hash) ?stats ~completion ~base ~detail blocks =
-    let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-    let owned = match stats with Some s -> s | None -> fresh_stats () in
-    let passes0 = owned.detail_passes
-    and rows0 = owned.detail_scanned
-    and thetas0 = owned.theta_evals in
-    let st =
-      completed_start ~strategy ~theta_stats:stats ~stats:owned ~completion ~base
-        ~detail_schema:detail blocks
-    in
-    { st; passes0; rows0; thetas0 }
-
-  let saturated acc = acc.st.c_saturated
-
-  let fold_detail chunk acc =
-    completed_feed acc.st chunk;
-    acc
-
-  let finish acc =
-    let r = completed_finish acc.st in
-    publish ~owned:acc.st.c_stats ~passes0:acc.passes0 ~rows0:acc.rows0 ~thetas0:acc.thetas0
-      ();
-    r
-end
+          (fun block_i n -> owned.block_updates.(block_i) <- owned.block_updates.(block_i) + n)
+          st.stats.block_updates)
+      states;
+    if List.exists (fun st -> st.stats.early_exit) states then count_early_exit owned;
+    finish merged
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Incremental view maintenance                                         *)
@@ -841,15 +579,9 @@ module Maintain = struct
 
   let generation () = !generation_counter
 
-  type t = {
-    out_schema : Schema.t;
-    detail_schema : Schema.t;
-    plans : plan array;
-    accs : Aggregate.acc array array array;
-    base_rows : Tuple.t array;
-    has_minmax : bool;
-    m_stats : stats;  (* lifetime counts over materialization + deltas *)
-  }
+  (* The view is one live fold state: its [stats] are the lifetime
+     counts over the materialization and every delta since. *)
+  type t = { st : state; detail_schema : Schema.t; has_minmax : bool }
 
   let has_minmax_agg blocks =
     List.exists
@@ -865,71 +597,37 @@ module Maintain = struct
       blocks
 
   let create ?(strategy = `Hash) ~base ~detail blocks =
-    let strategy = match strategy with `Reference -> `Scan | (`Scan | `Hash) as s -> s in
-    let bs = Relation.schema base and ds = Relation.schema detail in
-    let base_rows = Relation.rows base in
-    let plans =
-      Array.of_list
-        (List.map (fun b -> make_plan ~strategy ~stats:None ~bs ~ds ~base_rows b.theta) blocks)
-    in
-    let accs = make_accs ~bs ~ds ~n_base:(Array.length base_rows) blocks in
-    let detail_rows = Relation.rows detail in
-    let m_stats = fresh_stats () in
-    accumulate_range ~plans ~accs ~base_rows ~detail_rows ~stats:m_stats 0
-      (Array.length detail_rows);
-    {
-      out_schema = output_schema ~base:bs ~detail:ds blocks;
-      detail_schema = ds;
-      plans;
-      accs;
-      base_rows;
-      has_minmax = has_minmax_agg blocks;
-      m_stats;
-    }
+    let detail_schema = Relation.schema detail in
+    let st = start ~strategy ~theta:false ~base ~detail_schema blocks in
+    feed st (Chunk.whole detail);
+    { st; detail_schema; has_minmax = has_minmax_agg blocks }
 
-  let check_delta t delta =
-    if not (Schema.equal_names (Relation.schema delta) t.detail_schema) then
-      invalid_arg "Gmdj.Maintain: delta schema does not match the detail schema"
-
-  let insert_detail t delta =
-    check_delta t delta;
-    incr generation_counter;
-    let detail_rows = Relation.rows delta in
-    accumulate_range ~plans:t.plans ~accs:t.accs ~base_rows:t.base_rows ~detail_rows
-      ~stats:t.m_stats 0 (Array.length detail_rows)
-
-  let check_chunk_delta t chunk =
-    if not (Schema.equal_names (Chunk.schema chunk) t.detail_schema) then
+  let check_delta t schema =
+    if not (Schema.equal_names schema t.detail_schema) then
       invalid_arg "Gmdj.Maintain: delta schema does not match the detail schema"
 
   let insert_chunk t chunk =
-    check_chunk_delta t chunk;
+    check_delta t (Chunk.schema chunk);
     incr generation_counter;
-    let lo = Chunk.offset chunk in
-    accumulate_range ~plans:t.plans ~accs:t.accs ~base_rows:t.base_rows
-      ~detail_rows:(Chunk.buffer chunk) ~stats:t.m_stats lo (lo + Chunk.length chunk)
+    feed t.st chunk
+
+  let insert_detail t delta = insert_chunk t (Chunk.whole delta)
 
   let insert_source t source =
-    let rows = ref 0 in
-    Chunk.Source.iter
-      (fun chunk ->
-        rows := !rows + Chunk.length chunk;
-        insert_chunk t chunk)
-      source;
-    !rows
+    Chunk.Source.fold
+      (fun rows chunk ->
+        insert_chunk t chunk;
+        rows + Chunk.length chunk)
+      0 source
 
-  let stats t = t.m_stats
+  let stats t = t.st.stats
 
   let delete_detail t delta =
-    check_delta t delta;
+    check_delta t (Relation.schema delta);
     if t.has_minmax then
       invalid_arg "Gmdj.Maintain: MIN/MAX views cannot be maintained under deletions";
     incr generation_counter;
-    let detail_rows = Relation.rows delta in
-    accumulate_range ~apply:Aggregate.step_back ~plans:t.plans ~accs:t.accs
-      ~base_rows:t.base_rows ~detail_rows ~stats:t.m_stats 0 (Array.length detail_rows)
+    feed ~apply:Aggregate.step_back t.st (Chunk.whole delta)
 
-  let result t =
-    Relation.create ~check:false t.out_schema
-      (Array.mapi (fun bi brow -> emit_row brow t.accs.(bi)) t.base_rows)
+  let result t = finish t.st
 end

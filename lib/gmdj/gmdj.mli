@@ -5,23 +5,23 @@
     [RNG(b, R, θ_i) = {r ∈ R | θ_i(b, r)}].  The output has one row per
     base row (in base order) and one column per aggregate.
 
-    Evaluation strategies:
-    - [`Reference] — the definition, verbatim: one pass over the detail
-      relation per base tuple and block.  Executable specification.
-    - [`Scan] — a single scan of the detail relation, updating all base
-      tuples' accumulators.  Cost: |R| scans × |B| predicate tests per
-      block.
-    - [`Hash] — single scan with the hash-index strategy of the paper's
-      GMDJ engine: equi-conditions between base and detail attributes
-      are extracted from each θ and used to hash-partition the base
-      tuples; each detail tuple probes its candidates and evaluates only
-      the residual predicate.
+    {!eval} is the one evaluator: a single pass over a detail chunk
+    stream, folded by one or more domains into mergeable per-base-tuple
+    accumulators.  Its strategies:
+    - [`Scan] — every detail row updates every base tuple whose θ it
+      satisfies.  Cost: |R| rows × |B| predicate tests per block.
+    - [`Hash] — the hash-index strategy of the paper's GMDJ engine:
+      equi-conditions between base and detail attributes are extracted
+      from each θ and used to hash-partition the base tuples; each
+      detail tuple probes its candidates and evaluates only the
+      residual predicate.
 
-    Under [`Scan] and [`Hash], conjuncts of a θ that mention only detail
-    attributes are hoisted and evaluated once per detail row (the
-    invariant reuse of Rao & Ross), not once per pair.
+    Under both, conjuncts of a θ that mention only detail attributes are
+    hoisted and evaluated once per detail row (the invariant reuse of
+    Rao & Ross), not once per pair.  {!reference} is the definition
+    itself, kept as the executable specification.
 
-    All strategies produce identical results. *)
+    All strategies and domain counts produce identical results. *)
 
 open Subql_relational
 
@@ -30,16 +30,16 @@ type block = { aggs : Aggregate.spec list; theta : Expr.t }
     θ_i may reference attributes of both operands; references resolve in
     the detail schema first (qualify to disambiguate). *)
 
-type strategy = [ `Reference | `Scan | `Hash ]
+type strategy = [ `Scan | `Hash ]
 
 type stats = {
   mutable detail_scanned : int;  (** detail rows consumed *)
   mutable theta_evals : int;  (** residual/θ predicate evaluations *)
   mutable early_exit : bool;  (** scan stopped before the end *)
   mutable detail_passes : int;
-      (** detail scans started: 1 per [`Scan]/[`Hash] evaluation, 1 per
-          segment for {!eval_segmented}, |B| × blocks for [`Reference] —
-          the Prop. 4.1 coalescing argument as a number *)
+      (** detail scans started: 1 per {!eval} that reads its detail,
+          whatever the domain count — the Prop. 4.1 coalescing argument
+          as a number *)
   mutable block_updates : int array;
       (** accumulator-update batches per block (grown on demand to the
           widest block list seen) *)
@@ -63,53 +63,14 @@ val output_schema : base:Schema.t -> detail:Schema.t -> block list -> Schema.t
     Duplicate aggregate names are uniquified as in the paper's
     footnote 1. *)
 
-val eval :
-  ?strategy:strategy ->
-  ?stats:stats ->
-  base:Relation.t ->
-  detail:Relation.t ->
-  block list ->
-  Relation.t
-
-val eval_partitioned :
-  ?strategy:strategy ->
-  ?stats:stats ->
-  domains:int ->
-  base:Relation.t ->
-  detail:Relation.t ->
-  block list ->
-  Relation.t
-(** Parallel evaluation (the parallel/distributed suitability noted in
-    the paper's conclusion): the detail relation is sliced into chunks
-    and run through {!Parallel.fold_source} — each of [domains] OCaml
-    domains evaluates its share against the shared read-only base, and
-    the per-domain accumulators are merged — every SQL aggregate state
-    is mergeable (see {!Aggregate.merge}).  Results are identical to
-    {!eval}.  [domains] is capped at the detail cardinality; [1] (or a
-    single-row detail) falls back to {!eval}.
-    @raise Invalid_argument if [domains <= 0]. *)
-
-val eval_segmented :
-  ?strategy:strategy ->
-  ?stats:stats ->
-  segment_size:int ->
-  base:Relation.t ->
-  detail:Relation.t ->
-  block list ->
-  Relation.t
-(** Memory-bounded evaluation (the paper's Section 2.3 remark and the
-    segmented evaluation behind SEGMENT-APPLY): the base-values relation
-    is processed in segments of at most [segment_size] tuples, each with
-    its own scan of the detail relation, so the in-memory base-result
-    structure stays bounded.  The cost is well-defined:
-    [⌈|B| / segment_size⌉] detail scans.  Results are identical to
-    {!eval}, in base order.
-    @raise Invalid_argument if [segment_size <= 0]. *)
+val reference : base:Relation.t -> detail:Relation.t -> block list -> Relation.t
+(** The definition, verbatim: one pass over the detail relation per base
+    tuple and block.  The test oracle for {!eval}. *)
 
 (** {1 Base-tuple completion (Section 4.2)}
 
-    [eval_completed] evaluates [σ[C](MD(B, R, blocks))] for selection
-    conditions [C] that the optimizer reduced to completion rules:
+    A [completion] asks {!eval} for [σ[C](MD(B, R, blocks))] where the
+    optimizer reduced the selection conditions [C] to completion rules:
 
     - a {e kill} predicate fires on [(b, r)] ⇒ [b] can never satisfy
       [C]; it is disqualified and ignored for the rest of the scan
@@ -134,131 +95,45 @@ type completion = {
 
 val pp_completion : Format.formatter -> completion -> unit
 
-val eval_completed :
+val eval :
   ?strategy:strategy ->
   ?stats:stats ->
-  completion:completion ->
-  base:Relation.t ->
-  detail:Relation.t ->
-  block list ->
-  Relation.t
-(** Returns only the surviving base rows, extended with the aggregate
-    columns.  [`Reference] is treated as [`Scan]. *)
-
-val eval_completed_partitioned :
-  ?strategy:strategy ->
-  ?stats:stats ->
+  ?completion:completion ->
   domains:int ->
-  completion:completion ->
   base:Relation.t ->
-  detail:Relation.t ->
+  Chunk.Source.t ->
   block list ->
   Relation.t
-(** {!eval_completed} with the detail sliced across [domains] domains
-    via {!Parallel.fold_completed_source}.  [domains] is capped at the
-    detail cardinality; [1] falls back to {!eval_completed}.
+(** [eval ~domains ~base detail blocks] drains the detail chunk stream
+    once through a {!Subql_relational.Chunk.Exchange} of [domains]
+    workers.  Each folds its share into a private accumulator matrix
+    (and, with a [completion], private kill/require verdicts); the
+    coordinator merges them — every SQL aggregate state is mergeable
+    ({!Subql_relational.Aggregate.merge}) and verdicts are monotone, so
+    round-robin routing is sound — and emits in base order.  The
+    coordinator owns the pull side, so storage scans and buffer pools
+    stay single-domain.  [domains = 1] folds inline: that is the serial
+    path.
+
+    An untouched whole-relation source ({!Subql_relational.Chunk.Source.origin})
+    is re-sliced into [min Chunk.default_rows ⌈|R|/domains⌉]-row chunks,
+    with [domains] capped at [|R|], so small in-memory details still
+    spread across workers.
+
+    With a [completion], only the surviving base rows are returned.  At
+    one domain, a saturated fold closes the detail source instead of
+    reading on (an early {e storage} exit); with more, each worker stops
+    folding but the coordinator still routes the whole stream.  An
+    empty base, or a completion with nothing to kill, nothing to require
+    and no aggregates to keep, is decided before the scan: the source is
+    closed unread and no detail pass is counted.
+
+    Supplied [stats] receive the pass, row, block-update and θ counts;
+    per-pair θ counting wraps the hottest predicate path, so it only
+    runs when [stats] are supplied.  Every evaluation runs in a
+    ["gmdj.eval"] (or, with a completion, ["gmdj.eval_completed"])
+    trace span with a ["domains"] attribute.
     @raise Invalid_argument if [domains <= 0]. *)
-
-(** Exchange-parallel evaluation: GMDJ as a fold over a
-    {!Subql_relational.Chunk.Exchange}. *)
-module Parallel : sig
-  val fold_source :
-    ?strategy:strategy ->
-    ?stats:stats ->
-    domains:int ->
-    base:Relation.t ->
-    detail_schema:Schema.t ->
-    Chunk.Source.t ->
-    block list ->
-    Relation.t
-  (** Drain a detail chunk stream through [domains] workers, each folding
-      its share into a private accumulator matrix with the same core as
-      {!Fold}, then merge the matrices with
-      {!Subql_relational.Aggregate.merge} and emit in base order.  The
-      coordinator owns the pull side of the stream (storage scans and
-      buffer pools stay single-domain); round-robin chunk routing is
-      sound because the merge is a commutative reduction.  [`Reference]
-      is treated as [`Scan]; [domains = 1] folds inline with no spawn.
-      Supplied [stats] aggregate the per-worker counts, and θ-evaluation
-      counting is always on in workers (as with {!eval_partitioned}).
-      @raise Invalid_argument if [domains <= 0]. *)
-
-  val fold_completed_source :
-    ?strategy:strategy ->
-    ?stats:stats ->
-    domains:int ->
-    completion:completion ->
-    base:Relation.t ->
-    detail_schema:Schema.t ->
-    Chunk.Source.t ->
-    block list ->
-    Relation.t
-  (** Completion-aware {!fold_source}: each worker runs the Thm 4.1/4.2
-      kill/require machinery on its share of the detail, with local
-      early exit — sound because verdicts are monotone in the detail
-      rows seen.  At the merge, alive ANDs, fired ORs and accumulators
-      merge; a tuple killed by any worker is excluded even if another
-      worker kept aggregating it.  One logical detail pass (and at most
-      one early exit) is published for the whole evaluation.
-      @raise Invalid_argument if [domains <= 0]. *)
-end
-
-(** {1 Chunk-at-a-time evaluation}
-
-    The streaming counterparts of {!eval} and {!eval_completed}: the
-    caller owns the detail scan and pushes {!Subql_relational.Chunk.t}
-    batches in, so the detail side never has to exist as one in-memory
-    relation — it can be pulled straight off heap-file pages through a
-    buffer pool.  One [start]/[finish] pair counts as one evaluation
-    (one registry publication and, for [`Scan]/[`Hash], one
-    [detail_passes] increment regardless of how many chunks arrive —
-    the Prop. 4.1 accounting is per storage pass, not per batch). *)
-
-module Fold : sig
-  type acc
-
-  val start :
-    ?strategy:strategy ->
-    ?stats:stats ->
-    base:Relation.t ->
-    detail:Schema.t ->
-    block list ->
-    acc
-  (** Compile plans against the detail [schema] and allocate the
-      accumulator matrix.  [`Reference] is treated as [`Scan]. *)
-
-  val fold_detail : Chunk.t -> acc -> acc
-  (** Accumulate one batch of detail rows into every base tuple's
-      ranges.  Chunks may arrive in any number and size. *)
-
-  val finish : acc -> Relation.t
-  (** Emit the result (base order) and publish the registry deltas. *)
-end
-
-module Fold_completed : sig
-  type acc
-
-  val start :
-    ?strategy:strategy ->
-    ?stats:stats ->
-    completion:completion ->
-    base:Relation.t ->
-    detail:Schema.t ->
-    block list ->
-    acc
-
-  val saturated : acc -> bool
-  (** No further detail rows can change the answer (every base tuple is
-      decided, Thms 4.1–4.2).  The feeder should stop pulling — and
-      close — the detail stream: with a paged detail source this turns
-      the early {e scan} exit into an early {e storage} exit. *)
-
-  val fold_detail : Chunk.t -> acc -> acc
-  (** No-op once {!saturated}. *)
-
-  val finish : acc -> Relation.t
-  (** Surviving base rows, extended with the aggregate columns. *)
-end
 
 (** {1 Incremental view maintenance}
 
@@ -284,7 +159,8 @@ module Maintain : sig
 
   val create :
     ?strategy:strategy -> base:Relation.t -> detail:Relation.t -> block list -> t
-  (** Materialize [MD(base, detail, blocks)] with maintainable state. *)
+  (** Materialize [MD(base, detail, blocks)] with maintainable state:
+      the fold state {!eval} runs on, kept live. *)
 
   val insert_detail : t -> Relation.t -> unit
   (** Fold a batch of new detail rows into the view.

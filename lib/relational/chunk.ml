@@ -255,25 +255,33 @@ module Exchange = struct
       Vec.clear batch
     end
 
-  let fold ?(queue_depth = default_queue_depth) ?partition ~domains ~init ~fold:step
-      ~finish source =
+  let fold ?(queue_depth = default_queue_depth) ?partition ?(stop = fun _ -> false) ~domains
+      ~init ~fold:step ~finish source =
     if domains <= 0 then invalid_arg "Chunk.Exchange.fold: domains must be positive";
     if domains = 1 then begin
       (* Inline fast path: same contract, no spawn.  Spans nest
-         naturally and the scratch merges at the span close. *)
+         naturally and the scratch merges at the span close.  [stop] is
+         consulted before every pull, so a saturated fold closes the
+         source instead of reading on. *)
       let ctx = { index = 0; scratch = Subql_obs.Metrics.Scratch.create () } in
       let result =
         Subql_obs.Trace.with_
           ~attrs:[ ("domains", "1") ]
           "exchange"
           (fun () ->
-            let acc = ref (init ctx) in
-            Source.iter
-              (fun c ->
-                count_chunk ctx.scratch c;
-                acc := step !acc c)
-              source;
-            finish !acc)
+            let rec pull acc =
+              if stop acc then begin
+                Source.close source;
+                acc
+              end
+              else
+                match Source.next source with
+                | None -> acc
+                | Some c ->
+                  count_chunk ctx.scratch c;
+                  pull (step acc c)
+            in
+            finish (pull (init ctx)))
       in
       Subql_obs.Metrics.Scratch.merge_into Subql_obs.Metrics.default ctx.scratch;
       [ result ]

@@ -132,6 +132,7 @@ module Exchange : sig
   val fold :
     ?queue_depth:int ->
     ?partition:(Tuple.t -> int) ->
+    ?stop:('acc -> bool) ->
     domains:int ->
     init:(worker_ctx -> 'acc) ->
     fold:('acc -> t -> 'acc) ->
@@ -143,6 +144,10 @@ module Exchange : sig
       in-flight chunks (default 8), bounding coordinator read-ahead.
       [domains = 1] runs inline on the calling domain — same contract,
       no spawn.  A worker exception is re-raised on the coordinator
-      after all domains join; the source is always fully drained.
+      after all domains join.  The source is fully drained, except that
+      inline, [stop] (default: never) is checked before every pull and,
+      once it holds, the source is closed without another pull — the
+      early storage exit of a saturated fold.  With [domains > 1],
+      [stop] is ignored.
       @raise Invalid_argument if [domains <= 0]. *)
 end

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Repo health check: full build, test suite, and a CLI smoke test of the
-# instrumented evaluation path.  Exits non-zero on any failure.
+# instrumented evaluation path.  Exits non-zero on any failure.  Report
+# gates (analyzer JSON, bench targets vs committed baselines) live in one
+# table in scripts/check_bench.py.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -78,20 +80,7 @@ echo
 echo "== static analysis: --json output stays machine-readable =="
 analyze_json=$(mktemp /tmp/check_analyze_XXXXXX.json)
 dune exec bin/olap_cli.exe -- analyze --zoo all --json > "$analyze_json"
-ANALYZE_JSON="$analyze_json" python3 - <<'PY'
-import json, os, sys
-with open(os.environ["ANALYZE_JSON"]) as f:
-    reports = json.load(f)
-if len(reports) < 20:
-    sys.exit(f"FAIL: expected a report per zoo template, got {len(reports)}")
-for r in reports:
-    for key in ("label", "errors", "warnings", "diagnostics"):
-        if key not in r:
-            sys.exit(f"FAIL: analyze --json report missing key {key!r}")
-    if r["errors"] != 0:
-        sys.exit(f"FAIL: template {r['label']!r} has error diagnostics")
-print(f"analyze --json: {len(reports)} reports, all error-free")
-PY
+python3 scripts/check_bench.py analyze "$analyze_json"
 rm -f "$analyze_json"
 
 echo
@@ -102,24 +91,7 @@ echo "== static analysis: --certify proves finite memory bounds for the zoo =="
 # non-zero otherwise — and every certified memory bound must be finite.
 certify_json=$(mktemp /tmp/check_certify_XXXXXX.json)
 dune exec bin/olap_cli.exe -- analyze --certify --zoo all --json > "$certify_json"
-CERTIFY_JSON="$certify_json" python3 - <<'PY'
-import json, os, sys
-with open(os.environ["CERTIFY_JSON"]) as f:
-    reports = json.load(f)
-if len(reports) < 20:
-    sys.exit(f"FAIL: expected a certificate per zoo template, got {len(reports)}")
-for r in reports:
-    if r["certified_errors"] != 0:
-        sys.exit(f"FAIL: template {r['label']!r} fails certification")
-    cert = r.get("certificate")
-    if not cert:
-        sys.exit(f"FAIL: template {r['label']!r} has no certificate")
-    if not isinstance(cert["bound"], (int, float)):
-        sys.exit(f"FAIL: template {r['label']!r} certified bound is not finite "
-                 f"({cert['bound']!r})")
-print(f"analyze --certify: {len(reports)} templates, all certified with "
-      f"finite bounds (max {max(c['certificate']['bound'] for c in reports):.0f} rows)")
-PY
+python3 scripts/check_bench.py certify "$certify_json"
 rm -f "$certify_json"
 
 echo
@@ -141,20 +113,7 @@ echo "analyze --certify: --domains 1 and --domains 4 outputs identical"
 echo
 echo "== bench smoke test: mqo target keeps BENCH_mqo.json well-formed =="
 dune exec bench/main.exe -- mqo > /dev/null
-python3 - <<'PY'
-import json, sys
-with open("BENCH_mqo.json") as f:
-    doc = json.load(f)
-for key in ("benchmark", "solo", "cold", "warm", "verified"):
-    if key not in doc:
-        sys.exit(f"FAIL: BENCH_mqo.json missing key {key!r}")
-if doc["verified"] is not True:
-    sys.exit("FAIL: BENCH_mqo.json reports verified != true")
-if not doc["cold"]["detail_scans"] < doc["solo"]["detail_scans"]:
-    sys.exit("FAIL: shared batch did not reduce detail scans")
-print("BENCH_mqo.json: well-formed, verified, scans %d -> %d"
-      % (doc["solo"]["detail_scans"], doc["cold"]["detail_scans"]))
-PY
+python3 scripts/check_bench.py mqo
 
 echo
 echo "== bench smoke test: exec target gates streaming-executor regressions =="
@@ -163,21 +122,7 @@ echo "== bench smoke test: exec target gates streaming-executor regressions =="
 # numbers against the committed baseline: >10% worse on peak
 # materialized rows or page reads fails the check.
 dune exec bench/main.exe -- exec > /dev/null
-python3 - <<'PY'
-import json, sys
-with open("BENCH_exec.json") as f:
-    fresh = json.load(f)
-with open("bench/BENCH_exec.baseline.json") as f:
-    base = json.load(f)
-if fresh["verified"] is not True:
-    sys.exit("FAIL: BENCH_exec.json reports verified != true")
-for key in ("peak_rows", "peak_rows_2x", "chained_page_reads", "coalesced_page_reads"):
-    if fresh[key] > base[key] * 1.1:
-        sys.exit(f"FAIL: {key} regressed >10%: {base[key]} -> {fresh[key]}")
-print("BENCH_exec.json: verified, peak %d rows (2x detail: %d), page reads %d chained / %d coalesced"
-      % (fresh["peak_rows"], fresh["peak_rows_2x"],
-         fresh["chained_page_reads"], fresh["coalesced_page_reads"]))
-PY
+python3 scripts/check_bench.py exec
 
 echo
 echo "== bench smoke test: par target gates parallel-executor regressions =="
@@ -188,33 +133,7 @@ echo "== bench smoke test: par target gates parallel-executor regressions =="
 # core count; wall-clock scaling is physically impossible there) — and
 # the spill numbers may not regress against the committed baseline.
 dune exec bench/main.exe -- par > /dev/null
-python3 - <<'PY'
-import json, sys
-with open("BENCH_par.json") as f:
-    fresh = json.load(f)
-with open("bench/BENCH_par.baseline.json") as f:
-    base = json.load(f)
-if fresh["verified"] is not True:
-    sys.exit("FAIL: BENCH_par.json reports verified != true")
-if fresh["cores"] >= 4:
-    if fresh["speedup_4"] < 2.5:
-        sys.exit(f"FAIL: 4-domain speedup {fresh['speedup_4']:.2f}x < 2.5x "
-                 f"on a {fresh['cores']}-core machine")
-    print(f"speedup: {fresh['speedup_4']:.2f}x at 4 domains ({fresh['cores']} cores)")
-else:
-    print(f"speedup gate skipped: only {fresh['cores']} core(s) recommended, "
-          f"measured {fresh['speedup_4']:.2f}x at 4 domains")
-if fresh["spilled_rows_10x"] == 0:
-    sys.exit("FAIL: the 10x-detail run never spilled")
-if fresh["peak_rows_10x"] > fresh["peak_rows_1x"] * 1.2:
-    sys.exit(f"FAIL: spilling peak grew with the detail: "
-             f"{fresh['peak_rows_1x']} -> {fresh['peak_rows_10x']} rows")
-if fresh["peak_rows_10x"] > base["peak_rows_10x"] * 1.1:
-    sys.exit(f"FAIL: 10x-detail peak regressed >10% vs baseline: "
-             f"{base['peak_rows_10x']} -> {fresh['peak_rows_10x']} rows")
-print("BENCH_par.json: verified, 10x-detail peak %d rows (1x: %d), %d rows spilled"
-      % (fresh["peak_rows_10x"], fresh["peak_rows_1x"], fresh["spilled_rows_10x"]))
-PY
+python3 scripts/check_bench.py par
 
 echo
 echo "== CLI smoke test: run --domains routes through the exchange =="
@@ -250,35 +169,7 @@ echo "== bench smoke test: serve target gates serving-layer regressions =="
 # (plus 5ms absolute slack for wall-clock jitter in the measured
 # evaluation times) or on steady-state detail scans per query fails.
 dune exec bench/main.exe -- serve > /dev/null
-python3 - <<'PY'
-import json, sys
-with open("BENCH_serve.json") as f:
-    fresh = json.load(f)
-with open("bench/BENCH_serve.baseline.json") as f:
-    base = json.load(f)
-if fresh["verified"] is not True:
-    sys.exit("FAIL: BENCH_serve.json reports verified != true")
-if fresh["steady_scans_per_query_max"] >= 1.0:
-    sys.exit("FAIL: steady-state detail scans per query >= 1 "
-             f"({fresh['steady_scans_per_query_max']:.3f})")
-base_rates = {r["rate"]: r for r in base["rates"]}
-for r in fresh["rates"]:
-    b = base_rates.get(r["rate"])
-    if b is None:
-        continue
-    fs, bs = r["steady"], b["steady"]
-    if fs["scans_per_query"] > bs["scans_per_query"] + 0.05:
-        sys.exit(f"FAIL: steady scans/query regressed at rate {r['rate']:.0f}: "
-                 f"{bs['scans_per_query']:.3f} -> {fs['scans_per_query']:.3f}")
-    limit = bs["p99_ms"] * 1.1 + 5.0
-    if fs["p99_ms"] > limit:
-        sys.exit(f"FAIL: steady p99 regressed >10% at rate {r['rate']:.0f}: "
-                 f"{bs['p99_ms']:.1f}ms -> {fs['p99_ms']:.1f}ms (limit {limit:.1f}ms)")
-print("BENCH_serve.json: verified, steady scans/query %.3f, steady p99 %s"
-      % (fresh["steady_scans_per_query_max"],
-         ", ".join("%.1fms@%.0f/s" % (r["steady"]["p99_ms"], r["rate"])
-                   for r in fresh["rates"])))
-PY
+python3 scripts/check_bench.py serve
 
 echo
 echo "== bench smoke test: ingest target gates delta-maintenance regressions =="
@@ -290,37 +181,7 @@ echo "== bench smoke test: ingest target gates delta-maintenance regressions =="
 # slack — the sweep runs the server saturated, where queueing amplifies
 # wall-clock jitter in the measured evaluation times).
 dune exec bench/main.exe -- ingest > /dev/null
-python3 - <<'PY'
-import json, sys
-with open("BENCH_ingest.json") as f:
-    fresh = json.load(f)
-with open("bench/BENCH_ingest.baseline.json") as f:
-    base = json.load(f)
-if fresh["verified"] is not True:
-    sys.exit("FAIL: BENCH_ingest.json reports verified != true")
-h = fresh["headline"]
-if h["all_delta"] is not True:
-    sys.exit("FAIL: headline appends fell back to recompute")
-if h["speedup"] < 5.0:
-    sys.exit(f"FAIL: delta maintenance speedup {h['speedup']:.1f}x < 5x at "
-             f"append ratio {h['append_ratio']:.0%}")
-base_cells = {(c["policy"], c["ingest_multiplier"]): c
-              for c in base["staleness"]["cells"]}
-for c in fresh["staleness"]["cells"]:
-    if c["fresh"] is not True:
-        sys.exit(f"FAIL: stale read under policy {c['policy']} at "
-                 f"ingest multiplier {c['ingest_multiplier']}")
-    b = base_cells.get((c["policy"], c["ingest_multiplier"]))
-    if b is None:
-        continue
-    limit = b["p99_ms"] * 1.25 + 100.0
-    if c["p99_ms"] > limit:
-        sys.exit(f"FAIL: p99 regressed under {c['policy']} x{c['ingest_multiplier']}: "
-                 f"{b['p99_ms']:.1f}ms -> {c['p99_ms']:.1f}ms (limit {limit:.1f}ms)")
-print("BENCH_ingest.json: verified, delta speedup %.1fx wall / %.1fx rows, "
-      "%d staleness cells all fresh"
-      % (h["speedup"], h["rows_speedup"], len(fresh["staleness"]["cells"])))
-PY
+python3 scripts/check_bench.py ingest
 
 echo
 echo "== CLI smoke test: serve batches piped statements through one scan =="
@@ -398,22 +259,7 @@ echo "== bench smoke test: codec target gates decode-specialization regressions 
 # decode must beat the generic tag-dispatch codec by the 1.3x
 # acceptance floor and stay within 30% of the committed baseline.
 dune exec bench/main.exe -- codec > /dev/null
-python3 - <<'PY'
-import json, sys
-with open("BENCH_codec.json") as f:
-    fresh = json.load(f)
-with open("bench/BENCH_codec.baseline.json") as f:
-    base = json.load(f)
-if fresh["verified"] is not True:
-    sys.exit("FAIL: BENCH_codec.json reports verified != true")
-if fresh["speedup"] < 1.3:
-    sys.exit(f"FAIL: specialized decode speedup {fresh['speedup']:.2f}x < 1.3x floor")
-if fresh["speedup"] < base["speedup"] * 0.7:
-    sys.exit(f"FAIL: speedup regressed >30% vs baseline: "
-             f"{base['speedup']:.2f}x -> {fresh['speedup']:.2f}x")
-print("BENCH_codec.json: verified, specialized decode %.2fx vs generic (baseline %.2fx)"
-      % (fresh["speedup"], base["speedup"]))
-PY
+python3 scripts/check_bench.py codec
 
 echo
 echo "== CLI smoke test: schema-gen output compiles and round-trips its catalog =="

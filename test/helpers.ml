@@ -81,3 +81,8 @@ end
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* GMDJ over an in-memory detail relation, serial unless told otherwise. *)
+let gmdj ?strategy ?stats ?completion ?(domains = 1) ~base ~detail blocks =
+  Subql_gmdj.Gmdj.eval ?strategy ?stats ?completion ~domains ~base
+    (Chunk.Source.of_relation detail) blocks

@@ -171,6 +171,30 @@ let test_exchange_row_accounting () =
         keysets)
     keysets
 
+(* Inline (one domain), [stop] is checked before every pull: once it
+   holds, no further chunk is pulled and the source is closed. *)
+let test_exchange_inline_stop () =
+  let rel = Catalog.find (Zoo.catalog ~outer:8 ~inner:100 ()) "I" in
+  let inner = Chunk.Source.of_relation ~chunk_rows:10 rel in
+  let pulled = ref 0 and closed = ref false in
+  let src =
+    Chunk.Source.create ~schema:(Chunk.Source.schema inner)
+      ~close:(fun () -> closed := true)
+      (fun () ->
+        incr pulled;
+        Chunk.Source.next inner)
+  in
+  let folded =
+    Chunk.Exchange.fold ~domains:1
+      ~stop:(fun n -> n >= 3)
+      ~init:(fun _ -> 0)
+      ~fold:(fun n _ -> n + 1)
+      ~finish:Fun.id src
+  in
+  Alcotest.(check (list int)) "folded until stop held" [ 3 ] folded;
+  Alcotest.(check int) "no pull after stop" 3 !pulled;
+  Alcotest.(check bool) "source closed" true !closed
+
 (* The optimizer rewrites EXISTS-style zoo queries to [Md_completed]
    (completion rules, Thms 4.1–4.2) — that path must also ride the
    exchange when domains are configured, pushing every detail row
@@ -271,6 +295,7 @@ let () =
           Alcotest.test_case "parallel agrees with serial over the zoo" `Quick
             test_parallel_agrees_with_serial;
           Alcotest.test_case "exchange row accounting" `Quick test_exchange_row_accounting;
+          Alcotest.test_case "inline stop closes the source" `Quick test_exchange_inline_stop;
           Alcotest.test_case "completed plans ride the exchange" `Quick
             test_completed_plans_ride_the_exchange;
         ] );

@@ -507,7 +507,7 @@ let maintain_matches_recompute (brows, drows, batches, bi) =
            (Gmdj.Maintain.insert_source state (Chunk.Source.of_relation ~chunk_rows:3 delta))
        else Gmdj.Maintain.insert_detail state delta);
       all := !all @ batch;
-      let fresh = Gmdj.eval ~base ~detail:(mk detail_schema !all) blocks in
+      let fresh = Helpers.gmdj ~base ~detail:(mk detail_schema !all) blocks in
       if Relation.equal_as_multiset fresh (Gmdj.Maintain.result state) then true
       else begin
         Format.eprintf "@.maintained view drifted (blocks %d, %d appends)@." bi

@@ -37,9 +37,10 @@ let expected_fig1 =
         [ Int 3; Int 121; Int 180; Int 48; Int 96 ];
       ]
 
-let test_fig1 strategy () =
-  let result = Gmdj.eval ~strategy ~base ~detail example_blocks in
-  Helpers.check_multiset_equal "figure 1" expected_fig1 result
+let test_fig1 eval () =
+  Helpers.check_multiset_equal "figure 1" expected_fig1 (eval ~base ~detail example_blocks)
+
+let strategy s ~base ~detail blocks = Helpers.gmdj ~strategy:s ~base ~detail blocks
 
 let test_output_schema () =
   let s = Gmdj.output_schema ~base:(Relation.schema base) ~detail:(Relation.schema detail) example_blocks in
@@ -68,7 +69,7 @@ let test_empty_detail () =
         (Expr.bool true);
     ]
   in
-  let result = Gmdj.eval ~base ~detail:empty blocks in
+  let result = Helpers.gmdj ~base ~detail:empty blocks in
   Alcotest.(check int) "rows preserved" 3 (Relation.cardinality result);
   Relation.iter
     (fun row ->
@@ -78,10 +79,10 @@ let test_empty_detail () =
 
 let test_empty_base () =
   let empty = Relation.empty (Relation.schema base) in
-  let result = Gmdj.eval ~base:empty ~detail example_blocks in
+  let result = Helpers.gmdj ~base:empty ~detail example_blocks in
   Alcotest.(check int) "no rows" 0 (Relation.cardinality result)
 
-(* Random-equivalence: Scan and Hash agree with the Reference evaluator
+(* Random-equivalence: Scan and Hash agree with the reference evaluator
    on random data over a θ mixing an equi-condition and a residual. *)
 
 let equivalence_prop (brows, drows) =
@@ -116,9 +117,9 @@ let equivalence_prop (brows, drows) =
         theta_non_equi;
     ]
   in
-  let reference = Gmdj.eval ~strategy:`Reference ~base ~detail blocks in
-  let scan = Gmdj.eval ~strategy:`Scan ~base ~detail blocks in
-  let hash = Gmdj.eval ~strategy:`Hash ~base ~detail blocks in
+  let reference = Gmdj.reference ~base ~detail blocks in
+  let scan = Helpers.gmdj ~strategy:`Scan ~base ~detail blocks in
+  let hash = Helpers.gmdj ~strategy:`Hash ~base ~detail blocks in
   Relation.equal_as_multiset reference scan && Relation.equal_as_multiset reference hash
 
 let pair_gen =
@@ -129,7 +130,7 @@ let pair_gen =
        (QCheck2.Gen.list_repeat 2 Helpers.Gen.value_with_nulls)
 
 (* Completion equivalence: σ[cnt1 > 0 ∧ cnt2 = 0](MD(...)) computed via
-   eval_completed must equal the straightforward eval-then-filter. *)
+   a completion must equal the straightforward eval-then-filter. *)
 let completion_prop (brows, drows) =
   let base =
     Relation.of_list
@@ -149,7 +150,7 @@ let completion_prop (brows, drows) =
       Gmdj.block [ Aggregate.count_star "cnt2" ] theta2;
     ]
   in
-  let plain = Gmdj.eval ~base ~detail blocks in
+  let plain = Helpers.gmdj ~base ~detail blocks in
   let filtered =
     Ops.select
       (Expr.and_
@@ -160,7 +161,7 @@ let completion_prop (brows, drows) =
   let completion =
     { Gmdj.kill_when = [ theta2 ]; require_fired = [ theta1 ]; maintain_aggregates = true }
   in
-  let completed = Gmdj.eval_completed ~completion ~base ~detail blocks in
+  let completed = Helpers.gmdj ~completion ~base ~detail blocks in
   Relation.equal_as_multiset filtered completed
 
 (* With maintain_aggregates = false only the base columns are trustworthy;
@@ -185,7 +186,7 @@ let completion_no_aggs_prop (brows, drows) =
     ]
   in
   let base_cols = [ (Some "B", "k"); (Some "B", "x") ] in
-  let plain = Gmdj.eval ~base ~detail blocks in
+  let plain = Helpers.gmdj ~base ~detail blocks in
   let filtered =
     Ops.project_cols base_cols
       (Ops.select
@@ -198,39 +199,14 @@ let completion_no_aggs_prop (brows, drows) =
     { Gmdj.kill_when = [ theta2 ]; require_fired = [ theta1 ]; maintain_aggregates = false }
   in
   let completed =
-    Ops.project_cols base_cols (Gmdj.eval_completed ~completion ~base ~detail blocks)
+    Ops.project_cols base_cols (Helpers.gmdj ~completion ~base ~detail blocks)
   in
   Relation.equal_as_multiset filtered completed
 
-(* Segmented evaluation must match single-segment evaluation exactly,
-   for any segment size, and cost exactly ⌈|B|/size⌉ detail scans. *)
-let segmented_prop (brows, drows) =
-  let base =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"B" "k" Value.Tint; Schema.attr ~rel:"B" "x" Value.Tint ])
-      (List.map Array.of_list brows)
-  in
-  let detail =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint; Schema.attr ~rel:"R" "y" Value.Tint ])
-      (List.map Array.of_list drows)
-  in
-  let blocks =
-    [
-      Gmdj.block
-        [ Aggregate.count_star "cnt"; Aggregate.sum (attr ~rel:"R" "y") "s" ]
-        (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k"));
-    ]
-  in
-  let whole = Gmdj.eval ~base ~detail blocks in
-  List.for_all
-    (fun size ->
-      Relation.equal_as_multiset whole
-        (Gmdj.eval_segmented ~segment_size:size ~base ~detail blocks))
-    [ 1; 3; 7; max 1 (Relation.cardinality base); Relation.cardinality base + 5 ]
-
-(* Partitioned evaluation must match single-domain evaluation exactly:
-   every aggregate state merges correctly across partitions. *)
+(* Every domain count, strategy and completion must agree with the
+   definition: aggregate states and kill/require verdicts merge correctly
+   across domains.  With a completion, the reference side is filtered by
+   the selection the completion encodes. *)
 let partitioned_prop (brows, drows) =
   let base =
     Relation.of_list
@@ -242,6 +218,8 @@ let partitioned_prop (brows, drows) =
       (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint; Schema.attr ~rel:"R" "y" Value.Tint ])
       (List.map Array.of_list drows)
   in
+  let theta1 = Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k") in
+  let theta2 = Expr.lt (attr ~rel:"B" "x") (attr ~rel:"R" "y") in
   let blocks =
     [
       Gmdj.block
@@ -253,16 +231,31 @@ let partitioned_prop (brows, drows) =
           Aggregate.avg (attr ~rel:"R" "y") "av";
           Aggregate.count (attr ~rel:"R" "y") "cy";
         ]
-        (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k"));
-      Gmdj.block [ Aggregate.count_star "c2" ] (Expr.lt (attr ~rel:"B" "x") (attr ~rel:"R" "y"));
+        theta1;
+      Gmdj.block [ Aggregate.count_star "c2" ] theta2;
     ]
   in
-  let whole = Gmdj.eval ~base ~detail blocks in
+  let reference = Gmdj.reference ~base ~detail blocks in
+  let cases =
+    [
+      (None, reference);
+      ( Some { Gmdj.kill_when = [ theta2 ]; require_fired = [ theta1 ]; maintain_aggregates = true },
+        Ops.select
+          (Expr.and_ (Expr.gt (attr "cnt") (Expr.int 0)) (Expr.eq (attr "c2") (Expr.int 0)))
+          reference );
+    ]
+  in
   List.for_all
-    (fun domains ->
-      Relation.equal_as_multiset whole
-        (Gmdj.eval_partitioned ~domains ~base ~detail blocks))
-    [ 1; 2; 3; 7 ]
+    (fun (completion, expected) ->
+      List.for_all
+        (fun strategy ->
+          List.for_all
+            (fun domains ->
+              Relation.equal_as_multiset expected
+                (Helpers.gmdj ~strategy ?completion ~domains ~base ~detail blocks))
+            [ 1; 2; 3 ])
+        [ `Scan; `Hash ])
+    cases
 
 let test_partitioned_stats () =
   let base =
@@ -278,34 +271,20 @@ let test_partitioned_stats () =
   let blocks =
     [ Gmdj.block [ Aggregate.count_star "cnt" ] (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k")) ]
   in
-  let stats = Gmdj.fresh_stats () in
-  ignore (Gmdj.eval_partitioned ~stats ~domains:4 ~base ~detail blocks);
-  Alcotest.(check int) "every detail row scanned once" 100 stats.Gmdj.detail_scanned;
-  (match Gmdj.eval_partitioned ~domains:0 ~base ~detail blocks with
+  let run domains =
+    let stats = Gmdj.fresh_stats () in
+    ignore (Helpers.gmdj ~strategy:`Scan ~stats ~domains ~base ~detail blocks);
+    stats
+  in
+  let serial = run 1 and parallel = run 4 in
+  Alcotest.(check int) "every detail row scanned once" 100 parallel.Gmdj.detail_scanned;
+  Alcotest.(check int) "one logical pass" 1 parallel.Gmdj.detail_passes;
+  Alcotest.(check int) "θ counts do not depend on the domain count" serial.Gmdj.theta_evals
+    parallel.Gmdj.theta_evals;
+  Alcotest.(check int) "every pair tested" 500 parallel.Gmdj.theta_evals;
+  (match Helpers.gmdj ~domains:0 ~base ~detail blocks with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "domains 0 must be rejected")
-
-let test_segmented_scan_count () =
-  let base =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"B" "k" Value.Tint ])
-      (List.init 10 (fun i -> [| Value.Int i |]))
-  in
-  let detail =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint ])
-      (List.init 100 (fun i -> [| Value.Int (i mod 10) |]))
-  in
-  let blocks =
-    [ Gmdj.block [ Aggregate.count_star "cnt" ] (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k")) ]
-  in
-  let stats = Gmdj.fresh_stats () in
-  ignore (Gmdj.eval_segmented ~stats ~segment_size:3 ~base ~detail blocks);
-  (* ⌈10/3⌉ = 4 detail scans of 100 rows each. *)
-  Alcotest.(check int) "4 scans" 400 stats.Gmdj.detail_scanned;
-  (match Gmdj.eval_segmented ~segment_size:0 ~base ~detail blocks with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "segment_size 0 must be rejected")
 
 (* Incremental maintenance: inserting then deleting a delta returns the
    view to the state of recomputation at each step. *)
@@ -337,24 +316,24 @@ let maintenance_prop (brows, drows) =
   in
   let view = Gmdj.Maintain.create ~base ~detail:(mk_detail d1) blocks in
   let ok1 =
-    Relation.equal_as_multiset (Gmdj.eval ~base ~detail:(mk_detail d1) blocks)
+    Relation.equal_as_multiset (Helpers.gmdj ~base ~detail:(mk_detail d1) blocks)
       (Gmdj.Maintain.result view)
   in
   Gmdj.Maintain.insert_detail view (mk_detail d2);
   let ok2 =
     Relation.equal_as_multiset
-      (Gmdj.eval ~base ~detail:(mk_detail (d1 @ d2)) blocks)
+      (Helpers.gmdj ~base ~detail:(mk_detail (d1 @ d2)) blocks)
       (Gmdj.Maintain.result view)
   in
   Gmdj.Maintain.delete_detail view (mk_detail d2);
   let ok3 =
-    Relation.equal_as_multiset (Gmdj.eval ~base ~detail:(mk_detail d1) blocks)
+    Relation.equal_as_multiset (Helpers.gmdj ~base ~detail:(mk_detail d1) blocks)
       (Gmdj.Maintain.result view)
   in
   Gmdj.Maintain.delete_detail view (mk_detail d1);
   let ok4 =
     Relation.equal_as_multiset
-      (Gmdj.eval ~base ~detail:(mk_detail []) blocks)
+      (Helpers.gmdj ~base ~detail:(mk_detail []) blocks)
       (Gmdj.Maintain.result view)
   in
   ok1 && ok2 && ok3 && ok4
@@ -406,167 +385,19 @@ let test_early_exit () =
   let completion =
     { Gmdj.kill_when = [ theta ]; require_fired = []; maintain_aggregates = false }
   in
-  let result = Gmdj.eval_completed ~stats ~completion ~base ~detail blocks in
+  let result = Helpers.gmdj ~stats ~completion ~base ~detail blocks in
   Alcotest.(check int) "all killed" 0 (Relation.cardinality result);
   Alcotest.(check bool) "early exit" true stats.Gmdj.early_exit;
   Alcotest.(check bool) "scan shortened" true (stats.Gmdj.detail_scanned < 1000)
-
-(* --- Distributed evaluation -------------------------------------------- *)
-
-let dist_blocks =
-  [
-    Gmdj.block
-      [
-        Aggregate.count_star "cnt";
-        Aggregate.sum (attr ~rel:"R" "y") "s";
-        Aggregate.avg (attr ~rel:"R" "y") "av";
-        Aggregate.min_ (attr ~rel:"R" "y") "mn";
-        Aggregate.max_ (attr ~rel:"R" "y") "mx";
-      ]
-      (Expr.and_
-         (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k"))
-         (Expr.gt (attr ~rel:"R" "y") (Expr.int 0)));
-  ]
-
-let distributed_prop (brows, drows) =
-  let base =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"B" "k" Value.Tint; Schema.attr ~rel:"B" "x" Value.Tint ])
-      (List.map Array.of_list brows)
-  in
-  let detail =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint; Schema.attr ~rel:"R" "y" Value.Tint ])
-      (List.map Array.of_list drows)
-  in
-  let expected = Gmdj.eval ~base ~detail dist_blocks in
-  List.for_all
-    (fun sites ->
-      List.for_all
-        (fun partition ->
-          let cluster = Distributed.Cluster.create ~sites ~partition detail in
-          List.for_all
-            (fun strategy ->
-              let report = Distributed.execute ~strategy cluster ~base dist_blocks in
-              Relation.equal_as_multiset expected report.Distributed.result)
-            [ Distributed.Ship_all; Distributed.Ship_filtered; Distributed.Partial_aggregates ])
-        [ `Round_robin; `Hash_on (Some "R", "k") ])
-    [ 1; 3; 5 ]
-
-let test_distributed_traffic () =
-  (* Large detail, small base: partial aggregation must ship far less
-     than raw rows; the filtered strategy sits in between. *)
-  let base =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"B" "k" Value.Tint ])
-      (List.init 10 (fun i -> [| Value.Int i |]))
-  in
-  let detail =
-    Relation.of_list
-      (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint; Schema.attr ~rel:"R" "y" Value.Tint ])
-      (List.init 5000 (fun i -> [| Value.Int (i mod 10); Value.Int ((i mod 7) - 3) |]))
-  in
-  let cluster = Distributed.Cluster.create ~sites:4 detail in
-  Alcotest.(check int) "partition covers detail" 5000
-    (Array.fold_left ( + ) 0 (Distributed.Cluster.site_rows cluster));
-  let run strategy = Distributed.execute ~strategy cluster ~base dist_blocks in
-  let ship_all = run Distributed.Ship_all in
-  let filtered = run Distributed.Ship_filtered in
-  let partial = run Distributed.Partial_aggregates in
-  Alcotest.(check bool) "filtered ships less" true
-    (Distributed.total_bytes filtered < Distributed.total_bytes ship_all);
-  Alcotest.(check bool) "partial aggregation ships least" true
-    (Distributed.total_bytes partial < Distributed.total_bytes filtered);
-  Alcotest.(check int) "broadcast only for partials" 0 ship_all.Distributed.bytes_broadcast;
-  Alcotest.(check int) "two rounds of messages" 8 partial.Distributed.messages;
-  (match Distributed.Cluster.create ~sites:0 detail with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "sites 0 rejected")
-
-(* --- Grouping sets / ROLLUP / CUBE ------------------------------------ *)
-
-let olap_detail rows =
-  Relation.of_list
-    (Schema.of_list
-       [
-         Schema.attr ~rel:"t" "a" Value.Tint;
-         Schema.attr ~rel:"t" "b" Value.Tint;
-         Schema.attr ~rel:"t" "v" Value.Tint;
-       ])
-    (List.map Array.of_list rows)
-
-let olap_gen =
-  QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 25)
-    (QCheck2.Gen.list_repeat 3 Helpers.Gen.value_with_nulls)
-
-let olap_aggs = [ Aggregate.count_star "n"; Aggregate.sum (attr ~rel:"t" "v") "s" ]
-
-let olap_keys = [ (Some "t", "a"); (Some "t", "b") ]
-
-let cube_routes_agree rows =
-  let detail = olap_detail rows in
-  let a = Olap.cube ~via:`Group_by ~keys:olap_keys ~aggs:olap_aggs detail in
-  let b = Olap.cube ~via:`Gmdj ~keys:olap_keys ~aggs:olap_aggs detail in
-  Relation.equal_as_multiset a b
-
-let rollup_routes_agree rows =
-  let detail = olap_detail rows in
-  Relation.equal_as_multiset
-    (Olap.rollup ~via:`Group_by ~keys:olap_keys ~aggs:olap_aggs detail)
-    (Olap.rollup ~via:`Gmdj ~keys:olap_keys ~aggs:olap_aggs detail)
-
-let test_cube_pinned () =
-  let detail =
-    olap_detail
-      Value.
-        [
-          [ Int 1; Int 10; Int 100 ];
-          [ Int 1; Int 20; Int 1 ];
-          [ Int 2; Int 10; Int 10 ];
-        ]
-  in
-  let cube = Olap.cube ~keys:olap_keys ~aggs:olap_aggs detail in
-  (* sets: {a,b} -> 3 cells, {a} -> 2, {b} -> 2, {} -> 1. *)
-  Alcotest.(check int) "8 cells" 8 (Relation.cardinality cube);
-  let grand_total =
-    Relation.fold
-      (fun acc row ->
-        if Value.is_null row.(1) && Value.is_null row.(2) then Some row else acc)
-      None cube
-  in
-  (match grand_total with
-  | Some row ->
-    Alcotest.(check bool) "count 3" true (Value.equal row.(3) (Value.Int 3));
-    Alcotest.(check bool) "sum 111" true (Value.equal row.(4) (Value.Int 111))
-  | None -> Alcotest.fail "missing grand-total cell");
-  (* The GMDJ route fills the whole cube in one detail scan. *)
-  Alcotest.(check int) "rollup has n+1 sets" (2 + 1)
-    (Relation.cardinality
-       (Ops.project_cols ~distinct:true
-          [ (None, "gset") ]
-          (Olap.rollup ~keys:olap_keys ~aggs:olap_aggs detail)))
-
-let test_grouping_sets_errors () =
-  let detail = olap_detail [] in
-  (match Olap.grouping_sets ~sets:[] ~aggs:olap_aggs detail with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty set list rejected");
-  match
-    Olap.cube
-      ~keys:(List.init 13 (fun i -> (None, "c" ^ string_of_int i)))
-      ~aggs:olap_aggs detail
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "too-wide cube rejected"
 
 let () =
   Alcotest.run "gmdj"
     [
       ( "figure-1",
         [
-          Alcotest.test_case "reference" `Quick (test_fig1 `Reference);
-          Alcotest.test_case "scan" `Quick (test_fig1 `Scan);
-          Alcotest.test_case "hash" `Quick (test_fig1 `Hash);
+          Alcotest.test_case "reference" `Quick (test_fig1 Gmdj.reference);
+          Alcotest.test_case "scan" `Quick (test_fig1 (strategy `Scan));
+          Alcotest.test_case "hash" `Quick (test_fig1 (strategy `Hash));
         ] );
       ( "schema",
         [
@@ -584,27 +415,11 @@ let () =
           Helpers.qtest "strategies agree with the definition" pair_gen equivalence_prop;
           Helpers.qtest "completion = eval-then-filter" pair_gen completion_prop;
           Helpers.qtest "aggregate-free completion" pair_gen completion_no_aggs_prop;
-          Helpers.qtest "segmented = whole" pair_gen segmented_prop;
           Helpers.qtest ~count:80 "partitioned = whole" pair_gen partitioned_prop;
           Helpers.qtest ~count:120 "maintenance = recompute" pair_gen maintenance_prop;
         ] );
       ( "maintenance",
         [ Alcotest.test_case "min/max and schema rules" `Quick test_maintain_minmax_rules ] );
-      ( "distributed",
-        [
-          Helpers.qtest ~count:60 "strategies = local evaluation" pair_gen distributed_prop;
-          Alcotest.test_case "traffic accounting" `Quick test_distributed_traffic;
-        ] );
-      ( "olap",
-        [
-          Helpers.qtest ~count:100 "cube: group-by route = gmdj route" olap_gen
-            cube_routes_agree;
-          Helpers.qtest ~count:100 "rollup: routes agree" olap_gen rollup_routes_agree;
-          Alcotest.test_case "pinned cube" `Quick test_cube_pinned;
-          Alcotest.test_case "argument validation" `Quick test_grouping_sets_errors;
-        ] );
-      ( "segmented",
-        [ Alcotest.test_case "scan count and bounds" `Quick test_segmented_scan_count ] );
       ( "partitioned",
         [ Alcotest.test_case "stats and bounds" `Quick test_partitioned_stats ] );
     ]

@@ -45,8 +45,8 @@ let thm_3_4 (trows, rrows, brows) =
   let b = mk_rel "B" [ "k"; "x" ] brows in
   let r = mk_rel "R" [ "k"; "y" ] rrows in
   let join_cond = Expr.eq (attr ~rel:"T" "k") (attr ~rel:"B" "k") in
-  let after = Ops.join join_cond t (Gmdj.eval ~base:b ~detail:r blocks) in
-  let before = Gmdj.eval ~base:(Ops.join join_cond t b) ~detail:r blocks in
+  let after = Ops.join join_cond t (Helpers.gmdj ~base:b ~detail:r blocks) in
+  let before = Helpers.gmdj ~base:(Ops.join join_cond t b) ~detail:r blocks in
   Relation.equal_as_multiset after before
 
 (* Selection on the base commutes with the GMDJ. *)
@@ -54,8 +54,8 @@ let select_commutes (_, rrows, brows) =
   let b = mk_rel "B" [ "k"; "x" ] brows in
   let r = mk_rel "R" [ "k"; "y" ] rrows in
   let pred = Expr.gt (attr ~rel:"B" "x") (Expr.int 0) in
-  let select_then_md = Gmdj.eval ~base:(Ops.select pred b) ~detail:r blocks in
-  let md_then_select = Ops.select pred (Gmdj.eval ~base:b ~detail:r blocks) in
+  let select_then_md = Helpers.gmdj ~base:(Ops.select pred b) ~detail:r blocks in
+  let md_then_select = Ops.select pred (Helpers.gmdj ~base:b ~detail:r blocks) in
   Relation.equal_as_multiset select_then_md md_then_select
 
 (* Prop 4.1: chaining two GMDJs over the same detail equals one GMDJ
@@ -69,8 +69,8 @@ let coalescing_law (_, rrows, brows) =
       [ Aggregate.max_ (attr ~rel:"R" "y") "m2" ]
       (Expr.ne (attr ~rel:"B" "k") (attr ~rel:"R" "k"))
   in
-  let chained = Gmdj.eval ~base:(Gmdj.eval ~base:b ~detail:r [ b1 ]) ~detail:r [ b2 ] in
-  let merged = Gmdj.eval ~base:b ~detail:r [ b1; b2 ] in
+  let chained = Helpers.gmdj ~base:(Helpers.gmdj ~base:b ~detail:r [ b1 ]) ~detail:r [ b2 ] in
+  let merged = Helpers.gmdj ~base:b ~detail:r [ b1; b2 ] in
   Relation.equal_as_multiset chained merged
 
 (* Independent GMDJs over different details commute (modulo column
@@ -83,8 +83,8 @@ let md_commute (trows, rrows, brows) =
   let blk_t =
     Gmdj.block [ Aggregate.count_star "ct" ] (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"T" "k"))
   in
-  let rt = Gmdj.eval ~base:(Gmdj.eval ~base:b ~detail:r [ blk_r ]) ~detail:t [ blk_t ] in
-  let tr = Gmdj.eval ~base:(Gmdj.eval ~base:b ~detail:t [ blk_t ]) ~detail:r [ blk_r ] in
+  let rt = Helpers.gmdj ~base:(Helpers.gmdj ~base:b ~detail:r [ blk_r ]) ~detail:t [ blk_t ] in
+  let tr = Helpers.gmdj ~base:(Helpers.gmdj ~base:b ~detail:t [ blk_t ]) ~detail:r [ blk_r ] in
   let norm rel =
     Ops.project_cols [ (Some "B", "k"); (Some "B", "x"); (None, "cr"); (None, "ct") ] rel
   in
@@ -96,7 +96,7 @@ let md_commute (trows, rrows, brows) =
 let push_down_embedding (_, rrows, brows) =
   let b = mk_rel "B" [ "k"; "x" ] brows in
   let r = mk_rel "R" [ "k"; "y" ] rrows in
-  let plain = Gmdj.eval ~base:b ~detail:r blocks in
+  let plain = Helpers.gmdj ~base:b ~detail:r blocks in
   let pushed_b = Relation.rename "P" (Ops.distinct b) in
   let widened = Ops.product pushed_b r in
   let match_b =
@@ -107,7 +107,7 @@ let push_down_embedding (_, rrows, brows) =
   let blocks' =
     List.map (fun blk -> { blk with Gmdj.theta = Expr.and_ blk.Gmdj.theta match_b }) blocks
   in
-  let embedded = Gmdj.eval ~base:b ~detail:widened blocks' in
+  let embedded = Helpers.gmdj ~base:b ~detail:widened blocks' in
   Relation.equal_as_multiset plain embedded
 
 let () =

@@ -432,12 +432,17 @@ let gmdj_blocks =
          (Expr.Is_not_null (attr ~rel:"R" "name")));
   ]
 
-let test_paged_gmdj_equivalence () =
+(* GMDJ with the detail paged through the buffer pool, one pass per
+   evaluation. *)
+let gmdj_over_file ?stats ?completion ?(domains = 1) ~pool ~base hf blocks =
+  Gmdj.eval ?stats ?completion ~domains ~base (Heap_file.source hf ~pool) blocks
+
+let test_gmdj_over_file_equivalence () =
   let rel = mk_rel 3000 in
   with_file rel ~page_size:1024 (fun _path hf ->
       let pool = Buffer_pool.create ~frames:8 in
-      let on_disk = Paged_gmdj.eval ~pool ~base:gmdj_base ~detail:hf gmdj_blocks in
-      let in_memory = Gmdj.eval ~base:gmdj_base ~detail:(Relation.rename "R" rel) gmdj_blocks in
+      let on_disk = gmdj_over_file ~pool ~base:gmdj_base hf gmdj_blocks in
+      let in_memory = Gmdj.reference ~base:gmdj_base ~detail:(Relation.rename "R" rel) gmdj_blocks in
       Helpers.check_multiset_equal "paged = in-memory" in_memory on_disk)
 
 let test_coalescing_halves_io () =
@@ -447,14 +452,44 @@ let test_coalescing_halves_io () =
       let b1 = [ List.nth gmdj_blocks 0 ] and b2 = [ List.nth gmdj_blocks 1 ] in
       (* Chained (un-coalesced) GMDJs: two scans of the detail file. *)
       let pool = Buffer_pool.create ~frames:4 in
-      let chained = Paged_gmdj.eval_chained ~pool ~base:gmdj_base ~detail:hf [ b1; b2 ] in
+      let chained =
+        List.fold_left (fun base blocks -> gmdj_over_file ~pool ~base hf blocks) gmdj_base [ b1; b2 ]
+      in
       Alcotest.(check int) "two scans" (2 * n_pages)
         (Buffer_pool.stats pool).Buffer_pool.page_reads;
       (* Coalesced: one scan. *)
       let pool = Buffer_pool.create ~frames:4 in
-      let coalesced = Paged_gmdj.eval ~pool ~base:gmdj_base ~detail:hf gmdj_blocks in
+      let coalesced = gmdj_over_file ~pool ~base:gmdj_base hf gmdj_blocks in
       Alcotest.(check int) "one scan" n_pages (Buffer_pool.stats pool).Buffer_pool.page_reads;
       Helpers.check_multiset_equal "same answers" chained coalesced)
+
+(* A completion over an empty base is decided before the scan: at any
+   domain count it counts no detail pass and reads no page. *)
+let test_empty_base_completion_reads_nothing () =
+  with_file (mk_rel 3000) ~page_size:512 (fun _path hf ->
+      let base = Relation.empty (Relation.schema gmdj_base) in
+      let completion =
+        {
+          Gmdj.kill_when = [];
+          require_fired = [ (List.hd gmdj_blocks).Gmdj.theta ];
+          maintain_aggregates = true;
+        }
+      in
+      let run domains =
+        let pool = Buffer_pool.create ~frames:4 in
+        let stats = Gmdj.fresh_stats () in
+        let out = gmdj_over_file ~stats ~completion ~domains ~pool ~base hf gmdj_blocks in
+        Alcotest.(check int) "no rows" 0 (Relation.cardinality out);
+        Alcotest.(check int)
+          (Printf.sprintf "%d domains: no page read" domains)
+          0 (Buffer_pool.stats pool).Buffer_pool.page_reads;
+        stats
+      in
+      let serial = run 1 and parallel = run 2 in
+      Alcotest.(check int) "equal detail passes" serial.Gmdj.detail_passes
+        parallel.Gmdj.detail_passes;
+      Alcotest.(check int) "no detail pass" 0 parallel.Gmdj.detail_passes;
+      Alcotest.(check bool) "equal early exit" serial.Gmdj.early_exit parallel.Gmdj.early_exit)
 
 let () =
   Alcotest.run "storage"
@@ -493,7 +528,9 @@ let () =
       ("buffer-pool", [ Alcotest.test_case "caching and eviction" `Quick test_pool_caching ]);
       ( "paged-gmdj",
         [
-          Alcotest.test_case "matches in-memory evaluation" `Quick test_paged_gmdj_equivalence;
+          Alcotest.test_case "matches in-memory evaluation" `Quick test_gmdj_over_file_equivalence;
           Alcotest.test_case "coalescing halves page I/O" `Quick test_coalescing_halves_io;
+          Alcotest.test_case "empty-base completion reads no page" `Quick
+            test_empty_base_completion_reads_nothing;
         ] );
     ]
