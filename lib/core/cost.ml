@@ -77,12 +77,15 @@ let rec selectivity_with stats origins e =
 let selectivity stats ~origins e = selectivity_with stats origins e
 
 (* A GMDJ block can use the hash-partitioning strategy when its θ has an
-   equi conjunct between two differently-qualified attributes (one ends
-   up on each side in practice). *)
+   [=] or [<=>] conjunct between two differently-qualified attributes
+   (one ends up on each side in practice) — the keys
+   {!Expr.split_equi} extracts. *)
 let block_hashable theta =
   List.exists
     (function
-      | Expr.Cmp (Expr.Eq, Expr.Attr (Some a, _), Expr.Attr (Some b, _)) -> a <> b
+      | Expr.Cmp (Expr.Eq, Expr.Attr (Some a, _), Expr.Attr (Some b, _))
+      | Expr.Null_safe_eq (Expr.Attr (Some a, _), Expr.Attr (Some b, _)) ->
+        a <> b
       | _ -> false)
     (Expr.conjuncts theta)
 
@@ -278,8 +281,8 @@ let memory_height stats ~config alg =
   in
   h alg
 
-(* An equi conjunct between differently-qualified attributes is what
-   [Spill.join] partitions on — the same syntactic test the GMDJ hash
+(* An [=]/[<=>] conjunct between differently-qualified attributes is
+   what [Spill.join] partitions on — the same syntactic test the GMDJ hash
    strategy uses ([block_hashable]). *)
 let join_partitionable cond = block_hashable cond
 

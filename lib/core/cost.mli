@@ -65,6 +65,12 @@ val selectivity : Stats.t -> origins:(string * string) list -> Expr.t -> float
     multiplies, disjunction adds (capped), negation complements.
     Clamped to [\[1e-6, 1.0\]]. *)
 
+val block_hashable : Expr.t -> bool
+(** Whether a GMDJ condition has a hash key: an [=] or [<=>] conjunct
+    between two attributes with different qualifiers.  The syntactic
+    twin of {!Subql_relational.Expr.split_equi} finding a key, which the
+    [`Hash] strategy (and a spilling join) needs. *)
+
 (** {1 Certified cardinality intervals}
 
     Where {!estimate} picks a plausible point, the interval analysis

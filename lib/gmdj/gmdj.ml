@@ -86,24 +86,38 @@ let output_schema ~base ~detail blocks =
 (* θ-plans                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The detail row being folded, read by every plan's match callback, so
+   that probing a row allocates no closure.  [apply] is
+   {!Aggregate.step} for evaluation and insertions, and
+   {!Aggregate.step_back} for deletion maintenance. *)
+type cursor = {
+  mutable drow : Tuple.t;
+  mutable apply : Aggregate.acc -> Tuple.t array -> unit;
+  ctx : Tuple.t array;
+}
+
 (* A compiled plan for one θ-like condition over (base, detail):
 
    - [prefilter] holds the conjuncts that mention only detail attributes
      (the invariants of Rao & Ross): they are tested once per detail row
      instead of once per (base, detail) pair;
-   - [probe] either iterates hash-bucket candidates (equi-conditions
-     extracted, residual tested per candidate) or tests the remaining
-     condition against every candidate the caller supplies. *)
+   - [probe] either looks the detail row up in a hash index on the base
+     tuples (the [=]/[<=>] keys extracted, the residual tested per
+     candidate) or tests the remaining condition against every candidate
+     base tuple;
+   - [hit bi] records that base tuple [bi] satisfies the condition with
+     the cursor's detail row. *)
 type plan = {
   prefilter : (Tuple.t -> bool) option;
   probe : probe;
+  hit : int -> unit;
 }
 
 and probe =
   | Probe_hash of {
-      key_of_detail : Tuple.t -> Tuple.t;
       index : Index.t;
-      test : Tuple.t -> Tuple.t -> bool;
+      dcols : int array;
+      candidate : int -> unit;  (** skip check, residual test, then [hit] *)
     }
   | Probe_all of { test : Tuple.t -> Tuple.t -> bool }
 
@@ -125,7 +139,8 @@ let make_pair_test ~stats ~bs ~ds expr =
         s.theta_evals <- s.theta_evals + 1;
         test b r)
 
-let make_plan ~strategy ~stats ~bs ~ds ~base_rows theta =
+(* [settled] marks base tuples a completion no longer needs to probe. *)
+let make_plan ~strategy ~stats ~bs ~ds ~base_rows ~cur ~settled theta hit =
   Expr.typecheck_bool [| bs; ds |] theta;
   let detail_only, correlated =
     List.partition (Expr.refs_resolvable [| ds |]) (Expr.conjuncts theta)
@@ -146,26 +161,26 @@ let make_plan ~strategy ~stats ~bs ~ds ~base_rows theta =
   let correlated_expr =
     match correlated with [] -> None | conjs -> Some (Expr.conjoin conjs)
   in
+  let probe_all () = Probe_all { test = make_pair_test ~stats ~bs ~ds correlated_expr } in
   let probe =
     match strategy, correlated_expr with
-    | `Scan, _ | `Hash, None ->
-      Probe_all { test = make_pair_test ~stats ~bs ~ds correlated_expr }
+    | `Scan, _ | `Hash, None -> probe_all ()
     | `Hash, Some expr -> (
-      let pairs, residual = Expr.split_equi ~left:bs ~right:ds expr in
-      match pairs with
-      | [] -> Probe_all { test = make_pair_test ~stats ~bs ~ds correlated_expr }
-      | _ ->
-        let bcols = Array.of_list (List.map fst pairs) in
-        let dcols = Array.of_list (List.map snd pairs) in
-        let index = Index.build_rows base_rows bcols in
-        Probe_hash
-          {
-            key_of_detail = (fun drow -> Array.map (fun c -> drow.(c)) dcols);
-            index;
-            test = make_pair_test ~stats ~bs ~ds residual;
-          })
+      match Expr.split_equi ~left:bs ~right:ds expr with
+      | [], _ -> probe_all ()
+      | keys, residual ->
+        let bcols, dcols, null_safe = Expr.key_columns keys in
+        let index = Index.build_rows ~null_safe base_rows bcols in
+        let test = make_pair_test ~stats ~bs ~ds residual in
+        let candidate =
+          match settled with
+          | None -> fun bi -> if test base_rows.(bi) cur.drow then hit bi
+          | Some settled ->
+            fun bi -> if (not settled.(bi)) && test base_rows.(bi) cur.drow then hit bi
+        in
+        Probe_hash { index; dcols; candidate })
   in
-  { prefilter; probe }
+  { prefilter; probe; hit }
 
 let prefilter_passes plan drow =
   match plan.prefilter with None -> true | Some f -> f drow
@@ -174,20 +189,32 @@ let prefilter_passes plan drow =
 (* Accumulators                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Accumulator matrix: accs.(bi).(block).(agg). *)
-let make_accs ~bs ~ds ~n_base blocks =
+let compile_aggs ~bs ~ds blocks =
   let frames = [| bs; ds |] in
-  let compiled =
-    Array.of_list
-      (List.map (fun b -> Array.of_list (List.map (Aggregate.compile frames) b.aggs)) blocks)
-  in
-  Array.init n_base (fun _ -> Array.map (Array.map Aggregate.make) compiled)
+  Array.of_list
+    (List.map (fun b -> Array.of_list (List.map (Aggregate.compile frames) b.aggs)) blocks)
 
-let emit_row base_row accs_row =
-  let agg_values =
-    Array.concat (Array.to_list (Array.map (Array.map Aggregate.value) accs_row))
-  in
-  Tuple.concat base_row agg_values
+(* One base tuple's accumulators: accs_row.(block).(agg). *)
+let make_accs_row compiled = Array.map (Array.map Aggregate.make) compiled
+
+(* The base row extended with the aggregate values, in one allocation. *)
+let emit_row (base_row : Tuple.t) accs_row : Tuple.t =
+  let nb = Array.length base_row in
+  let n = ref nb in
+  for b = 0 to Array.length accs_row - 1 do
+    n := !n + Array.length accs_row.(b)
+  done;
+  let out = Array.make !n Value.Null in
+  Array.blit base_row 0 out 0 nb;
+  let k = ref nb in
+  for b = 0 to Array.length accs_row - 1 do
+    let accs = accs_row.(b) in
+    for a = 0 to Array.length accs - 1 do
+      out.(!k) <- Aggregate.value accs.(a);
+      incr k
+    done
+  done;
+  out
 
 (* ------------------------------------------------------------------ *)
 (* The definition                                                       *)
@@ -197,17 +224,14 @@ let reference ~base ~detail blocks =
   let bs = Relation.schema base and ds = Relation.schema detail in
   let out_schema = output_schema ~base:bs ~detail:ds blocks in
   let frames = [| bs; ds |] in
-  let blocks = Array.of_list blocks in
-  Array.iter (fun b -> Expr.typecheck_bool frames b.theta) blocks;
-  let thetas = Array.map (fun b -> Expr.compile_frames frames b.theta) blocks in
-  let compiled =
-    Array.map (fun b -> Array.of_list (List.map (Aggregate.compile frames) b.aggs)) blocks
-  in
+  List.iter (fun b -> Expr.typecheck_bool frames b.theta) blocks;
+  let thetas = Array.of_list (List.map (fun b -> Expr.compile_frames frames b.theta) blocks) in
+  let compiled = compile_aggs ~bs ~ds blocks in
   let ctx = [| Tuple.empty; Tuple.empty |] in
   let rows =
     Array.map
       (fun brow ->
-        let accs_row = Array.map (Array.map Aggregate.make) compiled in
+        let accs_row = make_accs_row compiled in
         (* One full detail pass per base tuple and block. *)
         Array.iteri
           (fun i theta ->
@@ -234,15 +258,21 @@ exception Scan_done
    per-base-tuple accumulator matrix and, for a completion
    (Section 4.2), the kill/require verdicts.  Detail rows arrive as
    chunks ([feed]); every domain of an exchange owns one state (compiled
-   closures and hash indexes carry per-evaluation mutable buffers) and
-   the states combine with [merge].  [stats] is the state's own record
-   for row/θ/block counts; detail passes and registry publication
-   belong to the coordinator. *)
+   closures, the cursor and hash indexes are per-evaluation) and the
+   states combine with [merge].  [stats] is the state's own record for
+   row/θ/block counts; detail passes and registry publication belong to
+   the coordinator. *)
 type state = {
   base_rows : Tuple.t array;
   out_schema : Schema.t;
+  cur : cursor;
+  kill_plans : plan array;
+  fired_plans : plan array;
   block_plans : plan array;  (** empty when aggregates are not maintained *)
   accs : Aggregate.acc array array array;
+      (** accs.(bi).(block).(agg), made on base tuple [bi]'s first hit
+          ([[||]] until then); empty when aggregates are not maintained *)
+  blank : Value.t array;  (** the aggregate values of a base tuple with no hit *)
   stats : stats;
   verdicts : verdicts option;
 }
@@ -251,8 +281,6 @@ type state = {
    feeder stops pulling (Thms 4.1–4.2's early scan exit, an early
    storage exit for disk-resident details). *)
 and verdicts = {
-  kill_plans : plan array;
-  fired_plans : plan array;
   alive : bool array;
   fired : bool array array;
   unfired : int array;
@@ -262,9 +290,15 @@ and verdicts = {
   early_exit_allowed : bool;
   mutable active : int array;
   mutable settled_at_compact : int;
-  ctx : Tuple.t array;
   mutable saturated : bool;
 }
+
+let settle v bi =
+  if not v.settled.(bi) then begin
+    v.settled.(bi) <- true;
+    v.n_settled <- v.n_settled + 1;
+    if v.early_exit_allowed && v.n_settled >= Array.length v.settled then raise Scan_done
+  end
 
 let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
   let stats = fresh_stats () in
@@ -272,20 +306,17 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
   let bs = Relation.schema base and ds = detail_schema in
   let base_rows = Relation.rows base in
   let n_base = Array.length base_rows in
-  let mk =
-    make_plan ~strategy ~stats:(if theta then Some stats else None) ~bs ~ds ~base_rows
-  in
+  let cur = { drow = Tuple.empty; apply = Aggregate.step; ctx = [| Tuple.empty; Tuple.empty |] } in
   let maintain_aggregates =
     match completion with None -> true | Some c -> c.maintain_aggregates
   in
+  let compiled = compile_aggs ~bs ~ds blocks in
+  let accs = if maintain_aggregates then Array.make n_base [||] else [||] in
   let verdicts =
     Option.map
       (fun c ->
-        let fired_plans = Array.of_list (List.map mk c.require_fired) in
-        let n_fired_preds = Array.length fired_plans in
+        let n_fired_preds = List.length c.require_fired in
         {
-          kill_plans = Array.of_list (List.map mk c.kill_when);
-          fired_plans;
           alive = Array.make n_base true;
           fired = Array.make_matrix (max n_fired_preds 1) n_base false;
           unfired = Array.make n_base n_fired_preds;
@@ -302,58 +333,100 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
           early_exit_allowed = not c.maintain_aggregates;
           active = Array.init n_base (fun i -> i);
           settled_at_compact = 0;
-          ctx = [| Tuple.empty; Tuple.empty |];
           saturated = false;
         })
       completion
   in
+  let mk =
+    make_plan ~strategy ~stats:(if theta then Some stats else None) ~bs ~ds ~base_rows ~cur
+      ~settled:(Option.map (fun v -> v.settled) verdicts)
+  in
+  let step_block block_i bi =
+    cur.ctx.(0) <- base_rows.(bi);
+    cur.ctx.(1) <- cur.drow;
+    stats.block_updates.(block_i) <- stats.block_updates.(block_i) + 1;
+    if Array.length accs.(bi) = 0 then accs.(bi) <- make_accs_row compiled;
+    let accs = accs.(bi).(block_i) in
+    for a = 0 to Array.length accs - 1 do
+      cur.apply accs.(a) cur.ctx
+    done
+  in
+  let block_hit block_i =
+    match verdicts with
+    | None -> step_block block_i
+    | Some v -> fun bi -> if v.alive.(bi) then step_block block_i bi
+  in
+  let kill_plans, fired_plans =
+    match completion, verdicts with
+    | Some c, Some v ->
+      let kill bi =
+        if v.alive.(bi) then begin
+          v.alive.(bi) <- false;
+          settle v bi
+        end
+      in
+      let fire pi bi =
+        if v.alive.(bi) && not v.fired.(pi).(bi) then begin
+          v.fired.(pi).(bi) <- true;
+          v.unfired.(bi) <- v.unfired.(bi) - 1;
+          if v.positive_settles && v.unfired.(bi) = 0 then settle v bi
+        end
+      in
+      ( Array.of_list (List.map (fun theta -> mk theta kill) c.kill_when),
+        Array.of_list (List.mapi (fun pi theta -> mk theta (fire pi)) c.require_fired) )
+    | _ -> ([||], [||])
+  in
   {
     base_rows;
     out_schema = output_schema ~base:bs ~detail:ds blocks;
+    cur;
+    kill_plans;
+    fired_plans;
     block_plans =
-      (if maintain_aggregates then Array.of_list (List.map (fun b -> mk b.theta) blocks)
+      (if maintain_aggregates then
+         Array.of_list (List.mapi (fun block_i b -> mk b.theta (block_hit block_i)) blocks)
        else [||]);
-    accs = make_accs ~bs ~ds ~n_base blocks;
+    accs;
+    blank = emit_row Tuple.empty (make_accs_row compiled);
     stats;
     verdicts;
   }
 
-(* Plain accumulation of the rows [lo, hi) of [detail_rows]; [apply] is
-   {!Aggregate.step} for evaluation and insertions, and
-   {!Aggregate.step_back} for deletion maintenance. *)
-let accumulate ~apply st detail_rows lo hi =
-  let n_base = Array.length st.base_rows in
-  let stats = st.stats in
-  let ctx = [| Tuple.empty; Tuple.empty |] in
-  let update block_i drow bi =
-    ctx.(0) <- st.base_rows.(bi);
-    ctx.(1) <- drow;
-    stats.block_updates.(block_i) <- stats.block_updates.(block_i) + 1;
-    Array.iter (fun acc -> apply acc ctx) st.accs.(bi).(block_i)
-  in
-  for ri = lo to hi - 1 do
-    let drow = detail_rows.(ri) in
-    stats.detail_scanned <- stats.detail_scanned + 1;
-    Array.iteri
-      (fun block_i plan ->
-        if prefilter_passes plan drow then
-          match plan.probe with
-          | Probe_hash { key_of_detail; index; test } ->
-            Index.probe_iter index (key_of_detail drow) (fun bi ->
-                if test st.base_rows.(bi) drow then update block_i drow bi)
-          | Probe_all { test } ->
-            for bi = 0 to n_base - 1 do
-              if test st.base_rows.(bi) drow then update block_i drow bi
-            done)
-      st.block_plans
+(* Offer the cursor's detail row [drow] to one plan: every base tuple
+   that satisfies its condition (and, in a completion, is not settled)
+   gets a [hit]. *)
+let probe_plan st plan drow =
+  if prefilter_passes plan drow then
+    match plan.probe with
+    | Probe_hash { index; dcols; candidate } -> Index.probe_row_iter index drow dcols candidate
+    | Probe_all { test } -> (
+      let base_rows = st.base_rows in
+      match st.verdicts with
+      | None ->
+        for bi = 0 to Array.length base_rows - 1 do
+          if test base_rows.(bi) drow then plan.hit bi
+        done
+      | Some v ->
+        let a = v.active in
+        for i = 0 to Array.length a - 1 do
+          let bi = a.(i) in
+          if (not v.settled.(bi)) && test base_rows.(bi) drow then plan.hit bi
+        done)
+
+let probe_plans st plans drow =
+  for p = 0 to Array.length plans - 1 do
+    probe_plan st plans.(p) drow
   done
 
-let settle st v bi =
-  if not v.settled.(bi) then begin
-    v.settled.(bi) <- true;
-    v.n_settled <- v.n_settled + 1;
-    if v.early_exit_allowed && v.n_settled >= Array.length st.base_rows then raise Scan_done
-  end
+(* Plain accumulation of the rows [lo, hi) of [detail_rows]. *)
+let accumulate ~apply st detail_rows lo hi =
+  st.cur.apply <- apply;
+  for ri = lo to hi - 1 do
+    let drow = detail_rows.(ri) in
+    st.stats.detail_scanned <- st.stats.detail_scanned + 1;
+    st.cur.drow <- drow;
+    probe_plans st st.block_plans drow
+  done
 
 (* The scan probes of Probe_all plans iterate an explicit active list;
    it is compacted whenever at least a quarter of it has settled, so a
@@ -367,60 +440,26 @@ let compact v =
     v.settled_at_compact <- v.n_settled
   end
 
-let iterate_candidates st v plan drow f =
-  match plan.probe with
-  | Probe_hash { key_of_detail; index; test } ->
-    Index.probe_iter index (key_of_detail drow) (fun bi ->
-        if (not v.settled.(bi)) && test st.base_rows.(bi) drow then f bi)
-  | Probe_all { test } ->
-    let a = v.active in
-    for i = 0 to Array.length a - 1 do
-      let bi = a.(i) in
-      if (not v.settled.(bi)) && test st.base_rows.(bi) drow then f bi
-    done
-
-let feed_verdict_row st v drow =
-  st.stats.detail_scanned <- st.stats.detail_scanned + 1;
-  Array.iter
-    (fun plan ->
-      if prefilter_passes plan drow then
-        iterate_candidates st v plan drow (fun bi ->
-            if v.alive.(bi) then begin
-              v.alive.(bi) <- false;
-              settle st v bi
-            end))
-    v.kill_plans;
-  Array.iteri
-    (fun pi plan ->
-      if prefilter_passes plan drow then
-        iterate_candidates st v plan drow (fun bi ->
-            if v.alive.(bi) && not v.fired.(pi).(bi) then begin
-              v.fired.(pi).(bi) <- true;
-              v.unfired.(bi) <- v.unfired.(bi) - 1;
-              if v.positive_settles && v.unfired.(bi) = 0 then settle st v bi
-            end))
-    v.fired_plans;
-  Array.iteri
-    (fun block_i plan ->
-      if prefilter_passes plan drow then
-        iterate_candidates st v plan drow (fun bi ->
-            if v.alive.(bi) then begin
-              v.ctx.(0) <- st.base_rows.(bi);
-              v.ctx.(1) <- drow;
-              st.stats.block_updates.(block_i) <- st.stats.block_updates.(block_i) + 1;
-              Array.iter (fun acc -> Aggregate.step acc v.ctx) st.accs.(bi).(block_i)
-            end))
-    st.block_plans;
-  compact v
+let feed_verdicts st v detail_rows lo hi =
+  st.cur.apply <- Aggregate.step;
+  for ri = lo to hi - 1 do
+    let drow = detail_rows.(ri) in
+    st.stats.detail_scanned <- st.stats.detail_scanned + 1;
+    st.cur.drow <- drow;
+    probe_plans st st.kill_plans drow;
+    probe_plans st st.fired_plans drow;
+    probe_plans st st.block_plans drow;
+    compact v
+  done
 
 let feed ?(apply = Aggregate.step) st chunk =
+  let lo = Chunk.offset chunk in
+  let hi = lo + Chunk.length chunk in
   match st.verdicts with
-  | None ->
-    let lo = Chunk.offset chunk in
-    accumulate ~apply st (Chunk.buffer chunk) lo (lo + Chunk.length chunk)
+  | None -> accumulate ~apply st (Chunk.buffer chunk) lo hi
   | Some v ->
     if not v.saturated then begin
-      try Chunk.iter (feed_verdict_row st v) chunk
+      try feed_verdicts st v (Chunk.buffer chunk) lo hi
       with Scan_done ->
         v.saturated <- true;
         st.stats.early_exit <- true
@@ -436,17 +475,20 @@ let saturated st = match st.verdicts with Some v -> v.saturated | None -> false
    tuple from the output. *)
 let merge ~into:a b =
   Array.iteri
-    (fun bi per_block ->
-      Array.iteri
-        (fun block_i per_agg ->
+    (fun bi theirs ->
+      if Array.length theirs > 0 then
+        if Array.length a.accs.(bi) = 0 then a.accs.(bi) <- theirs
+        else
           Array.iteri
-            (fun agg_i acc -> Aggregate.merge ~into:acc b.accs.(bi).(block_i).(agg_i))
-            per_agg)
-        per_block)
-    a.accs;
+            (fun block_i per_agg ->
+              Array.iteri
+                (fun agg_i acc -> Aggregate.merge ~into:acc theirs.(block_i).(agg_i))
+                per_agg)
+            a.accs.(bi))
+    b.accs;
   match (a.verdicts, b.verdicts) with
   | Some va, Some vb ->
-    let n_preds = Array.length va.fired_plans in
+    let n_preds = Array.length a.fired_plans in
     Array.iteri
       (fun bi _ ->
         va.alive.(bi) <- va.alive.(bi) && vb.alive.(bi);
@@ -462,14 +504,17 @@ let merge ~into:a b =
 (* The result in base order: every base row, or — for a completion —
    the surviving ones, extended with the aggregate columns. *)
 let finish st =
+  let emit bi brow =
+    if bi < Array.length st.accs && Array.length st.accs.(bi) > 0 then emit_row brow st.accs.(bi)
+    else Tuple.concat brow st.blank
+  in
   let rows =
     match st.verdicts with
-    | None -> Array.mapi (fun bi brow -> emit_row brow st.accs.(bi)) st.base_rows
+    | None -> Array.mapi emit st.base_rows
     | Some v ->
       let out = Vec.create ~dummy:Tuple.empty () in
       Array.iteri
-        (fun bi brow ->
-          if v.alive.(bi) && v.unfired.(bi) = 0 then Vec.push out (emit_row brow st.accs.(bi)))
+        (fun bi brow -> if v.alive.(bi) && v.unfired.(bi) = 0 then Vec.push out (emit bi brow))
         st.base_rows;
       Vec.to_array out
   in

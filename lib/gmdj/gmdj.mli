@@ -11,10 +11,10 @@
     - [`Scan] — every detail row updates every base tuple whose θ it
       satisfies.  Cost: |R| rows × |B| predicate tests per block.
     - [`Hash] — the hash-index strategy of the paper's GMDJ engine:
-      equi-conditions between base and detail attributes are extracted
-      from each θ and used to hash-partition the base tuples; each
-      detail tuple probes its candidates and evaluates only the
-      residual predicate.
+      every [=] and null-safe [<=>] between a base and a detail
+      attribute ({!Subql_relational.Expr.split_equi}) becomes a key of
+      an index on the base tuples; each detail tuple probes it in place
+      and evaluates only the residual predicate on its candidates.
 
     Under both, conjuncts of a θ that mention only detail attributes are
     hoisted and evaluated once per detail row (the invariant reuse of

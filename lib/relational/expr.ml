@@ -424,31 +424,39 @@ let resolvable_only_in schema other (rel, name) =
     | Some _ -> None
     | None -> Some pos)
 
+type equi_key = { left_col : int; right_col : int; null_safe : bool }
+
 let split_equi ~left ~right e =
-  let classify conjunct =
-    match conjunct with
-    | Cmp (Eq, Attr (ar, an), Attr (br, bn)) -> (
-      let a = (ar, an) and b = (br, bn) in
-      match resolvable_only_in left right a, resolvable_only_in right left b with
-      | Some la, Some rb -> Some (la, rb)
-      | _ -> (
-        match resolvable_only_in left right b, resolvable_only_in right left a with
-        | Some lb, Some ra -> Some (lb, ra)
-        | _ -> None))
+  let key null_safe (ar, an) (br, bn) =
+    let a = (ar, an) and b = (br, bn) in
+    match resolvable_only_in left right a, resolvable_only_in right left b with
+    | Some la, Some rb -> Some { left_col = la; right_col = rb; null_safe }
+    | _ -> (
+      match resolvable_only_in left right b, resolvable_only_in right left a with
+      | Some lb, Some ra -> Some { left_col = lb; right_col = ra; null_safe }
+      | _ -> None)
+  in
+  let classify = function
+    | Cmp (Eq, Attr (ar, an), Attr (br, bn)) -> key false (ar, an) (br, bn)
+    | Null_safe_eq (Attr (ar, an), Attr (br, bn)) -> key true (ar, an) (br, bn)
     | _ -> None
   in
-  let pairs, residual =
+  let keys, residual =
     List.fold_left
-      (fun (pairs, residual) conjunct ->
+      (fun (keys, residual) conjunct ->
         match classify conjunct with
-        | Some pair -> (pair :: pairs, residual)
-        | None -> (pairs, conjunct :: residual))
+        | Some k -> (k :: keys, residual)
+        | None -> (keys, conjunct :: residual))
       ([], []) (conjuncts e)
   in
   let residual =
     match residual with [] -> None | cs -> Some (conjoin (List.rev cs))
   in
-  (List.rev pairs, residual)
+  (List.rev keys, residual)
+
+let key_columns keys =
+  let cols f = Array.of_list (List.map f keys) in
+  (cols (fun k -> k.left_col), cols (fun k -> k.right_col), cols (fun k -> k.null_safe))
 
 let split_on outer ~local e =
   let local_frames = [| local |] in

@@ -141,13 +141,24 @@ val to_bool3 : Value.t -> Bool3.t
 
 (** {1 Join analysis} *)
 
+type equi_key = { left_col : int; right_col : int; null_safe : bool }
+(** One hashable key pair of a join condition: a left and a right
+    column position, and whether NULL matches NULL on it. *)
+
 val split_equi :
-  left:Schema.t -> right:Schema.t -> t -> (int * int) list * t option
-(** Extract equi-join pairs from the top-level conjunction:
-    conjuncts of the form [Cmp (Eq, a, b)] where [a] resolves only on the
-    left and [b] only on the right (or vice versa) become index pairs
-    [(left_pos, right_pos)]; everything else is returned as the residual
-    condition ([None] when nothing remains). *)
+  left:Schema.t -> right:Schema.t -> t -> equi_key list * t option
+(** Extract the hashable equalities of the top-level conjunction.  A
+    conjunct [Cmp (Eq, a, b)] or [Null_safe_eq (a, b)] between two bare
+    attributes, where [a] resolves only on the left and [b] only on the
+    right (or vice versa), becomes a key.  An [Eq] key is not null-safe:
+    a NULL on either side never matches.  A [Null_safe_eq] key is: NULL
+    matches NULL, which is {!Value.equal}, exactly how [<=>] evaluates.
+    Everything else is returned as the residual condition ([None] when
+    nothing remains). *)
+
+val key_columns : equi_key list -> int array * int array * bool array
+(** The keys' left columns, right columns and null-safety flags, in
+    order. *)
 
 val split_on : Schema.t array -> local:Schema.t -> t -> t option * t option
 (** [split_on outer ~local e] splits the conjunction of [e] into the part

@@ -2,28 +2,26 @@ type join_strategy = [ `Hash | `Nested_loop | `Sort_merge ]
 
 (* Sorted-array equi access path for the sort-merge strategy: right rows
    ordered by their key columns; per left key a binary search finds the
-   matching run.  Rows with a NULL key column are excluded, as in the
-   hash index (an SQL equi-condition cannot be true on NULL). *)
+   matching run.  As in the hash index, a row with a NULL in a plain key
+   column is excluded (an SQL equality cannot be true on NULL), while a
+   null-safe column keeps its NULLs, which sort together. *)
 module Sorted_access = struct
-  type t = { key_of : Tuple.t -> Tuple.t option; order : int array; keys : Tuple.t array }
+  type t = { null_safe : bool array; order : int array; keys : Tuple.t array }
 
-  let build rows cols =
-    let key_of row =
-      let k = Array.map (fun c -> row.(c)) cols in
-      if Array.exists Value.is_null k then None else Some k
-    in
+  let excluded null_safe key =
+    let hit = ref false in
+    Array.iteri (fun i v -> if (not null_safe.(i)) && Value.is_null v then hit := true) key;
+    !hit
+
+  let build ~null_safe rows cols =
     let indexed =
       Array.to_list rows
-      |> List.mapi (fun i row -> (i, key_of row))
-      |> List.filter_map (fun (i, k) -> Option.map (fun k -> (i, k)) k)
+      |> List.mapi (fun i row -> (i, Tuple.project row cols))
+      |> List.filter (fun (_, k) -> not (excluded null_safe k))
       |> Array.of_list
     in
     Array.sort (fun (_, a) (_, b) -> Tuple.compare a b) indexed;
-    {
-      key_of;
-      order = Array.map fst indexed;
-      keys = Array.map snd indexed;
-    }
+    { null_safe; order = Array.map fst indexed; keys = Array.map snd indexed }
 
   (* First position with key >= probe. *)
   let lower_bound t probe =
@@ -35,7 +33,7 @@ module Sorted_access = struct
     !lo
 
   let probe_iter t key f =
-    if not (Array.exists Value.is_null key) then begin
+    if not (excluded t.null_safe key) then begin
       let i = ref (lower_bound t key) in
       while !i < Array.length t.keys && Tuple.compare t.keys.(!i) key = 0 do
         f t.order.(!i);
@@ -204,21 +202,20 @@ let join_driver ?(strategy = `Hash) cond left right ~emit =
     match strategy with
     | `Nested_loop -> scan_matches
     | (`Hash | `Sort_merge) as strategy -> (
-      let pairs, residual = Expr.split_equi ~left:ls ~right:rs cond in
-      match pairs with
+      let keys, residual = Expr.split_equi ~left:ls ~right:rs cond in
+      match keys with
       | [] -> scan_matches
       | _ ->
-        let lcols = Array.of_list (List.map fst pairs) in
-        let rcols = Array.of_list (List.map snd pairs) in
+        let lcols, rcols, null_safe = Expr.key_columns keys in
         let rrows = Relation.rows right in
         let probe =
           match strategy with
           | `Hash ->
-            let index = Index.build right rcols in
-            Index.probe_iter index
+            let index = Index.build_rows ~null_safe rrows rcols in
+            fun l f -> Index.probe_row_iter index l lcols f
           | `Sort_merge ->
-            let access = Sorted_access.build rrows rcols in
-            Sorted_access.probe_iter access
+            let access = Sorted_access.build ~null_safe rrows rcols in
+            fun l f -> Sorted_access.probe_iter access (Tuple.project l lcols) f
         in
         let test =
           match residual with
@@ -228,8 +225,7 @@ let join_driver ?(strategy = `Hash) cond left right ~emit =
             fun l r -> Expr.is_true (f l r)
         in
         fun l f ->
-          let key = Array.map (fun c -> l.(c)) lcols in
-          probe key (fun ri ->
+          probe l (fun ri ->
               let r = rrows.(ri) in
               if test l r then f r))
   in

@@ -1,8 +1,8 @@
 (** The relational operator suite.
 
     Every operator is a total function from relations to a relation.
-    Join-like operators take a [strategy]: [`Hash] extracts equi-join
-    pairs from the condition and probes a hash index (the "indexed"
+    Join-like operators take a [strategy]: [`Hash] extracts the [=] and
+    null-safe [<=>] keys from the condition and probes a hash index (the "indexed"
     plans of the paper's experiments); [`Sort_merge] sorts the right
     side on the equi-keys and binary-searches per left row (the
     sort-merge plans the paper's DBMS fell back to); [`Nested_loop]

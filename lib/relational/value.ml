@@ -74,9 +74,19 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Numbers strictly inside (-2^53, 2^53) are exact in both [Int] and
+   [Float], so an [Int] there hashes as itself and an integral [Float]
+   there as the same int — no float is boxed.  Every other number
+   hashes as a float: an [Int] outside the range can only equal a
+   [Float] outside it, and OCaml's float hash normalizes -0. and NaN. *)
+let exact_int_limit = 9007199254740992
+
 let hash = function
   | Null -> 0
+  | Int i when i > -exact_int_limit && i < exact_int_limit -> Hashtbl.hash i
   | Int i -> Hashtbl.hash (float_of_int i)
+  | Float f when Float.trunc f = f && Float.abs f < 9007199254740992. ->
+    Hashtbl.hash (int_of_float f)
   | Float f -> Hashtbl.hash f
   | Str s -> Hashtbl.hash s
   | Bool b -> Hashtbl.hash b

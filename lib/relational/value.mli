@@ -55,9 +55,11 @@ val compare : t -> t -> int
     depends on it being total. *)
 
 val hash : t -> int
-(** Consistent with {!equal}: [Int i] hashes as the float [i] so the
-    cross-type numeric classes collide as required, and OCaml's float
-    hash normalizes the sign of zero and all NaN payloads.  The spill
+(** Consistent with {!equal}: an [Int] strictly inside (-2{^53}, 2{^53})
+    hashes as that int, and an integral [Float] in the same range as the
+    same int, so the cross-type numeric classes collide as required
+    without boxing a float.  Every other number hashes as a float, and
+    OCaml's float hash normalizes the sign of zero and all NaN payloads.  The spill
     partitioner routes rows to partitions by this hash, so two values
     that compare equal {e must} hash equal or a group would be split
     across spill files. *)

@@ -282,10 +282,11 @@ let run_join ~strategy ~kind cond l r =
   | `Anti -> Ops.anti_join ~strategy cond l r
 
 (* One side of the join, collected with a row cap: in memory when it
-   fits, hash-partitioned on its equi-key columns otherwise.  A NULL in
-   a key column can never satisfy an equi-condition, so NULL-keyed rows
-   may land in any partition — they match nothing wherever they are,
-   and outer/anti semantics still see each left row exactly once. *)
+   fits, hash-partitioned on its equi-key columns otherwise.  Partitions
+   hash the whole key with NULL included ({!Tuple.hash}), so a NULL on
+   a null-safe ([<=>]) column lands with the NULLs it matches.  On a
+   plain column a NULL matches nothing wherever it lands, and
+   outer/anti semantics still see each left row exactly once. *)
 type side = In_mem of Tuple.t array | On_disk of parts
 
 let collect_side ~meter ~partitions ~budget ~schema ~cols src =
@@ -334,8 +335,8 @@ let join ?(partitions = default_partitions) ~budget ~strategy ~(kind : join_kind
     | `Inner | `Left_outer -> Schema.concat ls rs
     | `Semi | `Anti -> ls
   in
-  let pairs, _ = Expr.split_equi ~left:ls ~right:rs cond in
-  match pairs with
+  let keys, _ = Expr.split_equi ~left:ls ~right:rs cond in
+  match keys with
   | [] ->
     (* No equi-key to partition on: the join cannot spill; fall through
        to the in-memory operator (the planner's memory height already
@@ -348,8 +349,7 @@ let join ?(partitions = default_partitions) ~budget ~strategy ~(kind : join_kind
       spilled_bytes = 0;
     }
   | _ ->
-    let lcols = Array.of_list (List.map fst pairs) in
-    let rcols = Array.of_list (List.map snd pairs) in
+    let lcols, rcols, _ = Expr.key_columns keys in
     let meter = meter_create () in
     let lside = collect_side ~meter ~partitions ~budget ~schema:ls ~cols:lcols left in
     let rside = collect_side ~meter ~partitions ~budget ~schema:rs ~cols:rcols right in

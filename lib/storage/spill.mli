@@ -65,7 +65,7 @@ val join :
   unit ->
   outcome
 (** Grace hash join: each side is collected up to [budget] rows, and on
-    overflow both sides are hash-partitioned on the equi-key columns of
+    overflow both sides are hash-partitioned on the [=]/[<=>] key columns of
     [cond] ({!Subql_relational.Expr.split_equi}) and joined partition
     against partition with the ordinary in-memory operator (full
     condition re-checked, so residual conjuncts and NULL semantics are

@@ -98,12 +98,15 @@ GATES = {
                 for k in ("peak_rows", "peak_rows_2x", "chained_page_reads",
                           "coalesced_page_reads")
             ],
+            row("theta_evals", "<=", key("detail_rows"),
+                "{item[template]}: {value} θ-evals for {limit:.0f} detail rows — a [<=>] key "
+                "fell back to per-pair tests", each="theta_counts"),
         ],
         summary=lambda f, b: (
             "BENCH_exec.json: verified, peak %d rows (2x detail: %d), page reads %d chained / "
-            "%d coalesced"
+            "%d coalesced, θ-evals <= detail rows on %d templates"
             % (f["peak_rows"], f["peak_rows_2x"], f["chained_page_reads"],
-               f["coalesced_page_reads"])
+               f["coalesced_page_reads"], len(f["theta_counts"]))
         ),
     ),
     "par": dict(

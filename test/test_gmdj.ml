@@ -257,6 +257,64 @@ let partitioned_prop (brows, drows) =
         [ `Scan; `Hash ])
     cases
 
+(* The [`Hash] strategy keys on [<=>] as well as [=]: a null-safe key
+   matches NULL with NULL, a plain one never does, and Int/Float keys
+   meet across representations (-0., NaN included).  Every domain count,
+   strategy and completion agrees with the definition. *)
+let null_safe_gen =
+  let open QCheck2.Gen in
+  let int_or_null = frequency [ (1, return Value.Null); (4, map (fun i -> Value.Int i) (int_range 0 3)) ] in
+  let float_or_null =
+    frequency
+      [ (1, return Value.Null); (4, map (fun f -> Value.Float f) (oneofl [ 0.; -0.; 1.; 2.; 2.5; Float.nan ])) ]
+  in
+  let row = map2 (fun k x -> [ k; x ]) int_or_null float_or_null in
+  pair (list_size (int_range 0 12) row) (list_size (int_range 0 20) row)
+
+let null_safe_prop (brows, drows) =
+  let rel name cols rows =
+    Relation.of_list
+      (Schema.of_list
+         (List.map2 (fun c ty -> Schema.attr ~rel:name c ty) cols [ Value.Tint; Value.Tfloat ]))
+      (List.map Array.of_list rows)
+  in
+  let base = rel "B" [ "k"; "x" ] brows and detail = rel "R" [ "k"; "y" ] drows in
+  let b c = attr ~rel:"B" c and r c = attr ~rel:"R" c in
+  let both_null_safe = Expr.and_ (Expr.Null_safe_eq (b "k", r "k")) (Expr.Null_safe_eq (r "y", b "x")) in
+  let mixed = Expr.and_ (Expr.eq (b "k") (r "k")) (Expr.Null_safe_eq (b "x", r "y")) in
+  (* Int against Float, null-safe, with a residual. *)
+  let cross = Expr.and_ (Expr.Null_safe_eq (b "x", r "k")) (Expr.le (b "k") (r "k")) in
+  let blocks =
+    [
+      Gmdj.block
+        [ Aggregate.count_star "c1"; Aggregate.sum (r "y") "s1"; Aggregate.count (r "k") "ck" ]
+        both_null_safe;
+      Gmdj.block [ Aggregate.count_star "c2"; Aggregate.min_ (r "y") "mn" ] mixed;
+      Gmdj.block [ Aggregate.count_star "c3" ] cross;
+    ]
+  in
+  let reference = Gmdj.reference ~base ~detail blocks in
+  let cases =
+    [
+      (None, reference);
+      ( Some { Gmdj.kill_when = [ mixed ]; require_fired = [ both_null_safe ]; maintain_aggregates = true },
+        Ops.select
+          (Expr.and_ (Expr.gt (attr "c1") (Expr.int 0)) (Expr.eq (attr "c2") (Expr.int 0)))
+          reference );
+    ]
+  in
+  List.for_all
+    (fun (completion, expected) ->
+      List.for_all
+        (fun strategy ->
+          List.for_all
+            (fun domains ->
+              Relation.equal_as_multiset expected
+                (Helpers.gmdj ~strategy ?completion ~domains ~base ~detail blocks))
+            [ 1; 2 ])
+        [ `Scan; `Hash ])
+    cases
+
 let test_partitioned_stats () =
   let base =
     Relation.of_list
@@ -416,6 +474,8 @@ let () =
           Helpers.qtest "completion = eval-then-filter" pair_gen completion_prop;
           Helpers.qtest "aggregate-free completion" pair_gen completion_no_aggs_prop;
           Helpers.qtest ~count:80 "partitioned = whole" pair_gen partitioned_prop;
+          Helpers.qtest ~count:150 "null-safe keys agree with the definition" null_safe_gen
+            null_safe_prop;
           Helpers.qtest ~count:120 "maintenance = recompute" pair_gen maintenance_prop;
         ] );
       ( "maintenance",

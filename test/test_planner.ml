@@ -121,6 +121,39 @@ let test_every_candidate_agrees () =
 
 (* --- Instrumented evaluation --------------------------------------------- *)
 
+(* The cost model prices a GMDJ block as hashable exactly when the
+   [`Hash] strategy finds a key in it: over every MD condition of the
+   optimized zoo plans, [Cost.block_hashable] agrees with
+   [Expr.split_equi] over the node's base and detail schemas. *)
+let test_block_hashable_matches_split_equi () =
+  let catalog = Subql_workload.Zoo.catalog ~outer:8 ~inner:16 () in
+  let checked = ref 0 and null_safe_keys = ref 0 in
+  let check label ~base ~detail theta =
+    let bs = Subql.Eval.schema catalog base and ds = Subql.Eval.schema catalog detail in
+    let keys, _ = Expr.split_equi ~left:bs ~right:ds theta in
+    if List.exists (fun k -> k.Expr.null_safe) keys then incr null_safe_keys;
+    incr checked;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %s" label (Expr.to_string theta))
+      (keys <> []) (Subql.Cost.block_hashable theta)
+  in
+  let rec walk label alg =
+    (match alg with
+    | Subql.Algebra.Md { base; detail; blocks } ->
+      List.iter (fun b -> check label ~base ~detail b.Subql_gmdj.Gmdj.theta) blocks
+    | Subql.Algebra.Md_completed { base; detail; blocks; completion } ->
+      List.iter (fun b -> check label ~base ~detail b.Subql_gmdj.Gmdj.theta) blocks;
+      List.iter (check label ~base ~detail)
+        (completion.Subql_gmdj.Gmdj.kill_when @ completion.Subql_gmdj.Gmdj.require_fired)
+    | _ -> ());
+    List.iter (walk label) (Subql.Eval.children alg)
+  in
+  List.iter
+    (fun (label, query) -> walk label (Subql.Optimize.optimize (Subql.Transform.to_algebra query)))
+    Subql_workload.Zoo.queries;
+  Alcotest.(check bool) "MD conditions checked" true (!checked >= 24);
+  Alcotest.(check bool) "some keys are null-safe" true (!null_safe_keys > 0)
+
 let test_eval_traced () =
   let catalog = catalog_of 30 200 in
   let query = List.assoc "exists" Query_zoo.queries in
@@ -148,6 +181,8 @@ let () =
           Alcotest.test_case "selectivities" `Quick test_selectivity;
           Alcotest.test_case "estimate monotonicity" `Quick test_estimate_monotonicity;
           Alcotest.test_case "nested loop dearer" `Quick test_nl_join_costs_more;
+          Alcotest.test_case "hashable blocks are split_equi's" `Quick
+            test_block_hashable_matches_split_equi;
         ] );
       ( "planner",
         [

@@ -38,8 +38,6 @@ let test_value_compare () =
   Alcotest.(check int) "null first" (-1)
     (compare (Value.compare Value.Null (Value.Int 0)) 0);
   Alcotest.(check bool) "int/float promote" true (Value.equal (Value.Int 3) (Value.Float 3.0));
-  Alcotest.(check bool) "hash consistent with promote" true
-    (Value.hash (Value.Int 3) = Value.hash (Value.Float 3.0));
   Alcotest.(check bool) "null equal for grouping" true (Value.equal Value.Null Value.Null);
   Alcotest.(check bool) "cmp3 null is unknown" true
     (Value.cmp3 Value.Null (Value.Int 1) = None);
@@ -67,10 +65,6 @@ let test_value_printing () =
   Alcotest.(check bool) "NaN below numbers" true
     (Value.compare (Value.Float Float.nan) (Value.Float neg_infinity) < 0);
   Alcotest.(check bool) "-0 = 0" true (Value.equal (Value.Float (-0.)) (Value.Float 0.));
-  Alcotest.(check bool) "-0/0 hash together" true
-    (Value.hash (Value.Float (-0.)) = Value.hash (Value.Float 0.));
-  Alcotest.(check bool) "NaN hashes consistently" true
-    (Value.hash (Value.Float Float.nan) = Value.hash (Value.Float (-.Float.nan)));
   (* CSV cells round-trip the awkward floats bit-for-bit (modulo the
      NaN payload, which [equal] already identifies). *)
   List.iter
@@ -82,6 +76,45 @@ let test_value_printing () =
         true
         (Value.equal round v && Value.is_null round = Value.is_null v))
     [ -0.; 0.1; Float.nan; Float.infinity; Float.neg_infinity; 1e-300; -1.5e300 ]
+
+(* The hash law every hash table and the spill partitioner rely on:
+   [Value.equal a b] implies [Value.hash a = Value.hash b].  Values are
+   drawn as an Int or a Float over the same numbers — the edges of the
+   exact-int range ±2^53 and its neighbours, max_int/min_int, -0., NaN
+   of both signs, infinities — so equal pairs across the two
+   representations come up often. *)
+let value_hash_law =
+  let p53 = 1 lsl 53 in
+  let ints =
+    [ 0; 1; -1; 3; p53 - 1; p53; p53 + 1; -(p53 - 1); -p53; -(p53 + 1); max_int; min_int ]
+  in
+  let floats =
+    [ -0.; 0.5; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 2. ** 62.; -.(2. ** 62.) ]
+  in
+  let number =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun i -> `I i) (oneofl ints);
+          map (fun i -> `I i) small_signed_int;
+          map (fun f -> `F f) (oneofl floats);
+          map (fun f -> `F f) float;
+        ])
+  in
+  let as_int = function `I i -> Value.Int i | `F f -> Value.Float f in
+  let as_float = function `I i -> Value.Float (float_of_int i) | `F f -> Value.Float f in
+  let value = QCheck2.Gen.(map2 (fun n int -> if int then as_int n else as_float n) number bool) in
+  let twins = QCheck2.Gen.(map (fun n -> (as_int n, as_float n)) number) in
+  let show = function
+    | Value.Int i -> Printf.sprintf "Int %d" i
+    | Value.Float f -> Printf.sprintf "Float %h" f
+    | v -> Value.to_string v
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"equal values hash equal"
+       ~print:(fun (a, b) -> show a ^ " / " ^ show b)
+       QCheck2.Gen.(oneof [ pair value value; twins ])
+       (fun (a, b) -> (not (Value.equal a b)) || Value.hash a = Value.hash b))
 
 let test_value_arith () =
   Alcotest.(check bool) "div by zero is null" true (Value.is_null (Value.div (Value.Int 1) (Value.Int 0)));
@@ -191,10 +224,26 @@ let test_expr_split_equi () =
         Expr.ne (attr ~rel:"l" "a") (attr ~rel:"r" "c");
       ]
   in
-  let pairs, residual = Expr.split_equi ~left ~right cond in
-  Alcotest.(check (list (pair int int))) "one pair" [ (0, 0) ] pairs;
+  let key k = (k.Expr.left_col, k.Expr.right_col, k.Expr.null_safe) in
+  let keys, residual = Expr.split_equi ~left ~right cond in
+  Alcotest.(check (list (triple int int bool))) "one key" [ (0, 0, false) ] (List.map key keys);
   Alcotest.(check bool) "residual has two conjuncts" true
-    (match residual with Some r -> List.length (Expr.conjuncts r) = 2 | None -> false)
+    (match residual with Some r -> List.length (Expr.conjuncts r) = 2 | None -> false);
+  (* A [<=>] between one attribute of each side is a null-safe key; one
+     over a computed operand stays in the residual. *)
+  let cond =
+    Expr.conjoin
+      [
+        Expr.Null_safe_eq (attr ~rel:"r" "c", attr ~rel:"l" "a");
+        Expr.eq (attr ~rel:"l" "a") (attr ~rel:"r" "b");
+        Expr.Null_safe_eq (attr ~rel:"l" "a", Expr.Arith (Expr.Add, attr ~rel:"r" "b", Expr.int 1));
+      ]
+  in
+  let keys, residual = Expr.split_equi ~left ~right cond in
+  Alcotest.(check (list (triple int int bool)))
+    "null-safe and plain keys, in order" [ (0, 1, true); (0, 0, false) ] (List.map key keys);
+  Alcotest.(check int) "computed <=> is residual" 1
+    (match residual with Some r -> List.length (Expr.conjuncts r) | None -> 0)
 
 let test_expr_utilities () =
   let e = Expr.and_ (Expr.eq (attr ~rel:"a" "x") (attr ~rel:"b" "y")) (Expr.gt (attr "z") (Expr.int 1)) in
@@ -252,6 +301,36 @@ let join_props =
             Relation.equal_as_multiset
               (Ops.left_outer_join ~strategy:`Hash cond l r)
               (Ops.left_outer_join ~strategy:`Nested_loop cond l r)));
+    (* [<=>] keys are null-safe: NULL matches NULL under every strategy,
+       and a spilling join partitions a NULL key with its matches. *)
+    (let narrow =
+       QCheck2.Gen.(frequency [ (1, return Value.Null); (3, map (fun i -> Value.Int i) (int_range 0 3)) ])
+     in
+     let side = QCheck2.Gen.(list_size (int_range 0 15) (list_repeat 2 narrow)) in
+     let null_safe =
+       Expr.and_
+         (Expr.Null_safe_eq (attr ~rel:"l" "k", attr ~rel:"r" "k"))
+         (Expr.le (attr ~rel:"l" "v") (attr ~rel:"r" "v"))
+     in
+     Helpers.qtest "<=> join: hash = sort-merge = spill = nested loop"
+       (QCheck2.Gen.pair side side) (fun db ->
+         with_rels db (fun l r ->
+             let spilled kind =
+               (Subql_storage.Spill.join ~partitions:3 ~budget:2 ~strategy:`Hash ~kind
+                  ~cond:null_safe ~left:(Chunk.Source.of_relation l)
+                  ~right:(Chunk.Source.of_relation r) ())
+                 .Subql_storage.Spill.result
+             in
+             let agree kind op =
+               let nl = op ~strategy:`Nested_loop null_safe l r in
+               Relation.equal_as_multiset (op ~strategy:`Hash null_safe l r) nl
+               && Relation.equal_as_multiset (op ~strategy:`Sort_merge null_safe l r) nl
+               && Relation.equal_as_multiset (spilled kind) nl
+             in
+             agree `Inner (fun ~strategy -> Ops.join ~strategy)
+             && agree `Left_outer (fun ~strategy -> Ops.left_outer_join ~strategy)
+             && agree `Semi (fun ~strategy -> Ops.semi_join ~strategy)
+             && agree `Anti (fun ~strategy -> Ops.anti_join ~strategy))));
     Helpers.qtest "semi + anti partition the left" gen (fun db ->
         with_rels db (fun l r ->
             let semi = Ops.semi_join cond l r and anti = Ops.anti_join cond l r in
@@ -356,6 +435,54 @@ let test_index_null_exclusion () =
   Alcotest.(check (list int)) "probe null finds nothing" [] (Index.probe idx [| Value.Null |]);
   Alcotest.(check int) "one distinct key" 1 (Index.cardinality idx)
 
+(* Per-column null-safety: a [<=>] column finds its NULL rows, a plain
+   [=] column never does — in the same index. *)
+let test_index_null_safe () =
+  let r =
+    rel_of [ "a"; "b" ]
+      Value.[ [ Null; Int 1 ]; [ Int 2; Null ]; [ Null; Int 1 ]; [ Null; Null ]; [ Int 2; Int 1 ] ]
+      "t"
+  in
+  let idx = Index.build ~null_safe:[| true; false |] r [| 0; 1 |] in
+  Alcotest.(check (list int)) "NULL on the null-safe column" [ 0; 2 ]
+    (Index.probe idx Value.[| Null; Int 1 |]);
+  Alcotest.(check (list int)) "NULL on the plain column" []
+    (Index.probe idx Value.[| Int 2; Null |]);
+  Alcotest.(check (list int)) "plain key" [ 4 ] (Index.probe idx Value.[| Int 2; Int 1 |]);
+  Alcotest.(check bool) "key_of keeps a null-safe NULL" true
+    (Index.key_of idx (Relation.row r 0) <> None);
+  Alcotest.(check bool) "key_of drops a plain NULL" true (Index.key_of idx (Relation.row r 1) = None);
+  let all_plain = Index.build r [| 0; 1 |] in
+  Alcotest.(check (list int)) "all plain: NULL finds nothing" []
+    (Index.probe all_plain Value.[| Null; Int 1 |]);
+  (* In place: the probe row's columns 2 and 0 are the key. *)
+  let found = ref [] in
+  Index.probe_row_iter idx Value.[| Int 1; Int 9; Null |] [| 2; 0 |] (fun i -> found := i :: !found);
+  Alcotest.(check (list int)) "probe_row_iter reads the key in place" [ 0; 2 ] (List.rev !found)
+
+(* Probe results come back in insertion order however the keys collide,
+   and [cardinality] counts distinct keys (a null-safe NULL is one). *)
+let test_index_order_and_cardinality () =
+  let n = 200 in
+  let rows = Array.init n (fun i -> [| (if i mod 7 = 0 then Value.Null else Value.Int (i mod 5)) |]) in
+  let idx = Index.build_rows ~null_safe:[| true |] rows [| 0 |] in
+  for k = 0 to 4 do
+    let expected =
+      List.filter (fun i -> i mod 7 <> 0 && i mod 5 = k) (List.init n Fun.id)
+    in
+    Alcotest.(check (list int)) (Printf.sprintf "key %d in insertion order" k) expected
+      (Index.probe idx [| Value.Int k |])
+  done;
+  Alcotest.(check (list int)) "NULL group in insertion order"
+    (List.filter (fun i -> i mod 7 = 0) (List.init n Fun.id))
+    (Index.probe idx [| Value.Null |]);
+  Alcotest.(check int) "five keys and NULL" 6 (Index.cardinality idx);
+  Alcotest.(check int) "plain: NULL is no key" 5 (Index.cardinality (Index.build_rows rows [| 0 |]));
+  (* Int and integral Float are one key. *)
+  let mixed = Index.build_rows [| [| Value.Int 3 |]; [| Value.Float 3.0 |]; [| Value.Float 3.5 |] |] [| 0 |] in
+  Alcotest.(check (list int)) "3 = 3.0" [ 0; 1 ] (Index.probe mixed [| Value.Float 3.0 |]);
+  Alcotest.(check int) "two distinct keys" 2 (Index.cardinality mixed)
+
 (* --- Vec ---------------------------------------------------------------- *)
 
 let test_vec () =
@@ -408,6 +535,7 @@ let () =
           Alcotest.test_case "canonical float printing" `Quick test_value_printing;
           Alcotest.test_case "arithmetic" `Quick test_value_arith;
           Alcotest.test_case "csv cells" `Quick test_value_csv_roundtrip;
+          value_hash_law;
         ] );
       ( "schema",
         [
@@ -431,7 +559,13 @@ let () =
           Alcotest.test_case "rownum and limit" `Quick test_add_rownum_and_limit;
         ]
         @ join_props );
-      ("index", [ Alcotest.test_case "null exclusion" `Quick test_index_null_exclusion ]);
+      ( "index",
+        [
+          Alcotest.test_case "null exclusion" `Quick test_index_null_exclusion;
+          Alcotest.test_case "null-safe columns" `Quick test_index_null_safe;
+          Alcotest.test_case "insertion order and cardinality" `Quick
+            test_index_order_and_cardinality;
+        ] );
       ("vec", [ Alcotest.test_case "basic operations" `Quick test_vec ]);
       ("io", [ Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip ]);
     ]
