@@ -86,21 +86,26 @@ let resolve_catalog data workload flows users scale seed =
 let engine_names =
   [ "auto"; "native"; "native-plain"; "unnest"; "unnest-noidx"; "gmdj"; "gmdj-scan"; "gmdj-opt" ]
 
-(* [config] carries the execution mode (join/GMDJ strategy, domains, spill
-   budget); the native engines do not go through the algebra and ignore it. *)
-let run_engine ~config engine catalog query =
+(* The one engine table: what each engine runs.  The native engines
+   iterate the nested query directly; every other engine runs an algebra
+   plan, which the instrumented paths annotate. *)
+type engine_plan = Plan of Subql.Algebra.t | Native of Subql_nested.Naive_eval.mode
+
+let gmdj_opt_plan query = Subql.Optimize.optimize (Subql.Transform.to_algebra query)
+
+let engine_plan engine catalog query =
   match engine with
-  | "auto" -> Subql.Planner.run ~config catalog query
-  | "native" -> Subql_nested.Naive_eval.eval ~mode:Subql_nested.Naive_eval.Smart catalog query
-  | "native-plain" ->
-    Subql_nested.Naive_eval.eval ~mode:Subql_nested.Naive_eval.Plain catalog query
-  | "unnest" | "unnest-noidx" ->
-    Subql.Eval.eval ~config catalog (Subql_unnest.Unnest.best catalog query)
-  | "gmdj" | "gmdj-scan" ->
-    Subql.Eval.eval ~config catalog (Subql.Transform.to_algebra query)
-  | "gmdj-opt" ->
-    Subql.Eval.eval ~config catalog
-      (Subql.Optimize.optimize (Subql.Transform.to_algebra query))
+  | "auto" ->
+    let c = Subql.Planner.choose catalog query in
+    Format.printf "planner: chose %s (est. cost %.0f, est. rows %.0f)@."
+      c.Subql.Planner.label c.Subql.Planner.estimate.Subql.Cost.cost
+      c.Subql.Planner.estimate.Subql.Cost.rows;
+    Plan c.Subql.Planner.plan
+  | "native" -> Native Subql_nested.Naive_eval.Smart
+  | "native-plain" -> Native Subql_nested.Naive_eval.Plain
+  | "unnest" | "unnest-noidx" -> Plan (Subql_unnest.Unnest.best catalog query)
+  | "gmdj" | "gmdj-scan" -> Plan (Subql.Transform.to_algebra query)
+  | "gmdj-opt" -> Plan (gmdj_opt_plan query)
   | other ->
     failwith
       (Printf.sprintf "unknown engine %S (known: %s)" other (String.concat ", " engine_names))
@@ -209,20 +214,6 @@ let run_cmd =
     let stmt = parse_sql sql in
     Option.iter (fun _ -> Subql_obs.Trace.set_enabled true) trace_file;
     let query = stmt.Subql_sql.Parser.query in
-    (* The instrumented paths need an algebra plan; engines that do not go
-       through the algebra (the native engines) analyze the optimized GMDJ plan. *)
-    let plan_for_analysis () =
-      match engine with
-      | "auto" ->
-        let c = Subql.Planner.choose catalog query in
-        Format.printf "planner: chose %s (est. cost %.0f, est. rows %.0f)@."
-          c.Subql.Planner.label c.Subql.Planner.estimate.Subql.Cost.cost
-          c.Subql.Planner.estimate.Subql.Cost.rows;
-        c.Subql.Planner.plan
-      | "unnest" | "unnest-noidx" -> Subql_unnest.Unnest.best catalog query
-      | "gmdj" | "gmdj-scan" -> Subql.Transform.to_algebra query
-      | _ -> Subql.Optimize.optimize (Subql.Transform.to_algebra query)
-    in
     let config =
       let base =
         if engine = "gmdj-scan" || engine = "unnest-noidx" then Subql.Eval.unindexed_config
@@ -233,25 +224,32 @@ let run_cmd =
     let t0 = Unix.gettimeofday () in
     let feedback = ref None in
     let result =
-      if explain_analyze then begin
-        let result, node = Subql.Eval.eval_analyzed ~config catalog (plan_for_analysis ()) in
-        Format.printf "%a@." Subql_obs.Explain.pp node;
-        result
-      end
-      else if analyze then begin
-        let result, trace = Subql.Eval.eval_traced ~config catalog (plan_for_analysis ()) in
-        Format.printf "%a@." Subql.Eval.pp_trace trace;
-        result
-      end
-      else if engine = "auto" then begin
+      if engine = "auto" && not (explain_analyze || analyze) then begin
+        (* Only the planner path consults the result cache and records
+           estimate feedback. *)
         let result, fb = Subql.Planner.run_with_feedback ~config catalog query in
         feedback := Some fb;
         result
       end
-      else run_engine ~config engine catalog query
+      else
+        match engine_plan engine catalog query with
+        | Native mode when not (explain_analyze || analyze) ->
+          Subql_nested.Naive_eval.eval ~mode catalog query
+        | (Plan _ | Native _) as p ->
+          (* Instrumenting a native engine analyzes the optimized GMDJ plan. *)
+          let plan = match p with Plan plan -> plan | Native _ -> gmdj_opt_plan query in
+          if explain_analyze then begin
+            let result, node = Subql.Eval.eval_analyzed ~config catalog plan in
+            Format.printf "%a@." Subql_obs.Explain.pp node;
+            result
+          end
+          else if analyze then begin
+            let result, trace = Subql.Eval.eval_traced ~config catalog plan in
+            Format.printf "%a@." Subql.Eval.pp_trace trace;
+            result
+          end
+          else Subql.Eval.eval ~config catalog plan
     in
-    let result = Subql_sql.Parser.apply_grouping stmt result in
-    let result = Subql_sql.Parser.apply_post stmt result in
     let dt = Unix.gettimeofday () -. t0 in
     Format.printf "%a" Relation.pp (Ops.limit limit result);
     if Relation.cardinality result > limit then
@@ -348,12 +346,9 @@ let batch_cmd =
       let report = Subql_mqo.Batch.run ~cache catalog queries in
       let dt = Unix.gettimeofday () -. t0 in
       Format.printf "round %d: %d queries in %.3fs@." round (List.length queries) dt;
-      List.iter2
-        (fun stmt (i, result) ->
-          let result = Subql_sql.Parser.apply_grouping stmt result in
-          let result = Subql_sql.Parser.apply_post stmt result in
-          Format.printf "  q%d: %d rows@." i (Relation.cardinality result))
-        stmts report.Subql_mqo.Batch.results;
+      List.iter
+        (fun (i, result) -> Format.printf "  q%d: %d rows@." i (Relation.cardinality result))
+        report.Subql_mqo.Batch.results;
       Format.printf "  cache: %d hits, %d misses (%d deduplicated in batch); %d entries, %d bytes resident@."
         report.Subql_mqo.Batch.cache_hits report.Subql_mqo.Batch.cache_misses
         report.Subql_mqo.Batch.deduplicated

@@ -57,6 +57,8 @@ let plan_lints alg =
     match alg with
     | Algebra.Table _ -> ()
     | Algebra.Rename (_, x) | Algebra.Distinct x -> sub "" needed x
+    | Algebra.Sort { by; input; _ } ->
+      sub "" (union_needed needed (List.map (fun ((_, name), _) -> name) by)) input
     | Algebra.Select (e, x) -> sub "" (union_needed needed (bare_names_of [] e)) x
     | Algebra.Project (exprs, x) ->
       (match needed with

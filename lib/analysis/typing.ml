@@ -223,6 +223,11 @@ let infer env alg =
       let* f = sub "" x in
       Ok { f with fs = Schema.rename_rel alias f.fs }
     | Distinct x -> sub "" x
+    | Sort { by; input; _ } ->
+      let* f = sub "" input in
+      guard ~path (fun () ->
+          List.iter (fun ((rel, name), _) -> ignore (Schema.find f.fs ?rel name)) by;
+          Ok f)
     | Select (pred, x) ->
       let* f = sub "" x in
       check_pred [| f.fs |] pred;

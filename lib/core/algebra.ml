@@ -1,7 +1,7 @@
 open Subql_relational
 open Subql_gmdj
 
-type join_kind = Inner | Left_outer | Semi | Anti
+type join_kind = Ops.join_kind = Inner | Left_outer | Semi | Anti
 
 type t =
   | Table of string
@@ -25,6 +25,11 @@ type t =
   | Union_all of t * t
   | Diff_all of t * t
   | Distinct of t
+  | Sort of {
+      by : ((string option * string) * [ `Asc | `Desc ]) list;
+      limit : int option;
+      input : t;
+    }
 
 (* Schema inference.
 
@@ -52,6 +57,7 @@ let node_label = function
   | Union_all _ -> "UnionAll"
   | Diff_all _ -> "DiffAll"
   | Distinct _ -> "Distinct"
+  | Sort _ -> "Sort"
 
 (* Convert the exceptions the node-local schema operations may raise into
    diagnostics located at [path]. *)
@@ -142,6 +148,11 @@ let rec schema_d ~lookup rev_path alg =
     let* ds = sub "detail" detail in
     guard ~path (fun () -> Ok (Gmdj.output_schema ~base:bs ~detail:ds blocks))
   | Union_all (l, _) | Diff_all (l, _) -> sub "left" l
+  | Sort { by; input; _ } ->
+    let* s = sub "" input in
+    guard ~path (fun () ->
+        List.iter (fun ((rel, name), _) -> ignore (Schema.find s ?rel name)) by;
+        Ok s)
 
 let schema_diag ~lookup alg = schema_d ~lookup [] alg
 
@@ -154,32 +165,16 @@ let schema_of ~lookup alg =
          (match d.Diag.subject with Some t -> t | None -> d.Diag.message))
   | Error d -> Expr.raise_diag d
 
+let equal_specs s1 s2 =
+  List.equal
+    (fun (a : Aggregate.spec) (b : Aggregate.spec) ->
+      a.name = b.name && Aggregate.equal_func a.func b.func)
+    s1 s2
+
 let equal_blocks b1 b2 =
-  List.length b1 = List.length b2
-  && List.for_all2
-       (fun x y ->
-         Expr.equal x.Gmdj.theta y.Gmdj.theta
-         && List.length x.Gmdj.aggs = List.length y.Gmdj.aggs
-         && List.for_all2
-              (fun (a : Aggregate.spec) (b : Aggregate.spec) ->
-                a.name = b.name
-                &&
-                match a.func, b.func with
-                | Aggregate.Count_star, Aggregate.Count_star -> true
-                | Aggregate.Count e1, Aggregate.Count e2
-                | Aggregate.Sum e1, Aggregate.Sum e2
-                | Aggregate.Min e1, Aggregate.Min e2
-                | Aggregate.Max e1, Aggregate.Max e2
-                | Aggregate.Avg e1, Aggregate.Avg e2
-                | Aggregate.First e1, Aggregate.First e2 ->
-                  Expr.equal e1 e2
-                | ( ( Aggregate.Count_star | Aggregate.Count _ | Aggregate.Sum _
-                    | Aggregate.Min _ | Aggregate.Max _ | Aggregate.Avg _
-                    | Aggregate.First _ ),
-                    _ ) ->
-                  false)
-              x.Gmdj.aggs y.Gmdj.aggs)
-       b1 b2
+  List.equal
+    (fun x y -> Expr.equal x.Gmdj.theta y.Gmdj.theta && equal_specs x.Gmdj.aggs y.Gmdj.aggs)
+    b1 b2
 
 let rec equal a b =
   match a, b with
@@ -199,16 +194,8 @@ let rec equal a b =
     j1.kind = j2.kind && Expr.equal j1.cond j2.cond && equal j1.left j2.left
     && equal j1.right j2.right
   | Group_by g1, Group_by g2 ->
-    g1.keys = g2.keys
-    && equal_blocks
-         [ { Gmdj.aggs = g1.aggs; theta = Expr.bool true } ]
-         [ { Gmdj.aggs = g2.aggs; theta = Expr.bool true } ]
-    && equal g1.input g2.input
-  | Aggregate_all (a1, x), Aggregate_all (a2, y) ->
-    equal_blocks
-      [ { Gmdj.aggs = a1; theta = Expr.bool true } ]
-      [ { Gmdj.aggs = a2; theta = Expr.bool true } ]
-    && equal x y
+    g1.keys = g2.keys && equal_specs g1.aggs g2.aggs && equal g1.input g2.input
+  | Aggregate_all (a1, x), Aggregate_all (a2, y) -> equal_specs a1 a2 && equal x y
   | Md m1, Md m2 ->
     equal m1.base m2.base && equal m1.detail m2.detail && equal_blocks m1.blocks m2.blocks
   | Md_completed m1, Md_completed m2 ->
@@ -219,9 +206,10 @@ let rec equal a b =
   | Union_all (l1, r1), Union_all (l2, r2) | Diff_all (l1, r1), Diff_all (l2, r2) ->
     equal l1 l2 && equal r1 r2
   | Distinct x, Distinct y -> equal x y
+  | Sort s1, Sort s2 -> s1.by = s2.by && s1.limit = s2.limit && equal s1.input s2.input
   | ( ( Table _ | Rename _ | Select _ | Project _ | Project_cols _ | Project_rel _
       | Add_rownum _ | Product _ | Join _ | Group_by _ | Aggregate_all _ | Md _
-      | Md_completed _ | Union_all _ | Diff_all _ | Distinct _ ),
+      | Md_completed _ | Union_all _ | Diff_all _ | Distinct _ | Sort _ ),
       _ ) ->
     false
 
@@ -241,6 +229,16 @@ let join_kind_to_string = function
 let pp_cols ppf cols =
   Format.pp_print_string ppf
     (String.concat ", " (List.map (function None, n -> n | Some r, n -> r ^ "." ^ n) cols))
+
+let sort_label by limit =
+  Printf.sprintf "Sort [%s]%s"
+    (String.concat ", "
+       (List.map
+          (fun ((q, n), dir) ->
+            (match q with None -> n | Some r -> r ^ "." ^ n)
+            ^ match dir with `Asc -> " asc" | `Desc -> " desc")
+          by))
+    (match limit with Some n -> Printf.sprintf " limit %d" n | None -> "")
 
 let pp_aggs ppf aggs =
   Format.pp_print_list
@@ -284,3 +282,5 @@ let rec pp ppf alg =
   | Union_all (l, r) -> Format.fprintf ppf "UnionAll@;<1 2>@[%a@]@;<1 2>@[%a@]" pp l pp r
   | Diff_all (l, r) -> Format.fprintf ppf "DiffAll@;<1 2>@[%a@]@;<1 2>@[%a@]" pp l pp r
   | Distinct x -> Format.fprintf ppf "Distinct@;<1 2>@[%a@]" pp x
+  | Sort { by; limit; input } ->
+    Format.fprintf ppf "%s@;<1 2>@[%a@]" (sort_label by limit) pp input

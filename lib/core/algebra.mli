@@ -9,7 +9,7 @@
 open Subql_relational
 open Subql_gmdj
 
-type join_kind = Inner | Left_outer | Semi | Anti
+type join_kind = Ops.join_kind = Inner | Left_outer | Semi | Anti
 
 type t =
   | Table of string
@@ -38,6 +38,13 @@ type t =
   | Union_all of t * t
   | Diff_all of t * t
   | Distinct of t
+  | Sort of {
+      by : ((string option * string) * [ `Asc | `Desc ]) list;
+      limit : int option;
+      input : t;
+    }
+      (** ORDER BY then LIMIT: a stable sort on [by] (empty: input order
+          kept), then the first [limit] rows *)
 
 val schema_of : lookup:(string -> Schema.t) -> t -> Schema.t
 (** Output schema; [lookup] resolves base-table names. *)
@@ -62,6 +69,9 @@ val detail_alias : t -> string option
 val same_occurrence_modulo_alias : t -> t -> bool
 (** Are the two expressions the same relation occurrence up to their
     outermost alias?  (Prop. 4.1's "same underlying table" test.) *)
+
+val sort_label : ((string option * string) * [ `Asc | `Desc ]) list -> int option -> string
+(** A [Sort] node's label, as ["Sort \[o.k asc, n desc\] limit 3"]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line indented plan rendering. *)

@@ -137,6 +137,12 @@ let estimate stats ~config alg =
         est = { rows = Float.max 1.0 (i.est.rows *. 0.5); cost = i.est.cost +. i.est.rows };
         origins = i.origins;
       }
+    | Algebra.Sort { by; limit; input } ->
+      let i = go input in
+      let n = i.est.rows in
+      let rows = match limit with Some l -> Float.min n (float_of_int l) | None -> n in
+      let work = match by with [] -> n | _ -> n *. Float.log2 (Float.max 2.0 n) in
+      { est = { rows; cost = i.est.cost +. work }; origins = i.origins }
     | Algebra.Product (l, r) ->
       let li = go l and ri = go r in
       let rows = li.est.rows *. ri.est.rows in
@@ -266,6 +272,7 @@ let memory_height stats ~config alg =
     | Algebra.Project_cols { distinct; input; _ } ->
       if distinct then Float.max (h input) (rows alg) else h input
     | Algebra.Distinct x -> Float.max (h x) (rows alg)
+    | Algebra.Sort { input; _ } -> Float.max (h input) (mat_rows input +. rows alg)
     | Algebra.Group_by { input; _ } -> Float.max (h input) (rows alg)
     | Algebra.Aggregate_all (_, x) -> Float.max (h x) 1.0
     | Algebra.Union_all (l, r) -> Float.max (h l) (h r)
@@ -327,6 +334,7 @@ let memory_height_spill stats ~config alg =
       | Algebra.Project_cols { distinct; input; _ } ->
         if distinct then Float.max (h input) (cap (rows alg)) else h input
       | Algebra.Distinct x -> Float.max (h x) (cap (rows alg))
+      | Algebra.Sort { input; _ } -> Float.max (h input) (mat_rows input +. rows alg)
       | Algebra.Group_by { input; _ } -> Float.max (h input) (cap (rows alg))
       | Algebra.Aggregate_all (_, x) -> Float.max (h x) 1.0
       | Algebra.Union_all (l, r) -> Float.max (h l) (h r)
@@ -503,6 +511,10 @@ let intervals stats alg =
       let t, origins = sub "" x in
       let lo = if t.ival.lo > 0.0 then 1.0 else 0.0 in
       node (v lo t.ival.hi) [ t ] origins
+    | Algebra.Sort { limit; input; _ } ->
+      let t, origins = sub "" input in
+      let cut x = match limit with Some l -> Float.min x (float_of_int l) | None -> x in
+      node (v (cut t.ival.lo) (cut t.ival.hi)) [ t ] origins
     | Algebra.Product (l, r) ->
       let lt, lo_ = sub "left" l and rt, ro = sub "right" r in
       node (v (lt.ival.lo *. rt.ival.lo) (lt.ival.hi *. rt.ival.hi)) [ lt; rt ] (lo_ @ ro)
@@ -626,6 +638,12 @@ let memory_height_certified stats ~config alg =
       let live = cap (hi t) in
       note live t;
       Float.max (h x (child1 t)) live
+    | Algebra.Sort { input; _ } ->
+      (* Unspillable: the whole input is held to sort it. *)
+      let ct = child1 t in
+      let live = mat input ct +. hi t in
+      note live t;
+      Float.max (h input ct) live
     | Algebra.Group_by { input; _ } ->
       let live = cap (hi t) in
       note live t;

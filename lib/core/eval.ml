@@ -30,7 +30,8 @@ let children = function
   | Algebra.Add_rownum (_, x)
   | Algebra.Group_by { input = x; _ }
   | Algebra.Aggregate_all (_, x)
-  | Algebra.Distinct x ->
+  | Algebra.Distinct x
+  | Algebra.Sort { input = x; _ } ->
     [ x ]
   | Algebra.Product (l, r)
   | Algebra.Join { left = l; right = r; _ }
@@ -72,6 +73,7 @@ let node_label alg =
   | Algebra.Union_all _ -> "UnionAll"
   | Algebra.Diff_all _ -> "DiffAll"
   | Algebra.Distinct _ -> "Distinct"
+  | Algebra.Sort { by; limit; _ } -> Algebra.sort_label by limit
 
 (* ------------------------------------------------------------------ *)
 (* The shared executor skeleton                                         *)
@@ -339,42 +341,32 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
     lfree ();
     rfree ();
     emit ctx alg out
-  | Algebra.Join { kind; cond; left; right } -> (
+  | Algebra.Join { kind; cond; left; right } ->
     let cl = child left and cr = child right in
     let strategy = ctx.config.join_strategy in
-    match ctx.config.spill_budget_rows with
-    | Some budget ->
-      (* Grace hash join straight off the child streams: neither side is
-         materialized here — Spill collects up to the budget and
-         hash-partitions the rest to temp heap files. *)
-      let kind =
-        match kind with
-        | Algebra.Inner -> `Inner
-        | Algebra.Left_outer -> `Left_outer
-        | Algebra.Semi -> `Semi
-        | Algebra.Anti -> `Anti
-      in
-      let out =
-        spill_outcome ctx
-          (Subql_storage.Spill.join ~budget ~strategy ~kind ~cond ~left:cl.src
-             ~right:cr.src ())
-      in
-      cl.release ();
-      cr.release ();
-      emit ctx alg out
-    | None ->
-      let lrel, lfree = materialize ctx cl in
-      let rrel, rfree = materialize ctx cr in
-      let out =
-        match kind with
-        | Algebra.Inner -> Ops.join ~strategy cond lrel rrel
-        | Algebra.Left_outer -> Ops.left_outer_join ~strategy cond lrel rrel
-        | Algebra.Semi -> Ops.semi_join ~strategy cond lrel rrel
-        | Algebra.Anti -> Ops.anti_join ~strategy cond lrel rrel
-      in
-      lfree ();
-      rfree ();
-      emit ctx alg out)
+    let out =
+      match ctx.config.spill_budget_rows with
+      | Some budget ->
+        (* Grace hash join straight off the child streams: neither side is
+           materialized here — Spill collects up to the budget and
+           hash-partitions the rest to temp heap files. *)
+        let out =
+          spill_outcome ctx
+            (Subql_storage.Spill.join ~budget ~strategy ~kind ~cond ~left:cl.src
+               ~right:cr.src ())
+        in
+        cl.release ();
+        cr.release ();
+        out
+      | None ->
+        let lrel, lfree = materialize ctx cl in
+        let rrel, rfree = materialize ctx cr in
+        let out = Ops.join ~strategy ~kind cond lrel rrel in
+        lfree ();
+        rfree ();
+        out
+    in
+    emit ctx alg out
   | Algebra.Group_by { keys; aggs; _ } ->
     let c = child (List.hd (children alg)) in
     let out = run_group_by ctx ~keys ~aggs c.src in
@@ -409,6 +401,13 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
     let c = child x in
     let out = run_distinct ctx c.src in
     c.release ();
+    emit ctx alg out
+  | Algebra.Sort { by; limit; input } ->
+    let c = child input in
+    let r, free = materialize ctx c in
+    let sorted = Ops.sort ~by r in
+    let out = match limit with Some n -> Ops.limit n sorted | None -> sorted in
+    free ();
     emit ctx alg out
 
 (* Lazy driver: the plan becomes a tree of chunk streams; work happens

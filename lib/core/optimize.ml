@@ -32,6 +32,7 @@ let map_children f = function
   | Algebra.Union_all (l, r) -> Algebra.Union_all (f l, f r)
   | Algebra.Diff_all (l, r) -> Algebra.Diff_all (f l, f r)
   | Algebra.Distinct x -> Algebra.Distinct (f x)
+  | Algebra.Sort srt -> Algebra.Sort { srt with input = f srt.input }
 
 (* Apply [rule] bottom-up; keep rewriting a node until the rule no longer
    fires, then move up.  Terminates because every rule strictly shrinks
@@ -154,7 +155,7 @@ let coalesce_rule = function
   | Algebra.Project_cols _ | Algebra.Project_rel _ | Algebra.Add_rownum _
   | Algebra.Product _ | Algebra.Join _ | Algebra.Group_by _ | Algebra.Aggregate_all _
   | Algebra.Md _ | Algebra.Md_completed _ | Algebra.Union_all _ | Algebra.Diff_all _
-  | Algebra.Distinct _ ->
+  | Algebra.Distinct _ | Algebra.Sort _ ->
     None
 
 
@@ -172,7 +173,8 @@ let rec alias_set = function
   | Algebra.Rename (a, _) -> Some [ a ]
   | Algebra.Select (_, x)
   | Algebra.Add_rownum (_, x)
-  | Algebra.Distinct x ->
+  | Algebra.Distinct x
+  | Algebra.Sort { input = x; _ } ->
     alias_set x
   | Algebra.Md { base; _ } | Algebra.Md_completed { base; _ } -> alias_set base
   | Algebra.Product (l, r) | Algebra.Join { kind = Algebra.Inner; left = l; right = r; _ } ->
@@ -257,7 +259,7 @@ let pushdown_rule = function
   | Algebra.Project_cols _ | Algebra.Project_rel _ | Algebra.Add_rownum _
   | Algebra.Product _ | Algebra.Join _ | Algebra.Group_by _ | Algebra.Aggregate_all _
   | Algebra.Md _ | Algebra.Md_completed _ | Algebra.Union_all _ | Algebra.Diff_all _
-  | Algebra.Distinct _ ->
+  | Algebra.Distinct _ | Algebra.Sort _ ->
     None
 
 (* ------------------------------------------------------------------ *)
@@ -417,7 +419,7 @@ let completion_rule alg =
   | Algebra.Table _ | Algebra.Rename _ | Algebra.Select _ | Algebra.Project _
   | Algebra.Project_rel _ | Algebra.Add_rownum _ | Algebra.Product _ | Algebra.Join _
   | Algebra.Group_by _ | Algebra.Aggregate_all _ | Algebra.Md _ | Algebra.Md_completed _
-  | Algebra.Union_all _ | Algebra.Diff_all _ | Algebra.Distinct _ ->
+  | Algebra.Union_all _ | Algebra.Diff_all _ | Algebra.Distinct _ | Algebra.Sort _ ->
     None
 
 (* Completion fires at most once per position (it consumes the Md); guard

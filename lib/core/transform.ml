@@ -192,10 +192,31 @@ let where_condition q =
   | p :: _ -> unsupported "unresolved push-down for alias %s" p.orig);
   (!stack, cond)
 
+let lower_tail q rows =
+  let projected =
+    match q.N.q_select with
+    | N.Select_all -> Algebra.Project_rel (N.scope_aliases q, rows)
+    | N.Select_cols cols -> Algebra.Project_cols { cols; distinct = false; input = rows }
+    | N.Select_exprs exprs -> Algebra.Project (exprs, rows)
+    | N.Select_grouped g ->
+      (* Grouping reads the statement's own columns only, never the
+         auxiliary count columns or pushed-down copies beside them. *)
+      let input = Algebra.Project_rel (N.scope_aliases q, rows) in
+      let grouped =
+        match g.N.keys with
+        | [] -> Algebra.Aggregate_all (g.N.aggs, input)
+        | keys -> Algebra.Group_by { keys; aggs = g.N.aggs; input }
+      in
+      let kept =
+        match g.N.having with Some h -> Algebra.Select (h, grouped) | None -> grouped
+      in
+      Algebra.Project (g.N.out, kept)
+  in
+  let distinct = if q.N.q_distinct then Algebra.Distinct projected else projected in
+  match q.N.q_order_by, q.N.q_limit with
+  | [], None -> distinct
+  | by, limit -> Algebra.Sort { by; limit; input = distinct }
+
 let to_algebra q =
   let stack_alg, cond = where_condition q in
-  let selected = Algebra.Select (cond, stack_alg) in
-  match q.N.q_select with
-  | N.Select_all -> Algebra.Project_rel (N.scope_aliases q, selected)
-  | N.Select_cols cols -> Algebra.Project_cols { cols; distinct = false; input = selected }
-  | N.Select_exprs exprs -> Algebra.Project (exprs, selected)
+  lower_tail q (Algebra.Select (cond, stack_alg))

@@ -31,8 +31,16 @@ exception Unsupported of string
 val base_to_algebra : Subql_nested.Nested_ast.base -> Algebra.t
 (** Translate a subquery-free relation expression. *)
 
+val lower_tail : Subql_nested.Nested_ast.query -> Algebra.t -> Algebra.t
+(** [lower_tail q rows] puts the query's SQL tail over [rows], a plan of
+    its qualifying rows: the select list ([Project_rel]/[Project_cols]/
+    [Project]), or GROUP BY/HAVING ([Group_by] or [Aggregate_all], then
+    [Select], then [Project]); then [Distinct]; then [Sort] for ORDER BY
+    and LIMIT.  Every translation of a query ends with this. *)
+
 val to_algebra : Subql_nested.Nested_ast.query -> Algebra.t
-(** The full translation, including the final selection and projection.
+(** The full translation, including the final selection and the SQL
+    tail ({!lower_tail}).
     The produced plan is unoptimized; see {!Optimize}.
     @raise Unsupported on a correlation the algorithm cannot place
     (e.g. a reference to an alias that is not in scope). *)

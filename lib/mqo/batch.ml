@@ -12,23 +12,11 @@ type report = {
   naive_detail_scans : int;
 }
 
-let count_mds plan =
-  let rec go acc alg =
-    let acc =
-      match alg with
-      | Algebra.Md _ | Algebra.Md_completed _ -> acc + 1
-      | _ -> acc
-    in
-    let child_acc = ref acc in
-    ignore
-      (Optimize.map_children
-         (fun c ->
-           child_acc := go !child_acc c;
-           c)
-         alg);
-    !child_acc
-  in
-  go 0 plan
+let rec count_mds alg =
+  List.fold_left
+    (fun acc c -> acc + count_mds c)
+    (match alg with Algebra.Md _ | Algebra.Md_completed _ -> 1 | _ -> 0)
+    (Eval.children alg)
 
 let solo_plan query = Optimize.optimize (Transform.to_algebra query)
 

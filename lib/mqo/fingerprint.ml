@@ -6,26 +6,6 @@ open Subql
 (* Alias collection                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let children = function
-  | Algebra.Table _ -> []
-  | Algebra.Rename (_, x)
-  | Algebra.Select (_, x)
-  | Algebra.Project (_, x)
-  | Algebra.Project_cols { input = x; _ }
-  | Algebra.Project_rel (_, x)
-  | Algebra.Add_rownum (_, x)
-  | Algebra.Group_by { input = x; _ }
-  | Algebra.Aggregate_all (_, x)
-  | Algebra.Distinct x ->
-    [ x ]
-  | Algebra.Product (l, r)
-  | Algebra.Join { left = l; right = r; _ }
-  | Algebra.Md { base = l; detail = r; _ }
-  | Algebra.Md_completed { base = l; detail = r; _ }
-  | Algebra.Union_all (l, r)
-  | Algebra.Diff_all (l, r) ->
-    [ l; r ]
-
 (* Aliases introduced by [Rename] nodes, in pre-order of first
    occurrence.  Plans that are equal up to a bijective renaming of their
    aliases list them in the same positions, so the positional mapping
@@ -43,7 +23,7 @@ let alias_map alg =
         Hashtbl.add tbl a (Printf.sprintf "~r%d" !next)
       end
     | _ -> ());
-    List.iter go (children alg)
+    List.iter go (Eval.children alg)
   in
   go alg;
   fun a -> match Hashtbl.find_opt tbl a with Some a' -> a' | None -> a
@@ -172,6 +152,13 @@ let canonicalize alg =
     | Algebra.Union_all (l, r) -> Algebra.Union_all (go l, go r)
     | Algebra.Diff_all (l, r) -> Algebra.Diff_all (go l, go r)
     | Algebra.Distinct x -> Algebra.Distinct (go x)
+    | Algebra.Sort srt ->
+      Algebra.Sort
+        {
+          srt with
+          by = List.map (fun ((q, n), dir) -> ((Option.map rename q, n), dir)) srt.by;
+          input = go srt.input;
+        }
   in
   go alg
 

@@ -13,16 +13,6 @@ let shareable_plan query =
     ~flags:(Optimize.only ~coalesce:true ~pushdown:true ())
     (Transform.to_algebra query)
 
-let children alg =
-  let acc = ref [] in
-  ignore
-    (Optimize.map_children
-       (fun c ->
-         acc := c :: !acc;
-         c)
-       alg);
-  List.rev !acc
-
 (* The rootmost GMDJ of a plan, in evaluation-independent DFS order.
    Returned physically, so the rewrite below can locate it with [==]. *)
 let rec find_md alg =
@@ -31,7 +21,7 @@ let rec find_md alg =
   | _ ->
     List.fold_left
       (fun acc c -> match acc with Some _ -> acc | None -> find_md c)
-      None (children alg)
+      None (Eval.children alg)
 
 let names_unique names =
   let sorted = List.sort String.compare names in
@@ -99,6 +89,8 @@ let rw_node map alg =
       }
   | Algebra.Aggregate_all (specs, x) ->
     Algebra.Aggregate_all (List.map (rw_spec map) specs, x)
+  | Algebra.Sort srt ->
+    Algebra.Sort { srt with by = List.map (fun (c, dir) -> (rw_col map c, dir)) srt.by }
   | Algebra.Md m -> Algebra.Md { m with blocks = List.map (rw_block map) m.blocks }
   | Algebra.Md_completed m ->
     Algebra.Md_completed

@@ -255,11 +255,27 @@ and compile_iteration ~mode ~stats ~catalog ~frames ~frames' ~ctx ~d ~source s =
               matches);
       })
 
-let apply_select select rel =
-  match select with
-  | Select_all -> rel
-  | Select_cols cols -> Ops.project_cols cols rel
-  | Select_exprs exprs -> Ops.project exprs rel
+(* The SQL tail over the qualifying rows, with the whole-relation
+   operators: projection (or GROUP BY / HAVING), DISTINCT, ORDER BY,
+   LIMIT. *)
+let apply_tail q rel =
+  let rel =
+    match q.q_select with
+    | Select_all -> rel
+    | Select_cols cols -> Ops.project_cols cols rel
+    | Select_exprs exprs -> Ops.project exprs rel
+    | Select_grouped g ->
+      let grouped =
+        match g.keys with
+        | [] -> Ops.aggregate_all g.aggs rel
+        | keys -> Ops.group_by ~keys ~aggs:g.aggs rel
+      in
+      let kept = match g.having with Some h -> Ops.select h grouped | None -> grouped in
+      Ops.project g.out kept
+  in
+  let rel = if q.q_distinct then Ops.distinct rel else rel in
+  let rel = Ops.sort ~by:q.q_order_by rel in
+  match q.q_limit with Some n -> Ops.limit n rel | None -> rel
 
 let rename_base alias rel = if alias = "" then rel else Relation.rename alias rel
 
@@ -276,4 +292,4 @@ let eval ?(mode = Smart) ?stats catalog q =
         Bool3.to_bool (p ()))
       base_rel
   in
-  apply_select q.q_select kept
+  apply_tail q kept

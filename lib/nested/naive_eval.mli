@@ -14,7 +14,10 @@
       loop" that discards a tuple at the first ALL violation).
 
     Both variants implement the same dialect semantics as the other
-    engines (the predicate is negation-normalized first). *)
+    engines (the predicate is negation-normalized first).  The SQL tail
+    (select list or GROUP BY / HAVING, DISTINCT, ORDER BY, LIMIT) is
+    applied to the qualifying rows with the whole-relation {!Ops}
+    operators — independently of the algebra's lowering of it. *)
 
 open Subql_relational
 

@@ -32,13 +32,40 @@ type select =
   | Select_all
   | Select_cols of (string option * string) list
   | Select_exprs of (Expr.t * string) list
+  | Select_grouped of grouped
 
-type query = { q_base : base; q_alias : string; q_where : pred; q_select : select }
+and grouped = {
+  keys : (string option * string) list;
+  aggs : Aggregate.spec list;
+  having : Expr.t option;
+  out : (Expr.t * string) list;
+}
+
+type order_key = (string option * string) * [ `Asc | `Desc ]
+
+type query = {
+  q_base : base;
+  q_alias : string;
+  q_where : pred;
+  q_select : select;
+  q_distinct : bool;
+  q_order_by : order_key list;
+  q_limit : int option;
+}
 
 let table name = Btable name
 
-let query ?(select = Select_all) ~base ~alias where =
-  { q_base = base; q_alias = alias; q_where = where; q_select = select }
+let query ?(select = Select_all) ?(distinct = false) ?(order_by = []) ?limit ~base ~alias
+    where =
+  {
+    q_base = base;
+    q_alias = alias;
+    q_where = where;
+    q_select = select;
+    q_distinct = distinct;
+    q_order_by = order_by;
+    q_limit = limit;
+  }
 
 let mk_sub kind ?(where = Ptrue) source s_alias =
   Sub { kind; source; s_alias; s_where = where }
@@ -131,17 +158,35 @@ and pp_sub ppf s =
   | Not_in (lhs, col) ->
     Format.fprintf ppf "(%a NOT IN (SELECT %s FROM %a))" Expr.pp lhs col body ()
 
+let col_to_string = function None, n -> n | Some r, n -> r ^ "." ^ n
+
 let pp_query ppf q =
+  let exprs es =
+    String.concat ", " (List.map (fun (e, n) -> Format.asprintf "%a AS %s" Expr.pp e n) es)
+  in
   let pp_select ppf = function
     | Select_all -> Format.pp_print_string ppf "*"
     | Select_cols cols ->
-      Format.pp_print_string ppf
-        (String.concat ", "
-           (List.map (function None, n -> n | Some r, n -> r ^ "." ^ n) cols))
-    | Select_exprs exprs ->
-      Format.pp_print_string ppf
-        (String.concat ", "
-           (List.map (fun (e, n) -> Format.asprintf "%a AS %s" Expr.pp e n) exprs))
+      Format.pp_print_string ppf (String.concat ", " (List.map col_to_string cols))
+    | Select_exprs es | Select_grouped { out = es; _ } -> Format.pp_print_string ppf (exprs es)
   in
-  Format.fprintf ppf "SELECT %a FROM %a -> %s WHERE %a" pp_select q.q_select pp_base q.q_base
-    q.q_alias pp_pred q.q_where
+  Format.fprintf ppf "SELECT %s%a FROM %a -> %s WHERE %a"
+    (if q.q_distinct then "DISTINCT " else "")
+    pp_select q.q_select pp_base q.q_base q.q_alias pp_pred q.q_where;
+  (match q.q_select with
+  | Select_grouped g ->
+    Format.fprintf ppf " GROUP BY [%s] AGGS [%s]%s"
+      (String.concat ", " (List.map col_to_string g.keys))
+      (String.concat ", " (List.map (Format.asprintf "%a" Aggregate.pp_spec) g.aggs))
+      (match g.having with
+      | Some h -> Format.asprintf " HAVING %a" Expr.pp h
+      | None -> "")
+  | Select_all | Select_cols _ | Select_exprs _ -> ());
+  if q.q_order_by <> [] then
+    Format.fprintf ppf " ORDER BY %s"
+      (String.concat ", "
+         (List.map
+            (fun (c, dir) ->
+              col_to_string c ^ match dir with `Asc -> " ASC" | `Desc -> " DESC")
+            q.q_order_by));
+  Option.iter (Format.fprintf ppf " LIMIT %d") q.q_limit

@@ -65,18 +65,52 @@ type select =
   | Select_all
   | Select_cols of (string option * string) list
   | Select_exprs of (Expr.t * string) list
+  | Select_grouped of grouped
+      (** GROUP BY / HAVING over the qualifying rows *)
 
-type query = { q_base : base; q_alias : string; q_where : pred; q_select : select }
+and grouped = {
+  keys : (string option * string) list;  (** GROUP BY columns; [] = whole-relation aggregation *)
+  aggs : Aggregate.spec list;
+      (** every aggregate to compute (select-list and HAVING) *)
+  having : Expr.t option;
+      (** over the key columns and aggregate result columns *)
+  out : (Expr.t * string) list;  (** the final projection *)
+}
+
+type order_key = (string option * string) * [ `Asc | `Desc ]
+
+type query = {
+  q_base : base;
+  q_alias : string;
+  q_where : pred;
+  q_select : select;
+  q_distinct : bool;
+  q_order_by : order_key list;
+      (** over the output columns of [q_select], after DISTINCT *)
+  q_limit : int option;
+}
 (** [q_alias] names the base-values relation for correlation references.
     The empty string means "no outer rename": the base's own aliases
     (e.g. those introduced by {!Balias} under a {!Bproduct}) stay
-    visible — this is how multi-relation FROM clauses are scoped. *)
+    visible — this is how multi-relation FROM clauses are scoped.
+
+    The SQL tail — [q_select], then DISTINCT, then ORDER BY, then
+    LIMIT — is part of the query, so every engine evaluates the whole
+    statement. *)
 
 (** {1 Constructors} *)
 
 val table : string -> base
 
-val query : ?select:select -> base:base -> alias:string -> pred -> query
+val query :
+  ?select:select ->
+  ?distinct:bool ->
+  ?order_by:order_key list ->
+  ?limit:int ->
+  base:base ->
+  alias:string ->
+  pred ->
+  query
 
 val exists : ?where:pred -> base -> string -> pred
 

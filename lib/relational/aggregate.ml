@@ -36,6 +36,14 @@ let output_ty frames spec =
     | Some ty -> ty
     | None -> Value.Tint (* aggregating a NULL literal; any type will do *))
 
+let equal_func a b =
+  match a, b with
+  | Count_star, Count_star -> true
+  | Count x, Count y | Sum x, Sum y | Min x, Min y | Max x, Max y | Avg x, Avg y | First x, First y
+    ->
+    Expr.equal x y
+  | (Count_star | Count _ | Sum _ | Min _ | Max _ | Avg _ | First _), _ -> false
+
 let func_to_string = function
   | Count_star -> "count(*)"
   | Count e -> Printf.sprintf "count(%s)" (Expr.to_string e)

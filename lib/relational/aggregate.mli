@@ -33,6 +33,9 @@ val first : Expr.t -> string -> spec
 val output_ty : Schema.t array -> spec -> Value.ty
 (** Result type of the aggregate over rows of the innermost frame. *)
 
+val equal_func : func -> func -> bool
+(** Same function over structurally equal arguments. *)
+
 val func_to_string : func -> string
 
 val pp_spec : Format.formatter -> spec -> unit

@@ -1,5 +1,7 @@
 type join_strategy = [ `Hash | `Nested_loop | `Sort_merge ]
 
+type join_kind = Inner | Left_outer | Semi | Anti
+
 (* Sorted-array equi access path for the sort-merge strategy: right rows
    ordered by their key columns; per left key a binary search finds the
    matching run.  As in the hash index, a row with a NULL in a plain key
@@ -169,10 +171,6 @@ let add_rownum_kernel schema name =
       seen := base + Chunk.length c;
       Chunk.of_rows out_schema rows )
 
-let add_rownum name rel =
-  let _, k = add_rownum_kernel (Relation.schema rel) name in
-  Chunk.to_relation (k (Chunk.whole rel))
-
 let add_rownum_source name src =
   let out_schema, k = add_rownum_kernel (Chunk.Source.schema src) name in
   Chunk.Source.map ~schema:out_schema k src
@@ -231,26 +229,6 @@ let join_driver ?(strategy = `Hash) cond left right ~emit =
   in
   Relation.iter (fun l -> emit l (matches l)) left
 
-let join ?strategy cond left right =
-  let out_schema = Schema.concat (Relation.schema left) (Relation.schema right) in
-  let out = Vec.create ~dummy:dummy_row () in
-  join_driver ?strategy cond left right ~emit:(fun l iter ->
-      iter (fun r -> Vec.push out (Tuple.concat l r)));
-  Relation.create ~check:false out_schema (Vec.to_array out)
-
-let left_outer_join ?strategy cond left right =
-  let rs = Relation.schema right in
-  let out_schema = Schema.concat (Relation.schema left) rs in
-  let pad = Array.make (Schema.arity rs) Value.Null in
-  let out = Vec.create ~dummy:dummy_row () in
-  join_driver ?strategy cond left right ~emit:(fun l iter ->
-      let matched = ref false in
-      iter (fun r ->
-          matched := true;
-          Vec.push out (Tuple.concat l r));
-      if not !matched then Vec.push out (Tuple.concat l pad));
-  Relation.create ~check:false out_schema (Vec.to_array out)
-
 exception Found
 
 let has_match iter =
@@ -259,17 +237,28 @@ let has_match iter =
     false
   with Found -> true
 
-let semi_join ?strategy cond left right =
+let join ?strategy ~kind cond left right =
+  let ls = Relation.schema left and rs = Relation.schema right in
   let out = Vec.create ~dummy:dummy_row () in
-  join_driver ?strategy cond left right ~emit:(fun l iter ->
-      if has_match iter then Vec.push out l);
-  Relation.create ~check:false (Relation.schema left) (Vec.to_array out)
-
-let anti_join ?strategy cond left right =
-  let out = Vec.create ~dummy:dummy_row () in
-  join_driver ?strategy cond left right ~emit:(fun l iter ->
-      if not (has_match iter) then Vec.push out l);
-  Relation.create ~check:false (Relation.schema left) (Vec.to_array out)
+  let emit =
+    match kind with
+    | Inner -> fun l iter -> iter (fun r -> Vec.push out (Tuple.concat l r))
+    | Left_outer ->
+      let pad = Array.make (Schema.arity rs) Value.Null in
+      fun l iter ->
+        let matched = ref false in
+        iter (fun r ->
+            matched := true;
+            Vec.push out (Tuple.concat l r));
+        if not !matched then Vec.push out (Tuple.concat l pad)
+    | Semi -> fun l iter -> if has_match iter then Vec.push out l
+    | Anti -> fun l iter -> if not (has_match iter) then Vec.push out l
+  in
+  join_driver ?strategy cond left right ~emit;
+  let out_schema =
+    match kind with Inner | Left_outer -> Schema.concat ls rs | Semi | Anti -> ls
+  in
+  Relation.create ~check:false out_schema (Vec.to_array out)
 
 module Group_table = Hashtbl.Make (struct
   type t = Tuple.t
@@ -421,8 +410,6 @@ let union_all_source a b =
   check_compatible_schemas "union_all" (Chunk.Source.schema a) (Chunk.Source.schema b);
   Chunk.Source.concat a b
 
-let union a b = distinct (union_all a b)
-
 let diff_all a b =
   check_compatible "diff_all" a b;
   let budget = Group_table.create (max 16 (Relation.cardinality b)) in
@@ -440,38 +427,29 @@ let diff_all a b =
     a;
   Relation.create ~check:false (Relation.schema a) (Vec.to_array out)
 
-let diff a b =
-  check_compatible "diff" a b;
-  let right = Group_table.create (max 16 (Relation.cardinality b)) in
-  Relation.iter (fun row -> Group_table.replace right row (row, 1)) b;
-  distinct (Relation.filter (fun row -> not (Group_table.mem right row)) a)
-
-let intersect a b =
-  check_compatible "intersect" a b;
-  let right = Group_table.create (max 16 (Relation.cardinality b)) in
-  Relation.iter (fun row -> Group_table.replace right row (row, 1)) b;
-  distinct (Relation.filter (fun row -> Group_table.mem right row) a)
-
 let sort ~by rel =
-  let schema = Relation.schema rel in
-  let keys =
-    List.map
-      (fun ((rel_q, name), dir) -> (Schema.find schema ?rel:rel_q name, dir))
-      by
-  in
-  let compare_rows a b =
-    let rec loop = function
-      | [] -> 0
-      | (i, dir) :: rest ->
-        let c = Value.compare a.(i) b.(i) in
-        let c = match dir with `Asc -> c | `Desc -> -c in
-        if c <> 0 then c else loop rest
+  match by with
+  | [] -> rel
+  | by ->
+    let schema = Relation.schema rel in
+    let keys =
+      List.map
+        (fun ((rel_q, name), dir) -> (Schema.find schema ?rel:rel_q name, dir))
+        by
     in
-    loop keys
-  in
-  let rows = Array.copy (Relation.rows rel) in
-  Array.stable_sort compare_rows rows;
-  Relation.create ~check:false schema rows
+    let compare_rows a b =
+      let rec loop = function
+        | [] -> 0
+        | (i, dir) :: rest ->
+          let c = Value.compare a.(i) b.(i) in
+          let c = match dir with `Asc -> c | `Desc -> -c in
+          if c <> 0 then c else loop rest
+      in
+      loop keys
+    in
+    let rows = Array.copy (Relation.rows rel) in
+    Array.stable_sort compare_rows rows;
+    Relation.create ~check:false schema rows
 
 let limit n rel =
   let rows = Relation.rows rel in

@@ -11,6 +11,12 @@
 
 type join_strategy = [ `Hash | `Nested_loop | `Sort_merge ]
 
+(** What a join emits per left row: [Inner] every matching pair;
+    [Left_outer] the same, padding an unmatched left row with NULLs on
+    the right; [Semi] the left row iff it has a match; [Anti] the left
+    row iff it has none.  Semi and anti joins emit left columns only. *)
+type join_kind = Inner | Left_outer | Semi | Anti
+
 val select : Expr.t -> Relation.t -> Relation.t
 (** Keep the rows on which the predicate is [true] (3VL truncation). *)
 
@@ -24,23 +30,10 @@ val project_cols :
 
 val distinct : Relation.t -> Relation.t
 
-val add_rownum : string -> Relation.t -> Relation.t
-(** Append an unqualified int column holding the 0-based row position —
-    the surrogate key used by outer-join unnesting. *)
-
 val product : Relation.t -> Relation.t -> Relation.t
 
-val join : ?strategy:join_strategy -> Expr.t -> Relation.t -> Relation.t -> Relation.t
-
-val left_outer_join :
-  ?strategy:join_strategy -> Expr.t -> Relation.t -> Relation.t -> Relation.t
-(** Unmatched left rows are padded with NULLs on the right. *)
-
-val semi_join : ?strategy:join_strategy -> Expr.t -> Relation.t -> Relation.t -> Relation.t
-(** Left rows with at least one match; right columns are not emitted. *)
-
-val anti_join : ?strategy:join_strategy -> Expr.t -> Relation.t -> Relation.t -> Relation.t
-(** Left rows with no match. *)
+val join :
+  ?strategy:join_strategy -> kind:join_kind -> Expr.t -> Relation.t -> Relation.t -> Relation.t
 
 val group_by :
   keys:(string option * string) list ->
@@ -58,20 +51,14 @@ val aggregate_all : Aggregate.spec list -> Relation.t -> Relation.t
 val union_all : Relation.t -> Relation.t -> Relation.t
 (** @raise Invalid_argument if the schemas differ positionally. *)
 
-val union : Relation.t -> Relation.t -> Relation.t
-
 val diff_all : Relation.t -> Relation.t -> Relation.t
 (** Multiset difference (monus): each right occurrence cancels one left
     occurrence. *)
 
-val diff : Relation.t -> Relation.t -> Relation.t
-(** Set difference over distinct rows. *)
-
-val intersect : Relation.t -> Relation.t -> Relation.t
-(** Set intersection over distinct rows. *)
-
 val sort :
   by:((string option * string) * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
+(** Stable sort on the keys (NULLs first ascending); [by = \[\]] keeps
+    the input as it is. *)
 
 val limit : int -> Relation.t -> Relation.t
 
@@ -99,6 +86,8 @@ val rename_source : string -> Chunk.Source.t -> Chunk.Source.t
 (** Requalify every attribute to the alias, sharing row storage. *)
 
 val add_rownum_source : string -> Chunk.Source.t -> Chunk.Source.t
+(** Append an unqualified int column holding the 0-based row position —
+    the surrogate key used by outer-join unnesting. *)
 
 val union_all_source : Chunk.Source.t -> Chunk.Source.t -> Chunk.Source.t
 (** @raise Invalid_argument if the schemas differ positionally. *)

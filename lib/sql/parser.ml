@@ -2,20 +2,7 @@ open Subql_relational
 module N = Subql_nested.Nested_ast
 module L = Lexer
 
-type grouped = {
-  keys : (string option * string) list;
-  aggs : Aggregate.spec list;
-  having : Expr.t option;
-  out : (Expr.t * string) list;
-}
-
-type statement = {
-  query : N.query;
-  distinct : bool;
-  grouped : grouped option;
-  order_by : ((string option * string) * [ `Asc | `Desc ]) list;
-  limit : int option;
-}
+type statement = { query : N.query }
 
 exception Parse_error of string * int
 
@@ -58,54 +45,51 @@ let parse_column_ref st =
   end
   else (None, first)
 
-let rec parse_expr st = parse_additive st
+(* Register an aggregate occurrence, reusing an existing column when the
+   same aggregate already appears (in the select list or earlier in
+   HAVING). *)
+let register_agg collector func =
+  match List.find_opt (fun (f, _) -> Aggregate.equal_func f func) !collector with
+  | Some (_, name) -> name
+  | None ->
+    let name = Printf.sprintf "agg$%d" (List.length !collector + 1) in
+    collector := !collector @ [ (func, name) ];
+    name
 
-and parse_additive st =
-  let lhs = ref (parse_multiplicative st) in
+(* A left-associative chain of [operand]s joined by the operators in [ops]. *)
+let binary_chain st ops operand =
+  let lhs = ref (operand ()) in
   let rec loop () =
-    match peek st with
-    | L.Plus ->
+    match List.assoc_opt (peek st) ops with
+    | Some op ->
       advance st;
-      lhs := Expr.Arith (Expr.Add, !lhs, parse_multiplicative st);
+      lhs := Expr.Arith (op, !lhs, operand ());
       loop ()
-    | L.Minus ->
-      advance st;
-      lhs := Expr.Arith (Expr.Sub, !lhs, parse_multiplicative st);
-      loop ()
-    | _ -> ()
+    | None -> ()
   in
   loop ();
   !lhs
 
-and parse_multiplicative st =
-  let lhs = ref (parse_unary st) in
-  let rec loop () =
-    match peek st with
-    | L.Star ->
-      advance st;
-      lhs := Expr.Arith (Expr.Mul, !lhs, parse_unary st);
-      loop ()
-    | L.Slash ->
-      advance st;
-      lhs := Expr.Arith (Expr.Div, !lhs, parse_unary st);
-      loop ()
-    | L.Percent ->
-      advance st;
-      lhs := Expr.Arith (Expr.Mod, !lhs, parse_unary st);
-      loop ()
-    | _ -> ()
-  in
-  loop ();
-  !lhs
+(* Scalar expressions.  With [aggs] (HAVING), an aggregate call parses
+   as a reference to its registered result column. *)
+let rec parse_expr ?aggs st =
+  binary_chain st
+    [ (L.Plus, Expr.Add); (L.Minus, Expr.Sub) ]
+    (fun () ->
+      binary_chain st
+        [ (L.Star, Expr.Mul); (L.Slash, Expr.Div); (L.Percent, Expr.Mod) ]
+        (fun () -> parse_unary ?aggs st))
 
-and parse_unary st =
-  match peek st with
-  | L.Minus ->
+and parse_unary ?aggs st =
+  match peek st, aggs with
+  | L.Minus, _ ->
     advance st;
-    Expr.Neg (parse_unary st)
-  | _ -> parse_primary_expr st
+    Expr.Neg (parse_unary ?aggs st)
+  | ((L.Count | L.Sum | L.Min | L.Max | L.Avg | L.First) as kw), Some coll ->
+    Expr.attr (register_agg coll (parse_agg_func st kw))
+  | _ -> parse_primary_expr ?aggs st
 
-and parse_primary_expr st =
+and parse_primary_expr ?aggs st =
   match peek st with
   | L.Int_lit i ->
     advance st;
@@ -130,29 +114,12 @@ and parse_primary_expr st =
     Expr.Attr (rel, name)
   | L.Lparen ->
     advance st;
-    let e = parse_expr st in
+    let e = parse_expr ?aggs st in
     expect st L.Rparen;
     e
   | t -> error st "expected an expression, found %s" (L.token_to_string t)
 
-(* ------------------------------------------------------------------ *)
-(* Predicates and subqueries                                            *)
-(* ------------------------------------------------------------------ *)
-
-let cmp_of_token = function
-  | L.Eq -> Some Expr.Eq
-  | L.Neq -> Some Expr.Ne
-  | L.Lt -> Some Expr.Lt
-  | L.Le -> Some Expr.Le
-  | L.Gt -> Some Expr.Gt
-  | L.Ge -> Some Expr.Ge
-  | _ -> None
-
-(* What the subquery SELECTs; a bare or qualified column is resolved
-   against the subquery alias once FROM has been parsed. *)
-type raw_sel = Rstar | Rcol of string option * string | Ragg of Aggregate.func
-
-let parse_agg_func st kw =
+and parse_agg_func st kw =
   advance st;
   expect st L.Lparen;
   let func =
@@ -173,6 +140,23 @@ let parse_agg_func st kw =
   in
   expect st L.Rparen;
   func
+
+(* ------------------------------------------------------------------ *)
+(* Predicates and subqueries                                            *)
+(* ------------------------------------------------------------------ *)
+
+let cmp_of_token = function
+  | L.Eq -> Some Expr.Eq
+  | L.Neq -> Some Expr.Ne
+  | L.Lt -> Some Expr.Lt
+  | L.Le -> Some Expr.Le
+  | L.Gt -> Some Expr.Gt
+  | L.Ge -> Some Expr.Ge
+  | _ -> None
+
+(* What the subquery SELECTs; a bare or qualified column is resolved
+   against the subquery alias once FROM has been parsed. *)
+type raw_sel = Rstar | Rcol of string option * string | Ragg of Aggregate.func
 
 let parse_alias st default =
   match peek st with
@@ -340,87 +324,7 @@ and parse_comparison st =
 (* HAVING: aggregate-aware predicate over the grouped result            *)
 (* ------------------------------------------------------------------ *)
 
-let func_equal a b =
-  match a, b with
-  | Aggregate.Count_star, Aggregate.Count_star -> true
-  | Aggregate.Count x, Aggregate.Count y
-  | Aggregate.Sum x, Aggregate.Sum y
-  | Aggregate.Min x, Aggregate.Min y
-  | Aggregate.Max x, Aggregate.Max y
-  | Aggregate.Avg x, Aggregate.Avg y
-  | Aggregate.First x, Aggregate.First y ->
-    Expr.equal x y
-  | ( ( Aggregate.Count_star | Aggregate.Count _ | Aggregate.Sum _ | Aggregate.Min _
-      | Aggregate.Max _ | Aggregate.Avg _ | Aggregate.First _ ),
-      _ ) ->
-    false
-
-(* Register an aggregate occurrence, reusing an existing column when the
-   same aggregate already appears (in the select list or earlier in
-   HAVING). *)
-let register_agg collector func =
-  match List.find_opt (fun (f, _) -> func_equal f func) !collector with
-  | Some (_, name) -> name
-  | None ->
-    let name = Printf.sprintf "agg$%d" (List.length !collector + 1) in
-    collector := !collector @ [ (func, name) ];
-    name
-
-let rec parse_h_expr st coll = parse_h_add st coll
-
-and parse_h_add st coll =
-  let lhs = ref (parse_h_mul st coll) in
-  let rec loop () =
-    match peek st with
-    | L.Plus ->
-      advance st;
-      lhs := Expr.Arith (Expr.Add, !lhs, parse_h_mul st coll);
-      loop ()
-    | L.Minus ->
-      advance st;
-      lhs := Expr.Arith (Expr.Sub, !lhs, parse_h_mul st coll);
-      loop ()
-    | _ -> ()
-  in
-  loop ();
-  !lhs
-
-and parse_h_mul st coll =
-  let lhs = ref (parse_h_unary st coll) in
-  let rec loop () =
-    match peek st with
-    | L.Star ->
-      advance st;
-      lhs := Expr.Arith (Expr.Mul, !lhs, parse_h_unary st coll);
-      loop ()
-    | L.Slash ->
-      advance st;
-      lhs := Expr.Arith (Expr.Div, !lhs, parse_h_unary st coll);
-      loop ()
-    | L.Percent ->
-      advance st;
-      lhs := Expr.Arith (Expr.Mod, !lhs, parse_h_unary st coll);
-      loop ()
-    | _ -> ()
-  in
-  loop ();
-  !lhs
-
-and parse_h_unary st coll =
-  match peek st with
-  | L.Minus ->
-    advance st;
-    Expr.Neg (parse_h_unary st coll)
-  | (L.Count | L.Sum | L.Min | L.Max | L.Avg | L.First) as kw ->
-    Expr.attr (register_agg coll (parse_agg_func st kw))
-  | L.Lparen ->
-    advance st;
-    let e = parse_h_expr st coll in
-    expect st L.Rparen;
-    e
-  | _ -> parse_primary_expr st
-
-and parse_h_pred st coll = parse_h_or st coll
+let rec parse_h_pred st coll = parse_h_or st coll
 
 and parse_h_or st coll =
   let lhs = ref (parse_h_and st coll) in
@@ -464,7 +368,7 @@ and parse_h_leaf st coll =
   | _ -> parse_h_comparison st coll
 
 and parse_h_comparison st coll =
-  let lhs = parse_h_expr st coll in
+  let lhs = parse_expr ~aggs:coll st in
   match peek st with
   | L.Is ->
     advance st;
@@ -476,7 +380,7 @@ and parse_h_comparison st coll =
     match cmp_of_token tok with
     | Some op ->
       advance st;
-      Expr.Cmp (op, lhs, parse_h_expr st coll)
+      Expr.Cmp (op, lhs, parse_expr ~aggs:coll st)
     | None -> error st "expected a comparison in HAVING, found %s" (L.token_to_string tok))
 
 (* ------------------------------------------------------------------ *)
@@ -627,8 +531,8 @@ let parse_statement st =
   let has_aggs =
     List.exists (function Item_agg _ -> true | Item_star | Item_col _ | Item_expr _ -> false) items
   in
-  if group_keys = [] && (not has_aggs) && having = None then
-    let select =
+  let select =
+    if group_keys = [] && (not has_aggs) && having = None then
       match items with
       | [ Item_star ] -> N.Select_all
       | items
@@ -651,62 +555,59 @@ let parse_statement st =
                | Item_agg _ -> assert false
                | Item_star -> error st "* cannot be combined with other select items")
              items)
-    in
-    { query = N.query ~select ~base ~alias where; distinct; grouped = None; order_by; limit }
-  else begin
-    (* Aggregating statement: engines return the qualifying rows
-       (Select_all); grouping and the final projection happen in
-       apply_grouping. *)
-    let used_names = ref [] in
-    let uniquify base_name =
-      let rec go candidate i =
-        if List.mem candidate !used_names then go (Printf.sprintf "%s%d" base_name i) (i + 1)
-        else begin
-          used_names := candidate :: !used_names;
-          candidate
-        end
+    else begin
+      let used_names = ref [] in
+      let uniquify base_name =
+        let rec go candidate i =
+          if List.mem candidate !used_names then go (Printf.sprintf "%s%d" base_name i) (i + 1)
+          else begin
+            used_names := candidate :: !used_names;
+            candidate
+          end
+        in
+        go base_name 2
       in
-      go base_name 2
-    in
-    let display_of_func = function
-      | Aggregate.Count_star | Aggregate.Count _ -> "count"
-      | Aggregate.Sum _ -> "sum"
-      | Aggregate.Min _ -> "min"
-      | Aggregate.Max _ -> "max"
-      | Aggregate.Avg _ -> "avg"
-      | Aggregate.First _ -> "first"
-    in
-    let out =
-      List.map
-        (fun item ->
-          match item with
-          | Item_star -> error st "SELECT * cannot be combined with GROUP BY"
-          | Item_col (r, n) ->
-            ignore (uniquify n);
-            (Expr.Attr (r, n), n)
-          | Item_expr (e, n) ->
-            ignore (uniquify n);
-            (e, n)
-          | Item_agg (func, explicit) ->
-            let display =
-              match explicit with Some n -> uniquify n | None -> uniquify (display_of_func func)
-            in
-            let internal = register_agg agg_collector func in
-            (Expr.attr internal, display))
-        items
-    in
-    let aggs =
-      List.map (fun (func, name) -> { Aggregate.func; name }) !agg_collector
-    in
-    let grouped = Some { keys = group_keys; aggs; having; out } in
-    {
-      query = N.query ~select:N.Select_all ~base ~alias where;
-      distinct;
-      grouped;
-      order_by;
-      limit;
-    }
-  end
+      let display_of_func = function
+        | Aggregate.Count_star | Aggregate.Count _ -> "count"
+        | Aggregate.Sum _ -> "sum"
+        | Aggregate.Min _ -> "min"
+        | Aggregate.Max _ -> "max"
+        | Aggregate.Avg _ -> "avg"
+        | Aggregate.First _ -> "first"
+      in
+      let out =
+        List.map
+          (fun item ->
+            match item with
+            | Item_star -> error st "SELECT * cannot be combined with GROUP BY"
+            | Item_col (r, n) ->
+              ignore (uniquify n);
+              (Expr.Attr (r, n), n)
+            | Item_expr (e, n) ->
+              ignore (uniquify n);
+              (e, n)
+            | Item_agg (func, explicit) ->
+              let display =
+                match explicit with Some n -> uniquify n | None -> uniquify (display_of_func func)
+              in
+              let internal = register_agg agg_collector func in
+              (Expr.attr internal, display))
+          items
+      in
+      let aggs = List.map (fun (func, name) -> { Aggregate.func; name }) !agg_collector in
+      N.Select_grouped { N.keys = group_keys; aggs; having; out }
+    end
+  in
+  (* A computed or grouped select list emits unqualified columns, so an
+     ORDER BY key qualified with a FROM alias names the bare output
+     column. *)
+  let order_by =
+    match select with
+    | N.Select_exprs _ | N.Select_grouped _ ->
+      List.map (fun ((_, name), dir) -> ((None, name), dir)) order_by
+    | N.Select_all | N.Select_cols _ -> order_by
+  in
+  { query = N.query ~select ~distinct ~order_by ?limit ~base ~alias where }
 
 let parse input =
   match L.tokenize input with
@@ -733,38 +634,3 @@ let parse_exn_to_string input =
     let line = String.sub input line_start (line_end - line_start) in
     let caret = String.make (max 0 (offset - line_start)) ' ' ^ "^" in
     Printf.sprintf "parse error: %s\n  %s\n  %s" msg line caret
-
-let apply_grouping stmt rel =
-  match stmt.grouped with
-  | None -> rel
-  | Some g ->
-    let grouped_rel =
-      match g.keys with
-      | [] -> Ops.aggregate_all g.aggs rel
-      | keys -> Ops.group_by ~keys ~aggs:g.aggs rel
-    in
-    let filtered =
-      match g.having with None -> grouped_rel | Some h -> Ops.select h grouped_rel
-    in
-    Ops.project g.out filtered
-
-let apply_post stmt rel =
-  let rel = if stmt.distinct then Ops.distinct rel else rel in
-  let rel =
-    match stmt.order_by with
-    | [] -> rel
-    | by ->
-      (* A grouped projection strips qualifiers, so fall back to the bare
-         column name when the qualified lookup fails. *)
-      let schema = Relation.schema rel in
-      let by =
-        List.map
-          (fun (((q, name) as col), dir) ->
-            match q with
-            | Some _ when Schema.find_opt schema ?rel:q name = None -> ((None, name), dir)
-            | _ -> (col, dir))
-          by
-      in
-      Ops.sort ~by rel
-  in
-  match stmt.limit with None -> rel | Some n -> Ops.limit n rel

@@ -22,45 +22,21 @@
     [GROUP BY col, ... \[HAVING pred\]] (HAVING may use aggregates but
     not subqueries), [ORDER BY col \[ASC|DESC\], ...] and [LIMIT n].
 
-    Outer DISTINCT / ORDER BY / LIMIT are reported in the returned
-    statement (the nested algebra itself has no post-processing); apply
-    them to the evaluated result with {!apply_post}. *)
+    The whole statement lowers into one {!Subql_nested.Nested_ast.query}:
+    grouping becomes {!Subql_nested.Nested_ast.Select_grouped}, and
+    DISTINCT / ORDER BY / LIMIT become the query's [q_distinct] /
+    [q_order_by] / [q_limit].  Every engine evaluates the tail as part
+    of the plan, so nothing is left to apply afterwards.  ORDER BY keys
+    are resolved against the select list here: after a computed or
+    grouped select list, whose outputs are unqualified, a qualified key
+    names the bare output column. *)
 
-type grouped = {
-  keys : (string option * string) list;  (** GROUP BY columns; [] = whole-relation aggregation *)
-  aggs : Subql_relational.Aggregate.spec list;
-      (** every aggregate to compute (select-list and HAVING) *)
-  having : Subql_relational.Expr.t option;
-      (** over the key columns and aggregate result columns *)
-  out : (Subql_relational.Expr.t * string) list;  (** the final projection *)
-}
-
-type statement = {
-  query : Subql_nested.Nested_ast.query;
-  distinct : bool;
-  grouped : grouped option;
-      (** present when the statement aggregates; [query.q_select] is then
-          [Select_all] so engines return the raw qualifying rows and
-          {!apply_grouping} does the rest *)
-  order_by : ((string option * string) * [ `Asc | `Desc ]) list;
-  limit : int option;
-}
+type statement = { query : Subql_nested.Nested_ast.query }
 
 exception Parse_error of string * int
 (** Message and character offset into the input. *)
 
 val parse : string -> statement
-
-val apply_grouping :
-  statement -> Subql_relational.Relation.t -> Subql_relational.Relation.t
-(** For a grouped statement: apply GROUP BY / HAVING and the final
-    projection to the qualifying rows returned by an engine.  Identity
-    for ungrouped statements. *)
-
-val apply_post :
-  statement -> Subql_relational.Relation.t -> Subql_relational.Relation.t
-(** Apply the statement's DISTINCT, ORDER BY and LIMIT clauses to an
-    evaluated (and grouped) result. *)
 
 val parse_exn_to_string : string -> string
 (** Render a {!Parse_error} with a caret into the offending input line —

@@ -16,15 +16,20 @@ let value_to_sql = function
   | Value.Str s -> string_literal s
   | Value.Bool b -> if b then "TRUE" else "FALSE"
 
-let rec expr_to_sql = function
+(* [aggs] names the aggregate columns of a grouped select list: a bare
+   reference to one renders as the aggregate call it stands for. *)
+let rec expr_sql ~aggs = function
   | Expr.Const v -> value_to_sql v
-  | Expr.Attr (None, n) -> n
+  | Expr.Attr (None, n) -> (
+    match List.find_opt (fun s -> s.Aggregate.name = n) aggs with
+    | Some s -> func_to_sql s.Aggregate.func
+    | None -> n)
   | Expr.Attr (Some r, n) -> r ^ "." ^ n
   | Expr.Cmp (op, a, b) ->
-    Printf.sprintf "(%s %s %s)" (expr_to_sql a) (Expr.cmp_to_string op) (expr_to_sql b)
-  | Expr.And (a, b) -> Printf.sprintf "(%s AND %s)" (expr_to_sql a) (expr_to_sql b)
-  | Expr.Or (a, b) -> Printf.sprintf "(%s OR %s)" (expr_to_sql a) (expr_to_sql b)
-  | Expr.Not a -> Printf.sprintf "(NOT %s)" (expr_to_sql a)
+    Printf.sprintf "(%s %s %s)" (expr_sql ~aggs a) (Expr.cmp_to_string op) (expr_sql ~aggs b)
+  | Expr.And (a, b) -> Printf.sprintf "(%s AND %s)" (expr_sql ~aggs a) (expr_sql ~aggs b)
+  | Expr.Or (a, b) -> Printf.sprintf "(%s OR %s)" (expr_sql ~aggs a) (expr_sql ~aggs b)
+  | Expr.Not a -> Printf.sprintf "(NOT %s)" (expr_sql ~aggs a)
   | Expr.Arith (op, a, b) ->
     let sym =
       match op with
@@ -34,21 +39,25 @@ let rec expr_to_sql = function
       | Expr.Div -> "/"
       | Expr.Mod -> "%"
     in
-    Printf.sprintf "(%s %s %s)" (expr_to_sql a) sym (expr_to_sql b)
-  | Expr.Neg a -> Printf.sprintf "(-%s)" (expr_to_sql a)
-  | Expr.Is_null a -> Printf.sprintf "(%s IS NULL)" (expr_to_sql a)
-  | Expr.Is_not_null a -> Printf.sprintf "(%s IS NOT NULL)" (expr_to_sql a)
+    Printf.sprintf "(%s %s %s)" (expr_sql ~aggs a) sym (expr_sql ~aggs b)
+  | Expr.Neg a -> Printf.sprintf "(-%s)" (expr_sql ~aggs a)
+  | Expr.Is_null a -> Printf.sprintf "(%s IS NULL)" (expr_sql ~aggs a)
+  | Expr.Is_not_null a -> Printf.sprintf "(%s IS NOT NULL)" (expr_sql ~aggs a)
   | Expr.Is_true _ -> unrepresentable "IS TRUE has no surface syntax"
   | Expr.Null_safe_eq _ -> unrepresentable "null-safe equality has no surface syntax"
 
-let func_to_sql = function
+and func_to_sql func =
+  let arg e = expr_sql ~aggs:[] e in
+  match func with
   | Aggregate.Count_star -> "COUNT(*)"
-  | Aggregate.Count e -> Printf.sprintf "COUNT(%s)" (expr_to_sql e)
-  | Aggregate.Sum e -> Printf.sprintf "SUM(%s)" (expr_to_sql e)
-  | Aggregate.Min e -> Printf.sprintf "MIN(%s)" (expr_to_sql e)
-  | Aggregate.Max e -> Printf.sprintf "MAX(%s)" (expr_to_sql e)
-  | Aggregate.Avg e -> Printf.sprintf "AVG(%s)" (expr_to_sql e)
-  | Aggregate.First e -> Printf.sprintf "FIRST(%s)" (expr_to_sql e)
+  | Aggregate.Count e -> Printf.sprintf "COUNT(%s)" (arg e)
+  | Aggregate.Sum e -> Printf.sprintf "SUM(%s)" (arg e)
+  | Aggregate.Min e -> Printf.sprintf "MIN(%s)" (arg e)
+  | Aggregate.Max e -> Printf.sprintf "MAX(%s)" (arg e)
+  | Aggregate.Avg e -> Printf.sprintf "AVG(%s)" (arg e)
+  | Aggregate.First e -> Printf.sprintf "FIRST(%s)" (arg e)
+
+let expr_to_sql = expr_sql ~aggs:[]
 
 (* FROM items of a base: only tables, aliased tables, and products. *)
 let rec from_items = function
@@ -100,18 +109,50 @@ and sub_to_sql s =
     Printf.sprintf "%s %s %s" (expr_to_sql lhs) (Expr.cmp_to_string op)
       (sub_body ~sel:(func_to_sql func) s)
 
+let col_to_sql = function None, n -> n | Some r, n -> r ^ "." ^ n
+
+let items_to_sql ~aggs exprs =
+  String.concat ", "
+    (List.map (fun (e, n) -> Printf.sprintf "%s AS %s" (expr_sql ~aggs e) n) exprs)
+
 let select_to_sql = function
   | N.Select_all -> "*"
-  | N.Select_cols cols ->
-    String.concat ", " (List.map (function None, n -> n | Some r, n -> r ^ "." ^ n) cols)
-  | N.Select_exprs exprs ->
-    String.concat ", "
-      (List.map (fun (e, n) -> Printf.sprintf "%s AS %s" (expr_to_sql e) n) exprs)
+  | N.Select_cols cols -> String.concat ", " (List.map col_to_sql cols)
+  | N.Select_exprs exprs -> items_to_sql ~aggs:[] exprs
+  | N.Select_grouped g -> items_to_sql ~aggs:g.N.aggs g.N.out
+
+let tail_to_sql q =
+  let grouping =
+    match q.N.q_select with
+    | N.Select_grouped g ->
+      (match g.N.keys with
+      | [] -> ""
+      | keys -> " GROUP BY " ^ String.concat ", " (List.map col_to_sql keys))
+      ^ (match g.N.having with
+        | Some h -> " HAVING " ^ expr_sql ~aggs:g.N.aggs h
+        | None -> "")
+    | N.Select_all | N.Select_cols _ | N.Select_exprs _ -> ""
+  in
+  let order =
+    match q.N.q_order_by with
+    | [] -> ""
+    | by ->
+      " ORDER BY "
+      ^ String.concat ", "
+          (List.map
+             (fun (c, dir) ->
+               col_to_sql c ^ match dir with `Asc -> " ASC" | `Desc -> " DESC")
+             by)
+  in
+  let limit = match q.N.q_limit with Some n -> Printf.sprintf " LIMIT %d" n | None -> "" in
+  grouping ^ order ^ limit
 
 let query_to_sql q =
   let where =
     match q.N.q_where with N.Ptrue -> "" | w -> " WHERE " ^ pred_to_sql w
   in
-  Printf.sprintf "SELECT %s FROM %s%s" (select_to_sql q.N.q_select)
+  Printf.sprintf "SELECT %s%s FROM %s%s%s"
+    (if q.N.q_distinct then "DISTINCT " else "")
+    (select_to_sql q.N.q_select)
     (from_clause q.N.q_base q.N.q_alias)
-    where
+    where (tail_to_sql q)

@@ -272,15 +272,6 @@ let group_by ?(partitions = default_partitions) ~budget ~keys ~aggs src =
 (* Grace hash join                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type join_kind = [ `Inner | `Left_outer | `Semi | `Anti ]
-
-let run_join ~strategy ~kind cond l r =
-  match kind with
-  | `Inner -> Ops.join ~strategy cond l r
-  | `Left_outer -> Ops.left_outer_join ~strategy cond l r
-  | `Semi -> Ops.semi_join ~strategy cond l r
-  | `Anti -> Ops.anti_join ~strategy cond l r
-
 (* One side of the join, collected with a row cap: in memory when it
    fits, hash-partitioned on its equi-key columns otherwise.  Partitions
    hash the whole key with NULL included ({!Tuple.hash}), so a NULL on
@@ -326,14 +317,14 @@ let partition_rows ~partitions ~cols rows =
     rows;
   Array.map Vec.to_array out
 
-let join ?(partitions = default_partitions) ~budget ~strategy ~(kind : join_kind) ~cond
+let join ?(partitions = default_partitions) ~budget ~strategy ~kind ~cond
     ~left ~right () =
   if budget <= 0 then invalid_arg "Spill.join: budget must be positive";
   let ls = Chunk.Source.schema left and rs = Chunk.Source.schema right in
   let out_schema =
     match kind with
-    | `Inner | `Left_outer -> Schema.concat ls rs
-    | `Semi | `Anti -> ls
+    | Ops.Inner | Ops.Left_outer -> Schema.concat ls rs
+    | Ops.Semi | Ops.Anti -> ls
   in
   let keys, _ = Expr.split_equi ~left:ls ~right:rs cond in
   match keys with
@@ -343,7 +334,7 @@ let join ?(partitions = default_partitions) ~budget ~strategy ~(kind : join_kind
        charges both inputs for this shape). *)
     let l = Chunk.Source.to_relation left and r = Chunk.Source.to_relation right in
     {
-      result = run_join ~strategy ~kind cond l r;
+      result = Ops.join ~strategy ~kind cond l r;
       resident_peak_rows = Relation.cardinality l + Relation.cardinality r;
       spilled_rows = 0;
       spilled_bytes = 0;
@@ -362,7 +353,7 @@ let join ?(partitions = default_partitions) ~budget ~strategy ~(kind : join_kind
         | In_mem l, In_mem r ->
           {
             result =
-              run_join ~strategy ~kind cond
+              Ops.join ~strategy ~kind cond
                 (Relation.create ~check:false ls l)
                 (Relation.create ~check:false rs r);
             resident_peak_rows = meter.peak;
@@ -404,7 +395,7 @@ let join ?(partitions = default_partitions) ~budget ~strategy ~(kind : join_kind
             if Array.length lrows > 0 then begin
               meter_alloc meter (Array.length lrows + Array.length rrows);
               let out =
-                run_join ~strategy ~kind cond
+                Ops.join ~strategy ~kind cond
                   (Relation.create ~check:false ls lrows)
                   (Relation.create ~check:false rs rrows)
               in

@@ -52,13 +52,11 @@ val group_by :
     only rows of unseen keys spill, so hot groups never pay I/O.
     @raise Invalid_argument if [budget <= 0]. *)
 
-type join_kind = [ `Inner | `Left_outer | `Semi | `Anti ]
-
 val join :
   ?partitions:int ->
   budget:int ->
   strategy:Ops.join_strategy ->
-  kind:join_kind ->
+  kind:Ops.join_kind ->
   cond:Expr.t ->
   left:Chunk.Source.t ->
   right:Chunk.Source.t ->
@@ -69,7 +67,7 @@ val join :
     [cond] ({!Subql_relational.Expr.split_equi}) and joined partition
     against partition with the ordinary in-memory operator (full
     condition re-checked, so residual conjuncts and NULL semantics are
-    exactly those of {!Subql_relational.Ops.join} and friends).  When
+    exactly those of {!Subql_relational.Ops.join}).  When
     [cond] has no equi-conjunct the join cannot be partitioned and falls
     back to fully in-memory execution; [resident_peak_rows] then reports
     both input cardinalities.  @raise Invalid_argument if [budget <= 0]. *)

@@ -134,10 +134,7 @@ let via_semijoins catalog query =
       | N.In_ _ | N.Not_in _ -> assert false (* removed by normalization *))
   in
   List.iter handle_item items;
-  match query.N.q_select with
-  | N.Select_all -> Algebra.Project_rel (N.scope_aliases query, !acc)
-  | N.Select_cols cols -> Algebra.Project_cols { cols; distinct = false; input = !acc }
-  | N.Select_exprs exprs -> Algebra.Project (exprs, !acc)
+  Transform.lower_tail query !acc
 
 (* ------------------------------------------------------------------ *)
 (* General expansion: GMDJ → outer joins + grouping                     *)
@@ -175,7 +172,7 @@ let md_to_joins ~lookup alg =
     | Algebra.Table _ | Algebra.Rename _ | Algebra.Select _ | Algebra.Project _
     | Algebra.Project_cols _ | Algebra.Project_rel _ | Algebra.Add_rownum _
     | Algebra.Product _ | Algebra.Join _ | Algebra.Group_by _ | Algebra.Aggregate_all _
-    | Algebra.Union_all _ | Algebra.Diff_all _ | Algebra.Distinct _ ->
+    | Algebra.Union_all _ | Algebra.Diff_all _ | Algebra.Distinct _ | Algebra.Sort _ ->
       Subql.Optimize.map_children go alg
   in
   go alg

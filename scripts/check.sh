@@ -206,6 +206,16 @@ echo "$sout" | grep -q "served 3 queries in 1 batches" || {
   echo "FAIL: expected the serve summary to report 3 queries in 1 batch" >&2
   exit 1
 }
+# The SQL tail is part of the served plan: a LIMIT answers 3 rows, not
+# the 406 qualifying users.  A separate run keeps the batch above at 3.
+lout=$(echo "SELECT u.UserName FROM User u WHERE EXISTS (SELECT * FROM Flow f \
+  WHERE f.SourceIP = u.IPAddress) ORDER BY u.UserName LIMIT 3;" \
+  | dune exec bin/olap_cli.exe -- serve --batch-window 0.05)
+echo "$lout"
+echo "$lout" | grep -q ": 3 rows" || {
+  echo "FAIL: expected serve to answer the LIMIT 3 statement with 3 rows" >&2
+  exit 1
+}
 
 echo
 echo "== CLI smoke test: drive replays deterministic traffic =="

@@ -52,6 +52,12 @@ let check_multiset_equal msg expected actual =
     Alcotest.failf "%s:@.expected:@.%a@.actual:@.%a" msg Relation.pp expected Relation.pp
       actual
 
+(* Same columns and the same rows in the same order. *)
+let equal_as_list a b =
+  Schema.equal_names (Relation.schema a) (Relation.schema b)
+  && Relation.cardinality a = Relation.cardinality b
+  && Array.for_all2 Tuple.equal (Relation.rows a) (Relation.rows b)
+
 let relation_testable =
   Alcotest.testable Relation.pp Relation.equal_as_multiset
 

@@ -126,7 +126,83 @@ and gen_sub ~depth ~path scope : N.pred G.t =
     in
     G.return (N.agg_cmp lhs op func ~where source alias)
 
-let gen_query : N.query G.t =
+(* Distinct elements of [l], first occurrence kept. *)
+let dedup l = List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] l
+
+(* An optional SQL tail over the outer scope: a select list (columns,
+   or GROUP BY / HAVING with aggregates named as the parser names them),
+   DISTINCT, ORDER BY over output columns, LIMIT.  A LIMIT comes only
+   with an ORDER BY over every output column: ties are then identical
+   rows, so the limited answer is the same multiset on every engine. *)
+let gen_tail scope (q : N.query) : N.query G.t =
+  let cols = List.concat_map (fun e -> List.map (fun c -> (Some e.alias, c)) e.cols) scope in
+  let* shape = G.frequencyl [ (3, `Untailed); (1, `Star); (2, `Cols); (2, `Grouped) ] in
+  let* select, outputs =
+    match shape with
+    | `Untailed | `Star -> G.return (N.Select_all, cols)
+    | `Cols ->
+      let* picked = G.map dedup (G.list_size (G.int_range 1 3) (G.oneofl cols)) in
+      G.return (N.Select_cols picked, picked)
+    | `Grouped ->
+      (* Keys with distinct bare names: grouped outputs are unqualified. *)
+      let rec distinct_names = function
+        | [] -> []
+        | (r, n) :: rest -> (r, n) :: distinct_names (List.filter (fun (_, m) -> m <> n) rest)
+      in
+      let* keys = G.map distinct_names (G.list_size (G.int_range 0 2) (G.oneofl cols)) in
+      let gen_func =
+        let* r, c = G.oneofl cols in
+        let arg = attr ?rel:r c in
+        G.oneofl
+          [
+            Aggregate.Count_star;
+            Aggregate.Count arg;
+            Aggregate.Sum arg;
+            Aggregate.Min arg;
+            Aggregate.Max arg;
+            Aggregate.Avg arg;
+          ]
+      in
+      let* funcs = G.list_size (G.int_range 1 2) gen_func in
+      let aggs =
+        List.mapi (fun i func -> { Aggregate.func; name = Printf.sprintf "agg$%d" (i + 1) }) funcs
+      in
+      let* having =
+        G.opt
+          (let* op = gen_cmp in
+           let* c = G.int_range 0 4 in
+           G.return (Expr.cmp op (attr "agg$1") (Expr.int c)))
+      in
+      let out =
+        List.map (fun (r, n) -> (attr ?rel:r n, n)) keys
+        @ List.mapi (fun i a -> (attr a.Aggregate.name, Printf.sprintf "a%d" (i + 1))) aggs
+      in
+      G.return
+        (N.Select_grouped { N.keys; aggs; having; out }, List.map (fun (_, n) -> (None, n)) out)
+  in
+  if shape = `Untailed then G.return q
+  else
+    let* distinct = G.bool in
+    let gen_dir = G.oneofl [ `Asc; `Desc ] in
+    let* order_by, limit =
+      G.frequency
+        [
+          (1, G.return ([], None));
+          ( 1,
+            let* keys = G.map dedup (G.list_size (G.int_range 1 2) (G.oneofl outputs)) in
+            let* dirs = G.list_repeat (List.length keys) gen_dir in
+            G.return (List.combine keys dirs, None) );
+          ( 2,
+            let* keys = G.shuffle_l outputs in
+            let* dirs = G.list_repeat (List.length keys) gen_dir in
+            let* limit = G.opt (G.int_range 0 5) in
+            G.return (List.combine keys dirs, limit) );
+        ]
+    in
+    G.return
+      { q with N.q_select = select; q_distinct = distinct; q_order_by = order_by; q_limit = limit }
+
+let gen_query_with ~tail : N.query G.t =
   let* depth = G.int_range 1 3 in
   let* multi_from = G.frequencyl [ (3, false); (1, true) ] in
   let base, alias, scope =
@@ -137,9 +213,23 @@ let gen_query : N.query G.t =
     else (N.table "O", "o", [ { alias = "o"; cols = [ "k"; "x" ] } ])
   in
   let* where = gen_pred ~depth ~path:"0" scope in
-  G.return (N.query ~base ~alias where)
+  let q = N.query ~base ~alias where in
+  if tail then gen_tail scope q else G.return q
+
+let gen_query = gen_query_with ~tail:false
 
 let gen_case = G.pair gen_query Query_zoo.db_gen
+
+let gen_tailed_case = G.pair (gen_query_with ~tail:true) Query_zoo.db_gen
+
+(* Two answers to [query] agree row for row when its ORDER BY covers
+   every output column, as multisets otherwise. *)
+let same_answer (query : N.query) a b =
+  let total =
+    query.N.q_order_by <> []
+    && List.length query.N.q_order_by = Schema.arity (Relation.schema a)
+  in
+  if total then Helpers.equal_as_list a b else Relation.equal_as_multiset a b
 
 (* The agreement property across every engine.  The naive evaluator is
    the executable specification. *)
@@ -147,7 +237,7 @@ let engines_agree (query, db) =
   let catalog = Query_zoo.mk_catalog db in
   let reference = Naive_eval.eval ~mode:Naive_eval.Plain catalog query in
   let check name result =
-    if Relation.equal_as_multiset reference result then true
+    if same_answer query reference result then true
     else begin
       Format.eprintf "@.fuzz disagreement (%s) on:@.%a@." name N.pp_query query;
       false
@@ -189,14 +279,14 @@ let gen_exec_mode =
   let* budget = G.oneofl [ None; Some 1; Some 3; Some 16; Some 256 ] in
   G.return (domains, budget)
 
-let gen_parallel_case = G.triple gen_query Query_zoo.db_gen gen_exec_mode
+let gen_parallel_case = G.triple (gen_query_with ~tail:true) Query_zoo.db_gen gen_exec_mode
 
 let parallel_spill_agree (query, db, (domains, spill_budget_rows)) =
   let catalog = Query_zoo.mk_catalog db in
   let config = { Subql.Eval.default_config with Subql.Eval.domains; spill_budget_rows } in
   let check name plan =
     let reference = Subql.Eval.eval catalog plan in
-    if Relation.equal_as_multiset reference (Subql.Eval.eval ~config catalog plan) then
+    if same_answer query reference (Subql.Eval.eval ~config catalog plan) then
       true
     else begin
       Format.eprintf
@@ -224,7 +314,7 @@ let roundtrip (query, db) =
       let catalog = Query_zoo.mk_catalog db in
       let a = Naive_eval.eval catalog query in
       let b = Naive_eval.eval catalog stmt.Subql_sql.Parser.query in
-      if Relation.equal_as_multiset a b then true
+      if same_answer query a b then true
       else begin
         Format.eprintf "@.roundtrip semantic drift on:@.%s@." sql;
         false
@@ -615,10 +705,10 @@ let () =
     [
       ( "random-queries",
         [
-          Helpers.qtest ~count:400 "all engines agree" gen_case engines_agree;
+          Helpers.qtest ~count:400 "all engines agree" gen_tailed_case engines_agree;
           Helpers.qtest ~count:150 "parallel/spill modes agree with serial"
             gen_parallel_case parallel_spill_agree;
-          Helpers.qtest ~count:400 "sql render/parse round trip" gen_case roundtrip;
+          Helpers.qtest ~count:400 "sql render/parse round trip" gen_tailed_case roundtrip;
         ] );
       ( "maintenance",
         [

@@ -45,8 +45,8 @@ let thm_3_4 (trows, rrows, brows) =
   let b = mk_rel "B" [ "k"; "x" ] brows in
   let r = mk_rel "R" [ "k"; "y" ] rrows in
   let join_cond = Expr.eq (attr ~rel:"T" "k") (attr ~rel:"B" "k") in
-  let after = Ops.join join_cond t (Helpers.gmdj ~base:b ~detail:r blocks) in
-  let before = Helpers.gmdj ~base:(Ops.join join_cond t b) ~detail:r blocks in
+  let after = Ops.join ~kind:Ops.Inner join_cond t (Helpers.gmdj ~base:b ~detail:r blocks) in
+  let before = Helpers.gmdj ~base:(Ops.join ~kind:Ops.Inner join_cond t b) ~detail:r blocks in
   Relation.equal_as_multiset after before
 
 (* Selection on the base commutes with the GMDJ. *)

@@ -281,26 +281,26 @@ let join_props =
     Helpers.qtest "hash join = nested loop join" gen (fun db ->
         with_rels db (fun l r ->
             Relation.equal_as_multiset
-              (Ops.join ~strategy:`Hash cond l r)
-              (Ops.join ~strategy:`Nested_loop cond l r)));
+              (Ops.join ~kind:Ops.Inner ~strategy:`Hash cond l r)
+              (Ops.join ~kind:Ops.Inner ~strategy:`Nested_loop cond l r)));
     Helpers.qtest "sort-merge join = nested loop join" gen (fun db ->
         with_rels db (fun l r ->
             Relation.equal_as_multiset
-              (Ops.join ~strategy:`Sort_merge cond l r)
-              (Ops.join ~strategy:`Nested_loop cond l r)));
+              (Ops.join ~kind:Ops.Inner ~strategy:`Sort_merge cond l r)
+              (Ops.join ~kind:Ops.Inner ~strategy:`Nested_loop cond l r)));
     Helpers.qtest "sort-merge semi/anti = hash semi/anti" gen (fun db ->
         with_rels db (fun l r ->
             Relation.equal_as_multiset
-              (Ops.semi_join ~strategy:`Sort_merge cond l r)
-              (Ops.semi_join ~strategy:`Hash cond l r)
+              (Ops.join ~kind:Ops.Semi ~strategy:`Sort_merge cond l r)
+              (Ops.join ~kind:Ops.Semi ~strategy:`Hash cond l r)
             && Relation.equal_as_multiset
-                 (Ops.anti_join ~strategy:`Sort_merge cond l r)
-                 (Ops.anti_join ~strategy:`Hash cond l r)));
+                 (Ops.join ~kind:Ops.Anti ~strategy:`Sort_merge cond l r)
+                 (Ops.join ~kind:Ops.Anti ~strategy:`Hash cond l r)));
     Helpers.qtest "hash outer join = nl outer join" gen (fun db ->
         with_rels db (fun l r ->
             Relation.equal_as_multiset
-              (Ops.left_outer_join ~strategy:`Hash cond l r)
-              (Ops.left_outer_join ~strategy:`Nested_loop cond l r)));
+              (Ops.join ~kind:Ops.Left_outer ~strategy:`Hash cond l r)
+              (Ops.join ~kind:Ops.Left_outer ~strategy:`Nested_loop cond l r)));
     (* [<=>] keys are null-safe: NULL matches NULL under every strategy,
        and a spilling join partitions a NULL key with its matches. *)
     (let narrow =
@@ -321,28 +321,25 @@ let join_props =
                   ~right:(Chunk.Source.of_relation r) ())
                  .Subql_storage.Spill.result
              in
-             let agree kind op =
-               let nl = op ~strategy:`Nested_loop null_safe l r in
-               Relation.equal_as_multiset (op ~strategy:`Hash null_safe l r) nl
-               && Relation.equal_as_multiset (op ~strategy:`Sort_merge null_safe l r) nl
+             let agree kind =
+               let nl = Ops.join ~kind ~strategy:`Nested_loop null_safe l r in
+               Relation.equal_as_multiset (Ops.join ~kind ~strategy:`Hash null_safe l r) nl
+               && Relation.equal_as_multiset
+                    (Ops.join ~kind ~strategy:`Sort_merge null_safe l r)
+                    nl
                && Relation.equal_as_multiset (spilled kind) nl
              in
-             agree `Inner (fun ~strategy -> Ops.join ~strategy)
-             && agree `Left_outer (fun ~strategy -> Ops.left_outer_join ~strategy)
-             && agree `Semi (fun ~strategy -> Ops.semi_join ~strategy)
-             && agree `Anti (fun ~strategy -> Ops.anti_join ~strategy))));
+             agree Ops.Inner && agree Ops.Left_outer && agree Ops.Semi && agree Ops.Anti)));
     Helpers.qtest "semi + anti partition the left" gen (fun db ->
         with_rels db (fun l r ->
-            let semi = Ops.semi_join cond l r and anti = Ops.anti_join cond l r in
+            let semi = Ops.join ~kind:Ops.Semi cond l r
+            and anti = Ops.join ~kind:Ops.Anti cond l r in
             Relation.equal_as_multiset l (Ops.union_all semi anti)));
     Helpers.qtest "outer join covers every left row" gen (fun db ->
         with_rels db (fun l r ->
-            let oj = Ops.left_outer_join cond l r in
+            let oj = Ops.join ~kind:Ops.Left_outer cond l r in
             let keys = Ops.project_cols [ (Some "l", "k"); (Some "l", "v") ] oj in
             Relation.equal_as_multiset (Ops.distinct keys) (Ops.distinct l)));
-    Helpers.qtest "union = distinct union_all" gen (fun (lrows, rrows) ->
-        let l = rel_of [ "k"; "v" ] lrows "t" and r = rel_of [ "k"; "v" ] rrows "t" in
-        Relation.equal_as_multiset (Ops.union l r) (Ops.distinct (Ops.union_all l r)));
     Helpers.qtest "diff_all cancels one-for-one" gen (fun (lrows, rrows) ->
         let l = rel_of [ "k"; "v" ] lrows "t" and r = rel_of [ "k"; "v" ] rrows "t" in
         let d = Ops.diff_all l r in
@@ -421,7 +418,11 @@ let test_distinct_and_sort () =
 
 let test_add_rownum_and_limit () =
   let r = rel_of [ "v" ] Value.[ [ Int 5 ]; [ Int 6 ]; [ Int 7 ] ] "t" in
-  let numbered = Ops.add_rownum "rid" r in
+  (* Two-row chunks: numbering must continue across chunk boundaries. *)
+  let numbered =
+    Chunk.Source.to_relation
+      (Ops.add_rownum_source "rid" (Chunk.Source.of_relation ~chunk_rows:2 r))
+  in
   Alcotest.(check bool) "rownum" true (Value.equal (Relation.row numbered 2).(1) (Value.Int 2));
   Alcotest.(check int) "limit" 2 (Relation.cardinality (Ops.limit 2 r));
   Alcotest.(check int) "limit over" 3 (Relation.cardinality (Ops.limit 10 r))

@@ -101,7 +101,6 @@ let equiv_prop sql expected db =
   let catalog = Query_zoo.mk_catalog db in
   let stmt = parse_ok sql in
   let from_sql = Naive_eval.eval catalog stmt.P.query in
-  let from_sql = if stmt.P.distinct then Ops.distinct from_sql else from_sql in
   let reference = Naive_eval.eval catalog expected in
   Relation.equal_as_multiset reference from_sql
 
@@ -117,8 +116,8 @@ let test_distinct () =
       ([ [ Value.Int 1; Value.Int 1 ]; [ Value.Int 1; Value.Int 1 ]; [ Value.Int 2; Value.Int 1 ] ], [], [])
   in
   let stmt = parse_ok "SELECT DISTINCT x FROM O o" in
-  Alcotest.(check bool) "distinct flag" true stmt.P.distinct;
-  let result = Ops.distinct (Naive_eval.eval catalog stmt.P.query) in
+  Alcotest.(check bool) "distinct flag" true stmt.P.query.N.q_distinct;
+  let result = Naive_eval.eval catalog stmt.P.query in
   Alcotest.(check int) "one distinct value" 1 (Relation.cardinality result)
 
 let test_default_alias () =
@@ -174,17 +173,16 @@ let test_order_by_limit () =
   in
   let stmt = parse_ok "SELECT * FROM O o ORDER BY o.k DESC LIMIT 2" in
   Alcotest.(check (list (pair (option string) string))) "order cols" [ (Some "o", "k") ]
-    (List.map fst stmt.P.order_by);
-  Alcotest.(check (option int)) "limit" (Some 2) stmt.P.limit;
-  let result = P.apply_post stmt (Naive_eval.eval catalog stmt.P.query) in
+    (List.map fst stmt.P.query.N.q_order_by);
+  Alcotest.(check (option int)) "limit" (Some 2) stmt.P.query.N.q_limit;
+  let result = Naive_eval.eval catalog stmt.P.query in
   Alcotest.(check int) "two rows" 2 (Relation.cardinality result);
   Alcotest.(check bool) "descending" true
     (Value.equal (Relation.row result 0).(0) (Value.Int 3));
   let stmt = parse_ok "SELECT * FROM O o ORDER BY k ASC, x DESC" in
-  Alcotest.(check int) "two order keys" 2 (List.length stmt.P.order_by)
+  Alcotest.(check int) "two order keys" 2 (List.length stmt.P.query.N.q_order_by)
 
-let run_stmt catalog stmt =
-  Naive_eval.eval catalog stmt.P.query |> P.apply_grouping stmt |> P.apply_post stmt
+let run_stmt catalog stmt = Naive_eval.eval catalog stmt.P.query
 
 let test_group_by () =
   let catalog =
@@ -266,15 +264,143 @@ let test_group_by_with_subquery_where () =
   (* And the grouping is engine-independent. *)
   let via_gmdj =
     Subql.Eval.eval catalog (Subql.Optimize.optimize (Subql.Transform.to_algebra stmt.P.query))
-    |> P.apply_grouping stmt |> P.apply_post stmt
   in
   Alcotest.(check bool) "gmdj path agrees" true (Relation.equal_as_multiset result via_gmdj)
 
 let test_having_reuses_select_aggregate () =
   let stmt = parse_ok "SELECT o.k, SUM(o.x) AS s FROM O o GROUP BY o.k HAVING SUM(o.x) > 3" in
-  match stmt.P.grouped with
-  | Some g -> Alcotest.(check int) "one aggregate computed" 1 (List.length g.P.aggs)
-  | None -> Alcotest.fail "expected a grouped statement"
+  match stmt.P.query.N.q_select with
+  | N.Select_grouped g -> Alcotest.(check int) "one aggregate computed" 1 (List.length g.N.aggs)
+  | N.Select_all | N.Select_cols _ | N.Select_exprs _ ->
+    Alcotest.fail "expected a grouped statement"
+
+(* --- One plan per statement ------------------------------------------ *)
+
+(* Every entry point — the naive oracle, the planner, the GMDJ and
+   unnesting plans, the batch front door cold and warm, and the serving
+   loop — must evaluate a statement's GROUP BY / HAVING / DISTINCT /
+   ORDER BY / LIMIT, before and after a maintained append. *)
+
+module Batch = Subql_mqo.Batch
+module Cache = Subql_mqo.Result_cache
+module Server = Subql_server.Server
+module Ingest = Subql_ingest.Ingest
+
+(* How an answer must match the oracle's: row for row when the ORDER BY
+   keys order the output totally; as a multiset when row order is
+   unspecified; and for LIMIT without ORDER BY, as the right number of
+   rows drawn from the answer without the LIMIT. *)
+type agreement = Ordered | Unordered | Any_rows
+
+let exists_ik = "EXISTS (SELECT * FROM I i WHERE i.k = o.k)"
+
+let tail_cases =
+  [
+    ( "group by",
+      Unordered,
+      "SELECT o.k, COUNT(*) AS n, SUM(o.x) AS s FROM O o WHERE " ^ exists_ik ^ " GROUP BY o.k"
+    );
+    ("having", Unordered, "SELECT o.k, COUNT(*) AS n FROM O o GROUP BY o.k HAVING COUNT(*) > 1");
+    ( "global aggregate over empty input",
+      Unordered,
+      "SELECT COUNT(*) AS n, SUM(o.x) AS s FROM O o WHERE " ^ exists_ik ^ " AND NOT " ^ exists_ik
+    );
+    ("distinct", Unordered, "SELECT DISTINCT o.k FROM O o WHERE " ^ exists_ik);
+    ( "multi-key order by",
+      Ordered,
+      "SELECT o.k, o.x FROM O o WHERE " ^ exists_ik ^ " ORDER BY o.k ASC, o.x DESC" );
+    ( "grouped order by",
+      Ordered,
+      "SELECT o.k, COUNT(*) AS n FROM O o GROUP BY o.k ORDER BY n DESC, o.k" );
+    ("limit 0", Unordered, "SELECT * FROM O o WHERE " ^ exists_ik ^ " LIMIT 0");
+    ( "order by + limit",
+      Ordered,
+      "SELECT o.k, o.x FROM O o WHERE " ^ exists_ik ^ " ORDER BY o.k DESC, o.x LIMIT 3" );
+    ( "limit without order by",
+      Any_rows,
+      "SELECT o.k, o.x FROM O o WHERE " ^ exists_ik ^ " LIMIT 3" );
+  ]
+
+let agrees catalog mode (q : N.query) ~expected got =
+  match mode with
+  | Ordered -> Helpers.equal_as_list expected got
+  | Unordered -> Relation.equal_as_multiset expected got
+  | Any_rows ->
+    let untailed = Naive_eval.eval catalog { q with N.q_limit = None } in
+    Relation.cardinality expected = Relation.cardinality got
+    && Relation.is_empty (Ops.diff_all got untailed)
+
+let serve ~cache catalog queries =
+  let config = { Server.default_config with batch_max = 64 } in
+  let server = Server.create ~config ~cache catalog in
+  List.iter
+    (fun q ->
+      match Server.submit server ~now:0. q with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "serve rejected a tail statement")
+    queries;
+  Server.drain server ~now:1. |> List.concat_map (fun b -> b.Server.completions)
+  |> List.sort (fun a b -> compare a.Server.ticket.Server.id b.Server.ticket.Server.id)
+  |> List.map (fun c -> c.Server.result)
+
+let test_tail_agreement () =
+  (* A sparse detail table, so the append changes every WHERE EXISTS answer. *)
+  let catalog = Subql_workload.Zoo.catalog ~outer:48 ~inner:12 () in
+  let cases =
+    List.map (fun (name, mode, sql) -> (name, mode, (parse_ok sql).P.query)) tail_cases
+  in
+  let queries = List.map (fun (_, _, q) -> q) cases in
+  let cache = Cache.create ~min_cost:0. () in
+  let ing = Ingest.create ~policy:Ingest.Maintain_on_write ~catalog ~cache () in
+  List.iter (fun q -> ignore (Ingest.register_query ing q)) queries;
+  let check_all phase =
+    let oracle = List.map (Naive_eval.eval catalog) queries in
+    let check entry results =
+      List.iter2
+        (fun ((name, mode, q), expected) got ->
+          if not (agrees catalog mode q ~expected got) then
+            Alcotest.failf "%s, %s disagrees with the oracle on %s:@.expected %a@.got %a" phase
+              entry name Relation.pp expected Relation.pp got)
+        (List.combine cases oracle) results
+    in
+    let eval plan_of = List.map (fun q -> Subql.Eval.eval catalog (plan_of q)) queries in
+    check "Planner.run" (List.map (Subql.Planner.run catalog) queries);
+    check "gmdj-opt" (eval (fun q -> Subql.Optimize.optimize (Subql.Transform.to_algebra q)));
+    check "unnest" (eval (Subql_unnest.Unnest.best catalog));
+    check "batch" (List.map snd (Batch.run ~cache catalog queries).Batch.results);
+    let warm = Batch.run ~cache catalog queries in
+    Alcotest.(check int) (phase ^ ": warm batch answers from the cache") (List.length queries)
+      warm.Batch.cache_hits;
+    check "batch (warm)" (List.map snd warm.Batch.results);
+    check "serve (cold)" (serve ~cache:(Cache.create ~min_cost:0. ()) catalog queries);
+    check "serve (warm)" (serve ~cache catalog queries)
+  in
+  check_all "before the append";
+  ignore (Ingest.append ing ~table:"I" (Subql_workload.Zoo.detail_rows ~seed:5L 64));
+  check_all "after the append";
+  Ingest.close ing
+
+(* A LIMIT is part of the statement's identity: it changes the
+   fingerprint, so a cache warmed with the full answer never serves it
+   to the limited statement. *)
+let test_limit_changes_identity () =
+  let catalog = Subql_workload.Zoo.catalog ~outer:48 ~inner:256 () in
+  let full = (parse_ok ("SELECT o.k, o.x FROM O o WHERE " ^ exists_ik)).P.query in
+  let limited = (parse_ok ("SELECT o.k, o.x FROM O o WHERE " ^ exists_ik ^ " LIMIT 3")).P.query in
+  Alcotest.(check bool) "different fingerprints" false
+    (String.equal (Subql_mqo.Fingerprint.of_query full) (Subql_mqo.Fingerprint.of_query limited));
+  let cache = Cache.create ~min_cost:0. () in
+  let full_rows =
+    Relation.cardinality (List.assoc 0 (Batch.run ~cache catalog [ full ]).Batch.results)
+  in
+  Alcotest.(check bool) "the full answer has more than 3 rows" true (full_rows > 3);
+  let report = Batch.run ~cache catalog [ limited ] in
+  Alcotest.(check int) "no cache hit for the limited statement" 0 report.Batch.cache_hits;
+  Alcotest.(check int) "batch: 3 rows" 3
+    (Relation.cardinality (List.assoc 0 report.Batch.results));
+  match serve ~cache catalog [ limited ] with
+  | [ r ] -> Alcotest.(check int) "serve: 3 rows" 3 (Relation.cardinality r)
+  | _ -> Alcotest.fail "expected one completion"
 
 let test_error_rendering () =
   let rendered = P.parse_exn_to_string "SELECT * FROM O o WHERE o.x >" in
@@ -301,5 +427,10 @@ let () =
           Alcotest.test_case "having reuses select aggregate" `Quick
             test_having_reuses_select_aggregate;
           Alcotest.test_case "error rendering" `Quick test_error_rendering;
+        ] );
+      ( "tail",
+        [
+          Alcotest.test_case "every entry point" `Quick test_tail_agreement;
+          Alcotest.test_case "limit changes identity" `Quick test_limit_changes_identity;
         ] );
     ]
