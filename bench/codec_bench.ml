@@ -34,11 +34,12 @@ let measure ~path ~schema ~codec =
   let rows = scan_rows hf pool (* warmup: faults every page into the pool *) in
   let best = ref infinity in
   for _ = 1 to trials do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to repeats do
-      ignore (scan_rows hf pool)
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let (), dt =
+      Subql_obs.Clock.time (fun () ->
+          for _ = 1 to repeats do
+            ignore (scan_rows hf pool)
+          done)
+    in
     if dt < !best then best := dt
   done;
   let decoded = Hf.to_relation hf ~pool in

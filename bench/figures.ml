@@ -105,12 +105,10 @@ type measurement = Seconds of float | Skipped | Disagrees of int * int
 let time_run f =
   let reps = ref 0 in
   let best = ref infinity in
-  let t_begin = Unix.gettimeofday () in
+  let t_begin = Subql_obs.Clock.now () in
   let result = ref None in
-  while !reps < 3 && (!reps = 0 || Unix.gettimeofday () -. t_begin < 1.0) do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
+  while !reps < 3 && (!reps = 0 || Subql_obs.Clock.now () -. t_begin < 1.0) do
+    let r, dt = Subql_obs.Clock.time f in
     if dt < !best then best := dt;
     result := Some r;
     incr reps

@@ -78,9 +78,8 @@ let headline (options : Figures.options) ~outer ~inner ~batch_rows ~batches =
      appended suffix into live accumulators and repairing the cache
      entry, versus re-evaluating the plan from scratch. *)
   let timed seconds f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    seconds := !seconds +. (Unix.gettimeofday () -. t0);
+    let r, dt = Subql_obs.Clock.time f in
+    seconds := !seconds +. dt;
     r
   in
   (* Delta side: warm cache, warm accumulators (the first sync pays the

@@ -14,9 +14,8 @@ module Zoo = Subql_workload.Zoo
 module J = Subql_obs.Json
 
 let time_run f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  (Unix.gettimeofday () -. t0, result)
+  let result, dt = Subql_obs.Clock.time f in
+  (dt, result)
 
 let solo_plan q = Subql.Optimize.optimize (Subql.Transform.to_algebra q)
 

@@ -30,9 +30,8 @@ let config ?spill domains =
 let time_best ~repeats f =
   let best = ref infinity in
   for _ = 1 to repeats do
-    let t0 = Unix.gettimeofday () in
-    f ();
-    best := Float.min !best (Unix.gettimeofday () -. t0)
+    let (), dt = Subql_obs.Clock.time f in
+    best := Float.min !best dt
   done;
   !best
 

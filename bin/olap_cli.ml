@@ -221,7 +221,7 @@ let run_cmd =
       in
       exec_config base ~domains ~spill_budget
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Subql_obs.Clock.now () in
     let feedback = ref None in
     let result =
       if engine = "auto" && not (explain_analyze || analyze) then begin
@@ -250,7 +250,7 @@ let run_cmd =
           end
           else Subql.Eval.eval ~config catalog plan
     in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Subql_obs.Clock.now () -. t0 in
     Format.printf "%a" Relation.pp (Ops.limit limit result);
     if Relation.cardinality result > limit then
       Format.printf "(%d rows total, showing %d)@." (Relation.cardinality result) limit;
@@ -342,9 +342,7 @@ let batch_cmd =
     let queries = List.map (fun s -> s.Subql_sql.Parser.query) stmts in
     let cache = Subql_mqo.Result_cache.create ~min_cost () in
     for round = 1 to repeat do
-      let t0 = Unix.gettimeofday () in
-      let report = Subql_mqo.Batch.run ~cache catalog queries in
-      let dt = Unix.gettimeofday () -. t0 in
+      let report, dt = Subql_obs.Clock.time (fun () -> Subql_mqo.Batch.run ~cache catalog queries) in
       Format.printf "round %d: %d queries in %.3fs@." round (List.length queries) dt;
       List.iter
         (fun (i, result) -> Format.printf "  q%d: %d rows@." i (Relation.cardinality result))
@@ -564,7 +562,7 @@ let serve_cmd =
     let config = server_config window bmax mem_budget qcap ~domains ~spill_budget in
     let cache = Subql_mqo.Result_cache.create ~min_cost () in
     let server = Server.create ~config ~cache catalog in
-    let now () = Unix.gettimeofday () in
+    let now () = Subql_obs.Clock.now () in
     Format.printf
       "serving (catalog resident, %d tables): batch window %.3fs, batch max %d, \
        queue cap %d, mem budget %s@.reading semicolon-terminated SQL from stdin; \

@@ -543,7 +543,7 @@ let eval_analyzed ?(config = default_config) ?(registry = Subql_obs.Metrics.defa
   let hooks =
     {
       on_node_start =
-        (fun _ -> stack := (Unix.gettimeofday (), pool_hits (), pool_reads ()) :: !stack);
+        (fun _ -> stack := (Subql_obs.Clock.now (), pool_hits (), pool_reads ()) :: !stack);
       on_chunk = (fun _ ~rows:_ -> ());
       on_node_done =
         (fun alg result gmdj_stats kid_nodes ->
@@ -554,7 +554,7 @@ let eval_analyzed ?(config = default_config) ?(registry = Subql_obs.Metrics.defa
               stack := rest;
               x
           in
-          let elapsed_s = Unix.gettimeofday () -. t0 in
+          let elapsed_s = Subql_obs.Clock.now () -. t0 in
           let rows_out = Relation.cardinality result in
           M.incr ops;
           M.observe op_seconds elapsed_s;

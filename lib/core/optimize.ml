@@ -426,6 +426,151 @@ let completion_rule alg =
    against re-firing on the rewritten node by checking for Md_completed
    in the pattern itself (the patterns above only match plain Md). *)
 
+(* ------------------------------------------------------------------ *)
+(* Key factorization of an aggregate-free completion's inner GMDJ      *)
+(* ------------------------------------------------------------------ *)
+
+(* An aggregate-free completion (Thm 4.1) over [MD(B, R, l, θ)] asks
+   only which detail rows exist, so it reads that GMDJ as a set.  Every
+   aggregate of a base tuple is a function of the base columns K its
+   blocks read, so
+     δπ_{K∪aggs} MD(B, R, l, θ) = MD(δπ_K B, R, l, θ)
+   and the inner GMDJ runs once per distinct key instead of once per
+   base tuple.  K also holds the base columns the completion reads.  The
+   push-down's [distinct(outer cols) × I] bases are where this pays:
+   the product is never materialized at full size. *)
+
+let dedup_refs refs = List.sort_uniq compare refs
+
+(* The base columns [exprs] read, each as [(alias, name)], or [None]
+   when some reference cannot be attributed syntactically.  References
+   qualified with [others] or named in [other_names] (unqualified)
+   resolve outside the base; an alias in both lists is ambiguous. *)
+let base_refs ~base_aliases ~others ~other_names exprs =
+  List.fold_left
+    (fun acc (q, n) ->
+      match acc, q with
+      | None, _ -> None
+      | Some _, None -> if List.mem n other_names then acc else None
+      | Some refs, Some a -> (
+        match List.mem a base_aliases, List.mem a others with
+        | true, false -> Some ((a, n) :: refs)
+        | false, true -> acc
+        | true, true | false, false -> None))
+    (Some [])
+    (List.concat_map Expr.attrs exprs)
+  |> Option.map dedup_refs
+
+let keys_of_alias aliases keys = List.filter (fun (a, _) -> List.mem a aliases) keys
+
+(* Is [alg] syntactically a duplicate-free relation over exactly [keys]? *)
+let distinct_on keys alg =
+  let names cols = List.sort_uniq compare (List.map snd cols) in
+  match alg with
+  | Algebra.Project_cols { distinct = true; cols; _ } ->
+    List.sort_uniq compare cols = List.map (fun (a, n) -> (Some a, n)) keys
+  | Algebra.Rename (a, Algebra.Project_cols { distinct = true; cols; _ }) ->
+    List.for_all (fun (k, _) -> k = a) keys && names cols = names keys
+  | _ -> false
+
+(* Rewrite [alg] into a relation with the same set of [keys] values,
+   duplicate-free where that is cheap: [δπ_K] pushed through products
+   (each side keeps its own keys; a side reading none stays as it is,
+   since dropping it would make an empty product non-empty) and placed
+   over anything else — a renamed table, or the selection a hoisted
+   filter sank into.  [None] when nothing changes. *)
+let rec factor_keys keys alg =
+  let leaf () =
+    if distinct_on keys alg then None
+    else
+      Some
+        (Algebra.Project_cols
+           { cols = List.map (fun (a, n) -> (Some a, n)) keys; distinct = true; input = alg })
+  in
+  match alg with
+  | Algebra.Product (l, r) -> (
+    match alias_set l, alias_set r with
+    | Some al, Some ar when not (List.exists (fun a -> List.mem a ar) al) -> (
+      let side ks x = if ks = [] then None else factor_keys ks x in
+      match side (keys_of_alias al keys) l, side (keys_of_alias ar keys) r with
+      | None, None -> None
+      | l', r' ->
+        Some (Algebra.Product (Option.value l' ~default:l, Option.value r' ~default:r)))
+    | _ -> leaf ())
+  | _ -> leaf ()
+
+let completion_thetas blocks (c : Gmdj.completion) =
+  c.Gmdj.kill_when @ c.Gmdj.require_fired @ List.map (fun b -> b.Gmdj.theta) blocks
+
+(* Hoist: conjuncts that sit in every completion θ and block θ and read
+   only the inner GMDJ's base columns filter the detail instead (a row
+   failing one fires no rule and feeds no block), and the push-down
+   rule sinks them into the inner base — otherwise their columns would
+   stay in K.  Returns the rewritten blocks, completion and detail. *)
+let hoist_detail_filters ~outer_aliases ~base_aliases blocks completion detail =
+  match completion_thetas blocks completion with
+  | [] -> None
+  | first :: rest ->
+    let common =
+      List.filter
+        (fun c ->
+          attributable c ~here:base_aliases ~there:outer_aliases
+          && List.for_all (fun t -> List.exists (Expr.equal c) (Expr.conjuncts t)) rest)
+        (Expr.conjuncts first)
+    in
+    if common = [] then None
+    else
+      match rewrite_bottom_up pushdown_rule (Algebra.Select (Expr.conjoin common, detail)) with
+      | Algebra.Md _ as detail ->
+        let drop t = Expr.conjoin (expr_diff (Expr.conjuncts t) common) in
+        let blocks = List.map (fun b -> { b with Gmdj.theta = drop b.Gmdj.theta }) blocks in
+        let completion =
+          {
+            completion with
+            Gmdj.kill_when = List.map drop completion.Gmdj.kill_when;
+            require_fired = List.map drop completion.Gmdj.require_fired;
+          }
+        in
+        Some (blocks, completion, detail)
+      | _ -> None
+
+let factorize_rule = function
+  | Algebra.Md_completed
+      ({ completion = { maintain_aggregates = false; _ }; detail = Algebra.Md inner; _ } as m)
+    -> (
+    match alias_set m.base, alias_set inner.base, alias_set inner.detail with
+    | Some outer_aliases, Some base_aliases, Some detail_aliases -> (
+      let hoisted =
+        hoist_detail_filters ~outer_aliases ~base_aliases m.blocks m.completion m.detail
+      in
+      let blocks, completion, detail =
+        Option.value hoisted ~default:(m.blocks, m.completion, m.detail)
+      in
+      let factored =
+        match detail with
+        | Algebra.Md inner -> (
+          let read_by_completion =
+            base_refs ~base_aliases ~others:outer_aliases ~other_names:(agg_names inner.blocks)
+              (completion_thetas blocks completion @ List.concat_map block_exprs blocks)
+          and read_by_blocks =
+            base_refs ~base_aliases ~others:detail_aliases ~other_names:[]
+              (List.concat_map block_exprs inner.blocks)
+          in
+          match read_by_completion, read_by_blocks with
+          | Some c, Some k when c @ k <> [] ->
+            Option.map
+              (fun base -> Algebra.Md { inner with base })
+              (factor_keys (dedup_refs (c @ k)) inner.base)
+          | _ -> None)
+        | _ -> None
+      in
+      if Option.is_none hoisted && Option.is_none factored then None
+      else
+        let detail = Option.value factored ~default:detail in
+        Some (Algebra.Md_completed { m with blocks; completion; detail }))
+    | _ -> None)
+  | _ -> None
+
 (* --- Rewrite self-check hook ---------------------------------------- *)
 
 (* Installed by [Subql_analysis.Verify]: after every optimize call the
@@ -444,7 +589,14 @@ let optimize ?(flags = all) alg =
   let before = alg in
   let alg = if flags.coalesce then rewrite_bottom_up coalesce_rule alg else alg in
   let alg = if flags.pushdown then rewrite_bottom_up pushdown_rule alg else alg in
-  let alg = if flags.completion then rewrite_top_down completion_rule alg else alg in
+  let alg =
+    if flags.completion then
+      rewrite_top_down
+        (fun alg ->
+          match completion_rule alg with Some _ as r -> r | None -> factorize_rule alg)
+        alg
+    else alg
+  in
   (match !self_check with
   | Some check -> check ~label:"optimize" ~before ~after:alg
   | None -> ());

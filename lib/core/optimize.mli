@@ -20,7 +20,18 @@
       the scan ([Md_completed]); when the surrounding projection also
       discards the aggregate columns, aggregate maintenance is skipped
       entirely and the scan can terminate as soon as every base tuple is
-      decided. *)
+      decided.
+    - {e Key factorization}, in the completion phase: an aggregate-free
+      completion over an inner GMDJ reads that GMDJ only as a set, and
+      every aggregate of a base tuple is a function of the base columns
+      K its blocks read, so [δπ_{K∪aggs} MD(B, R, l, θ) = MD(δπ_K B, R,
+      l, θ)].  With K also holding the base columns the completion
+      reads, the inner base becomes a distinct projection onto K, pushed
+      into each side of a product (a side reading no key column stays
+      as it is) — the push-down's [distinct(outer cols) × I] base of
+      Thms 3.3/3.4 is never materialized at full size.  Detail-only
+      conjuncts common to every completion and block θ are first hoisted
+      into the inner base, so their columns leave K. *)
 
 type flags = { coalesce : bool; pushdown : bool; completion : bool }
 

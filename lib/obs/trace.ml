@@ -35,7 +35,7 @@ let set_enabled b = (state ()).on <- b
 
 let enabled () = (state ()).on
 
-let now_us () = Unix.gettimeofday () *. 1e6
+let now_us = Clock.now_us
 
 let push_completed st span =
   match st.stack with

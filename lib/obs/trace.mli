@@ -20,7 +20,7 @@
 type span = {
   name : string;
   attrs : (string * string) list;
-  start_us : float;  (** [Unix.gettimeofday] in microseconds *)
+  start_us : float;  (** {!Clock.now_us}: monotonic microseconds *)
   dur_us : float;
   children : span list;  (** in start order *)
 }

@@ -1,5 +1,6 @@
 open Subql_relational
 module Metrics = Subql_obs.Metrics
+module Clock = Subql_obs.Clock
 
 type config = {
   batch_window : float;
@@ -165,17 +166,16 @@ let seal t ~now =
   let n = min t.config.batch_max (Queue.length t.queue) in
   let members = List.init n (fun _ -> Queue.pop t.queue) in
   publish_depth t;
-  let t0 = Unix.gettimeofday () in
-  (* Lazy-maintenance hook (e.g. Subql_ingest under maintain-on-read):
-     repairs run inside the measured window, so reads pay for the
-     freshness they consume. *)
-  (match t.before_batch with Some hook -> hook ~now | None -> ());
-  let report =
-    Subql_mqo.Batch.run_prepared ~config:t.config.eval_config ~cache:t.result_cache
-      ~registry:t.registry t.cat
-      (List.map (fun p -> p.entry) members)
+  let report, exec_seconds =
+    Clock.time (fun () ->
+        (* Lazy-maintenance hook (e.g. Subql_ingest under maintain-on-read):
+           repairs run inside the measured window, so reads pay for the
+           freshness they consume. *)
+        (match t.before_batch with Some hook -> hook ~now | None -> ());
+        Subql_mqo.Batch.run_prepared ~config:t.config.eval_config ~cache:t.result_cache
+          ~registry:t.registry t.cat
+          (List.map (fun p -> p.entry) members))
   in
-  let exec_seconds = Unix.gettimeofday () -. t0 in
   let completed = now +. exec_seconds in
   let completions =
     List.map2
@@ -228,9 +228,7 @@ let ingest t ~now ?(label = "ingest") ~apply () =
        pre-append snapshot — the mirror image of the no-stale-reads
        guarantee for queries arriving after. *)
     let flushed = drain t ~now in
-    let t0 = Unix.gettimeofday () in
-    let ingested_rows = apply () in
-    let apply_seconds = Unix.gettimeofday () -. t0 in
+    let ingested_rows, apply_seconds = Clock.time apply in
     refresh_stats t;
     Ok { flushed; ingested_rows; apply_seconds }
   end

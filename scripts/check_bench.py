@@ -101,10 +101,14 @@ GATES = {
             row("theta_evals", "<=", key("detail_rows"),
                 "{item[template]}: {value} θ-evals for {limit:.0f} detail rows — a [<=>] key "
                 "fell back to per-pair tests", each="theta_counts"),
+            row("detail_rows", "<=", key("inner_rows"),
+                "{item[template]} at O {item[outer_rows]}: {value} detail rows for {limit:.0f} "
+                "rows of I and J — the inner GMDJ ran over the push-down product, not its "
+                "distinct keys", each="theta_counts"),
         ],
         summary=lambda f, b: (
             "BENCH_exec.json: verified, peak %d rows (2x detail: %d), page reads %d chained / "
-            "%d coalesced, θ-evals <= detail rows on %d templates"
+            "%d coalesced, θ-evals <= detail rows <= |I| + |J| on %d template runs"
             % (f["peak_rows"], f["peak_rows_2x"], f["chained_page_reads"],
                f["coalesced_page_reads"], len(f["theta_counts"]))
         ),
@@ -234,7 +238,10 @@ def check_row(r, fresh, baseline, item, base_item):
         limit = base_value * scale + slack
     elif kind == "key":
         _, path, scale = r["ref"]
-        limit = get(item, path) * scale
+        ref_value = get(item, path)
+        if ref_value is MISSING:
+            fail("%s: report has no %r to compare %r with" % (r["each"] or "report", path, r["key"]))
+        limit = ref_value * scale
     if not compare(r["op"], value, limit):
         count = len(value) if isinstance(value, (list, dict)) else None
         fail(

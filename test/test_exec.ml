@@ -221,10 +221,27 @@ let temp_spill_files () =
   |> List.filter (fun f -> String.starts_with ~prefix:"subql_spill" f)
   |> List.sort String.compare
 
+(* Run [f] with the process's temp directory set to a fresh private one,
+   so spill files of other processes sharing the system temp directory
+   cannot show up in (or vanish from) the listing. *)
+let with_private_temp_dir f =
+  let shared = Filename.get_temp_dir_name () in
+  let dir = Filename.temp_file "subql_exec_spill" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Filename.set_temp_dir_name dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name shared;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    f
+
 (* Forcing breaker state through temp heap files — down to a 1-row
    resident budget — must not change any answer, must actually spill on
    the join-bearing plans, and must leave no temp file behind. *)
 let test_spill_agrees_and_cleans_up () =
+  with_private_temp_dir @@ fun () ->
   let catalog = Zoo.catalog ~outer:24 ~inner:400 () in
   let files_before = temp_spill_files () in
   let spills () =
@@ -233,8 +250,8 @@ let test_spill_agrees_and_cleans_up () =
   let spilled_before = spills () in
   List.iter
     (fun (name, q) ->
-      (* The GMDJ translation never spills (its state is |B|-bounded);
-         the unnest plans carry the joins the spill path exists for. *)
+      (* The GMDJ itself never spills (its state is |B|-bounded); the
+         unnest plans carry the joins the spill path exists for. *)
       let plans =
         (Printf.sprintf "%s/gmdj" name, plan q)
         :: (match Subql_unnest.Unnest.best catalog q with
@@ -276,6 +293,77 @@ let test_spill_with_domains () =
         (Subql.Eval.eval ~config catalog p))
     Zoo.queries
 
+(* The nested shapes, whose inner GMDJ runs over a key-factorized base,
+   against the naive oracle in every execution mode, on the seeded
+   database and on the edge catalogs where factorization could go
+   wrong: an empty side of the push-down product, an empty detail, and
+   keys that are all NULL (each NULL key is one distinct value, yet
+   never matches). *)
+let nested_shapes =
+  [
+    "linear-nesting";
+    "non-neighboring";
+    "double-negation-division";
+    "nested-agg";
+    "multi-from";
+    "multi-from-non-neighboring";
+  ]
+
+let edge_catalogs () =
+  let seeded = Zoo.catalog ~outer:64 ~inner:1024 ~seed:7L () in
+  let table t = Catalog.find seeded t in
+  let with_table t rel =
+    Catalog.of_list
+      (List.map (fun n -> (n, if n = t then rel else table n)) [ "O"; "I"; "J" ])
+  in
+  let emptied t = with_table t (Relation.empty (Relation.schema (table t))) in
+  let null_keys rel =
+    Relation.create (Relation.schema rel)
+      (Array.map (fun row -> [| Value.Null; row.(1) |]) (Relation.rows rel))
+  in
+  [
+    ("seeded 64/1024", seeded);
+    ("empty O", emptied "O");
+    ("empty I", emptied "I");
+    ("empty J", emptied "J");
+    ( "all-NULL k",
+      Catalog.of_list (List.map (fun n -> (n, null_keys (table n))) [ "O"; "I"; "J" ]) );
+  ]
+
+let test_nested_modes_agree_with_oracle () =
+  let modes =
+    List.concat_map
+      (fun domains ->
+        List.concat_map
+          (fun gmdj_strategy ->
+            List.map
+              (fun spill_budget_rows ->
+                { Subql.Eval.default_config with domains; gmdj_strategy; spill_budget_rows })
+              [ None; Some 16 ])
+          [ `Scan; `Hash ])
+      [ 1; 2 ]
+  in
+  List.iter
+    (fun (db, catalog) ->
+      List.iter
+        (fun name ->
+          let q = Zoo.find_query name in
+          let p = plan q in
+          let oracle = Subql_nested.Naive_eval.eval catalog q in
+          List.iter
+            (fun (config : Subql.Eval.config) ->
+              Helpers.check_multiset_equal
+                (Printf.sprintf "%s on %s: %d domains, %s, budget %s" name db
+                   config.Subql.Eval.domains
+                   (match config.Subql.Eval.gmdj_strategy with `Scan -> "scan" | `Hash -> "hash")
+                   (match config.Subql.Eval.spill_budget_rows with
+                   | Some b -> string_of_int b
+                   | None -> "none"))
+                oracle (Subql.Eval.eval ~config catalog p))
+            modes)
+        nested_shapes)
+    (edge_catalogs ())
+
 let () =
   Alcotest.run "exec"
     [
@@ -304,5 +392,7 @@ let () =
           Alcotest.test_case "spill agrees and cleans up temp files" `Quick
             test_spill_agrees_and_cleans_up;
           Alcotest.test_case "spill composes with domains" `Quick test_spill_with_domains;
+          Alcotest.test_case "nested shapes = oracle in every mode" `Quick
+            test_nested_modes_agree_with_oracle;
         ] );
     ]

@@ -8,7 +8,10 @@
    - Thm 3.4:  T ⋈_C MD(B, R, l, θ)  =  MD(T ⋈_C B, R, l, θ).
    - MD commutes with selections on its base (the optimizer's push-up).
    - Prop 4.1: chained GMDJs over the same detail = one coalesced GMDJ.
-   - MD commutes with independent MDs (GMDJ reordering). *)
+   - MD commutes with independent MDs (GMDJ reordering).
+   - Key factorization: δπ_{K∪aggs} MD(B, R, l, θ) = MD(δπ_K B, R, l, θ)
+     when K holds every base column θ and l read, and δπ distributes
+     over a product whose sides both keep a key column. *)
 
 open Subql_relational
 open Subql_gmdj
@@ -110,6 +113,68 @@ let push_down_embedding (_, rrows, brows) =
   let embedded = Helpers.gmdj ~base:b ~detail:widened blocks' in
   Relation.equal_as_multiset plain embedded
 
+(* Values from a four-element domain plus NULL, so that keys repeat. *)
+let dup_value =
+  QCheck2.Gen.(
+    frequency [ (1, return Value.Null); (5, map (fun i -> Value.Int i) (int_range 0 3)) ])
+
+let dup_rows arity max = QCheck2.Gen.(list_size (int_range 0 max) (list_repeat arity dup_value))
+
+let gen_factor = QCheck2.Gen.pair (dup_rows 3 12) (dup_rows 2 14)
+
+(* Key factorization.  B carries a column w no block reads; K = {k, x}.
+   The blocks mix an [=] key, a [<=>] key and residuals over K; the
+   aggregates over detail columns are functions of a base tuple's K
+   values, so the GMDJ over the distinct K-projection of B is the
+   distinct projection of the full GMDJ onto K and the aggregates. *)
+let key_factorization (brows, rrows) =
+  let b = mk_rel "B" [ "k"; "x"; "w" ] brows in
+  let r = mk_rel "R" [ "k"; "y" ] rrows in
+  let blocks =
+    [
+      Gmdj.block
+        [ Aggregate.count_star "c1"; Aggregate.sum (attr ~rel:"R" "y") "s1" ]
+        (Expr.and_ theta (Expr.gt (attr ~rel:"R" "y") (attr ~rel:"B" "x")));
+      Gmdj.block
+        [ Aggregate.count_star "c2"; Aggregate.max_ (attr ~rel:"R" "k") "m2" ]
+        (Expr.conjoin
+           [
+             Expr.Null_safe_eq (attr ~rel:"B" "x", attr ~rel:"R" "y");
+             Expr.ge (attr ~rel:"R" "k") (attr ~rel:"B" "k");
+             Expr.ne (attr ~rel:"B" "k") (attr ~rel:"B" "x");
+           ]);
+    ]
+  in
+  let keys = [ (Some "B", "k"); (Some "B", "x") ] in
+  let full = Helpers.gmdj ~base:b ~detail:r blocks in
+  let projected =
+    Ops.distinct
+      (Ops.project_cols (keys @ List.map (fun n -> (None, n)) [ "c1"; "s1"; "c2"; "m2" ]) full)
+  in
+  let factored =
+    Helpers.gmdj ~base:(Ops.distinct (Ops.project_cols keys b)) ~detail:r blocks
+  in
+  Relation.equal_as_multiset projected factored
+
+(* δπ through a product: with a key column on each side,
+   δπ_{K_l ∪ K_r}(L × R) = δπ_{K_l} L × δπ_{K_r} R, empty sides included.
+   A side with no key column must stay: π_{K_l}(L × ∅) is empty, not
+   δπ_{K_l} L, so only keeping R leaves the set of K values unchanged. *)
+let distinct_through_product (lrows, rrows) =
+  let l = mk_rel "L" [ "k"; "x"; "w" ] lrows in
+  let r = mk_rel "R" [ "k"; "y" ] rrows in
+  let dp cols rel = Ops.distinct (Ops.project_cols cols rel) in
+  let lk = [ (Some "L", "k"); (Some "L", "x") ] and rk = [ (Some "R", "y") ] in
+  let both_sides = dp (lk @ rk) (Ops.product l r) in
+  let split = Ops.product (dp lk l) (dp rk r) in
+  let one_side = dp lk (Ops.product l r) in
+  let kept = dp lk (Ops.product (dp lk l) r) in
+  let dropped = dp lk l in
+  Relation.equal_as_multiset both_sides split
+  && Relation.equal_as_multiset one_side kept
+  && Relation.equal_as_multiset one_side dropped
+     = (Relation.is_empty l || not (Relation.is_empty r))
+
 let () =
   Alcotest.run "laws"
     [
@@ -120,5 +185,8 @@ let () =
           Helpers.qtest ~count:150 "Prop 4.1: coalescing" gen3 coalescing_law;
           Helpers.qtest ~count:150 "independent MDs commute" gen3 md_commute;
           Helpers.qtest ~count:150 "Thm 3.3: push-down embedding" gen3 push_down_embedding;
+          Helpers.qtest ~count:300 "key factorization" gen_factor key_factorization;
+          Helpers.qtest ~count:300 "distinct projection through a product" gen_factor
+            distinct_through_product;
         ] );
     ]

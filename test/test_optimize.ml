@@ -27,10 +27,11 @@ let count_mds = count_nodes (function A.Md _ | A.Md_completed _ -> true | _ -> f
 
 let count_completed = count_nodes (function A.Md_completed _ -> true | _ -> false)
 
-let find_completion alg =
+(* The last node [f] picks out, in pre-order. *)
+let find_node f alg =
   let found = ref None in
   let rec go a =
-    (match a with A.Md_completed { completion; _ } -> found := Some completion | _ -> ());
+    Option.iter (fun x -> found := Some x) (f a);
     ignore
       (Subql.Optimize.map_children
          (fun c ->
@@ -40,6 +41,9 @@ let find_completion alg =
   in
   go alg;
   !found
+
+let find_completion =
+  find_node (function A.Md_completed { completion; _ } -> Some completion | _ -> None)
 
 let coalesce_only = Subql.Optimize.only ~coalesce:true ()
 
@@ -259,6 +263,109 @@ let test_pushdown_keeps_count_conditions () =
   Alcotest.(check bool) "count-only selections untouched" true
     (Subql.Optimize.optimize ~flags:pushdown_only plan = plan)
 
+(* --- Key factorization of aggregate-free completions ------------------ *)
+
+let inner_md_base =
+  find_node (function A.Md_completed { detail = A.Md { base; _ }; _ } -> Some base | _ -> None)
+
+(* Scans of I not under a distinct projection: the rows the push-down's
+   product would multiply. *)
+let rec bare_scans_of_i = function
+  | A.Table "I" -> 1
+  | A.Project_cols { distinct = true; _ } -> 0
+  | a ->
+    let n = ref 0 in
+    ignore
+      (Subql.Optimize.map_children
+         (fun c ->
+           n := !n + bare_scans_of_i c;
+           c)
+         a);
+    !n
+
+let count_distinct_projections =
+  count_nodes (function A.Project_cols { distinct = true; _ } -> true | _ -> false)
+
+let factorized_shapes =
+  [
+    "linear-nesting"; "non-neighboring"; "double-negation-division"; "nested-agg";
+    "multi-from-non-neighboring";
+  ]
+
+let test_factorization_fires () =
+  List.iter
+    (fun name ->
+      let plan = Subql.Optimize.optimize (Subql.Transform.to_algebra (List.assoc name Query_zoo.queries)) in
+      match inner_md_base plan with
+      | None -> Alcotest.failf "%s: no completion over an inner GMDJ in %a" name A.pp plan
+      | Some base ->
+        Alcotest.(check bool)
+          (name ^ ": inner base holds a distinct projection")
+          true
+          (count_distinct_projections base > 0);
+        Alcotest.(check int) (name ^ ": no bare scan of I under the inner GMDJ") 0
+          (bare_scans_of_i base))
+    factorized_shapes
+
+(* The double negation's [i.y > 2] sits in every completion and block θ:
+   it is hoisted into the inner base, so K is {o#2.k, i.k} alone. *)
+let test_factorization_hoists_detail_filter () =
+  let plan =
+    Subql.Optimize.optimize
+      (Subql.Transform.to_algebra (List.assoc "double-negation-division" Query_zoo.queries))
+  in
+  (match find_completion plan with
+  | Some c ->
+    Alcotest.(check bool) "i.y left the kill rule" false
+      (List.exists (Expr.references_rel "i") c.Gmdj.kill_when)
+  | None -> Alcotest.fail "no completion");
+  let keys_of_i =
+    count_nodes
+      (function
+        | A.Project_cols { distinct = true; cols = [ (Some "i", "k") ]; input = A.Select _ } -> true
+        | _ -> false)
+      plan
+  in
+  Alcotest.(check int) "distinct i.k over the hoisted filter" 1 keys_of_i
+
+(* A residual reading the completion's own count keeps its aggregates
+   maintained: the detail then counts as a multiset and stays as it is. *)
+let test_factorization_needs_aggregate_free () =
+  let translated = Subql.Transform.to_algebra (List.assoc "non-neighboring" Query_zoo.queries) in
+  let reads_count =
+    match translated with
+    | A.Project_rel (aliases, A.Select (cond, md)) ->
+      let cnt =
+        List.find_map
+          (function
+            | Expr.Cmp (Expr.Gt, (Expr.Attr (None, _) as c), _) -> Some c | _ -> None)
+          (Expr.conjuncts cond)
+        |> Option.get
+      in
+      A.Project_rel (aliases, A.Select (Expr.and_ cond (Expr.lt cnt (Expr.int 1000)), md))
+    | other -> Alcotest.failf "unexpected translation %a" A.pp other
+  in
+  let plan = Subql.Optimize.optimize reads_count in
+  (match find_completion plan with
+  | Some c -> Alcotest.(check bool) "aggregates maintained" true c.Gmdj.maintain_aggregates
+  | None -> Alcotest.fail "no completion");
+  Alcotest.(check int) "no distinct projection added" (count_distinct_projections translated)
+    (count_distinct_projections plan);
+  let catalog = Subql_workload.Zoo.catalog ~outer:16 ~inner:64 () in
+  Helpers.check_multiset_equal "same answer" (Subql.Eval.eval catalog reads_count)
+    (Subql.Eval.eval catalog plan)
+
+(* Single-block plans have no inner GMDJ: the rule leaves them alone. *)
+let test_factorization_skips_single_block () =
+  List.iter
+    (fun (name, q) ->
+      if not (List.mem name factorized_shapes) then
+        let translated = Subql.Transform.to_algebra q in
+        let plan = Subql.Optimize.optimize translated in
+        Alcotest.(check int) (name ^ ": distinct projections unchanged")
+          (count_distinct_projections translated) (count_distinct_projections plan))
+    Query_zoo.queries
+
 (* --- Semantics preservation on the whole zoo (belt and braces: the
    transform suite also covers this; here with both rules isolated) ---- *)
 
@@ -296,6 +403,16 @@ let () =
           Alcotest.test_case "product becomes join" `Quick test_pushdown_product_to_join;
           Alcotest.test_case "join predicate below MD" `Quick test_pushdown_below_md;
           Alcotest.test_case "count conditions stay" `Quick test_pushdown_keeps_count_conditions;
+        ] );
+      ( "factorize",
+        [
+          Alcotest.test_case "fires on the nested shapes" `Quick test_factorization_fires;
+          Alcotest.test_case "hoists a detail-only filter" `Quick
+            test_factorization_hoists_detail_filter;
+          Alcotest.test_case "not with maintained aggregates" `Quick
+            test_factorization_needs_aggregate_free;
+          Alcotest.test_case "single-block plans untouched" `Quick
+            test_factorization_skips_single_block;
         ] );
       ( "semantics",
         [
