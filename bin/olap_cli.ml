@@ -187,11 +187,8 @@ let run_cmd =
            ~doc:(Printf.sprintf "One of: %s." (String.concat ", " engine_names)))
   in
   let time_arg = Arg.(value & flag & info [ "time" ] ~doc:"Report evaluation time.") in
-  let analyze_arg =
-    Arg.(value & flag & info [ "analyze" ] ~doc:"Print the instrumented operator tree (gmdj engines only).")
-  in
   let explain_analyze_arg =
-    Arg.(value & flag & info [ "explain-analyze" ]
+    Arg.(value & flag & info [ "explain-analyze"; "analyze" ]
            ~doc:"Evaluate with full instrumentation and print the annotated plan tree \
                  (rows in/out, timings, buffer-pool hits/reads, GMDJ detail-scan counts).")
   in
@@ -208,7 +205,7 @@ let run_cmd =
   let limit_arg =
     Arg.(value & opt int 50 & info [ "limit" ] ~doc:"Print at most this many rows.")
   in
-  let run data workload flows users scale seed domains spill_budget engine timed analyze
+  let run data workload flows users scale seed domains spill_budget engine timed
       explain_analyze metrics trace_file limit sql =
     let catalog = resolve_catalog data workload flows users scale seed in
     let stmt = parse_sql sql in
@@ -224,7 +221,7 @@ let run_cmd =
     let t0 = Subql_obs.Clock.now () in
     let feedback = ref None in
     let result =
-      if engine = "auto" && not (explain_analyze || analyze) then begin
+      if engine = "auto" && not explain_analyze then begin
         (* Only the planner path consults the result cache and records
            estimate feedback. *)
         let result, fb = Subql.Planner.run_with_feedback ~config catalog query in
@@ -233,7 +230,7 @@ let run_cmd =
       end
       else
         match engine_plan engine catalog query with
-        | Native mode when not (explain_analyze || analyze) ->
+        | Native mode when not explain_analyze ->
           Subql_nested.Naive_eval.eval ~mode catalog query
         | (Plan _ | Native _) as p ->
           (* Instrumenting a native engine analyzes the optimized GMDJ plan. *)
@@ -243,15 +240,10 @@ let run_cmd =
             Format.printf "%a@." Subql_obs.Explain.pp node;
             result
           end
-          else if analyze then begin
-            let result, trace = Subql.Eval.eval_traced ~config catalog plan in
-            Format.printf "%a@." Subql.Eval.pp_trace trace;
-            result
-          end
           else Subql.Eval.eval ~config catalog plan
     in
     let dt = Subql_obs.Clock.now () -. t0 in
-    Format.printf "%a" Relation.pp (Ops.limit limit result);
+    Format.printf "%a" Relation.pp (Ops.sort ~by:[] ~limit (Chunk.Source.of_relation result));
     if Relation.cardinality result > limit then
       Format.printf "(%d rows total, showing %d)@." (Relation.cardinality result) limit;
     if timed then begin
@@ -280,8 +272,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Parse and evaluate a SQL query")
     Term.(
       const run $ data_arg $ workload_arg $ flows_arg $ users_arg $ scale_arg $ seed_arg
-      $ domains_arg $ spill_budget_arg $ engine_arg $ time_arg $ analyze_arg
-      $ explain_analyze_arg $ metrics_arg $ trace_arg $ limit_arg $ sql_arg)
+      $ domains_arg $ spill_budget_arg $ engine_arg $ time_arg $ explain_analyze_arg $ metrics_arg $ trace_arg $ limit_arg $ sql_arg)
 
 let explain_cmd =
   let run data workload flows users scale seed sql =

@@ -76,7 +76,7 @@ let example_2_2 () =
           } )
   in
   let result = time "evaluate" (fun () -> Subql.Eval.eval catalog plan) in
-  Format.printf "%a@." Relation.pp (Ops.limit 8 result);
+  Format.printf "%a@." Relation.pp (Ops.sort ~by:[] ~limit:8 (Chunk.Source.of_relation result));
   Format.printf "(%d hours qualified; showing up to 8)@." (Relation.cardinality result)
 
 (* Example 2.3 / 4.1: per-source traffic totals for sources selected by
@@ -153,7 +153,7 @@ let example_2_3 () =
   let r1 = time "basic plan" (fun () -> Subql.Eval.eval catalog (full_plan basic)) in
   let r2 = time "coalesced plan" (fun () -> Subql.Eval.eval catalog (full_plan coalesced)) in
   assert (Relation.equal_as_multiset r1 r2);
-  Format.printf "%a@." Relation.pp (Ops.limit 8 r2);
+  Format.printf "%a@." Relation.pp (Ops.sort ~by:[] ~limit:8 (Chunk.Source.of_relation r2));
   Format.printf "(%d qualifying sources; plans agree)@." (Relation.cardinality r2)
 
 let () =

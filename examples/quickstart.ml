@@ -65,7 +65,8 @@ let () =
 
   (* The fraction itself, computed with ordinary operators on top. *)
   let result =
-    Ops.project
+    Chunk.Source.to_relation
+    @@ Ops.project
       [
         (Expr.attr ~rel:"H" "HourDsc", "hour");
         ( Expr.Arith
@@ -74,7 +75,7 @@ let () =
               Expr.attr "sum2" ),
           "web_fraction" );
       ]
-      md
+      (Chunk.Source.of_relation md)
   in
   Format.printf "Web-traffic fraction per hour:@.%a@." Relation.pp result;
 

@@ -88,7 +88,9 @@ let () =
   let t_delta, () = time (fun () -> Gmdj.Maintain.insert_detail view fresh_flows) in
   let t_recompute, recomputed =
     time (fun () ->
-        eval ~domains:1 (Ops.union_all detail fresh_flows))
+        Gmdj.eval ~domains:1 ~base
+          (Ops.union_all (Chunk.Source.of_relation detail) (Chunk.Source.of_relation fresh_flows))
+          blocks)
   in
   assert (Relation.equal_as_multiset recomputed (Gmdj.Maintain.result view));
   Format.printf "  delta fold: %.3fs vs full recompute: %.3fs (%.1fx)@." t_delta t_recompute

@@ -52,19 +52,19 @@ let rec detail_chain ~path detail =
   | Algebra.Table d -> Ok (d, fun src -> src)
   | Algebra.Rename (a, x) ->
     Result.map
-      (fun (d, pipe) -> (d, fun src -> Ops.rename_source a (pipe src)))
+      (fun (d, pipe) -> (d, fun src -> Ops.rename a (pipe src)))
       (detail_chain ~path x)
   | Algebra.Select (e, x) ->
     Result.map
-      (fun (d, pipe) -> (d, fun src -> Ops.select_source e (pipe src)))
+      (fun (d, pipe) -> (d, fun src -> Ops.select e (pipe src)))
       (detail_chain ~path x)
   | Algebra.Project (ps, x) ->
     Result.map
-      (fun (d, pipe) -> (d, fun src -> Ops.project_source ps (pipe src)))
+      (fun (d, pipe) -> (d, fun src -> Ops.project ps (pipe src)))
       (detail_chain ~path x)
   | Algebra.Project_cols { distinct = false; cols; input } ->
     Result.map
-      (fun (d, pipe) -> (d, fun src -> Ops.project_cols_source cols (pipe src)))
+      (fun (d, pipe) -> (d, fun src -> Ops.project_cols cols (pipe src)))
       (detail_chain ~path input)
   | Algebra.Project_rel (aliases, x) ->
     Result.map
@@ -80,7 +80,7 @@ let rec detail_chain ~path detail =
                   else None)
                 (Schema.to_list (Chunk.Source.schema src))
             in
-            Ops.project_cols_source cols src ))
+            Ops.project_cols cols src ))
       (detail_chain ~path x)
   | Algebra.Add_rownum (name, _) ->
     Error

@@ -244,118 +244,6 @@ let estimate stats ~config alg =
   in
   (go alg).est
 
-(* Memory height: the estimated high-water mark of rows the streaming
-   executor holds materialized while running the plan — the planning-
-   time counterpart of the measured ["eval.peak_materialized_rows"]
-   gauge.  Streaming operators contribute nothing of their own; pipeline
-   breakers hold their materialized inputs and their output live at
-   once.  Whole-relation inputs the executor borrows zero-copy (a table,
-   an alias over a table) are free. *)
-let memory_height stats ~config alg =
-  let rows sub = (estimate stats ~config sub).rows in
-  (* Rows a breaker must hold to revisit this input; catalog-resident
-     relations pass through the origin shortcut without a copy. *)
-  let mat_rows sub =
-    match sub with
-    | Algebra.Table _ | Algebra.Rename (_, Algebra.Table _) -> 0.0
-    | _ -> rows sub
-  in
-  let rec h alg =
-    match alg with
-    | Algebra.Table _ -> 0.0
-    | Algebra.Rename (_, x)
-    | Algebra.Select (_, x)
-    | Algebra.Project (_, x)
-    | Algebra.Project_rel (_, x)
-    | Algebra.Add_rownum (_, x) ->
-      h x
-    | Algebra.Project_cols { distinct; input; _ } ->
-      if distinct then Float.max (h input) (rows alg) else h input
-    | Algebra.Distinct x -> Float.max (h x) (rows alg)
-    | Algebra.Sort { input; _ } -> Float.max (h input) (mat_rows input +. rows alg)
-    | Algebra.Group_by { input; _ } -> Float.max (h input) (rows alg)
-    | Algebra.Aggregate_all (_, x) -> Float.max (h x) 1.0
-    | Algebra.Union_all (l, r) -> Float.max (h l) (h r)
-    | Algebra.Product (l, r) | Algebra.Join { left = l; right = r; _ } | Algebra.Diff_all (l, r)
-      ->
-      let ml = mat_rows l and mr = mat_rows r in
-      Float.max (h l) (Float.max (ml +. h r) (ml +. mr +. rows alg))
-    | Algebra.Md { base; detail; _ } | Algebra.Md_completed { base; detail; _ } ->
-      (* The base side is materialized (|B| accumulators); the detail
-         side streams through, so only its own height counts. *)
-      let mb = mat_rows base in
-      Float.max (h base) (Float.max (mb +. h detail) (mb +. rows alg))
-  in
-  h alg
-
-(* An [=]/[<=>] conjunct between differently-qualified attributes is
-   what [Spill.join] partitions on — the same syntactic test the GMDJ hash
-   strategy uses ([block_hashable]). *)
-let join_partitionable cond = block_hashable cond
-
-(* Memory height under the configured spill budget: breaker state that
-   the spilling operators bound (DISTINCT / GROUP BY hash state,
-   equi-join inputs) is capped at the budget, with the excess
-   accumulated as predicted {e spill} volume — disk, not resident
-   memory.  Unspillable state (Product, Diff_all, non-equi joins, the
-   GMDJ base matrix, every operator's emitted output) stays resident.
-   With no budget configured this is exactly {!memory_height} (spill
-   0).  The resident component is what an admission memory budget
-   should gate on; the spill component prices the I/O the plan would
-   push through temp heap files instead. *)
-let memory_height_spill stats ~config alg =
-  match config.Eval.spill_budget_rows with
-  | None -> (memory_height stats ~config alg, 0.0)
-  | Some b ->
-    let budget = float_of_int b in
-    let rows sub = (estimate stats ~config sub).rows in
-    let mat_rows sub =
-      match sub with
-      | Algebra.Table _ | Algebra.Rename (_, Algebra.Table _) -> 0.0
-      | _ -> rows sub
-    in
-    let spilled = ref 0.0 in
-    let cap r =
-      if r > budget then begin
-        spilled := !spilled +. (r -. budget);
-        budget
-      end
-      else r
-    in
-    let rec h alg =
-      match alg with
-      | Algebra.Table _ -> 0.0
-      | Algebra.Rename (_, x)
-      | Algebra.Select (_, x)
-      | Algebra.Project (_, x)
-      | Algebra.Project_rel (_, x)
-      | Algebra.Add_rownum (_, x) ->
-        h x
-      | Algebra.Project_cols { distinct; input; _ } ->
-        if distinct then Float.max (h input) (cap (rows alg)) else h input
-      | Algebra.Distinct x -> Float.max (h x) (cap (rows alg))
-      | Algebra.Sort { input; _ } -> Float.max (h input) (mat_rows input +. rows alg)
-      | Algebra.Group_by { input; _ } -> Float.max (h input) (cap (rows alg))
-      | Algebra.Aggregate_all (_, x) -> Float.max (h x) 1.0
-      | Algebra.Union_all (l, r) -> Float.max (h l) (h r)
-      | Algebra.Join { cond; left = l; right = r; _ } when join_partitionable cond ->
-        (* Grace hash join: each side is held resident only up to the
-           budget; partitions then join pairwise, so the capped pair
-           plus the output is the live state. *)
-        let ml = cap (mat_rows l) and mr = cap (mat_rows r) in
-        Float.max (h l) (Float.max (ml +. h r) (ml +. mr +. rows alg))
-      | Algebra.Product (l, r)
-      | Algebra.Join { left = l; right = r; _ }
-      | Algebra.Diff_all (l, r) ->
-        let ml = mat_rows l and mr = mat_rows r in
-        Float.max (h l) (Float.max (ml +. h r) (ml +. mr +. rows alg))
-      | Algebra.Md { base; detail; _ } | Algebra.Md_completed { base; detail; _ } ->
-        let mb = mat_rows base in
-        Float.max (h base) (Float.max (mb +. h detail) (mb +. rows alg))
-    in
-    let resident = h alg in
-    (resident, !spilled)
-
 (* ------------------------------------------------------------------ *)
 (* Certified cardinality intervals (abstract interpretation)           *)
 (* ------------------------------------------------------------------ *)
@@ -583,96 +471,136 @@ type certificate = {
   tree : Interval.tree;
 }
 
-(* Certified memory height: the {!memory_height_spill} recursion run
-   over interval {e upper} bounds instead of point estimates, so the
-   result is a sound ceiling on the executor's peak resident rows
-   whenever the true per-operator cardinalities respect their intervals.
-   The argmax records which breaker holds the largest certified live set
-   — the operator an admission rejection should point at. *)
-let memory_height_certified stats ~config alg =
-  let tree = intervals stats alg in
-  let budget = Option.map float_of_int config.Eval.spill_budget_rows in
+(* An [=]/[<=>] conjunct between differently-qualified attributes is
+   what [Spill.join] partitions on — the same syntactic test the GMDJ hash
+   strategy uses ([block_hashable]). *)
+let join_partitionable cond = block_hashable cond
+
+(* Memory height: the one model of the rows the streaming executor
+   ([Eval.dispatch]) holds materialized — the planning-time counterpart
+   of the measured ["eval.peak_materialized_rows"] gauge.  Per node it
+   yields [(peak, live, copy)]: the high-water mark while the node sets
+   up its output stream (every breaker below it runs then), the rows it
+   keeps held while that stream flows, and the rows a consumer adds by
+   collecting the stream ([0] when the output already is a relation the
+   consumer borrows: a table, an alias of one, a breaker's result).
+
+   - Pipelined operators hold nothing of their own.
+   - A build/probe operator (Product, Diff_all, Join) collects its right
+     input and holds it while its left input is set up and streams.
+   - A breaker releases its input and holds its result; GROUP BY /
+     DISTINCT fold their input without charging it, Sort and the GMDJ
+     base collect theirs first.
+   - The root's result is collected once more at the end.
+
+   [rows] reads a node's cardinality: a point estimate, or a certified
+   interval's upper bound, which makes the result a sound ceiling.
+   [budget] is the spill cap: state a spilling operator bounds (GROUP BY
+   hash state, a partitionable join's inputs) is charged at most
+   [budget], the excess accumulating as spill volume; every spilling
+   join collects both inputs. *)
+let height ~rows ~budget alg tree =
   let spilled = ref 0.0 in
   let cap r =
     match budget with
-    | None -> r
-    | Some b ->
-      if r > b then begin
-        spilled := !spilled +. (r -. b);
-        b
-      end
-      else r
+    | Some b when r > b ->
+      spilled := !spilled +. (r -. b);
+      b
+    | Some _ | None -> r
   in
   let best = ref (0.0, "<streaming>", ([] : string list)) in
-  let note v t =
+  let note v (t : Interval.tree) =
     let b, _, _ = !best in
     if v > b then best := (v, t.Interval.op, t.Interval.path)
   in
-  let hi (t : Interval.tree) = t.Interval.ival.Interval.hi in
-  let mat sub t =
-    match sub with
-    | Algebra.Table _ | Algebra.Rename (_, Algebra.Table _) -> 0.0
-    | _ -> hi t
-  in
-  let child1 t = match t.Interval.children with [ c ] -> c | _ -> assert false in
-  let child2 t =
-    match t.Interval.children with [ a; b ] -> (a, b) | _ -> assert false
-  in
-  let rec h alg t =
-    match alg with
-    | Algebra.Table _ -> 0.0
-    | Algebra.Rename (_, x)
-    | Algebra.Select (_, x)
-    | Algebra.Project (_, x)
-    | Algebra.Project_rel (_, x)
-    | Algebra.Add_rownum (_, x) ->
-      h x (child1 t)
-    | Algebra.Project_cols { distinct; input; _ } ->
-      if distinct then begin
-        let live = cap (hi t) in
-        note live t;
-        Float.max (h input (child1 t)) live
-      end
-      else h input (child1 t)
-    | Algebra.Distinct x ->
-      let live = cap (hi t) in
-      note live t;
-      Float.max (h x (child1 t)) live
-    | Algebra.Sort { input; _ } ->
-      (* Unspillable: the whole input is held to sort it. *)
-      let ct = child1 t in
-      let live = mat input ct +. hi t in
-      note live t;
-      Float.max (h input ct) live
-    | Algebra.Group_by { input; _ } ->
-      let live = cap (hi t) in
-      note live t;
-      Float.max (h input (child1 t)) live
-    | Algebra.Aggregate_all (_, x) -> Float.max (h x (child1 t)) 1.0
-    | Algebra.Union_all (l, r) ->
-      let lt, rt = child2 t in
-      Float.max (h l lt) (h r rt)
-    | Algebra.Join { cond; left = l; right = r; _ }
-      when budget <> None && join_partitionable cond ->
-      let lt, rt = child2 t in
-      let ml = cap (mat l lt) and mr = cap (mat r rt) in
-      let live = ml +. mr +. hi t in
-      note live t;
-      Float.max (h l lt) (Float.max (ml +. h r rt) live)
-    | Algebra.Product (l, r) | Algebra.Join { left = l; right = r; _ } | Algebra.Diff_all (l, r)
+  let ( ++ ) = Float.max in
+  let rec go alg (t : Interval.tree) =
+    let n = rows alg t in
+    let breaker own peak =
+      note own t;
+      (peak ++ own, n, 0.0)
+    in
+    match alg, t.Interval.children with
+    | Algebra.Table _, _ -> (0.0, 0.0, 0.0)
+    | Algebra.Rename (_, x), [ c ] -> go x c
+    | ( ( Algebra.Select (_, x)
+        | Algebra.Project (_, x)
+        | Algebra.Project_rel (_, x)
+        | Algebra.Add_rownum (_, x)
+        | Algebra.Project_cols { distinct = false; input = x; _ } ),
+        [ c ] ) ->
+      let peak, live, _ = go x c in
+      (peak, live, n)
+    | ( ( Algebra.Group_by { input = x; _ }
+        | Algebra.Distinct x
+        | Algebra.Project_cols { distinct = true; input = x; _ } ),
+        [ c ] ) ->
+      (* A spilling fold charges its resident state while the input is
+         still held; an in-memory fold is charged only as its result. *)
+      let peak, live, _ = go x c in
+      let state = match budget with Some _ -> cap n | None -> 0.0 in
+      breaker ((live +. state) ++ n) peak
+    | Algebra.Aggregate_all (_, x), [ c ] ->
+      let peak, _, _ = go x c in
+      breaker 1.0 peak
+    | Algebra.Sort { input; _ }, [ c ] ->
+      let peak, live, copy = go input c in
+      breaker ((live +. copy) ++ n) peak
+    | (Algebra.Md { base; detail; _ } | Algebra.Md_completed { base; detail; _ }), [ bt; dt ]
       ->
-      let lt, rt = child2 t in
-      let ml = mat l lt and mr = mat r rt in
-      let live = ml +. mr +. hi t in
-      note live t;
-      Float.max (h l lt) (Float.max (ml +. h r rt) live)
-    | Algebra.Md { base; detail; _ } | Algebra.Md_completed { base; detail; _ } ->
-      let bt, dt = child2 t in
-      let mb = mat base bt in
-      let live = mb +. hi t in
-      note live t;
-      Float.max (h base bt) (Float.max (mb +. h detail dt) live)
+      let bpeak, blive, bcopy = go base bt in
+      let dpeak, _, _ = go detail dt in
+      let held = blive +. bcopy in
+      breaker ((held +. dpeak) ++ n) bpeak
+    | Algebra.Join { cond; left; right; _ }, [ lt; rt ] when budget <> None ->
+      (* Spill.join: both inputs are set up, then collected — capped
+         when the condition has a key to partition on, the right one
+         whole otherwise. *)
+      let lpeak, llive, _ = go left lt in
+      let rpeak, rlive, _ = go right rt in
+      let resident =
+        if join_partitionable cond then cap (rows left lt) +. cap (rows right rt)
+        else rows right rt
+      in
+      breaker ((llive +. rpeak) ++ (llive +. rlive +. resident) ++ n) lpeak
+    | ( ( Algebra.Product (left, right)
+        | Algebra.Join { left; right; _ }
+        | Algebra.Diff_all (left, right) ),
+        [ lt; rt ] ) ->
+      let rpeak, rlive, rcopy = go right rt in
+      let build = rlive +. rcopy in
+      let lpeak, llive, _ = go left lt in
+      note build t;
+      (rpeak ++ (build +. lpeak), build +. llive, n)
+    | Algebra.Union_all (l, r), [ lt; rt ] ->
+      let lpeak, llive, _ = go l lt in
+      let rpeak, rlive, _ = go r rt in
+      (lpeak ++ (llive +. rpeak), llive +. rlive, n)
+    | _ -> invalid_arg "Cost.height: interval tree does not match the plan"
   in
-  let bound = h alg tree in
+  let peak, live, copy = go alg tree in
   let argmax_rows, argmax_op, argmax_path = !best in
-  { bound; spill_bound = !spilled; argmax_op; argmax_path; argmax_rows; tree }
+  {
+    bound = peak ++ (live +. copy);
+    spill_bound = !spilled;
+    argmax_op;
+    argmax_path;
+    argmax_rows;
+    tree;
+  }
+
+let point_rows stats ~config alg _ = (estimate stats ~config alg).rows
+
+let memory_height stats ~config alg =
+  (height ~rows:(point_rows stats ~config) ~budget:None alg (intervals stats alg)).bound
+
+let memory_height_spill stats ~config alg =
+  let budget = Option.map float_of_int config.Eval.spill_budget_rows in
+  let h = height ~rows:(point_rows stats ~config) ~budget alg (intervals stats alg) in
+  (h.bound, h.spill_bound)
+
+let memory_height_certified stats ~config alg =
+  height
+    ~rows:(fun _ t -> t.Interval.ival.Interval.hi)
+    ~budget:(Option.map float_of_int config.Eval.spill_budget_rows)
+    alg (intervals stats alg)

@@ -42,18 +42,23 @@ val estimate : Stats.t -> config:Eval.config -> Algebra.t -> estimate
 val memory_height : Stats.t -> config:Eval.config -> Algebra.t -> float
 (** Estimated peak rows the streaming executor holds materialized while
     running the plan — the planning-time counterpart of the measured
-    ["eval.peak_materialized_rows"] gauge.  Streaming operators (Select,
-    Project, Rename, Add_rownum, Union_all, the GMDJ detail side) add
-    nothing of their own; pipeline breakers charge their materialized
-    inputs plus their output; tables (and aliases over tables) are
-    zero-copy inputs and free.  Heuristic, like {!estimate}. *)
+    ["eval.peak_materialized_rows"] gauge — from point estimates and
+    without a spill cap.  One recursion (shared with
+    {!memory_height_spill} and {!memory_height_certified}) models what
+    {!Eval} holds: pipelined operators (Select, Project, Rename,
+    Add_rownum, Union_all, the GMDJ detail side) add nothing of their
+    own; Join, Product and Diff_all hold their right input while the
+    left streams; breakers hold their result (Sort and the GMDJ base
+    also their collected input); tables (and aliases over tables) are
+    zero-copy inputs and free; and the root's result is collected once
+    more.  Heuristic, like {!estimate}. *)
 
 val memory_height_spill : Stats.t -> config:Eval.config -> Algebra.t -> float * float
 (** [(resident, spilled)] under the config's spill budget: breaker state
-    the spilling operators bound (DISTINCT / GROUP BY hash state,
-    equi-join inputs) is capped at [spill_budget_rows], with the excess
-    accumulated as predicted spill volume in rows — disk, not resident
-    memory.  With no budget configured, equals
+    the spilling operators bound (GROUP BY / DISTINCT hash state,
+    partitionable join inputs) is capped at [spill_budget_rows], with
+    the excess accumulated as predicted spill volume in rows — disk, not
+    resident memory.  With no budget configured, equals
     [(memory_height ..., 0.0)].  Admission gates on the resident
     component ({!Subql_server.Admission}); the spill component prices
     the temp-file I/O the plan would do instead. *)
@@ -130,16 +135,17 @@ type certificate = {
   spill_bound : float;
       (** certified rows pushed to temp heap files under the config's
           spill budget; [0] with no budget *)
-  argmax_op : string;  (** breaker holding the largest certified live set *)
+  argmax_op : string;  (** operator holding the largest certified live set *)
   argmax_path : string list;
-  argmax_rows : float;  (** that breaker's certified live rows *)
+  argmax_rows : float;  (** that operator's certified live rows *)
   tree : Interval.tree;  (** the per-operator intervals the bound came from *)
 }
 
 val memory_height_certified : Stats.t -> config:Eval.config -> Algebra.t -> certificate
 (** The {!memory_height_spill} recursion evaluated over interval upper
-    bounds instead of point estimates: a sound ceiling on peak resident
-    rows whenever true cardinalities respect their intervals.  Infinite
-    when the plan reads a table the statistics don't cover.  The argmax
-    names the pipeline breaker that dominates the bound — what an
-    [ADM001] rejection should point at. *)
+    bounds instead of point estimates: without a spill budget, a sound
+    ceiling on the executor's ["eval.peak_materialized_rows"] whenever
+    true cardinalities respect their intervals.  Infinite when the plan
+    reads a table the statistics don't cover.  The argmax names the
+    operator holding the most rows of its own — what an [ADM001]
+    rejection should point at. *)

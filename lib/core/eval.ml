@@ -110,12 +110,10 @@ let acct_release a n = a.live_rows <- a.live_rows - n
 (* Instrumentation hooks.  [on_node_start] fires when a node begins its
    own work (its inputs, under the eager driver, are already complete —
    so deltas snapshotted there are attributable to the node alone);
-   [on_chunk] fires per chunk pulled out of a node; [on_node_done]
-   folds the node's result and its children's annotations into this
-   node's annotation. *)
+   [on_node_done] folds the node's result and its children's
+   annotations into this node's annotation. *)
 type 'ann hooks = {
   on_node_start : Algebra.t -> unit;
-  on_chunk : Algebra.t -> rows:int -> unit;
   on_node_done : Algebra.t -> Relation.t -> Gmdj.stats option -> 'ann list -> 'ann;
 }
 
@@ -125,7 +123,6 @@ type ctx = {
   sources : source_provider;
   override : Algebra.t -> Relation.t option;
   acct : acct;
-  notify_chunk : Algebra.t -> rows:int -> unit;
 }
 
 (* A node's output: a chunk stream plus a thunk releasing whatever the
@@ -143,12 +140,7 @@ let once f =
       f ()
     end
 
-let tap ctx alg src =
-  Chunk.Source.tap
-    (fun rows ->
-      ctx.acct.chunks <- ctx.acct.chunks + 1;
-      ctx.notify_chunk alg ~rows)
-    src
+let tap ctx src = Chunk.Source.tap (fun _ -> ctx.acct.chunks <- ctx.acct.chunks + 1) src
 
 (* Collect a stream into a relation, accounting the copy — unless the
    stream is an untouched whole-relation source, in which case the rows
@@ -170,11 +162,11 @@ let materialize ctx s =
 
 (* An operator's freshly materialized output, entering the accounting
    until the consumer releases it. *)
-let emit ctx alg r =
+let emit ctx r =
   let n = Relation.cardinality r in
   acct_alloc ctx.acct n;
   {
-    src = tap ctx alg (Chunk.Source.of_relation r);
+    src = tap ctx (Chunk.Source.of_relation r);
     release = once (fun () -> acct_release ctx.acct n);
   }
 
@@ -216,43 +208,26 @@ let spill_outcome ctx (o : Subql_storage.Spill.outcome) =
   acct_release ctx.acct o.Subql_storage.Spill.resident_peak_rows;
   o.Subql_storage.Spill.result
 
-(* DISTINCT / GROUP BY under the configured execution mode: spilling
-   when a budget is set (resident hash state freezes at the budget,
-   overflow goes through temp heap files), exchange-parallel when
-   [domains > 1] (rows are hash-partitioned on the breaker key, so the
-   per-domain states are key-disjoint and their results concatenate),
-   serial streaming otherwise. *)
-let run_distinct ctx src =
+(* GROUP BY — and DISTINCT, its zero-aggregate case on every column —
+   under the configured execution mode: spilling when a budget is set
+   (resident hash state freezes at the budget, overflow goes through
+   temp heap files), exchange-parallel when [domains > 1] (rows are
+   hash-partitioned on the group key, so the per-domain states are
+   key-disjoint and their results concatenate), serial streaming
+   otherwise. *)
+let run_group_by ctx ?keys ~aggs src =
   match ctx.config.spill_budget_rows with
-  | Some budget -> spill_outcome ctx (Subql_storage.Spill.distinct ~budget src)
-  | None ->
-    if ctx.config.domains > 1 then begin
-      let schema = Chunk.Source.schema src in
-      let rows =
-        Chunk.Exchange.fold ~domains:ctx.config.domains ~partition:Tuple.hash
-          ~init:(fun _ -> Ops.Distinct_acc.create ())
-          ~fold:(fun acc c ->
-            Chunk.iter (fun row -> ignore (Ops.Distinct_acc.add acc row)) c;
-            acc)
-          ~finish:Ops.Distinct_acc.rows src
-      in
-      Relation.create ~check:false schema (Array.concat rows)
-    end
-    else Ops.distinct_source src
-
-let run_group_by ctx ~keys ~aggs src =
-  match ctx.config.spill_budget_rows with
-  | Some budget -> spill_outcome ctx (Subql_storage.Spill.group_by ~budget ~keys ~aggs src)
+  | Some budget -> spill_outcome ctx (Subql_storage.Spill.group_by ~budget ?keys ~aggs src)
   | None ->
     if ctx.config.domains > 1 then begin
       let schema = Chunk.Source.schema src in
       (* Compiled once on the coordinator purely to route rows by group
          key; every worker compiles its own aggregate state. *)
-      let probe = Ops.Group_acc.create ~schema ~keys ~aggs in
+      let probe = Ops.Group_acc.create ?keys ~aggs schema in
       let rows =
         Chunk.Exchange.fold ~domains:ctx.config.domains
           ~partition:(fun row -> Tuple.hash (Ops.Group_acc.key_of probe row))
-          ~init:(fun _ -> Ops.Group_acc.create ~schema ~keys ~aggs)
+          ~init:(fun _ -> Ops.Group_acc.create ?keys ~aggs schema)
           ~fold:(fun acc c ->
             Chunk.iter (Ops.Group_acc.step acc) c;
             acc)
@@ -261,14 +236,20 @@ let run_group_by ctx ~keys ~aggs src =
       in
       Relation.create ~check:false (Ops.Group_acc.out_schema probe) (Array.concat rows)
     end
-    else Ops.group_by_source ~keys ~aggs src
+    else Ops.group_by ?keys ~aggs src
+
+(* A breaker's result: fold the child's stream, release what the child
+   held, and emit the folded relation. *)
+let fold_child ctx (c : streamed) fold =
+  let out = fold c.src in
+  c.release ();
+  emit ctx out
 
 (* GMDJ over the child streams: the base side is materialized (every
    detail row probes it), the detail side is folded in one pass through
    [Gmdj.eval] — inline at one domain, over the exchange at more. *)
-let run_md ctx ?gmdj_stats ?completion ~child alg ~base:b ~detail:d blocks =
-  let cb = child b in
-  let base, bfree = materialize ctx cb in
+let run_md ctx ?gmdj_stats ?completion ~child ~base:b ~detail:d blocks =
+  let base, bfree = materialize ctx (child b) in
   let cd = child d in
   let out =
     Gmdj.eval ~strategy:ctx.config.gmdj_strategy ?stats:gmdj_stats ?completion
@@ -276,21 +257,50 @@ let run_md ctx ?gmdj_stats ?completion ~child alg ~base:b ~detail:d blocks =
   in
   cd.release ();
   bfree ();
-  emit ctx alg out
+  emit ctx out
+
+(* A build/probe operator: the right child is materialized as the build
+   side, then the left child streams through [op] as the probe side.
+   Both inputs are accounted exactly as long as the output stream: they
+   are released when that stream closes (drained or closed early), not
+   when the consumer releases, since the output rows no longer need
+   them. *)
+let run_probe ctx ~child ~left ~right op =
+  let build, bfree = materialize ctx (child right) in
+  let cl = child left in
+  let out = op build cl.src in
+  let release =
+    once (fun () ->
+        bfree ();
+        cl.release ())
+  in
+  let src =
+    Chunk.Source.create ~schema:(Chunk.Source.schema out)
+      ~close:(fun () ->
+        Chunk.Source.close out;
+        release ())
+      (fun () -> Chunk.Source.next out)
+  in
+  { src = tap ctx src; release }
 
 (* The one per-node dispatch.  [child] yields each operand's streamed
-   value, in [children] order.  Fully pipelined operators pass the
-   stream through; blocking operators either consume the stream
-   incrementally (Group_by, Distinct — bounded state, no input copy) or
-   materialize inputs they must revisit (Join, Product, GMDJ base). *)
+   value.  Fully pipelined operators pass the stream through; build/probe
+   operators hold their right input and stream their left; breakers
+   fold their input (Group_by, Distinct, Aggregate_all — bounded state,
+   no input copy) or materialize what they must revisit (Sort, the GMDJ
+   base). *)
 let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
+  let pipe x op =
+    let c = child x in
+    { src = tap ctx (op c.src); release = c.release }
+  in
   match alg with
   | Algebra.Table name -> (
     match ctx.sources name with
-    | Some src -> { src = tap ctx alg src; release = no_release }
+    | Some src -> { src = tap ctx src; release = no_release }
     | None ->
       {
-        src = tap ctx alg (Chunk.Source.of_relation (Catalog.find ctx.catalog name));
+        src = tap ctx (Chunk.Source.of_relation (Catalog.find ctx.catalog name));
         release = no_release;
       })
   | Algebra.Rename (alias, x) -> (
@@ -301,114 +311,73 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
          origin shortcut (and the rows) intact. *)
       Chunk.Source.close c.src;
       {
-        src = tap ctx alg (Chunk.Source.of_relation (Relation.rename alias r));
+        src = tap ctx (Chunk.Source.of_relation (Relation.rename alias r));
         release = c.release;
       }
-    | None -> { src = tap ctx alg (Ops.rename_source alias c.src); release = c.release })
-  | Algebra.Select (e, x) ->
-    let c = child x in
-    { src = tap ctx alg (Ops.select_source e c.src); release = c.release }
-  | Algebra.Project (ps, x) ->
-    let c = child x in
-    { src = tap ctx alg (Ops.project_source ps c.src); release = c.release }
-  | Algebra.Project_cols { cols; distinct; _ } ->
-    let c = child (List.hd (children alg)) in
-    if distinct then begin
-      let r = run_distinct ctx (Ops.project_cols_source cols c.src) in
-      c.release ();
-      emit ctx alg r
-    end
-    else { src = tap ctx alg (Ops.project_cols_source cols c.src); release = c.release }
+    | None -> { src = tap ctx (Ops.rename alias c.src); release = c.release })
+  | Algebra.Select (e, x) -> pipe x (Ops.select e)
+  | Algebra.Project (ps, x) -> pipe x (Ops.project ps)
+  | Algebra.Project_cols { cols; distinct = false; input } -> pipe input (Ops.project_cols cols)
+  | Algebra.Project_cols { cols; distinct = true; input } ->
+    fold_child ctx (child input) (fun src -> run_group_by ctx ~aggs:[] (Ops.project_cols cols src))
   | Algebra.Project_rel (aliases, x) ->
-    let c = child x in
-    let s = Chunk.Source.schema c.src in
-    let cols =
-      List.filter_map
-        (fun a ->
-          if List.mem a.Schema.rel aliases then Some (Some a.Schema.rel, a.Schema.name)
-          else None)
-        (Schema.to_list s)
-    in
-    { src = tap ctx alg (Ops.project_cols_source cols c.src); release = c.release }
-  | Algebra.Add_rownum (name, x) ->
-    let c = child x in
-    { src = tap ctx alg (Ops.add_rownum_source name c.src); release = c.release }
-  | Algebra.Product (l, r) ->
-    let cl = child l and cr = child r in
-    let lrel, lfree = materialize ctx cl in
-    let rrel, rfree = materialize ctx cr in
-    let out = Ops.product lrel rrel in
-    lfree ();
-    rfree ();
-    emit ctx alg out
-  | Algebra.Join { kind; cond; left; right } ->
-    let cl = child left and cr = child right in
-    let strategy = ctx.config.join_strategy in
-    let out =
-      match ctx.config.spill_budget_rows with
-      | Some budget ->
-        (* Grace hash join straight off the child streams: neither side is
-           materialized here — Spill collects up to the budget and
-           hash-partitions the rest to temp heap files. *)
-        let out =
-          spill_outcome ctx
-            (Subql_storage.Spill.join ~budget ~strategy ~kind ~cond ~left:cl.src
-               ~right:cr.src ())
+    pipe x (fun src ->
+        let cols =
+          List.filter_map
+            (fun a ->
+              if List.mem a.Schema.rel aliases then Some (Some a.Schema.rel, a.Schema.name)
+              else None)
+            (Schema.to_list (Chunk.Source.schema src))
         in
-        cl.release ();
-        cr.release ();
-        out
-      | None ->
-        let lrel, lfree = materialize ctx cl in
-        let rrel, rfree = materialize ctx cr in
-        let out = Ops.join ~strategy ~kind cond lrel rrel in
-        lfree ();
-        rfree ();
-        out
-    in
-    emit ctx alg out
-  | Algebra.Group_by { keys; aggs; _ } ->
-    let c = child (List.hd (children alg)) in
-    let out = run_group_by ctx ~keys ~aggs c.src in
-    c.release ();
-    emit ctx alg out
-  | Algebra.Aggregate_all (aggs, x) ->
-    let c = child x in
-    let out = Ops.aggregate_all_source aggs c.src in
-    c.release ();
-    emit ctx alg out
-  | Algebra.Md { blocks; base; detail } -> run_md ctx ?gmdj_stats ~child alg ~base ~detail blocks
+        Ops.project_cols cols src)
+  | Algebra.Add_rownum (name, x) -> pipe x (Ops.add_rownum name)
+  | Algebra.Product (left, right) ->
+    run_probe ctx ~child ~left ~right (fun build probe -> Ops.product ~build probe)
+  | Algebra.Join { kind; cond; left; right } -> (
+    let strategy = ctx.config.join_strategy in
+    match ctx.config.spill_budget_rows with
+    | Some budget ->
+      (* Grace hash join straight off the child streams: neither side is
+         materialized here — Spill collects up to the budget and
+         hash-partitions the rest to temp heap files. *)
+      let cl = child left in
+      let cr = child right in
+      let out =
+        spill_outcome ctx
+          (Subql_storage.Spill.join ~budget ~strategy ~kind ~cond ~left:cl.src ~right:cr.src ())
+      in
+      cl.release ();
+      cr.release ();
+      emit ctx out
+    | None ->
+      run_probe ctx ~child ~left ~right (fun build probe ->
+          Ops.join ~strategy ~kind cond ~build probe))
+  | Algebra.Group_by { keys; aggs; input } ->
+    fold_child ctx (child input) (run_group_by ctx ~keys ~aggs)
+  | Algebra.Aggregate_all (aggs, x) -> fold_child ctx (child x) (Ops.aggregate_all aggs)
+  | Algebra.Md { blocks; base; detail } -> run_md ctx ?gmdj_stats ~child ~base ~detail blocks
   | Algebra.Md_completed { blocks; completion; base; detail } ->
-    run_md ctx ?gmdj_stats ~completion ~child alg ~base ~detail blocks
+    run_md ctx ?gmdj_stats ~completion ~child ~base ~detail blocks
   | Algebra.Union_all (l, r) ->
-    let cl = child l and cr = child r in
+    let cl = child l in
+    let cr = child r in
     {
-      src = tap ctx alg (Ops.union_all_source cl.src cr.src);
+      src = tap ctx (Ops.union_all cl.src cr.src);
       release =
         once (fun () ->
             cl.release ();
             cr.release ());
     }
-  | Algebra.Diff_all (l, r) ->
-    let cl = child l and cr = child r in
-    let lrel, lfree = materialize ctx cl in
-    let rrel, rfree = materialize ctx cr in
-    let out = Ops.diff_all lrel rrel in
-    lfree ();
-    rfree ();
-    emit ctx alg out
-  | Algebra.Distinct x ->
-    let c = child x in
-    let out = run_distinct ctx c.src in
-    c.release ();
-    emit ctx alg out
+  | Algebra.Diff_all (left, right) ->
+    run_probe ctx ~child ~left ~right (fun build probe -> Ops.diff_all ~build probe)
+  | Algebra.Distinct x -> fold_child ctx (child x) (run_group_by ctx ~aggs:[])
   | Algebra.Sort { by; limit; input } ->
-    let c = child input in
-    let r, free = materialize ctx c in
-    let sorted = Ops.sort ~by r in
-    let out = match limit with Some n -> Ops.limit n sorted | None -> sorted in
+    (* The sort revisits its whole input: materialize it (accounted, or
+       borrowed through the origin shortcut) and sort that copy. *)
+    let r, free = materialize ctx (child input) in
+    let out = Ops.sort ~by ?limit (Chunk.Source.of_relation r) in
     free ();
-    emit ctx alg out
+    emit ctx out
 
 (* Lazy driver: the plan becomes a tree of chunk streams; work happens
    as the root is drained. *)
@@ -416,7 +385,7 @@ let rec run_stream ctx ?gmdj_stats alg =
   match ctx.override alg with
   | Some r ->
     validate_override ctx alg r;
-    { src = tap ctx alg (Chunk.Source.of_relation r); release = no_release }
+    { src = tap ctx (Chunk.Source.of_relation r); release = no_release }
   | None -> dispatch ctx ?gmdj_stats ~child:(fun sub -> run_stream ctx ?gmdj_stats sub) alg
 
 (* Eager driver: children are fully evaluated (and annotated) before
@@ -435,13 +404,23 @@ let rec run_eager ctx hooks alg =
       | Algebra.Md _ | Algebra.Md_completed _ -> Some (Gmdj.fresh_stats ())
       | _ -> None
     in
-    let pending = ref (List.map (fun (r, free, _) -> (r, free)) kid_results) in
-    let child _sub =
-      match !pending with
-      | [] -> invalid_arg "Eval.run_eager: child arity mismatch"
-      | (r, free) :: rest ->
-        pending := rest;
-        { src = Chunk.Source.of_relation r; release = free }
+    (* [dispatch] asks for its operands in its own order (a build side
+       before its probe side), so hand each result out by subplan. *)
+    let pending =
+      ref (List.map2 (fun k (r, free, _) -> (k, r, free)) (children alg) kid_results)
+    in
+    let child sub =
+      let rec take = function
+        | [] -> invalid_arg "Eval.run_eager: not an operand of the node"
+        | (k, r, free) :: rest when k == sub ->
+          ({ src = Chunk.Source.of_relation r; release = free }, rest)
+        | x :: rest ->
+          let s, rest = take rest in
+          (s, x :: rest)
+      in
+      let s, rest = take !pending in
+      pending := rest;
+      s
     in
     hooks.on_node_start alg;
     let result, free =
@@ -467,11 +446,8 @@ let no_sources _ = None
 
 let no_override _ = None
 
-let silent_chunk _ ~rows:_ = ()
-
-let make_ctx ?(sources = no_sources) ?(override = no_override)
-    ?(notify_chunk = silent_chunk) ~config catalog =
-  { config; catalog; sources; override; acct = acct_create (); notify_chunk }
+let make_ctx ?(sources = no_sources) ?(override = no_override) ~config catalog =
+  { config; catalog; sources; override; acct = acct_create () }
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points — thin wrappers over the two drivers            *)
@@ -484,11 +460,8 @@ let run_to_relation ctx ?gmdj_stats alg =
   publish_run ctx;
   r
 
-let eval ?(config = default_config) ?gmdj_stats catalog alg =
-  run_to_relation (make_ctx ~config catalog) ?gmdj_stats alg
-
-let eval_with_overrides ?(config = default_config) ?gmdj_stats ~override catalog alg =
-  run_to_relation (make_ctx ~override ~config catalog) ?gmdj_stats alg
+let eval ?(config = default_config) ?gmdj_stats ?override catalog alg =
+  run_to_relation (make_ctx ?override ~config catalog) ?gmdj_stats alg
 
 let eval_exec ?(config = default_config) ?gmdj_stats ?sources catalog alg =
   let ctx = make_ctx ?sources ~config catalog in
@@ -498,13 +471,6 @@ let eval_exec ?(config = default_config) ?gmdj_stats ?sources catalog alg =
 (* ------------------------------------------------------------------ *)
 (* Instrumented evaluation                                              *)
 (* ------------------------------------------------------------------ *)
-
-type trace = {
-  label : string;
-  out_rows : int;
-  self_seconds : float;
-  children : trace list;
-}
 
 (* EXPLAIN ANALYZE: every operator runs inside a trace span and yields a
    {!Subql_obs.Explain.node} carrying what actually happened.  Buffer-
@@ -544,7 +510,6 @@ let eval_analyzed ?(config = default_config) ?(registry = Subql_obs.Metrics.defa
     {
       on_node_start =
         (fun _ -> stack := (Subql_obs.Clock.now (), pool_hits (), pool_reads ()) :: !stack);
-      on_chunk = (fun _ ~rows:_ -> ());
       on_node_done =
         (fun alg result gmdj_stats kid_nodes ->
           let t0, hits0, reads0 =
@@ -578,25 +543,3 @@ let eval_analyzed ?(config = default_config) ?(registry = Subql_obs.Metrics.defa
   free ();
   publish_run ctx;
   (result, node)
-
-let eval_traced ?config catalog alg =
-  let result, analysis = eval_analyzed ?config catalog alg in
-  let rec strip n =
-    {
-      label = n.Subql_obs.Explain.label;
-      out_rows = n.Subql_obs.Explain.rows_out;
-      self_seconds = n.Subql_obs.Explain.elapsed_s;
-      children = List.map strip n.Subql_obs.Explain.children;
-    }
-  in
-  (result, strip analysis)
-
-let pp_trace ppf trace =
-  let rec pp indent t =
-    Format.fprintf ppf "%s%-60s %10d rows %9.3f ms@."
-      (String.make indent ' ')
-      (if String.length t.label > 60 then String.sub t.label 0 57 ^ "..." else t.label)
-      t.out_rows (t.self_seconds *. 1000.0);
-    List.iter (pp (indent + 2)) t.children
-  in
-  pp 0 trace

@@ -52,17 +52,34 @@ val unindexed_config : config
     All entry points run one shared executor skeleton.  Operators
     exchange pull-based chunk streams ({!Subql_relational.Chunk.Source.t}):
     Select / Project / Rename / Add_rownum / Union_all and the GMDJ
-    detail side are fully pipelined, while pipeline breakers (Join,
-    Product, Group_by, Distinct, Diff_all, the GMDJ base side) buffer
-    only what they must.  Every run publishes ["eval.chunks"] (chunks
-    pulled through operator boundaries) and
-    ["eval.peak_materialized_rows"] (high-water mark of rows the
-    executor held materialized) into {!Subql_obs.Metrics.default}. *)
+    detail side are fully pipelined; Join, Product and Diff_all hold
+    their right input and stream their left (a spilling Join collects
+    both up to its budget); Group_by, Distinct and Aggregate_all fold
+    their input into hash state; Sort and the GMDJ base side are
+    materialized.  Every run publishes ["eval.chunks"] (chunks pulled
+    through operator boundaries) and ["eval.peak_materialized_rows"]
+    (high-water mark of rows the executor held materialized) into
+    {!Subql_obs.Metrics.default}. *)
 
 val eval :
-  ?config:config -> ?gmdj_stats:Gmdj.stats -> Catalog.t -> Algebra.t -> Relation.t
+  ?config:config ->
+  ?gmdj_stats:Gmdj.stats ->
+  ?override:(Algebra.t -> Relation.t option) ->
+  Catalog.t ->
+  Algebra.t ->
+  Relation.t
 (** [gmdj_stats], when provided, accumulates over every [Md] /
-    [Md_completed] node evaluated. *)
+    [Md_completed] node evaluated.
+
+    [override], when provided, is consulted at every node before
+    evaluation; [Some r] short-circuits the whole subtree with [r].  The
+    multi-query layer ([Subql_mqo]) uses this to splice shared GMDJ
+    results into several queries' plans: each plan references the same
+    physical combined node, and the override memoizes its single
+    evaluation.  An override result whose schema contradicts the node's
+    inferred schema is rejected with a {!Subql_relational.Diag.Fail}
+    (code [EVL001]); nodes whose schema cannot be inferred fall back to
+    the caller's contract. *)
 
 type source_provider = string -> Chunk.Source.t option
 (** Where table scans come from.  [Some src] streams the named table
@@ -93,23 +110,6 @@ val eval_exec :
 
 val schema : Catalog.t -> Algebra.t -> Schema.t
 
-val eval_with_overrides :
-  ?config:config ->
-  ?gmdj_stats:Gmdj.stats ->
-  override:(Algebra.t -> Relation.t option) ->
-  Catalog.t ->
-  Algebra.t ->
-  Relation.t
-(** Like {!eval}, but [override] is consulted at every node before
-    evaluation; [Some r] short-circuits the whole subtree with [r].  The
-    multi-query layer ([Subql_mqo]) uses this to splice shared GMDJ
-    results into several queries' plans: each plan references the same
-    physical combined node, and the override memoizes its single
-    evaluation.  An override result whose schema contradicts the node's
-    inferred schema is rejected with a {!Subql_relational.Diag.Fail}
-    (code [EVL001]); nodes whose schema cannot be inferred fall back to
-    the caller's contract. *)
-
 (** {1 Instrumented evaluation (EXPLAIN ANALYZE)} *)
 
 val eval_analyzed :
@@ -129,17 +129,3 @@ val eval_analyzed :
     attribute) so [--trace] exports line up with the plan, and publishes
     per-operator totals into [registry] (default
     {!Subql_obs.Metrics.default}) under ["eval.*"]. *)
-
-type trace = {
-  label : string;  (** operator rendering *)
-  out_rows : int;
-  self_seconds : float;  (** time in this operator, children excluded *)
-  children : trace list;
-}
-
-val eval_traced :
-  ?config:config -> Catalog.t -> Algebra.t -> Relation.t * trace
-(** The cardinality/time projection of {!eval_analyzed}. *)
-
-val pp_trace : Format.formatter -> trace -> unit
-(** Indented tree with per-operator output cardinality and time. *)

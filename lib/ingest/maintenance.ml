@@ -124,7 +124,7 @@ let eval_via_state (t : t) v (m : Deltaable.maintainable) state =
   (* Splice the maintained accumulators into the registered plan: the
      override answers the [Md] subterm, the surrounding operators run
      normally over its (small) output. *)
-  Subql.Eval.eval_with_overrides ~config:t.config
+  Subql.Eval.eval ~config:t.config
     ~override:(fun node ->
       if node == m.Deltaable.md_node then Some (Gmdj.Maintain.result state) else None)
     t.catalog v.plan

@@ -14,7 +14,7 @@
       detail side's row-local operator chain — into live accumulators
       via {!Subql_gmdj.Gmdj.Maintain.insert_source}, and the plan
       re-answered by splicing the maintained MD result in via
-      [Eval.eval_with_overrides];
+      [Eval.eval ~override];
     - {b full recompute} — everything else, with the rebuilt accumulator
       state serving the recomputation scan for maintainable plans.
 

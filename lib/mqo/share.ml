@@ -277,7 +277,7 @@ let run ?(config = Eval.default_config) ?gmdj_stats
       (fun (g, _) ->
         List.map
           (fun (m : member) ->
-            (m.index, Eval.eval_with_overrides ~config ?gmdj_stats ~override catalog m.plan))
+            (m.index, Eval.eval ~config ?gmdj_stats ~override catalog m.plan))
           g.members)
       memoized
   in

@@ -10,12 +10,20 @@ type stats = {
 
 let fresh_stats () = { subquery_invocations = 0; inner_rows_examined = 0 }
 
+(* The oracle works on whole relations: stream one through an operator
+   and collect the result. *)
+let whole op rel = Chunk.Source.to_relation (op (Chunk.Source.of_relation rel))
+
 let rec eval_base catalog = function
   | Btable t -> Catalog.find catalog t
-  | Bselect (p, b) -> Ops.select p (eval_base catalog b)
+  | Bselect (p, b) -> whole (Ops.select p) (eval_base catalog b)
   | Bproject { cols; distinct; input } ->
-    Ops.project_cols ~distinct (List.map (fun c -> (None, c)) cols) (eval_base catalog input)
-  | Bproduct (a, b) -> Ops.product (eval_base catalog a) (eval_base catalog b)
+    let projected =
+      whole (Ops.project_cols (List.map (fun c -> (None, c)) cols)) (eval_base catalog input)
+    in
+    if distinct then Ops.group_by ~aggs:[] (Chunk.Source.of_relation projected) else projected
+  | Bproduct (a, b) ->
+    whole (Ops.product ~build:(eval_base catalog b)) (eval_base catalog a)
   | Balias (a, b) -> Relation.rename a (eval_base catalog b)
 
 let rec pred_depth = function
@@ -183,7 +191,7 @@ and compile_iteration ~mode ~stats ~catalog ~frames ~frames' ~ctx ~d ~source s =
       | [] -> source
       | atoms ->
         let es = List.map (function Atom e -> e | _ -> assert false) atoms in
-        Ops.select (Expr.conjoin es) source
+        whole (Ops.select (Expr.conjoin es)) source
     in
     let rows = Relation.rows source in
     (* 2. Extract equi-correlation conjuncts: outer expression = local
@@ -262,20 +270,22 @@ let apply_tail q rel =
   let rel =
     match q.q_select with
     | Select_all -> rel
-    | Select_cols cols -> Ops.project_cols cols rel
-    | Select_exprs exprs -> Ops.project exprs rel
+    | Select_cols cols -> whole (Ops.project_cols cols) rel
+    | Select_exprs exprs -> whole (Ops.project exprs) rel
     | Select_grouped g ->
+      let src = Chunk.Source.of_relation rel in
       let grouped =
         match g.keys with
-        | [] -> Ops.aggregate_all g.aggs rel
-        | keys -> Ops.group_by ~keys ~aggs:g.aggs rel
+        | [] -> Ops.aggregate_all g.aggs src
+        | keys -> Ops.group_by ~keys ~aggs:g.aggs src
       in
-      let kept = match g.having with Some h -> Ops.select h grouped | None -> grouped in
-      Ops.project g.out kept
+      let kept =
+        match g.having with Some h -> whole (Ops.select h) grouped | None -> grouped
+      in
+      whole (Ops.project g.out) kept
   in
-  let rel = if q.q_distinct then Ops.distinct rel else rel in
-  let rel = Ops.sort ~by:q.q_order_by rel in
-  match q.q_limit with Some n -> Ops.limit n rel | None -> rel
+  let rel = if q.q_distinct then Ops.group_by ~aggs:[] (Chunk.Source.of_relation rel) else rel in
+  Ops.sort ~by:q.q_order_by ?limit:q.q_limit (Chunk.Source.of_relation rel)
 
 let rename_base alias rel = if alias = "" then rel else Relation.rename alias rel
 

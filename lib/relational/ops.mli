@@ -1,13 +1,26 @@
-(** The relational operator suite.
+(** The relational operator suite, one entry point per operator, over
+    pull-based chunk streams ({!Chunk.Source.t}).
 
-    Every operator is a total function from relations to a relation.
+    - {b Pipelined} operators ([select], [project], [project_cols],
+      [rename], [add_rownum], [union_all]) map a source to a source,
+      chunk in, chunk out; each compiles its kernel once per call.
+    - {b Build/probe} operators ([join], [product], [diff_all]) take
+      their right input whole as [~build] and stream the left input as
+      the probe side.  The build side's access path (hash index, sorted
+      array, or monus budget) is built once, when the operator is
+      called; the output is then the probe stream mapped chunk by chunk,
+      so left-row order is kept and nothing but the build is held.
+    - {b Breakers} ([group_by], [aggregate_all], [sort]) fold a source
+      into a {!Relation.t}.  DISTINCT is [group_by] on every column with
+      no aggregates.
+
     Join-like operators take a [strategy]: [`Hash] extracts the [=] and
-    null-safe [<=>] keys from the condition and probes a hash index (the "indexed"
-    plans of the paper's experiments); [`Sort_merge] sorts the right
-    side on the equi-keys and binary-searches per left row (the
+    null-safe [<=>] keys from the condition and probes a hash index (the
+    "indexed" plans of the paper's experiments); [`Sort_merge] sorts the
+    build side on the equi-keys and binary-searches per probe row (the
     sort-merge plans the paper's DBMS fell back to); [`Nested_loop]
     compares every pair (the "no useful index" situation).  All produce
-    identical results. *)
+    identical results in identical order. *)
 
 type join_strategy = [ `Hash | `Nested_loop | `Sort_merge ]
 
@@ -17,133 +30,94 @@ type join_strategy = [ `Hash | `Nested_loop | `Sort_merge ]
     row iff it has none.  Semi and anti joins emit left columns only. *)
 type join_kind = Inner | Left_outer | Semi | Anti
 
-val select : Expr.t -> Relation.t -> Relation.t
+(** {1 Pipelined} *)
+
+val select : Expr.t -> Chunk.Source.t -> Chunk.Source.t
 (** Keep the rows on which the predicate is [true] (3VL truncation). *)
 
-val project : (Expr.t * string) list -> Relation.t -> Relation.t
+val project : (Expr.t * string) list -> Chunk.Source.t -> Chunk.Source.t
 (** Computed projection; output attributes are unqualified. *)
 
-val project_cols :
-  ?distinct:bool -> (string option * string) list -> Relation.t -> Relation.t
-(** Column projection preserving attribute metadata.  [distinct] removes
-    duplicates (NULLs compare equal, as in SQL DISTINCT). *)
+val project_cols : (string option * string) list -> Chunk.Source.t -> Chunk.Source.t
+(** Column projection preserving attribute metadata. *)
 
-val distinct : Relation.t -> Relation.t
-
-val product : Relation.t -> Relation.t -> Relation.t
-
-val join :
-  ?strategy:join_strategy -> kind:join_kind -> Expr.t -> Relation.t -> Relation.t -> Relation.t
-
-val group_by :
-  keys:(string option * string) list ->
-  aggs:Aggregate.spec list ->
-  Relation.t ->
-  Relation.t
-(** SQL GROUP BY: keys group with NULLs equal; output schema is the key
-    attributes followed by one unqualified column per aggregate.
-    An empty input yields an empty output. *)
-
-val aggregate_all : Aggregate.spec list -> Relation.t -> Relation.t
-(** Aggregation without grouping: always exactly one output row, even on
-    empty input (COUNT yields 0, SUM/MIN/MAX/AVG yield NULL). *)
-
-val union_all : Relation.t -> Relation.t -> Relation.t
-(** @raise Invalid_argument if the schemas differ positionally. *)
-
-val diff_all : Relation.t -> Relation.t -> Relation.t
-(** Multiset difference (monus): each right occurrence cancels one left
-    occurrence. *)
-
-val sort :
-  by:((string option * string) * [ `Asc | `Desc ]) list -> Relation.t -> Relation.t
-(** Stable sort on the keys (NULLs first ascending); [by = \[\]] keeps
-    the input as it is. *)
-
-val limit : int -> Relation.t -> Relation.t
-
-(** {1 Streaming variants}
-
-    Chunk-at-a-time counterparts used by the streaming executor.  Each
-    is the same kernel as the whole-relation operator above — compiled
-    once at plan time, applied per chunk — so both paths share one
-    implementation of the operator's semantics.
-
-    [select_source] / [project_source] / [project_cols_source] /
-    [rename_source] / [add_rownum_source] / [union_all_source] are fully
-    pipelined (chunk in, chunk out).  [group_by_source],
-    [aggregate_all_source] and [distinct_source] are pipeline breakers
-    that still consume their input incrementally: they fold the stream
-    into bounded per-group state without materializing the input. *)
-
-val select_source : Expr.t -> Chunk.Source.t -> Chunk.Source.t
-
-val project_source : (Expr.t * string) list -> Chunk.Source.t -> Chunk.Source.t
-
-val project_cols_source : (string option * string) list -> Chunk.Source.t -> Chunk.Source.t
-
-val rename_source : string -> Chunk.Source.t -> Chunk.Source.t
+val rename : string -> Chunk.Source.t -> Chunk.Source.t
 (** Requalify every attribute to the alias, sharing row storage. *)
 
-val add_rownum_source : string -> Chunk.Source.t -> Chunk.Source.t
+val add_rownum : string -> Chunk.Source.t -> Chunk.Source.t
 (** Append an unqualified int column holding the 0-based row position —
     the surrogate key used by outer-join unnesting. *)
 
-val union_all_source : Chunk.Source.t -> Chunk.Source.t -> Chunk.Source.t
+val union_all : Chunk.Source.t -> Chunk.Source.t -> Chunk.Source.t
 (** @raise Invalid_argument if the schemas differ positionally. *)
 
-val distinct_source : Chunk.Source.t -> Relation.t
+(** {1 Build/probe} *)
 
-val group_by_source :
-  keys:(string option * string) list ->
+val join :
+  ?strategy:join_strategy ->
+  kind:join_kind ->
+  Expr.t ->
+  build:Relation.t ->
+  Chunk.Source.t ->
+  Chunk.Source.t
+(** [join ~kind cond ~build probe]: [cond] is typed over (probe, build);
+    the output schema is probe then build columns ([Inner],
+    [Left_outer]) or the probe's ([Semi], [Anti]). *)
+
+val product : build:Relation.t -> Chunk.Source.t -> Chunk.Source.t
+
+val diff_all : build:Relation.t -> Chunk.Source.t -> Chunk.Source.t
+(** Multiset difference (monus) [probe − build]: each build occurrence
+    cancels the first uncancelled equal probe occurrence.
+    @raise Invalid_argument if the schemas differ positionally. *)
+
+(** {1 Breakers} *)
+
+val group_by :
+  ?keys:(string option * string) list ->
   aggs:Aggregate.spec list ->
   Chunk.Source.t ->
   Relation.t
+(** SQL GROUP BY: keys group with NULLs equal; output schema is the key
+    attributes followed by one unqualified column per aggregate, groups
+    in first-seen order.  [keys] defaults to every column, so
+    [group_by ~aggs:\[\]] is DISTINCT.  An empty input yields an empty
+    output. *)
 
-val aggregate_all_source : Aggregate.spec list -> Chunk.Source.t -> Relation.t
+val aggregate_all : Aggregate.spec list -> Chunk.Source.t -> Relation.t
+(** Aggregation without grouping: always exactly one output row, even on
+    empty input (COUNT yields 0, SUM/MIN/MAX/AVG yield NULL). *)
 
-(** {1 Resumable breaker state}
+val sort :
+  by:((string option * string) * [ `Asc | `Desc ]) list ->
+  ?limit:int ->
+  Chunk.Source.t ->
+  Relation.t
+(** Stable sort on the keys (NULLs first ascending), then the first
+    [limit] rows; [by = \[\]] keeps the input order, so it is LIMIT
+    alone.  An untouched whole-relation source is read without a
+    copy. *)
 
-    The hash state behind DISTINCT and GROUP BY, exposed as first-class
-    accumulators: the parallel executor runs one per domain and merges
+(** {1 Resumable grouping state}
+
+    The hash state behind GROUP BY and DISTINCT as a first-class
+    accumulator: the parallel executor runs one per domain and merges
     them at the exchange ({!Subql_relational.Aggregate.merge} makes
-    every aggregate state mergeable), and the spill path freezes them at
-    a memory budget and routes overflow rows to temp heap files.  The
-    one-shot operators above are thin wrappers over these. *)
-
-module Distinct_acc : sig
-  type t
-
-  val create : unit -> t
-
-  val add : t -> Tuple.t -> bool
-  (** [true] iff the row was new (it is now remembered). *)
-
-  val mem : t -> Tuple.t -> bool
-
-  val size : t -> int
-  (** Distinct rows held. *)
-
-  val merge : into:t -> t -> unit
-
-  val rows : t -> Tuple.t array
-  (** Distinct rows in first-seen order. *)
-end
+    every aggregate state mergeable), and the spill path freezes one at
+    a memory budget and routes overflow rows to temp heap files.
+    {!group_by} is a thin wrapper over it. *)
 
 module Group_acc : sig
   type t
 
-  val create :
-    schema:Schema.t ->
-    keys:(string option * string) list ->
-    aggs:Aggregate.spec list ->
-    t
+  val create : ?keys:(string option * string) list -> aggs:Aggregate.spec list -> Schema.t -> t
+  (** [keys] as in {!group_by}; when the key is every column, a row is
+      its own key (no per-row projection), and with no aggregates a
+      group's output row is its key row. *)
 
   val out_schema : t -> Schema.t
 
   val key_of : t -> Tuple.t -> Tuple.t
-
-  val mem_key : t -> Tuple.t -> bool
 
   val size : t -> int
   (** Groups held. *)

@@ -142,73 +142,14 @@ let publish ~spilled_rows ~spilled_bytes =
 let key_partition n key = Tuple.hash key land max_int mod n
 
 (* ------------------------------------------------------------------ *)
-(* DISTINCT                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let distinct ?(partitions = default_partitions) ~budget src =
-  if budget <= 0 then invalid_arg "Spill.distinct: budget must be positive";
-  let schema = Chunk.Source.schema src in
-  let meter = meter_create () in
-  let acc = Ops.Distinct_acc.create () in
-  let parts = lazy (parts_create ~meter ~schema partitions) in
-  Fun.protect
-    ~finally:(fun () -> if Lazy.is_val parts then parts_dispose (Lazy.force parts))
-    (fun () ->
-      Chunk.Source.iter
-        (fun c ->
-          Chunk.iter
-            (fun row ->
-              if not (Ops.Distinct_acc.mem acc row) then
-                if Ops.Distinct_acc.size acc < budget then begin
-                  ignore (Ops.Distinct_acc.add acc row);
-                  meter_alloc meter 1
-                end
-                else
-                  parts_push (Lazy.force parts) (key_partition partitions row) row)
-            c)
-        src;
-      let resident_rows = Ops.Distinct_acc.rows acc in
-      if not (Lazy.is_val parts) then
-        {
-          result = Relation.create ~check:false schema resident_rows;
-          resident_peak_rows = meter.peak;
-          spilled_rows = 0;
-          spilled_bytes = 0;
-        }
-      else begin
-        let ps = Lazy.force parts in
-        parts_flush_all ps;
-        let spilled_rows = parts_spilled_rows ps in
-        let spilled_bytes = parts_spilled_bytes ps in
-        publish ~spilled_rows ~spilled_bytes;
-        let pool = Buffer_pool.create ~frames:4 in
-        let pieces = ref [ resident_rows ] in
-        parts_each_source ps ~pool (fun _ psrc ->
-            let sub = Ops.Distinct_acc.create () in
-            Chunk.Source.iter
-              (Chunk.iter (fun row ->
-                   if Ops.Distinct_acc.add sub row then meter_alloc meter 1))
-              psrc;
-            let rows = Ops.Distinct_acc.rows sub in
-            meter_release meter (Array.length rows);
-            pieces := rows :: !pieces);
-        {
-          result = Relation.create ~check:false schema (Array.concat (List.rev !pieces));
-          resident_peak_rows = meter.peak;
-          spilled_rows;
-          spilled_bytes;
-        }
-      end)
-
-(* ------------------------------------------------------------------ *)
 (* GROUP BY                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let group_by ?(partitions = default_partitions) ~budget ~keys ~aggs src =
+let group_by ?(partitions = default_partitions) ~budget ?keys ~aggs src =
   if budget <= 0 then invalid_arg "Spill.group_by: budget must be positive";
   let schema = Chunk.Source.schema src in
   let meter = meter_create () in
-  let acc = Ops.Group_acc.create ~schema ~keys ~aggs in
+  let acc = Ops.Group_acc.create ?keys ~aggs schema in
   let parts = lazy (parts_create ~meter ~schema partitions) in
   Fun.protect
     ~finally:(fun () -> if Lazy.is_val parts then parts_dispose (Lazy.force parts))
@@ -247,7 +188,7 @@ let group_by ?(partitions = default_partitions) ~budget ~keys ~aggs src =
         let pool = Buffer_pool.create ~frames:4 in
         let pieces = ref [ Relation.rows resident ] in
         parts_each_source ps ~pool (fun _ psrc ->
-            let sub = Ops.Group_acc.create ~schema ~keys ~aggs in
+            let sub = Ops.Group_acc.create ?keys ~aggs schema in
             Chunk.Source.iter
               (Chunk.iter (fun row ->
                    if not (Ops.Group_acc.step_existing sub row) then begin
@@ -330,17 +271,23 @@ let join ?(partitions = default_partitions) ~budget ~strategy ~kind ~cond
   match keys with
   | [] ->
     (* No equi-key to partition on: the join cannot spill; fall through
-       to the in-memory operator (the planner's memory height already
-       charges both inputs for this shape). *)
-    let l = Chunk.Source.to_relation left and r = Chunk.Source.to_relation right in
+       to the in-memory operator, which holds the right input and streams
+       the left (as the planner's memory height charges this shape). *)
+    let r = Chunk.Source.to_relation right in
     {
-      result = Ops.join ~strategy ~kind cond l r;
-      resident_peak_rows = Relation.cardinality l + Relation.cardinality r;
+      result = Chunk.Source.to_relation (Ops.join ~strategy ~kind cond ~build:r left);
+      resident_peak_rows = Relation.cardinality r;
       spilled_rows = 0;
       spilled_bytes = 0;
     }
   | _ ->
     let lcols, rcols, _ = Expr.key_columns keys in
+    (* The same in-memory operator the executor runs, per partition pair. *)
+    let join_rows lrows rrows =
+      Chunk.Source.to_relation
+        (Ops.join ~strategy ~kind cond ~build:(Relation.create ~check:false rs rrows)
+           (Chunk.Source.of_relation (Relation.create ~check:false ls lrows)))
+    in
     let meter = meter_create () in
     let lside = collect_side ~meter ~partitions ~budget ~schema:ls ~cols:lcols left in
     let rside = collect_side ~meter ~partitions ~budget ~schema:rs ~cols:rcols right in
@@ -352,10 +299,7 @@ let join ?(partitions = default_partitions) ~budget ~strategy ~kind ~cond
         match lside, rside with
         | In_mem l, In_mem r ->
           {
-            result =
-              Ops.join ~strategy ~kind cond
-                (Relation.create ~check:false ls l)
-                (Relation.create ~check:false rs r);
+            result = join_rows l r;
             resident_peak_rows = meter.peak;
             spilled_rows = 0;
             spilled_bytes = 0;
@@ -394,11 +338,7 @@ let join ?(partitions = default_partitions) ~budget ~strategy ~kind ~cond
             let lrows = fetch lside lmem i and rrows = fetch rside rmem i in
             if Array.length lrows > 0 then begin
               meter_alloc meter (Array.length lrows + Array.length rrows);
-              let out =
-                Ops.join ~strategy ~kind cond
-                  (Relation.create ~check:false ls lrows)
-                  (Relation.create ~check:false rs rrows)
-              in
+              let out = join_rows lrows rrows in
               meter_release meter (Array.length lrows + Array.length rrows);
               pieces := Relation.rows out :: !pieces
             end

@@ -1,8 +1,9 @@
 (** Spill-to-disk pipeline breakers.
 
-    The adaptive twins of the in-memory breakers (DISTINCT, GROUP BY,
-    hash join): each accumulates hash state normally until it reaches a
-    row [budget], then {e freezes} the resident state and routes
+    The adaptive twins of the in-memory breakers (GROUP BY, whose
+    zero-aggregate case is DISTINCT, and hash join): each accumulates
+    hash state normally until it reaches a row [budget], then {e
+    freezes} the resident state and routes
     overflow rows — hash-partitioned on the breaker's key — to temp heap
     files through the buffer pool, merging the partitions in a second
     pass.  A breaker over a detail-sized input thus degrades to I/O
@@ -35,21 +36,19 @@ type outcome = {
 val default_partitions : int
 (** Overflow fan-out when [partitions] is omitted ([8]). *)
 
-val distinct : ?partitions:int -> budget:int -> Chunk.Source.t -> outcome
-(** Streaming DISTINCT holding at most [budget] resident distinct rows;
-    result order is first-seen for the resident prefix, then partition
-    order.  @raise Invalid_argument if [budget <= 0]. *)
-
 val group_by :
   ?partitions:int ->
   budget:int ->
-  keys:(string option * string) list ->
+  ?keys:(string option * string) list ->
   aggs:Aggregate.spec list ->
   Chunk.Source.t ->
   outcome
-(** Streaming GROUP BY holding at most [budget] resident groups.  Rows
-    of already-resident groups keep folding in place after the freeze;
-    only rows of unseen keys spill, so hot groups never pay I/O.
+(** Streaming GROUP BY holding at most [budget] resident groups; [keys]
+    defaults to every column, as in {!Subql_relational.Ops.group_by}, so
+    [~aggs:\[\]] is DISTINCT.  Rows of already-resident groups keep
+    folding in place after the freeze; only rows of unseen keys spill,
+    so hot groups never pay I/O.  Result order is first-seen for the
+    resident groups, then partition order.
     @raise Invalid_argument if [budget <= 0]. *)
 
 val join :
@@ -69,5 +68,6 @@ val join :
     condition re-checked, so residual conjuncts and NULL semantics are
     exactly those of {!Subql_relational.Ops.join}).  When
     [cond] has no equi-conjunct the join cannot be partitioned and falls
-    back to fully in-memory execution; [resident_peak_rows] then reports
-    both input cardinalities.  @raise Invalid_argument if [budget <= 0]. *)
+    back to the in-memory operator, which holds only the right input
+    ([resident_peak_rows] then reports its cardinality) and streams the
+    left.  @raise Invalid_argument if [budget <= 0]. *)

@@ -105,6 +105,9 @@ GATES = {
                 "{item[template]} at O {item[outer_rows]}: {value} detail rows for {limit:.0f} "
                 "rows of I and J — the inner GMDJ ran over the push-down product, not its "
                 "distinct keys", each="theta_counts"),
+            row("peak_rows", "<=", base(1.1),
+                "{item[template]} at O {item[outer_rows]}: peak regressed >10%: {base} -> "
+                "{value} rows", each="theta_counts", match=("template", "outer_rows")),
         ],
         summary=lambda f, b: (
             "BENCH_exec.json: verified, peak %d rows (2x detail: %d), page reads %d chained / "

@@ -10,6 +10,10 @@ let schema attrs = Schema.of_list (List.map (fun (rel, name, ty) -> Schema.attr 
 
 let rel sch rows = Relation.of_list sch (List.map Array.of_list rows)
 
+(* Stream a whole relation through a chunk-source operator and collect
+   the result. *)
+let whole op r = Chunk.Source.to_relation (op (Chunk.Source.of_relation r))
+
 (* The Hours and Flow tables of Figure 1 / Example 2.1. *)
 
 let hours_schema =

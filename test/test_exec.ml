@@ -1,12 +1,12 @@
 (* Tests for the streaming chunk executor.
 
-   The four public entry points ([eval], [eval_exec], [eval_analyzed],
-   [eval_traced]) are thin wrappers over one skeleton — so they must
-   agree on every zoo query, under both physical configurations, whether
-   tables arrive as catalog relations or as anonymous chunk streams.  A
+   The three public entry points ([eval], [eval_exec], [eval_analyzed])
+   are thin wrappers over one skeleton — so they must agree on every zoo
+   query, under both physical configurations, whether tables arrive as
+   catalog relations or as anonymous chunk streams.  A
    heap-file-backed run must additionally stay within a peak that does
-   not track the detail cardinality, and [eval_with_overrides] must
-   reject overrides whose schema contradicts the node (EVL001). *)
+   not track the detail cardinality, and [eval ~override] must reject
+   overrides whose schema contradicts the node (EVL001). *)
 
 open Subql_relational
 module Zoo = Subql_workload.Zoo
@@ -29,8 +29,6 @@ let test_entry_points_agree () =
       let reference = Subql.Eval.eval catalog p in
       Helpers.check_multiset_equal (name ^ ": eager analyzed driver") reference
         (fst (Subql.Eval.eval_analyzed catalog p));
-      Helpers.check_multiset_equal (name ^ ": traced driver") reference
-        (fst (Subql.Eval.eval_traced catalog p));
       Helpers.check_multiset_equal (name ^ ": chunked sources") reference
         (fst (Subql.Eval.eval_exec ~sources:(chunked_sources catalog) catalog p));
       Helpers.check_multiset_equal (name ^ ": unindexed config") reference
@@ -71,6 +69,27 @@ let test_heap_streaming_bounded () =
           Alcotest.(check bool) (name ^ ": chunks counted") true (report.Subql.Eval.chunks > 0))
         Zoo.same_detail_templates)
 
+(* The certified memory bound is a ceiling on the measured peak: every
+   zoo template, run serially without spilling, holds at most
+   [certificate.bound] rows — the root's collected result included. *)
+let test_certified_bound_is_ceiling () =
+  List.iter
+    (fun (outer, inner) ->
+      let catalog = Zoo.catalog ~outer ~inner () in
+      let stats = Subql.Cost.Stats.of_catalog catalog in
+      let config = Subql.Eval.default_config in
+      List.iter
+        (fun (name, q) ->
+          let p = plan q in
+          let _, report = Subql.Eval.eval_exec ~config catalog p in
+          let cert = Subql.Cost.memory_height_certified stats ~config p in
+          let peak = report.Subql.Eval.peak_materialized_rows in
+          if float_of_int peak > cert.Subql.Cost.bound then
+            Alcotest.failf "%s at %d/%d: peak %d rows > certified bound %.0f" name outer inner
+              peak cert.Subql.Cost.bound)
+        Zoo.queries)
+    [ (64, 1024); (128, 4096) ]
+
 (* Override validation: a well-typed override splices in transparently;
    one whose schema contradicts the node's inferred schema is rejected
    with a structured EVL001 diagnostic, not a downstream crash. *)
@@ -82,12 +101,12 @@ let test_override_schema_validation () =
     | _ -> None
   in
   Helpers.check_multiset_equal "well-typed override accepted" (Subql.Eval.eval catalog p)
-    (Subql.Eval.eval_with_overrides ~override:good catalog p);
+    (Subql.Eval.eval ~override:good catalog p);
   let bad = function
     | Subql.Algebra.Table "O" -> Some (Catalog.find catalog "I")
     | _ -> None
   in
-  match Subql.Eval.eval_with_overrides ~override:bad catalog p with
+  match Subql.Eval.eval ~override:bad catalog p with
   | _ -> Alcotest.fail "wrong-schema override must be rejected"
   | exception Diag.Fail d -> Alcotest.(check string) "diagnostic code" "EVL001" d.Diag.code
 
@@ -370,6 +389,8 @@ let () =
       ( "streaming",
         [
           Alcotest.test_case "entry points agree over the zoo" `Quick test_entry_points_agree;
+          Alcotest.test_case "certified bound is a ceiling on the peak" `Quick
+            test_certified_bound_is_ceiling;
           Alcotest.test_case "heap-file detail stays bounded" `Quick
             test_heap_streaming_bounded;
         ] );

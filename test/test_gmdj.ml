@@ -152,10 +152,11 @@ let completion_prop (brows, drows) =
   in
   let plain = Helpers.gmdj ~base ~detail blocks in
   let filtered =
-    Ops.select
-      (Expr.and_
-         (Expr.gt (attr "cnt1") (Expr.int 0))
-         (Expr.eq (attr "cnt2") (Expr.int 0)))
+    Helpers.whole
+      (Ops.select
+         (Expr.and_
+            (Expr.gt (attr "cnt1") (Expr.int 0))
+            (Expr.eq (attr "cnt2") (Expr.int 0))))
       plain
   in
   let completion =
@@ -188,18 +189,21 @@ let completion_no_aggs_prop (brows, drows) =
   let base_cols = [ (Some "B", "k"); (Some "B", "x") ] in
   let plain = Helpers.gmdj ~base ~detail blocks in
   let filtered =
-    Ops.project_cols base_cols
-      (Ops.select
-         (Expr.and_
-            (Expr.gt (attr "cnt1") (Expr.int 0))
-            (Expr.eq (attr "cnt2") (Expr.int 0)))
-         plain)
+    Helpers.whole
+      (fun src ->
+        Ops.project_cols base_cols
+          (Ops.select
+             (Expr.and_
+                (Expr.gt (attr "cnt1") (Expr.int 0))
+                (Expr.eq (attr "cnt2") (Expr.int 0)))
+             src))
+      plain
   in
   let completion =
     { Gmdj.kill_when = [ theta2 ]; require_fired = [ theta1 ]; maintain_aggregates = false }
   in
   let completed =
-    Ops.project_cols base_cols (Helpers.gmdj ~completion ~base ~detail blocks)
+    Helpers.whole (Ops.project_cols base_cols) (Helpers.gmdj ~completion ~base ~detail blocks)
   in
   Relation.equal_as_multiset filtered completed
 
@@ -240,8 +244,9 @@ let partitioned_prop (brows, drows) =
     [
       (None, reference);
       ( Some { Gmdj.kill_when = [ theta2 ]; require_fired = [ theta1 ]; maintain_aggregates = true },
-        Ops.select
-          (Expr.and_ (Expr.gt (attr "cnt") (Expr.int 0)) (Expr.eq (attr "c2") (Expr.int 0)))
+        Helpers.whole
+          (Ops.select
+             (Expr.and_ (Expr.gt (attr "cnt") (Expr.int 0)) (Expr.eq (attr "c2") (Expr.int 0))))
           reference );
     ]
   in
@@ -298,8 +303,9 @@ let null_safe_prop (brows, drows) =
     [
       (None, reference);
       ( Some { Gmdj.kill_when = [ mixed ]; require_fired = [ both_null_safe ]; maintain_aggregates = true },
-        Ops.select
-          (Expr.and_ (Expr.gt (attr "c1") (Expr.int 0)) (Expr.eq (attr "c2") (Expr.int 0)))
+        Helpers.whole
+          (Ops.select
+             (Expr.and_ (Expr.gt (attr "c1") (Expr.int 0)) (Expr.eq (attr "c2") (Expr.int 0))))
           reference );
     ]
   in

@@ -23,6 +23,11 @@ let mk_rel name cols rows =
     (Schema.of_list (List.map (fun c -> Schema.attr ~rel:name c Value.Tint) cols))
     (List.map Array.of_list rows)
 
+(* DISTINCT is the zero-aggregate GROUP BY on every column. *)
+let distinct r = Ops.group_by ~aggs:[] (Chunk.Source.of_relation r)
+
+let dp cols r = distinct (Helpers.whole (Ops.project_cols cols) r)
+
 let gen3 =
   QCheck2.Gen.triple
     (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 10)
@@ -48,8 +53,9 @@ let thm_3_4 (trows, rrows, brows) =
   let b = mk_rel "B" [ "k"; "x" ] brows in
   let r = mk_rel "R" [ "k"; "y" ] rrows in
   let join_cond = Expr.eq (attr ~rel:"T" "k") (attr ~rel:"B" "k") in
-  let after = Ops.join ~kind:Ops.Inner join_cond t (Helpers.gmdj ~base:b ~detail:r blocks) in
-  let before = Helpers.gmdj ~base:(Ops.join ~kind:Ops.Inner join_cond t b) ~detail:r blocks in
+  let join right = Helpers.whole (Ops.join ~kind:Ops.Inner join_cond ~build:right) t in
+  let after = join (Helpers.gmdj ~base:b ~detail:r blocks) in
+  let before = Helpers.gmdj ~base:(join b) ~detail:r blocks in
   Relation.equal_as_multiset after before
 
 (* Selection on the base commutes with the GMDJ. *)
@@ -57,8 +63,8 @@ let select_commutes (_, rrows, brows) =
   let b = mk_rel "B" [ "k"; "x" ] brows in
   let r = mk_rel "R" [ "k"; "y" ] rrows in
   let pred = Expr.gt (attr ~rel:"B" "x") (Expr.int 0) in
-  let select_then_md = Helpers.gmdj ~base:(Ops.select pred b) ~detail:r blocks in
-  let md_then_select = Ops.select pred (Helpers.gmdj ~base:b ~detail:r blocks) in
+  let select_then_md = Helpers.gmdj ~base:(Helpers.whole (Ops.select pred) b) ~detail:r blocks in
+  let md_then_select = Helpers.whole (Ops.select pred) (Helpers.gmdj ~base:b ~detail:r blocks) in
   Relation.equal_as_multiset select_then_md md_then_select
 
 (* Prop 4.1: chaining two GMDJs over the same detail equals one GMDJ
@@ -89,7 +95,9 @@ let md_commute (trows, rrows, brows) =
   let rt = Helpers.gmdj ~base:(Helpers.gmdj ~base:b ~detail:r [ blk_r ]) ~detail:t [ blk_t ] in
   let tr = Helpers.gmdj ~base:(Helpers.gmdj ~base:b ~detail:t [ blk_t ]) ~detail:r [ blk_r ] in
   let norm rel =
-    Ops.project_cols [ (Some "B", "k"); (Some "B", "x"); (None, "cr"); (None, "ct") ] rel
+    Helpers.whole
+      (Ops.project_cols [ (Some "B", "k"); (Some "B", "x"); (None, "cr"); (None, "ct") ])
+      rel
   in
   Relation.equal_as_multiset (norm rt) (norm tr)
 
@@ -100,8 +108,8 @@ let push_down_embedding (_, rrows, brows) =
   let b = mk_rel "B" [ "k"; "x" ] brows in
   let r = mk_rel "R" [ "k"; "y" ] rrows in
   let plain = Helpers.gmdj ~base:b ~detail:r blocks in
-  let pushed_b = Relation.rename "P" (Ops.distinct b) in
-  let widened = Ops.product pushed_b r in
+  let pushed_b = Relation.rename "P" (distinct b) in
+  let widened = Helpers.whole (Ops.product ~build:r) pushed_b in
   let match_b =
     Expr.and_
       (Expr.Null_safe_eq (attr ~rel:"B" "k", attr ~rel:"P" "k"))
@@ -147,13 +155,8 @@ let key_factorization (brows, rrows) =
   in
   let keys = [ (Some "B", "k"); (Some "B", "x") ] in
   let full = Helpers.gmdj ~base:b ~detail:r blocks in
-  let projected =
-    Ops.distinct
-      (Ops.project_cols (keys @ List.map (fun n -> (None, n)) [ "c1"; "s1"; "c2"; "m2" ]) full)
-  in
-  let factored =
-    Helpers.gmdj ~base:(Ops.distinct (Ops.project_cols keys b)) ~detail:r blocks
-  in
+  let projected = dp (keys @ List.map (fun n -> (None, n)) [ "c1"; "s1"; "c2"; "m2" ]) full in
+  let factored = Helpers.gmdj ~base:(dp keys b) ~detail:r blocks in
   Relation.equal_as_multiset projected factored
 
 (* δπ through a product: with a key column on each side,
@@ -163,12 +166,12 @@ let key_factorization (brows, rrows) =
 let distinct_through_product (lrows, rrows) =
   let l = mk_rel "L" [ "k"; "x"; "w" ] lrows in
   let r = mk_rel "R" [ "k"; "y" ] rrows in
-  let dp cols rel = Ops.distinct (Ops.project_cols cols rel) in
+  let product a b = Helpers.whole (Ops.product ~build:b) a in
   let lk = [ (Some "L", "k"); (Some "L", "x") ] and rk = [ (Some "R", "y") ] in
-  let both_sides = dp (lk @ rk) (Ops.product l r) in
-  let split = Ops.product (dp lk l) (dp rk r) in
-  let one_side = dp lk (Ops.product l r) in
-  let kept = dp lk (Ops.product (dp lk l) r) in
+  let both_sides = dp (lk @ rk) (product l r) in
+  let split = product (dp lk l) (dp rk r) in
+  let one_side = dp lk (product l r) in
+  let kept = dp lk (product (dp lk l) r) in
   let dropped = dp lk l in
   Relation.equal_as_multiset both_sides split
   && Relation.equal_as_multiset one_side kept

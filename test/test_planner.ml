@@ -154,22 +154,22 @@ let test_block_hashable_matches_split_equi () =
   Alcotest.(check bool) "MD conditions checked" true (!checked >= 24);
   Alcotest.(check bool) "some keys are null-safe" true (!null_safe_keys > 0)
 
-let test_eval_traced () =
+let test_eval_analyzed () =
   let catalog = catalog_of 30 200 in
   let query = List.assoc "exists" Query_zoo.queries in
   let plan = Subql.Optimize.optimize (Subql.Transform.to_algebra query) in
   let plain = Subql.Eval.eval catalog plan in
-  let traced, trace = Subql.Eval.eval_traced catalog plan in
-  Alcotest.(check bool) "same result" true (Relation.equal_as_multiset plain traced);
-  Alcotest.(check int) "root cardinality recorded" (Relation.cardinality plain)
-    trace.Subql.Eval.out_rows;
-  let rec count t = 1 + List.fold_left (fun acc c -> acc + count c) 0 t.Subql.Eval.children in
-  Alcotest.(check bool) "per-node traces" true (count trace >= 4);
-  let rendered = Format.asprintf "%a" Subql.Eval.pp_trace trace in
+  let analyzed, node = Subql.Eval.eval_analyzed ~registry:(Subql_obs.Metrics.create ()) catalog plan in
+  let module E = Subql_obs.Explain in
+  Alcotest.(check bool) "same result" true (Relation.equal_as_multiset plain analyzed);
+  Alcotest.(check int) "root cardinality recorded" (Relation.cardinality plain) node.E.rows_out;
+  let rec count n = 1 + List.fold_left (fun acc c -> acc + count c) 0 n.E.children in
+  Alcotest.(check bool) "per-node annotations" true (count node >= 4);
+  let rendered = Format.asprintf "%a" E.pp node in
   Alcotest.(check bool) "renders rows" true
     (String.length rendered > 0
     &&
-    let re = Str.regexp_string "rows" in
+    let re = Str.regexp_string "rows-out=" in
     (try ignore (Str.search_forward re rendered 0); true with Not_found -> false))
 
 let () =
@@ -193,5 +193,5 @@ let () =
           Helpers.qtest ~count:40 "chosen plan agrees with naive" Query_zoo.db_gen
             planner_agrees_prop;
         ] );
-      ("traced", [ Alcotest.test_case "instrumented evaluation" `Quick test_eval_traced ]);
+      ("traced", [ Alcotest.test_case "instrumented evaluation" `Quick test_eval_analyzed ]);
     ]

@@ -277,32 +277,40 @@ let join_props =
   let with_rels (lrows, rrows) f =
     f (rel_of [ "k"; "v" ] lrows "l") (rel_of [ "k"; "v" ] rrows "r")
   in
+  (* The left input is the streamed probe side, the right the build. *)
+  let join ?chunk_rows ?strategy kind cond l r =
+    Chunk.Source.to_relation
+      (Ops.join ?strategy ~kind cond ~build:r (Chunk.Source.of_relation ?chunk_rows l))
+  in
   [
     Helpers.qtest "hash join = nested loop join" gen (fun db ->
         with_rels db (fun l r ->
             Relation.equal_as_multiset
-              (Ops.join ~kind:Ops.Inner ~strategy:`Hash cond l r)
-              (Ops.join ~kind:Ops.Inner ~strategy:`Nested_loop cond l r)));
+              (join ~strategy:`Hash Ops.Inner cond l r)
+              (join ~strategy:`Nested_loop Ops.Inner cond l r)));
     Helpers.qtest "sort-merge join = nested loop join" gen (fun db ->
         with_rels db (fun l r ->
             Relation.equal_as_multiset
-              (Ops.join ~kind:Ops.Inner ~strategy:`Sort_merge cond l r)
-              (Ops.join ~kind:Ops.Inner ~strategy:`Nested_loop cond l r)));
+              (join ~strategy:`Sort_merge Ops.Inner cond l r)
+              (join ~strategy:`Nested_loop Ops.Inner cond l r)));
     Helpers.qtest "sort-merge semi/anti = hash semi/anti" gen (fun db ->
         with_rels db (fun l r ->
             Relation.equal_as_multiset
-              (Ops.join ~kind:Ops.Semi ~strategy:`Sort_merge cond l r)
-              (Ops.join ~kind:Ops.Semi ~strategy:`Hash cond l r)
+              (join ~strategy:`Sort_merge Ops.Semi cond l r)
+              (join ~strategy:`Hash Ops.Semi cond l r)
             && Relation.equal_as_multiset
-                 (Ops.join ~kind:Ops.Anti ~strategy:`Sort_merge cond l r)
-                 (Ops.join ~kind:Ops.Anti ~strategy:`Hash cond l r)));
+                 (join ~strategy:`Sort_merge Ops.Anti cond l r)
+                 (join ~strategy:`Hash Ops.Anti cond l r)));
     Helpers.qtest "hash outer join = nl outer join" gen (fun db ->
         with_rels db (fun l r ->
             Relation.equal_as_multiset
-              (Ops.join ~kind:Ops.Left_outer ~strategy:`Hash cond l r)
-              (Ops.join ~kind:Ops.Left_outer ~strategy:`Nested_loop cond l r)));
+              (join ~strategy:`Hash Ops.Left_outer cond l r)
+              (join ~strategy:`Nested_loop Ops.Left_outer cond l r)));
     (* [<=>] keys are null-safe: NULL matches NULL under every strategy,
-       and a spilling join partitions a NULL key with its matches. *)
+       and a spilling join partitions a NULL key with its matches.  A
+       probe side streamed in 2-row chunks gives the single-chunk output
+       row for row, for every kind and strategy, and for product and
+       diff_all. *)
     (let narrow =
        QCheck2.Gen.(frequency [ (1, return Value.Null); (3, map (fun i -> Value.Int i) (int_range 0 3)) ])
      in
@@ -321,28 +329,37 @@ let join_props =
                   ~right:(Chunk.Source.of_relation r) ())
                  .Subql_storage.Spill.result
              in
-             let agree kind =
-               let nl = Ops.join ~kind ~strategy:`Nested_loop null_safe l r in
-               Relation.equal_as_multiset (Ops.join ~kind ~strategy:`Hash null_safe l r) nl
-               && Relation.equal_as_multiset
-                    (Ops.join ~kind ~strategy:`Sort_merge null_safe l r)
-                    nl
-               && Relation.equal_as_multiset (spilled kind) nl
+             let chunked op =
+               Helpers.equal_as_list
+                 (Chunk.Source.to_relation (op (Chunk.Source.of_relation l)))
+                 (Chunk.Source.to_relation (op (Chunk.Source.of_relation ~chunk_rows:2 l)))
              in
-             agree Ops.Inner && agree Ops.Left_outer && agree Ops.Semi && agree Ops.Anti)));
+             let agree kind =
+               let nl = join ~strategy:`Nested_loop kind null_safe l r in
+               Relation.equal_as_multiset (join ~strategy:`Hash kind null_safe l r) nl
+               && Relation.equal_as_multiset (join ~strategy:`Sort_merge kind null_safe l r) nl
+               && Relation.equal_as_multiset (spilled kind) nl
+               && List.for_all
+                    (fun strategy -> chunked (Ops.join ~strategy ~kind null_safe ~build:r))
+                    [ `Hash; `Sort_merge; `Nested_loop ]
+             in
+             agree Ops.Inner && agree Ops.Left_outer && agree Ops.Semi && agree Ops.Anti
+             && chunked (Ops.product ~build:r)
+             && chunked (Ops.diff_all ~build:r))));
     Helpers.qtest "semi + anti partition the left" gen (fun db ->
         with_rels db (fun l r ->
-            let semi = Ops.join ~kind:Ops.Semi cond l r
-            and anti = Ops.join ~kind:Ops.Anti cond l r in
-            Relation.equal_as_multiset l (Ops.union_all semi anti)));
+            let semi = Chunk.Source.of_relation (join Ops.Semi cond l r)
+            and anti = Chunk.Source.of_relation (join Ops.Anti cond l r) in
+            Relation.equal_as_multiset l (Chunk.Source.to_relation (Ops.union_all semi anti))));
     Helpers.qtest "outer join covers every left row" gen (fun db ->
         with_rels db (fun l r ->
-            let oj = Ops.join ~kind:Ops.Left_outer cond l r in
-            let keys = Ops.project_cols [ (Some "l", "k"); (Some "l", "v") ] oj in
-            Relation.equal_as_multiset (Ops.distinct keys) (Ops.distinct l)));
+            let oj = join Ops.Left_outer cond l r in
+            let keys = Helpers.whole (Ops.project_cols [ (Some "l", "k"); (Some "l", "v") ]) oj in
+            let distinct x = Ops.group_by ~aggs:[] (Chunk.Source.of_relation x) in
+            Relation.equal_as_multiset (distinct keys) (distinct l)));
     Helpers.qtest "diff_all cancels one-for-one" gen (fun (lrows, rrows) ->
         let l = rel_of [ "k"; "v" ] lrows "t" and r = rel_of [ "k"; "v" ] rrows "t" in
-        let d = Ops.diff_all l r in
+        let d = Helpers.whole (Ops.diff_all ~build:r) l in
         (* monus: |l - r| >= |l| - |r| and removing r again changes nothing new *)
         Relation.cardinality d >= Relation.cardinality l - Relation.cardinality r
         && Relation.cardinality d <= Relation.cardinality l);
@@ -370,7 +387,7 @@ let test_group_by () =
           Aggregate.sum (attr ~rel:"t" "v") "s";
           Aggregate.count (attr ~rel:"t" "v") "nv";
         ]
-      r
+      (Chunk.Source.of_relation r)
   in
   Alcotest.(check int) "3 groups (NULL keys group together)" 3 (Relation.cardinality g);
   let by_key k =
@@ -399,7 +416,7 @@ let test_aggregate_all_on_empty () =
         Aggregate.min_ (attr ~rel:"t" "v") "mn";
         Aggregate.avg (attr ~rel:"t" "v") "av";
       ]
-      r
+      (Chunk.Source.of_relation r)
   in
   Alcotest.(check int) "one row" 1 (Relation.cardinality a);
   let row = Relation.row a 0 in
@@ -410,10 +427,12 @@ let test_aggregate_all_on_empty () =
 
 let test_distinct_and_sort () =
   let r = rel_of [ "v" ] Value.[ [ Int 2 ]; [ Null ]; [ Int 1 ]; [ Int 2 ]; [ Null ] ] "t" in
-  Alcotest.(check int) "distinct groups nulls" 3 (Relation.cardinality (Ops.distinct r));
-  let sorted = Ops.sort ~by:[ ((Some "t", "v"), `Asc) ] r in
+  let src () = Chunk.Source.of_relation r in
+  Alcotest.(check int) "distinct groups nulls" 3
+    (Relation.cardinality (Ops.group_by ~aggs:[] (src ())));
+  let sorted = Ops.sort ~by:[ ((Some "t", "v"), `Asc) ] (src ()) in
   Alcotest.(check bool) "nulls sort first" true (Value.is_null (Relation.row sorted 0).(0));
-  let desc = Ops.sort ~by:[ ((Some "t", "v"), `Desc) ] r in
+  let desc = Ops.sort ~by:[ ((Some "t", "v"), `Desc) ] (src ()) in
   Alcotest.(check bool) "desc" true (Value.equal (Relation.row desc 0).(0) (Value.Int 2))
 
 let test_add_rownum_and_limit () =
@@ -421,11 +440,12 @@ let test_add_rownum_and_limit () =
   (* Two-row chunks: numbering must continue across chunk boundaries. *)
   let numbered =
     Chunk.Source.to_relation
-      (Ops.add_rownum_source "rid" (Chunk.Source.of_relation ~chunk_rows:2 r))
+      (Ops.add_rownum "rid" (Chunk.Source.of_relation ~chunk_rows:2 r))
   in
   Alcotest.(check bool) "rownum" true (Value.equal (Relation.row numbered 2).(1) (Value.Int 2));
-  Alcotest.(check int) "limit" 2 (Relation.cardinality (Ops.limit 2 r));
-  Alcotest.(check int) "limit over" 3 (Relation.cardinality (Ops.limit 10 r))
+  let limit n = Relation.cardinality (Ops.sort ~by:[] ~limit:n (Chunk.Source.of_relation r)) in
+  Alcotest.(check int) "limit" 2 (limit 2);
+  Alcotest.(check int) "limit over" 3 (limit 10)
 
 (* --- Index ------------------------------------------------------------- *)
 

@@ -96,7 +96,7 @@ let test_netflow_hours_partition () =
      exactly one hour. *)
   let s = Relation.schema hours in
   let start_i = Schema.find s "StartInterval" and end_i = Schema.find s "EndInterval" in
-  let sorted = Ops.sort ~by:[ ((None, "StartInterval"), `Asc) ] hours in
+  let sorted = Ops.sort ~by:[ ((None, "StartInterval"), `Asc) ] (Chunk.Source.of_relation hours) in
   let prev_end = ref (Value.Int 0) in
   Relation.iter
     (fun row ->
