@@ -123,6 +123,9 @@ type ctx = {
   sources : source_provider;
   override : Algebra.t -> Relation.t option;
   acct : acct;
+  required : (Algebra.t * bool array) list option Lazy.t;
+      (** per [Table] leaf, the columns the plan reads
+          ({!required_columns}); forced only by a source that can narrow *)
 }
 
 (* A node's output: a chunk stream plus a thunk releasing whatever the
@@ -170,18 +173,180 @@ let emit ctx r =
     release = once (fun () -> acct_release ctx.acct n);
   }
 
+(* A table's schema as its scan will deliver it, before any narrowing. *)
+let table_schema ~sources catalog name =
+  match sources name with
+  | Some s ->
+    let sc = Chunk.Source.schema s in
+    Chunk.Source.close s;
+    sc
+  | None -> Relation.schema (Catalog.find catalog name)
+
+(* ------------------------------------------------------------------ *)
+(* Required columns                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Which columns of each [Table] leaf the plan reads, so that a storage
+   scan can decode only those ({!Chunk.Source.narrow}).  A top-down walk
+   in column positions: an operator asks its children for what its
+   parent needs plus every column its own expressions reference — θs,
+   aggregate arguments, completion predicates, join conditions, sort
+   and group keys — resolved exactly as the executor resolves them
+   (innermost frame first).  Operators whose semantics are positional
+   or whole-row (Union_all, Diff_all, Distinct, DISTINCT projections)
+   need every input column, and any resolution failure gives up on
+   pruning altogether ([None]).  A physical [Table] node reached twice
+   gets the union of both needs.  Consumers resolve columns by name
+   against the narrowed schema they receive, so a wrong answer here
+   fails as an unknown attribute, never as wrong rows. *)
+exception Unprunable
+
+let agg_args (spec : Aggregate.spec) =
+  match spec.Aggregate.func with
+  | Aggregate.Count_star -> []
+  | Aggregate.Count e | Aggregate.Sum e | Aggregate.Min e | Aggregate.Max e | Aggregate.Avg e
+  | Aggregate.First e ->
+    [ e ]
+
+let required_columns ~lookup root =
+  let schema alg =
+    match Algebra.schema_diag ~lookup alg with Ok s -> s | Error _ -> raise Unprunable
+  in
+  let all s = Array.make (Schema.arity s) true in
+  let none s = Array.make (Schema.arity s) false in
+  let mark frames needs e =
+    List.iter
+      (fun r ->
+        match Expr.resolve frames r with
+        | Some (f, p) -> needs.(f).(p) <- true
+        | None | (exception Schema.Ambiguous_attribute _) -> raise Unprunable)
+      (Expr.attrs e)
+  in
+  let mark_col s need (rel, name) = mark [| s |] [| need |] (Expr.attr ?rel name) in
+  let mark_aggs frames needs aggs =
+    List.iter (fun spec -> List.iter (mark frames needs) (agg_args spec)) aggs
+  in
+  let leaves = ref [] in
+  let rec need alg req =
+    match alg with
+    | Algebra.Table _ -> (
+      match List.assq_opt alg !leaves with
+      | Some have -> Array.iteri (fun i b -> if b then have.(i) <- true) req
+      | None -> leaves := (alg, Array.copy req) :: !leaves)
+    | Algebra.Rename (_, x) -> need x req
+    | Algebra.Select (e, x) ->
+      let r = Array.copy req in
+      mark [| schema x |] [| r |] e;
+      need x r
+    | Algebra.Project (ps, x) ->
+      let s = schema x in
+      let r = none s in
+      List.iter (fun (e, _) -> mark [| s |] [| r |] e) ps;
+      need x r
+    | Algebra.Project_cols { cols; distinct = false; input } ->
+      let s = schema input in
+      let r = none s in
+      List.iter (mark_col s r) cols;
+      need input r
+    | Algebra.Project_cols { distinct = true; input = x; _ }
+    | Algebra.Distinct x ->
+      need x (all (schema x))
+    | Algebra.Union_all (l, r) | Algebra.Diff_all (l, r) ->
+      need l (all (schema l));
+      need r (all (schema r))
+    | Algebra.Project_rel (aliases, x) ->
+      let s = schema x in
+      let r = none s in
+      let j = ref 0 in
+      Array.iteri
+        (fun i a ->
+          if List.mem a.Schema.rel aliases then begin
+            r.(i) <- req.(!j);
+            incr j
+          end)
+        s;
+      need x r
+    | Algebra.Add_rownum (_, x) -> need x (Array.sub req 0 (Array.length req - 1))
+    | Algebra.Product (l, r) ->
+      let n = Schema.arity (schema l) in
+      need l (Array.sub req 0 n);
+      need r (Array.sub req n (Array.length req - n))
+    | Algebra.Join { kind; cond; left; right } ->
+      let ls = schema left and rs = schema right in
+      let n = Schema.arity ls in
+      let lr = Array.sub req 0 n in
+      let rr =
+        match kind with
+        | Algebra.Inner | Algebra.Left_outer -> Array.sub req n (Schema.arity rs)
+        | Algebra.Semi | Algebra.Anti -> none rs
+      in
+      mark [| ls; rs |] [| lr; rr |] cond;
+      need left lr;
+      need right rr
+    | Algebra.Group_by { keys; aggs; input } ->
+      let s = schema input in
+      let r = none s in
+      List.iter (mark_col s r) keys;
+      mark_aggs [| s |] [| r |] aggs;
+      need input r
+    | Algebra.Aggregate_all (aggs, x) ->
+      let s = schema x in
+      let r = none s in
+      mark_aggs [| s |] [| r |] aggs;
+      need x r
+    | Algebra.Md { base; detail; blocks } -> need_md base detail blocks [] req
+    | Algebra.Md_completed { base; detail; blocks; completion } ->
+      need_md base detail blocks
+        (completion.Gmdj.kill_when @ completion.Gmdj.require_fired)
+        req
+    | Algebra.Sort { by; input; _ } ->
+      let r = Array.copy req in
+      List.iter (fun (c, _) -> mark_col (schema input) r c) by;
+      need input r
+  and need_md base detail blocks preds req =
+    let bs = schema base and ds = schema detail in
+    let br = Array.sub req 0 (Schema.arity bs) and dr = none ds in
+    let frames = [| bs; ds |] and needs = [| br; dr |] in
+    List.iter
+      (fun (b : Gmdj.block) ->
+        mark frames needs b.Gmdj.theta;
+        mark_aggs frames needs b.Gmdj.aggs;
+        (* Aggregate columns are named apart from the base's names
+           ([Gmdj.output_schema]): keep every base column that could
+           take part in that, so the output names do not change. *)
+        List.iter
+          (fun (spec : Aggregate.spec) ->
+            let n = spec.Aggregate.name in
+            Array.iteri
+              (fun i a ->
+                let an = a.Schema.name in
+                if an = n || String.starts_with ~prefix:(n ^ "_") an then br.(i) <- true)
+              bs)
+          b.Gmdj.aggs)
+      blocks;
+    List.iter (mark frames needs) preds;
+    need base br;
+    need detail dr
+  in
+  match need root (all (schema root)) with
+  | () -> Some !leaves
+  | exception Unprunable -> None
+
+(* The stored positions a [Table] leaf's scan must decode. *)
+let table_columns ctx alg arity =
+  match Lazy.force ctx.required with
+  | Some leaves -> (
+    match List.assq_opt alg leaves with
+    | Some need ->
+      Array.of_list (List.filter (fun i -> need.(i)) (List.init arity Fun.id))
+    | None -> Array.init arity Fun.id)
+  | None -> Array.init arity Fun.id
+
 (* Override results must fit where the node's output goes.  The lookup
    failing (unknown table, un-inferable subtree) falls back to the old
    caller's-contract behaviour. *)
 let validate_override ctx alg r =
-  let lookup name =
-    match ctx.sources name with
-    | Some s ->
-      let sc = Chunk.Source.schema s in
-      Chunk.Source.close s;
-      sc
-    | None -> Relation.schema (Catalog.find ctx.catalog name)
-  in
+  let lookup = table_schema ~sources:ctx.sources ctx.catalog in
   match (try Algebra.schema_diag ~lookup alg with _ -> Error (Diag.error ~code:"EVL000" "")) with
   | Error _ -> ()
   | Ok expected ->
@@ -297,7 +462,10 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
   match alg with
   | Algebra.Table name -> (
     match ctx.sources name with
-    | Some src -> { src = tap ctx src; release = no_release }
+    | Some src ->
+      let arity = Schema.arity (Chunk.Source.schema src) in
+      let src = Chunk.Source.narrow src (lazy (table_columns ctx alg arity)) in
+      { src = tap ctx src; release = no_release }
     | None ->
       {
         src = tap ctx (Chunk.Source.of_relation (Catalog.find ctx.catalog name));
@@ -446,8 +614,9 @@ let no_sources _ = None
 
 let no_override _ = None
 
-let make_ctx ?(sources = no_sources) ?(override = no_override) ~config catalog =
-  { config; catalog; sources; override; acct = acct_create () }
+let make_ctx ?(sources = no_sources) ?(override = no_override) ~config catalog plan =
+  let required = lazy (required_columns ~lookup:(table_schema ~sources catalog) plan) in
+  { config; catalog; sources; override; acct = acct_create (); required }
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points — thin wrappers over the two drivers            *)
@@ -461,10 +630,10 @@ let run_to_relation ctx ?gmdj_stats alg =
   r
 
 let eval ?(config = default_config) ?gmdj_stats ?override catalog alg =
-  run_to_relation (make_ctx ?override ~config catalog) ?gmdj_stats alg
+  run_to_relation (make_ctx ?override ~config catalog alg) ?gmdj_stats alg
 
 let eval_exec ?(config = default_config) ?gmdj_stats ?sources catalog alg =
-  let ctx = make_ctx ?sources ~config catalog in
+  let ctx = make_ctx ?sources ~config catalog alg in
   let r = run_to_relation ctx ?gmdj_stats alg in
   (r, { chunks = ctx.acct.chunks; peak_materialized_rows = ctx.acct.peak_rows })
 
@@ -538,7 +707,7 @@ let eval_analyzed ?(config = default_config) ?(registry = Subql_obs.Metrics.defa
           });
     }
   in
-  let ctx = make_ctx ~config catalog in
+  let ctx = make_ctx ~config catalog alg in
   let result, free, node = run_eager ctx hooks alg in
   free ();
   publish_run ctx;

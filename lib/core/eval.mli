@@ -86,7 +86,17 @@ type source_provider = string -> Chunk.Source.t option
     (e.g. {!Subql_storage.Heap_file.source} pages through a buffer
     pool) instead of the catalog relation; the provider must return a
     {e fresh} source on every call — a table referenced twice is
-    scanned twice. *)
+    scanned twice.
+
+    A source that can project ({!Subql_relational.Chunk.Source.narrow})
+    is narrowed, before its first pull, to the columns the plan reads:
+    every column an operator above the scan references, or all of them
+    under a positional or whole-row operator (UNION ALL, EXCEPT ALL,
+    DISTINCT).  A heap-file scan then decodes only those columns.  The
+    analysis runs once per evaluation, and only when such a source
+    appears.  A provider that wraps a heap-file source in
+    [Chunk.Source.create] (to trace or count its pulls, say) forfeits
+    the capability unless it passes a [narrow] of its own. *)
 
 type exec_report = {
   chunks : int;  (** chunks pulled through operator boundaries *)

@@ -57,11 +57,12 @@ module Source = struct
     mutable next_fn : unit -> chunk option;
     mutable close_fn : unit -> unit;
     mutable origin : Relation.t option;
+    mutable narrow_fn : (int array -> t) option;  (** until the first pull *)
     mutable closed : bool;
   }
 
-  let create ?(close = fun () -> ()) ~schema next =
-    { schema; next_fn = next; close_fn = close; origin = None; closed = false }
+  let create ?(close = fun () -> ()) ?narrow ~schema next =
+    { schema; next_fn = next; close_fn = close; origin = None; narrow_fn = narrow; closed = false }
 
   let schema s = s.schema
 
@@ -69,6 +70,7 @@ module Source = struct
     if not s.closed then begin
       s.closed <- true;
       s.origin <- None;
+      s.narrow_fn <- None;
       s.next_fn <- (fun () -> None);
       let f = s.close_fn in
       s.close_fn <- (fun () -> ());
@@ -77,6 +79,7 @@ module Source = struct
 
   let next s =
     s.origin <- None;
+    s.narrow_fn <- None;
     match s.next_fn () with
     | Some _ as r -> r
     | None ->
@@ -84,6 +87,14 @@ module Source = struct
       None
 
   let origin s = s.origin
+
+  let narrow s columns =
+    match s.narrow_fn with
+    | None -> s
+    | Some f ->
+      let narrowed = f (Lazy.force columns) in
+      close s;
+      narrowed
 
   let of_relation ?(chunk_rows = default_rows) r =
     if chunk_rows <= 0 then invalid_arg "Chunk.Source.of_relation: chunk_rows <= 0";

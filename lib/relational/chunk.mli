@@ -62,9 +62,21 @@ module Source : sig
 
   type t
 
-  val create : ?close:(unit -> unit) -> schema:Schema.t -> (unit -> chunk option) -> t
+  val create :
+    ?close:(unit -> unit) ->
+    ?narrow:(int array -> t) ->
+    schema:Schema.t ->
+    (unit -> chunk option) ->
+    t
   (** [create ~schema next] wraps a pull function.  [close] runs exactly
-      once — on [close], or when [next] first returns [None]. *)
+      once — on [close], or when [next] first returns [None].
+
+      [narrow], when given, is the projection capability: [narrow cols]
+      must return a fresh, unpulled copy of this stream that carries
+      only the columns at positions [cols] (strictly ascending) of
+      [schema], in order, under the correspondingly narrowed schema — a
+      storage scan uses it to decode only those columns.  The copy must
+      not depend on this source's [close], which {!narrow} runs. *)
 
   val schema : t -> Schema.t
 
@@ -84,6 +96,19 @@ module Source : sig
       over [r] — the materialization shortcut: [to_relation] returns [r]
       without copying, and executors can treat the input as already
       materialized. *)
+
+  val narrow : t -> int array Lazy.t -> t
+  (** [narrow s cols] is the narrowed copy of [s] for the column
+      positions [cols] when [s] was created with a [narrow] capability
+      and has not been pulled yet; [s] is then closed and must not be
+      used again.  Otherwise it is [s] itself and [cols] is never
+      forced.  Sources without the capability — relations, {!map},
+      {!tap}, {!concat} — are always returned unchanged.
+
+      A consumer that asks for fewer columns must resolve them by name
+      against {!schema} of the result, never by position in the
+      original schema: then a wrong column set fails loudly as an
+      unknown attribute instead of reading the wrong column. *)
 
   val fold : ('a -> chunk -> 'a) -> 'a -> t -> 'a
   (** Drains the source (and hence closes it). *)

@@ -112,6 +112,12 @@ val raise_diag : Diag.t -> 'a
     with no legacy equivalent — the bridge the historical entry points
     use now that the structured path is primary. *)
 
+val resolve : Schema.t array -> string option * string -> (int * int) option
+(** [(frame, position)] of the column a reference names: the innermost
+    frame (highest index) that has it wins — the rule every compiled
+    expression follows.
+    @raise Schema.Ambiguous_attribute if that frame has it twice. *)
+
 val refs_resolvable : Schema.t array -> t -> bool
 (** Do all attribute references resolve in the given frames? *)
 

@@ -1,6 +1,6 @@
 type frame = { bytes : bytes; mutable last_used : int }
 
-type stats = { page_reads : int; hits : int; evictions : int }
+type stats = { page_reads : int; hits : int; evictions : int; allocations : int }
 
 (* The pool's own accounting is mutable; the exposed [stats] record is an
    immutable snapshot of it. *)
@@ -8,6 +8,7 @@ type live = {
   mutable page_reads : int;
   mutable hits : int;
   mutable evictions : int;
+  mutable allocations : int;
 }
 
 type t = {
@@ -71,7 +72,7 @@ let create ~frames =
       capacity = frames;
       table = Hashtbl.create (2 * frames);
       clock = 0;
-      live = { page_reads = 0; hits = 0; evictions = 0 };
+      live = { page_reads = 0; hits = 0; evictions = 0; allocations = 0 };
     }
   in
   register t;
@@ -101,7 +102,12 @@ let invalidate_all ~path ~from_page =
 let frames t = t.capacity
 
 let stats t : stats =
-  { page_reads = t.live.page_reads; hits = t.live.hits; evictions = t.live.evictions }
+  {
+    page_reads = t.live.page_reads;
+    hits = t.live.hits;
+    evictions = t.live.evictions;
+    allocations = t.live.allocations;
+  }
 
 let hit_rate t =
   let accesses = t.live.hits + t.live.page_reads in
@@ -110,7 +116,8 @@ let hit_rate t =
 let reset_stats t =
   t.live.page_reads <- 0;
   t.live.hits <- 0;
-  t.live.evictions <- 0
+  t.live.evictions <- 0;
+  t.live.allocations <- 0
 
 let resident t = Hashtbl.length t.table
 
@@ -118,6 +125,8 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+(* Drop the least-recently-used frame and hand back its buffer for the
+   incoming page to reuse. *)
 let evict_lru t =
   let victim = ref None in
   Hashtbl.iter
@@ -127,13 +136,14 @@ let evict_lru t =
       | _ -> victim := Some (key, frame))
     t.table;
   match !victim with
-  | Some (key, _) ->
+  | Some (key, frame) ->
     Hashtbl.remove t.table key;
     t.live.evictions <- t.live.evictions + 1;
-    Subql_obs.Metrics.incr m_evictions
-  | None -> ()
+    Subql_obs.Metrics.incr m_evictions;
+    Some frame.bytes
+  | None -> None
 
-let fetch t ~key ~load =
+let fetch t ~key ~size ~load =
   match Hashtbl.find_opt t.table key with
   | Some frame ->
     frame.last_used <- tick t;
@@ -141,8 +151,17 @@ let fetch t ~key ~load =
     Subql_obs.Metrics.incr m_hits;
     frame.bytes
   | None ->
-    if Hashtbl.length t.table >= t.capacity then evict_lru t;
-    let bytes = load () in
+    let recycled = if Hashtbl.length t.table >= t.capacity then evict_lru t else None in
+    (* Pools are shared across files, so the victim's buffer is reused
+       only when it has the requested page size. *)
+    let bytes =
+      match recycled with
+      | Some b when Bytes.length b = size -> b
+      | _ ->
+        t.live.allocations <- t.live.allocations + 1;
+        Bytes.create size
+    in
+    load bytes;
     t.live.page_reads <- t.live.page_reads + 1;
     Subql_obs.Metrics.incr m_reads;
     Hashtbl.replace t.table key { bytes; last_used = tick t };

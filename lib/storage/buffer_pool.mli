@@ -2,12 +2,14 @@
 
     The pool caches pages from any number of files, keyed by
     [(file_path, page_no)].  Misses call the supplied loader; when the
-    pool is full the least-recently-used page is evicted.  Pages are
-    never mutated through the pool (heap files rewrite pages directly),
-    so eviction never writes back; instead a file append {e invalidates}
-    the affected tail pages in every live pool ({!invalidate_all}), so a
-    pool shared across an append can never serve a stale last-page
-    image.
+    pool is full the least-recently-used page is evicted, and its
+    buffer is refilled in place for the incoming page when the two
+    page sizes match — a scan through a full pool allocates no page
+    buffers at all.  Pages are never mutated through the pool (heap
+    files rewrite pages directly), so eviction never writes back;
+    instead a file append {e invalidates} the affected tail pages in
+    every live pool ({!invalidate_all}), so a pool shared across an
+    append can never serve a stale last-page image.
 
     The stats make the paper's I/O argument observable: a coalesced GMDJ
     reads each detail page once; chained GMDJs read the file once per
@@ -20,6 +22,10 @@ type stats = {
   page_reads : int;  (** loader invocations (misses) *)
   hits : int;
   evictions : int;
+  allocations : int;
+      (** page buffers created: at most {!frames} while every page has
+          the same size, since a miss on a full pool reuses its
+          victim's buffer *)
 }
 (** An immutable snapshot — {!stats} returns a copy, so mutable fields
     here would only invite the mistaken belief that writing them affects
@@ -42,8 +48,16 @@ val hit_rate : t -> float
 
 val reset_stats : t -> unit
 
-val fetch : t -> key:string * int -> load:(unit -> bytes) -> bytes
-(** The page under [key], loading and caching it on a miss. *)
+val fetch : t -> key:string * int -> size:int -> load:(bytes -> unit) -> bytes
+(** The page under [key].  On a miss, [load] fills a [size]-byte buffer
+    — the evicted victim's when it has that size, a fresh one otherwise
+    — which is then cached.  LRU order, residency and the statistics
+    do not depend on which buffer was used.
+
+    The returned bytes are valid until the next [fetch] or
+    {!invalidate} on this pool: a later miss may recycle them for
+    another page.  Callers decode (or copy) a page before fetching
+    again. *)
 
 val resident : t -> int
 (** Pages currently cached. *)

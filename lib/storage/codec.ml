@@ -119,7 +119,7 @@ type mode = Generic | Specialized
 
 type column = { ty : Value.ty; non_null : bool }
 
-type plan = { schema : Schema.t; columns : column array }
+type plan = { schema : Schema.t; columns : column array; slots : int array; width : int }
 
 let plan_of_schema ?non_null schema =
   let arity = Schema.arity schema in
@@ -135,7 +135,20 @@ let plan_of_schema ?non_null schema =
     schema;
     columns =
       Array.init arity (fun i -> { ty = (Schema.attr_at schema i).Schema.ty; non_null = nn.(i) });
+    slots = Array.init arity Fun.id;
+    width = arity;
   }
+
+let project plan keep =
+  let arity = Array.length plan.columns in
+  let slots = Array.make arity (-1) in
+  Array.iteri
+    (fun k c ->
+      if c < 0 || c >= arity || (k > 0 && c <= keep.(k - 1)) then
+        invalid_arg "Codec.project: positions must be strictly ascending and within the arity";
+      slots.(c) <- k)
+    keep;
+  { plan with slots; width = Array.length keep }
 
 let column_name plan i = Schema.qualified_name (Schema.attr_at plan.schema i)
 
@@ -172,75 +185,94 @@ let[@inline] get64_le bytes q =
 
 (* One tuple's cells, type-directed: [i] indexes the plan column, [q]
    the next undecoded byte.  Tail recursion keeps the position in a
-   register instead of a heap ref, and [cols]/[arity] ride along as
-   arguments so the loop never reloads them through [plan]. *)
-let rec decode_cells plan cols arity bytes len (out : Tuple.t) i q =
+   register instead of a heap ref, and [cols]/[slots]/[arity] ride
+   along as arguments so the loop never reloads them through [plan].
+   A cell whose slot is negative is skipped by its length, after the
+   same tag and bounds checks a kept cell gets — a corrupt page fails
+   identically whichever columns are read. *)
+let rec decode_cells plan cols slots arity bytes len (out : Tuple.t) i q =
   if i >= arity then q
   else begin
     if q >= len then sto ~code:"STO002" ~offset:q "truncated tuple: no value tag";
     let tag = Bytes.unsafe_get bytes q in
     let c = Array.unsafe_get cols i in
+    let s = Array.unsafe_get slots i in
     match c.ty with
     | Value.Tint ->
       if tag = tag_int then begin
         if q + 9 > len then need bytes (q + 1) 8 "int value";
-        Array.unsafe_set out i (v_int (Int64.to_int (get64_le bytes (q + 1))));
-        decode_cells plan cols arity bytes len out (i + 1) (q + 9)
+        if s >= 0 then Array.unsafe_set out s (v_int (Int64.to_int (get64_le bytes (q + 1))));
+        decode_cells plan cols slots arity bytes len out (i + 1) (q + 9)
       end
       else if tag = tag_null && not c.non_null then
-        decode_cells plan cols arity bytes len out (i + 1) (q + 1)
-        (* out.(i) is already Null *)
+        decode_cells plan cols slots arity bytes len out (i + 1) (q + 1)
+        (* out.(s) is already Null *)
       else plan_mismatch plan i tag q
     | Value.Tfloat ->
       if tag = tag_float then begin
         if q + 9 > len then need bytes (q + 1) 8 "float value";
-        Array.unsafe_set out i (Value.Float (Int64.float_of_bits (get64_le bytes (q + 1))));
-        decode_cells plan cols arity bytes len out (i + 1) (q + 9)
+        if s >= 0 then
+          Array.unsafe_set out s (Value.Float (Int64.float_of_bits (get64_le bytes (q + 1))));
+        decode_cells plan cols slots arity bytes len out (i + 1) (q + 9)
       end
       else if tag = tag_null && not c.non_null then
-        decode_cells plan cols arity bytes len out (i + 1) (q + 1)
+        decode_cells plan cols slots arity bytes len out (i + 1) (q + 1)
       else plan_mismatch plan i tag q
     | Value.Tstring ->
       if tag = tag_str then begin
         need bytes (q + 1) 2 "string length";
         let slen = Bytes.get_uint16_le bytes (q + 1) in
         need bytes (q + 3) slen "string value";
-        Array.unsafe_set out i (Value.Str (Bytes.sub_string bytes (q + 3) slen));
-        decode_cells plan cols arity bytes len out (i + 1) (q + 3 + slen)
+        if s >= 0 then Array.unsafe_set out s (Value.Str (Bytes.sub_string bytes (q + 3) slen));
+        decode_cells plan cols slots arity bytes len out (i + 1) (q + 3 + slen)
       end
       else if tag = tag_null && not c.non_null then
-        decode_cells plan cols arity bytes len out (i + 1) (q + 1)
+        decode_cells plan cols slots arity bytes len out (i + 1) (q + 1)
       else plan_mismatch plan i tag q
     | Value.Tbool ->
       if tag = tag_true then begin
-        Array.unsafe_set out i v_true;
-        decode_cells plan cols arity bytes len out (i + 1) (q + 1)
+        if s >= 0 then Array.unsafe_set out s v_true;
+        decode_cells plan cols slots arity bytes len out (i + 1) (q + 1)
       end
       else if tag = tag_false then begin
-        Array.unsafe_set out i v_false;
-        decode_cells plan cols arity bytes len out (i + 1) (q + 1)
+        if s >= 0 then Array.unsafe_set out s v_false;
+        decode_cells plan cols slots arity bytes len out (i + 1) (q + 1)
       end
       else if tag = tag_null && not c.non_null then
-        decode_cells plan cols arity bytes len out (i + 1) (q + 1)
+        decode_cells plan cols slots arity bytes len out (i + 1) (q + 1)
       else plan_mismatch plan i tag q
   end
 
+(* A row of [width] NULL cells.  [Array.make] is a C call; a literal
+   allocates inline, which matters once per decoded row. *)
+let[@inline] null_row width : Tuple.t =
+  match width with
+  | 1 -> [| Value.Null |]
+  | 2 -> [| Value.Null; Value.Null |]
+  | 3 -> [| Value.Null; Value.Null; Value.Null |]
+  | 4 -> [| Value.Null; Value.Null; Value.Null; Value.Null |]
+  | 5 -> [| Value.Null; Value.Null; Value.Null; Value.Null; Value.Null |]
+  | 6 -> [| Value.Null; Value.Null; Value.Null; Value.Null; Value.Null; Value.Null |]
+  | 7 -> [| Value.Null; Value.Null; Value.Null; Value.Null; Value.Null; Value.Null; Value.Null |]
+  | _ -> Array.make width Value.Null
+
 let decode_tuple_plan plan bytes ~pos =
   let cols = plan.columns in
-  let arity = Array.length cols in
-  let out = Array.make arity Value.Null in
-  pos := decode_cells plan cols arity bytes (Bytes.length bytes) out 0 !pos;
+  let out = null_row plan.width in
+  pos := decode_cells plan cols plan.slots (Array.length cols) bytes (Bytes.length bytes) out 0 !pos;
   out
 
 let decode_rows_plan plan bytes ~pos ~count =
   let len = Bytes.length bytes in
   let cols = plan.columns in
+  let slots = plan.slots in
   let arity = Array.length cols in
+  let width = plan.width in
   let rows : Tuple.t array = Array.make count [||] in
   let p = ref !pos in
   for r = 0 to count - 1 do
-    let out = Array.make arity Value.Null in
-    p := decode_cells plan cols arity bytes len out 0 !p;
+    let out = null_row width in
+    p := decode_cells plan cols slots arity bytes len out 0 !p;
     Array.unsafe_set rows r out
   done;
   pos := !p;

@@ -54,9 +54,17 @@ type mode = Generic | Specialized
 
 type column = { ty : Value.ty; non_null : bool }
 
-type plan = private { schema : Schema.t; columns : column array }
+type plan = private {
+  schema : Schema.t;  (** the stored layout *)
+  columns : column array;  (** one per stored attribute *)
+  slots : int array;
+      (** per stored column, its position in a decoded tuple, or [-1]
+          when decodes skip it *)
+  width : int;  (** arity of a decoded tuple *)
+}
 (** A schema compiled for decoding: one {!column} per attribute, fixed
-    at plan construction.  Build with {!plan_of_schema}. *)
+    at plan construction.  Build with {!plan_of_schema}; narrow what it
+    decodes with {!project}. *)
 
 val plan_of_schema : ?non_null:bool array -> Schema.t -> plan
 (** Compile a schema into a codec plan.  [non_null.(i) = true] declares
@@ -65,6 +73,18 @@ val plan_of_schema : ?non_null:bool array -> Schema.t -> plan
     {!encode_tuple_plan} reject it before it reaches a page; the default
     is all-nullable, which accepts exactly what the generic codec does.
     @raise Invalid_argument if [non_null] does not match the arity. *)
+
+val project : plan -> int array -> plan
+(** [project plan keep] decodes only the stored columns at positions
+    [keep] (strictly ascending), in that order: a decoded tuple has
+    [Array.length keep] cells.  Every other cell is skipped by its
+    length after the same checks a decoded cell gets — its tag must fit
+    the column ([STO003], which is also what an unknown tag or a NULL
+    in a non-NULL column reports) and its payload must lie in the page
+    ([STO002]) — so a corrupt page fails with the same diagnostic
+    whichever columns are kept.  Encoding ({!encode_tuple_plan}) always
+    writes the full stored layout.
+    @raise Invalid_argument on an out-of-range or unordered position. *)
 
 val decode_tuple_plan : plan -> bytes -> pos:int ref -> Tuple.t
 (** Type-directed decode: each cell checks the tag against its column's

@@ -124,11 +124,9 @@ let pages t = t.pages
 
 let row_count t = t.row_count
 
-let read_page t page_no =
-  let buf = Bytes.create t.page_size in
+let read_page_into t page_no buf =
   ignore (Unix.lseek t.fd ((page_no + 1) * t.page_size) Unix.SEEK_SET);
-  really_read t.fd buf;
-  buf
+  really_read t.fd buf
 
 (* ------------------------------------------------------------------ *)
 (* Appending                                                            *)
@@ -164,7 +162,8 @@ let append_feed t feed =
   if t.pages > 0 then begin
     (* Resume packing inside the current last page: decode its tuples to
        find the live payload prefix, then keep it verbatim. *)
-    let page = read_page t (t.pages - 1) in
+    let page = Bytes.create t.page_size in
+    read_page_into t (t.pages - 1) page;
     let n = Bytes.get_uint16_le page 0 in
     let pos = ref 2 in
     for _ = 1 to n do
@@ -216,18 +215,32 @@ let append_source t source = append_feed t (fun emit -> Chunk.Source.iter (Chunk
 (* Reading                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let decode_page t page_no ~pool =
+(* Decode one page under [plan] — the handle's own, or a projection of
+   it.  The pool's bytes are only valid until its next fetch, so the
+   page is fully decoded here.  [Generic] decodes every cell (it is the
+   oracle) and projects afterwards. *)
+let decode_page ?plan t page_no ~pool =
+  let plan = Option.value plan ~default:t.plan in
   let page =
-    Buffer_pool.fetch pool ~key:(t.path, page_no) ~load:(fun () -> read_page t page_no)
+    Buffer_pool.fetch pool ~key:(t.path, page_no) ~size:t.page_size
+      ~load:(read_page_into t page_no)
   in
   let n = Bytes.get_uint16_le page 0 in
   let pos = ref 2 in
   try
     match t.mode with
-    | Codec.Specialized -> Codec.decode_rows_plan t.plan page ~pos ~count:n
+    | Codec.Specialized -> Codec.decode_rows_plan plan page ~pos ~count:n
     | Codec.Generic ->
       let arity = Schema.arity t.schema in
-      Array.init n (fun _ -> Codec.decode_tuple page ~pos ~arity)
+      let rows = Array.init n (fun _ -> Codec.decode_tuple page ~pos ~arity) in
+      if plan.Codec.width = arity then rows
+      else
+        Array.map
+          (fun row ->
+            let out = Array.make plan.Codec.width Value.Null in
+            Array.iteri (fun c k -> if k >= 0 then out.(k) <- row.(c)) plan.Codec.slots;
+            out)
+          rows
   with Diag.Fail d ->
     (* A corrupt cell names only its byte offset; say which file and
        page it came from before the error escapes the storage layer. *)
@@ -240,18 +253,37 @@ let scan_pages t ~pool f =
 
 let scan t ~pool f = scan_pages t ~pool (fun rows -> Array.iter f rows)
 
-let source t ~pool =
-  (* Snapshot the page count: rows appended after the source is created
-     are not part of this scan (statement-level snapshot semantics). *)
-  let limit = t.pages in
+(* A scan of the first [rows] rows on the first [pages] pages, decoding
+   the stored columns [columns] (all of them when [None]).  Its
+   narrowing capability composes positions onto [columns]. *)
+let rec snapshot_source t ~pool ~pages ~rows columns =
+  let plan, schema =
+    match columns with
+    | None -> (t.plan, t.schema)
+    | Some cols -> (Codec.project t.plan cols, Schema.project t.schema cols)
+  in
+  let narrow cols =
+    let cols = match columns with None -> cols | Some outer -> Array.map (Array.get outer) cols in
+    snapshot_source t ~pool ~pages ~rows (Some cols)
+  in
   let page_no = ref 0 in
-  Chunk.Source.create ~schema:t.schema (fun () ->
-      if !page_no >= limit then None
+  let left = ref rows in
+  Chunk.Source.create ~narrow ~schema (fun () ->
+      if !page_no >= pages || !left <= 0 then None
       else begin
-        let rows = decode_page t !page_no ~pool in
+        let decoded = decode_page ~plan t !page_no ~pool in
         incr page_no;
-        Some (Chunk.of_rows t.schema rows)
+        let len = min (Array.length decoded) !left in
+        left := !left - len;
+        Some (Chunk.of_array ~len schema decoded)
       end)
+
+let source ?columns t ~pool =
+  (* Snapshot the page and row counts: an append after the source is
+     created — even one that packs rows into the snapshot's last page
+     in place — is not part of this scan (statement-level snapshot
+     semantics). *)
+  snapshot_source t ~pool ~pages:t.pages ~rows:t.row_count columns
 
 let source_range t ~pool ~first_page ~skip =
   if first_page < 0 || skip < 0 then invalid_arg "Heap_file.source_range: negative position";

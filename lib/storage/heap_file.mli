@@ -16,7 +16,9 @@
     at open time.  In the default [Specialized] codec mode, page decodes
     and append encodes run through the plan's fixed per-column loop
     ({!Codec.decode_tuple_plan}/{!Codec.encode_tuple_plan}); [Generic]
-    keeps the original per-cell tag dispatch as the fallback and oracle.
+    keeps the original per-cell tag dispatch as the fallback and oracle
+    (a column-pruned {!source} decodes such pages in full, then
+    projects).
     Both read and write the same byte format, so the mode is a pure
     open-time choice — files are interchangeable.  Corrupt pages raise
     {!Diag.Fail} with an [STO0xx] code whose [path] leads with
@@ -82,13 +84,24 @@ val scan : t -> pool:Buffer_pool.t -> (Tuple.t -> unit) -> unit
 val scan_pages : t -> pool:Buffer_pool.t -> (Tuple.t array -> unit) -> unit
 (** Page-at-a-time variant. *)
 
-val source : t -> pool:Buffer_pool.t -> Chunk.Source.t
+val source : ?columns:int array -> t -> pool:Buffer_pool.t -> Chunk.Source.t
 (** A pull-based stream over the file: one chunk per data page, each
-    fetched through the pool as it is pulled.  The page count is
-    snapshotted at creation, so rows appended while the stream is live
-    are not included.  Closing the source early simply stops fetching
-    (the handle stays open) — peak memory is one decoded page, not the
-    relation. *)
+    fetched through the pool as it is pulled.  The page count and the
+    row count are snapshotted at creation, and the stream stops after
+    that many rows: rows appended while the stream is live are not
+    included, even those an append packs into the snapshot's last page
+    in place.  Closing the source early simply stops fetching (the
+    handle stays open) — peak memory is one decoded page, not the
+    relation.
+
+    [columns] (strictly ascending stored positions; default: all)
+    decodes only those columns and streams the correspondingly narrowed
+    schema; the other cells are skipped by length with the full
+    decode's corruption checks ({!Codec.project}).  The source also
+    carries the {!Chunk.Source.narrow} capability, so an executor that
+    knows which columns a plan reads can narrow it before the first
+    pull.
+    @raise Invalid_argument on an out-of-range or unordered position. *)
 
 val source_range : t -> pool:Buffer_pool.t -> first_page:int -> skip:int -> Chunk.Source.t
 (** Stream from [first_page] to the current end of file, skipping the

@@ -188,9 +188,16 @@ GATES = {
                 "specialized decode speedup {value:.2f}x < 1.3x floor"),
             row("speedup", ">=", base(0.7),
                 "speedup regressed >30% vs baseline: {base:.2f}x -> {value:.2f}x"),
+            row("pruned_speedup", "number",
+                msg="BENCH_codec.json has no column-pruned scan row (pruned_speedup)"),
+            row("pruned_speedup", ">=", const(1.5),
+                "column-pruned Flow scan {value:.2f}x < 1.5x the full decode"),
+            row("pruned_speedup", ">=", base(0.7),
+                "pruned speedup regressed >30% vs baseline: {base:.2f}x -> {value:.2f}x"),
         ],
         summary=lambda f, b: "BENCH_codec.json: verified, specialized decode %.2fx vs generic "
-        "(baseline %.2fx)" % (f["speedup"], b["speedup"]),
+        "(baseline %.2fx), [SourceIP; NumBytes] scan %.2fx vs full (baseline %.2fx)"
+        % (f["speedup"], b["speedup"], f["pruned_speedup"], b["pruned_speedup"]),
     ),
 }
 

@@ -92,6 +92,33 @@ let plan_codec_agrees (tys, rows) =
   in
   same_bytes && batch_ok && one_ok
 
+(* A column-pruned plan decodes exactly the projection of the full
+   decode, and ends at the same byte offset. *)
+let pruned_case_gen =
+  QCheck2.Gen.(
+    plan_case_gen >>= fun (tys, rows) ->
+    list_repeat (List.length tys) bool >>= fun mask -> return (tys, rows, mask))
+
+let pruned_decode_is_projection (tys, rows, mask) =
+  let schema =
+    Schema.of_list (List.mapi (fun i ty -> Schema.attr (Printf.sprintf "c%d" i) ty) tys)
+  in
+  let keep =
+    Array.of_list (List.filteri (fun i _ -> List.nth mask i) (List.mapi (fun i _ -> i) tys))
+  in
+  let plan = Codec.plan_of_schema schema in
+  let buf = Buffer.create 256 in
+  List.iter (Codec.encode_tuple_plan plan buf) rows;
+  let bytes = Buffer.to_bytes buf in
+  let count = List.length rows in
+  let full_pos = ref 0 and pruned_pos = ref 0 in
+  let full = Codec.decode_rows_plan plan bytes ~pos:full_pos ~count in
+  let pruned = Codec.decode_rows_plan (Codec.project plan keep) bytes ~pos:pruned_pos ~count in
+  !full_pos = !pruned_pos
+  && Array.for_all2
+       (fun f p -> Array.length p = Array.length keep && Array.for_all2 value_eq (Tuple.project f keep) p)
+       full pruned
+
 let expect_diag code f =
   match f () with
   | exception Subql_relational.Diag.Fail d ->
@@ -239,6 +266,98 @@ let test_corrupt_page_is_diagnosed () =
       let d = expect_diag "STO001" (fun () -> scan_with Codec.Generic) in
       Alcotest.(check bool) "generic names the page" true (has_page_context d))
 
+(* Corrupt a cell of a column the scan skips: the pruned decode must
+   fail with the full decode's diagnostic (or, where the full decode
+   accepts the bytes, accept them too), in both codec modes. *)
+let test_corrupt_skipped_column () =
+  let schema =
+    Schema.of_list
+      [
+        Schema.attr ~rel:"R" "a" Value.Tint;
+        Schema.attr ~rel:"R" "b" Value.Tstring;
+        Schema.attr ~rel:"R" "c" Value.Tint;
+      ]
+  in
+  let rel =
+    Relation.of_list schema
+      (List.init 40 (fun i -> [| Value.Int i; Value.Str "abcd"; Value.Int (i * 7) |]))
+  in
+  (* Row 0 of page 0: the 2-byte tuple count, then a's 9 bytes, then
+     b's tag byte and its 16-bit length. *)
+  let b_tag = 512 + 2 + 9 in
+  let cases =
+    [
+      ("unknown tag", b_tag, "\250", "STO003", "STO001");
+      ("payload past the page end", b_tag + 1, "\255\255", "STO002", "STO002");
+      ("tag/column clash", b_tag, "\001", "STO003", "");
+    ]
+  in
+  List.iter
+    (fun (what, offset, bytes, specialized_code, generic_code) ->
+      with_file rel ~page_size:512 (fun path _hf ->
+          let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+          ignore (Unix.lseek fd offset Unix.SEEK_SET);
+          ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+          Unix.close fd;
+          let outcome codec columns =
+            let hf = Heap_file.openfile ~path ~codec ~schema () in
+            Fun.protect
+              ~finally:(fun () -> Heap_file.close hf)
+              (fun () ->
+                match
+                  Chunk.Source.to_relation
+                    (Heap_file.source ?columns hf ~pool:(Buffer_pool.create ~frames:4))
+                with
+                | _ -> ""
+                | exception Diag.Fail d -> d.Diag.code)
+          in
+          List.iter
+            (fun (codec, name, expected) ->
+              let full = outcome codec None in
+              if expected <> "" then
+                Alcotest.(check string) (Printf.sprintf "%s, %s: full decode" what name) expected full;
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %s: pruned decode fails as the full one" what name)
+                full
+                (outcome codec (Some [| 0; 2 |])))
+            [
+              (Codec.Specialized, "specialized", specialized_code);
+              (Codec.Generic, "generic", generic_code);
+            ]))
+    cases
+
+(* Only the listed columns are decoded, in order, under the narrowed
+   schema — directly or through the source's narrowing capability. *)
+let test_source_columns () =
+  let rel = mk_rel 300 in
+  with_file rel ~page_size:512 (fun _path hf ->
+      let pool = Buffer_pool.create ~frames:4 in
+      let expected =
+        Relation.create
+          (Schema.project (Relation.schema rel) [| 0; 2 |])
+          (Array.map (fun t -> Tuple.project t [| 0; 2 |]) (Relation.rows rel))
+      in
+      let direct = Chunk.Source.to_relation (Heap_file.source ~columns:[| 0; 2 |] hf ~pool) in
+      Alcotest.(check bool) "narrowed schema" true
+        (Schema.equal (Relation.schema expected) (Relation.schema direct));
+      Alcotest.(check bool) "projected rows, in order" true
+        (Array.for_all2 Tuple.equal (Relation.rows expected) (Relation.rows direct));
+      let narrowed =
+        Chunk.Source.narrow (Heap_file.source hf ~pool) (lazy [| 0; 2 |])
+        |> Chunk.Source.to_relation
+      in
+      Alcotest.(check bool) "narrowing capability" true
+        (Array.for_all2 Tuple.equal (Relation.rows expected) (Relation.rows narrowed));
+      (* Once pulled, a source keeps its columns. *)
+      let src = Heap_file.source hf ~pool in
+      ignore (Chunk.Source.next src);
+      Alcotest.(check bool) "pulled source is not narrowed" true
+        (Chunk.Source.narrow src (lazy [| 0 |]) == src);
+      Chunk.Source.close src;
+      match Heap_file.source ~columns:[| 2; 0 |] hf ~pool with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "unordered columns must be rejected")
+
 (* The three read paths — tuple-at-a-time [scan], page-at-a-time
    [scan_pages] and the pull [source] — must deliver the same tuples in
    the same (file) order, and the source must complete on a pool smaller
@@ -383,6 +502,24 @@ let test_source_range_streams_exact_delta () =
       Alcotest.(check bool) "in append order" true
         (List.for_all2 Tuple.equal (Array.to_list batch) streamed))
 
+(* A live scan snapshots the row count too: an append that packs rows
+   into the snapshot's last page in place stays invisible to it. *)
+let test_source_ignores_rows_appended_mid_scan () =
+  let rel =
+    Relation.of_list
+      (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint ])
+      (List.init 10 (fun i -> [| Value.Int i |]))
+  in
+  with_file rel ~page_size:64 (fun _path hf ->
+      let pool = Buffer_pool.create ~frames:4 in
+      let src = Heap_file.source hf ~pool in
+      let first =
+        match Chunk.Source.next src with Some c -> Chunk.length c | None -> 0
+      in
+      ignore (Heap_file.append hf (Array.init 3 (fun i -> [| Value.Int (100 + i) |])));
+      let rest = Chunk.Source.fold (fun n c -> n + Chunk.length c) 0 src in
+      Alcotest.(check int) "rows streamed" 10 (first + rest))
+
 (* --- Buffer pool ---------------------------------------------------------- *)
 
 let test_pool_caching () =
@@ -412,6 +549,52 @@ let test_pool_caching () =
       Alcotest.(check int) "bounded residency" 4 (Buffer_pool.resident small);
       Alcotest.(check int) "two cold scans" (2 * n_pages) s.Buffer_pool.page_reads;
       Alcotest.(check bool) "evictions happened" true (s.Buffer_pool.evictions > 0))
+
+(* A miss on a full pool refills its victim's buffer: a cold scan of an
+   N-page file through F frames allocates F page buffers, not N. *)
+let test_pool_recycles_frames () =
+  with_file (mk_rel 2000) ~page_size:512 (fun _path hf ->
+      let frames = 4 in
+      let pool = Buffer_pool.create ~frames in
+      Alcotest.(check bool) "file exceeds pool" true (Heap_file.pages hf > 2 * frames);
+      Heap_file.scan hf ~pool (fun _ -> ());
+      let s = Buffer_pool.stats pool in
+      Alcotest.(check int) "every page read" (Heap_file.pages hf) s.Buffer_pool.page_reads;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d buffers for %d pages" s.Buffer_pool.allocations (Heap_file.pages hf))
+        true
+        (s.Buffer_pool.allocations <= frames))
+
+(* Two files of different page sizes interleaved through one 2-frame
+   pool: a victim's buffer is only reused for a page of its own size,
+   and both scans return their exact rows. *)
+let test_pool_mixed_page_sizes () =
+  let a = mk_rel 400 and b = mk_rel 250 in
+  with_file a ~page_size:512 (fun _ ha ->
+      with_file b ~page_size:256 (fun _ hb ->
+          let pool = Buffer_pool.create ~frames:2 in
+          let sa = Heap_file.source ha ~pool and sb = Heap_file.source hb ~pool in
+          let out_a = ref [] and out_b = ref [] in
+          let pull src out =
+            match Chunk.Source.next src with
+            | Some c ->
+              Chunk.iter (fun t -> out := t :: !out) c;
+              true
+            | None -> false
+          in
+          let rec go () =
+            let more_a = pull sa out_a in
+            let more_b = pull sb out_b in
+            if more_a || more_b then go ()
+          in
+          go ();
+          let same rel got =
+            let got = List.rev got in
+            List.length got = Relation.cardinality rel
+            && List.for_all2 Tuple.equal (Array.to_list (Relation.rows rel)) got
+          in
+          Alcotest.(check bool) "512-byte file intact" true (same a !out_a);
+          Alcotest.(check bool) "256-byte file intact" true (same b !out_b)))
 
 (* --- Paged GMDJ ------------------------------------------------------------ *)
 
@@ -503,6 +686,8 @@ let () =
             plan_codec_agrees;
           Alcotest.test_case "corruption raises structured diagnostics" `Quick
             test_codec_structured_errors;
+          Helpers.qtest ~count:300 "pruned decode is the projection of the full decode"
+            pruned_case_gen pruned_decode_is_projection;
         ] );
       ( "heap-file",
         [
@@ -513,6 +698,9 @@ let () =
             test_corrupt_page_is_diagnosed;
           Alcotest.test_case "source matches scan on a small pool" `Quick
             test_source_matches_scan;
+          Alcotest.test_case "column-pruned source" `Quick test_source_columns;
+          Alcotest.test_case "a corrupt skipped column fails as when read" `Quick
+            test_corrupt_skipped_column;
         ] );
       ( "append",
         [
@@ -524,8 +712,15 @@ let () =
             test_append_invalidates_shared_pool;
           Alcotest.test_case "source_range streams exactly the delta" `Quick
             test_source_range_streams_exact_delta;
+          Alcotest.test_case "a live source ignores rows appended mid-scan" `Quick
+            test_source_ignores_rows_appended_mid_scan;
         ] );
-      ("buffer-pool", [ Alcotest.test_case "caching and eviction" `Quick test_pool_caching ]);
+      ( "buffer-pool",
+        [
+          Alcotest.test_case "caching and eviction" `Quick test_pool_caching;
+          Alcotest.test_case "a cold scan recycles its frames" `Quick test_pool_recycles_frames;
+          Alcotest.test_case "mixed page sizes share a pool" `Quick test_pool_mixed_page_sizes;
+        ] );
       ( "paged-gmdj",
         [
           Alcotest.test_case "matches in-memory evaluation" `Quick test_gmdj_over_file_equivalence;
