@@ -43,7 +43,7 @@ let unnest_indexed =
   {
     e_name = "unnest-join";
     run =
-      (fun catalog q -> Subql.Eval.eval catalog (Subql_unnest.Unnest.best catalog q));
+      (fun catalog q -> Subql.Eval.eval catalog (Subql.Unnest.best catalog q));
     cost = Linear;
   }
 
@@ -53,7 +53,7 @@ let unnest_noindex =
     run =
       (fun catalog q ->
         Subql.Eval.eval ~config:Subql.Eval.unindexed_config catalog
-          (Subql_unnest.Unnest.best catalog q));
+          (Subql.Unnest.best catalog q));
     cost = Quadratic;
   }
 
@@ -66,7 +66,7 @@ let unnest_expansion_noindex =
     run =
       (fun catalog q ->
         Subql.Eval.eval ~config:Subql.Eval.unindexed_config catalog
-          (Subql_unnest.Unnest.via_joins catalog q));
+          (Subql.Unnest.via_joins catalog q));
     cost = Quadratic;
   }
 

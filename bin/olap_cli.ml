@@ -103,7 +103,7 @@ let engine_plan engine catalog query =
     Plan c.Subql.Planner.plan
   | "native" -> Native Subql_nested.Naive_eval.Smart
   | "native-plain" -> Native Subql_nested.Naive_eval.Plain
-  | "unnest" | "unnest-noidx" -> Plan (Subql_unnest.Unnest.best catalog query)
+  | "unnest" | "unnest-noidx" -> Plan (Subql.Unnest.best catalog query)
   | "gmdj" | "gmdj-scan" -> Plan (Subql.Transform.to_algebra query)
   | "gmdj-opt" -> Plan (gmdj_opt_plan query)
   | other ->
@@ -221,8 +221,7 @@ let run_cmd =
     let feedback = ref None in
     let result =
       if engine = "auto" && not explain_analyze then begin
-        (* Only the planner path consults the result cache and records
-           estimate feedback. *)
+        (* Only the planner path records estimate feedback. *)
         let result, fb = Subql.Planner.run_with_feedback ~config catalog query in
         feedback := Some fb;
         result
@@ -282,9 +281,9 @@ let explain_cmd =
     Format.printf "SubqueryToGMDJ translation:@.@[<v 2>  %a@]@.@." Subql.Algebra.pp plan;
     Format.printf "After coalescing and completion:@.@[<v 2>  %a@]@.@." Subql.Algebra.pp
       (Subql.Optimize.optimize plan);
-    (match Subql_unnest.Unnest.via_semijoins (Catalog.create ()) query with
+    (match Subql.Unnest.via_semijoins (Catalog.create ()) query with
     | alg -> Format.printf "Classical join unnesting:@.@[<v 2>  %a@]@.@." Subql.Algebra.pp alg
-    | exception Subql_unnest.Unnest.Not_applicable reason ->
+    | exception Subql.Unnest.Not_applicable reason ->
       Format.printf "Classical join unnesting: not applicable (%s)@.@." reason);
     let catalog = resolve_catalog data workload flows users scale seed in
     Format.printf "Cost-based ranking over this catalog:@.";
@@ -296,7 +295,7 @@ let explain_cmd =
           c.Subql.Planner.estimate.Subql.Cost.rows
           (Subql.Cost.memory_height stats ~config:Subql.Eval.default_config
              c.Subql.Planner.plan))
-      (Subql.Planner.candidates catalog query)
+      (Subql.Planner.candidates ~stats catalog query)
   in
   Cmd.v
     (Cmd.info "explain" ~doc:"Show the plans every engine would run")
@@ -370,10 +369,6 @@ let analyze_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the reports as a JSON array.")
   in
-  let no_verify_arg =
-    Arg.(value & flag & info [ "no-verify" ]
-           ~doc:"Skip the rewrite verifier (typing and lints only).")
-  in
   let certify_arg =
     Arg.(value & flag & info [ "certify" ]
            ~doc:"Run the certificate passes on top of analysis: sound cardinality \
@@ -385,7 +380,7 @@ let analyze_cmd =
            ~doc:"Certify templates across N worker domains (output is byte-stable \
                  regardless of N).  Only meaningful with $(b,--certify).")
   in
-  let run data workload flows users scale seed zoo json no_verify certify domains sql =
+  let run data workload flows users scale seed zoo json certify domains sql =
     let targets, catalog =
       match zoo, sql with
       | Some "all", _ ->
@@ -398,47 +393,42 @@ let analyze_cmd =
           resolve_catalog data workload flows users scale seed )
       | None, None -> failwith "pass a SQL query or --zoo NAME|all"
     in
-    if not no_verify then Subql_analysis.Verify.install_optimizer_check catalog;
     let errors =
-      Fun.protect
-        ~finally:(fun () ->
-          if not no_verify then Subql_analysis.Verify.clear_optimizer_check ())
-        (fun () ->
-          if certify then begin
-            let certs, _combined =
-              Subql_analysis.Analyze.certify_all ~domains catalog targets
-            in
-            if json then
-              print_endline
-                (Subql_obs.Json.to_string
-                   (Subql_obs.Json.List
-                      (List.map Subql_analysis.Analyze.certified_to_json certs)))
-            else
-              List.iter
-                (fun c -> Format.printf "%a@." Subql_analysis.Analyze.pp_certified c)
-                certs;
-            List.fold_left
-              (fun n c -> n + Subql_analysis.Analyze.certified_errors c)
-              0 certs
-          end
-          else begin
-            let reports =
-              List.map
-                (fun (label, query) ->
-                  Subql_analysis.Analyze.analyze_query catalog ~label query)
-                targets
-            in
-            if json then
-              print_endline
-                (Subql_obs.Json.to_string
-                   (Subql_obs.Json.List
-                      (List.map Subql_analysis.Analyze.report_to_json reports)))
-            else
-              List.iter
-                (fun r -> Format.printf "%a@." Subql_analysis.Analyze.pp_report r)
-                reports;
-            List.fold_left (fun n r -> n + Subql_analysis.Analyze.errors r) 0 reports
-          end)
+      if certify then begin
+        let certs, _combined =
+          Subql_analysis.Analyze.certify_all ~domains catalog targets
+        in
+        if json then
+          print_endline
+            (Subql_obs.Json.to_string
+               (Subql_obs.Json.List
+                  (List.map Subql_analysis.Analyze.certified_to_json certs)))
+        else
+          List.iter
+            (fun c -> Format.printf "%a@." Subql_analysis.Analyze.pp_certified c)
+            certs;
+        List.fold_left
+          (fun n c -> n + Subql_analysis.Analyze.certified_errors c)
+          0 certs
+      end
+      else begin
+        let reports =
+          List.map
+            (fun (label, query) ->
+              Subql_analysis.Analyze.analyze_query catalog ~label query)
+            targets
+        in
+        if json then
+          print_endline
+            (Subql_obs.Json.to_string
+               (Subql_obs.Json.List
+                  (List.map Subql_analysis.Analyze.report_to_json reports)))
+        else
+          List.iter
+            (fun r -> Format.printf "%a@." Subql_analysis.Analyze.pp_report r)
+            reports;
+        List.fold_left (fun n r -> n + Subql_analysis.Analyze.errors r) 0 reports
+      end
     in
     if errors > 0 then begin
       Format.eprintf "analyze: %d error-severity diagnostic(s)@." errors;
@@ -452,7 +442,7 @@ let analyze_cmd =
              resource and soundness certificates")
     Term.(
       const run $ data_arg $ workload_arg $ flows_arg $ users_arg $ scale_arg $ seed_arg
-      $ zoo_arg $ json_arg $ no_verify_arg $ certify_arg $ domains_arg $ sql_opt_arg)
+      $ zoo_arg $ json_arg $ certify_arg $ domains_arg $ sql_opt_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Serving loop                                                         *)

@@ -58,7 +58,7 @@ let () =
             ("native", fun () -> Subql_nested.Naive_eval.eval catalog query);
             ( "unnest",
               fun () ->
-                Subql.Eval.eval catalog (Subql_unnest.Unnest.best catalog query) );
+                Subql.Eval.eval catalog (Subql.Unnest.best catalog query) );
             ("gmdj", fun () -> Subql.Eval.eval catalog (Subql.Transform.to_algebra query));
             ( "gmdj-opt",
               fun () ->

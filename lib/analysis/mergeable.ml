@@ -3,25 +3,23 @@ open Subql
 
 type laws = { has_identity : bool; associative : bool; commutative : bool }
 
-(* Derived structurally from the accumulator semantics in [Aggregate]:
-   COUNT/SUM add, MIN/MAX take lattice meets/joins, AVG carries
-   (sum, count) — all commutative monoids.  FIRST keeps the earliest
-   non-NULL value: the fresh accumulator is an identity and
-   concatenation-order merging associates, but swapping the operands
+(* Every aggregate state here has an identity (the fresh accumulator)
+   and an associative merge: COUNT/SUM add, MIN/MAX take lattice
+   meets/joins, AVG carries (sum, count), FIRST concatenates.  Only an
+   order-sensitive state (FIRST) does not commute: swapping the operands
    swaps which partition "arrived first". *)
-let laws_of = function
-  | Aggregate.Count_star | Aggregate.Count _ | Aggregate.Sum _ | Aggregate.Min _
-  | Aggregate.Max _ | Aggregate.Avg _ ->
-    { has_identity = true; associative = true; commutative = true }
-  | Aggregate.First _ -> { has_identity = true; associative = true; commutative = false }
+let laws_of f =
+  { has_identity = true; associative = true; commutative = not (Aggregate.order_sensitive f) }
 
 let is_monoid l = l.has_identity && l.associative
 
 (* Where an aggregate's accumulators can meet a [Chunk.Exchange]:
 
    - GMDJ blocks ([Md] / [Md_completed]): partitioned evaluation gives
-     every worker its own accumulator matrix and merges them in
-     scheduler order — the merge must be a {e commutative} monoid.
+     every worker its own accumulator matrix and merges them out of
+     input order — the merge must be a {e commutative} monoid, and
+     [Gmdj.eval] folds a block list that has an order-sensitive
+     aggregate at one domain.
    - [Group_by]: the exchange hash-partitions by group key, so a group
      never splits across workers and no cross-worker merge happens; an
      order-sensitive aggregate is lawful only because routing preserves
@@ -46,8 +44,8 @@ let certify ?(laws_of = laws_of) plan =
         emit
           (Diag.makef ~path ~subject Diag.Error ~code:"PAR001"
              "aggregate %s (column %s) merges associatively but not commutatively: \
-              partitioned GMDJ evaluation merges per-domain accumulators in scheduler \
-              order and would be nondeterministic"
+              partitioned GMDJ evaluation would merge per-domain accumulators out of \
+              input order, so this block list is evaluated on one domain"
              subject spec.Aggregate.name)
       else
         emit

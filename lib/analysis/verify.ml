@@ -43,20 +43,9 @@ let check_rewrite env ~label ~before ~after =
       diags := List.filter Diag.is_error va.Typing.diags @ !diags;
     Diag.sort !diags
 
-(* --- Optimizer self-check hook ---------------------------------------- *)
+(* --- Planner candidates ------------------------------------------------ *)
 
-let install_optimizer_check catalog =
-  let env = Typing.env_of_catalog catalog in
-  Optimize.set_self_check (fun ~label ~before ~after ->
-      match List.find_opt Diag.is_error (check_rewrite env ~label ~before ~after) with
-      | Some d -> raise (Diag.Fail d)
-      | None -> ())
-
-let clear_optimizer_check () = Optimize.clear_self_check ()
-
-(* --- Planner self-check gate ------------------------------------------ *)
-
-let plan_verifier catalog query ~label plan =
+let check_candidate catalog query ~label plan =
   let env = Typing.env_of_catalog catalog in
   let v = Typing.infer env plan in
   let own = List.filter Diag.is_error v.Typing.diags in
@@ -71,13 +60,3 @@ let plan_verifier catalog query ~label plan =
            (label ^ ": candidate schema differs from the reference translation")
         :: own)
     | _ -> Diag.sort own)
-
-let install_planner_gate () =
-  Planner.set_plan_verifier plan_verifier;
-  Planner.set_merge_certifier (fun plan -> Mergeable.certify plan);
-  Planner.set_self_check true
-
-let clear_planner_gate () =
-  Planner.clear_plan_verifier ();
-  Planner.clear_merge_certifier ();
-  Planner.set_self_check false

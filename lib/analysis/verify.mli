@@ -13,10 +13,10 @@
       narrowing — is expected: e.g. completion turns a selection over a
       count column into a plan whose survivors are known non-NULL).
 
-    The checks run in a {e self-check mode} wired through the hooks the
-    core library exposes ({!Subql.Optimize.set_self_check},
-    {!Subql.Planner.set_plan_verifier}), so the optimizer and planner
-    gain the verification without the core depending on the analyzer. *)
+    Callers run the checks directly: {!Analyze.analyze_query} verifies
+    the optimizer's rewrite of every query it analyzes, [Subql_mqo.Share]
+    verifies its merges, and the test suite runs {!check_candidate} over
+    every planner candidate of the query zoo. *)
 
 open Subql_relational
 
@@ -32,26 +32,12 @@ val check_rewrite :
     (a rewrite must not manufacture ill-typed plans).  When the
     {e input} already fails to type, the rewrite is not judged. *)
 
-val install_optimizer_check : Catalog.t -> unit
-(** Register {!check_rewrite} with {!Subql.Optimize.set_self_check}:
-    every subsequent [Optimize.optimize] call self-verifies and raises
-    {!Diag.Fail} with the first error if the rewrite is unsound.
-    The check is catalog-specific; plans over other catalogs pass
-    through unverified. *)
-
-val clear_optimizer_check : unit -> unit
-
-val plan_verifier : Subql.Planner.plan_verifier
-(** The planner-facing verdict for one candidate plan: the candidate's
-    own error diagnostics, plus [VER001] if its schema disagrees with
-    the reference GMDJ translation of the query. *)
-
-val install_planner_gate : unit -> unit
-(** [Planner.set_plan_verifier plan_verifier] + enable the planner
-    self-check ({!Subql.Planner.candidates} will drop unsound
-    candidates), and register {!Mergeable.certify} as the planner's
-    merge certifier, so [parallel_config] refuses [domains > 1] for
-    plans whose aggregate merges are not commutative monoids
-    ([PAR0xx]). *)
-
-val clear_planner_gate : unit -> unit
+val check_candidate :
+  Catalog.t ->
+  Subql_nested.Nested_ast.query ->
+  label:string ->
+  Subql.Algebra.t ->
+  Diag.t list
+(** The verdict for one planner candidate: the candidate's own
+    error-severity typing diagnostics, plus [VER001] if its schema
+    disagrees with the reference GMDJ translation of the query. *)

@@ -20,7 +20,10 @@ type config = {
           single-domain) and routes chunks to that many worker domains,
           merging per-domain state at the breaker.  [1] (the default)
           keeps every operator on the calling domain.  Results are
-          identical up to row order. *)
+          identical up to row order: a GMDJ whose blocks hold an
+          order-sensitive aggregate ({!Subql_relational.Aggregate.order_sensitive})
+          runs on one domain, and [Group_by] routes each key to one
+          domain in arrival order. *)
   spill_budget_rows : int option;
       (** When set, pipeline breakers (DISTINCT, GROUP BY, equi-joins)
           run their spillable variants ({!Subql_storage.Spill}): resident

@@ -571,33 +571,12 @@ let factorize_rule = function
     | _ -> None)
   | _ -> None
 
-(* --- Rewrite self-check hook ---------------------------------------- *)
-
-(* Installed by [Subql_analysis.Verify]: after every optimize call the
-   checker sees the plan before and after rewriting and may raise (or
-   record) when the rewrite changed the inferred schema or widened
-   nullability.  Kept as a callback to avoid a dependency cycle — the
-   analyzer sits above this library. *)
-let self_check : (label:string -> before:Algebra.t -> after:Algebra.t -> unit) option ref =
-  ref None
-
-let set_self_check f = self_check := Some f
-
-let clear_self_check () = self_check := None
-
 let optimize ?(flags = all) alg =
-  let before = alg in
   let alg = if flags.coalesce then rewrite_bottom_up coalesce_rule alg else alg in
   let alg = if flags.pushdown then rewrite_bottom_up pushdown_rule alg else alg in
-  let alg =
-    if flags.completion then
-      rewrite_top_down
-        (fun alg ->
-          match completion_rule alg with Some _ as r -> r | None -> factorize_rule alg)
-        alg
-    else alg
-  in
-  (match !self_check with
-  | Some check -> check ~label:"optimize" ~before ~after:alg
-  | None -> ());
-  alg
+  if flags.completion then
+    rewrite_top_down
+      (fun alg ->
+        match completion_rule alg with Some _ as r -> r | None -> factorize_rule alg)
+      alg
+  else alg

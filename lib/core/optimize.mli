@@ -46,16 +46,6 @@ val optimize : ?flags:flags -> Algebra.t -> Algebra.t
 (** Apply the enabled rewrites bottom-up to a fixpoint.  Semantics are
     preserved for every flag combination. *)
 
-val set_self_check :
-  (label:string -> before:Algebra.t -> after:Algebra.t -> unit) -> unit
-(** Install a rewrite checker: every {!optimize} call hands it the plan
-    before and after rewriting.  [Subql_analysis.Verify] registers a
-    checker asserting the rewrite preserved the inferred schema and only
-    narrowed nullability; the hook lives here (not in the analyzer)
-    because the analyzer depends on this library. *)
-
-val clear_self_check : unit -> unit
-
 val map_children : (Algebra.t -> Algebra.t) -> Algebra.t -> Algebra.t
 (** Apply a function to the immediate children of a node (generic
     one-level traversal, exported for plan rewriters). *)

@@ -4,10 +4,12 @@
 
     For a nested query the planner enumerates the available complete
     plans — the optimized GMDJ translation, the classical semi-/anti-
-    join unnesting when applicable, and the general outer-join
-    expansion — estimates each with {!Cost}, and picks the cheapest.
-    Every candidate computes the same result, so the choice only
-    affects performance. *)
+    join unnesting when applicable ({!Unnest.via_semijoins}), and the
+    general outer-join expansion ({!Unnest.via_joins}) — estimates each
+    with {!Cost}, and picks the cheapest.  Every candidate computes the
+    same result, so the choice only affects performance.  That every
+    candidate is well typed and has the reference translation's schema
+    is checked by the test suite, not at plan time. *)
 
 open Subql_relational
 
@@ -18,33 +20,22 @@ type candidate = {
 }
 
 val candidates :
-  ?config:Eval.config -> Catalog.t -> Subql_nested.Nested_ast.query -> candidate list
-(** All available plans with their estimates, cheapest first.
-    The unnesting candidates are produced lazily by callbacks registered
-    with {!set_unnest_providers} (breaking the library cycle with
-    [subql_unnest]); without providers only the GMDJ plan is offered. *)
+  ?config:Eval.config ->
+  ?stats:Cost.Stats.t ->
+  Catalog.t ->
+  Subql_nested.Nested_ast.query ->
+  candidate list
+(** All available plans with their estimates, cheapest first.  A
+    translation that does not apply to the query offers no candidate;
+    the GMDJ plan is always present.  [stats] defaults to
+    [Cost.Stats.of_catalog catalog]; pass them when the caller needs
+    them too, so the catalog is summarized once. *)
 
 val choose :
   ?config:Eval.config -> Catalog.t -> Subql_nested.Nested_ast.query -> candidate
-(** The cheapest candidate. *)
-
-val parallel_config :
-  ?domains:int ->
-  ?mem_budget_rows:int ->
-  Cost.Stats.t ->
-  Eval.config ->
-  Algebra.t ->
-  Eval.config
-(** Pick the plan's execution mode at plan time: the degree of
-    parallelism from its estimated work — plans under a small-work
-    threshold stay serial, an exchange would be pure overhead —
-    capped at [domains] (default
-    [min (Domain.recommended_domain_count ()) 4]); and the spill point
-    from its {!Cost.memory_height} against [mem_budget_rows] — the
-    budget becomes [spill_budget_rows] only when the in-memory plan
-    would exceed it, so fitting plans keep their plain hash state.
-    Publishes ["planner.domains"] and ["planner.spill_budget_rows"]
-    gauges.  @raise Invalid_argument if [domains <= 0]. *)
+(** The cheapest candidate.  Publishes its {!Cost.memory_height} as the
+    ["planner.last_memory_height"] gauge (from the same statistics the
+    ranking used). *)
 
 type feedback = {
   candidate : candidate;  (** the plan that ran *)
@@ -67,79 +58,6 @@ val run_with_feedback :
 (** Choose, evaluate, and report estimated-vs-actual for the chosen
     plan. *)
 
-val validate :
-  ?config:Eval.config -> Catalog.t -> Subql_nested.Nested_ast.query -> feedback list
-(** Run {e every} candidate and report per-candidate estimated-vs-actual
-    rows (all candidates return the same relation, so this measures the
-    estimator, not the plans).  Expensive — meant for cost-model
-    calibration, not query serving. *)
-
 val run :
   ?config:Eval.config -> Catalog.t -> Subql_nested.Nested_ast.query -> Relation.t
 (** Choose and evaluate ([run_with_feedback] minus the report). *)
-
-val set_unnest_providers :
-  semijoin:(Catalog.t -> Subql_nested.Nested_ast.query -> Algebra.t option) ->
-  outerjoin:(Catalog.t -> Subql_nested.Nested_ast.query -> Algebra.t option) ->
-  unit
-(** Called once by [Subql_unnest] at load time. *)
-
-type result_cache = {
-  cache_lookup : Subql_nested.Nested_ast.query -> Relation.t option;
-  cache_store :
-    Subql_nested.Nested_ast.query -> cost:float -> Relation.t -> bool;
-}
-(** The multi-query result cache, seen from the planner as two opaque
-    callbacks (the fingerprinting and eviction policy live in
-    [Subql_mqo], which sits above this library). *)
-
-val set_result_cache : result_cache -> unit
-(** Install a result cache: {!run_with_feedback} (and {!run}) first
-    consult [cache_lookup] — a hit is reported as a zero-cost ["cache"]
-    candidate and returned without planning — and on a miss offer the
-    evaluated result to [cache_store] together with the chosen plan's
-    estimated cost.  [Subql_mqo.Batch.install_planner_cache] is the
-    intended caller. *)
-
-val clear_result_cache : unit -> unit
-(** Detach the cache; subsequent runs plan and evaluate normally. *)
-
-type plan_verifier =
-  Catalog.t -> Subql_nested.Nested_ast.query -> label:string -> Algebra.t -> Diag.t list
-(** A plan soundness check: given the source query and a candidate plan,
-    return diagnostics (errors mean "reject this plan").
-    [Subql_analysis.Verify] registers one that re-runs schema and
-    nullability inference over the candidate. *)
-
-val set_plan_verifier : plan_verifier -> unit
-(** Install the verifier used by the self-check gate. *)
-
-val clear_plan_verifier : unit -> unit
-
-type merge_certifier = Algebra.t -> Diag.t list
-(** A parallel-merge lawfulness check: return the PAR diagnostics for
-    aggregates in the plan whose accumulator merge is not a commutative
-    monoid (error severity means "unsafe under an exchange").
-    [Subql_analysis.Verify.install_planner_gate] registers
-    [Subql_analysis.Mergeable.certify_plan]. *)
-
-val set_merge_certifier : merge_certifier -> unit
-(** Install the certifier consulted by {!parallel_config}: when the
-    resolved degree of parallelism exceeds 1 and the certifier reports
-    an error, the configuration raises {!Diag.Fail} with that
-    diagnostic (counted in ["planner.merge_certificate.rejected"])
-    instead of silently computing a wrong merge.  Serial plans are never
-    refused. *)
-
-val clear_merge_certifier : unit -> unit
-
-val set_self_check : bool -> unit
-(** Enable/disable the planner self-check gate (off by default).  When
-    on and a verifier is installed, {!candidates} drops every candidate
-    whose verification reports an error-severity diagnostic — counted in
-    the ["planner.self_check.rejected.<label>"] metrics — and raises
-    {!Diag.Fail} if no candidate survives (the GMDJ reference
-    translation is sound by construction, so an empty survivor set is an
-    analyzer/translator disagreement, not a user error). *)
-
-val self_check_enabled : unit -> bool

@@ -535,6 +535,14 @@ let decided_without_detail ~n_base = function
   | Some c ->
     n_base = 0 || (c.kill_when = [] && c.require_fired = [] && not c.maintain_aggregates)
 
+(* An order-sensitive merge (FIRST) is right only when [merge ~into]
+   sees the earlier rows first, and the exchange routes chunks round-robin,
+   so a block list with such an aggregate folds at one domain. *)
+let order_sensitive blocks =
+  List.exists
+    (fun b -> List.exists (fun s -> Aggregate.order_sensitive s.Aggregate.func) b.aggs)
+    blocks
+
 (* An untouched whole-relation detail is re-sliced so that every domain
    gets work even on small inputs; the domain count is capped at its
    cardinality.  (At one domain the source's own slicing stands.) *)
@@ -550,6 +558,8 @@ let spread ~domains detail =
 
 let eval ?(strategy = `Hash) ?stats ?completion ~domains ~base detail blocks =
   if domains <= 0 then invalid_arg "Gmdj.eval: domains must be positive";
+  let domains = if order_sensitive blocks then 1 else domains in
+  let domains, detail = spread ~domains detail in
   let span, completion_attrs =
     match completion with
     | None -> ("gmdj.eval", [])
@@ -584,7 +594,6 @@ let eval ?(strategy = `Hash) ?stats ?completion ~domains ~base detail blocks =
     finish (start ())
   end
   else begin
-    let domains, detail = spread ~domains detail in
     (* The exchange touches every detail row at most once across all
        domains, so it counts as one logical pass of the detail. *)
     owned.detail_passes <- owned.detail_passes + 1;

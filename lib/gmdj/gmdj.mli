@@ -113,7 +113,10 @@ val eval :
     round-robin routing is sound — and emits in base order.  The
     coordinator owns the pull side, so storage scans and buffer pools
     stay single-domain.  [domains = 1] folds inline: that is the serial
-    path.
+    path.  A block list holding an
+    {!Subql_relational.Aggregate.order_sensitive} aggregate (FIRST)
+    always takes it, whatever [domains] asks for, since its merge is
+    right only in input order.
 
     An untouched whole-relation source ({!Subql_relational.Chunk.Source.origin})
     is re-sliced into [min Chunk.default_rows ⌈|R|/domains⌉]-row chunks,
@@ -132,7 +135,8 @@ val eval :
     per-pair θ counting wraps the hottest predicate path, so it only
     runs when [stats] are supplied.  Every evaluation runs in a
     ["gmdj.eval"] (or, with a completion, ["gmdj.eval_completed"])
-    trace span with a ["domains"] attribute.
+    trace span whose ["domains"] attribute is the number of domains
+    actually used.
     @raise Invalid_argument if [domains <= 0]. *)
 
 (** {1 Incremental view maintenance}

@@ -113,14 +113,3 @@ let run ?config ?cache ?registry catalog queries =
 (* Exported last: shadows the query-planning helper above with the
    entry accessor the interface declares. *)
 let solo_plan e = e.e_solo
-
-let install_planner_cache cache =
-  Planner.set_result_cache
-    {
-      Planner.cache_lookup =
-        (fun query -> Result_cache.lookup cache (Fingerprint.of_query query));
-      cache_store =
-        (fun query ~cost result ->
-          Result_cache.store cache ~fingerprint:(Fingerprint.of_query query) ~cost
-            result);
-    }

@@ -76,9 +76,3 @@ val run_prepared :
   report
 (** {!run} without the per-call planning: [run catalog qs] is
     [run_prepared catalog (List.map prepare qs)]. *)
-
-val install_planner_cache : Result_cache.t -> unit
-(** Wire the cache into {!Subql.Planner}: [run_with_feedback] first
-    consults it (a hit is a zero-cost candidate) and stores qualifying
-    results on miss.  Single-query execution then benefits from results
-    computed by earlier runs or batches. *)

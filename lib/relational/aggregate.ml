@@ -44,6 +44,13 @@ let equal_func a b =
     Expr.equal x y
   | (Count_star | Count _ | Sum _ | Min _ | Max _ | Avg _ | First _), _ -> false
 
+(* FIRST keeps the earliest non-NULL value, so which of two partial
+   states came first decides the merge; every other state is a
+   commutative combination. *)
+let order_sensitive = function
+  | First _ -> true
+  | Count_star | Count _ | Sum _ | Min _ | Max _ | Avg _ -> false
+
 let func_to_string = function
   | Count_star -> "count(*)"
   | Count e -> Printf.sprintf "count(%s)" (Expr.to_string e)
@@ -162,10 +169,8 @@ let merge ~into other =
       into.acc_v <- other.acc_v
   | Kavg -> into.fsum <- into.fsum +. other.fsum
   | Kfirst ->
-    (* Concatenation order: [into] precedes [other].  This is only a
-       lawful parallel merge when partitions arrive back in input order
-       — FIRST has an identity and is associative but not commutative,
-       which is exactly what [Mergeable] refuses to certify. *)
+    (* Concatenation order: [into] precedes [other] (see
+       [order_sensitive]). *)
     if into.n = 0 && other.n > 0 then into.acc_v <- other.acc_v);
   into.n <- into.n + other.n
 

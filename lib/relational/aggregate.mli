@@ -6,9 +6,7 @@
     footnote hinges on.  [First e] yields the first non-NULL value of
     [e] in detail arrival order (NULL on an empty or all-NULL input):
     its accumulator merge is associative and has an identity but is
-    {e not} commutative, so it is only safe single-domain — the
-    [Mergeable] certificate pass exists to keep it (and anything like
-    it) out of exchange-parallel plans. *)
+    {e not} commutative ({!order_sensitive}). *)
 
 type func =
   | Count_star
@@ -35,6 +33,13 @@ val output_ty : Schema.t array -> spec -> Value.ty
 
 val equal_func : func -> func -> bool
 (** Same function over structurally equal arguments. *)
+
+val order_sensitive : func -> bool
+(** [true] iff the accumulator merge depends on which partial state
+    saw its rows first — today only [First].  Such a state merges
+    correctly only when partitions are recombined in input order, so
+    [Gmdj.eval] folds a block list containing one at a single domain,
+    and [Mergeable] reports it as non-commutative. *)
 
 val func_to_string : func -> string
 
@@ -70,10 +75,10 @@ val merge : into:acc -> acc -> unit
     the earlier partition.  Both must stem from the same [compiled]
     aggregate.  Every standard SQL aggregate state here merges
     commutatively (AVG carries sum and count separately), which is what
-    makes partitioned/distributed GMDJ evaluation possible; FIRST
-    merges associatively but {e not} commutatively, so it is lawful
-    only when partitions are recombined in input order — the
-    [Mergeable] analysis certifies exactly this distinction.
+    makes partitioned/distributed GMDJ evaluation possible; an
+    {!order_sensitive} state (FIRST) merges associatively but {e not}
+    commutatively, so the result is right only when [into] really saw
+    the earlier rows.
     @raise Invalid_argument on accumulators of different kinds. *)
 
 val value : acc -> Value.t

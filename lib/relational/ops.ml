@@ -1,48 +1,6 @@
-type join_strategy = [ `Hash | `Nested_loop | `Sort_merge ]
+type join_strategy = [ `Hash | `Nested_loop ]
 
 type join_kind = Inner | Left_outer | Semi | Anti
-
-(* Sorted-array equi access path for the sort-merge strategy: right rows
-   ordered by their key columns; per left key a binary search finds the
-   matching run.  As in the hash index, a row with a NULL in a plain key
-   column is excluded (an SQL equality cannot be true on NULL), while a
-   null-safe column keeps its NULLs, which sort together. *)
-module Sorted_access = struct
-  type t = { null_safe : bool array; order : int array; keys : Tuple.t array }
-
-  let excluded null_safe key =
-    let hit = ref false in
-    Array.iteri (fun i v -> if (not null_safe.(i)) && Value.is_null v then hit := true) key;
-    !hit
-
-  let build ~null_safe rows cols =
-    let indexed =
-      Array.to_list rows
-      |> List.mapi (fun i row -> (i, Tuple.project row cols))
-      |> List.filter (fun (_, k) -> not (excluded null_safe k))
-      |> Array.of_list
-    in
-    Array.sort (fun (_, a) (_, b) -> Tuple.compare a b) indexed;
-    { null_safe; order = Array.map fst indexed; keys = Array.map snd indexed }
-
-  (* First position with key >= probe. *)
-  let lower_bound t probe =
-    let lo = ref 0 and hi = ref (Array.length t.keys) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Tuple.compare t.keys.(mid) probe < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  let probe_iter t key f =
-    if not (excluded t.null_safe key) then begin
-      let i = ref (lower_bound t key) in
-      while !i < Array.length t.keys && Tuple.compare t.keys.(!i) key = 0 do
-        f t.order.(!i);
-        incr i
-      done
-    end
-end
 
 let dummy_row : Tuple.t = [||]
 
@@ -134,8 +92,7 @@ let product ~build probe =
 (* The build side's access path for a join condition: [matches l f]
    calls [f] on every build row the condition holds for against probe
    row [l].  The hash strategy indexes the build rows on the [=]/[<=>]
-   columns of the condition and tests only the residual per candidate;
-   sort-merge binary-searches them sorted on those columns. *)
+   columns of the condition and tests only the residual per candidate. *)
 let join_matches ~strategy cond ~ls build =
   let rs = Relation.schema build in
   Expr.typecheck_bool [| ls; rs |] cond;
@@ -143,22 +100,14 @@ let join_matches ~strategy cond ~ls build =
   let scan_matches l f = Relation.iter (fun r -> if Expr.is_true (full l r) then f r) build in
   match strategy with
   | `Nested_loop -> scan_matches
-  | (`Hash | `Sort_merge) as strategy -> (
+  | `Hash -> (
     let keys, residual = Expr.split_equi ~left:ls ~right:rs cond in
     match keys with
     | [] -> scan_matches
     | _ ->
       let lcols, rcols, null_safe = Expr.key_columns keys in
       let rrows = Relation.rows build in
-      let probe =
-        match strategy with
-        | `Hash ->
-          let index = Index.build_rows ~null_safe rrows rcols in
-          fun l f -> Index.probe_row_iter index l lcols f
-        | `Sort_merge ->
-          let access = Sorted_access.build ~null_safe rrows rcols in
-          fun l f -> Sorted_access.probe_iter access (Tuple.project l lcols) f
-      in
+      let index = Index.build_rows ~null_safe rrows rcols in
       let test =
         match residual with
         | None -> fun _ _ -> true
@@ -167,7 +116,7 @@ let join_matches ~strategy cond ~ls build =
           fun l r -> Expr.is_true (f l r)
       in
       fun l f ->
-        probe l (fun ri ->
+        Index.probe_row_iter index l lcols (fun ri ->
             let r = rrows.(ri) in
             if test l r then f r))
 

@@ -6,8 +6,8 @@
       chunk in, chunk out; each compiles its kernel once per call.
     - {b Build/probe} operators ([join], [product], [diff_all]) take
       their right input whole as [~build] and stream the left input as
-      the probe side.  The build side's access path (hash index, sorted
-      array, or monus budget) is built once, when the operator is
+      the probe side.  The build side's access path (hash index or
+      monus budget) is built once, when the operator is
       called; the output is then the probe stream mapped chunk by chunk,
       so left-row order is kept and nothing but the build is held.
     - {b Breakers} ([group_by], [aggregate_all], [sort]) fold a source
@@ -16,13 +16,11 @@
 
     Join-like operators take a [strategy]: [`Hash] extracts the [=] and
     null-safe [<=>] keys from the condition and probes a hash index (the
-    "indexed" plans of the paper's experiments); [`Sort_merge] sorts the
-    build side on the equi-keys and binary-searches per probe row (the
-    sort-merge plans the paper's DBMS fell back to); [`Nested_loop]
-    compares every pair (the "no useful index" situation).  All produce
+"indexed" plans of the paper's experiments); [`Nested_loop]
+    compares every pair (the "no useful index" situation).  Both produce
     identical results in identical order. *)
 
-type join_strategy = [ `Hash | `Nested_loop | `Sort_merge ]
+type join_strategy = [ `Hash | `Nested_loop ]
 
 (** What a join emits per left row: [Inner] every matching pair;
     [Left_outer] the same, padding an unmatched left row with NULLs on

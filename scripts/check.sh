@@ -73,7 +73,8 @@ echo "$bout" | grep -q "cache: 3 hits, 0 misses" || {
 echo
 echo "== static analysis: every zoo template must be diagnostic-error-free =="
 # analyze exits non-zero if any template yields an error-severity
-# diagnostic (the optimizer self-check is live during the run).
+# diagnostic (including the rewrite verifier's VER00x on each optimized
+# plan).
 dune exec bin/olap_cli.exe -- analyze --zoo all
 
 echo
@@ -149,6 +150,21 @@ echo "$pout" | grep -Eq "exchange.rows +[1-9][0-9]*" || {
   echo "FAIL: expected exchange.rows > 0 — the run never went through the exchange" >&2
   exit 1
 }
+
+echo
+echo "== CLI smoke test: FIRST in a GMDJ gives the serial answer at --domains 2 =="
+# FIRST's merge is order-sensitive; a parallel run must still match the
+# naive engine row for row.
+first_q="SELECT u.UserName FROM User u WHERE 200000 > (SELECT FIRST(f.NumBytes) FROM Flow f WHERE f.SourceIP = u.IPAddress)"
+fpar=$(dune exec bin/olap_cli.exe -- run --domains 2 --limit 100000 "$first_q" | sort)
+fnat=$(dune exec bin/olap_cli.exe -- run --engine native --limit 100000 "$first_q" | sort)
+if [ "$fpar" != "$fnat" ]; then
+  echo "FAIL: FIRST query differs between --domains 2 and --engine native" >&2
+  echo "  --domains 2:     $(echo "$fpar" | grep -E '^[0-9]+ rows')" >&2
+  echo "  --engine native: $(echo "$fnat" | grep -E '^[0-9]+ rows')" >&2
+  exit 1
+fi
+echo "FIRST query: --domains 2 = --engine native ($(echo "$fnat" | grep -E '^[0-9]+ rows'))"
 
 echo
 echo "== CLI smoke test: run --spill-budget pushes breaker state to disk =="

@@ -1,7 +1,7 @@
 (* The static analyzer: diagnostics corpus (each seeded defect produces
    its expected rule code), nullability dataflow facts, the rewrite
-   verifier, the planner self-check gate, and NOT IN / NOT EXISTS 3VL
-   regressions against the naive oracle. *)
+   verifier, and NOT IN / NOT EXISTS 3VL regressions against the naive
+   oracle. *)
 
 open Subql_relational
 open Subql_gmdj
@@ -200,65 +200,7 @@ let test_verifier () =
     (has "VER002" (V.check_rewrite env ~label:"t" ~before:selective ~after:o));
   (* narrowing in the other direction is allowed *)
   Alcotest.(check int) "narrowing verifies" 0
-    (List.length (V.check_rewrite env ~label:"t" ~before:o ~after:selective));
-  (* the real optimizer verifies over the whole zoo *)
-  let zcat = Subql_workload.Zoo.catalog () in
-  V.install_optimizer_check zcat;
-  Fun.protect ~finally:V.clear_optimizer_check (fun () ->
-      List.iter
-        (fun (_, q) -> ignore (Subql.Optimize.optimize (Subql.Transform.to_algebra q)))
-        Subql_workload.Zoo.queries)
-
-(* --- Planner self-check gate ------------------------------------------ *)
-
-let restore_unnest_providers () =
-  Subql.Planner.set_unnest_providers
-    ~semijoin:(fun catalog query ->
-      match Subql_unnest.Unnest.via_semijoins catalog query with
-      | alg -> Some alg
-      | exception Subql_unnest.Unnest.Not_applicable _ -> None)
-    ~outerjoin:(fun catalog query ->
-      match Subql_unnest.Unnest.via_joins catalog query with
-      | alg -> Some alg
-      | exception Subql.Transform.Unsupported _ -> None)
-
-let test_planner_gate () =
-  let zcat = Subql_workload.Zoo.catalog () in
-  let query = Subql_workload.Zoo.find_query "exists" in
-  (* one schema-drifting candidate, one ill-typed candidate *)
-  let drifting =
-    A.Project_cols { cols = [ (Some "o", "k") ]; distinct = false; input = o }
-  in
-  Subql.Planner.set_unnest_providers
-    ~semijoin:(fun _ _ -> Some drifting)
-    ~outerjoin:(fun _ _ -> Some (A.Table "Nope"));
-  V.install_planner_gate ();
-  Fun.protect
-    ~finally:(fun () ->
-      V.clear_planner_gate ();
-      restore_unnest_providers ())
-    (fun () ->
-      let rejected label =
-        Subql_obs.Metrics.counter_value_by_name Subql_obs.Metrics.default
-          ("planner.self_check.rejected." ^ label)
-      in
-      let before = rejected "semijoin-unnest" + rejected "outerjoin-unnest" in
-      let cands = Subql.Planner.candidates zcat query in
-      let labels = List.map (fun c -> c.Subql.Planner.label) cands in
-      Alcotest.(check (list string)) "only the sound candidate survives" [ "gmdj" ] labels;
-      let after = rejected "semijoin-unnest" + rejected "outerjoin-unnest" in
-      Alcotest.(check int) "both rejections counted" (before + 2) after;
-      (* gate off: the well-typed (if drifting) candidate flows through *)
-      Subql.Planner.set_self_check false;
-      Subql.Planner.set_unnest_providers
-        ~semijoin:(fun _ _ -> Some drifting)
-        ~outerjoin:(fun _ _ -> None);
-      let labels =
-        List.map (fun c -> c.Subql.Planner.label) (Subql.Planner.candidates zcat query)
-      in
-      Alcotest.(check bool) "gate off lets it through" true
-        (List.mem "semijoin-unnest" labels);
-      Subql.Planner.set_self_check true)
+    (List.length (V.check_rewrite env ~label:"t" ~before:o ~after:selective))
 
 (* --- The whole zoo analyzes clean ------------------------------------- *)
 
@@ -377,39 +319,6 @@ let test_mergeable () =
   let broken _ = { M.has_identity = false; associative = false; commutative = false } in
   Alcotest.(check bool) "PAR002 for non-monoid" true
     (has "PAR002" (M.certify ~laws_of:broken gb))
-
-(* The planner consults the certificate before fanning out: an unlawful
-   plan raises PAR001 instead of computing a nondeterministic merge. *)
-let test_merge_gate () =
-  (* enough detail rows that the work estimate clears the planner's
-     serial cutoff and the certificate actually gets consulted *)
-  let zcat = Subql_workload.Zoo.catalog ~inner:20_000 () in
-  let stats = Subql.Cost.Stats.of_catalog zcat in
-  let config = Subql.Eval.default_config in
-  V.install_planner_gate ();
-  Fun.protect
-    ~finally:(fun () -> V.clear_planner_gate ())
-    (fun () ->
-      (* lawful plan: parallelizes *)
-      let cfg = Subql.Planner.parallel_config ~domains:4 stats config count_md in
-      Alcotest.(check bool) "lawful plan fans out" true (cfg.Subql.Eval.domains > 1);
-      (* unlawful plan: enough work to want domains, refused with PAR001 *)
-      let before =
-        Subql_obs.Metrics.counter_value_by_name Subql_obs.Metrics.default
-          "planner.merge_certificate.rejected"
-      in
-      (match Subql.Planner.parallel_config ~domains:4 stats config first_md with
-      | _ -> Alcotest.fail "expected Diag.Fail for the FIRST plan"
-      | exception Diag.Fail d ->
-        Alcotest.(check string) "PAR001 raised" "PAR001" d.Diag.code);
-      let after =
-        Subql_obs.Metrics.counter_value_by_name Subql_obs.Metrics.default
-          "planner.merge_certificate.rejected"
-      in
-      Alcotest.(check int) "rejection counted" (before + 1) after;
-      (* serial execution of the same plan is never refused *)
-      let cfg = Subql.Planner.parallel_config ~domains:1 stats config first_md in
-      Alcotest.(check int) "serial still allowed" 1 cfg.Subql.Eval.domains)
 
 (* --- Delta-maintainability (ING) -------------------------------------- *)
 
@@ -634,14 +543,12 @@ let () =
       ( "verifier",
         [
           Alcotest.test_case "rewrite verifier" `Quick test_verifier;
-          Alcotest.test_case "planner self-check gate" `Quick test_planner_gate;
           Alcotest.test_case "sharing verified" `Quick test_share_verified;
         ] );
       ("zoo", [ Alcotest.test_case "all templates clean" `Quick test_zoo_clean ]);
       ( "certificates",
         [
           Alcotest.test_case "merge lawfulness" `Quick test_mergeable;
-          Alcotest.test_case "planner merge gate" `Quick test_merge_gate;
           Alcotest.test_case "delta maintainability" `Quick test_deltaable;
           Alcotest.test_case "interval soundness" `Quick test_intervals;
           Alcotest.test_case "certified admission" `Quick test_certified_admission;

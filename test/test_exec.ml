@@ -112,7 +112,7 @@ let test_override_schema_validation () =
 
 (* --- Parallel exchange execution -------------------------------------- *)
 
-let parallel_config domains = { Subql.Eval.default_config with Subql.Eval.domains }
+let domains_config domains = { Subql.Eval.default_config with Subql.Eval.domains }
 
 let spill_config budget =
   { Subql.Eval.default_config with Subql.Eval.spill_budget_rows = Some budget }
@@ -132,12 +132,12 @@ let test_parallel_agrees_with_serial () =
           Helpers.check_multiset_equal
             (Printf.sprintf "%s: %d domains" name domains)
             reference
-            (Subql.Eval.eval ~config:(parallel_config domains) catalog p);
+            (Subql.Eval.eval ~config:(domains_config domains) catalog p);
           Helpers.check_multiset_equal
             (Printf.sprintf "%s: %d domains, chunked sources" name domains)
             reference
             (fst
-               (Subql.Eval.eval_exec ~config:(parallel_config domains)
+               (Subql.Eval.eval_exec ~config:(domains_config domains)
                   ~sources:(chunked_sources catalog) catalog p)))
         [ 2; 4 ])
     Zoo.queries
@@ -228,9 +228,85 @@ let test_completed_plans_ride_the_exchange () =
   let reference = Subql.Eval.eval catalog p in
   let before = registry_rows () in
   Helpers.check_multiset_equal "exists: 4 domains" reference
-    (Subql.Eval.eval ~config:(parallel_config 4) catalog p);
+    (Subql.Eval.eval ~config:(domains_config 4) catalog p);
   Alcotest.(check int) "whole detail crossed the exchange" inner
     (registry_rows () - before)
+
+(* FIRST keeps the earliest non-NULL value in detail order, so its merge
+   is not commutative and a GMDJ carrying it must answer as the serial
+   fold does at any [domains].  The detail spans five or six chunks with
+   only NULLs in the first 1,024 rows, so every key's first value sits
+   in a chunk the exchange would route to worker 1 while worker 0 sees
+   later values; both a re-sliced whole relation and a 1,000-row stream
+   are checked against a direct oracle. *)
+let test_parallel_first_is_serial () =
+  let open Subql_gmdj in
+  let keys = 7 and n = 5120 in
+  let base =
+    Helpers.rel (Helpers.schema [ ("O", "k", Value.Tint) ])
+      (List.init (keys + 1) (fun k -> [ Value.Int k ]))
+  in
+  let detail_row i = (i mod keys, if i < 1024 then Value.Null else Value.Int i) in
+  let detail =
+    Helpers.rel
+      (Helpers.schema [ ("I", "k", Value.Tint); ("I", "y", Value.Tint) ])
+      (List.init n (fun i ->
+           let k, y = detail_row i in
+           [ Value.Int k; y ]))
+  in
+  let block =
+    Gmdj.block
+      [ Aggregate.count_star "cnt"; Aggregate.first (Expr.attr ~rel:"I" "y") "fst" ]
+      (Expr.eq (Expr.attr ~rel:"I" "k") (Expr.attr ~rel:"O" "k"))
+  in
+  let oracle =
+    List.init (keys + 1) (fun k ->
+        let matching = List.filter (fun i -> fst (detail_row i) = k) (List.init n Fun.id) in
+        let first =
+          List.find_map
+            (fun i -> match snd (detail_row i) with Value.Null -> None | v -> Some v)
+            matching
+        in
+        [ Value.Int k; Value.Int (List.length matching); Option.value first ~default:Value.Null ])
+  in
+  let rows r = List.map Array.to_list (Array.to_list (Relation.rows r)) in
+  let show = List.map (fun row -> String.concat "," (List.map Value.to_string row)) in
+  let sources =
+    [
+      ("whole relation", fun () -> Chunk.Source.of_relation detail);
+      ( "1000-row stream",
+        fun () -> Chunk.Source.map Fun.id (Chunk.Source.of_relation ~chunk_rows:1000 detail) );
+    ]
+  in
+  List.iter
+    (fun (name, source) ->
+      List.iter
+        (fun domains ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, %d domains = oracle" name domains)
+            (show oracle)
+            (show (rows (Gmdj.eval ~domains ~base (source ()) [ block ]))))
+        [ 1; 2; 4 ])
+    sources;
+  (* The span reports the domains the fold really used. *)
+  let traced_domains blocks =
+    let module Trace = Subql_obs.Trace in
+    Trace.clear ();
+    Trace.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled false;
+        Trace.clear ())
+      (fun () ->
+        ignore (Gmdj.eval ~domains:4 ~base (Chunk.Source.of_relation detail) blocks);
+        List.filter_map
+          (fun sp ->
+            if sp.Trace.name = "gmdj.eval" then List.assoc_opt "domains" sp.Trace.attrs else None)
+          (Trace.roots ()))
+  in
+  Alcotest.(check (list string)) "FIRST span reports 1 domain" [ "1" ] (traced_domains [ block ]);
+  Alcotest.(check (list string)) "COUNT span reports 4 domains" [ "4" ]
+    (traced_domains [ { block with Gmdj.aggs = [ Aggregate.count_star "cnt" ] } ])
 
 (* --- Spill-to-disk pipeline breakers ----------------------------------- *)
 
@@ -273,7 +349,7 @@ let test_spill_agrees_and_cleans_up () =
          unnest plans carry the joins the spill path exists for. *)
       let plans =
         (Printf.sprintf "%s/gmdj" name, plan q)
-        :: (match Subql_unnest.Unnest.best catalog q with
+        :: (match Subql.Unnest.best catalog q with
            | p -> [ (Printf.sprintf "%s/unnest" name, p) ]
            | exception _ -> [])
       in
@@ -447,7 +523,7 @@ let test_pruned_heap_scans_agree () =
   let modes =
     [
       ("1 domain", Subql.Eval.default_config);
-      ("2 domains", parallel_config 2);
+      ("2 domains", domains_config 2);
       ("spill budget 64", spill_config 64);
     ]
   in
@@ -534,6 +610,8 @@ let () =
             test_parallel_agrees_with_serial;
           Alcotest.test_case "exchange row accounting" `Quick test_exchange_row_accounting;
           Alcotest.test_case "inline stop closes the source" `Quick test_exchange_inline_stop;
+          Alcotest.test_case "FIRST in a GMDJ block folds serially" `Quick
+            test_parallel_first_is_serial;
           Alcotest.test_case "completed plans ride the exchange" `Quick
             test_completed_plans_ride_the_exchange;
         ] );

@@ -263,10 +263,10 @@ let engines_agree (query, db) =
           (Subql.Eval.eval_exec ~sources catalog
              (Subql.Optimize.optimize (Subql.Transform.to_algebra query))))
   && check "unnest-joins"
-       (Subql.Eval.eval catalog (Subql_unnest.Unnest.via_joins catalog query))
-  && (match Subql_unnest.Unnest.via_semijoins catalog query with
+       (Subql.Eval.eval catalog (Subql.Unnest.via_joins catalog query))
+  && (match Subql.Unnest.via_semijoins catalog query with
      | plan -> check "unnest-semijoins" (Subql.Eval.eval catalog plan)
-     | exception Subql_unnest.Unnest.Not_applicable _ -> true)
+     | exception Subql.Unnest.Not_applicable _ -> true)
   && check "planner" (Subql.Planner.run catalog query)
 
 (* Parallel execution and spilling are pure execution modes: for any
@@ -298,7 +298,7 @@ let parallel_spill_agree (query, db, (domains, spill_budget_rows)) =
     end
   in
   check "gmdj-opt" (Subql.Optimize.optimize (Subql.Transform.to_algebra query))
-  && check "unnest-joins" (Subql_unnest.Unnest.via_joins catalog query)
+  && check "unnest-joins" (Subql.Unnest.via_joins catalog query)
 
 (* Render-parse round trip: the SQL renderer must produce text the
    parser accepts, with identical semantics. *)

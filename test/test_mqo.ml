@@ -224,24 +224,6 @@ let test_cache_invalidated_by_view_maintenance () =
   Alcotest.(check bool) "stale after delete_detail" false
     (Option.is_some (Result_cache.lookup cache "retract"))
 
-(* --- Planner integration -------------------------------------------- *)
-
-let test_planner_serves_cache_hits () =
-  let catalog = small_catalog () in
-  let query = Zoo.find_query "exists" in
-  let cache = Result_cache.create ~min_cost:0. () in
-  Batch.install_planner_cache cache;
-  Fun.protect ~finally:Subql.Planner.clear_result_cache (fun () ->
-      let cold, fb_cold = Subql.Planner.run_with_feedback catalog query in
-      if String.equal fb_cold.Subql.Planner.candidate.Subql.Planner.label "cache"
-      then Alcotest.fail "first run cannot be a cache hit";
-      let warm, fb_warm = Subql.Planner.run_with_feedback catalog query in
-      Alcotest.(check string) "second run served from cache" "cache"
-        fb_warm.Subql.Planner.candidate.Subql.Planner.label;
-      Alcotest.(check (float 0.)) "cache candidate is free" 0.
-        fb_warm.Subql.Planner.candidate.Subql.Planner.estimate.Subql.Cost.cost;
-      check_rel "cached result identical" cold warm)
-
 let () =
   Alcotest.run "mqo"
     [
@@ -277,10 +259,5 @@ let () =
             test_cache_invalidated_by_manual_bump;
           Alcotest.test_case "view maintenance invalidates" `Quick
             test_cache_invalidated_by_view_maintenance;
-        ] );
-      ( "planner",
-        [
-          Alcotest.test_case "cache hit is a zero-cost candidate" `Quick
-            test_planner_serves_cache_hits;
         ] );
     ]

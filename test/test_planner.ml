@@ -119,6 +119,37 @@ let test_every_candidate_agrees () =
         (Subql.Planner.candidates catalog query))
     Query_zoo.queries
 
+(* Every candidate of every zoo template is well typed and has the
+   schema of the GMDJ reference translation; a drifting or ill-typed
+   plan would be flagged. *)
+let test_every_candidate_verifies () =
+  let catalog = Subql_workload.Zoo.catalog () in
+  let verdict = Subql_analysis.Verify.check_candidate catalog in
+  let errors query ~label plan = List.filter Diag.is_error (verdict query ~label plan) in
+  let checked = ref 0 in
+  List.iter
+    (fun (name, query) ->
+      List.iter
+        (fun c ->
+          incr checked;
+          let label = c.Subql.Planner.label in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s via %s" name label)
+            []
+            (List.map Diag.to_string (errors query ~label c.Subql.Planner.plan)))
+        (Subql.Planner.candidates catalog query))
+    Subql_workload.Zoo.queries;
+  Alcotest.(check bool) "unnesting candidates checked too" true
+    (!checked > List.length Subql_workload.Zoo.queries);
+  let query = Subql_workload.Zoo.find_query "exists" in
+  let drifting =
+    Subql.Algebra.Project_cols
+      { cols = [ (Some "o", "k") ]; distinct = false; input = Subql.Algebra.Rename ("o", Subql.Algebra.Table "O") }
+  in
+  let codes plan = List.map (fun d -> d.Diag.code) (errors query ~label:"bad" plan) in
+  Alcotest.(check bool) "schema drift flagged" true (List.mem "VER001" (codes drifting));
+  Alcotest.(check bool) "ill-typed plan flagged" true (codes (Subql.Algebra.Table "Nope") <> [])
+
 (* --- Instrumented evaluation --------------------------------------------- *)
 
 (* The cost model prices a GMDJ block as hashable exactly when the
@@ -190,6 +221,7 @@ let () =
           Alcotest.test_case "semijoin gated by applicability" `Quick
             test_semijoin_unavailable_for_disjunction;
           Alcotest.test_case "every candidate agrees" `Quick test_every_candidate_agrees;
+          Alcotest.test_case "every candidate verifies" `Quick test_every_candidate_verifies;
           Helpers.qtest ~count:40 "chosen plan agrees with naive" Query_zoo.db_gen
             planner_agrees_prop;
         ] );

@@ -288,18 +288,13 @@ let join_props =
             Relation.equal_as_multiset
               (join ~strategy:`Hash Ops.Inner cond l r)
               (join ~strategy:`Nested_loop Ops.Inner cond l r)));
-    Helpers.qtest "sort-merge join = nested loop join" gen (fun db ->
+    Helpers.qtest "nested-loop semi/anti = hash semi/anti" gen (fun db ->
         with_rels db (fun l r ->
             Relation.equal_as_multiset
-              (join ~strategy:`Sort_merge Ops.Inner cond l r)
-              (join ~strategy:`Nested_loop Ops.Inner cond l r)));
-    Helpers.qtest "sort-merge semi/anti = hash semi/anti" gen (fun db ->
-        with_rels db (fun l r ->
-            Relation.equal_as_multiset
-              (join ~strategy:`Sort_merge Ops.Semi cond l r)
+              (join ~strategy:`Nested_loop Ops.Semi cond l r)
               (join ~strategy:`Hash Ops.Semi cond l r)
             && Relation.equal_as_multiset
-                 (join ~strategy:`Sort_merge Ops.Anti cond l r)
+                 (join ~strategy:`Nested_loop Ops.Anti cond l r)
                  (join ~strategy:`Hash Ops.Anti cond l r)));
     Helpers.qtest "hash outer join = nl outer join" gen (fun db ->
         with_rels db (fun l r ->
@@ -320,7 +315,7 @@ let join_props =
          (Expr.Null_safe_eq (attr ~rel:"l" "k", attr ~rel:"r" "k"))
          (Expr.le (attr ~rel:"l" "v") (attr ~rel:"r" "v"))
      in
-     Helpers.qtest "<=> join: hash = sort-merge = spill = nested loop"
+     Helpers.qtest "<=> join: hash = spill = nested loop"
        (QCheck2.Gen.pair side side) (fun db ->
          with_rels db (fun l r ->
              let spilled kind =
@@ -337,11 +332,10 @@ let join_props =
              let agree kind =
                let nl = join ~strategy:`Nested_loop kind null_safe l r in
                Relation.equal_as_multiset (join ~strategy:`Hash kind null_safe l r) nl
-               && Relation.equal_as_multiset (join ~strategy:`Sort_merge kind null_safe l r) nl
                && Relation.equal_as_multiset (spilled kind) nl
                && List.for_all
                     (fun strategy -> chunked (Ops.join ~strategy ~kind null_safe ~build:r))
-                    [ `Hash; `Sort_merge; `Nested_loop ]
+                    [ `Hash; `Nested_loop ]
              in
              agree Ops.Inner && agree Ops.Left_outer && agree Ops.Semi && agree Ops.Anti
              && chunked (Ops.product ~build:r)

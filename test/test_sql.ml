@@ -366,7 +366,7 @@ let test_tail_agreement () =
     let eval plan_of = List.map (fun q -> Subql.Eval.eval catalog (plan_of q)) queries in
     check "Planner.run" (List.map (Subql.Planner.run catalog) queries);
     check "gmdj-opt" (eval (fun q -> Subql.Optimize.optimize (Subql.Transform.to_algebra q)));
-    check "unnest" (eval (Subql_unnest.Unnest.best catalog));
+    check "unnest" (eval (Subql.Unnest.best catalog));
     check "batch" (List.map snd (Batch.run ~cache catalog queries).Batch.results);
     let warm = Batch.run ~cache catalog queries in
     Alcotest.(check int) (phase ^ ": warm batch answers from the cache") (List.length queries)

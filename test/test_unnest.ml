@@ -18,19 +18,19 @@ let agree name query db =
     end
   in
   let joins_ok =
-    check "unnest-via-joins" (Subql.Eval.eval catalog (Subql_unnest.Unnest.via_joins catalog query))
+    check "unnest-via-joins" (Subql.Eval.eval catalog (Subql.Unnest.via_joins catalog query))
   in
   let joins_unindexed_ok =
     check "unnest-via-joins-unindexed"
       (Subql.Eval.eval ~config:Subql.Eval.unindexed_config catalog
-         (Subql_unnest.Unnest.via_joins catalog query))
+         (Subql.Unnest.via_joins catalog query))
   in
   let semi_ok =
-    match Subql_unnest.Unnest.via_semijoins catalog query with
+    match Subql.Unnest.via_semijoins catalog query with
     | alg -> check "unnest-semijoins" (Subql.Eval.eval catalog alg)
-    | exception Subql_unnest.Unnest.Not_applicable _ -> true
+    | exception Subql.Unnest.Not_applicable _ -> true
   in
-  let best_ok = check "unnest-best" (Subql.Eval.eval catalog (Subql_unnest.Unnest.best catalog query)) in
+  let best_ok = check "unnest-best" (Subql.Eval.eval catalog (Subql.Unnest.best catalog query)) in
   joins_ok && joins_unindexed_ok && semi_ok && best_ok
 
 let property_tests =
@@ -44,9 +44,9 @@ let test_semijoin_applicability () =
   let applicable name =
     let query = List.assoc name Query_zoo.queries in
     let catalog = Query_zoo.mk_catalog ([], [], []) in
-    match Subql_unnest.Unnest.via_semijoins catalog query with
+    match Subql.Unnest.via_semijoins catalog query with
     | _ -> true
-    | exception Subql_unnest.Unnest.Not_applicable _ -> false
+    | exception Subql.Unnest.Not_applicable _ -> false
   in
   List.iter
     (fun name -> Alcotest.(check bool) (name ^ " applicable") true (applicable name))
@@ -71,10 +71,10 @@ let test_count_bug () =
   let expected = Naive_eval.eval catalog query in
   Alcotest.(check int) "naive keeps the row" 1 (Relation.cardinality expected);
   let via_semi =
-    Subql.Eval.eval catalog (Subql_unnest.Unnest.via_semijoins catalog query)
+    Subql.Eval.eval catalog (Subql.Unnest.via_semijoins catalog query)
   in
   Alcotest.(check int) "semijoin path keeps the row" 1 (Relation.cardinality via_semi);
-  let via_joins = Subql.Eval.eval catalog (Subql_unnest.Unnest.via_joins catalog query) in
+  let via_joins = Subql.Eval.eval catalog (Subql.Unnest.via_joins catalog query) in
   Alcotest.(check int) "join path keeps the row" 1 (Relation.cardinality via_joins)
 
 let () =
