@@ -81,8 +81,8 @@ let run (options : Figures.options) =
       ((if a.Schema.rel = "" then None else Some a.Schema.rel), a.Schema.name)
     in
     let p =
-      Subql.Algebra.Project_cols
-        { cols = [ key_col ]; distinct = true; input = Subql.Algebra.Table "I" }
+      Subql.Algebra.Group_by
+        { keys = Some [ key_col ]; aggs = []; input = Subql.Algebra.Table "I" }
     in
     let rows_before = counter "exec.spilled_rows" in
     let bytes_before = counter "exec.spilled_bytes" in

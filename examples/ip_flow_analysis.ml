@@ -73,6 +73,7 @@ let example_2_2 () =
                   (Expr.and_ in_hour (Expr.eq (attr ~rel:"f" "Protocol") (Expr.str "HTTP")));
                 Gmdj.block [ Aggregate.sum (attr ~rel:"f" "NumBytes") "sum2" ] in_hour;
               ];
+            completion = None;
           } )
   in
   let result = time "evaluate" (fun () -> Subql.Eval.eval catalog plan) in
@@ -117,14 +118,11 @@ let example_2_3 () =
   let coalesced =
     Subql.Optimize.optimize ~flags:(Subql.Optimize.only ~coalesce:true ()) basic
   in
-  let count_mds alg =
-    let n = ref 0 in
-    let rec go a =
-      (match a with Subql.Algebra.Md _ | Subql.Algebra.Md_completed _ -> incr n | _ -> ());
-      ignore (Subql.Optimize.map_children (fun c -> go c; c) a)
-    in
-    go alg;
-    !n
+  let rec count_mds alg =
+    List.fold_left
+      (fun n c -> n + count_mds c)
+      (match alg with Subql.Algebra.Md _ -> 1 | _ -> 0)
+      (Subql.Algebra.children alg)
   in
   Format.printf "GMDJ operators before coalescing: %d, after: %d@." (count_mds basic)
     (count_mds coalesced);
@@ -148,6 +146,7 @@ let example_2_3 () =
                   [ Aggregate.sum (attr ~rel:"f" "NumBytes") "sumFrom" ]
                   (Expr.eq (attr ~rel:"f0" "SourceIP") (attr ~rel:"f" "DestIP"));
               ];
+            completion = None;
           } )
   in
   let r1 = time "basic plan" (fun () -> Subql.Eval.eval catalog (full_plan basic)) in

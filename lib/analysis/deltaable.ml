@@ -20,20 +20,20 @@ let plan_tables plan =
     (match p with
     | Algebra.Table name -> if not (List.mem name !tbls) then tbls := name :: !tbls
     | _ -> ());
-    List.iter walk (Eval.children p)
+    List.iter walk (Algebra.children p)
   in
   walk plan;
   List.sort String.compare !tbls
 
-(* Every MD-family node with its plan path. *)
+(* Every MD node, completed or not, with its plan path. *)
 let md_nodes plan =
   let nodes = ref [] in
   let rec walk rev_path p =
     let rev_path = Algebra.node_label p :: rev_path in
     (match p with
-    | Algebra.Md _ | Algebra.Md_completed _ -> nodes := (List.rev rev_path, p) :: !nodes
+    | Algebra.Md _ -> nodes := (List.rev rev_path, p) :: !nodes
     | _ -> ());
-    List.iter (walk rev_path) (Eval.children p)
+    List.iter (walk rev_path) (Algebra.children p)
   in
   walk [] plan;
   List.rev !nodes
@@ -62,25 +62,13 @@ let rec detail_chain ~path detail =
     Result.map
       (fun (d, pipe) -> (d, fun src -> Ops.project ps (pipe src)))
       (detail_chain ~path x)
-  | Algebra.Project_cols { distinct = false; cols; input } ->
+  | Algebra.Project_cols { cols; input } ->
     Result.map
       (fun (d, pipe) -> (d, fun src -> Ops.project_cols cols (pipe src)))
       (detail_chain ~path input)
   | Algebra.Project_rel (aliases, x) ->
     Result.map
-      (fun (d, pipe) ->
-        ( d,
-          fun src ->
-            let src = pipe src in
-            let cols =
-              List.filter_map
-                (fun a ->
-                  if List.mem a.Schema.rel aliases then
-                    Some (Some a.Schema.rel, a.Schema.name)
-                  else None)
-                (Schema.to_list (Chunk.Source.schema src))
-            in
-            Ops.project_cols cols src ))
+      (fun (d, pipe) -> (d, fun src -> Ops.project_rel aliases (pipe src)))
       (detail_chain ~path x)
   | Algebra.Add_rownum (name, _) ->
     Error
@@ -116,14 +104,14 @@ let analyze plan =
            appends force a recompute"
           (List.length nodes);
       ]
-  | [ (path, Algebra.Md_completed _) ] ->
+  | [ (path, Algebra.Md { completion = Some _; _ }) ] ->
     not_maintainable
       [
         Diag.make ~path Diag.Info ~code:"ING002"
           "completion prunes base rows during the scan: pruned accumulators cannot \
            absorb later deltas, so the completed form is not suffix-foldable";
       ]
-  | [ (path, (Algebra.Md { base; detail; blocks } as md_node)) ] -> (
+  | [ (path, (Algebra.Md { base; detail; blocks; completion = None } as md_node)) ] -> (
     match detail_chain ~path:(path @ [ "detail" ]) detail with
     | Error d -> not_maintainable [ d ]
     | Ok (detail_table, delta_pipeline) ->

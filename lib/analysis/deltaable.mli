@@ -10,8 +10,8 @@
 
     The analysis widens the maintained class from the previous
     "detail is a bare table scan" pattern match to the full row-local
-    closure: any [Rename] / [Select] / [Project] / non-distinct
-    [Project_cols] / [Project_rel] chain over a single base table.  The
+    closure: any [Rename] / [Select] / [Project] / [Project_cols] /
+    [Project_rel] chain over a single base table.  The
     refusal cases each carry an explanatory diagnostic:
 
     - [ING001] (info): no GMDJ, several GMDJs, or the detail table also
@@ -53,4 +53,4 @@ val plan_tables : Subql.Algebra.t -> string list
 (** Every base table scanned by the plan, sorted, deduplicated. *)
 
 val md_nodes : Subql.Algebra.t -> (string list * Subql.Algebra.t) list
-(** Every [Md] / [Md_completed] node with its plan path, preorder. *)
+(** Every [Md] node, completed or not, with its plan path, preorder. *)

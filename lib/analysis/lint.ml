@@ -5,22 +5,20 @@ open Subql
 (* --- Plan rules -------------------------------------------------------- *)
 
 let rec strip_wrappers = function
-  | Algebra.Select (_, x) | Algebra.Distinct x -> strip_wrappers x
+  | Algebra.Select (_, x) | Algebra.Group_by { keys = None; aggs = []; input = x } ->
+    strip_wrappers x
   | x -> x
 
 let bare_names_of acc e =
   List.fold_left (fun acc (_, name) -> name :: acc) acc (Expr.attrs e)
 
+let agg_names acc aggs =
+  List.fold_left bare_names_of acc
+    (List.filter_map (fun spec -> Aggregate.arg spec.Aggregate.func) aggs)
+
 let block_names acc (b : Subql_gmdj.Gmdj.block) =
   let acc = bare_names_of acc b.theta in
-  List.fold_left
-    (fun acc spec ->
-      match spec.Aggregate.func with
-      | Aggregate.Count_star -> acc
-      | Aggregate.Count e | Aggregate.Sum e | Aggregate.Min e
-      | Aggregate.Max e | Aggregate.Avg e | Aggregate.First e ->
-        bare_names_of acc e)
-    acc b.aggs
+  agg_names acc b.aggs
 
 (* [needed] is the set of bare column names any ancestor may read; [None]
    means "all of them" (the conservative default wherever tracking would
@@ -42,11 +40,9 @@ let plan_lints alg =
       emit
         (Diag.warning ~path ~code:"LNT001"
            "cartesian product: no join condition ties the two sides")
-    | Algebra.Md { base; detail; _ } | Algebra.Md_completed { base; detail; _ }
-      -> (
+    | Algebra.Md { base; detail; _ } -> (
       match strip_wrappers base with
-      | Algebra.Md { detail = d2; _ } | Algebra.Md_completed { detail = d2; _ }
-        ->
+      | Algebra.Md { detail = d2; _ } ->
         if Algebra.same_occurrence_modulo_alias detail d2 then
           emit
             (Diag.warning ~path ~code:"LNT002"
@@ -56,7 +52,7 @@ let plan_lints alg =
     | _ -> ());
     match alg with
     | Algebra.Table _ -> ()
-    | Algebra.Rename (_, x) | Algebra.Distinct x -> sub "" needed x
+    | Algebra.Rename (_, x) -> sub "" needed x
     | Algebra.Sort { by; input; _ } ->
       sub "" (union_needed needed (List.map (fun ((_, name), _) -> name) by)) input
     | Algebra.Select (e, x) -> sub "" (union_needed needed (bare_names_of [] e)) x
@@ -98,39 +94,16 @@ let plan_lints alg =
       sub "left" needed left;
       sub "right" needed right
     | Algebra.Group_by { keys; aggs; input } ->
-      let names =
-        List.fold_left
-          (fun acc spec ->
-            match spec.Aggregate.func with
-            | Aggregate.Count_star -> acc
-            | Aggregate.Count e | Aggregate.Sum e | Aggregate.Min e
-            | Aggregate.Max e | Aggregate.Avg e | Aggregate.First e ->
-              bare_names_of acc e)
-          (List.map snd keys) aggs
-      in
-      sub "" (Some names) input
-    | Algebra.Aggregate_all (aggs, x) ->
-      let names =
-        List.fold_left
-          (fun acc spec ->
-            match spec.Aggregate.func with
-            | Aggregate.Count_star -> acc
-            | Aggregate.Count e | Aggregate.Sum e | Aggregate.Min e
-            | Aggregate.Max e | Aggregate.Avg e | Aggregate.First e ->
-              bare_names_of acc e)
-          [] aggs
-      in
-      sub "" (Some names) x
-    | Algebra.Md { base; detail; blocks }
-    | Algebra.Md_completed { base; detail; blocks; _ } ->
+      (* Grouping on every column reads every column. *)
+      sub "" (Option.map (fun keys -> agg_names (List.map snd keys) aggs) keys) input
+    | Algebra.Md { base; detail; blocks; completion } ->
       let block_refs = List.fold_left block_names [] blocks in
       let completion_refs =
-        match alg with
-        | Algebra.Md_completed { completion; _ } ->
+        match completion with
+        | Some c ->
           List.fold_left bare_names_of []
-            (completion.Subql_gmdj.Gmdj.kill_when
-           @ completion.Subql_gmdj.Gmdj.require_fired)
-        | _ -> []
+            (c.Subql_gmdj.Gmdj.kill_when @ c.Subql_gmdj.Gmdj.require_fired)
+        | None -> []
       in
       sub "base" (union_needed needed (block_refs @ completion_refs)) base;
       sub "detail" None detail

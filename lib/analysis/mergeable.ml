@@ -15,7 +15,7 @@ let is_monoid l = l.has_identity && l.associative
 
 (* Where an aggregate's accumulators can meet a [Chunk.Exchange]:
 
-   - GMDJ blocks ([Md] / [Md_completed]): partitioned evaluation gives
+   - GMDJ blocks ([Md], completed or not): partitioned evaluation gives
      every worker its own accumulator matrix and merges them out of
      input order — the merge must be a {e commutative} monoid, and
      [Gmdj.eval] folds a block list that has an order-sensitive
@@ -24,9 +24,9 @@ let is_monoid l = l.has_identity && l.associative
      never splits across workers and no cross-worker merge happens; an
      order-sensitive aggregate is lawful only because routing preserves
      per-key arrival order (and spilling re-streams partition files in
-     append order) — worth a warning, not a refusal.
-   - [Aggregate_all]: evaluated serially on the coordinator today, but
-     a non-monoid state could never be split at all. *)
+     append order) — worth a warning, not a refusal.  The global
+     aggregate ([keys = Some []]) is folded serially on the coordinator
+     today, but a non-monoid state could never be split at all. *)
 let certify ?(laws_of = laws_of) plan =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
@@ -64,17 +64,15 @@ let certify ?(laws_of = laws_of) plan =
     let rev_path = Algebra.node_label alg :: rev_path in
     let path = List.rev rev_path in
     (match alg with
-    | Algebra.Md { blocks; _ } | Algebra.Md_completed { blocks; _ } ->
-      check_blocks ~path blocks
-    | Algebra.Group_by { aggs; _ } | Algebra.Aggregate_all (aggs, _) ->
-      List.iter (check_spec ~path ~merging:false) aggs
+    | Algebra.Md { blocks; _ } -> check_blocks ~path blocks
+    | Algebra.Group_by { aggs; _ } -> List.iter (check_spec ~path ~merging:false) aggs
     | _ -> ());
     List.iteri
       (fun i c ->
         let slot =
           match alg, i with
-          | (Algebra.Md _ | Algebra.Md_completed _), 0 -> [ "base" ]
-          | (Algebra.Md _ | Algebra.Md_completed _), _ -> [ "detail" ]
+          | Algebra.Md _, 0 -> [ "base" ]
+          | Algebra.Md _, _ -> [ "detail" ]
           | ( ( Algebra.Product _ | Algebra.Join _ | Algebra.Union_all _
               | Algebra.Diff_all _ ),
               0 ) ->
@@ -86,7 +84,7 @@ let certify ?(laws_of = laws_of) plan =
           | _ -> []
         in
         walk (List.rev_append slot rev_path) c)
-      (Eval.children alg)
+      (Algebra.children alg)
   in
   walk [] plan;
   Diag.sort !diags

@@ -106,13 +106,6 @@ let narrow frame pred =
 
 (* --- Aggregates ------------------------------------------------------- *)
 
-let agg_arg (spec : Aggregate.spec) =
-  match spec.func with
-  | Aggregate.Count_star -> None
-  | Aggregate.Count e | Aggregate.Sum e | Aggregate.Min e | Aggregate.Max e
-  | Aggregate.Avg e | Aggregate.First e ->
-    Some e
-
 (* COUNT is total (empty range ⇒ 0); the others yield NULL on an empty
    or all-NULL range — unless every group is known non-empty AND the
    argument is provably non-NULL (GROUP BY groups are non-empty by
@@ -150,7 +143,7 @@ let infer env alg =
   let check_agg_args ~path schemas aggs =
     List.iter
       (fun spec ->
-        match agg_arg spec with
+        match Aggregate.arg spec.Aggregate.func with
         | None -> ()
         | Some e -> (
           match Expr.infer_diag ~path schemas e with
@@ -222,7 +215,6 @@ let infer env alg =
     | Rename (alias, x) ->
       let* f = sub "" x in
       Ok { f with fs = Schema.rename_rel alias f.fs }
-    | Distinct x -> sub "" x
     | Sort { by; input; _ } ->
       let* f = sub "" input in
       guard ~path (fun () ->
@@ -232,7 +224,7 @@ let infer env alg =
       let* f = sub "" x in
       check_pred [| f.fs |] pred;
       (match x with
-      | Algebra.Md { blocks; _ } | Algebra.Md_completed { blocks; _ } ->
+      | Algebra.Md { blocks; _ } ->
         let base_arity = Schema.arity f.fs - total_aggs blocks in
         List.iter
           (check_agg_condition ~path f ~base_arity)
@@ -323,56 +315,18 @@ let infer env alg =
     | Group_by { keys; aggs; input } ->
       let* f = sub "" input in
       check_agg_args ~path [| f.fs |] aggs;
-      let* s =
-        guard ~path (fun () ->
-            let idxs =
-              Array.of_list
-                (List.map (fun (rel, name) -> Schema.find f.fs ?rel name) keys)
-            in
-            let key_schema = Schema.project f.fs idxs in
-            let agg_attrs =
-              List.map
-                (fun spec ->
-                  Schema.attr spec.Aggregate.name
-                    (Aggregate.output_ty [| f.fs |] spec))
-                aggs
-            in
-            Ok (idxs, Schema.concat key_schema (Schema.of_list agg_attrs)))
-      in
-      let idxs, s = s in
+      let* idxs, s = guard ~path (fun () -> Ok (Ops.group_schema ?keys ~aggs f.fs)) in
       let key_nulls = Array.map (fun i -> f.fn.(i)) idxs in
       let frames = [| (f.fs, f.fn) |] in
+      (* Every group holds a row, except the global aggregate's: it has a
+         row even over empty input, where non-COUNT aggregates are NULL
+         regardless of their argument. *)
+      let nonempty_groups = keys <> Some [] in
       let agg_nulls_arr =
-        Array.of_list
-          (List.map (agg_nulls ~nonempty_groups:true frames) aggs)
+        Array.of_list (List.map (agg_nulls ~nonempty_groups frames) aggs)
       in
       Ok { fs = s; fn = Array.append key_nulls agg_nulls_arr }
-    | Aggregate_all (aggs, x) ->
-      let* f = sub "" x in
-      check_agg_args ~path [| f.fs |] aggs;
-      let* s =
-        guard ~path (fun () ->
-            Ok
-              (Schema.of_list
-                 (List.map
-                    (fun spec ->
-                      Schema.attr spec.Aggregate.name
-                        (Aggregate.output_ty [| f.fs |] spec))
-                    aggs)))
-      in
-      (* a single output row even over empty input: non-COUNT aggregates
-         may be NULL regardless of their argument *)
-      Ok
-        {
-          fs = s;
-          fn =
-            Array.of_list
-              (List.map
-                 (agg_nulls ~nonempty_groups:false [| (f.fs, f.fn) |])
-                 aggs);
-        }
-    | Md { base; detail; blocks } | Md_completed { base; detail; blocks; _ }
-      -> (
+    | Md { base; detail; blocks; completion } ->
       let* bf = sub "base" base in
       let* df = sub "detail" detail in
       let theta_frames = [| bf.fs; df.fs |] in
@@ -395,15 +349,12 @@ let infer env alg =
                List.map (agg_nulls ~nonempty_groups:false frames) b.Gmdj.aggs)
              blocks)
       in
-      let out = { fs = s; fn = Array.append bf.fn agg_nulls_arr } in
-      match alg with
-      | Algebra.Md_completed { completion; _ } ->
-        (* completion rules fire per (base, detail) pair, like θ *)
-        List.iter
-          (check_pred theta_frames)
-          (completion.Gmdj.kill_when @ completion.Gmdj.require_fired);
-        Ok out
-      | _ -> Ok out)
+      (* completion rules fire per (base, detail) pair, like θ *)
+      Option.iter
+        (fun c ->
+          List.iter (check_pred theta_frames) (c.Gmdj.kill_when @ c.Gmdj.require_fired))
+        completion;
+      Ok { fs = s; fn = Array.append bf.fn agg_nulls_arr }
     | Union_all (l, r) ->
       let* lf = sub "left" l in
       let* rf = sub "right" r in

@@ -8,28 +8,63 @@ type t =
   | Rename of string * t
   | Select of Expr.t * t
   | Project of (Expr.t * string) list * t
-  | Project_cols of { cols : (string option * string) list; distinct : bool; input : t }
+  | Project_cols of { cols : (string option * string) list; input : t }
   | Project_rel of string list * t
   | Add_rownum of string * t
   | Product of t * t
   | Join of { kind : join_kind; cond : Expr.t; left : t; right : t }
-  | Group_by of { keys : (string option * string) list; aggs : Aggregate.spec list; input : t }
-  | Aggregate_all of Aggregate.spec list * t
-  | Md of { base : t; detail : t; blocks : Gmdj.block list }
-  | Md_completed of {
+  | Group_by of {
+      keys : (string option * string) list option;
+      aggs : Aggregate.spec list;
+      input : t;
+    }
+  | Md of {
       base : t;
       detail : t;
       blocks : Gmdj.block list;
-      completion : Gmdj.completion;
+      completion : Gmdj.completion option;
     }
   | Union_all of t * t
   | Diff_all of t * t
-  | Distinct of t
   | Sort of {
       by : ((string option * string) * [ `Asc | `Desc ]) list;
       limit : int option;
       input : t;
     }
+
+let children = function
+  | Table _ -> []
+  | Rename (_, x)
+  | Select (_, x)
+  | Project (_, x)
+  | Project_cols { input = x; _ }
+  | Project_rel (_, x)
+  | Add_rownum (_, x)
+  | Group_by { input = x; _ }
+  | Sort { input = x; _ } ->
+    [ x ]
+  | Product (l, r)
+  | Join { left = l; right = r; _ }
+  | Md { base = l; detail = r; _ }
+  | Union_all (l, r)
+  | Diff_all (l, r) ->
+    [ l; r ]
+
+let map_children f = function
+  | Table _ as t -> t
+  | Rename (a, x) -> Rename (a, f x)
+  | Select (e, x) -> Select (e, f x)
+  | Project (p, x) -> Project (p, f x)
+  | Project_cols c -> Project_cols { c with input = f c.input }
+  | Project_rel (a, x) -> Project_rel (a, f x)
+  | Add_rownum (n, x) -> Add_rownum (n, f x)
+  | Product (l, r) -> Product (f l, f r)
+  | Join j -> Join { j with left = f j.left; right = f j.right }
+  | Group_by g -> Group_by { g with input = f g.input }
+  | Md m -> Md { m with base = f m.base; detail = f m.detail }
+  | Union_all (l, r) -> Union_all (f l, f r)
+  | Diff_all (l, r) -> Diff_all (f l, f r)
+  | Sort srt -> Sort { srt with input = f srt.input }
 
 (* Schema inference.
 
@@ -51,12 +86,10 @@ let node_label = function
   | Product _ -> "Product"
   | Join _ -> "Join"
   | Group_by _ -> "GroupBy"
-  | Aggregate_all _ -> "AggregateAll"
-  | Md _ -> "Md"
-  | Md_completed _ -> "MdCompleted"
+  | Md { completion = None; _ } -> "Md"
+  | Md { completion = Some _; _ } -> "MdCompleted"
   | Union_all _ -> "UnionAll"
   | Diff_all _ -> "DiffAll"
-  | Distinct _ -> "Distinct"
   | Sort _ -> "Sort"
 
 (* Convert the exceptions the node-local schema operations may raise into
@@ -83,7 +116,7 @@ let rec schema_d ~lookup rev_path alg =
   | Rename (alias, x) ->
     let* s = sub "" x in
     Ok (Schema.rename_rel alias s)
-  | Select (_, x) | Distinct x -> sub "" x
+  | Select (_, x) -> sub "" x
   | Project (exprs, x) ->
     let* s = sub "" x in
     let* attrs =
@@ -123,27 +156,8 @@ let rec schema_d ~lookup rev_path alg =
     | Semi | Anti -> Ok ls)
   | Group_by { keys; aggs; input } ->
     let* s = sub "" input in
-    guard ~path (fun () ->
-        let idxs =
-          Array.of_list (List.map (fun (rel, name) -> Schema.find s ?rel name) keys)
-        in
-        let key_schema = Schema.project s idxs in
-        let agg_attrs =
-          List.map
-            (fun spec -> Schema.attr spec.Aggregate.name (Aggregate.output_ty [| s |] spec))
-            aggs
-        in
-        Ok (Schema.concat key_schema (Schema.of_list agg_attrs)))
-  | Aggregate_all (aggs, x) ->
-    let* s = sub "" x in
-    guard ~path (fun () ->
-        Ok
-          (Schema.of_list
-             (List.map
-                (fun spec ->
-                  Schema.attr spec.Aggregate.name (Aggregate.output_ty [| s |] spec))
-                aggs)))
-  | Md { base; detail; blocks } | Md_completed { base; detail; blocks; _ } ->
+    guard ~path (fun () -> Ok (snd (Ops.group_schema ?keys ~aggs s)))
+  | Md { base; detail; blocks; _ } ->
     let* bs = sub "base" base in
     let* ds = sub "detail" detail in
     guard ~path (fun () -> Ok (Gmdj.output_schema ~base:bs ~detail:ds blocks))
@@ -176,6 +190,11 @@ let equal_blocks b1 b2 =
     (fun x y -> Expr.equal x.Gmdj.theta y.Gmdj.theta && equal_specs x.Gmdj.aggs y.Gmdj.aggs)
     b1 b2
 
+let equal_completion (c1 : Gmdj.completion) (c2 : Gmdj.completion) =
+  c1.Gmdj.maintain_aggregates = c2.Gmdj.maintain_aggregates
+  && List.equal Expr.equal c1.Gmdj.kill_when c2.Gmdj.kill_when
+  && List.equal Expr.equal c1.Gmdj.require_fired c2.Gmdj.require_fired
+
 let rec equal a b =
   match a, b with
   | Table x, Table y -> x = y
@@ -185,8 +204,7 @@ let rec equal a b =
     List.length p1 = List.length p2
     && List.for_all2 (fun (e1, n1) (e2, n2) -> n1 = n2 && Expr.equal e1 e2) p1 p2
     && equal x y
-  | Project_cols c1, Project_cols c2 ->
-    c1.cols = c2.cols && c1.distinct = c2.distinct && equal c1.input c2.input
+  | Project_cols c1, Project_cols c2 -> c1.cols = c2.cols && equal c1.input c2.input
   | Project_rel (a1, x), Project_rel (a2, y) -> a1 = a2 && equal x y
   | Add_rownum (n1, x), Add_rownum (n2, y) -> n1 = n2 && equal x y
   | Product (l1, r1), Product (l2, r2) -> equal l1 l2 && equal r1 r2
@@ -195,21 +213,15 @@ let rec equal a b =
     && equal j1.right j2.right
   | Group_by g1, Group_by g2 ->
     g1.keys = g2.keys && equal_specs g1.aggs g2.aggs && equal g1.input g2.input
-  | Aggregate_all (a1, x), Aggregate_all (a2, y) -> equal_specs a1 a2 && equal x y
   | Md m1, Md m2 ->
     equal m1.base m2.base && equal m1.detail m2.detail && equal_blocks m1.blocks m2.blocks
-  | Md_completed m1, Md_completed m2 ->
-    equal m1.base m2.base && equal m1.detail m2.detail && equal_blocks m1.blocks m2.blocks
-    && m1.completion.Gmdj.maintain_aggregates = m2.completion.Gmdj.maintain_aggregates
-    && List.equal Expr.equal m1.completion.Gmdj.kill_when m2.completion.Gmdj.kill_when
-    && List.equal Expr.equal m1.completion.Gmdj.require_fired m2.completion.Gmdj.require_fired
+    && Option.equal equal_completion m1.completion m2.completion
   | Union_all (l1, r1), Union_all (l2, r2) | Diff_all (l1, r1), Diff_all (l2, r2) ->
     equal l1 l2 && equal r1 r2
-  | Distinct x, Distinct y -> equal x y
   | Sort s1, Sort s2 -> s1.by = s2.by && s1.limit = s2.limit && equal s1.input s2.input
   | ( ( Table _ | Rename _ | Select _ | Project _ | Project_cols _ | Project_rel _
-      | Add_rownum _ | Product _ | Join _ | Group_by _ | Aggregate_all _ | Md _
-      | Md_completed _ | Union_all _ | Diff_all _ | Distinct _ | Sort _ ),
+      | Add_rownum _ | Product _ | Join _ | Group_by _ | Md _ | Union_all _ | Diff_all _
+      | Sort _ ),
       _ ) ->
     false
 
@@ -240,6 +252,10 @@ let sort_label by limit =
           by))
     (match limit with Some n -> Printf.sprintf " limit %d" n | None -> "")
 
+let group_by_label = function
+  | None -> "GroupBy [*]"
+  | Some keys -> Format.asprintf "GroupBy [%a]" pp_cols keys
+
 let pp_aggs ppf aggs =
   Format.pp_print_list
     ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
@@ -255,10 +271,8 @@ let rec pp ppf alg =
       (String.concat ", "
          (List.map (fun (e, n) -> Format.asprintf "%a -> %s" Expr.pp e n) exprs))
       pp x
-  | Project_cols { cols; distinct; input } ->
-    Format.fprintf ppf "Project%s [%a]@;<1 2>@[%a@]"
-      (if distinct then "-distinct" else "")
-      pp_cols cols pp input
+  | Project_cols { cols; input } ->
+    Format.fprintf ppf "Project [%a]@;<1 2>@[%a@]" pp_cols cols pp input
   | Project_rel (aliases, x) ->
     Format.fprintf ppf "ProjectRel %s@;<1 2>@[%a@]" (String.concat ", " aliases) pp x
   | Add_rownum (name, x) -> Format.fprintf ppf "AddRownum %s@;<1 2>@[%a@]" name pp x
@@ -267,20 +281,18 @@ let rec pp ppf alg =
     Format.fprintf ppf "%s %a@;<1 2>@[%a@]@;<1 2>@[%a@]" (join_kind_to_string kind) Expr.pp
       cond pp left pp right
   | Group_by { keys; aggs; input } ->
-    Format.fprintf ppf "GroupBy [%a] aggs [%a]@;<1 2>@[%a@]" pp_cols keys pp_aggs aggs pp
-      input
-  | Aggregate_all (aggs, x) ->
-    Format.fprintf ppf "AggregateAll [%a]@;<1 2>@[%a@]" pp_aggs aggs pp x
-  | Md { base; detail; blocks } ->
-    Format.fprintf ppf "MD %a@;<1 2>base: @[%a@]@;<1 2>detail: @[%a@]"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") Gmdj.pp_block)
-      blocks pp base pp detail
-  | Md_completed { base; detail; blocks; completion } ->
-    Format.fprintf ppf "MD-completed %a %a@;<1 2>base: @[%a@]@;<1 2>detail: @[%a@]"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") Gmdj.pp_block)
-      blocks Gmdj.pp_completion completion pp base pp detail
+    Format.pp_print_string ppf (group_by_label keys);
+    if aggs <> [] then Format.fprintf ppf " aggs [%a]" pp_aggs aggs;
+    Format.fprintf ppf "@;<1 2>@[%a@]" pp input
+  | Md { base; detail; blocks; completion } ->
+    let pp_blocks =
+      Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") Gmdj.pp_block
+    in
+    (match completion with
+    | None -> Format.fprintf ppf "MD %a" pp_blocks blocks
+    | Some c -> Format.fprintf ppf "MD-completed %a %a" pp_blocks blocks Gmdj.pp_completion c);
+    Format.fprintf ppf "@;<1 2>base: @[%a@]@;<1 2>detail: @[%a@]" pp base pp detail
   | Union_all (l, r) -> Format.fprintf ppf "UnionAll@;<1 2>@[%a@]@;<1 2>@[%a@]" pp l pp r
   | Diff_all (l, r) -> Format.fprintf ppf "DiffAll@;<1 2>@[%a@]@;<1 2>@[%a@]" pp l pp r
-  | Distinct x -> Format.fprintf ppf "Distinct@;<1 2>@[%a@]" pp x
   | Sort { by; limit; input } ->
     Format.fprintf ppf "%s@;<1 2>@[%a@]" (sort_label by limit) pp input

@@ -2,9 +2,15 @@
 
     This is the target language of the SubqueryToGMDJ translation and of
     the join-unnesting baseline; expressions here contain {e no} nested
-    subqueries.  [Md] is the GMDJ of Definition 2.1; [Md_completed] is a
-    GMDJ fused with the completion rules the optimizer derived from an
-    enclosing selection (Section 4.2). *)
+    subqueries.  There is one GMDJ node and one aggregation node:
+
+    - [Md] is the GMDJ of Definition 2.1.  Its optional [completion]
+      holds the rules the optimizer compiled from an enclosing selection
+      (Section 4.2); completion is a selection inside the node, not a
+      different operator.
+    - [Group_by] is every aggregation.  As in Gray et al.'s data cube,
+      the global aggregate is GROUP BY over the empty key set and
+      DISTINCT is GROUP BY over every column with no aggregates. *)
 
 open Subql_relational
 open Subql_gmdj
@@ -16,7 +22,7 @@ type t =
   | Rename of string * t  (** alias: requalify all attributes *)
   | Select of Expr.t * t
   | Project of (Expr.t * string) list * t  (** computed, unqualified outputs *)
-  | Project_cols of { cols : (string option * string) list; distinct : bool; input : t }
+  | Project_cols of { cols : (string option * string) list; input : t }
   | Project_rel of string list * t
       (** keep exactly the columns qualified with one of the given
           aliases — used to drop auxiliary count columns after subquery
@@ -24,20 +30,28 @@ type t =
   | Add_rownum of string * t
   | Product of t * t
   | Join of { kind : join_kind; cond : Expr.t; left : t; right : t }
-  | Group_by of { keys : (string option * string) list; aggs : Aggregate.spec list; input : t }
-  | Aggregate_all of Aggregate.spec list * t
-  | Md of { base : t; detail : t; blocks : Gmdj.block list }
-  | Md_completed of {
+  | Group_by of {
+      keys : (string option * string) list option;
+      aggs : Aggregate.spec list;
+      input : t;
+    }
+      (** Output: the key columns, then one unqualified column per
+          aggregate, groups in first-seen order.  [keys = None] groups
+          on every input column (with [aggs = \[\]] that is DISTINCT,
+          and [δπ_K] is [Some K] with no aggregates).  [keys = Some \[\]]
+          is the global aggregate: exactly one row, even on empty
+          input. *)
+  | Md of {
       base : t;
       detail : t;
       blocks : Gmdj.block list;
-      completion : Gmdj.completion;
+      completion : Gmdj.completion option;
     }
-      (** [σ[C](MD(base, detail, blocks))] with [C] compiled into
-          completion rules; survivors only. *)
+      (** [MD(base, detail, blocks)]; with [completion = Some c] it is
+          [σ[C](MD(...))] with [C] compiled into the rules [c], and only
+          the surviving base rows are returned. *)
   | Union_all of t * t
   | Diff_all of t * t
-  | Distinct of t
   | Sort of {
       by : ((string option * string) * [ `Asc | `Desc ]) list;
       limit : int option;
@@ -45,6 +59,15 @@ type t =
     }
       (** ORDER BY then LIMIT: a stable sort on [by] (empty: input order
           kept), then the first [limit] rows *)
+
+val children : t -> t list
+(** Direct subplans, in evaluation order (left or base first) — the
+    order [Eval.eval_analyzed]'s [Explain.node] children follow, so
+    analysis trees built with this walk zip positionally against
+    measured ones. *)
+
+val map_children : (t -> t) -> t -> t
+(** Rebuild a node with [f] applied to each operand. *)
 
 val schema_of : lookup:(string -> Schema.t) -> t -> Schema.t
 (** Output schema; [lookup] resolves base-table names. *)
@@ -69,6 +92,10 @@ val detail_alias : t -> string option
 val same_occurrence_modulo_alias : t -> t -> bool
 (** Are the two expressions the same relation occurrence up to their
     outermost alias?  (Prop. 4.1's "same underlying table" test.) *)
+
+val group_by_label : (string option * string) list option -> string
+(** A [Group_by] node's label, as ["GroupBy \[o.k\]"]; ["GroupBy \[*\]"]
+    groups on every column. *)
 
 val sort_label : ((string option * string) * [ `Asc | `Desc ]) list -> int option -> string
 (** A [Sort] node's label, as ["Sort \[o.k asc, n desc\] limit 3"]. *)

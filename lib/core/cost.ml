@@ -51,6 +51,10 @@ let ndv_of stats origins = function
     | None -> None)
   | _ -> None
 
+(* The distinct count of each key column, where statistics reach it. *)
+let key_ndvs stats origins keys =
+  List.map (fun (rel, name) -> ndv_of stats origins (Expr.Attr (rel, name))) keys
+
 let rec selectivity_with stats origins e =
   let sel =
     match e with
@@ -110,33 +114,12 @@ let estimate stats ~config alg =
         i with
         est = { rows = i.est.rows *. sel; cost = i.est.cost +. i.est.rows };
       }
-    | Algebra.Project (_, x) | Algebra.Project_rel (_, x) | Algebra.Add_rownum (_, x) ->
+    | Algebra.Project (_, x)
+    | Algebra.Project_cols { input = x; _ }
+    | Algebra.Project_rel (_, x)
+    | Algebra.Add_rownum (_, x) ->
       let i = go x in
       { est = { rows = i.est.rows; cost = i.est.cost +. i.est.rows }; origins = i.origins }
-    | Algebra.Project_cols { distinct; input; cols } ->
-      let i = go input in
-      let rows =
-        if not distinct then i.est.rows
-        else
-          let ndvs =
-            List.filter_map
-              (fun (rel, name) ->
-                match rel with
-                | Some alias -> ndv_of stats i.origins (Expr.Attr (Some alias, name))
-                | None -> None)
-              cols
-          in
-          match ndvs with
-          | [] -> Float.max 1.0 (i.est.rows *. 0.3)
-          | _ -> Float.min i.est.rows (List.fold_left ( *. ) 1.0 ndvs)
-      in
-      { est = { rows; cost = i.est.cost +. i.est.rows }; origins = i.origins }
-    | Algebra.Distinct x ->
-      let i = go x in
-      {
-        est = { rows = Float.max 1.0 (i.est.rows *. 0.5); cost = i.est.cost +. i.est.rows };
-        origins = i.origins;
-      }
     | Algebra.Sort { by; limit; input } ->
       let i = go input in
       let n = i.est.rows in
@@ -179,26 +162,21 @@ let estimate stats ~config alg =
       in
       { est; origins }
     | Algebra.Group_by { keys; input; _ } ->
+      (* One row per group: the distinct-count product of the qualified
+         keys, capped by the input; a fixed fraction of the input when no
+         key has statistics (unqualified keys, or every column). *)
       let i = go input in
       let ndvs =
-        List.filter_map
-          (fun (rel, name) ->
-            match rel with
-            | Some alias -> ndv_of stats i.origins (Expr.Attr (Some alias, name))
-            | None -> None)
-          keys
+        List.filter_map Fun.id (key_ndvs stats i.origins (Option.value keys ~default:[]))
       in
       let groups =
-        match ndvs with
-        | [] -> Float.max 1.0 (i.est.rows *. 0.1)
+        match keys, ndvs with
+        | Some [], _ -> 1.0
+        | _, [] -> Float.max 1.0 (i.est.rows *. 0.3)
         | _ -> Float.min i.est.rows (List.fold_left ( *. ) 1.0 ndvs)
       in
-      { est = { rows = groups; cost = i.est.cost +. i.est.rows }; origins = [] }
-    | Algebra.Aggregate_all (_, x) ->
-      let i = go x in
-      { est = { rows = 1.0; cost = i.est.cost +. i.est.rows }; origins = [] }
-    | Algebra.Md { base; detail; blocks } | Algebra.Md_completed { base; detail; blocks; _ }
-      ->
+      { est = { rows = groups; cost = i.est.cost +. i.est.rows }; origins = i.origins }
+    | Algebra.Md { base; detail; blocks; completion } ->
       let bi = go base and di = go detail in
       let b = bi.est.rows and d = di.est.rows in
       let origins = bi.origins @ di.origins in
@@ -210,9 +188,7 @@ let estimate stats ~config alg =
         else b *. d
       in
       let scan_cost = List.fold_left (fun acc blk -> acc +. block_cost blk) 0.0 blocks in
-      let completion_factor =
-        match alg with Algebra.Md_completed _ -> 0.5 | _ -> 1.0
-      in
+      let completion_factor = match completion with Some _ -> 0.5 | None -> 1.0 in
       {
         est =
           {
@@ -340,14 +316,7 @@ let intervals stats alg =
   let is_true = function Expr.Const (Value.Bool true) -> true | _ -> false in
   let is_false = function Expr.Const (Value.Bool false) -> true | _ -> false in
   let ndv_product origins cols =
-    let ndvs =
-      List.map
-        (fun (rel, name) ->
-          match rel with
-          | Some alias -> ndv_of stats origins (Expr.Attr (Some alias, name))
-          | None -> None)
-        cols
-    in
+    let ndvs = key_ndvs stats origins cols in
     if List.exists Option.is_none ndvs then None
     else Some (List.fold_left (fun acc n -> acc *. Option.get n) 1.0 ndvs)
   in
@@ -381,24 +350,9 @@ let intervals stats alg =
          derived column to a base column. *)
       let t, _ = sub "" x in
       node t.ival [ t ] []
-    | Algebra.Project_rel (_, x) ->
+    | Algebra.Project_rel (_, x) | Algebra.Project_cols { input = x; _ } ->
       let t, origins = sub "" x in
       node t.ival [ t ] origins
-    | Algebra.Project_cols { distinct; input; cols } ->
-      let t, origins = sub "" input in
-      if not distinct then node t.ival [ t ] origins
-      else
-        let lo = if t.ival.lo > 0.0 then 1.0 else 0.0 in
-        let hi =
-          match ndv_product origins cols with
-          | Some p -> Float.min t.ival.hi p
-          | None -> t.ival.hi
-        in
-        node (v lo hi) [ t ] origins
-    | Algebra.Distinct x ->
-      let t, origins = sub "" x in
-      let lo = if t.ival.lo > 0.0 then 1.0 else 0.0 in
-      node (v lo t.ival.hi) [ t ] origins
     | Algebra.Sort { limit; input; _ } ->
       let t, origins = sub "" input in
       let cut x = match limit with Some l -> Float.min x (float_of_int l) | None -> x in
@@ -428,29 +382,31 @@ let intervals stats alg =
       in
       node ival [ lt; rt ] origins
     | Algebra.Group_by { keys; input; _ } ->
+      (* The global aggregate is exactly one row; otherwise at least one
+         group per non-empty input, at most one per distinct key. *)
       let t, origins = sub "" input in
-      let lo = if t.ival.lo > 0.0 then 1.0 else 0.0 in
-      let hi =
-        match ndv_product origins keys with
-        | Some p -> Float.min t.ival.hi p
-        | None -> t.ival.hi
+      let ival =
+        match keys with
+        | Some [] -> exact 1.0
+        | _ ->
+          let lo = if t.ival.lo > 0.0 then 1.0 else 0.0 in
+          let hi =
+            match Option.bind keys (ndv_product origins) with
+            | Some p -> Float.min t.ival.hi p
+            | None -> t.ival.hi
+          in
+          v lo hi
       in
-      node (v lo hi) [ t ] origins
-    | Algebra.Aggregate_all (_, x) ->
-      let t, _ = sub "" x in
-      node (exact 1.0) [ t ] []
-    | Algebra.Md { base; detail; _ } ->
-      (* A GMDJ emits exactly one output row per base row (Thm 4.1). *)
-      let bt, bo = sub "base" base and dt, _ = sub "detail" detail in
-      node bt.ival [ bt; dt ] bo
-    | Algebra.Md_completed { base; detail; completion; _ } ->
-      (* Completion may kill base rows; without kill/require rules every
-         base row survives. *)
+      node ival [ t ] origins
+    | Algebra.Md { base; detail; completion; _ } ->
+      (* A GMDJ emits exactly one output row per base row (Thm 4.1);
+         completion may kill base rows, unless it has no kill/require
+         rules. *)
       let bt, bo = sub "base" base and dt, _ = sub "detail" detail in
       let lo =
-        if completion.Gmdj.kill_when = [] && completion.Gmdj.require_fired = [] then
-          bt.ival.lo
-        else 0.0
+        match completion with
+        | Some c when c.Gmdj.kill_when <> [] || c.Gmdj.require_fired <> [] -> 0.0
+        | Some _ | None -> bt.ival.lo
       in
       node (v lo bt.ival.hi) [ bt; dt ] bo
     | Algebra.Union_all (l, r) ->
@@ -488,9 +444,9 @@ let join_partitionable cond = block_hashable cond
    - Pipelined operators hold nothing of their own.
    - A build/probe operator (Product, Diff_all, Join) collects its right
      input and holds it while its left input is set up and streams.
-   - A breaker releases its input and holds its result; GROUP BY /
-     DISTINCT fold their input without charging it, Sort and the GMDJ
-     base collect theirs first.
+   - A breaker releases its input and holds its result; GROUP BY
+     (DISTINCT and the global aggregate too) folds its input without
+     charging it, Sort and the GMDJ base collect theirs first.
    - The root's result is collected once more at the end.
 
    [rows] reads a node's cardinality: a point estimate, or a certified
@@ -527,27 +483,20 @@ let height ~rows ~budget alg tree =
         | Algebra.Project (_, x)
         | Algebra.Project_rel (_, x)
         | Algebra.Add_rownum (_, x)
-        | Algebra.Project_cols { distinct = false; input = x; _ } ),
+        | Algebra.Project_cols { input = x; _ } ),
         [ c ] ) ->
       let peak, live, _ = go x c in
       (peak, live, n)
-    | ( ( Algebra.Group_by { input = x; _ }
-        | Algebra.Distinct x
-        | Algebra.Project_cols { distinct = true; input = x; _ } ),
-        [ c ] ) ->
+    | Algebra.Group_by { input = x; _ }, [ c ] ->
       (* A spilling fold charges its resident state while the input is
          still held; an in-memory fold is charged only as its result. *)
       let peak, live, _ = go x c in
       let state = match budget with Some _ -> cap n | None -> 0.0 in
       breaker ((live +. state) ++ n) peak
-    | Algebra.Aggregate_all (_, x), [ c ] ->
-      let peak, _, _ = go x c in
-      breaker 1.0 peak
     | Algebra.Sort { input; _ }, [ c ] ->
       let peak, live, copy = go input c in
       breaker ((live +. copy) ++ n) peak
-    | (Algebra.Md { base; detail; _ } | Algebra.Md_completed { base; detail; _ }), [ bt; dt ]
-      ->
+    | Algebra.Md { base; detail; _ }, [ bt; dt ] ->
       let bpeak, blive, bcopy = go base bt in
       let dpeak, _, _ = go detail dt in
       let held = blive +. bcopy in

@@ -120,13 +120,13 @@ module Interval : sig
     op : string;  (** display label, as in EXPLAIN ({!Eval.node_label}) *)
     path : string list;  (** plan path from the root, [Typing]-style *)
     ival : t;
-    children : tree list;  (** positionally aligned with {!Eval.children} *)
+    children : tree list;  (** positionally aligned with {!Algebra.children} *)
   }
 end
 
 val intervals : Stats.t -> Algebra.t -> Interval.tree
 (** Sound per-operator cardinality intervals for the plan.  The tree
-    mirrors the plan shape ({!Eval.children} order), so it zips
+    mirrors the plan shape ({!Algebra.children} order), so it zips
     positionally against {!Eval.eval_analyzed}'s measured
     [Explain.node] tree. *)
 

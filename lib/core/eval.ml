@@ -20,27 +20,6 @@ type source_provider = string -> Chunk.Source.t option
 
 type exec_report = { chunks : int; peak_materialized_rows : int }
 
-let children = function
-  | Algebra.Table _ -> []
-  | Algebra.Rename (_, x)
-  | Algebra.Select (_, x)
-  | Algebra.Project (_, x)
-  | Algebra.Project_cols { input = x; _ }
-  | Algebra.Project_rel (_, x)
-  | Algebra.Add_rownum (_, x)
-  | Algebra.Group_by { input = x; _ }
-  | Algebra.Aggregate_all (_, x)
-  | Algebra.Distinct x
-  | Algebra.Sort { input = x; _ } ->
-    [ x ]
-  | Algebra.Product (l, r)
-  | Algebra.Join { left = l; right = r; _ }
-  | Algebra.Md { base = l; detail = r; _ }
-  | Algebra.Md_completed { base = l; detail = r; _ }
-  | Algebra.Union_all (l, r)
-  | Algebra.Diff_all (l, r) ->
-    [ l; r ]
-
 let node_label alg =
   let exprs es = String.concat ", " (List.map Expr.to_string es) in
   match alg with
@@ -48,8 +27,7 @@ let node_label alg =
   | Algebra.Rename (a, _) -> "Rename " ^ a
   | Algebra.Select (e, _) -> "Select " ^ Expr.to_string e
   | Algebra.Project (ps, _) -> Printf.sprintf "Project [%s]" (exprs (List.map fst ps))
-  | Algebra.Project_cols { distinct; _ } ->
-    if distinct then "Project-distinct" else "Project-cols"
+  | Algebra.Project_cols _ -> "Project-cols"
   | Algebra.Project_rel (aliases, _) -> "ProjectRel " ^ String.concat "," aliases
   | Algebra.Add_rownum (n, _) -> "AddRownum " ^ n
   | Algebra.Product _ -> "Product"
@@ -62,17 +40,14 @@ let node_label alg =
       | Algebra.Anti -> "AntiJoin"
     in
     k ^ " " ^ Expr.to_string cond
-  | Algebra.Group_by { keys; _ } ->
-    Printf.sprintf "GroupBy [%s]"
-      (String.concat ", " (List.map (function None, n -> n | Some r, n -> r ^ "." ^ n) keys))
-  | Algebra.Aggregate_all _ -> "AggregateAll"
-  | Algebra.Md { blocks; _ } -> Printf.sprintf "MD (%d blocks)" (List.length blocks)
-  | Algebra.Md_completed { blocks; completion; _ } ->
+  | Algebra.Group_by { keys; _ } -> Algebra.group_by_label keys
+  | Algebra.Md { blocks; completion = None; _ } ->
+    Printf.sprintf "MD (%d blocks)" (List.length blocks)
+  | Algebra.Md { blocks; completion = Some c; _ } ->
     Printf.sprintf "MD-completed (%d blocks%s)" (List.length blocks)
-      (if completion.Gmdj.maintain_aggregates then "" else ", aggregate-free")
+      (if c.Gmdj.maintain_aggregates then "" else ", aggregate-free")
   | Algebra.Union_all _ -> "UnionAll"
   | Algebra.Diff_all _ -> "DiffAll"
-  | Algebra.Distinct _ -> "Distinct"
   | Algebra.Sort { by; limit; _ } -> Algebra.sort_label by limit
 
 (* ------------------------------------------------------------------ *)
@@ -193,20 +168,13 @@ let table_schema ~sources catalog name =
    aggregate arguments, completion predicates, join conditions, sort
    and group keys — resolved exactly as the executor resolves them
    (innermost frame first).  Operators whose semantics are positional
-   or whole-row (Union_all, Diff_all, Distinct, DISTINCT projections)
-   need every input column, and any resolution failure gives up on
+   or whole-row (Union_all, Diff_all, a GROUP BY on every column) need
+   every input column, and any resolution failure gives up on
    pruning altogether ([None]).  A physical [Table] node reached twice
    gets the union of both needs.  Consumers resolve columns by name
    against the narrowed schema they receive, so a wrong answer here
    fails as an unknown attribute, never as wrong rows. *)
 exception Unprunable
-
-let agg_args (spec : Aggregate.spec) =
-  match spec.Aggregate.func with
-  | Aggregate.Count_star -> []
-  | Aggregate.Count e | Aggregate.Sum e | Aggregate.Min e | Aggregate.Max e | Aggregate.Avg e
-  | Aggregate.First e ->
-    [ e ]
 
 let required_columns ~lookup root =
   let schema alg =
@@ -224,7 +192,9 @@ let required_columns ~lookup root =
   in
   let mark_col s need (rel, name) = mark [| s |] [| need |] (Expr.attr ?rel name) in
   let mark_aggs frames needs aggs =
-    List.iter (fun spec -> List.iter (mark frames needs) (agg_args spec)) aggs
+    List.iter
+      (fun spec -> Option.iter (mark frames needs) (Aggregate.arg spec.Aggregate.func))
+      aggs
   in
   let leaves = ref [] in
   let rec need alg req =
@@ -243,14 +213,11 @@ let required_columns ~lookup root =
       let r = none s in
       List.iter (fun (e, _) -> mark [| s |] [| r |] e) ps;
       need x r
-    | Algebra.Project_cols { cols; distinct = false; input } ->
+    | Algebra.Project_cols { cols; input } ->
       let s = schema input in
       let r = none s in
       List.iter (mark_col s r) cols;
       need input r
-    | Algebra.Project_cols { distinct = true; input = x; _ }
-    | Algebra.Distinct x ->
-      need x (all (schema x))
     | Algebra.Union_all (l, r) | Algebra.Diff_all (l, r) ->
       need l (all (schema l));
       need r (all (schema r))
@@ -285,20 +252,23 @@ let required_columns ~lookup root =
       need right rr
     | Algebra.Group_by { keys; aggs; input } ->
       let s = schema input in
-      let r = none s in
-      List.iter (mark_col s r) keys;
+      let r =
+        match keys with
+        | None -> all s
+        | Some keys ->
+          let r = none s in
+          List.iter (mark_col s r) keys;
+          r
+      in
       mark_aggs [| s |] [| r |] aggs;
       need input r
-    | Algebra.Aggregate_all (aggs, x) ->
-      let s = schema x in
-      let r = none s in
-      mark_aggs [| s |] [| r |] aggs;
-      need x r
-    | Algebra.Md { base; detail; blocks } -> need_md base detail blocks [] req
-    | Algebra.Md_completed { base; detail; blocks; completion } ->
-      need_md base detail blocks
-        (completion.Gmdj.kill_when @ completion.Gmdj.require_fired)
-        req
+    | Algebra.Md { base; detail; blocks; completion } ->
+      let preds =
+        match completion with
+        | Some c -> c.Gmdj.kill_when @ c.Gmdj.require_fired
+        | None -> []
+      in
+      need_md base detail blocks preds req
     | Algebra.Sort { by; input; _ } ->
       let r = Array.copy req in
       List.iter (fun (c, _) -> mark_col (schema input) r c) by;
@@ -379,12 +349,14 @@ let spill_outcome ctx (o : Subql_storage.Spill.outcome) =
    temp heap files), exchange-parallel when [domains > 1] (rows are
    hash-partitioned on the group key, so the per-domain states are
    key-disjoint and their results concatenate), serial streaming
-   otherwise. *)
+   otherwise.  The global aggregate ([~keys:[]]) always folds serially:
+   its one group would otherwise come back once per worker, identity
+   rows from the empty ones included. *)
 let run_group_by ctx ?keys ~aggs src =
   match ctx.config.spill_budget_rows with
   | Some budget -> spill_outcome ctx (Subql_storage.Spill.group_by ~budget ?keys ~aggs src)
   | None ->
-    if ctx.config.domains > 1 then begin
+    if ctx.config.domains > 1 && keys <> Some [] then begin
       let schema = Chunk.Source.schema src in
       (* Compiled once on the coordinator purely to route rows by group
          key; every worker compiles its own aggregate state. *)
@@ -451,9 +423,8 @@ let run_probe ctx ~child ~left ~right op =
 (* The one per-node dispatch.  [child] yields each operand's streamed
    value.  Fully pipelined operators pass the stream through; build/probe
    operators hold their right input and stream their left; breakers
-   fold their input (Group_by, Distinct, Aggregate_all — bounded state,
-   no input copy) or materialize what they must revisit (Sort, the GMDJ
-   base). *)
+   fold their input (Group_by — bounded state, no input copy) or
+   materialize what they must revisit (Sort, the GMDJ base). *)
 let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
   let pipe x op =
     let c = child x in
@@ -485,19 +456,8 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
     | None -> { src = tap ctx (Ops.rename alias c.src); release = c.release })
   | Algebra.Select (e, x) -> pipe x (Ops.select e)
   | Algebra.Project (ps, x) -> pipe x (Ops.project ps)
-  | Algebra.Project_cols { cols; distinct = false; input } -> pipe input (Ops.project_cols cols)
-  | Algebra.Project_cols { cols; distinct = true; input } ->
-    fold_child ctx (child input) (fun src -> run_group_by ctx ~aggs:[] (Ops.project_cols cols src))
-  | Algebra.Project_rel (aliases, x) ->
-    pipe x (fun src ->
-        let cols =
-          List.filter_map
-            (fun a ->
-              if List.mem a.Schema.rel aliases then Some (Some a.Schema.rel, a.Schema.name)
-              else None)
-            (Schema.to_list (Chunk.Source.schema src))
-        in
-        Ops.project_cols cols src)
+  | Algebra.Project_cols { cols; input } -> pipe input (Ops.project_cols cols)
+  | Algebra.Project_rel (aliases, x) -> pipe x (Ops.project_rel aliases)
   | Algebra.Add_rownum (name, x) -> pipe x (Ops.add_rownum name)
   | Algebra.Product (left, right) ->
     run_probe ctx ~child ~left ~right (fun build probe -> Ops.product ~build probe)
@@ -521,11 +481,9 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
       run_probe ctx ~child ~left ~right (fun build probe ->
           Ops.join ~strategy ~kind cond ~build probe))
   | Algebra.Group_by { keys; aggs; input } ->
-    fold_child ctx (child input) (run_group_by ctx ~keys ~aggs)
-  | Algebra.Aggregate_all (aggs, x) -> fold_child ctx (child x) (Ops.aggregate_all aggs)
-  | Algebra.Md { blocks; base; detail } -> run_md ctx ?gmdj_stats ~child ~base ~detail blocks
-  | Algebra.Md_completed { blocks; completion; base; detail } ->
-    run_md ctx ?gmdj_stats ~completion ~child ~base ~detail blocks
+    fold_child ctx (child input) (run_group_by ctx ?keys ~aggs)
+  | Algebra.Md { blocks; completion; base; detail } ->
+    run_md ctx ?gmdj_stats ?completion ~child ~base ~detail blocks
   | Algebra.Union_all (l, r) ->
     let cl = child l in
     let cr = child r in
@@ -538,7 +496,6 @@ let dispatch ctx ?gmdj_stats ~(child : Algebra.t -> streamed) alg =
     }
   | Algebra.Diff_all (left, right) ->
     run_probe ctx ~child ~left ~right (fun build probe -> Ops.diff_all ~build probe)
-  | Algebra.Distinct x -> fold_child ctx (child x) (run_group_by ctx ~aggs:[])
   | Algebra.Sort { by; limit; input } ->
     (* The sort revisits its whole input: materialize it (accounted, or
        borrowed through the origin shortcut) and sort that copy. *)
@@ -566,16 +523,14 @@ let rec run_eager ctx hooks alg =
     hooks.on_node_start alg;
     (r, no_release, hooks.on_node_done alg r None [])
   | None ->
-    let kid_results = List.map (fun k -> run_eager ctx hooks k) (children alg) in
+    let kid_results = List.map (fun k -> run_eager ctx hooks k) (Algebra.children alg) in
     let gmdj_stats =
-      match alg with
-      | Algebra.Md _ | Algebra.Md_completed _ -> Some (Gmdj.fresh_stats ())
-      | _ -> None
+      match alg with Algebra.Md _ -> Some (Gmdj.fresh_stats ()) | _ -> None
     in
     (* [dispatch] asks for its operands in its own order (a build side
        before its probe side), so hand each result out by subplan. *)
     let pending =
-      ref (List.map2 (fun k (r, free, _) -> (k, r, free)) (children alg) kid_results)
+      ref (List.map2 (fun k (r, free, _) -> (k, r, free)) (Algebra.children alg) kid_results)
     in
     let child sub =
       let rec take = function

@@ -38,11 +38,6 @@ type config = {
 val default_config : config
 (** Hash joins, hash GMDJ, serial ([domains = 1]), no spilling. *)
 
-val children : Algebra.t -> Algebra.t list
-(** Direct subplans, in evaluation order — the same order
-    {!eval_analyzed}'s [Explain.node] children follow, so analysis trees
-    built with this walk zip positionally against measured ones. *)
-
 val node_label : Algebra.t -> string
 (** Display label of the operator (with predicate/column detail), as it
     appears in EXPLAIN output. *)
@@ -57,8 +52,8 @@ val unindexed_config : config
     Select / Project / Rename / Add_rownum / Union_all and the GMDJ
     detail side are fully pipelined; Join, Product and Diff_all hold
     their right input and stream their left (a spilling Join collects
-    both up to its budget); Group_by, Distinct and Aggregate_all fold
-    their input into hash state; Sort and the GMDJ base side are
+    both up to its budget); Group_by (GROUP BY, DISTINCT and the global
+    aggregate) folds its input into hash state; Sort and the GMDJ base side are
     materialized.  Every run publishes ["eval.chunks"] (chunks pulled
     through operator boundaries) and ["eval.peak_materialized_rows"]
     (high-water mark of rows the executor held materialized) into
@@ -71,8 +66,8 @@ val eval :
   Catalog.t ->
   Algebra.t ->
   Relation.t
-(** [gmdj_stats], when provided, accumulates over every [Md] /
-    [Md_completed] node evaluated.
+(** [gmdj_stats], when provided, accumulates over every [Md] node
+    evaluated, completed or not.
 
     [override], when provided, is consulted at every node before
     evaluation; [Some r] short-circuits the whole subtree with [r].  The
@@ -134,7 +129,7 @@ val eval_analyzed :
 (** Evaluate with every operator instrumented: the returned tree mirrors
     the plan and annotates each operator with rows-in/rows-out,
     invocation count, self time, buffer-pool hit/read deltas, and — on
-    [Md]/[Md_completed] nodes — the GMDJ scan statistics
+    [Md] nodes — the GMDJ scan statistics
     (["detail-scans"], ["detail-rows"], ["theta-evals"],
     ["block-updates"], ["early-exit"]), making Prop. 4.1 coalescing
     visible as "1 detail scan vs k".  Each operator also runs inside a

@@ -14,32 +14,12 @@ let only ?(coalesce = false) ?(pushdown = false) ?(completion = false) () =
 (* Generic bottom-up rewriting                                         *)
 (* ------------------------------------------------------------------ *)
 
-let map_children f = function
-  | Algebra.Table _ as t -> t
-  | Algebra.Rename (a, x) -> Algebra.Rename (a, f x)
-  | Algebra.Select (e, x) -> Algebra.Select (e, f x)
-  | Algebra.Project (p, x) -> Algebra.Project (p, f x)
-  | Algebra.Project_cols c -> Algebra.Project_cols { c with input = f c.input }
-  | Algebra.Project_rel (a, x) -> Algebra.Project_rel (a, f x)
-  | Algebra.Add_rownum (n, x) -> Algebra.Add_rownum (n, f x)
-  | Algebra.Product (l, r) -> Algebra.Product (f l, f r)
-  | Algebra.Join j -> Algebra.Join { j with left = f j.left; right = f j.right }
-  | Algebra.Group_by g -> Algebra.Group_by { g with input = f g.input }
-  | Algebra.Aggregate_all (a, x) -> Algebra.Aggregate_all (a, f x)
-  | Algebra.Md m -> Algebra.Md { m with base = f m.base; detail = f m.detail }
-  | Algebra.Md_completed m ->
-    Algebra.Md_completed { m with base = f m.base; detail = f m.detail }
-  | Algebra.Union_all (l, r) -> Algebra.Union_all (f l, f r)
-  | Algebra.Diff_all (l, r) -> Algebra.Diff_all (f l, f r)
-  | Algebra.Distinct x -> Algebra.Distinct (f x)
-  | Algebra.Sort srt -> Algebra.Sort { srt with input = f srt.input }
-
 (* Apply [rule] bottom-up; keep rewriting a node until the rule no longer
    fires, then move up.  Terminates because every rule strictly shrinks
    the number of Md nodes or fires at most once per node. *)
 let rewrite_bottom_up rule alg =
   let rec go alg =
-    let alg = map_children go alg in
+    let alg = Algebra.map_children go alg in
     match rule alg with
     | Some alg' -> go alg'
     | None -> alg
@@ -54,7 +34,7 @@ let rewrite_top_down rule alg =
   let rec go alg =
     match rule alg with
     | Some alg' -> go alg'
-    | None -> map_children go alg
+    | None -> Algebra.map_children go alg
   in
   go alg
 
@@ -67,14 +47,7 @@ let agg_names blocks =
 
 let block_exprs b =
   b.Gmdj.theta
-  :: List.filter_map
-       (fun s ->
-         match s.Aggregate.func with
-         | Aggregate.Count_star -> None
-         | Aggregate.Count e | Aggregate.Sum e | Aggregate.Min e | Aggregate.Max e
-         | Aggregate.Avg e | Aggregate.First e ->
-           Some e)
-       b.Gmdj.aggs
+  :: List.filter_map (fun s -> Aggregate.arg s.Aggregate.func) b.Gmdj.aggs
 
 let references_any_name names e =
   List.exists (fun (_, n) -> List.mem n names) (Expr.attrs e)
@@ -98,18 +71,7 @@ let requalify_blocks ~from_alias ~to_alias blocks =
           Gmdj.theta = rw b.Gmdj.theta;
           aggs =
             List.map
-              (fun s ->
-                let func =
-                  match s.Aggregate.func with
-                  | Aggregate.Count_star -> Aggregate.Count_star
-                  | Aggregate.Count e -> Aggregate.Count (rw e)
-                  | Aggregate.Sum e -> Aggregate.Sum (rw e)
-                  | Aggregate.Min e -> Aggregate.Min (rw e)
-                  | Aggregate.Max e -> Aggregate.Max (rw e)
-                  | Aggregate.Avg e -> Aggregate.Avg (rw e)
-                  | Aggregate.First e -> Aggregate.First (rw e)
-                in
-                { s with Aggregate.func })
+              (fun s -> { s with Aggregate.func = Aggregate.map_arg rw s.Aggregate.func })
               b.Gmdj.aggs;
         })
       blocks
@@ -125,38 +87,34 @@ let try_merge ~inner_base ~inner_detail ~inner_blocks ~outer_detail ~outer_block
     in
     Some
       (Algebra.Md
-         { base = inner_base; detail = inner_detail; blocks = inner_blocks @ outer_blocks })
+         {
+           base = inner_base;
+           detail = inner_detail;
+           blocks = inner_blocks @ outer_blocks;
+           completion = None;
+         })
 
+(* Two GMDJs without completion rules, the outer one directly over the
+   inner one or over a selection on it. *)
 let coalesce_rule = function
-  | Algebra.Md
-      {
-        base = Algebra.Md { base = inner_base; detail = inner_detail; blocks = inner_blocks };
-        detail = outer_detail;
-        blocks = outer_blocks;
-      } ->
-    try_merge ~inner_base ~inner_detail ~inner_blocks ~outer_detail ~outer_blocks
-  | Algebra.Md
-      {
-        base =
-          Algebra.Select
-            ( cond,
-              Algebra.Md { base = inner_base; detail = inner_detail; blocks = inner_blocks }
-            );
-        detail = outer_detail;
-        blocks = outer_blocks;
-      } ->
-    (* Example 4.1: hoist the count-selection above the merged GMDJ.  The
-       GMDJ extends each base row independently, so it commutes with any
-       selection on its base. *)
-    Option.map
-      (fun merged -> Algebra.Select (cond, merged))
-      (try_merge ~inner_base ~inner_detail ~inner_blocks ~outer_detail ~outer_blocks)
-  | Algebra.Table _ | Algebra.Rename _ | Algebra.Select _ | Algebra.Project _
-  | Algebra.Project_cols _ | Algebra.Project_rel _ | Algebra.Add_rownum _
-  | Algebra.Product _ | Algebra.Join _ | Algebra.Group_by _ | Algebra.Aggregate_all _
-  | Algebra.Md _ | Algebra.Md_completed _ | Algebra.Union_all _ | Algebra.Diff_all _
-  | Algebra.Distinct _ | Algebra.Sort _ ->
-    None
+  | Algebra.Md { base; detail = outer_detail; blocks = outer_blocks; completion = None } -> (
+    match base with
+    | Algebra.Md
+        { base = inner_base; detail = inner_detail; blocks = inner_blocks; completion = None } ->
+      try_merge ~inner_base ~inner_detail ~inner_blocks ~outer_detail ~outer_blocks
+    | Algebra.Select
+        ( cond,
+          Algebra.Md
+            { base = inner_base; detail = inner_detail; blocks = inner_blocks; completion = None }
+        ) ->
+      (* Example 4.1: hoist the count-selection above the merged GMDJ.
+         The GMDJ extends each base row independently, so it commutes
+         with any selection on its base. *)
+      Option.map
+        (fun merged -> Algebra.Select (cond, merged))
+        (try_merge ~inner_base ~inner_detail ~inner_blocks ~outer_detail ~outer_blocks)
+    | _ -> None)
+  | _ -> None
 
 
 (* ------------------------------------------------------------------ *)
@@ -173,10 +131,10 @@ let rec alias_set = function
   | Algebra.Rename (a, _) -> Some [ a ]
   | Algebra.Select (_, x)
   | Algebra.Add_rownum (_, x)
-  | Algebra.Distinct x
+  | Algebra.Group_by { keys = None; aggs = []; input = x }
   | Algebra.Sort { input = x; _ } ->
     alias_set x
-  | Algebra.Md { base; _ } | Algebra.Md_completed { base; _ } -> alias_set base
+  | Algebra.Md { base; _ } -> alias_set base
   | Algebra.Product (l, r) | Algebra.Join { kind = Algebra.Inner; left = l; right = r; _ } ->
     (match alias_set l, alias_set r with
     | Some a, Some b -> Some (a @ b)
@@ -185,7 +143,7 @@ let rec alias_set = function
   | Algebra.Join { kind = Algebra.Left_outer; left = l; right = r; _ } ->
     (match alias_set l, alias_set r with Some a, Some b -> Some (a @ b) | _ -> None)
   | Algebra.Project _ | Algebra.Project_cols _ | Algebra.Project_rel _ | Algebra.Group_by _
-  | Algebra.Aggregate_all _ | Algebra.Union_all _ | Algebra.Diff_all _ ->
+  | Algebra.Union_all _ | Algebra.Diff_all _ ->
     None
 
 (* A conjunct can move to a side iff all its references are qualified,
@@ -237,9 +195,8 @@ let pushdown_rule = function
       let cond = Expr.conjoin (j.cond :: rest) in
       Some (Algebra.Join { j with cond; left; right })
     | _ -> Some (Algebra.Join { j with cond = Expr.and_ j.cond e }))
-  | Algebra.Select (e, (Algebra.Md { base; detail; blocks } as md)) -> (
+  | Algebra.Select (e, Algebra.Md { base; detail; blocks; completion = None }) -> (
     (* Base-only conjuncts commute below the GMDJ. *)
-    ignore md;
     match alias_set base with
     | None -> None
     | Some base_aliases -> (
@@ -252,14 +209,13 @@ let pushdown_rule = function
       | [] -> None
       | _ ->
         let pushed =
-          Algebra.Md { base = select_over movable base; detail; blocks }
+          Algebra.Md { base = select_over movable base; detail; blocks; completion = None }
         in
         Some (select_over rest pushed)))
   | Algebra.Table _ | Algebra.Rename _ | Algebra.Select _ | Algebra.Project _
   | Algebra.Project_cols _ | Algebra.Project_rel _ | Algebra.Add_rownum _
-  | Algebra.Product _ | Algebra.Join _ | Algebra.Group_by _ | Algebra.Aggregate_all _
-  | Algebra.Md _ | Algebra.Md_completed _ | Algebra.Union_all _ | Algebra.Diff_all _
-  | Algebra.Distinct _ | Algebra.Sort _ ->
+  | Algebra.Product _ | Algebra.Join _ | Algebra.Group_by _ | Algebra.Md _
+  | Algebra.Union_all _ | Algebra.Diff_all _ | Algebra.Sort _ ->
     None
 
 (* ------------------------------------------------------------------ *)
@@ -367,12 +323,12 @@ let classify_conjunct counts acc conjunct =
   in
   if not handled then acc.residual <- acc.residual @ [ conjunct ]
 
-(* Try to turn [Select (cond, Md m)] into an [Md_completed].
+(* Try to turn [Select (cond, Md m)] into a completed [Md].
    [aggs_discarded] tells whether the context projects the aggregate
    columns away, enabling Thm 4.1's aggregate-free mode. *)
 let complete_select ~aggs_discarded cond (m : Algebra.t) =
   match m with
-  | Algebra.Md { base; detail; blocks } ->
+  | Algebra.Md { base; detail; blocks; completion = None } ->
     let counts = count_thetas blocks in
     if not (names_unique (agg_names blocks)) then None
     else begin
@@ -386,7 +342,9 @@ let complete_select ~aggs_discarded cond (m : Algebra.t) =
         let completion =
           { Gmdj.kill_when = acc.kills; require_fired = acc.requires_; maintain_aggregates }
         in
-        let completed = Algebra.Md_completed { base; detail; blocks; completion } in
+        let completed =
+          Algebra.Md { base; detail; blocks; completion = Some completion }
+        in
         Some
           (match acc.residual with
           | [] -> completed
@@ -396,21 +354,24 @@ let complete_select ~aggs_discarded cond (m : Algebra.t) =
 
 let completion_rule alg =
   match alg with
-  | Algebra.Select (cond, (Algebra.Md _ as m)) -> complete_select ~aggs_discarded:false cond m
-  | Algebra.Project_rel (a, Algebra.Select (cond, (Algebra.Md _ as m))) ->
+  | Algebra.Select (cond, (Algebra.Md { completion = None; _ } as m)) ->
+    complete_select ~aggs_discarded:false cond m
+  | Algebra.Project_rel (a, Algebra.Select (cond, (Algebra.Md { completion = None; _ } as m)))
+    ->
     Option.map
       (fun inner -> Algebra.Project_rel (a, inner))
       (complete_select ~aggs_discarded:true cond m)
   | Algebra.Project_cols ({ cols; _ } as pc) -> (
     match pc.input with
-    | Algebra.Select (cond, (Algebra.Md { blocks; _ } as m)) ->
+    | Algebra.Select (cond, (Algebra.Md { blocks; completion = None; _ } as m)) ->
       let names = agg_names blocks in
       let discards = not (List.exists (fun (_, n) -> List.mem n names) cols) in
       Option.map
         (fun inner -> Algebra.Project_cols { pc with input = inner })
         (complete_select ~aggs_discarded:discards cond m)
     | _ -> None)
-  | Algebra.Project (exprs, Algebra.Select (cond, (Algebra.Md { blocks; _ } as m))) ->
+  | Algebra.Project
+      (exprs, Algebra.Select (cond, (Algebra.Md { blocks; completion = None; _ } as m))) ->
     let names = agg_names blocks in
     let discards = not (List.exists (fun (e, _) -> references_any_name names e) exprs) in
     Option.map
@@ -418,13 +379,13 @@ let completion_rule alg =
       (complete_select ~aggs_discarded:discards cond m)
   | Algebra.Table _ | Algebra.Rename _ | Algebra.Select _ | Algebra.Project _
   | Algebra.Project_rel _ | Algebra.Add_rownum _ | Algebra.Product _ | Algebra.Join _
-  | Algebra.Group_by _ | Algebra.Aggregate_all _ | Algebra.Md _ | Algebra.Md_completed _
-  | Algebra.Union_all _ | Algebra.Diff_all _ | Algebra.Distinct _ | Algebra.Sort _ ->
+  | Algebra.Group_by _ | Algebra.Md _ | Algebra.Union_all _ | Algebra.Diff_all _
+  | Algebra.Sort _ ->
     None
 
-(* Completion fires at most once per position (it consumes the Md); guard
-   against re-firing on the rewritten node by checking for Md_completed
-   in the pattern itself (the patterns above only match plain Md). *)
+(* Completion fires at most once per position (it consumes the Md): the
+   patterns above only match an Md with no completion yet, so the
+   rewritten node cannot fire again. *)
 
 (* ------------------------------------------------------------------ *)
 (* Key factorization of an aggregate-free completion's inner GMDJ      *)
@@ -467,9 +428,9 @@ let keys_of_alias aliases keys = List.filter (fun (a, _) -> List.mem a aliases) 
 let distinct_on keys alg =
   let names cols = List.sort_uniq compare (List.map snd cols) in
   match alg with
-  | Algebra.Project_cols { distinct = true; cols; _ } ->
+  | Algebra.Group_by { keys = Some cols; aggs = []; _ } ->
     List.sort_uniq compare cols = List.map (fun (a, n) -> (Some a, n)) keys
-  | Algebra.Rename (a, Algebra.Project_cols { distinct = true; cols; _ }) ->
+  | Algebra.Rename (a, Algebra.Group_by { keys = Some cols; aggs = []; _ }) ->
     List.for_all (fun (k, _) -> k = a) keys && names cols = names keys
   | _ -> false
 
@@ -484,8 +445,8 @@ let rec factor_keys keys alg =
     if distinct_on keys alg then None
     else
       Some
-        (Algebra.Project_cols
-           { cols = List.map (fun (a, n) -> (Some a, n)) keys; distinct = true; input = alg })
+        (Algebra.Group_by
+           { keys = Some (List.map (fun (a, n) -> (Some a, n)) keys); aggs = []; input = alg })
   in
   match alg with
   | Algebra.Product (l, r) -> (
@@ -521,7 +482,7 @@ let hoist_detail_filters ~outer_aliases ~base_aliases blocks completion detail =
     if common = [] then None
     else
       match rewrite_bottom_up pushdown_rule (Algebra.Select (Expr.conjoin common, detail)) with
-      | Algebra.Md _ as detail ->
+      | Algebra.Md { completion = None; _ } as detail ->
         let drop t = Expr.conjoin (expr_diff (Expr.conjuncts t) common) in
         let blocks = List.map (fun b -> { b with Gmdj.theta = drop b.Gmdj.theta }) blocks in
         let completion =
@@ -535,20 +496,23 @@ let hoist_detail_filters ~outer_aliases ~base_aliases blocks completion detail =
       | _ -> None
 
 let factorize_rule = function
-  | Algebra.Md_completed
-      ({ completion = { maintain_aggregates = false; _ }; detail = Algebra.Md inner; _ } as m)
-    -> (
+  | Algebra.Md
+      ({
+         completion = Some ({ maintain_aggregates = false; _ } as outer_completion);
+         detail = Algebra.Md ({ completion = None; _ } as inner);
+         _;
+       } as m) -> (
     match alias_set m.base, alias_set inner.base, alias_set inner.detail with
     | Some outer_aliases, Some base_aliases, Some detail_aliases -> (
       let hoisted =
-        hoist_detail_filters ~outer_aliases ~base_aliases m.blocks m.completion m.detail
+        hoist_detail_filters ~outer_aliases ~base_aliases m.blocks outer_completion m.detail
       in
       let blocks, completion, detail =
-        Option.value hoisted ~default:(m.blocks, m.completion, m.detail)
+        Option.value hoisted ~default:(m.blocks, outer_completion, m.detail)
       in
       let factored =
         match detail with
-        | Algebra.Md inner -> (
+        | Algebra.Md ({ completion = None; _ } as inner) -> (
           let read_by_completion =
             base_refs ~base_aliases ~others:outer_aliases ~other_names:(agg_names inner.blocks)
               (completion_thetas blocks completion @ List.concat_map block_exprs blocks)
@@ -567,7 +531,7 @@ let factorize_rule = function
       if Option.is_none hoisted && Option.is_none factored then None
       else
         let detail = Option.value factored ~default:detail in
-        Some (Algebra.Md_completed { m with blocks; completion; detail }))
+        Some (Algebra.Md { m with blocks; completion = Some completion; detail }))
     | _ -> None)
   | _ -> None
 

@@ -17,7 +17,7 @@
       left in shape for completion.
     - {e Completion} (Thms 4.1/4.2): a selection over count columns of a
       GMDJ is compiled into kill / require-fired rules evaluated inside
-      the scan ([Md_completed]); when the surrounding projection also
+      the scan (the [Md] node's [completion]); when the surrounding projection also
       discards the aggregate columns, aggregate maintenance is skipped
       entirely and the scan can terminate as soon as every base tuple is
       decided.
@@ -26,7 +26,8 @@
       every aggregate of a base tuple is a function of the base columns
       K its blocks read, so [δπ_{K∪aggs} MD(B, R, l, θ) = MD(δπ_K B, R,
       l, θ)].  With K also holding the base columns the completion
-      reads, the inner base becomes a distinct projection onto K, pushed
+      reads, the inner base becomes [δπ_K] (a zero-aggregate
+      [Group_by] on K), pushed
       into each side of a product (a side reading no key column stays
       as it is) — the push-down's [distinct(outer cols) × I] base of
       Thms 3.3/3.4 is never materialized at full size.  Detail-only
@@ -45,10 +46,6 @@ val only : ?coalesce:bool -> ?pushdown:bool -> ?completion:bool -> unit -> flags
 val optimize : ?flags:flags -> Algebra.t -> Algebra.t
 (** Apply the enabled rewrites bottom-up to a fixpoint.  Semantics are
     preserved for every flag combination. *)
-
-val map_children : (Algebra.t -> Algebra.t) -> Algebra.t -> Algebra.t
-(** Apply a function to the immediate children of a node (generic
-    one-level traversal, exported for plan rewriters). *)
 
 val requalify_blocks :
   from_alias:string ->

@@ -11,8 +11,9 @@ let rec base_to_algebra = function
   | N.Btable t -> Algebra.Table t
   | N.Bselect (e, b) -> Algebra.Select (e, base_to_algebra b)
   | N.Bproject { cols; distinct; input } ->
-    Algebra.Project_cols
-      { cols = List.map (fun c -> (None, c)) cols; distinct; input = base_to_algebra input }
+    let cols = List.map (fun c -> (None, c)) cols and input = base_to_algebra input in
+    if distinct then Algebra.Group_by { keys = Some cols; aggs = []; input }
+    else Algebra.Project_cols { cols; input }
   | N.Bproduct (a, b) -> Algebra.Product (base_to_algebra a, base_to_algebra b)
   | N.Balias (a, b) -> Algebra.Rename (a, base_to_algebra b)
 
@@ -55,8 +56,8 @@ let pushed_rel ~scope ~orig ~pushed_alias ~cols =
   | Some src ->
     Algebra.Rename
       ( pushed_alias,
-        Algebra.Project_cols
-          { cols = List.map (fun c -> (Some orig, c)) cols; distinct = true; input = src } )
+        Algebra.Group_by
+          { keys = Some (List.map (fun c -> (Some orig, c)) cols); aggs = []; input = src } )
 
 (* [transform_where env ~scope ~stack p] eliminates the subqueries of [p].
    [scope] lists the enclosing relation occurrences (alias and source
@@ -173,7 +174,8 @@ and transform_sub env ~scope ~stack (s : N.sub) : Expr.t * push list =
           !blocks;
       propagated := { orig; pushed = pushed_alias; cols } :: !propagated)
     bad;
-  stack := Algebra.Md { base = !stack; detail = !child_stack; blocks = !blocks };
+  stack :=
+    Algebra.Md { base = !stack; detail = !child_stack; blocks = !blocks; completion = None };
   (cond, List.rev !propagated)
 
 let where_condition q =
@@ -196,23 +198,22 @@ let lower_tail q rows =
   let projected =
     match q.N.q_select with
     | N.Select_all -> Algebra.Project_rel (N.scope_aliases q, rows)
-    | N.Select_cols cols -> Algebra.Project_cols { cols; distinct = false; input = rows }
+    | N.Select_cols cols -> Algebra.Project_cols { cols; input = rows }
     | N.Select_exprs exprs -> Algebra.Project (exprs, rows)
     | N.Select_grouped g ->
       (* Grouping reads the statement's own columns only, never the
          auxiliary count columns or pushed-down copies beside them. *)
       let input = Algebra.Project_rel (N.scope_aliases q, rows) in
-      let grouped =
-        match g.N.keys with
-        | [] -> Algebra.Aggregate_all (g.N.aggs, input)
-        | keys -> Algebra.Group_by { keys; aggs = g.N.aggs; input }
-      in
+      let grouped = Algebra.Group_by { keys = Some g.N.keys; aggs = g.N.aggs; input } in
       let kept =
         match g.N.having with Some h -> Algebra.Select (h, grouped) | None -> grouped
       in
       Algebra.Project (g.N.out, kept)
   in
-  let distinct = if q.N.q_distinct then Algebra.Distinct projected else projected in
+  let distinct =
+    if q.N.q_distinct then Algebra.Group_by { keys = None; aggs = []; input = projected }
+    else projected
+  in
   match q.N.q_order_by, q.N.q_limit with
   | [], None -> distinct
   | by, limit -> Algebra.Sort { by; limit; input = distinct }

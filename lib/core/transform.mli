@@ -34,9 +34,10 @@ val base_to_algebra : Subql_nested.Nested_ast.base -> Algebra.t
 val lower_tail : Subql_nested.Nested_ast.query -> Algebra.t -> Algebra.t
 (** [lower_tail q rows] puts the query's SQL tail over [rows], a plan of
     its qualifying rows: the select list ([Project_rel]/[Project_cols]/
-    [Project]), or GROUP BY/HAVING ([Group_by] or [Aggregate_all], then
-    [Select], then [Project]); then [Distinct]; then [Sort] for ORDER BY
-    and LIMIT.  Every translation of a query ends with this. *)
+    [Project]), or GROUP BY/HAVING ([Group_by], with [keys = Some \[\]]
+    for an aggregate without GROUP BY, then [Select], then [Project]);
+    then, for DISTINCT, a [Group_by] on every column; then [Sort] for
+    ORDER BY and LIMIT.  Every translation of a query ends with this. *)
 
 val to_algebra : Subql_nested.Nested_ast.query -> Algebra.t
 (** The full translation, including the final selection and the SQL

@@ -39,7 +39,9 @@ let attach_aggregates g ~acc ~rid ~detail ~theta specs =
           spec)
       specs
   in
-  let grouped = Algebra.Group_by { keys = [ (None, rid) ]; aggs = adjusted; input = joined } in
+  let grouped =
+    Algebra.Group_by { keys = Some [ (None, rid) ]; aggs = adjusted; input = joined }
+  in
   let renamed =
     Algebra.Project
       ( (Expr.attr rid, rid2)
@@ -145,9 +147,9 @@ let md_to_joins ~lookup alg =
   let g = { counter = 0 } in
   let rec go alg =
     match alg with
-    | Algebra.Md_completed _ ->
+    | Algebra.Md { completion = Some _; _ } ->
       invalid_arg "Unnest.md_to_joins: expand before completion optimization"
-    | Algebra.Md { base; detail; blocks } ->
+    | Algebra.Md { base; detail; blocks; completion = None } ->
       let base = go base and detail = go detail in
       let base_schema = Algebra.schema_of ~lookup base in
       let out_schema =
@@ -166,12 +168,12 @@ let md_to_joins ~lookup alg =
       (* Restore the exact MD output schema (base columns then aggregate
          columns, in order). *)
       let cols = List.map attr_ref (Schema.to_list out_schema) in
-      Algebra.Project_cols { cols; distinct = false; input = acc }
+      Algebra.Project_cols { cols; input = acc }
     | Algebra.Table _ | Algebra.Rename _ | Algebra.Select _ | Algebra.Project _
     | Algebra.Project_cols _ | Algebra.Project_rel _ | Algebra.Add_rownum _
-    | Algebra.Product _ | Algebra.Join _ | Algebra.Group_by _ | Algebra.Aggregate_all _
-    | Algebra.Union_all _ | Algebra.Diff_all _ | Algebra.Distinct _ | Algebra.Sort _ ->
-      Optimize.map_children go alg
+    | Algebra.Product _ | Algebra.Join _ | Algebra.Group_by _ | Algebra.Union_all _
+    | Algebra.Diff_all _ | Algebra.Sort _ ->
+      Algebra.map_children go alg
   in
   go alg
 

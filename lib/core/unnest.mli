@@ -30,7 +30,7 @@ val via_semijoins : Catalog.t -> Subql_nested.Nested_ast.query -> Algebra.t
 
 val md_to_joins : lookup:(string -> Schema.t) -> Algebra.t -> Algebra.t
 (** Replace every [Md] node by an equivalent join/outer-join/group-by
-    subplan.  The input must not contain [Md_completed] nodes (expand
+    subplan.  The input must not contain completed [Md] nodes (expand
     before optimizing). *)
 
 val via_joins : Catalog.t -> Subql_nested.Nested_ast.query -> Algebra.t

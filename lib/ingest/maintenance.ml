@@ -91,7 +91,7 @@ let register (t : t) ~fingerprint plan =
 let register_query t q =
   let e = Batch.prepare q in
   (* Register the completion-free optimized plan: completion fuses the
-     enclosing selection into the MD node ([Md_completed]), which prunes
+     enclosing selection into the MD node (its [completion]), which prunes
      base rows during the scan — pruned accumulators cannot absorb later
      deltas ([ING002]).  Without the completion rewrite the plan keeps a
      plain [Md] under the selection: same answer, delta-maintainable.

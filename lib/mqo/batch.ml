@@ -15,8 +15,8 @@ type report = {
 let rec count_mds alg =
   List.fold_left
     (fun acc c -> acc + count_mds c)
-    (match alg with Algebra.Md _ | Algebra.Md_completed _ -> 1 | _ -> 0)
-    (Eval.children alg)
+    (match alg with Algebra.Md _ -> 1 | _ -> 0)
+    (Algebra.children alg)
 
 let solo_plan query = Optimize.optimize (Transform.to_algebra query)
 

@@ -23,7 +23,7 @@ let alias_map alg =
         Hashtbl.add tbl a (Printf.sprintf "~r%d" !next)
       end
     | _ -> ());
-    List.iter go (Eval.children alg)
+    List.iter go (Algebra.children alg)
   in
   go alg;
   fun a -> match Hashtbl.find_opt tbl a with Some a' -> a' | None -> a
@@ -67,18 +67,7 @@ let rec canon_expr rename e =
   | Expr.Is_true x -> Expr.Is_true (go x)
 
 let canon_spec rename (s : Aggregate.spec) =
-  let go = canon_expr rename in
-  let func =
-    match s.Aggregate.func with
-    | Aggregate.Count_star -> Aggregate.Count_star
-    | Aggregate.Count e -> Aggregate.Count (go e)
-    | Aggregate.Sum e -> Aggregate.Sum (go e)
-    | Aggregate.Min e -> Aggregate.Min (go e)
-    | Aggregate.Max e -> Aggregate.Max (go e)
-    | Aggregate.Avg e -> Aggregate.Avg (go e)
-    | Aggregate.First e -> Aggregate.First (go e)
-  in
-  { s with Aggregate.func }
+  { s with Aggregate.func = Aggregate.map_arg (canon_expr rename) s.Aggregate.func }
 
 let canon_blocks rename blocks =
   blocks
@@ -120,7 +109,6 @@ let canonicalize alg =
     | Algebra.Project_cols c ->
       Algebra.Project_cols
         {
-          c with
           cols = List.map (fun (q, n) -> (Option.map rename q, n)) c.cols;
           input = go c.input;
         }
@@ -132,26 +120,20 @@ let canonicalize alg =
     | Algebra.Group_by g ->
       Algebra.Group_by
         {
-          keys = List.map (fun (q, n) -> (Option.map rename q, n)) g.keys;
+          keys = Option.map (List.map (fun (q, n) -> (Option.map rename q, n))) g.keys;
           aggs = List.map (canon_spec rename) g.aggs;
           input = go g.input;
         }
-    | Algebra.Aggregate_all (aggs, x) ->
-      Algebra.Aggregate_all (List.map (canon_spec rename) aggs, go x)
     | Algebra.Md m ->
       Algebra.Md
-        { base = go m.base; detail = go m.detail; blocks = canon_blocks rename m.blocks }
-    | Algebra.Md_completed m ->
-      Algebra.Md_completed
         {
           base = go m.base;
           detail = go m.detail;
           blocks = canon_blocks rename m.blocks;
-          completion = canon_completion rename m.completion;
+          completion = Option.map (canon_completion rename) m.completion;
         }
     | Algebra.Union_all (l, r) -> Algebra.Union_all (go l, go r)
     | Algebra.Diff_all (l, r) -> Algebra.Diff_all (go l, go r)
-    | Algebra.Distinct x -> Algebra.Distinct (go x)
     | Algebra.Sort srt ->
       Algebra.Sort
         {

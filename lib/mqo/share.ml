@@ -17,11 +17,11 @@ let shareable_plan query =
    Returned physically, so the rewrite below can locate it with [==]. *)
 let rec find_md alg =
   match alg with
-  | Algebra.Md _ -> Some alg
+  | Algebra.Md { completion = None; _ } -> Some alg
   | _ ->
     List.fold_left
       (fun acc c -> match acc with Some _ -> acc | None -> find_md c)
-      None (Eval.children alg)
+      None (Algebra.children alg)
 
 let names_unique names =
   let sorted = List.sort String.compare names in
@@ -52,16 +52,7 @@ let rw_col map (q, n) =
     match Hashtbl.find_opt map n with Some n' -> (None, n') | None -> (None, n))
   | Some _ -> (q, n)
 
-let rw_func map = function
-  | Aggregate.Count_star -> Aggregate.Count_star
-  | Aggregate.Count e -> Aggregate.Count (rw_expr map e)
-  | Aggregate.Sum e -> Aggregate.Sum (rw_expr map e)
-  | Aggregate.Min e -> Aggregate.Min (rw_expr map e)
-  | Aggregate.Max e -> Aggregate.Max (rw_expr map e)
-  | Aggregate.Avg e -> Aggregate.Avg (rw_expr map e)
-  | Aggregate.First e -> Aggregate.First (rw_expr map e)
-
-let rw_spec map s = { s with Aggregate.func = rw_func map s.Aggregate.func }
+let rw_spec map s = { s with Aggregate.func = Aggregate.map_arg (rw_expr map) s.Aggregate.func }
 
 let rw_block map b =
   {
@@ -84,29 +75,29 @@ let rw_node map alg =
     Algebra.Group_by
       {
         g with
-        keys = List.map (rw_col map) g.keys;
+        keys = Option.map (List.map (rw_col map)) g.keys;
         aggs = List.map (rw_spec map) g.aggs;
       }
-  | Algebra.Aggregate_all (specs, x) ->
-    Algebra.Aggregate_all (List.map (rw_spec map) specs, x)
   | Algebra.Sort srt ->
     Algebra.Sort { srt with by = List.map (fun (c, dir) -> (rw_col map c, dir)) srt.by }
-  | Algebra.Md m -> Algebra.Md { m with blocks = List.map (rw_block map) m.blocks }
-  | Algebra.Md_completed m ->
-    Algebra.Md_completed
+  | Algebra.Md m ->
+    Algebra.Md
       {
         m with
         blocks = List.map (rw_block map) m.blocks;
         completion =
-          {
-            m.completion with
-            Gmdj.kill_when = List.map rw m.completion.Gmdj.kill_when;
-            require_fired = List.map rw m.completion.Gmdj.require_fired;
-          };
+          Option.map
+            (fun c ->
+              {
+                c with
+                Gmdj.kill_when = List.map rw c.Gmdj.kill_when;
+                require_fired = List.map rw c.Gmdj.require_fired;
+              })
+            m.completion;
       }
   | Algebra.Table _ | Algebra.Rename _ | Algebra.Project_rel _
   | Algebra.Add_rownum _ | Algebra.Product _ | Algebra.Union_all _
-  | Algebra.Diff_all _ | Algebra.Distinct _ ->
+  | Algebra.Diff_all _ ->
     alg
 
 (* Replace the (physically identified) member GMDJ with the combined
@@ -115,7 +106,7 @@ let rw_node map alg =
    [target] survives until the substitution reaches it. *)
 let rec rewrite_above ~target ~combined map alg =
   if alg == target then combined
-  else Optimize.map_children (rewrite_above ~target ~combined map) (rw_node map alg)
+  else Algebra.map_children (rewrite_above ~target ~combined map) (rw_node map alg)
 
 type cand = {
   index : int;
@@ -132,7 +123,7 @@ let agg_names blocks =
 
 let candidate (index, shareable, solo_plan) =
   match find_md shareable with
-  | Some (Algebra.Md { base; detail; blocks } as md)
+  | Some (Algebra.Md { base; detail; blocks; _ } as md)
     when Algebra.detail_alias detail <> None && names_unique (agg_names blocks) ->
     Ok { index; shareable; solo_plan; md; base; detail; blocks }
   | _ -> Error (index, solo_plan)
@@ -202,6 +193,7 @@ let rec build_group catalog cands =
           base = first.base;
           detail = first.detail;
           blocks = List.concat_map (fun (_, _, bs) -> bs) prepared;
+          completion = None;
         }
     in
     let checked =

@@ -273,12 +273,7 @@ let apply_tail q rel =
     | Select_cols cols -> whole (Ops.project_cols cols) rel
     | Select_exprs exprs -> whole (Ops.project exprs) rel
     | Select_grouped g ->
-      let src = Chunk.Source.of_relation rel in
-      let grouped =
-        match g.keys with
-        | [] -> Ops.aggregate_all g.aggs src
-        | keys -> Ops.group_by ~keys ~aggs:g.aggs src
-      in
+      let grouped = Ops.group_by ~keys:g.keys ~aggs:g.aggs (Chunk.Source.of_relation rel) in
       let kept =
         match g.having with Some h -> whole (Ops.select h) grouped | None -> grouped
       in

@@ -23,11 +23,9 @@ and collect_sub local acc s =
   let acc =
     match s.kind with
     | Cmp_agg (_, _, func) -> (
-      match func with
-      | Aggregate.Count_star -> acc
-      | Aggregate.Count e | Aggregate.Sum e | Aggregate.Min e | Aggregate.Max e
-      | Aggregate.Avg e | Aggregate.First e ->
-        collect_expr (s.s_alias :: local) acc e)
+      match Aggregate.arg func with
+      | None -> acc
+      | Some e -> collect_expr (s.s_alias :: local) acc e)
     | Exists | Not_exists | Cmp_scalar _ | Quant _ | In_ _ | Not_in _ -> acc
   in
   collect_pred (s.s_alias :: local) acc s.s_where

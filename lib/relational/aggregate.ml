@@ -27,6 +27,15 @@ let arg = function
   | Count_star -> None
   | Count e | Sum e | Min e | Max e | Avg e | First e -> Some e
 
+let map_arg f = function
+  | Count_star -> Count_star
+  | Count e -> Count (f e)
+  | Sum e -> Sum (f e)
+  | Min e -> Min (f e)
+  | Max e -> Max (f e)
+  | Avg e -> Avg (f e)
+  | First e -> First (f e)
+
 let output_ty frames spec =
   match spec.func with
   | Count_star | Count _ -> Value.Tint

@@ -28,6 +28,12 @@ val max_ : Expr.t -> string -> spec
 val avg : Expr.t -> string -> spec
 val first : Expr.t -> string -> spec
 
+val arg : func -> Expr.t option
+(** The aggregated expression; [None] for [Count_star]. *)
+
+val map_arg : (Expr.t -> Expr.t) -> func -> func
+(** The same function over the rewritten argument. *)
+
 val output_ty : Schema.t array -> spec -> Value.ty
 (** Result type of the aggregate over rows of the innermost frame. *)
 

@@ -46,6 +46,12 @@ let project_cols cols src =
   let idxs = positions schema cols in
   map_rows (Schema.project schema idxs) (fun row -> Tuple.project row idxs) src
 
+let project_rel aliases src =
+  let keep a =
+    if List.mem a.Schema.rel aliases then Some (Some a.Schema.rel, a.Schema.name) else None
+  in
+  project_cols (List.filter_map keep (Schema.to_list (Chunk.Source.schema src))) src
+
 let rename alias src =
   let schema = Schema.rename_rel alias (Chunk.Source.schema src) in
   Chunk.Source.map ~schema (Chunk.with_schema schema) src
@@ -173,11 +179,22 @@ let diff_all ~build probe =
 (* Breakers: fold a source into a relation                              *)
 (* ------------------------------------------------------------------ *)
 
-let agg_schema frames aggs =
-  List.map (fun spec -> Schema.attr spec.Aggregate.name (Aggregate.output_ty frames spec)) aggs
+let group_schema ?keys ~aggs schema =
+  let key_idxs =
+    match keys with
+    | Some keys -> positions schema keys
+    | None -> Array.init (Schema.arity schema) Fun.id
+  in
+  let agg_attrs =
+    List.map
+      (fun spec -> Schema.attr spec.Aggregate.name (Aggregate.output_ty [| schema |] spec))
+      aggs
+  in
+  (key_idxs, Schema.concat (Schema.project schema key_idxs) (Schema.of_list agg_attrs))
 
-(* Resumable grouping state: the hash table behind GROUP BY and DISTINCT
-   (the zero-aggregate grouping on every column), exposed so the
+(* Resumable grouping state: the hash table behind GROUP BY, DISTINCT
+   (the zero-aggregate grouping on every column) and the global
+   aggregate (the grouping on no column), exposed so the
    parallel executor can run one per domain and merge accumulators
    ({!Aggregate.merge} makes every SQL aggregate state mergeable), and
    the spill path can freeze the group set at a budget and route rows of
@@ -186,6 +203,8 @@ module Group_acc = struct
   type t = {
     key_idxs : int array;
     whole_row : bool;  (* the key is every column in order: the row is its own key *)
+    keyless : Aggregate.acc list option;
+        (* the global aggregate's one group, seeded at [create] *)
     out_schema : Schema.t;
     compiled : Aggregate.compiled list;
     groups : (Tuple.t * Aggregate.acc list) Group_table.t;
@@ -194,17 +213,28 @@ module Group_acc = struct
   }
 
   let create ?keys ~aggs schema =
-    let every_column = Array.init (Schema.arity schema) Fun.id in
-    let key_idxs = match keys with Some keys -> positions schema keys | None -> every_column in
-    let key_schema = Schema.project schema key_idxs in
-    let frames = [| schema |] in
+    let key_idxs, out_schema = group_schema ?keys ~aggs schema in
+    let compiled = List.map (Aggregate.compile [| schema |]) aggs in
+    let groups = Group_table.create 64 and order = Vec.create ~dummy:dummy_row () in
+    (* No keys: the one group exists before any row arrives, so an empty
+       input still yields its row of aggregate identities. *)
+    let keyless =
+      match keys with
+      | Some [] ->
+        let accs = List.map Aggregate.make compiled in
+        Group_table.add groups Tuple.empty (Tuple.empty, accs);
+        Vec.push order Tuple.empty;
+        Some accs
+      | Some _ | None -> None
+    in
     {
       key_idxs;
-      whole_row = key_idxs = every_column;
-      out_schema = Schema.concat key_schema (Schema.of_list (agg_schema frames aggs));
-      compiled = List.map (Aggregate.compile frames) aggs;
-      groups = Group_table.create 64;
-      order = Vec.create ~dummy:dummy_row ();
+      whole_row = key_idxs = Array.init (Schema.arity schema) Fun.id;
+      keyless;
+      out_schema;
+      compiled;
+      groups;
+      order;
       ctx = [| Tuple.empty |];
     }
 
@@ -219,26 +249,34 @@ module Group_acc = struct
     List.iter (fun acc -> Aggregate.step acc t.ctx) accs
 
   let step t row =
-    let key = key_of t row in
-    let accs =
-      match Group_table.find_opt t.groups key with
-      | Some (_, accs) -> accs
-      | None ->
-        let accs = List.map Aggregate.make t.compiled in
-        Group_table.add t.groups key (key, accs);
-        Vec.push t.order key;
-        accs
-    in
-    update t accs row
+    match t.keyless with
+    | Some accs -> update t accs row
+    | None ->
+      let key = key_of t row in
+      let accs =
+        match Group_table.find_opt t.groups key with
+        | Some (_, accs) -> accs
+        | None ->
+          let accs = List.map Aggregate.make t.compiled in
+          Group_table.add t.groups key (key, accs);
+          Vec.push t.order key;
+          accs
+      in
+      update t accs row
 
   (* Update only an already-present group: [false] means the key is new
      and the row was not consumed — the spill path's overflow test. *)
   let step_existing t row =
-    match Group_table.find_opt t.groups (key_of t row) with
-    | Some (_, accs) ->
+    match t.keyless with
+    | Some accs ->
       update t accs row;
       true
-    | None -> false
+    | None -> (
+      match Group_table.find_opt t.groups (key_of t row) with
+      | Some (_, accs) ->
+        update t accs row;
+        true
+      | None -> false)
 
   (* Fold [t]'s groups into [into] (same schema/keys/aggs, e.g. built by
      another exchange worker).  Accumulators of keys new to [into] are
@@ -272,18 +310,6 @@ let group_by ?keys ~aggs src =
   let acc = Group_acc.create ?keys ~aggs (Chunk.Source.schema src) in
   Chunk.Source.iter (Chunk.iter (Group_acc.step acc)) src;
   Group_acc.result acc
-
-let aggregate_all aggs src =
-  let frames = [| Chunk.Source.schema src |] in
-  let out_schema = Schema.of_list (agg_schema frames aggs) in
-  let accs = List.map (fun spec -> Aggregate.make (Aggregate.compile frames spec)) aggs in
-  let ctx = [| Tuple.empty |] in
-  Chunk.Source.iter
-    (Chunk.iter (fun row ->
-         ctx.(0) <- row;
-         List.iter (fun acc -> Aggregate.step acc ctx) accs))
-    src;
-  Relation.create ~check:false out_schema [| Array.of_list (List.map Aggregate.value accs) |]
 
 let sort ~by ?limit src =
   let rel = Chunk.Source.to_relation src in

@@ -2,17 +2,18 @@
     pull-based chunk streams ({!Chunk.Source.t}).
 
     - {b Pipelined} operators ([select], [project], [project_cols],
-      [rename], [add_rownum], [union_all]) map a source to a source,
-      chunk in, chunk out; each compiles its kernel once per call.
+      [project_rel], [rename], [add_rownum], [union_all]) map a source
+      to a source, chunk in, chunk out; each compiles its kernel once
+      per call.
     - {b Build/probe} operators ([join], [product], [diff_all]) take
       their right input whole as [~build] and stream the left input as
       the probe side.  The build side's access path (hash index or
       monus budget) is built once, when the operator is
       called; the output is then the probe stream mapped chunk by chunk,
       so left-row order is kept and nothing but the build is held.
-    - {b Breakers} ([group_by], [aggregate_all], [sort]) fold a source
-      into a {!Relation.t}.  DISTINCT is [group_by] on every column with
-      no aggregates.
+    - {b Breakers} ([group_by], [sort]) fold a source into a
+      {!Relation.t}.  DISTINCT is [group_by] on every column with no
+      aggregates, and the global aggregate is [group_by ~keys:\[\]].
 
     Join-like operators take a [strategy]: [`Hash] extracts the [=] and
     null-safe [<=>] keys from the condition and probes a hash index (the
@@ -38,6 +39,9 @@ val project : (Expr.t * string) list -> Chunk.Source.t -> Chunk.Source.t
 
 val project_cols : (string option * string) list -> Chunk.Source.t -> Chunk.Source.t
 (** Column projection preserving attribute metadata. *)
+
+val project_rel : string list -> Chunk.Source.t -> Chunk.Source.t
+(** Keep exactly the columns qualified with one of the aliases. *)
 
 val rename : string -> Chunk.Source.t -> Chunk.Source.t
 (** Requalify every attribute to the alias, sharing row storage. *)
@@ -80,11 +84,19 @@ val group_by :
     attributes followed by one unqualified column per aggregate, groups
     in first-seen order.  [keys] defaults to every column, so
     [group_by ~aggs:\[\]] is DISTINCT.  An empty input yields an empty
-    output. *)
+    output, except with [~keys:\[\]]: the global aggregate always
+    yields exactly one row, even on empty input (COUNT yields 0,
+    SUM/MIN/MAX/AVG yield NULL). *)
 
-val aggregate_all : Aggregate.spec list -> Chunk.Source.t -> Relation.t
-(** Aggregation without grouping: always exactly one output row, even on
-    empty input (COUNT yields 0, SUM/MIN/MAX/AVG yield NULL). *)
+val group_schema :
+  ?keys:(string option * string) list ->
+  aggs:Aggregate.spec list ->
+  Schema.t ->
+  int array * Schema.t
+(** The positions of [group_by]'s key columns in its input schema, and
+    its output schema — [keys] as in {!group_by}.
+    @raise Schema.Unknown_attribute or [Schema.Ambiguous_attribute] if a
+    key does not resolve. *)
 
 val sort :
   by:((string option * string) * [ `Asc | `Desc ]) list ->
@@ -111,7 +123,9 @@ module Group_acc : sig
   val create : ?keys:(string option * string) list -> aggs:Aggregate.spec list -> Schema.t -> t
   (** [keys] as in {!group_by}; when the key is every column, a row is
       its own key (no per-row projection), and with no aggregates a
-      group's output row is its key row. *)
+      group's output row is its key row.  With [~keys:\[\]] the one
+      group exists from the start and {!step} folds straight into it,
+      with no key projection or hash probe. *)
 
   val out_schema : t -> Schema.t
 

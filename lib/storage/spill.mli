@@ -45,10 +45,12 @@ val group_by :
   outcome
 (** Streaming GROUP BY holding at most [budget] resident groups; [keys]
     defaults to every column, as in {!Subql_relational.Ops.group_by}, so
-    [~aggs:\[\]] is DISTINCT.  Rows of already-resident groups keep
-    folding in place after the freeze; only rows of unseen keys spill,
-    so hot groups never pay I/O.  Result order is first-seen for the
-    resident groups, then partition order.
+    [~aggs:\[\]] is DISTINCT; with [~keys:\[\]] the global aggregate's
+    one group is always resident, so nothing spills.  Rows of
+    already-resident groups keep folding in place after the freeze;
+    only rows of unseen keys spill, so hot groups never pay I/O.
+    Result order is first-seen for the resident groups, then partition
+    order.
     @raise Invalid_argument if [budget <= 0]. *)
 
 val join :

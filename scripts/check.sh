@@ -42,6 +42,30 @@ echo "$out" | grep -q "rows-out=" || {
   echo "FAIL: expected rows-out annotations in the EXPLAIN ANALYZE output" >&2
   exit 1
 }
+# A completed GMDJ is still labelled as one.
+echo "$out" | grep -Eq "MD-completed|MD \(" || {
+  echo "FAIL: expected an MD-completed or MD node in the EXPLAIN ANALYZE output" >&2
+  exit 1
+}
+
+echo
+echo "== CLI smoke test: the global aggregate over no rows is one row in every mode =="
+# GROUP BY over no keys: one row of identities however the empty input
+# is folded — across the exchange, under a spill budget, or naively.
+empty_q="SELECT COUNT(*) AS n, SUM(f.NumBytes) AS s FROM Flow f WHERE f.NumBytes < 0"
+edom=$(dune exec bin/olap_cli.exe -- run --domains 2 "$empty_q")
+espill=$(dune exec bin/olap_cli.exe -- run --spill-budget 2 "$empty_q")
+enat=$(dune exec bin/olap_cli.exe -- run --engine native "$empty_q")
+echo "$enat"
+if [ "$edom" != "$enat" ] || [ "$espill" != "$enat" ]; then
+  echo "FAIL: the empty global aggregate differs across --domains 2," \
+    "--spill-budget 2 and --engine native" >&2
+  exit 1
+fi
+echo "$enat" | grep -q "^1 row" || {
+  echo "FAIL: expected exactly one row from the empty global aggregate" >&2
+  exit 1
+}
 
 echo
 echo "== CLI smoke test: batch with cross-query sharing and a warm cache =="

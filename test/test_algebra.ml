@@ -27,6 +27,7 @@ let test_schema_inference () =
               [ Aggregate.count_star "cnt"; Aggregate.avg (attr ~rel:"i" "y") "a" ]
               (Expr.eq (attr ~rel:"i" "k") (attr ~rel:"o" "k"));
           ];
+        completion = None;
       }
   in
   let s = A.schema_of ~lookup plan in
@@ -53,7 +54,7 @@ let test_schema_inference () =
   let grouped =
     A.Group_by
       {
-        keys = [ (Some "o", "k") ];
+        keys = Some [ (Some "o", "k") ];
         aggs = [ Aggregate.sum (attr ~rel:"o" "x") "s" ];
         input = A.Rename ("o", A.Table "O");
       }
@@ -89,7 +90,24 @@ let test_pp_smoke () =
         base = A.Rename ("o", A.Table "O");
         detail = A.Rename ("i", A.Table "I");
         blocks = [ Gmdj.block [ Aggregate.count_star "c" ] (Expr.bool true) ];
+        completion = None;
       }
+  in
+  let completed =
+    match md with
+    | A.Md m ->
+      A.Md
+        {
+          m with
+          completion =
+            Some
+              {
+                Gmdj.kill_when = [ Expr.bool true ];
+                require_fired = [];
+                maintain_aggregates = true;
+              };
+        }
+    | _ -> assert false
   in
   let plans =
     [
@@ -99,12 +117,13 @@ let test_pp_smoke () =
       ("ProjectRel", A.Project_rel ([ "o" ], A.Table "O"));
       ("AddRownum", A.Add_rownum ("rid", A.Table "O"));
       ("Product", A.Product (A.Table "O", A.Table "I"));
-      ("GroupBy", A.Group_by { keys = []; aggs = []; input = A.Table "O" });
-      ("AggregateAll", A.Aggregate_all ([], A.Table "O"));
-      ("MD", md);
+      ("GroupBy [k]", A.Group_by { keys = Some [ (None, "k") ]; aggs = []; input = A.Table "O" });
+      ("GroupBy []", A.Group_by { keys = Some []; aggs = []; input = A.Table "O" });
+      ("GroupBy [*]", A.Group_by { keys = None; aggs = []; input = A.Table "O" });
+      ("MD [", md);
+      ("MD-completed", completed);
       ("UnionAll", A.Union_all (A.Table "O", A.Table "O"));
       ("DiffAll", A.Diff_all (A.Table "O", A.Table "O"));
-      ("Distinct", A.Distinct (A.Table "O"));
     ]
   in
   List.iter

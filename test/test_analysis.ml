@@ -43,6 +43,7 @@ let count_md =
             [ Aggregate.count_star "cnt"; Aggregate.max_ (attr ~rel:"i" "y") "mx" ]
             (Expr.eq (attr ~rel:"i" "k") (attr ~rel:"o" "k"));
         ];
+      completion = None;
     }
 
 (* --- Seeded-defect corpus: one plan per rule code -------------------- *)
@@ -64,7 +65,7 @@ let corpus : (string * A.t * string) list =
     ("TYP001", A.Select (Expr.Arith (Expr.Add, attr ~rel:"o" "k", Expr.int 1), o), "TYP001");
     ("TYP002", A.Select (Expr.eq (attr ~rel:"o" "k") (Expr.str "s"), o), "TYP002");
     ( "TYP003",
-      A.Aggregate_all ([ Aggregate.sum (Expr.str "s") "s" ], o),
+      A.Group_by { keys = Some []; aggs = [ Aggregate.sum (Expr.str "s") "s" ]; input = o },
       "TYP003" );
     ( "NUL002",
       A.Select (Expr.gt (attr "mx") (Expr.int 3), count_md),
@@ -79,16 +80,17 @@ let corpus : (string * A.t * string) list =
                 base = o;
                 detail = A.Rename ("i1", A.Table "I");
                 blocks = [ Gmdj.block [ Aggregate.count_star "c1" ] (Expr.bool true) ];
+                completion = None;
               };
           detail = A.Rename ("i2", A.Table "I");
           blocks = [ Gmdj.block [ Aggregate.count_star "c2" ] (Expr.bool true) ];
+          completion = None;
         },
       "LNT002" );
     ( "LNT003",
       A.Project_cols
         {
           cols = [ (None, "a") ];
-          distinct = false;
           input = A.Project ([ (attr ~rel:"o" "k", "a"); (attr ~rel:"o" "x", "b") ], o);
         },
       "LNT003" );
@@ -190,7 +192,7 @@ let test_nullability () =
 let test_verifier () =
   (* schema drift *)
   let narrowed =
-    A.Project_cols { cols = [ (Some "o", "k") ]; distinct = false; input = o }
+    A.Project_cols { cols = [ (Some "o", "k") ]; input = o }
   in
   Alcotest.(check bool) "VER001 on schema drift" true
     (has "VER001" (V.check_rewrite env ~label:"t" ~before:o ~after:narrowed));
@@ -287,6 +289,7 @@ let first_md =
             [ Aggregate.count_star "cnt"; Aggregate.first (attr ~rel:"i" "y") "fst" ]
             (Expr.eq (attr ~rel:"i" "k") (attr ~rel:"o" "k"));
         ];
+      completion = None;
     }
 
 let test_mergeable () =
@@ -308,7 +311,7 @@ let test_mergeable () =
   let gb =
     A.Group_by
       {
-        keys = [ (Some "i", "k") ];
+        keys = Some [ (Some "i", "k") ];
         aggs = [ Aggregate.first (attr ~rel:"i" "y") "fst" ];
         input = i;
       }
@@ -337,6 +340,7 @@ let test_deltaable () =
         detail = A.Select (Expr.gt (attr ~rel:"i" "y") (Expr.int 2), i);
         blocks =
           [ Gmdj.block [ Aggregate.count_star "cnt" ] (Expr.eq (attr ~rel:"i" "k") (attr ~rel:"o" "k")) ];
+        completion = None;
       }
   in
   Alcotest.(check bool) "filtered detail maintainable" true
@@ -358,6 +362,7 @@ let test_deltaable () =
         base = A.Rename ("o", A.Table "I");
         detail = i;
         blocks = [ Gmdj.block [ Aggregate.count_star "c" ] (Expr.bool true) ];
+        completion = None;
       }
   in
   Alcotest.(check bool) "detail feeds base -> ING001" true
@@ -368,6 +373,7 @@ let test_deltaable () =
         base = o;
         detail = A.Add_rownum ("rn", i);
         blocks = [ Gmdj.block [ Aggregate.count_star "c" ] (Expr.bool true) ];
+        completion = None;
       }
   in
   Alcotest.(check bool) "rownum detail -> ING003" true
@@ -404,7 +410,7 @@ let test_intervals () =
   Alcotest.(check bool) "sound hi kept" true
     (t.Subql.Cost.Interval.ival.Subql.Cost.Interval.hi = 64.);
   (* unknown table -> top -> infinite certified bound, IVL001 *)
-  let unknown = A.Distinct (A.Rename ("z", A.Table "Zzz")) in
+  let unknown = A.Group_by { keys = None; aggs = []; input = A.Rename ("z", A.Table "Zzz") } in
   let c = Subql_analysis.Interval.certify ~config stats unknown in
   Alcotest.(check bool) "infinite bound" false
     (Float.is_finite c.Subql_analysis.Interval.certificate.Subql.Cost.bound);
@@ -421,12 +427,17 @@ let test_certified_admission () =
   let module Adm = Subql_server.Admission in
   let policy = { Adm.unlimited with Adm.mem_budget_rows = 2. } in
   let dead_distinct =
-    A.Distinct
-      (A.Select
-         ( Expr.and_
-             (Expr.gt (attr ~rel:"o" "x") (Expr.int 5))
-             (Expr.lt (attr ~rel:"o" "x") (Expr.int 3)),
-           o ))
+    A.Group_by
+      {
+        keys = None;
+        aggs = [];
+        input =
+          A.Select
+            ( Expr.and_
+                (Expr.gt (attr ~rel:"o" "x") (Expr.int 5))
+                (Expr.lt (attr ~rel:"o" "x") (Expr.int 3)),
+              o );
+      }
   in
   (* the point estimate alone over-rejects this plan... *)
   let point = Subql.Cost.memory_height stats ~config dead_distinct in
@@ -440,7 +451,7 @@ let test_certified_admission () =
   Alcotest.(check int) "provably empty" 0 (Relation.cardinality result);
   (* a genuinely big breaker is still rejected, and the ADM001 message
      names the certificate's argmax operator *)
-  let big = A.Distinct (A.Rename ("i", A.Table "I")) in
+  let big = A.Group_by { keys = None; aggs = []; input = A.Rename ("i", A.Table "I") } in
   match Adm.check_budget policy ~stats ~config ~label:"big" big with
   | Ok _ -> Alcotest.fail "big distinct must be rejected"
   | Error r ->
@@ -454,7 +465,7 @@ let test_certified_admission () =
          with Not_found -> false)
     in
     mentions "certified bound";
-    mentions "Distinct"
+    mentions "GroupBy [*]"
 
 (* --- Certification over the zoo: clean, finite, byte-stable ----------- *)
 

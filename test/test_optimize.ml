@@ -14,7 +14,7 @@ let count_nodes pred alg =
   let rec go a =
     if pred a then incr n;
     ignore
-      (Subql.Optimize.map_children
+      (Subql.Algebra.map_children
          (fun c ->
            go c;
            c)
@@ -23,9 +23,9 @@ let count_nodes pred alg =
   go alg;
   !n
 
-let count_mds = count_nodes (function A.Md _ | A.Md_completed _ -> true | _ -> false)
+let count_mds = count_nodes (function A.Md _ -> true | _ -> false)
 
-let count_completed = count_nodes (function A.Md_completed _ -> true | _ -> false)
+let count_completed = count_nodes (function A.Md { completion = Some _; _ } -> true | _ -> false)
 
 (* The last node [f] picks out, in pre-order. *)
 let find_node f alg =
@@ -33,7 +33,7 @@ let find_node f alg =
   let rec go a =
     Option.iter (fun x -> found := Some x) (f a);
     ignore
-      (Subql.Optimize.map_children
+      (Subql.Algebra.map_children
          (fun c ->
            go c;
            c)
@@ -43,7 +43,7 @@ let find_node f alg =
   !found
 
 let find_completion =
-  find_node (function A.Md_completed { completion; _ } -> Some completion | _ -> None)
+  find_node (function A.Md { completion = Some c; _ } -> Some c | _ -> None)
 
 let coalesce_only = Subql.Optimize.only ~coalesce:true ()
 
@@ -75,6 +75,7 @@ let test_no_coalesce_dependent_blocks () =
         base = A.Rename ("o", A.Table "O");
         detail;
         blocks = [ Gmdj.block [ Aggregate.count_star "c1" ] (Expr.bool true) ];
+        completion = None;
       }
   in
   let outer =
@@ -88,6 +89,7 @@ let test_no_coalesce_dependent_blocks () =
               [ Aggregate.count_star "c2" ]
               (Expr.gt (attr "c1") (Expr.int 0));
           ];
+        completion = None;
       }
   in
   let optimized = Subql.Optimize.optimize ~flags:coalesce_only outer in
@@ -107,13 +109,16 @@ let test_coalesce_requalifies () =
   let plan =
     A.Md
       {
-        base = A.Md { base = A.Rename ("o", A.Table "O"); detail = d1; blocks = [ b1 ] };
+        base =
+          A.Md
+            { base = A.Rename ("o", A.Table "O"); detail = d1; blocks = [ b1 ]; completion = None };
         detail = d2;
         blocks = [ b2 ];
+        completion = None;
       }
   in
   match Subql.Optimize.optimize ~flags:coalesce_only plan with
-  | A.Md { blocks = [ _; rewritten ]; _ } ->
+  | A.Md { blocks = [ _; rewritten ]; completion = None; _ } ->
     Alcotest.(check (list string)) "θ requalified to i1" [ "i1"; "o" ]
       (List.sort String.compare (Expr.qualifiers rewritten.Gmdj.theta))
   | other -> Alcotest.failf "expected a single merged MD, got %a" A.pp other
@@ -125,8 +130,8 @@ let test_selection_push_up () =
   let stack, cond = Subql.Transform.where_condition query in
   let with_mid_selection =
     match stack with
-    | A.Md { base = A.Md _ as inner; detail; blocks } ->
-      A.Md { base = A.Select (Expr.bool true, inner); detail; blocks }
+    | A.Md { base = A.Md _ as inner; detail; blocks; completion = None } ->
+      A.Md { base = A.Select (Expr.bool true, inner); detail; blocks; completion = None }
     | other -> other
   in
   let coalesced = Subql.Optimize.optimize ~flags:coalesce_only with_mid_selection in
@@ -183,11 +188,12 @@ let test_completion_respects_needed_aggregates () =
               [ Aggregate.count_star "cnt" ]
               (Expr.eq (attr ~rel:"i" "k") (attr ~rel:"o" "k"));
           ];
+        completion = None;
       }
   in
   let keeps = A.Project ([ (attr "cnt", "n") ], A.Select (Expr.gt (attr "cnt") (Expr.int 0), md)) in
   (match Subql.Optimize.optimize ~flags:completion_only keeps with
-  | A.Project (_, A.Md_completed { completion; _ }) ->
+  | A.Project (_, A.Md { completion = Some completion; _ }) ->
     Alcotest.(check bool) "maintained when projected" true completion.Gmdj.maintain_aggregates
   | other -> Alcotest.failf "expected completed plan, got %a" A.pp other);
   let drops =
@@ -196,7 +202,7 @@ let test_completion_respects_needed_aggregates () =
         A.Select (Expr.gt (attr "cnt") (Expr.int 0), md) )
   in
   match Subql.Optimize.optimize ~flags:completion_only drops with
-  | A.Project (_, A.Md_completed { completion; _ }) ->
+  | A.Project (_, A.Md { completion = Some completion; _ }) ->
     Alcotest.(check bool) "skipped when dropped" false completion.Gmdj.maintain_aggregates
   | other -> Alcotest.failf "expected completed plan, got %a" A.pp other
 
@@ -207,7 +213,9 @@ let test_completion_residual_preserved () =
   let optimized = Subql.Optimize.optimize ~flags:completion_only (Subql.Transform.to_algebra query) in
   Alcotest.(check int) "one completed MD" 1 (count_completed optimized);
   let has_residual_select =
-    count_nodes (function A.Select (_, A.Md_completed _) -> true | _ -> false) optimized
+    count_nodes
+      (function A.Select (_, A.Md { completion = Some _; _ }) -> true | _ -> false)
+      optimized
   in
   Alcotest.(check int) "residual Select kept" 1 has_residual_select;
   (* ... and with push-down on, those base-only conjuncts move below the
@@ -216,7 +224,7 @@ let test_completion_residual_preserved () =
   Alcotest.(check int) "still one completed MD" 1 (count_completed full);
   let pushed_into_base =
     count_nodes
-      (function A.Md_completed { base = A.Select _; _ } -> true | _ -> false)
+      (function A.Md { base = A.Select _; completion = Some _; _ } -> true | _ -> false)
       full
   in
   Alcotest.(check int) "atoms pushed below the GMDJ" 1 pushed_into_base
@@ -252,7 +260,7 @@ let test_pushdown_below_md () =
   let md_over_join =
     count_nodes
       (function
-        | A.Md { base = A.Join { kind = A.Inner; _ }; _ } -> true | _ -> false)
+        | A.Md { base = A.Join { kind = A.Inner; _ }; completion = None; _ } -> true | _ -> false)
       optimized
   in
   Alcotest.(check int) "base product became a join" 1 md_over_join
@@ -266,17 +274,19 @@ let test_pushdown_keeps_count_conditions () =
 (* --- Key factorization of aggregate-free completions ------------------ *)
 
 let inner_md_base =
-  find_node (function A.Md_completed { detail = A.Md { base; _ }; _ } -> Some base | _ -> None)
+  find_node (function
+    | A.Md { detail = A.Md { base; completion = None; _ }; completion = Some _; _ } -> Some base
+    | _ -> None)
 
 (* Scans of I not under a distinct projection: the rows the push-down's
    product would multiply. *)
 let rec bare_scans_of_i = function
   | A.Table "I" -> 1
-  | A.Project_cols { distinct = true; _ } -> 0
+  | A.Group_by { keys = Some _; aggs = []; _ } -> 0
   | a ->
     let n = ref 0 in
     ignore
-      (Subql.Optimize.map_children
+      (Subql.Algebra.map_children
          (fun c ->
            n := !n + bare_scans_of_i c;
            c)
@@ -284,7 +294,7 @@ let rec bare_scans_of_i = function
     !n
 
 let count_distinct_projections =
-  count_nodes (function A.Project_cols { distinct = true; _ } -> true | _ -> false)
+  count_nodes (function A.Group_by { keys = Some _; aggs = []; _ } -> true | _ -> false)
 
 let factorized_shapes =
   [
@@ -322,7 +332,7 @@ let test_factorization_hoists_detail_filter () =
   let keys_of_i =
     count_nodes
       (function
-        | A.Project_cols { distinct = true; cols = [ (Some "i", "k") ]; input = A.Select _ } -> true
+        | A.Group_by { keys = Some [ (Some "i", "k") ]; aggs = []; input = A.Select _ } -> true
         | _ -> false)
       plan
   in

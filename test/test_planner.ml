@@ -144,7 +144,7 @@ let test_every_candidate_verifies () =
   let query = Subql_workload.Zoo.find_query "exists" in
   let drifting =
     Subql.Algebra.Project_cols
-      { cols = [ (Some "o", "k") ]; distinct = false; input = Subql.Algebra.Rename ("o", Subql.Algebra.Table "O") }
+      { cols = [ (Some "o", "k") ]; input = Subql.Algebra.Rename ("o", Subql.Algebra.Table "O") }
   in
   let codes plan = List.map (fun d -> d.Diag.code) (errors query ~label:"bad" plan) in
   Alcotest.(check bool) "schema drift flagged" true (List.mem "VER001" (codes drifting));
@@ -170,14 +170,15 @@ let test_block_hashable_matches_split_equi () =
   in
   let rec walk label alg =
     (match alg with
-    | Subql.Algebra.Md { base; detail; blocks } ->
-      List.iter (fun b -> check label ~base ~detail b.Subql_gmdj.Gmdj.theta) blocks
-    | Subql.Algebra.Md_completed { base; detail; blocks; completion } ->
+    | Subql.Algebra.Md { base; detail; blocks; completion } ->
       List.iter (fun b -> check label ~base ~detail b.Subql_gmdj.Gmdj.theta) blocks;
-      List.iter (check label ~base ~detail)
-        (completion.Subql_gmdj.Gmdj.kill_when @ completion.Subql_gmdj.Gmdj.require_fired)
+      Option.iter
+        (fun c ->
+          List.iter (check label ~base ~detail)
+            (c.Subql_gmdj.Gmdj.kill_when @ c.Subql_gmdj.Gmdj.require_fired))
+        completion
     | _ -> ());
-    List.iter (walk label) (Subql.Eval.children alg)
+    List.iter (walk label) (Subql.Algebra.children alg)
   in
   List.iter
     (fun (label, query) -> walk label (Subql.Optimize.optimize (Subql.Transform.to_algebra query)))

@@ -400,24 +400,30 @@ let test_group_by () =
   let gn = by_key Value.Null in
   Alcotest.(check bool) "null group aggregates" true (Value.equal gn.(2) (Value.Int 12))
 
-let test_aggregate_all_on_empty () =
+(* The global aggregate, GROUP BY over no keys, has exactly one row even
+   on empty input — in memory and under a spill budget alike. *)
+let test_global_aggregate_on_empty () =
   let r = rel_of [ "v" ] [] "t" in
-  let a =
-    Ops.aggregate_all
-      [
-        Aggregate.count_star "n";
-        Aggregate.sum (attr ~rel:"t" "v") "s";
-        Aggregate.min_ (attr ~rel:"t" "v") "mn";
-        Aggregate.avg (attr ~rel:"t" "v") "av";
-      ]
-      (Chunk.Source.of_relation r)
+  let aggs =
+    [
+      Aggregate.count_star "n";
+      Aggregate.sum (attr ~rel:"t" "v") "s";
+      Aggregate.min_ (attr ~rel:"t" "v") "mn";
+      Aggregate.avg (attr ~rel:"t" "v") "av";
+    ]
   in
-  Alcotest.(check int) "one row" 1 (Relation.cardinality a);
-  let row = Relation.row a 0 in
-  Alcotest.(check bool) "count 0" true (Value.equal row.(0) (Value.Int 0));
-  Alcotest.(check bool) "sum null" true (Value.is_null row.(1));
-  Alcotest.(check bool) "min null" true (Value.is_null row.(2));
-  Alcotest.(check bool) "avg null" true (Value.is_null row.(3))
+  let check mode a =
+    Alcotest.(check int) (mode ^ ": one row") 1 (Relation.cardinality a);
+    let row = Relation.row a 0 in
+    Alcotest.(check bool) (mode ^ ": count 0") true (Value.equal row.(0) (Value.Int 0));
+    Alcotest.(check bool) (mode ^ ": sum null") true (Value.is_null row.(1));
+    Alcotest.(check bool) (mode ^ ": min null") true (Value.is_null row.(2));
+    Alcotest.(check bool) (mode ^ ": avg null") true (Value.is_null row.(3))
+  in
+  check "in memory" (Ops.group_by ~keys:[] ~aggs (Chunk.Source.of_relation r));
+  check "spill budget 2"
+    (Subql_storage.Spill.group_by ~budget:2 ~keys:[] ~aggs (Chunk.Source.of_relation r))
+      .Subql_storage.Spill.result
 
 let test_distinct_and_sort () =
   let r = rel_of [ "v" ] Value.[ [ Int 2 ]; [ Null ]; [ Int 1 ]; [ Int 2 ]; [ Null ] ] "t" in
@@ -569,7 +575,7 @@ let () =
       ( "operators",
         [
           Alcotest.test_case "group by" `Quick test_group_by;
-          Alcotest.test_case "aggregate over empty" `Quick test_aggregate_all_on_empty;
+          Alcotest.test_case "aggregate over empty" `Quick test_global_aggregate_on_empty;
           Alcotest.test_case "distinct and sort" `Quick test_distinct_and_sort;
           Alcotest.test_case "rownum and limit" `Quick test_add_rownum_and_limit;
         ]

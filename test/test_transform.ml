@@ -130,6 +130,7 @@ let test_example_3_1_shape () =
                 base = Subql.Algebra.Rename ("h", Subql.Algebra.Table "Hours");
                 detail = Subql.Algebra.Rename ("fi", Subql.Algebra.Table "Flow");
                 blocks = [ { Subql_gmdj.Gmdj.aggs = [ { Aggregate.func = Aggregate.Count_star; _ } ]; _ } ];
+                completion = None;
               } ) ) ->
     ()
   | other -> Alcotest.failf "unexpected shape for Example 3.1:@.%a" Subql.Algebra.pp other
@@ -157,10 +158,10 @@ let test_example_3_2_and_4_1_shapes () =
     let n = ref 0 in
     let rec go a =
       (match a with
-      | Subql.Algebra.Md _ | Subql.Algebra.Md_completed _ -> incr n
+      | Subql.Algebra.Md _ -> incr n
       | _ -> ());
       ignore
-        (Subql.Optimize.map_children
+        (Subql.Algebra.map_children
            (fun c ->
              go c;
              c)
@@ -203,14 +204,17 @@ let test_example_3_4_shape () =
           base =
             Subql.Algebra.Product
               ( Subql.Algebra.Rename
-                  (_, Subql.Algebra.Project_cols { distinct = true; cols = [ (Some "u", "IPAddress") ]; _ }),
+                  ( _,
+                    Subql.Algebra.Group_by
+                      { keys = Some [ (Some "u", "IPAddress") ]; aggs = []; _ } ),
                 Subql.Algebra.Rename ("h", _) );
+          completion = None;
           _;
         } ->
       found_pushed_product := true
     | _ -> ());
     ignore
-      (Subql.Optimize.map_children
+      (Subql.Algebra.map_children
          (fun c ->
            go c;
            c)
