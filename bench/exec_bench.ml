@@ -17,6 +17,11 @@
    both GMDJs together stay below |I| + |J| (the inner GMDJ's base is the
    distinct keys, not the push-down product).
 
+   Part D times [GROUP BY SourceIP] with SUM, COUNT, MIN and AVG of
+   NumBytes over an in-memory Flow against the GMDJ fold computing the
+   same aggregates over the same rows, its base the distinct SourceIPs:
+   the two aggregation paths side by side, results checked equal.
+
    Writes BENCH_exec.json; scripts/check.sh gates peak rows and page
    reads against the committed baseline. *)
 
@@ -68,6 +73,59 @@ let theta_counts ~seed =
           { template; outer; inner; stats; peak_rows = report.Subql.Eval.peak_materialized_rows })
         theta_templates)
     theta_sizes
+
+(* Part D.  The two sides alternate for [trials] trials, each after a
+   full major collection, and each keeps its best trial. *)
+type group_vs_gmdj = {
+  flows : int;
+  groups : int;
+  group_by_ms : float;
+  gmdj_ms : float;
+  same : bool;
+}
+
+let trials = 9
+
+let group_by_vs_gmdj ~flows ~seed =
+  let flow =
+    Relation.rename "f"
+      (Catalog.find
+         (Subql_workload.Netflow.generate
+            { Subql_workload.Netflow.default_config with n_flows = flows; seed })
+         "Flow")
+  in
+  let keys = [ (Some "f", "SourceIP") ] in
+  let nb = Expr.attr ~rel:"f" "NumBytes" in
+  let aggs = Aggregate.[ sum nb "s"; count nb "c"; min_ nb "m"; avg nb "a" ] in
+  let base = Relation.rename "b" (Ops.group_by ~keys ~aggs:[] (Chunk.Source.of_relation flow)) in
+  let block =
+    Subql_gmdj.Gmdj.block aggs (Expr.eq (Expr.attr ~rel:"b" "SourceIP") (Expr.attr ~rel:"f" "SourceIP"))
+  in
+  let group_by () = Ops.group_by ~keys ~aggs (Chunk.Source.of_relation flow) in
+  let gmdj () = Subql_gmdj.Gmdj.eval ~domains:1 ~base (Chunk.Source.of_relation flow) [ block ] in
+  let best_g = ref infinity and best_m = ref infinity in
+  let time best f =
+    Gc.full_major ();
+    let r, dt = Subql_obs.Clock.time f in
+    if dt < !best then best := dt;
+    r
+  in
+  let same = ref true in
+  for _ = 1 to trials do
+    let g = time best_g group_by in
+    let m = time best_m gmdj in
+    same :=
+      !same
+      && Relation.cardinality g = Relation.cardinality m
+      && Array.for_all2 Tuple.equal (Relation.rows g) (Relation.rows m)
+  done;
+  {
+    flows;
+    groups = Relation.cardinality base;
+    group_by_ms = 1000. *. !best_g;
+    gmdj_ms = 1000. *. !best_m;
+    same = !same;
+  }
 
 let with_heap_file rel f =
   let path = Filename.temp_file "subql_exec" ".heap" in
@@ -122,6 +180,9 @@ let run (options : Figures.options) =
         (chained, coalesced, Relation.equal_as_multiset r_chained r_coalesced))
   in
   let thetas = theta_counts ~seed:options.Figures.seed in
+  let gvm =
+    group_by_vs_gmdj ~flows:(if options.Figures.full then 400_000 else 100_000) ~seed:options.Figures.seed
+  in
   let run_json reports =
     J.List
       (List.map
@@ -164,6 +225,16 @@ let run (options : Figures.options) =
                      ("peak_rows", J.Int t.peak_rows);
                    ])
                thetas) );
+        ( "group_by_vs_gmdj",
+          J.Obj
+            [
+              ("flows", J.Int gvm.flows);
+              ("groups", J.Int gvm.groups);
+              ("group_by_ms", J.Float gvm.group_by_ms);
+              ("gmdj_ms", J.Float gvm.gmdj_ms);
+              ("ratio", J.Float (gvm.group_by_ms /. gvm.gmdj_ms));
+              ("verified", J.Bool gvm.same);
+            ] );
         ("verified", J.Bool paged_verified);
       ]
   in
@@ -191,8 +262,14 @@ let run (options : Figures.options) =
         t.template t.outer t.inner t.stats.Subql_gmdj.Gmdj.theta_evals
         t.stats.Subql_gmdj.Gmdj.detail_scanned (2 * t.inner) t.peak_rows)
     thetas;
+  Format.printf
+    "GROUP BY SourceIP vs GMDJ, %d flows, %d groups (best of %d): %.1f ms vs %.1f ms \
+     (%.2fx), results equal: %b@."
+    gvm.flows gvm.groups trials gvm.group_by_ms gvm.gmdj_ms
+    (gvm.group_by_ms /. gvm.gmdj_ms)
+    gvm.same;
   Format.printf "verified: %b@." paged_verified;
-  if not paged_verified then exit 1;
+  if not (paged_verified && gvm.same) then exit 1;
   (* The tentpole claim, enforced: streaming peak memory must not track
      the detail cardinality. *)
   if peak_2n > peak_n + (peak_n / 5) then begin

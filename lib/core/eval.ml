@@ -358,12 +358,13 @@ let run_group_by ctx ?keys ~aggs src =
   | None ->
     if ctx.config.domains > 1 && keys <> Some [] then begin
       let schema = Chunk.Source.schema src in
-      (* Compiled once on the coordinator purely to route rows by group
-         key; every worker compiles its own aggregate state. *)
-      let probe = Ops.Group_acc.create ?keys ~aggs schema in
+      let key_idxs, out_schema = Ops.group_schema ?keys ~aggs schema in
+      (* Route on the key a worker's group table hashes: the row itself
+         when the key is every column. *)
+      let whole_row = key_idxs = Array.init (Schema.arity schema) Fun.id in
       let rows =
         Chunk.Exchange.fold ~domains:ctx.config.domains
-          ~partition:(fun row -> Tuple.hash (Ops.Group_acc.key_of probe row))
+          ~partition:(fun row -> Tuple.hash (if whole_row then row else Tuple.project row key_idxs))
           ~init:(fun _ -> Ops.Group_acc.create ?keys ~aggs schema)
           ~fold:(fun acc c ->
             Chunk.iter (Ops.Group_acc.step acc) c;
@@ -371,7 +372,7 @@ let run_group_by ctx ?keys ~aggs src =
           ~finish:(fun acc -> Relation.rows (Ops.Group_acc.result acc))
           src
       in
-      Relation.create ~check:false (Ops.Group_acc.out_schema probe) (Array.concat rows)
+      Relation.create ~check:false out_schema (Array.concat rows)
     end
     else Ops.group_by ?keys ~aggs src
 

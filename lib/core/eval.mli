@@ -17,8 +17,9 @@ type config = {
           [domains > 1] the executor runs them over a
           {!Subql_relational.Chunk.Exchange} — the coordinator pulls the
           input stream (storage scans and buffer pools stay
-          single-domain) and routes chunks to that many worker domains,
-          merging per-domain state at the breaker.  [1] (the default)
+          single-domain) and routes chunks to that many worker domains;
+          GMDJ merges their states, GROUP BY concatenates their
+          key-disjoint results.  [1] (the default)
           keeps every operator on the calling domain.  Results are
           identical up to row order: a GMDJ whose blocks hold an
           order-sensitive aggregate ({!Subql_relational.Aggregate.order_sensitive})

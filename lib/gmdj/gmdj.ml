@@ -89,10 +89,10 @@ let output_schema ~base ~detail blocks =
 (* The detail row being folded, read by every plan's match callback, so
    that probing a row allocates no closure.  [apply] is
    {!Aggregate.step} for evaluation and insertions, and
-   {!Aggregate.step_back} for deletion maintenance. *)
+   {!Aggregate.retract} for deletion maintenance. *)
 type cursor = {
   mutable drow : Tuple.t;
-  mutable apply : Aggregate.acc -> Tuple.t array -> unit;
+  mutable apply : Aggregate.states -> int -> Tuple.t array -> unit;
   ctx : Tuple.t array;
 }
 
@@ -186,34 +186,26 @@ let prefilter_passes plan drow =
   match plan.prefilter with None -> true | Some f -> f drow
 
 (* ------------------------------------------------------------------ *)
-(* Accumulators                                                         *)
+(* Aggregate state                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let compile_aggs ~bs ~ds blocks =
-  let frames = [| bs; ds |] in
-  Array.of_list
-    (List.map (fun b -> Array.of_list (List.map (Aggregate.compile frames) b.aggs)) blocks)
+(* One store per block, one slot per base tuple: [accs.(block)] holds
+   slot [bi] of base tuple [bi]. *)
+let block_states ~bs ~ds ~n_base blocks =
+  let compile b = Array.of_list (List.map (Aggregate.compile [| bs; ds |]) b.aggs) in
+  Array.of_list (List.map (fun b -> Aggregate.states (compile b) ~slots:n_base) blocks)
 
-(* One base tuple's accumulators: accs_row.(block).(agg). *)
-let make_accs_row compiled = Array.map (Array.map Aggregate.make) compiled
-
-(* The base row extended with the aggregate values, in one allocation. *)
-let emit_row (base_row : Tuple.t) accs_row : Tuple.t =
-  let nb = Array.length base_row in
-  let n = ref nb in
-  for b = 0 to Array.length accs_row - 1 do
-    n := !n + Array.length accs_row.(b)
-  done;
-  let out = Array.make !n Value.Null in
-  Array.blit base_row 0 out 0 nb;
-  let k = ref nb in
-  for b = 0 to Array.length accs_row - 1 do
-    let accs = accs_row.(b) in
-    for a = 0 to Array.length accs - 1 do
-      out.(!k) <- Aggregate.value accs.(a);
-      incr k
-    done
-  done;
+(* Base row [bi] extended with every block's slot [bi], in one
+   allocation; with no stores (aggregates skipped) the aggregate columns
+   stay NULL. *)
+let emit_row ~width accs bi (base_row : Tuple.t) : Tuple.t =
+  let out = Array.make width Value.Null in
+  Array.blit base_row 0 out 0 (Array.length base_row);
+  let write off st =
+    Aggregate.write st bi out off;
+    off + Aggregate.width st
+  in
+  ignore (Array.fold_left write (Array.length base_row) accs);
   out
 
 (* ------------------------------------------------------------------ *)
@@ -226,12 +218,12 @@ let reference ~base ~detail blocks =
   let frames = [| bs; ds |] in
   List.iter (fun b -> Expr.typecheck_bool frames b.theta) blocks;
   let thetas = Array.of_list (List.map (fun b -> Expr.compile_frames frames b.theta) blocks) in
-  let compiled = compile_aggs ~bs ~ds blocks in
+  let accs = block_states ~bs ~ds ~n_base:(Relation.cardinality base) blocks in
   let ctx = [| Tuple.empty; Tuple.empty |] in
+  let width = Schema.arity out_schema in
   let rows =
-    Array.map
-      (fun brow ->
-        let accs_row = make_accs_row compiled in
+    Array.mapi
+      (fun bi brow ->
         (* One full detail pass per base tuple and block. *)
         Array.iteri
           (fun i theta ->
@@ -239,11 +231,10 @@ let reference ~base ~detail blocks =
               (fun drow ->
                 ctx.(0) <- brow;
                 ctx.(1) <- drow;
-                if Expr.is_true (theta ctx) then
-                  Array.iter (fun acc -> Aggregate.step acc ctx) accs_row.(i))
+                if Expr.is_true (theta ctx) then Aggregate.step accs.(i) bi ctx)
               detail)
           thetas;
-        emit_row brow accs_row)
+        emit_row ~width accs bi brow)
       (Relation.rows base)
   in
   Relation.create ~check:false out_schema rows
@@ -254,8 +245,8 @@ let reference ~base ~detail blocks =
 
 exception Scan_done
 
-(* One in-flight evaluation on one domain: compiled θ-plans, the
-   per-base-tuple accumulator matrix and, for a completion
+(* One in-flight evaluation on one domain: compiled θ-plans, one
+   aggregate store per block with a slot per base tuple and, for a completion
    (Section 4.2), the kill/require verdicts.  Detail rows arrive as
    chunks ([feed]); every domain of an exchange owns one state (compiled
    closures, the cursor and hash indexes are per-evaluation) and the
@@ -269,10 +260,9 @@ type state = {
   kill_plans : plan array;
   fired_plans : plan array;
   block_plans : plan array;  (** empty when aggregates are not maintained *)
-  accs : Aggregate.acc array array array;
-      (** accs.(bi).(block).(agg), made on base tuple [bi]'s first hit
-          ([[||]] until then); empty when aggregates are not maintained *)
-  blank : Value.t array;  (** the aggregate values of a base tuple with no hit *)
+  accs : Aggregate.states array;
+      (** one store per block, slot [bi] for base tuple [bi]; empty when
+          aggregates are not maintained *)
   stats : stats;
   verdicts : verdicts option;
 }
@@ -310,8 +300,7 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
   let maintain_aggregates =
     match completion with None -> true | Some c -> c.maintain_aggregates
   in
-  let compiled = compile_aggs ~bs ~ds blocks in
-  let accs = if maintain_aggregates then Array.make n_base [||] else [||] in
+  let accs = if maintain_aggregates then block_states ~bs ~ds ~n_base blocks else [||] in
   let verdicts =
     Option.map
       (fun c ->
@@ -345,11 +334,7 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
     cur.ctx.(0) <- base_rows.(bi);
     cur.ctx.(1) <- cur.drow;
     stats.block_updates.(block_i) <- stats.block_updates.(block_i) + 1;
-    if Array.length accs.(bi) = 0 then accs.(bi) <- make_accs_row compiled;
-    let accs = accs.(bi).(block_i) in
-    for a = 0 to Array.length accs - 1 do
-      cur.apply accs.(a) cur.ctx
-    done
+    cur.apply accs.(block_i) bi cur.ctx
   in
   let block_hit block_i =
     match verdicts with
@@ -387,7 +372,6 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
          Array.of_list (List.mapi (fun block_i b -> mk b.theta (block_hit block_i)) blocks)
        else [||]);
     accs;
-    blank = emit_row Tuple.empty (make_accs_row compiled);
     stats;
     verdicts;
   }
@@ -467,25 +451,14 @@ let feed ?(apply = Aggregate.step) st chunk =
 
 let saturated st = match st.verdicts with Some v -> v.saturated | None -> false
 
-(* Fold state [b] (another domain's share of the detail) into [a]: every
-   SQL aggregate state merges ({!Aggregate.merge}), and kill/fire
-   verdicts are monotone under more detail rows, so alive ANDs and fired
-   ORs.  A domain may have kept stepping aggregates for a base tuple
-   another domain killed — harmless, the merged [alive] excludes that
-   tuple from the output. *)
+(* Fold state [b] (another domain's share of the detail) into [a]: the
+   aggregate stores merge block by block, slot by slot
+   ({!Aggregate.merge}), and kill/fire verdicts are monotone under more
+   detail rows, so alive ANDs and fired ORs.  A domain may have kept
+   stepping aggregates for a base tuple another domain killed —
+   harmless, the merged [alive] excludes that tuple from the output. *)
 let merge ~into:a b =
-  Array.iteri
-    (fun bi theirs ->
-      if Array.length theirs > 0 then
-        if Array.length a.accs.(bi) = 0 then a.accs.(bi) <- theirs
-        else
-          Array.iteri
-            (fun block_i per_agg ->
-              Array.iteri
-                (fun agg_i acc -> Aggregate.merge ~into:acc theirs.(block_i).(agg_i))
-                per_agg)
-            a.accs.(bi))
-    b.accs;
+  Array.iteri (fun block_i theirs -> Aggregate.merge ~into:a.accs.(block_i) theirs) b.accs;
   match (a.verdicts, b.verdicts) with
   | Some va, Some vb ->
     let n_preds = Array.length a.fired_plans in
@@ -504,10 +477,7 @@ let merge ~into:a b =
 (* The result in base order: every base row, or — for a completion —
    the surviving ones, extended with the aggregate columns. *)
 let finish st =
-  let emit bi brow =
-    if bi < Array.length st.accs && Array.length st.accs.(bi) > 0 then emit_row brow st.accs.(bi)
-    else Tuple.concat brow st.blank
-  in
+  let emit = emit_row ~width:(Schema.arity st.out_schema) st.accs in
   let rows =
     match st.verdicts with
     | None -> Array.mapi emit st.base_rows
@@ -635,26 +605,17 @@ module Maintain = struct
 
   (* The view is one live fold state: its [stats] are the lifetime
      counts over the materialization and every delta since. *)
-  type t = { st : state; detail_schema : Schema.t; has_minmax : bool }
-
-  let has_minmax_agg blocks =
-    List.exists
-      (fun b ->
-        List.exists
-          (fun s ->
-            match s.Aggregate.func with
-            | Aggregate.Min _ | Aggregate.Max _ | Aggregate.First _ -> true
-            | Aggregate.Count_star | Aggregate.Count _ | Aggregate.Sum _ | Aggregate.Avg _
-              ->
-              false)
-          b.aggs)
-      blocks
+  type t = { st : state; detail_schema : Schema.t; irretractable : Aggregate.spec option }
 
   let create ?(strategy = `Hash) ~base ~detail blocks =
     let detail_schema = Relation.schema detail in
     let st = start ~strategy ~theta:false ~base ~detail_schema blocks in
     feed st (Chunk.whole detail);
-    { st; detail_schema; has_minmax = has_minmax_agg blocks }
+    let retractable s = Aggregate.retractable s.Aggregate.func in
+    let irretractable =
+      List.find_opt (fun s -> not (retractable s)) (List.concat_map (fun b -> b.aggs) blocks)
+    in
+    { st; detail_schema; irretractable }
 
   let check_delta t schema =
     if not (Schema.equal_names schema t.detail_schema) then
@@ -678,10 +639,14 @@ module Maintain = struct
 
   let delete_detail t delta =
     check_delta t (Relation.schema delta);
-    if t.has_minmax then
-      invalid_arg "Gmdj.Maintain: MIN/MAX views cannot be maintained under deletions";
+    Option.iter
+      (fun s ->
+        invalid_arg
+          ("Gmdj.Maintain: a view with " ^ Aggregate.func_to_string s.Aggregate.func
+         ^ " cannot be maintained under deletions"))
+      t.irretractable;
     incr generation_counter;
-    feed ~apply:Aggregate.step_back t.st (Chunk.whole delta)
+    feed ~apply:Aggregate.retract t.st (Chunk.whole delta)
 
   let result t = finish t.st
 end

@@ -6,8 +6,9 @@
     base row (in base order) and one column per aggregate.
 
     {!eval} is the one evaluator: a single pass over a detail chunk
-    stream, folded by one or more domains into mergeable per-base-tuple
-    accumulators.  Its strategies:
+    stream, folded by one or more domains into mergeable aggregate state
+    with one slot per base tuple ({!Subql_relational.Aggregate.states}).
+    Its strategies:
     - [`Scan] — every detail row updates every base tuple whose θ it
       satisfies.  Cost: |R| rows × |B| predicate tests per block.
     - [`Hash] — the hash-index strategy of the paper's GMDJ engine:
@@ -84,8 +85,8 @@ val reference : base:Relation.t -> detail:Relation.t -> block list -> Relation.t
 
     With [maintain_aggregates = false] (valid only when the enclosing
     projection discards the aggregate columns, Thm 4.1's [A ∩ l = ∅]),
-    accumulators are not updated at all; the aggregate columns of the
-    result then hold unspecified defaults and must be projected away. *)
+    no aggregate state is kept at all; the aggregate columns of the
+    result then hold NULL and must be projected away. *)
 
 type completion = {
   kill_when : Expr.t list;
@@ -106,14 +107,15 @@ val eval :
   Relation.t
 (** [eval ~domains ~base detail blocks] drains the detail chunk stream
     once through a {!Subql_relational.Chunk.Exchange} of [domains]
-    workers.  Each folds its share into a private accumulator matrix
-    (and, with a [completion], private kill/require verdicts); the
-    coordinator merges them — every SQL aggregate state is mergeable
+    workers.  Each folds its share into private aggregate stores, one per
+    block with a slot per base tuple (and, with a [completion], private
+    kill/require verdicts); the coordinator merges them slot by slot —
+    every SQL aggregate state is mergeable
     ({!Subql_relational.Aggregate.merge}) and verdicts are monotone, so
-    round-robin routing is sound — and emits in base order.  The
-    coordinator owns the pull side, so storage scans and buffer pools
-    stay single-domain.  [domains = 1] folds inline: that is the serial
-    path.  A block list holding an
+    round-robin routing is sound — and writes each base row's slots into
+    its output row, in base order.  The coordinator owns the pull side,
+    so storage scans and buffer pools stay single-domain.  [domains = 1]
+    folds inline: that is the serial path.  A block list holding an
     {!Subql_relational.Aggregate.order_sensitive} aggregate (FIRST)
     always takes it, whatever [domains] asks for, since its merge is
     right only in input order.
@@ -143,14 +145,18 @@ val eval :
 
     Maintain a materialized GMDJ result under detail-relation deltas
     (the complex-aggregate-view maintenance of the authors' companion
-    work).  The view keeps live accumulators per base tuple, so applying
-    a delta costs one pass over the delta only.
+    work).  The view keeps the live fold state — one aggregate slot per
+    base tuple and block — so applying a delta costs one pass over the
+    delta only.
 
     Preconditions: inserted rows must not already be counted twice, and
     deleted rows must actually be part of the accumulated content —
     standard multiset view-maintenance assumptions.  COUNT/SUM/AVG
     states retract exactly (including re-nullification when a range
-    empties); MIN/MAX views reject deletions. *)
+    empties).  A view holding an aggregate that is not
+    {!Subql_relational.Aggregate.retractable} — MIN, MAX or FIRST —
+    rejects deletions before touching any state, naming that
+    aggregate. *)
 module Maintain : sig
   type t
 
@@ -172,7 +178,8 @@ module Maintain : sig
 
   val delete_detail : t -> Relation.t -> unit
   (** Retract a batch of detail rows.
-      @raise Invalid_argument for views with MIN/MAX aggregates. *)
+      @raise Invalid_argument for views with a MIN, MAX or FIRST
+      aggregate; the view and {!generation} are left unchanged. *)
 
   val insert_chunk : t -> Chunk.t -> unit
   (** {!insert_detail} for one chunk of detail rows — the streaming

@@ -144,15 +144,17 @@ and compile_sub ~mode ~stats ~catalog frames ctx s =
     let spec = { Aggregate.func; name = "agg" } in
     ignore (Aggregate.output_ty frames' spec);
     let lhs_f = Expr.compile_frames frames lhs in
-    let compiled = Aggregate.compile frames' spec in
+    let compiled = [| Aggregate.compile frames' spec |] in
+    let out = [| Value.Null |] in
     fun () ->
       bump stats `Invocation;
-      let acc = Aggregate.make compiled in
+      let st = Aggregate.states compiled ~slots:1 in
       iteration.iterate (fun row ->
           ctx.(d) <- row;
-          Aggregate.step acc ctx;
+          Aggregate.step st 0 ctx;
           true);
-      Expr.to_bool3 (Expr.apply_cmp op (lhs_f ctx) (Aggregate.value acc))
+      Aggregate.write st 0 out 0;
+      Expr.to_bool3 (Expr.apply_cmp op (lhs_f ctx) out.(0))
   | In_ _ | Not_in _ ->
     invalid_arg "Naive_eval: IN/NOT IN must be desugared (run Normalize first)"
 

@@ -60,6 +60,10 @@ let order_sensitive = function
   | First _ -> true
   | Count_star | Count _ | Sum _ | Min _ | Max _ | Avg _ -> false
 
+let retractable = function
+  | Min _ | Max _ | First _ -> false
+  | Count_star | Count _ | Sum _ | Avg _ -> true
+
 let func_to_string = function
   | Count_star -> "count(*)"
   | Count e -> Printf.sprintf "count(%s)" (Expr.to_string e)
@@ -71,120 +75,142 @@ let func_to_string = function
 
 let pp_spec ppf spec = Format.fprintf ppf "%s -> %s" (func_to_string spec.func) spec.name
 
-type kind = Kcount_star | Kcount | Ksum | Kmin | Kmax | Kavg | Kfirst
+type compiled = { func : func; eval : Tuple.t array -> Value.t }
 
-type compiled = { kind : kind; eval : (Tuple.t array -> Value.t) option }
-
-type acc = {
-  compiled : compiled;
-  mutable n : int;  (* rows seen for count-star; non-null values seen otherwise *)
-  mutable acc_v : Value.t;  (* running sum / min / max *)
-  mutable fsum : float;  (* running sum for avg *)
-}
-
-let compile frames spec =
-  let kind =
-    match spec.func with
-    | Count_star -> Kcount_star
-    | Count _ -> Kcount
-    | Sum _ -> Ksum
-    | Min _ -> Kmin
-    | Max _ -> Kmax
-    | Avg _ -> Kavg
-    | First _ -> Kfirst
+let compile frames (spec : spec) =
+  let eval =
+    match arg spec.func with
+    | Some e -> Expr.compile_frames frames e
+    | None -> fun _ -> Value.Int 1 (* COUNT( * ): every row counts *)
   in
-  let eval = Option.map (Expr.compile_frames frames) (arg spec.func) in
-  { kind; eval }
+  { func = spec.func; eval }
 
-let make compiled = { compiled; n = 0; acc_v = Value.Null; fsum = 0.0 }
+(* ------------------------------------------------------------------ *)
+(* The slot-addressed store                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One column of state per aggregate: [counts.(s)] is the rows seen
+   (COUNT( * )) or non-NULL values seen (every other kind) by slot [s];
+   [values.(s)] is its running sum / min / max / first value, or AVG's
+   running float sum.  COUNT and COUNT( * ) keep no values. *)
+type column = { c : compiled; mutable counts : int array; mutable values : Value.t array }
+
+type states = { cols : column array; mutable slots : int; mutable capacity : int }
+
+(* AVG's sum starts at [0.0] and adds every value to it, so an AVG over
+   [-0.] is [0.]; the other kinds start empty. *)
+let identity = function
+  | Avg _ -> Some (Value.Float 0.0)
+  | Sum _ | Min _ | Max _ | First _ -> Some Value.Null
+  | Count_star | Count _ -> None
+
+let sized capacity col =
+  let fit a fill =
+    let b = Array.make capacity fill in
+    Array.blit a 0 b 0 (min capacity (Array.length a));
+    b
+  in
+  col.counts <- fit col.counts 0;
+  Option.iter (fun v -> col.values <- fit col.values v) (identity col.c.func);
+  col
+
+let states compiled ~slots =
+  {
+    cols = Array.map (fun c -> sized slots { c; counts = [||]; values = [||] }) compiled;
+    slots;
+    capacity = slots;
+  }
+
+let width t = Array.length t.cols
+
+let add_slot t =
+  if t.slots = t.capacity then begin
+    t.capacity <- max 16 (2 * t.capacity);
+    Array.iter (fun col -> ignore (sized t.capacity col)) t.cols
+  end;
+  t.slots <- t.slots + 1;
+  t.slots - 1
 
 let to_float = function
   | Value.Int i -> float_of_int i
   | Value.Float f -> f
   | v -> Value.type_error "avg over non-numeric value %s" (Value.to_string v)
 
-let step acc ctx =
-  match acc.compiled.kind with
-  | Kcount_star -> acc.n <- acc.n + 1
-  | Kcount ->
-    let v = (Option.get acc.compiled.eval) ctx in
-    if not (Value.is_null v) then acc.n <- acc.n + 1
-  | Ksum ->
-    let v = (Option.get acc.compiled.eval) ctx in
-    if not (Value.is_null v) then begin
-      acc.acc_v <- (if acc.n = 0 then v else Value.add acc.acc_v v);
-      acc.n <- acc.n + 1
-    end
-  | Kmin ->
-    let v = (Option.get acc.compiled.eval) ctx in
-    if not (Value.is_null v) then begin
-      if acc.n = 0 || Value.compare v acc.acc_v < 0 then acc.acc_v <- v;
-      acc.n <- acc.n + 1
-    end
-  | Kmax ->
-    let v = (Option.get acc.compiled.eval) ctx in
-    if not (Value.is_null v) then begin
-      if acc.n = 0 || Value.compare v acc.acc_v > 0 then acc.acc_v <- v;
-      acc.n <- acc.n + 1
-    end
-  | Kavg ->
-    let v = (Option.get acc.compiled.eval) ctx in
-    if not (Value.is_null v) then begin
-      acc.fsum <- acc.fsum +. to_float v;
-      acc.n <- acc.n + 1
-    end
-  | Kfirst ->
-    let v = (Option.get acc.compiled.eval) ctx in
-    if not (Value.is_null v) then begin
-      if acc.n = 0 then acc.acc_v <- v;
-      acc.n <- acc.n + 1
-    end
+(* Fold one non-NULL value [v] into slot [s] of [col], [n] values in —
+   or, merging, another partition's running value, which for AVG is its
+   float sum. *)
+let fold_value col s n v =
+  let values = col.values in
+  match col.c.func with
+  | Count_star | Count _ -> ()
+  | Sum _ -> values.(s) <- (if n = 0 then v else Value.add values.(s) v)
+  | Min _ -> if n = 0 || Value.compare v values.(s) < 0 then values.(s) <- v
+  | Max _ -> if n = 0 || Value.compare v values.(s) > 0 then values.(s) <- v
+  | Avg _ -> values.(s) <- Value.Float (to_float values.(s) +. to_float v)
+  | First _ -> if n = 0 then values.(s) <- v
 
-let step_back acc ctx =
-  match acc.compiled.kind with
-  | Kcount_star -> acc.n <- acc.n - 1
-  | Kcount ->
-    let v = (Option.get acc.compiled.eval) ctx in
-    if not (Value.is_null v) then acc.n <- acc.n - 1
-  | Ksum ->
-    let v = (Option.get acc.compiled.eval) ctx in
-    if not (Value.is_null v) then begin
-      acc.acc_v <- Value.sub acc.acc_v v;
-      acc.n <- acc.n - 1
-    end
-  | Kmin | Kmax ->
-    invalid_arg "Aggregate.step_back: MIN/MAX cannot be retracted incrementally"
-  | Kfirst -> invalid_arg "Aggregate.step_back: FIRST is order-sensitive"
-  | Kavg ->
-    let v = (Option.get acc.compiled.eval) ctx in
-    if not (Value.is_null v) then begin
-      acc.fsum <- acc.fsum -. to_float v;
-      acc.n <- acc.n - 1
-    end
+let step t s ctx =
+  let cols = t.cols in
+  for a = 0 to Array.length cols - 1 do
+    let col = cols.(a) in
+    let counts = col.counts in
+    match col.c.func with
+    | Count_star -> counts.(s) <- counts.(s) + 1
+    | Count _ | Sum _ | Min _ | Max _ | Avg _ | First _ ->
+      let v = col.c.eval ctx in
+      if not (Value.is_null v) then begin
+        let n = counts.(s) in
+        fold_value col s n v;
+        counts.(s) <- n + 1
+      end
+  done
 
+let retract t s ctx =
+  Array.iter
+    (fun col ->
+      if not (retractable col.c.func) then
+        invalid_arg ("Aggregate.retract: " ^ func_to_string col.c.func ^ " cannot be retracted"))
+    t.cols;
+  Array.iter
+    (fun col ->
+      let v = col.c.eval ctx and values = col.values in
+      if not (Value.is_null v) then begin
+        (match col.c.func with
+        | Sum _ -> values.(s) <- Value.sub values.(s) v
+        | Avg _ -> values.(s) <- Value.Float (to_float values.(s) -. to_float v)
+        | Count_star | Count _ | Min _ | Max _ | First _ -> ());
+        col.counts.(s) <- col.counts.(s) - 1
+      end)
+    t.cols
+
+(* Slot by slot, [into] taken as the earlier partition: a FIRST already
+   set stays (see [order_sensitive]). *)
 let merge ~into other =
-  if into.compiled.kind <> other.compiled.kind then
-    invalid_arg "Aggregate.merge: accumulators of different kinds";
-  (match into.compiled.kind with
-  | Kcount_star | Kcount -> ()
-  | Ksum ->
-    if other.n > 0 then
-      into.acc_v <- (if into.n = 0 then other.acc_v else Value.add into.acc_v other.acc_v)
-  | Kmin ->
-    if other.n > 0 && (into.n = 0 || Value.compare other.acc_v into.acc_v < 0) then
-      into.acc_v <- other.acc_v
-  | Kmax ->
-    if other.n > 0 && (into.n = 0 || Value.compare other.acc_v into.acc_v > 0) then
-      into.acc_v <- other.acc_v
-  | Kavg -> into.fsum <- into.fsum +. other.fsum
-  | Kfirst ->
-    (* Concatenation order: [into] precedes [other] (see
-       [order_sensitive]). *)
-    if into.n = 0 && other.n > 0 then into.acc_v <- other.acc_v);
-  into.n <- into.n + other.n
+  if
+    into.slots <> other.slots
+    || Array.length into.cols <> Array.length other.cols
+    || not (Array.for_all2 (fun a b -> equal_func a.c.func b.c.func) into.cols other.cols)
+  then invalid_arg "Aggregate.merge: states of different aggregates or slot counts";
+  Array.iter2
+    (fun dst src ->
+      for s = 0 to into.slots - 1 do
+        let m = src.counts.(s) in
+        if m > 0 then begin
+          let n = dst.counts.(s) in
+          if Array.length src.values > 0 then fold_value dst s n src.values.(s);
+          dst.counts.(s) <- n + m
+        end
+      done)
+    into.cols other.cols
 
-let value acc =
-  match acc.compiled.kind with
-  | Kcount_star | Kcount -> Value.Int acc.n
-  | Ksum | Kmin | Kmax | Kfirst -> if acc.n = 0 then Value.Null else acc.acc_v
-  | Kavg -> if acc.n = 0 then Value.Null else Value.Float (acc.fsum /. float_of_int acc.n)
+let write t s out off =
+  Array.iteri
+    (fun a col ->
+      let n = col.counts.(s) in
+      out.(off + a) <-
+        (match col.c.func with
+        | Count_star | Count _ -> Value.Int n
+        | _ when n = 0 -> Value.Null
+        | Sum _ | Min _ | Max _ | First _ -> col.values.(s)
+        | Avg _ -> Value.Float (to_float col.values.(s) /. float_of_int n)))
+    t.cols

@@ -5,8 +5,8 @@
     empty (or all-NULL) input — the behaviour the paper's ALL-vs-max
     footnote hinges on.  [First e] yields the first non-NULL value of
     [e] in detail arrival order (NULL on an empty or all-NULL input):
-    its accumulator merge is associative and has an identity but is
-    {e not} commutative ({!order_sensitive}). *)
+    its state merge is associative and has an identity but is {e not}
+    commutative ({!order_sensitive}). *)
 
 type func =
   | Count_star
@@ -41,50 +41,76 @@ val equal_func : func -> func -> bool
 (** Same function over structurally equal arguments. *)
 
 val order_sensitive : func -> bool
-(** [true] iff the accumulator merge depends on which partial state
+(** [true] iff the state merge depends on which partial state
     saw its rows first — today only [First].  Such a state merges
     correctly only when partitions are recombined in input order, so
     [Gmdj.eval] folds a block list containing one at a single domain,
     and [Mergeable] reports it as non-commutative. *)
 
+val retractable : func -> bool
+(** [true] iff {!retract} can undo a step of this aggregate: COUNT,
+    COUNT( * ), SUM and AVG.  MIN, MAX and FIRST keep no state to fall
+    back on once their current value is taken out. *)
+
 val func_to_string : func -> string
 
 val pp_spec : Format.formatter -> spec -> unit
 
-(** {1 Accumulators}
+(** {1 Aggregate state}
 
-    [compile frames spec] resolves the aggregated expression once;
-    [make compiled] then creates a fresh mutable accumulator.  [step]
-    feeds one tuple stack (innermost frame = the detail tuple);
-    [value] reads off the current aggregate. *)
+    One store holds the state of a list of aggregates for many {e slots}:
+    GMDJ gives every base tuple a slot, GROUP BY adds one per new key,
+    and a correlated aggregate subquery uses a single slot.  Slots are
+    addressed by index; only this module knows the layout.
+
+    Layout: one column per aggregate, each an [int array] of counts
+    over slots — rows seen for COUNT( * ), non-NULL values seen for
+    every other kind — plus, for every kind but COUNT and COUNT( * ), a
+    [Value.t array] of running values (AVG's running sum as a
+    [Value.Float], folded from [0.0]).  Per-kind rules: the first
+    non-NULL value seeds SUM; MIN and MAX replace only on a strict
+    comparison; FIRST keeps the earliest value; an empty or all-NULL
+    input gives NULL (COUNT gives 0). *)
 
 type compiled
-
-type acc
+(** One aggregate with its argument resolved against the frames. *)
 
 val compile : Schema.t array -> spec -> compiled
 
-val make : compiled -> acc
+type states
+(** The state of one aggregate list over a number of slots. *)
 
-val step : acc -> Tuple.t array -> unit
+val states : compiled array -> slots:int -> states
+(** [slots] slots, each at the identity (nothing folded in). *)
 
-val step_back : acc -> Tuple.t array -> unit
-(** Retract one previously-fed tuple stack — the inverse of {!step},
-    used for incremental view maintenance under deletions.  COUNT, SUM
-    and AVG are self-inverting (their state nullifies correctly when the
-    contribution count returns to zero); MIN, MAX and FIRST are not
-    incrementally maintainable downward.
-    @raise Invalid_argument for MIN/MAX/FIRST accumulators. *)
+val width : states -> int
+(** The number of aggregates: the columns {!write} fills. *)
 
-val merge : into:acc -> acc -> unit
-(** Fold the second accumulator into the first, with [into] taken as
-    the earlier partition.  Both must stem from the same [compiled]
-    aggregate.  Every standard SQL aggregate state here merges
+val add_slot : states -> int
+(** A new slot at the identity, after the existing ones; returns its
+    index. *)
+
+val step : states -> int -> Tuple.t array -> unit
+(** [step t s ctx] folds one tuple stack (innermost frame = the detail
+    tuple) into slot [s] of every aggregate. *)
+
+val retract : states -> int -> Tuple.t array -> unit
+(** Take one previously-stepped tuple stack back out of slot [s] — the
+    inverse of {!step}, for view maintenance under deletions.  A slot
+    whose count returns to zero reads NULL again.
+    @raise Invalid_argument before touching any slot unless every
+    aggregate is {!retractable}. *)
+
+val merge : into:states -> states -> unit
+(** Slot-wise fold of the second store into the first, with [into]
+    taken as the earlier partition.  Every state but FIRST's merges
     commutatively (AVG carries sum and count separately), which is what
-    makes partitioned/distributed GMDJ evaluation possible; an
-    {!order_sensitive} state (FIRST) merges associatively but {e not}
-    commutatively, so the result is right only when [into] really saw
-    the earlier rows.
-    @raise Invalid_argument on accumulators of different kinds. *)
+    makes partitioned GMDJ evaluation possible; an {!order_sensitive}
+    state merges associatively but {e not} commutatively, so the result
+    is right only when [into] really saw the earlier rows.
+    @raise Invalid_argument unless both stores come from the same
+    aggregates with the same number of slots. *)
 
-val value : acc -> Value.t
+val write : states -> int -> Tuple.t -> int -> unit
+(** [write t s row off] stores slot [s]'s aggregate values into
+    [row.(off) .. row.(off + width t - 1)]. *)

@@ -194,114 +194,84 @@ let group_schema ?keys ~aggs schema =
 
 (* Resumable grouping state: the hash table behind GROUP BY, DISTINCT
    (the zero-aggregate grouping on every column) and the global
-   aggregate (the grouping on no column), exposed so the
-   parallel executor can run one per domain and merge accumulators
-   ({!Aggregate.merge} makes every SQL aggregate state mergeable), and
-   the spill path can freeze the group set at a budget and route rows of
-   unseen keys to disk. *)
+   aggregate (the grouping on no column), exposed so the spill path can
+   freeze the group set at a budget and route rows of unseen keys to
+   disk.  Each group is a slot of one {!Aggregate.states}: the table
+   maps a key to its slot, and [order] holds the keys by slot. *)
 module Group_acc = struct
   type t = {
     key_idxs : int array;
     whole_row : bool;  (* the key is every column in order: the row is its own key *)
-    keyless : Aggregate.acc list option;
-        (* the global aggregate's one group, seeded at [create] *)
+    keyless : bool;  (* the global aggregate: its one group is slot 0, seeded at [create] *)
     out_schema : Schema.t;
-    compiled : Aggregate.compiled list;
-    groups : (Tuple.t * Aggregate.acc list) Group_table.t;
+    states : Aggregate.states;
+    groups : int Group_table.t;
     order : Tuple.t Vec.t;
     ctx : Tuple.t array;
   }
 
   let create ?keys ~aggs schema =
     let key_idxs, out_schema = group_schema ?keys ~aggs schema in
-    let compiled = List.map (Aggregate.compile [| schema |]) aggs in
-    let groups = Group_table.create 64 and order = Vec.create ~dummy:dummy_row () in
+    let compiled = Array.of_list (List.map (Aggregate.compile [| schema |]) aggs) in
     (* No keys: the one group exists before any row arrives, so an empty
        input still yields its row of aggregate identities. *)
-    let keyless =
-      match keys with
-      | Some [] ->
-        let accs = List.map Aggregate.make compiled in
-        Group_table.add groups Tuple.empty (Tuple.empty, accs);
-        Vec.push order Tuple.empty;
-        Some accs
-      | Some _ | None -> None
-    in
+    let keyless = keys = Some [] in
+    let states = Aggregate.states compiled ~slots:(if keyless then 1 else 0) in
+    let order = Vec.create ~dummy:dummy_row () in
+    if keyless then Vec.push order Tuple.empty;
     {
       key_idxs;
       whole_row = key_idxs = Array.init (Schema.arity schema) Fun.id;
       keyless;
       out_schema;
-      compiled;
-      groups;
+      states;
+      groups = Group_table.create 64;
       order;
       ctx = [| Tuple.empty |];
     }
-
-  let out_schema t = t.out_schema
 
   let key_of t row = if t.whole_row then row else Tuple.project row t.key_idxs
 
   let size t = Vec.length t.order
 
-  let update t accs row =
+  let update t slot row =
     t.ctx.(0) <- row;
-    List.iter (fun acc -> Aggregate.step acc t.ctx) accs
-
-  let step t row =
-    match t.keyless with
-    | Some accs -> update t accs row
-    | None ->
-      let key = key_of t row in
-      let accs =
-        match Group_table.find_opt t.groups key with
-        | Some (_, accs) -> accs
-        | None ->
-          let accs = List.map Aggregate.make t.compiled in
-          Group_table.add t.groups key (key, accs);
-          Vec.push t.order key;
-          accs
-      in
-      update t accs row
+    Aggregate.step t.states slot t.ctx
 
   (* Update only an already-present group: [false] means the key is new
      and the row was not consumed — the spill path's overflow test. *)
   let step_existing t row =
-    match t.keyless with
-    | Some accs ->
-      update t accs row;
+    match if t.keyless then Some 0 else Group_table.find_opt t.groups (key_of t row) with
+    | Some slot ->
+      update t slot row;
       true
-    | None -> (
-      match Group_table.find_opt t.groups (key_of t row) with
-      | Some (_, accs) ->
-        update t accs row;
-        true
-      | None -> false)
+    | None -> false
 
-  (* Fold [t]'s groups into [into] (same schema/keys/aggs, e.g. built by
-     another exchange worker).  Accumulators of keys new to [into] are
-     adopted by reference, so [t] must not be stepped afterwards. *)
-  let merge ~into t =
-    Vec.iter
-      (fun key ->
-        let _, accs = Group_table.find t.groups key in
-        match Group_table.find_opt into.groups key with
-        | Some (_, into_accs) ->
-          List.iter2 (fun dst src -> Aggregate.merge ~into:dst src) into_accs accs
-        | None ->
-          Group_table.add into.groups key (key, accs);
-          Vec.push into.order key)
-      t.order
+  let step t row =
+    if t.keyless then update t 0 row
+    else
+      let key = key_of t row in
+      match Group_table.find_opt t.groups key with
+      | Some slot -> update t slot row
+      | None ->
+        let slot = Aggregate.add_slot t.states in
+        Group_table.add t.groups key slot;
+        Vec.push t.order key;
+        update t slot row
 
   let rows t =
-    match t.compiled with
-    | [] -> Vec.to_array t.order
-    | _ ->
-      Array.map
-        (fun key ->
-          let _, accs = Group_table.find t.groups key in
-          Tuple.concat key (Array.of_list (List.map Aggregate.value accs)))
-        (Vec.to_array t.order)
+    let keys = Vec.to_array t.order in
+    match Aggregate.width t.states with
+    | 0 -> keys
+    | width ->
+      Array.mapi
+        (fun slot key ->
+          let nk = Array.length key in
+          let out = Array.make (nk + width) Value.Null in
+          Array.blit key 0 out 0 nk;
+          Aggregate.write t.states slot out nk;
+          out)
+        keys
 
   let result t = Relation.create ~check:false t.out_schema (rows t)
 end

@@ -110,11 +110,12 @@ val sort :
 
 (** {1 Resumable grouping state}
 
-    The hash state behind GROUP BY and DISTINCT as a first-class
-    accumulator: the parallel executor runs one per domain and merges
-    them at the exchange ({!Subql_relational.Aggregate.merge} makes
-    every aggregate state mergeable), and the spill path freezes one at
-    a memory budget and routes overflow rows to temp heap files.
+    The hash state behind GROUP BY and DISTINCT as a first-class value:
+    each group is one slot of an {!Subql_relational.Aggregate.states},
+    found through a hash table from key to slot.  The spill path
+    freezes one at a memory budget and routes overflow rows to temp
+    heap files; the parallel executor hash-partitions rows by key, runs
+    one per domain and concatenates their key-disjoint results.
     {!group_by} is a thin wrapper over it. *)
 
 module Group_acc : sig
@@ -124,10 +125,8 @@ module Group_acc : sig
   (** [keys] as in {!group_by}; when the key is every column, a row is
       its own key (no per-row projection), and with no aggregates a
       group's output row is its key row.  With [~keys:\[\]] the one
-      group exists from the start and {!step} folds straight into it,
+      group is slot 0 from the start and {!step} folds straight into it,
       with no key projection or hash probe. *)
-
-  val out_schema : t -> Schema.t
 
   val key_of : t -> Tuple.t -> Tuple.t
 
@@ -140,11 +139,6 @@ module Group_acc : sig
   val step_existing : t -> Tuple.t -> bool
   (** Fold a row into an already-present group; [false] means the key is
       new and the row was {e not} consumed — the spill overflow test. *)
-
-  val merge : into:t -> t -> unit
-  (** Merge another accumulator built from the same schema/keys/aggs.
-      Accumulators of keys new to [into] are adopted by reference, so
-      the source must not be stepped afterwards. *)
 
   val result : t -> Relation.t
   (** Groups in first-seen order, keys then aggregate columns. *)

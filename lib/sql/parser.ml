@@ -398,7 +398,7 @@ let parse_select_item st =
   | L.Star ->
     advance st;
     Item_star
-  | (L.Count | L.Sum | L.Min | L.Max | L.Avg) as kw ->
+  | (L.Count | L.Sum | L.Min | L.Max | L.Avg | L.First) as kw ->
     let func = parse_agg_func st kw in
     let name =
       if peek st = L.As then begin

@@ -68,6 +68,26 @@ echo "$enat" | grep -q "^1 row" || {
 }
 
 echo
+echo "== CLI smoke test: GROUP BY with every aggregate kind agrees in every mode =="
+# One keyed aggregation folded serially, across the exchange, under a
+# spill budget and naively: the sorted rows must be identical.
+gb_q="SELECT f.SourceIP, COUNT(*), COUNT(f.DestIP), SUM(f.NumBytes), MIN(f.NumBytes), MAX(f.NumBytes), AVG(f.NumBytes), FIRST(f.Protocol) FROM Flow f GROUP BY f.SourceIP"
+gdef=$(dune exec bin/olap_cli.exe -- run --limit 100000 "$gb_q" | sort)
+gdom=$(dune exec bin/olap_cli.exe -- run --limit 100000 --domains 2 "$gb_q" | sort)
+gspill=$(dune exec bin/olap_cli.exe -- run --limit 100000 --spill-budget 2 "$gb_q" | sort)
+gnat=$(dune exec bin/olap_cli.exe -- run --limit 100000 --engine native "$gb_q" | sort)
+echo "$gdef" | grep " rows$"
+if [ "$gdom" != "$gdef" ] || [ "$gspill" != "$gdef" ] || [ "$gnat" != "$gdef" ]; then
+  echo "FAIL: GROUP BY with every aggregate kind differs across run, --domains 2," \
+    "--spill-budget 2 and --engine native" >&2
+  exit 1
+fi
+echo "$gdef" | grep -q "^500 rows" || {
+  echo "FAIL: expected 500 groups from the GROUP BY smoke query" >&2
+  exit 1
+}
+
+echo
 echo "== CLI smoke test: batch with cross-query sharing and a warm cache =="
 batch_sql=$(mktemp /tmp/check_batch_XXXXXX.sql)
 trap 'rm -f "$batch_sql"' EXIT
@@ -145,7 +165,8 @@ echo "== bench smoke test: exec target gates streaming-executor regressions =="
 # The exec benchmark self-verifies (streamed == in-memory results, peak
 # independent of |detail|); on top of that, gate its memory and I/O
 # numbers against the committed baseline: >10% worse on peak
-# materialized rows or page reads fails the check.
+# materialized rows or page reads fails the check.  Its GROUP BY vs
+# GMDJ row must report equal results and a time ratio.
 dune exec bench/main.exe -- exec > /dev/null
 python3 scripts/check_bench.py exec
 

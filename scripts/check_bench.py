@@ -108,12 +108,18 @@ GATES = {
             row("peak_rows", "<=", base(1.1),
                 "{item[template]} at O {item[outer_rows]}: peak regressed >10%: {base} -> "
                 "{value} rows", each="theta_counts", match=("template", "outer_rows")),
+            row("group_by_vs_gmdj.verified", "true",
+                msg="GROUP BY and the GMDJ fold over the same Flow rows disagree"),
+            row("group_by_vs_gmdj.ratio", "number",
+                msg="BENCH_exec.json has no GROUP BY vs GMDJ timing (group_by_vs_gmdj.ratio)"),
         ],
         summary=lambda f, b: (
             "BENCH_exec.json: verified, peak %d rows (2x detail: %d), page reads %d chained / "
-            "%d coalesced, θ-evals <= detail rows <= |I| + |J| on %d template runs"
+            "%d coalesced, θ-evals <= detail rows <= |I| + |J| on %d template runs, "
+            "GROUP BY %.1f ms = %.2fx the GMDJ fold"
             % (f["peak_rows"], f["peak_rows_2x"], f["chained_page_reads"],
-               f["coalesced_page_reads"], len(f["theta_counts"]))
+               f["coalesced_page_reads"], len(f["theta_counts"]),
+               f["group_by_vs_gmdj"]["group_by_ms"], f["group_by_vs_gmdj"]["ratio"])
         ),
     ),
     "par": dict(

@@ -617,6 +617,207 @@ let test_pruned_heap_scans_agree () =
       ("double NOT EXISTS", double_not_exists, [ [ 2 ]; [ 3 ] ]);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* GROUP BY with aggregates against an oracle that does not use         *)
+(* [Aggregate]                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Gmdj = Subql_gmdj.Gmdj
+
+let gb_schema =
+  Helpers.schema [ ("R", "k", Value.Tint); ("R", "i", Value.Tint); ("R", "f", Value.Tfloat) ]
+
+let r_attr = Expr.attr ~rel:"R"
+
+(* All seven kinds, over the int column [i] and the float column [f];
+   AVG over the float column only. *)
+let gb_aggs =
+  Aggregate.
+    [
+      count_star "n";
+      count (r_attr "i") "ci";
+      sum (r_attr "i") "si";
+      sum (r_attr "f") "sf";
+      min_ (r_attr "i") "mi";
+      max_ (r_attr "i") "xi";
+      min_ (r_attr "f") "mf";
+      max_ (r_attr "f") "xf";
+      avg (r_attr "f") "af";
+      first (r_attr "i") "fi";
+      first (r_attr "f") "ff";
+    ]
+
+(* The oracle's own fold of one aggregate over a group's rows (in input
+   order): NULLs skipped, SUM by [Value.add] seeded with the first
+   value, MIN/MAX replaced on a strict [Value.compare], AVG a float sum
+   from 0. over the count. *)
+let oracle_agg (spec : Aggregate.spec) rows =
+  let col = function
+    | Expr.Attr (_, c) -> Schema.find gb_schema ~rel:"R" c
+    | _ -> assert false
+  in
+  let vals e = List.filter (fun v -> not (Value.is_null v)) (List.map (fun r -> r.(col e)) rows) in
+  let fold f e =
+    match vals e with [] -> Value.Null | v :: rest -> List.fold_left f v rest
+  in
+  match spec.Aggregate.func with
+  | Aggregate.Count_star -> Value.Int (List.length rows)
+  | Aggregate.Count e -> Value.Int (List.length (vals e))
+  | Aggregate.Sum e -> fold Value.add e
+  | Aggregate.Min e -> fold (fun m v -> if Value.compare v m < 0 then v else m) e
+  | Aggregate.Max e -> fold (fun m v -> if Value.compare v m > 0 then v else m) e
+  | Aggregate.First e -> fold (fun m _ -> m) e
+  | Aggregate.Avg e -> (
+    match vals e with
+    | [] -> Value.Null
+    | vs ->
+      let total =
+        List.fold_left
+          (fun s v -> match v with Value.Float x -> s +. x | _ -> assert false)
+          0.0 vs
+      in
+      Value.Float (total /. float_of_int (List.length vs)))
+
+(* Groups in first-seen key order (NULL keys group together), each its
+   key followed by its aggregates. *)
+let oracle_groups aggs rows =
+  let keys =
+    List.fold_left (fun ks r -> if List.mem r.(0) ks then ks else ks @ [ r.(0) ]) [] rows
+  in
+  List.map
+    (fun k ->
+      let members = List.filter (fun r -> r.(0) = k) rows in
+      Array.of_list (k :: List.map (fun spec -> oracle_agg spec members) aggs))
+    keys
+
+let gb_gen =
+  let open QCheck2.Gen in
+  let nullable g = frequency [ (1, return Value.Null); (5, g) ] in
+  let key = nullable (map (fun i -> Value.Int i) (int_range 0 3)) in
+  let int_v =
+    nullable
+      (map (fun i -> Value.Int i) (oneofl [ -2; -1; 0; 1; 2; 3; max_int; min_int ]))
+  in
+  let float_v = nullable (map (fun f -> Value.Float f) (oneofl [ -0.; 0.; 0.5; 2.5; nan ])) in
+  list_size (int_range 0 30) (map (fun (k, i, f) -> [| k; i; f |]) (triple key int_v float_v))
+
+let print_rows rows = String.concat "; " (List.map (Format.asprintf "%a" Tuple.pp) rows)
+
+(* [exact] compares rendered values, so -0. and 0. differ; otherwise
+   {!Value.equal}, for a fold whose merge order may pick either of two
+   equal zeros as a MIN or MAX. *)
+let same_rows ?(exact = true) expected got =
+  let cell a b = if exact then Value.to_string a = Value.to_string b else Value.equal a b in
+  List.length expected = List.length got
+  && List.for_all2
+       (fun a b -> Array.length a = Array.length b && Array.for_all2 cell a b)
+       expected got
+
+let group_by_oracle_prop rows =
+  let rel = Relation.of_list gb_schema rows in
+  let expected = oracle_groups gb_aggs rows in
+  let keys = [ (Some "R", "k") ] in
+  let sorted l = List.sort Tuple.compare l in
+  let check name ?exact ~ordered got =
+    let expected, got = if ordered then (expected, got) else (sorted expected, sorted got) in
+    same_rows ?exact expected got
+    || QCheck2.Test.fail_reportf "%s:@.expected %s@.got %s" name (print_rows expected)
+         (print_rows got)
+  in
+  let of_rel r = Array.to_list (Relation.rows r) in
+  let ops = of_rel (Ops.group_by ~keys ~aggs:gb_aggs (Chunk.Source.of_relation rel)) in
+  let spilled =
+    (Subql_storage.Spill.group_by ~budget:2 ~keys ~aggs:gb_aggs (Chunk.Source.of_relation rel))
+      .Subql_storage.Spill.result
+  in
+  let parallel =
+    Subql.Eval.eval ~config:(domains_config 2)
+      (Catalog.of_list [ ("R", rel) ])
+      (Subql.Algebra.Group_by { keys = Some keys; aggs = gb_aggs; input = Subql.Algebra.Table "R" })
+  in
+  (* GROUP BY K l over R is MD(δπ_K R, R, l, K <=> K), the keys in
+     first-seen order. *)
+  let base =
+    Relation.of_list
+      (Helpers.schema [ ("B", "k", Value.Tint) ])
+      (List.map (fun g -> [| g.(0) |]) expected)
+  in
+  let theta = Expr.Null_safe_eq (Expr.attr ~rel:"B" "k", r_attr "k") in
+  let md ?(aggs = gb_aggs) domains =
+    of_rel (Helpers.gmdj ~domains ~base ~detail:rel [ Gmdj.block aggs theta ])
+  in
+  (* FIRST would pin the fold at one domain; without it the two-domain
+     fold merges partial states. *)
+  let mergeable = List.filter (fun s -> not (Aggregate.order_sensitive s.Aggregate.func)) gb_aggs in
+  let keep =
+    0
+    :: List.concat
+         (List.mapi
+            (fun i s -> if Aggregate.order_sensitive s.Aggregate.func then [] else [ i + 1 ])
+            gb_aggs)
+  in
+  let project row = Array.of_list (List.map (fun i -> row.(i)) keep) in
+  check "Ops.group_by" ~ordered:true ops
+  && check "Spill.group_by ~budget:2" ~ordered:false (of_rel spilled)
+  && check "Eval Group_by, 2 domains" ~ordered:false (of_rel parallel)
+  && check "Gmdj.eval, 1 domain" ~ordered:true (md 1)
+  && check "Gmdj.reference" ~ordered:true
+       (of_rel (Gmdj.reference ~base ~detail:rel [ Gmdj.block gb_aggs theta ]))
+  &&
+  let expected = List.map project expected in
+  let got = md ~aggs:mergeable 2 in
+  same_rows ~exact:false expected got
+  || QCheck2.Test.fail_reportf "Gmdj.eval, 2 domains:@.expected %s@.got %s"
+       (print_rows expected) (print_rows got)
+
+(* How edge values render, identical in every serial mode: signed zero,
+   first-seen ties, int wrap-around, and the NULL / 0 of empty and
+   all-NULL inputs. *)
+let test_aggregate_representation () =
+  let single ty vs =
+    Relation.of_list
+      (Helpers.schema [ ("R", "v", ty) ])
+      (List.map (fun v -> [| v |]) vs)
+  in
+  let v = Expr.attr ~rel:"R" "v" in
+  let f x = Value.Float x and i x = Value.Int x in
+  let cases =
+    [
+      ("sum [-0.]", Aggregate.sum v "a", single Value.Tfloat [ f (-0.) ], "-0");
+      ("min [0.; -0.]", Aggregate.min_ v "a", single Value.Tfloat [ f 0.; f (-0.) ], "0");
+      ("max [-0.; 0.]", Aggregate.max_ v "a", single Value.Tfloat [ f (-0.); f 0. ], "-0");
+      ("sum [max_int; 1]", Aggregate.sum v "a", single Value.Tint [ i max_int; i 1 ], string_of_int min_int);
+      ("avg [-0.]", Aggregate.avg v "a", single Value.Tfloat [ f (-0.) ], "0");
+    ]
+    @ List.concat_map
+        (fun (label, rows) ->
+          List.map
+            (fun (name, spec) -> (name ^ " " ^ label, spec, rows, "NULL"))
+            [
+              ("avg", Aggregate.avg v "a");
+              ("sum", Aggregate.sum v "a");
+              ("min", Aggregate.min_ v "a");
+              ("max", Aggregate.max_ v "a");
+              ("first", Aggregate.first v "a");
+            ]
+          @ [ ("count " ^ label, Aggregate.count v "a", rows, "0") ])
+        [ ("[]", single Value.Tint []); ("[NULL; NULL]", single Value.Tint [ Value.Null; Value.Null ]) ]
+  in
+  let one_base = Relation.of_list (Helpers.schema [ ("B", "b", Value.Tint) ]) [ [| i 1 |] ] in
+  List.iter
+    (fun (name, spec, rel, expected) ->
+      let last r =
+        let row = (Relation.rows r).(0) in
+        Value.to_string row.(Array.length row - 1)
+      in
+      Alcotest.(check string)
+        (name ^ ", GROUP BY ()")
+        expected
+        (last (Ops.group_by ~keys:[] ~aggs:[ spec ] (Chunk.Source.of_relation rel)));
+      Alcotest.(check string) (name ^ ", GMDJ") expected
+        (last (Helpers.gmdj ~base:one_base ~detail:rel [ Gmdj.block [ spec ] (Expr.bool true) ])))
+    cases
+
 let () =
   Alcotest.run "exec"
     [
@@ -653,5 +854,11 @@ let () =
           Alcotest.test_case "spill composes with domains" `Quick test_spill_with_domains;
           Alcotest.test_case "nested shapes = oracle in every mode" `Quick
             test_nested_modes_agree_with_oracle;
+        ] );
+      ( "group-by",
+        [
+          Helpers.qtest ~count:150 "GROUP BY = list-fold oracle in every mode" gb_gen
+            group_by_oracle_prop;
+          Alcotest.test_case "edge values render as before" `Quick test_aggregate_representation;
         ] );
     ]

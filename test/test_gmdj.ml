@@ -412,15 +412,34 @@ let test_maintain_minmax_rules () =
       [ [| Value.Int 1 |]; [| Value.Int 2 |] ]
   in
   let theta = Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k") in
-  let blocks = [ Gmdj.block [ Aggregate.max_ (attr ~rel:"R" "k") "m" ] theta ] in
-  let view = Gmdj.Maintain.create ~base ~detail blocks in
-  (* Insertions are fine for MIN/MAX... *)
-  Gmdj.Maintain.insert_detail view detail;
-  (* ...but deletions must be rejected. *)
-  (match Gmdj.Maintain.delete_detail view detail with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "MIN/MAX deletion must be rejected");
+  let y = attr ~rel:"R" "k" in
+  List.iter
+    (fun (name, spec) ->
+      (* A retractable aggregate beside the refused one: the refusal
+         must come before either is touched. *)
+      let blocks = [ Gmdj.block [ Aggregate.count_star "cnt"; spec ] theta ] in
+      let view = Gmdj.Maintain.create ~base ~detail blocks in
+      (* Insertions are fine... *)
+      Gmdj.Maintain.insert_detail view detail;
+      let before = Gmdj.Maintain.result view and generation = Gmdj.Maintain.generation () in
+      (* ...but deletions must be rejected, leaving the view as it was. *)
+      (match Gmdj.Maintain.delete_detail view detail with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s deletion must be rejected" name);
+      Alcotest.(check bool)
+        (name ^ ": refused delete leaves the view")
+        true
+        (Helpers.equal_as_list before (Gmdj.Maintain.result view));
+      Alcotest.(check int)
+        (name ^ ": refused delete bumps no generation")
+        generation (Gmdj.Maintain.generation ()))
+    [
+      ("MAX", Aggregate.max_ y "m");
+      ("MIN", Aggregate.min_ y "m");
+      ("FIRST", Aggregate.first y "m");
+    ];
   (* And a schema mismatch is caught. *)
+  let view = Gmdj.Maintain.create ~base ~detail [ Gmdj.block [ Aggregate.count_star "c" ] theta ] in
   let wrong =
     Relation.of_list
       (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint; Schema.attr ~rel:"R" "z" Value.Tint ])

@@ -301,6 +301,10 @@ let tail_cases =
       "SELECT o.k, COUNT(*) AS n, SUM(o.x) AS s FROM O o WHERE " ^ exists_ik ^ " GROUP BY o.k"
     );
     ("having", Unordered, "SELECT o.k, COUNT(*) AS n FROM O o GROUP BY o.k HAVING COUNT(*) > 1");
+    ( "every aggregate kind",
+      Unordered,
+      "SELECT o.k, COUNT(*) AS n, COUNT(o.x) AS c, SUM(o.x) AS s, MIN(o.x) AS lo, MAX(o.x) AS hi, \
+       AVG(o.x) AS a, FIRST(o.x) AS f FROM O o GROUP BY o.k" );
     ( "global aggregate over empty input",
       Unordered,
       "SELECT COUNT(*) AS n, SUM(o.x) AS s FROM O o WHERE " ^ exists_ik ^ " AND NOT " ^ exists_ik
