@@ -7,6 +7,7 @@ type maintainable = {
   detail_plan : Algebra.t;
   detail_table : string;
   blocks : Subql_gmdj.Gmdj.block list;
+  completion : Subql_gmdj.Gmdj.completion option;
   delta_pipeline : Chunk.Source.t -> Chunk.Source.t;
 }
 
@@ -25,13 +26,14 @@ let plan_tables plan =
   walk plan;
   List.sort String.compare !tbls
 
-(* Every MD node, completed or not, with its plan path. *)
+(* Every MD node, completed or not, with its plan path and fields. *)
 let md_nodes plan =
   let nodes = ref [] in
   let rec walk rev_path p =
     let rev_path = Algebra.node_label p :: rev_path in
     (match p with
-    | Algebra.Md _ -> nodes := (List.rev rev_path, p) :: !nodes
+    | Algebra.Md { base; detail; blocks; completion } ->
+      nodes := (List.rev rev_path, p, (base, detail, blocks, completion)) :: !nodes
     | _ -> ());
     List.iter (walk rev_path) (Algebra.children p)
   in
@@ -94,24 +96,15 @@ let analyze plan =
           "plan has no GMDJ node: nothing to maintain incrementally, appends force a \
            recompute";
       ]
-  | _ :: _ :: _ as nodes ->
+  | (path, _, _) :: _ :: _ as nodes ->
     not_maintainable
       [
-        Diag.makef
-          ~path:(fst (List.hd nodes))
-          Diag.Info ~code:"ING001"
+        Diag.makef ~path Diag.Info ~code:"ING001"
           "plan holds %d GMDJ nodes: maintaining one in place would stale the others, \
            appends force a recompute"
           (List.length nodes);
       ]
-  | [ (path, Algebra.Md { completion = Some _; _ }) ] ->
-    not_maintainable
-      [
-        Diag.make ~path Diag.Info ~code:"ING002"
-          "completion prunes base rows during the scan: pruned accumulators cannot \
-           absorb later deltas, so the completed form is not suffix-foldable";
-      ]
-  | [ (path, (Algebra.Md { base; detail; blocks; completion = None } as md_node)) ] -> (
+  | [ (path, md_node, (base, detail, blocks, completion)) ] -> (
     match detail_chain ~path:(path @ [ "detail" ]) detail with
     | Error d -> not_maintainable [ d ]
     | Ok (detail_table, delta_pipeline) ->
@@ -127,8 +120,8 @@ let analyze plan =
       else
         {
           maintainable =
-            Some { md_node; base_plan = base; detail_plan = detail; detail_table; blocks;
-                   delta_pipeline };
+            Some
+              { md_node; base_plan = base; detail_plan = detail; detail_table; blocks;
+                completion; delta_pipeline };
           diags = [];
         })
-  | [ (_, _) ] -> assert false

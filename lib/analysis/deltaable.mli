@@ -1,7 +1,8 @@
 (** Delta-maintainability effect analysis (the [ING00x] namespace).
 
-    Decides statically whether a plan's GMDJ can absorb appended detail
-    rows by folding them into its live accumulator matrix — the
+    Decides statically whether a plan's GMDJ, plain or completed, can
+    absorb appended detail rows by folding them into its live fold
+    state (aggregate slots and completion verdicts) — the
     incremental-maintenance property [Subql_ingest.Maintenance] relies
     on — and when it can, compiles the proof into a runnable
     {!maintainable.delta_pipeline}: the detail side's row-local operator
@@ -16,8 +17,6 @@
 
     - [ING001] (info): no GMDJ, several GMDJs, or the detail table also
       feeds the base side — an append does not reduce to a suffix fold;
-    - [ING002] (info): the GMDJ is in completed form — completion prunes
-      accumulators mid-scan, so the pruned state cannot absorb deltas;
     - [ING003] (info): the detail side contains a position-dependent or
       stateful operator ([Add_rownum], DISTINCT, joins, nested GMDJs) —
       its output on [prefix ++ delta] is not
@@ -34,6 +33,9 @@ type maintainable = {
   detail_plan : Subql.Algebra.t;
   detail_table : string;  (** the single base table feeding the detail side *)
   blocks : Subql_gmdj.Gmdj.block list;
+  completion : Subql_gmdj.Gmdj.completion option;
+      (** the node's completion: a completed GMDJ is maintained with its
+          kill/require verdicts, which appends only ever move one way *)
   delta_pipeline : Chunk.Source.t -> Chunk.Source.t;
       (** The detail chain as a stream transformer: feed it a source of
           raw appended [detail_table] rows and it yields the rows the
@@ -51,6 +53,3 @@ val analyze : Subql.Algebra.t -> verdict
 
 val plan_tables : Subql.Algebra.t -> string list
 (** Every base table scanned by the plan, sorted, deduplicated. *)
-
-val md_nodes : Subql.Algebra.t -> (string list * Subql.Algebra.t) list
-(** Every [Md] node, completed or not, with its plan path, preorder. *)

@@ -121,17 +121,6 @@ let agg_nulls ~nonempty_groups frames (spec : Aggregate.spec) =
 
 (* --- The plan walk ---------------------------------------------------- *)
 
-let guard ~path f =
-  try f () with
-  | Catalog.Unknown_table t ->
-    Error (Diag.error ~path ~subject:t ~code:"SCH004" ("unknown table " ^ t))
-  | Schema.Unknown_attribute a ->
-    Error (Diag.error ~path ~subject:a ~code:"SCH001" ("unknown attribute " ^ a))
-  | Schema.Ambiguous_attribute a ->
-    Error (Diag.error ~path ~subject:a ~code:"SCH002" ("ambiguous attribute " ^ a))
-  | Invalid_argument m -> Error (Diag.error ~path ~code:"SCH003" m)
-  | Value.Type_error m -> Error (Diag.error ~path ~code:"TYP002" m)
-
 let total_aggs blocks =
   List.fold_left (fun n b -> n + List.length b.Gmdj.aggs) 0 blocks
 
@@ -210,14 +199,14 @@ let infer env alg =
     in
     match (alg : Algebra.t) with
     | Table name ->
-      let* s = guard ~path (fun () -> Ok (env.lookup name)) in
+      let* s = Algebra.guard ~path (fun () -> Ok (env.lookup name)) in
       Ok { fs = s; fn = env.table_nulls name }
     | Rename (alias, x) ->
       let* f = sub "" x in
       Ok { f with fs = Schema.rename_rel alias f.fs }
     | Sort { by; input; _ } ->
       let* f = sub "" input in
-      guard ~path (fun () ->
+      Algebra.guard ~path (fun () ->
           List.iter (fun ((rel, name), _) -> ignore (Schema.find f.fs ?rel name)) by;
           Ok f)
     | Select (pred, x) ->
@@ -242,7 +231,7 @@ let infer env alg =
             Ok (Schema.attr name ty :: acc))
           (Ok []) exprs
       in
-      let* s = guard ~path (fun () -> Ok (Schema.of_list (List.rev attrs))) in
+      let* s = Algebra.guard ~path (fun () -> Ok (Schema.of_list (List.rev attrs))) in
       Ok
         {
           fs = s;
@@ -253,7 +242,7 @@ let infer env alg =
     | Project_cols { cols; input; _ } ->
       let* f = sub "" input in
       let* idxs =
-        guard ~path (fun () ->
+        Algebra.guard ~path (fun () ->
             Ok
               (Array.of_list
                  (List.map (fun (rel, name) -> Schema.find f.fs ?rel name) cols)))
@@ -270,7 +259,7 @@ let infer env alg =
         (fun i a -> if List.mem a.Schema.rel aliases then keep := i :: !keep)
         f.fs;
       let idxs = Array.of_list (List.rev !keep) in
-      let* s = guard ~path (fun () -> Ok (Schema.project f.fs idxs)) in
+      let* s = Algebra.guard ~path (fun () -> Ok (Schema.project f.fs idxs)) in
       Ok { fs = s; fn = Array.map (fun i -> f.fn.(i)) idxs }
     | Add_rownum (name, x) ->
       let* f = sub "" x in
@@ -315,7 +304,7 @@ let infer env alg =
     | Group_by { keys; aggs; input } ->
       let* f = sub "" input in
       check_agg_args ~path [| f.fs |] aggs;
-      let* idxs, s = guard ~path (fun () -> Ok (Ops.group_schema ?keys ~aggs f.fs)) in
+      let* idxs, s = Algebra.guard ~path (fun () -> Ok (Ops.group_schema ?keys ~aggs f.fs)) in
       let key_nulls = Array.map (fun i -> f.fn.(i)) idxs in
       let frames = [| (f.fs, f.fn) |] in
       (* Every group holds a row, except the global aggregate's: it has a
@@ -336,7 +325,7 @@ let infer env alg =
           check_agg_args ~path theta_frames b.Gmdj.aggs)
         blocks;
       let* s =
-        guard ~path (fun () ->
+        Algebra.guard ~path (fun () ->
             Ok (Gmdj.output_schema ~base:bf.fs ~detail:df.fs blocks))
       in
       (* the certified fact: GMDJ count columns are never NULL (empty

@@ -79,6 +79,12 @@ val schema_diag : lookup:(string -> Schema.t) -> t -> (Schema.t, Diag.t) result
     analyzer builds on.  [schema_of] is this plus re-raising the legacy
     exception. *)
 
+val guard : path:string list -> (unit -> ('a, Diag.t) result) -> ('a, Diag.t) result
+(** Run a node-local schema operation, turning the exceptions it may
+    raise into a diagnostic at [path]: unknown table [SCH004], unknown
+    attribute [SCH001], ambiguous attribute [SCH002], [Invalid_argument]
+    [SCH003], [Value.Type_error] [TYP002]. *)
+
 val node_label : t -> string
 (** The operator name used in diagnostic plan paths ("Select", "Md", …). *)
 

@@ -607,9 +607,13 @@ module Maintain = struct
      counts over the materialization and every delta since. *)
   type t = { st : state; detail_schema : Schema.t; irretractable : Aggregate.spec option }
 
-  let create ?(strategy = `Hash) ~base ~detail blocks =
+  (* A completion's verdicts are monotone under appends — a killed tuple
+     stays killed, a fired predicate stays fired, and once saturated no
+     row can change the answer — so inserts fold into the completed
+     state exactly as {!eval} would over the whole detail. *)
+  let create ?(strategy = `Hash) ?completion ~base ~detail blocks =
     let detail_schema = Relation.schema detail in
-    let st = start ~strategy ~theta:false ~base ~detail_schema blocks in
+    let st = start ~strategy ~theta:false ?completion ~base ~detail_schema blocks in
     feed st (Chunk.whole detail);
     let retractable s = Aggregate.retractable s.Aggregate.func in
     let irretractable =
@@ -639,6 +643,10 @@ module Maintain = struct
 
   let delete_detail t delta =
     check_delta t (Relation.schema delta);
+    if Option.is_some t.st.verdicts then
+      invalid_arg
+        "Gmdj.Maintain: a completed view cannot be maintained under deletions (a retract \
+         could revive a killed tuple)";
     Option.iter
       (fun s ->
         invalid_arg

@@ -156,7 +156,13 @@ val eval :
     empties).  A view holding an aggregate that is not
     {!Subql_relational.Aggregate.retractable} — MIN, MAX or FIRST —
     rejects deletions before touching any state, naming that
-    aggregate. *)
+    aggregate.
+
+    A view may be {e completed} (Section 4.2): under appends its
+    kill/require verdicts only move one way, so inserts fold into the
+    live verdict state, and once it has saturated they change nothing.
+    A completed view rejects deletions the same way, since a retract
+    could revive a killed tuple. *)
 module Maintain : sig
   type t
 
@@ -168,9 +174,15 @@ module Maintain : sig
       their invalidation epoch alongside {!Subql_relational.Catalog.generation}. *)
 
   val create :
-    ?strategy:strategy -> base:Relation.t -> detail:Relation.t -> block list -> t
-  (** Materialize [MD(base, detail, blocks)] with maintainable state:
-      the fold state {!eval} runs on, kept live. *)
+    ?strategy:strategy ->
+    ?completion:completion ->
+    base:Relation.t ->
+    detail:Relation.t ->
+    block list ->
+    t
+  (** Materialize [MD(base, detail, blocks)], completed by [completion]
+      as in {!eval}, with maintainable state: the fold state {!eval}
+      runs on, kept live. *)
 
   val insert_detail : t -> Relation.t -> unit
   (** Fold a batch of new detail rows into the view.
@@ -178,8 +190,9 @@ module Maintain : sig
 
   val delete_detail : t -> Relation.t -> unit
   (** Retract a batch of detail rows.
-      @raise Invalid_argument for views with a MIN, MAX or FIRST
-      aggregate; the view and {!generation} are left unchanged. *)
+      @raise Invalid_argument for completed views and views with a MIN,
+      MAX or FIRST aggregate; the view and {!generation} are left
+      unchanged. *)
 
   val insert_chunk : t -> Chunk.t -> unit
   (** {!insert_detail} for one chunk of detail rows — the streaming

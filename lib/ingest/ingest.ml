@@ -57,8 +57,6 @@ let dirty t = t.dirty
 
 let maintenance t = t.maint
 
-let register t ~fingerprint plan = Maintenance.register t.maint ~fingerprint plan
-
 let register_query t q = Maintenance.register_query t.maint q
 
 let attach t name =

@@ -57,10 +57,9 @@ val create :
 
 val policy : t -> policy
 
-val register : t -> fingerprint:string -> Subql.Algebra.t -> bool
-(** Track a plan for maintenance; see {!Maintenance.register}. *)
-
 val register_query : t -> Subql_nested.Nested_ast.query -> bool
+(** Track a query's served plan for maintenance; see
+    {!Maintenance.register_query}. *)
 
 val maintenance : t -> Maintenance.t
 

@@ -3,10 +3,12 @@ open Subql_gmdj
 open Subql_mqo
 open Subql_analysis
 
-(* Delta-maintainability is decided by the static effect analysis
-   [Subql_analysis.Deltaable]: a plan qualifies when its single GMDJ's
-   detail side is a row-local operator chain over one base table the
-   base side does not read.  The analysis also compiles the proof into
+(* Each view is the plan the result cache serves under its fingerprint
+   ([Batch.solo_plan]).  Delta-maintainability is decided by the static
+   effect analysis [Subql_analysis.Deltaable]: a plan qualifies when its
+   single GMDJ, plain or completed, has a detail side that is a
+   row-local operator chain over one base table the base side does not
+   read.  The analysis also compiles the proof into
    a runnable [delta_pipeline] — the detail chain as a stream
    transformer — which is what [sync] feeds each append suffix through.
    The refused plans keep their ING diagnostics, so a caller can see
@@ -69,9 +71,14 @@ let create ?(config = Subql.Eval.default_config) ?(delta_row_cost = 4.)
 
 let snapshot_epochs (t : t) deps = List.map (fun d -> (d, Catalog.epoch t.catalog d)) deps
 
-let register (t : t) ~fingerprint plan =
+let register_query (t : t) q =
+  let e = Batch.prepare q in
+  let fingerprint = Batch.fingerprint e in
   if Hashtbl.mem t.views fingerprint then false
   else begin
+    (* The plan the batch layer caches and serves, completion included:
+       repairs land on exactly the answer the cache holds. *)
+    let plan = Batch.solo_plan e in
     let deps = Deltaable.plan_tables plan in
     let verdict = Deltaable.analyze plan in
     Hashtbl.replace t.views fingerprint
@@ -87,24 +94,6 @@ let register (t : t) ~fingerprint plan =
       };
     true
   end
-
-let register_query t q =
-  let e = Batch.prepare q in
-  (* Register the completion-free optimized plan: completion fuses the
-     enclosing selection into the MD node (its [completion]), which prunes
-     base rows during the scan — pruned accumulators cannot absorb later
-     deltas ([ING002]).  Without the completion rewrite the plan keeps a
-     plain [Md] under the selection: same answer, delta-maintainable.
-     The fingerprint is still the batch layer's, so repairs land on the
-     entry the cache serves. *)
-  let plan =
-    Subql.Optimize.optimize
-      ~flags:(Subql.Optimize.only ~coalesce:true ~pushdown:true ~completion:false ())
-      (Subql.Transform.to_algebra q)
-  in
-  register t ~fingerprint:(Batch.fingerprint e) plan
-
-let registered (t : t) = Hashtbl.length t.views
 
 let is_maintainable (t : t) ~fingerprint =
   match Hashtbl.find_opt t.views fingerprint with
@@ -136,8 +125,8 @@ let rebuild (t : t) v (m : Deltaable.maintainable) =
   let base = Subql.Eval.eval ~config:t.config t.catalog m.Deltaable.base_plan in
   let detail = Subql.Eval.eval ~config:t.config t.catalog m.Deltaable.detail_plan in
   let state =
-    Gmdj.Maintain.create ~strategy:t.config.Subql.Eval.gmdj_strategy ~base ~detail
-      m.Deltaable.blocks
+    Gmdj.Maintain.create ~strategy:t.config.Subql.Eval.gmdj_strategy
+      ?completion:m.Deltaable.completion ~base ~detail m.Deltaable.blocks
   in
   v.state <- Some state;
   (* The offset is counted in {e raw} table rows, not pipeline output
@@ -167,7 +156,7 @@ let stats (t : t) =
     t.stats_cache <- Some (s, total);
     s
 
-let decide_delta (t : t) ~stats v (m : Deltaable.maintainable) ~delta_n =
+let decide_delta (t : t) ~stats (m : Deltaable.maintainable) ~delta_n =
   (* Price the delta fold against recomputing just the MD node; the
      operators around it run in either path. *)
   let n_blocks = float_of_int (List.length m.Deltaable.blocks) in
@@ -175,7 +164,6 @@ let decide_delta (t : t) ~stats v (m : Deltaable.maintainable) ~delta_n =
   let cost_full =
     (Subql.Cost.estimate stats ~config:t.config m.Deltaable.md_node).Subql.Cost.cost
   in
-  ignore v;
   cost_delta < cost_full
 
 let sync (t : t) ~rows ~delta =
@@ -216,7 +204,7 @@ let sync (t : t) ~rows ~delta =
               match rows m.Deltaable.detail_table with
               | Some total when total >= v.maintained_rows ->
                 let delta_n = total - v.maintained_rows in
-                if not (decide_delta t ~stats:(Lazy.force stats) v m ~delta_n) then None
+                if not (decide_delta t ~stats:(Lazy.force stats) m ~delta_n) then None
                 else
                   Option.map
                     (fun src ->

@@ -1,6 +1,7 @@
 (** Incremental maintenance planning for cached GMDJ results.
 
-    The planner tracks registered query plans (one per fingerprint) and,
+    The planner tracks registered query plans (one per fingerprint: the
+    plan the result cache serves under it) and,
     when ingest bumps table epochs ({!Subql_relational.Catalog.epoch}),
     brings each plan's cached result back to the current epoch by the
     cheapest applicable route:
@@ -11,8 +12,9 @@
       GMDJ detail table: the appended rows are streamed (never
       materialized) through the view's
       {!Subql_analysis.Deltaable.maintainable.delta_pipeline} — the
-      detail side's row-local operator chain — into live accumulators
-      via {!Subql_gmdj.Gmdj.Maintain.insert_source}, and the plan
+      detail side's row-local operator chain — into the live fold state
+      (accumulators and, for a completed GMDJ, its kill/require
+      verdicts) via {!Subql_gmdj.Gmdj.Maintain.insert_source}, and the plan
       re-answered by splicing the maintained MD result in via
       [Eval.eval ~override];
     - {b full recompute} — everything else, with the rebuilt accumulator
@@ -51,20 +53,16 @@ val create :
 (** [delta_row_cost] (default [4.]) prices one delta row folded through
     one block, in the cost model's tuple-operation units. *)
 
-val register : t -> fingerprint:string -> Subql.Algebra.t -> bool
-(** Track a plan under its fingerprint; [false] if already tracked.
+val register_query : t -> Subql_nested.Nested_ast.query -> bool
+(** Track the query's [Batch.solo_plan] — the plan the cache serves —
+    under its [Batch.fingerprint]; [false] if already tracked.
     Dependencies are snapshotted at the current epochs, so a plan
     registered after an append is not spuriously recomputed. *)
 
-val register_query : t -> Subql_nested.Nested_ast.query -> bool
-(** {!register} via [Batch.prepare] (fingerprint + optimized solo plan). *)
-
-val registered : t -> int
-
 val is_maintainable : t -> fingerprint:string -> bool
 (** Whether {!Subql_analysis.Deltaable.analyze} certified the plan for
-    delta maintenance: exactly one MD node, plain [Md] (no completion),
-    and a detail side that is a row-local operator chain
+    delta maintenance: exactly one MD node, plain or completed, and a
+    detail side that is a row-local operator chain
     ([Rename]/[Select]/[Project]/non-distinct
     [Project_cols]/[Project_rel]) over one base table the base side
     does not read. *)

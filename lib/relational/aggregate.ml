@@ -91,18 +91,17 @@ let compile frames (spec : spec) =
 
 (* One column of state per aggregate: [counts.(s)] is the rows seen
    (COUNT( * )) or non-NULL values seen (every other kind) by slot [s];
-   [values.(s)] is its running sum / min / max / first value, or AVG's
-   running float sum.  COUNT and COUNT( * ) keep no values. *)
-type column = { c : compiled; mutable counts : int array; mutable values : Value.t array }
+   [values.(s)] is its running sum / min / max / first value, and AVG
+   keeps its running sum unboxed in [sums.(s)] instead.  COUNT and
+   COUNT( * ) keep neither. *)
+type column = {
+  c : compiled;
+  mutable counts : int array;
+  mutable values : Value.t array;
+  mutable sums : float array;
+}
 
 type states = { cols : column array; mutable slots : int; mutable capacity : int }
-
-(* AVG's sum starts at [0.0] and adds every value to it, so an AVG over
-   [-0.] is [0.]; the other kinds start empty. *)
-let identity = function
-  | Avg _ -> Some (Value.Float 0.0)
-  | Sum _ | Min _ | Max _ | First _ -> Some Value.Null
-  | Count_star | Count _ -> None
 
 let sized capacity col =
   let fit a fill =
@@ -111,12 +110,18 @@ let sized capacity col =
     b
   in
   col.counts <- fit col.counts 0;
-  Option.iter (fun v -> col.values <- fit col.values v) (identity col.c.func);
+  (* AVG's sum starts at [0.0] and adds every value to it, so an AVG over
+     [-0.] is [0.]; the other kinds start empty. *)
+  (match col.c.func with
+  | Avg _ -> col.sums <- fit col.sums 0.0
+  | Sum _ | Min _ | Max _ | First _ -> col.values <- fit col.values Value.Null
+  | Count_star | Count _ -> ());
   col
 
 let states compiled ~slots =
   {
-    cols = Array.map (fun c -> sized slots { c; counts = [||]; values = [||] }) compiled;
+    cols =
+      Array.map (fun c -> sized slots { c; counts = [||]; values = [||]; sums = [||] }) compiled;
     slots;
     capacity = slots;
   }
@@ -137,8 +142,8 @@ let to_float = function
   | v -> Value.type_error "avg over non-numeric value %s" (Value.to_string v)
 
 (* Fold one non-NULL value [v] into slot [s] of [col], [n] values in —
-   or, merging, another partition's running value, which for AVG is its
-   float sum. *)
+   or, merging, another partition's running value (not for AVG, whose
+   sums [merge] adds directly). *)
 let fold_value col s n v =
   let values = col.values in
   match col.c.func with
@@ -146,7 +151,7 @@ let fold_value col s n v =
   | Sum _ -> values.(s) <- (if n = 0 then v else Value.add values.(s) v)
   | Min _ -> if n = 0 || Value.compare v values.(s) < 0 then values.(s) <- v
   | Max _ -> if n = 0 || Value.compare v values.(s) > 0 then values.(s) <- v
-  | Avg _ -> values.(s) <- Value.Float (to_float values.(s) +. to_float v)
+  | Avg _ -> col.sums.(s) <- col.sums.(s) +. to_float v
   | First _ -> if n = 0 then values.(s) <- v
 
 let step t s ctx =
@@ -177,7 +182,7 @@ let retract t s ctx =
       if not (Value.is_null v) then begin
         (match col.c.func with
         | Sum _ -> values.(s) <- Value.sub values.(s) v
-        | Avg _ -> values.(s) <- Value.Float (to_float values.(s) -. to_float v)
+        | Avg _ -> col.sums.(s) <- col.sums.(s) -. to_float v
         | Count_star | Count _ | Min _ | Max _ | First _ -> ());
         col.counts.(s) <- col.counts.(s) - 1
       end)
@@ -197,7 +202,10 @@ let merge ~into other =
         let m = src.counts.(s) in
         if m > 0 then begin
           let n = dst.counts.(s) in
-          if Array.length src.values > 0 then fold_value dst s n src.values.(s);
+          (match dst.c.func with
+          | Avg _ -> dst.sums.(s) <- dst.sums.(s) +. src.sums.(s)
+          | Sum _ | Min _ | Max _ | First _ -> fold_value dst s n src.values.(s)
+          | Count_star | Count _ -> ());
           dst.counts.(s) <- n + m
         end
       done)
@@ -212,5 +220,5 @@ let write t s out off =
         | Count_star | Count _ -> Value.Int n
         | _ when n = 0 -> Value.Null
         | Sum _ | Min _ | Max _ | First _ -> col.values.(s)
-        | Avg _ -> Value.Float (to_float col.values.(s) /. float_of_int n)))
+        | Avg _ -> Value.Float (col.sums.(s) /. float_of_int n)))
     t.cols

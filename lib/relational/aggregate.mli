@@ -65,9 +65,9 @@ val pp_spec : Format.formatter -> spec -> unit
 
     Layout: one column per aggregate, each an [int array] of counts
     over slots — rows seen for COUNT( * ), non-NULL values seen for
-    every other kind — plus, for every kind but COUNT and COUNT( * ), a
-    [Value.t array] of running values (AVG's running sum as a
-    [Value.Float], folded from [0.0]).  Per-kind rules: the first
+    every other kind — plus, for SUM, MIN, MAX and FIRST, a [Value.t
+    array] of running values, and for AVG an unboxed [float array] of
+    running sums, folded from [0.0].  Per-kind rules: the first
     non-NULL value seeds SUM; MIN and MAX replace only on a strict
     comparison; FIRST keeps the earliest value; an empty or all-NULL
     input gives NULL (COUNT gives 0). *)

@@ -126,28 +126,6 @@ let run_due server acc ~horizon =
 let note_depth server acc =
   acc.a_max_depth <- max acc.a_max_depth (Server.queue_depth server)
 
-let replay server events =
-  let events = List.sort (fun a b -> compare a.at b.at) events in
-  let acc = fresh_acc () in
-  let last_at = ref 0. in
-  List.iter
-    (fun ev ->
-      run_due server acc ~horizon:ev.at;
-      acc.a_offered <- acc.a_offered + 1;
-      last_at := max !last_at ev.at;
-      (match Server.submit server ~now:ev.at ~label:ev.label ev.query with
-      | Ok _ -> ()
-      | Error r -> (
-        match r.Admission.retry_after with
-        | Some _ -> acc.a_shed <- acc.a_shed + 1
-        | None -> acc.a_budget <- acc.a_budget + 1));
-      note_depth server acc;
-      (* A submit may have size-sealed the batch. *)
-      run_due server acc ~horizon:ev.at)
-    events;
-  List.iter (absorb acc) (Server.drain server ~now:(max !last_at acc.a_busy));
-  summarize acc
-
 (* --- mixed ingest + query replay ------------------------------------- *)
 
 type ingest_event = { at : float; label : string; apply : unit -> int }
@@ -203,6 +181,8 @@ let replay_mixed server events =
     ingest_rows = !rows;
     ingest_seconds = !isecs;
   }
+
+let replay server events = (replay_mixed server (List.map (fun e -> Query e) events)).queries
 
 (* --- closed loop ----------------------------------------------------- *)
 

@@ -42,7 +42,8 @@ val replay : Server.t -> event list -> summary
 (** Open-loop replay: submit each event at its virtual time, sealing
     batches whenever one comes due in between; queue-cap sheds are
     dropped (the load is imposed, nobody waits to retry).  Ends with a
-    {!Server.drain} so every admitted request completes. *)
+    {!Server.drain} so every admitted request completes.  The
+    query-only case of {!replay_mixed}. *)
 
 type ingest_event = {
   at : float;  (** virtual arrival time of the append batch *)

@@ -16,7 +16,7 @@ import json
 import sys
 
 
-def row(key, op, ref=None, msg="", each=None, match=None, when=None, skip=None):
+def row(key, op, ref=None, msg="", each=None, match=None, when=None, skip=None, where=None):
     """One gate.
 
     key    dotted path into the report (into each element, with [each]);
@@ -27,9 +27,12 @@ def row(key, op, ref=None, msg="", each=None, match=None, when=None, skip=None):
     each   dotted path of a list: the row applies to every element;
     match  fields identifying an element in the baseline's list
            (elements without a baseline counterpart are skipped);
-    when   (key, op, const) precondition; if it fails, [skip] is printed.
+    when   (key, op, const) precondition; if it fails, [skip] is printed;
+    where  predicate on the elements of a list value: only those it holds
+           for are compared (e.g. counted by len>=).
     """
-    return dict(key=key, op=op, ref=ref, msg=msg, each=each, match=match, when=when, skip=skip)
+    return dict(key=key, op=op, ref=ref, msg=msg, each=each, match=match, when=when, skip=skip,
+                where=where)
 
 
 def const(v):
@@ -42,6 +45,11 @@ def base(scale=1.0, slack=0.0):
 
 def key(path, scale=1.0):
     return ("key", path, scale)
+
+
+def maintainable(report):
+    """An analyzer report whose plan carries no ING (delta-maintainability) code."""
+    return not any(d["code"].startswith("ING") for d in report["analysis"])
 
 
 GATES = {
@@ -62,6 +70,9 @@ GATES = {
         baseline=False,
         rows=[
             row("", "len>=", const(20), "expected a certificate per zoo template, got {count}"),
+            row("", "len>=", const(18),
+                "only {count} templates are delta-maintainable on their served plan (no ING "
+                "code), expected every single-GMDJ template: at least 18", where=maintainable),
             row("certified_errors", "==", const(0), "template {item[label]!r} fails certification",
                 each=""),
             row("certificate", "truthy", msg="template {item[label]!r} has no certificate",
@@ -71,8 +82,10 @@ GATES = {
                 each=""),
         ],
         summary=lambda f, b: (
-            "analyze --certify: %d templates, all certified with finite bounds (max %.0f rows)"
-            % (len(f), max(c["certificate"]["bound"] for c in f))
+            "analyze --certify: %d templates, all certified with finite bounds (max %.0f rows), "
+            "%d delta-maintainable"
+            % (len(f), max(c["certificate"]["bound"] for c in f),
+               len([c for c in f if maintainable(c)]))
         ),
     ),
     "mqo": dict(
@@ -244,6 +257,8 @@ def fail(message):
 
 def check_row(r, fresh, baseline, item, base_item):
     value = get(item, r["key"])
+    if r["where"]:
+        value = [x for x in value if r["where"](x)]
     base_value = limit = None
     kind = r["ref"][0] if r["ref"] else None
     if kind == "const":

@@ -380,8 +380,13 @@ let test_deltaable () =
     (has "ING003" (D.analyze rownum_detail).D.diags);
   let completed = Subql.Optimize.optimize (Subql.Transform.to_algebra
     (N.query ~base:(N.table "O") ~alias:"o" (N.exists (N.table "I") "i"))) in
-  Alcotest.(check bool) "completed form -> ING002" true
-    (has "ING002" (D.analyze completed).D.diags)
+  (* the completed form is maintained with its completion *)
+  let v = D.analyze completed in
+  Alcotest.(check bool) "completed form maintainable" true (v.D.diags = []);
+  Alcotest.(check bool) "carries its completion" true
+    (match v.D.maintainable with
+    | Some { D.md_node = A.Md { completion = Some c; _ }; completion = Some c'; _ } -> c == c'
+    | _ -> false)
 
 (* --- Interval certificates -------------------------------------------- *)
 

@@ -570,6 +570,24 @@ let maintain_block_sets =
     ];
   ]
 
+(* Completions (Section 4.2) over the same detail: a base tuple is
+   killed by a detail row at or above its key with a large [y], and
+   requires one with a small [y] — so a tuple can fire first and be
+   killed by a later append. *)
+let at_or_above_with f = Expr.and_ (Expr.cmp Expr.Le (attr ~rel:"B" "k") (attr ~rel:"R" "k")) f
+
+let kill_pred = at_or_above_with (Expr.cmp Expr.Gt (attr ~rel:"R" "y") (Expr.int 80))
+
+let require_pred = at_or_above_with (Expr.cmp Expr.Lt (attr ~rel:"R" "y") (Expr.int 30))
+
+(* [shape]: 0 kill only, 1 require only, 2 both. *)
+let maintain_completion (shape, maintain_aggregates) =
+  {
+    Gmdj.kill_when = (if shape = 1 then [] else [ kill_pred ]);
+    require_fired = (if shape = 0 then [] else [ require_pred ]);
+    maintain_aggregates;
+  }
+
 let gen_maintain_case =
   let row2 = G.list_repeat 2 Helpers.Gen.value_with_nulls in
   let* brows = G.list_size (G.int_range 0 8) (G.list_repeat 1 Helpers.Gen.value_with_nulls) in
@@ -578,16 +596,20 @@ let gen_maintain_case =
     G.list_size (G.int_range 1 5) (G.pair G.bool (G.list_size (G.int_range 0 8) row2))
   in
   let* bi = G.int_range 0 (List.length maintain_block_sets - 1) in
-  G.return (brows, drows, batches, bi)
+  let* completion = G.opt (G.pair (G.int_range 0 2) G.bool) in
+  G.return (brows, drows, batches, bi, completion)
 
 (* After every append — folded either as a relation or streamed in small
-   chunks — the maintained view must equal re-evaluating the GMDJ from
-   scratch over the accumulated detail. *)
-let maintain_matches_recompute (brows, drows, batches, bi) =
+   chunks — the maintained view, plain or completed, must equal
+   re-evaluating the GMDJ from scratch over the accumulated detail. *)
+let maintain_matches_recompute (brows, drows, batches, bi, completion) =
   let blocks = List.nth maintain_block_sets bi in
+  let completion = Option.map maintain_completion completion in
   let mk schema rows = Relation.of_list schema (List.map Array.of_list rows) in
   let base = mk base_schema brows in
-  let state = Gmdj.Maintain.create ~base ~detail:(mk detail_schema drows) blocks in
+  let state =
+    Gmdj.Maintain.create ?completion ~base ~detail:(mk detail_schema drows) blocks
+  in
   let all = ref drows in
   List.for_all
     (fun (via_chunks, batch) ->
@@ -597,11 +619,11 @@ let maintain_matches_recompute (brows, drows, batches, bi) =
            (Gmdj.Maintain.insert_source state (Chunk.Source.of_relation ~chunk_rows:3 delta))
        else Gmdj.Maintain.insert_detail state delta);
       all := !all @ batch;
-      let fresh = Helpers.gmdj ~base ~detail:(mk detail_schema !all) blocks in
+      let fresh = Helpers.gmdj ?completion ~base ~detail:(mk detail_schema !all) blocks in
       if Relation.equal_as_multiset fresh (Gmdj.Maintain.result state) then true
       else begin
-        Format.eprintf "@.maintained view drifted (blocks %d, %d appends)@." bi
-          (List.length batches);
+        Format.eprintf "@.maintained view drifted (blocks %d, completed %b, %d appends)@." bi
+          (Option.is_some completion) (List.length batches);
         false
       end)
     batches
@@ -625,11 +647,10 @@ let gen_append_case =
    and require the repaired cache entry to match the naive oracle on the
    grown catalog after every sync.  Which route the planner takes (delta
    fold, accumulator rebuild, or plain recompute for unmaintainable
-   plans — local detail predicates, multiple subqueries, completion
-   shapes) is its own business; the answer may not drift.  The entry
-   itself was admitted from the batch layer's {e completed} plan, so
-   agreement also pins the completion-free repair plan to the completion
-   variant it stands in for. *)
+   plans — nested or several GMDJs, detail tables that also feed the
+   base) is its own business; the answer may not drift.  Maintenance
+   keeps the very plan the batch layer admitted, completion included, so
+   a delta folded into its verdicts must match the oracle too. *)
 let maintained_cache_matches_oracle (query, db, batches) =
   let catalog = Query_zoo.mk_catalog db in
   let cache = Subql_mqo.Result_cache.create ~min_cost:0. () in

@@ -414,11 +414,11 @@ let test_maintain_minmax_rules () =
   let theta = Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k") in
   let y = attr ~rel:"R" "k" in
   List.iter
-    (fun (name, spec) ->
+    (fun (name, completion, spec) ->
       (* A retractable aggregate beside the refused one: the refusal
          must come before either is touched. *)
       let blocks = [ Gmdj.block [ Aggregate.count_star "cnt"; spec ] theta ] in
-      let view = Gmdj.Maintain.create ~base ~detail blocks in
+      let view = Gmdj.Maintain.create ?completion ~base ~detail blocks in
       (* Insertions are fine... *)
       Gmdj.Maintain.insert_detail view detail;
       let before = Gmdj.Maintain.result view and generation = Gmdj.Maintain.generation () in
@@ -434,9 +434,14 @@ let test_maintain_minmax_rules () =
         (name ^ ": refused delete bumps no generation")
         generation (Gmdj.Maintain.generation ()))
     [
-      ("MAX", Aggregate.max_ y "m");
-      ("MIN", Aggregate.min_ y "m");
-      ("FIRST", Aggregate.first y "m");
+      ("MAX", None, Aggregate.max_ y "m");
+      ("MIN", None, Aggregate.min_ y "m");
+      ("FIRST", None, Aggregate.first y "m");
+      (* Retractable aggregates, but a completed view: a retract could
+         revive a killed tuple. *)
+      ( "completed SUM",
+        Some { Gmdj.kill_when = []; require_fired = [ theta ]; maintain_aggregates = true },
+        Aggregate.sum y "m" );
     ];
   (* And a schema mismatch is caught. *)
   let view = Gmdj.Maintain.create ~base ~detail [ Gmdj.block [ Aggregate.count_star "c" ] theta ] in

@@ -196,12 +196,12 @@ let test_delta_decision_is_cost_based () =
 
 (* --- widened delta maintenance: row-local detail chains ---------------- *)
 
-(* The "exists" template carries the local predicate [i.y > 2], so its
-   registered plan filters the detail side: Select over I under the MD.
-   The old single-MD pattern match refused any non-bare detail and
-   recomputed on every append; the effect analysis proves the chain
-   row-local and delta-maintains it, replaying the filter on just the
-   appended suffix. *)
+(* The "exists" template carries the local predicate [i.y > 2].  Its
+   registered plan is the completed GMDJ the cache serves: the predicate
+   sits in the require condition, and the detail side is the chain
+   [Rename i (Table I)] rather than a bare table.  The effect analysis
+   proves the chain row-local and delta-maintains the view, replaying
+   the chain on just the appended suffix into the live verdicts. *)
 let test_widened_detail_chain () =
   let catalog = Zoo.catalog ~outer:16 ~inner:2_000 ~seed:5L () in
   let cache = Cache.create ~min_cost:0. () in
@@ -212,15 +212,15 @@ let test_widened_detail_chain () =
   let fp = fp_of q in
   ignore (Ingest.register_query ing q);
   let maint = Ingest.maintenance ing in
-  Alcotest.(check bool) "filtered detail chain is maintainable" true
+  Alcotest.(check bool) "renamed detail chain is maintainable" true
     (Maintenance.is_maintainable maint ~fingerprint:fp);
   Alcotest.(check (list string)) "no ING refusals" []
     (List.map
        (fun d -> d.Diag.code)
        (Maintenance.why_not_maintainable maint ~fingerprint:fp));
   ignore (Subql_mqo.Batch.run ~cache catalog [ q ]);
-  (* the first append rebuilds the accumulators; the second is a real
-     delta fold through the Select chain *)
+  (* the first append rebuilds the fold state; the second is a real
+     delta fold through the Rename chain *)
   ignore (Ingest.append ing ~table:"I" (Zoo.detail_rows ~seed:1L 25));
   let r = Option.get (Ingest.append ing ~table:"I" (Zoo.detail_rows ~seed:2L 25)) in
   Alcotest.(check int) "delta-maintained, not recomputed" 1
@@ -242,6 +242,96 @@ let test_widened_detail_chain () =
     (Maintenance.is_maintainable maint ~fingerprint:(fp_of nested));
   Alcotest.(check bool) "refusal explains itself" true
     (Maintenance.why_not_maintainable maint ~fingerprint:(fp_of nested) <> []);
+  Ingest.close ing
+
+(* --- the whole zoo, on the plans the cache serves ------------------------ *)
+
+(* Every zoo template registered and cached; then two appends to I and
+   one to J.  After each sync every cached entry must equal recompute and
+   the naive oracle.  The single-GMDJ templates — completed plans
+   included — are maintained on the very plan the cache serves, so the
+   second I append folds a delta into each one reading I; the nested
+   shapes keep ING001 and recompute. *)
+let test_zoo_maintained_on_served_plans () =
+  (* Keys sparse enough that some o.x values have no I row, so
+     two-subqueries-same-table answers tuples with a non-NULL x. *)
+  let key_range = 1024 in
+  let catalog = Zoo.catalog ~outer:64 ~inner:300 ~key_range ~seed:5L () in
+  let rows seed = Zoo.detail_rows ~seed ~key_range 20 in
+  let cache = Cache.create ~min_cost:0. () in
+  let ing = Ingest.create ~policy:Ingest.Maintain_on_write ~catalog ~cache () in
+  let maint = Ingest.maintenance ing in
+  let templates = List.map fst Zoo.queries in
+  List.iter (fun t -> ignore (Ingest.register_query ing (Zoo.find_query t))) templates;
+  let maintainable, refused =
+    List.partition
+      (fun t -> Maintenance.is_maintainable maint ~fingerprint:(fp_of (Zoo.find_query t)))
+      templates
+  in
+  Alcotest.(check int) "single-GMDJ templates maintainable" 18 (List.length maintainable);
+  List.iter
+    (fun t ->
+      Alcotest.(check (list string))
+        (t ^ " refused with ING001") [ "ING001" ]
+        (List.map
+           (fun d -> d.Diag.code)
+           (Maintenance.why_not_maintainable maint ~fingerprint:(fp_of (Zoo.find_query t)))))
+    refused;
+  (* Views (one per distinct fingerprint) maintained over table [d]. *)
+  let detail_views d =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun t ->
+           let e = Subql_mqo.Batch.prepare (Zoo.find_query t) in
+           match (Subql_analysis.Deltaable.analyze (Subql_mqo.Batch.solo_plan e)).maintainable with
+           | Some m when m.detail_table = d -> Some (Subql_mqo.Batch.fingerprint e)
+           | _ -> None)
+         templates)
+  in
+  ignore (Subql_mqo.Batch.run ~cache catalog (List.map Zoo.find_query templates));
+  let check_entries stage =
+    List.iter
+      (fun t ->
+        let q = Zoo.find_query t in
+        match Cache.lookup cache (fp_of q) with
+        | None -> Alcotest.failf "%s: %s entry not served" stage t
+        | Some rel ->
+          if not (Relation.equal_as_multiset (solo catalog q) rel) then
+            Alcotest.failf "%s: %s entry differs from recompute" stage t;
+          if not (Relation.equal_as_multiset (Subql_nested.Naive_eval.eval catalog q) rel) then
+            Alcotest.failf "%s: %s entry differs from the naive oracle" stage t)
+      templates
+  in
+  check_entries "warm";
+  ignore (Ingest.append ing ~table:"I" (rows 1L));
+  check_entries "first I append";
+  (* two-subqueries-same-table completes with require (an I row with
+     i.k = o.k, i.y > 2) and kill (an I row with i2.k = o.x).  Pick a
+     surviving tuple — its require has fired — and append its killer. *)
+  let kill_after_fire = Zoo.find_query "two-subqueries-same-table" in
+  let answer () = Relation.rows (Option.get (Cache.lookup cache (fp_of kill_after_fire))) in
+  let victim =
+    match
+      List.find_opt
+        (fun o -> Array.mem o (answer ()) && not (Value.is_null o.(1)))
+        (Array.to_list (Relation.rows (Catalog.find catalog "O")))
+    with
+    | Some o -> o
+    | None -> Alcotest.fail "two-subqueries-same-table answers no tuple with a non-NULL x"
+  in
+  let killer = [| victim.(1); Value.Int 0 |] in
+  let r =
+    Option.get
+      (Ingest.append ing ~table:"I" (Array.append (rows 2L) [| killer |]))
+  in
+  Alcotest.(check int) "second I append folds a delta into every view over I"
+    (List.length (detail_views "I")) r.Maintenance.delta_maintained;
+  Alcotest.(check bool) "the killed tuple left the answer" false (Array.mem victim (answer ()));
+  check_entries "second I append";
+  let r = Option.get (Ingest.append ing ~table:"J" (rows 3L)) in
+  Alcotest.(check int) "J append folds a delta into every view over J"
+    (List.length (detail_views "J")) r.Maintenance.delta_maintained;
+  check_entries "J append";
   Ingest.close ing
 
 (* --- metrics ----------------------------------------------------------- *)
@@ -285,6 +375,8 @@ let () =
             test_delta_decision_is_cost_based;
           Alcotest.test_case "row-local detail chains delta-maintain" `Quick
             test_widened_detail_chain;
+          Alcotest.test_case "zoo maintained on the plans the cache serves" `Quick
+            test_zoo_maintained_on_served_plans;
         ] );
       ( "policies",
         [
