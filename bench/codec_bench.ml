@@ -1,15 +1,18 @@
-(* The storage-codec benchmark: generic per-cell tag dispatch vs the
-   schema-compiled decode plan, measured as scan-decode throughput over
-   the zoo detail tables (I and J) resident in heap files; and a
-   column-pruned scan (the two columns the paper's Fig. 3 query reads)
-   vs the full specialized scan of a netflow-shaped Flow table.
+(* The storage-codec benchmark: the generic per-cell tag dispatch
+   ([Codec.decode_tuple], the oracle) vs the schema-compiled decode plan
+   ([Codec.decode_rows_plan], what every heap-file scan runs), measured
+   as decode throughput over the same encoded pages of the zoo detail
+   tables (I and J); and a column-pruned scan (the two columns the
+   paper's Fig. 3 query reads) vs the full scan of a netflow-shaped Flow
+   heap file.
 
-   The buffer pool is sized to hold every page, and a warmup scan
-   faults them all in, so the timed scans measure exactly the decode
-   path — the I/O and pool-lookup costs are identical in both modes.
-   Each mode's result relation is checked against the in-memory source
-   (and thereby against the other mode), so the speedup is only
-   reported for byte-equivalent decodes.
+   The codec comparison decodes page images read once from the heap
+   file, so the timed loops measure exactly the decode path.  Each
+   decoder's rows are checked against the in-memory source (and thereby
+   against the other decoder), so the speedup is only reported for
+   equivalent decodes.  The pruned comparison runs through a buffer
+   pool sized to hold every page, after a warmup scan faults them all
+   in.
 
    Writes BENCH_codec.json; scripts/check.sh gates the speedup against
    the 1.3x acceptance floor, the pruned speedup against 1.5x, and both
@@ -24,11 +27,6 @@ let trials = 9
 
 let repeats = 8
 
-let scan_rows hf pool =
-  let n = ref 0 in
-  Hf.scan hf ~pool (fun _ -> incr n);
-  !n
-
 (* Rows per second of two scans (each returns the rows it saw), timed
    in alternation: every trial times [repeats] runs of one side, then of
    the other, each after a full major collection, and each side keeps
@@ -36,7 +34,7 @@ let scan_rows hf pool =
    decode cost, and alternating exposes both sides to the same machine
    load. *)
 let rates scan_a scan_b =
-  let rows_a = scan_a () and rows_b = scan_b () (* warmup: faults every page in *) in
+  let rows_a = scan_a () and rows_b = scan_b () (* warmup; a pool scan faults every page in *) in
   let best_a = ref infinity and best_b = ref infinity in
   let time best scan =
     Gc.full_major ();
@@ -54,6 +52,25 @@ let rates scan_a scan_b =
   done;
   let per_sec rows best = float_of_int (rows * repeats) /. best in
   (per_sec rows_a !best_a, per_sec rows_b !best_b)
+
+(* The data pages [Hf.write] lays down for [rel], read back byte for
+   byte: each is a tuple count at offset 0 and the encoded tuples from
+   offset 2. *)
+let stored_pages rel =
+  let page_size = 8192 in
+  let path = Filename.temp_file "subql_codec" ".heap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let hf = Hf.write ~path ~page_size rel in
+      let n = Hf.pages hf in
+      Hf.close hf;
+      In_channel.with_open_bin path (fun ic ->
+          Array.init n (fun i ->
+              In_channel.seek ic (Int64.of_int ((i + 1) * page_size));
+              let page = Bytes.create page_size in
+              really_input ic page 0 page_size;
+              page)))
 
 (* A pool that holds every page, so timed scans measure decode only. *)
 let resident_pool hf = Subql_storage.Buffer_pool.create ~frames:(Hf.pages hf + 8)
@@ -107,36 +124,37 @@ let run (options : Figures.options) =
   let verified = ref true in
   let bench_table name =
     let rel = Catalog.find catalog name in
-    let path = Filename.temp_file "subql_codec" ".heap" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Hf.close (Hf.write ~path rel);
-        let schema = Relation.schema rel in
-        let open_as codec = Hf.openfile ~path ~codec ~schema () in
-        let hg = open_as Subql_storage.Codec.Generic in
-        let hs = open_as Subql_storage.Codec.Specialized in
-        let pg = resident_pool hg and ps = resident_pool hs in
-        let generic, specialized = rates (fun () -> scan_rows hg pg) (fun () -> scan_rows hs ps) in
-        let via_generic = Hf.to_relation hg ~pool:pg and via_plan = Hf.to_relation hs ~pool:ps in
-        Hf.close hg;
-        Hf.close hs;
-        if
-          not
-            (Relation.equal_as_multiset via_generic rel
-            && Relation.equal_as_multiset via_plan rel)
-        then verified := false;
-        let speedup = specialized /. generic in
-        Format.printf "  %-4s %8d rows  generic %10.0f rows/s  specialized %10.0f rows/s  %.2fx@."
-          name (Relation.cardinality rel) generic specialized speedup;
-        J.Obj
-          [
-            ("table", J.Str name);
-            ("rows", J.Int (Relation.cardinality rel));
-            ("generic_rows_per_sec", J.Float generic);
-            ("specialized_rows_per_sec", J.Float specialized);
-            ("speedup", J.Float speedup);
-          ])
+    let pages = stored_pages rel in
+    let arity = Schema.arity (Relation.schema rel) in
+    let plan = Subql_storage.Codec.plan_of_schema (Relation.schema rel) in
+    let generic page =
+      let pos = ref 2 in
+      Array.init (Bytes.get_uint16_le page 0) (fun _ -> Subql_storage.Codec.decode_tuple page ~pos ~arity)
+    in
+    let planned page =
+      Subql_storage.Codec.decode_rows_plan plan page ~pos:(ref 2) ~count:(Bytes.get_uint16_le page 0)
+    in
+    let decode_all decode () = Array.fold_left (fun n page -> n + Array.length (decode page)) 0 pages in
+    let generic_rate, specialized = rates (decode_all generic) (decode_all planned) in
+    let rebuilt decode =
+      Relation.create ~check:false (Relation.schema rel) (Array.concat (Array.to_list (Array.map decode pages)))
+    in
+    if
+      not
+        (Relation.equal_as_multiset (rebuilt generic) rel
+        && Relation.equal_as_multiset (rebuilt planned) rel)
+    then verified := false;
+    let speedup = specialized /. generic_rate in
+    Format.printf "  %-4s %8d rows  generic %10.0f rows/s  specialized %10.0f rows/s  %.2fx@."
+      name (Relation.cardinality rel) generic_rate specialized speedup;
+    J.Obj
+      [
+        ("table", J.Str name);
+        ("rows", J.Int (Relation.cardinality rel));
+        ("generic_rows_per_sec", J.Float generic_rate);
+        ("specialized_rows_per_sec", J.Float specialized);
+        ("speedup", J.Float speedup);
+      ]
   in
   Format.printf "@.== codec bench: generic vs schema-specialized decode ==@.@.";
   let tables = List.map bench_table [ "I"; "J" ] in

@@ -375,12 +375,7 @@ let analyze_cmd =
                  intervals and the certified memory bound, parallel-merge lawfulness \
                  ($(b,PAR00x)), and delta-maintainability ($(b,ING00x)).")
   in
-  let domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-           ~doc:"Certify templates across N worker domains (output is byte-stable \
-                 regardless of N).  Only meaningful with $(b,--certify).")
-  in
-  let run data workload flows users scale seed zoo json certify domains sql =
+  let run data workload flows users scale seed zoo json certify sql =
     let targets, catalog =
       match zoo, sql with
       | Some "all", _ ->
@@ -395,8 +390,10 @@ let analyze_cmd =
     in
     let errors =
       if certify then begin
-        let certs, _combined =
-          Subql_analysis.Analyze.certify_all ~domains catalog targets
+        let certs =
+          List.map
+            (fun (label, query) -> Subql_analysis.Analyze.certify catalog ~label query)
+            targets
         in
         if json then
           print_endline
@@ -442,7 +439,7 @@ let analyze_cmd =
              resource and soundness certificates")
     Term.(
       const run $ data_arg $ workload_arg $ flows_arg $ users_arg $ scale_arg $ seed_arg
-      $ zoo_arg $ json_arg $ certify_arg $ domains_arg $ sql_opt_arg)
+      $ zoo_arg $ json_arg $ certify_arg $ sql_opt_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Serving loop                                                         *)

@@ -79,31 +79,6 @@ let certify ?flags ?(config = Eval.default_config) catalog ~label query =
 
 let certified_errors c = errors c.report + Diag.count Diag.Error c.analysis
 
-(* Fan the templates across worker domains, one [Diag.Scratch] buffer
-   per worker (the [Metrics.Scratch] pattern): workers race, but the
-   per-template results reassemble by input index and the combined
-   stream merges through the total diagnostic order, so the output is
-   byte-stable whatever the scheduler did. *)
-let certify_all ?flags ?config ?(domains = 1) catalog targets =
-  let targets = Array.of_list targets in
-  let n = Array.length targets in
-  let results = Array.make n None in
-  let workers = max 1 (min domains n) in
-  let scratches = Array.init workers (fun _ -> Diag.Scratch.create ()) in
-  let slice w () =
-    let i = ref w in
-    while !i < n do
-      let label, q = targets.(!i) in
-      let c = certify ?flags ?config catalog ~label q in
-      Diag.Scratch.add_list scratches.(w) (c.report.diags @ c.analysis);
-      results.(!i) <- Some c;
-      i := !i + workers
-    done
-  in
-  if workers = 1 then slice 0 ()
-  else Array.iter Domain.join (Array.init workers (fun w -> Domain.spawn (slice w)));
-  (Array.to_list (Array.map Option.get results), Diag.Scratch.merge scratches)
-
 let diag_to_json d =
   let open Subql_obs.Json in
   Obj

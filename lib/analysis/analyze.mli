@@ -64,20 +64,6 @@ val certified_errors : certified -> int
 (** Error-severity diagnostics across the report and the certificate
     passes — the CLI's exit-status count. *)
 
-val certify_all :
-  ?flags:Subql.Optimize.flags ->
-  ?config:Subql.Eval.config ->
-  ?domains:int ->
-  Catalog.t ->
-  (string * Subql_nested.Nested_ast.query) list ->
-  certified list * Diag.t list
-(** Certify a population of templates, fanned across [domains] worker
-    domains (default 1 = serial).  Returns the per-template results in
-    {e input} order plus the combined diagnostic stream, accumulated in
-    per-worker {!Diag.Scratch} buffers and merged through the total
-    diagnostic order — both are byte-stable regardless of worker
-    scheduling, so [--domains N] never changes the output. *)
-
 val certified_to_json : certified -> Subql_obs.Json.t
 (** {!report_to_json} extended with the certificate (bound, spill
     bound, argmax operator, per-operator interval tree) and the

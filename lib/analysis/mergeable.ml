@@ -1,19 +1,14 @@
 open Subql_relational
 open Subql
 
-type laws = { has_identity : bool; associative : bool; commutative : bool }
-
 (* Every aggregate state here has an identity (the fresh accumulator)
    and an associative merge: COUNT/SUM add, MIN/MAX take lattice
-   meets/joins, AVG carries (sum, count), FIRST concatenates.  Only an
-   order-sensitive state (FIRST) does not commute: swapping the operands
-   swaps which partition "arrived first". *)
-let laws_of f =
-  { has_identity = true; associative = true; commutative = not (Aggregate.order_sensitive f) }
+   meets/joins, AVG carries (sum, count), FIRST concatenates.  The one
+   law that can fail is commutativity: an order-sensitive state
+   ([Aggregate.order_sensitive], i.e. FIRST) depends on which partition
+   "arrived first".
 
-let is_monoid l = l.has_identity && l.associative
-
-(* Where an aggregate's accumulators can meet a [Chunk.Exchange]:
+   Where an aggregate's accumulators can meet a [Chunk.Exchange]:
 
    - GMDJ blocks ([Md], completed or not): partitioned evaluation gives
      every worker its own accumulator matrix and merges them out of
@@ -25,21 +20,13 @@ let is_monoid l = l.has_identity && l.associative
      order-sensitive aggregate is lawful only because routing preserves
      per-key arrival order (and spilling re-streams partition files in
      append order) — worth a warning, not a refusal.  The global
-     aggregate ([keys = Some []]) is folded serially on the coordinator
-     today, but a non-monoid state could never be split at all. *)
-let certify ?(laws_of = laws_of) plan =
+     aggregate ([keys = Some []]) is folded serially on the coordinator. *)
+let certify plan =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let check_spec ~path ~merging (spec : Aggregate.spec) =
-    let l = laws_of spec.Aggregate.func in
     let subject = Aggregate.func_to_string spec.Aggregate.func in
-    if not (is_monoid l) then
-      emit
-        (Diag.makef ~path ~subject Diag.Error ~code:"PAR002"
-           "aggregate %s (column %s) is not a monoid (identity %b, associative %b): its \
-            state cannot be split across domains at all"
-           subject spec.Aggregate.name l.has_identity l.associative)
-    else if not l.commutative then
+    if Aggregate.order_sensitive spec.Aggregate.func then
       if merging then
         emit
           (Diag.makef ~path ~subject Diag.Error ~code:"PAR001"
@@ -89,5 +76,4 @@ let certify ?(laws_of = laws_of) plan =
   walk [] plan;
   Diag.sort !diags
 
-let certified_for_parallel ?laws_of plan =
-  not (Diag.has_errors (certify ?laws_of plan))
+let certified_for_parallel plan = not (Diag.has_errors (certify plan))

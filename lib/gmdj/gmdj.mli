@@ -203,7 +203,7 @@ module Maintain : sig
   val insert_source : t -> Chunk.Source.t -> int
   (** Drain a chunk stream into the view, one {!insert_chunk} per chunk;
       returns the number of rows folded.  With a paged delta source
-      (e.g. [Heap_file.source_range]) an appended batch is maintained
+      (e.g. [Heap_file.source ~from]) an appended batch is maintained
       without ever materializing it. *)
 
   val stats : t -> stats

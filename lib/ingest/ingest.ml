@@ -17,12 +17,13 @@ let policy_of_string = function
 (* Per-table append state: the heap file is the durable form (and the
    delta stream's backing store); the row vector mirrors it so the
    catalog can be re-registered per batch; marks remember where every
-   batch landed so any batch-aligned suffix replays as a chunk stream. *)
+   batch landed so any batch-aligned suffix replays as a chunk stream
+   ([Heap_file.source ~from]). *)
 type table_state = {
   schema : Schema.t;
   file : Heap_file.t;
   rows : Tuple.t Vec.t;
-  marks : (int, int * int) Hashtbl.t;  (* row index -> (first_page, skip) *)
+  marks : (int, Heap_file.delta) Hashtbl.t;  (* first row of a batch -> where it landed *)
 }
 
 type t = {
@@ -71,7 +72,8 @@ let attach t name =
     in
     Relation.iter (Vec.push rows) rel;
     let marks = Hashtbl.create 8 in
-    Hashtbl.replace marks 0 (0, 0);
+    Hashtbl.replace marks 0
+      { Heap_file.first_page = 0; skip = 0; first_row = 0; rows = Relation.cardinality rel };
     let st = { schema = Relation.schema rel; file; rows; marks } in
     Hashtbl.replace t.tables name st;
     st
@@ -92,8 +94,7 @@ let sync t =
             if from_row >= Vec.length st.rows then Some (Chunk.Source.empty st.schema)
             else
               Option.map
-                (fun (first_page, skip) ->
-                  Heap_file.source_range st.file ~pool:t.pool ~first_page ~skip)
+                (fun from -> Heap_file.source ~from st.file ~pool:t.pool)
                 (Hashtbl.find_opt st.marks from_row))
     in
     t.dirty <- false;
@@ -102,10 +103,9 @@ let sync t =
 
 let append t ~table rows =
   let st = attach t table in
-  let mark_at = Vec.length st.rows in
   let d = Heap_file.append st.file rows in
   if d.Heap_file.rows > 0 then begin
-    Hashtbl.replace st.marks mark_at (d.Heap_file.first_page, d.Heap_file.skip);
+    Hashtbl.replace st.marks d.Heap_file.first_row d;
     Array.iter (Vec.push st.rows) rows;
     (* One registration per batch: the per-table epoch bumps atomically,
        never exposing a half-applied batch to epoch observers. *)

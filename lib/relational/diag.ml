@@ -45,27 +45,6 @@ let compare a b =
 
 let sort diags = List.sort_uniq compare diags
 
-module Scratch = struct
-  type diag = t
-
-  type t = { mutable rev : diag list; mutable n : int }
-
-  let create () = { rev = []; n = 0 }
-
-  let add t d =
-    t.rev <- d :: t.rev;
-    t.n <- t.n + 1
-
-  let add_list t ds = List.iter (add t) ds
-
-  let length t = t.n
-
-  let to_list t = List.rev t.rev
-
-  let merge scratches =
-    sort (List.concat_map to_list (Array.to_list scratches))
-end
-
 let is_error d = d.severity = Error
 
 let has_errors diags = List.exists is_error diags

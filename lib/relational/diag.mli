@@ -66,37 +66,10 @@ val compare : t -> t -> int
     field participates, so [List.sort_uniq compare] is stable against
     input permutation: two structurally different diagnostics can never
     compare equal and have one silently dropped depending on which
-    arrived first (which is exactly what happens when worker domains
-    race to report). *)
+    arrived first. *)
 
 val sort : t list -> t list
 (** Sort by {!compare} and drop exact duplicates. *)
-
-(** Per-domain diagnostic buffers, mirroring [Metrics.Scratch]: workers
-    append locally without synchronization, the coordinator merges all
-    buffers and sorts once.  Because {!compare} is a total order over
-    the whole record, the merged output is byte-stable no matter how
-    the scheduler interleaved the workers. *)
-module Scratch : sig
-  type diag = t
-
-  type t
-
-  val create : unit -> t
-
-  val add : t -> diag -> unit
-
-  val add_list : t -> diag list -> unit
-
-  val length : t -> int
-
-  val to_list : t -> diag list
-  (** Diagnostics in local insertion order (unsorted, with duplicates). *)
-
-  val merge : t array -> diag list
-  (** Concatenate all buffers and {!sort}: deterministic regardless of
-      worker scheduling. *)
-end
 
 val is_error : t -> bool
 

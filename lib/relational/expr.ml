@@ -56,10 +56,6 @@ let conjoin = function
   | [] -> bool true
   | e :: rest -> List.fold_left and_ e rest
 
-let disjoin = function
-  | [] -> bool false
-  | e :: rest -> List.fold_left or_ e rest
-
 let negate_cmp = function
   | Eq -> Ne
   | Ne -> Eq
@@ -457,31 +453,6 @@ let split_equi ~left ~right e =
 let key_columns keys =
   let cols f = Array.of_list (List.map f keys) in
   (cols (fun k -> k.left_col), cols (fun k -> k.right_col), cols (fun k -> k.null_safe))
-
-let split_on outer ~local e =
-  let local_frames = [| local |] in
-  let all_frames = Array.append outer [| local |] in
-  let is_local conjunct = refs_resolvable local_frames conjunct in
-  let locals, correlated =
-    List.partition
-      (fun c ->
-        if is_local c then true
-        else if refs_resolvable all_frames c then false
-        else
-          let missing =
-            List.filter (fun r -> resolve all_frames r = None) (attrs c)
-          in
-          let shown =
-            match missing with
-            | (Some r, n) :: _ -> r ^ "." ^ n
-            | (None, n) :: _ -> n
-            | [] -> "?"
-          in
-          raise (Schema.Unknown_attribute shown))
-      (conjuncts e)
-  in
-  let opt = function [] -> None | cs -> Some (conjoin cs) in
-  (opt locals, opt correlated)
 
 (* Printing *)
 

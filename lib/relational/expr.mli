@@ -53,9 +53,6 @@ val not_ : t -> t
 val conjoin : t list -> t
 (** [conjoin []] is [Const (Bool true)]. *)
 
-val disjoin : t list -> t
-(** [disjoin []] is [Const (Bool false)]. *)
-
 (** {1 Operator utilities} *)
 
 val negate_cmp : cmp -> cmp
@@ -165,12 +162,6 @@ val split_equi :
 val key_columns : equi_key list -> int array * int array * bool array
 (** The keys' left columns, right columns and null-safety flags, in
     order. *)
-
-val split_on : Schema.t array -> local:Schema.t -> t -> t option * t option
-(** [split_on outer ~local e] splits the conjunction of [e] into the part
-    whose references all resolve in [local] alone (invariant, hoistable)
-    and the correlated remainder.  [outer] are the enclosing frames used
-    to validate the remainder. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -83,6 +83,3 @@ let pp ppf r =
     r.rows;
   line ();
   Format.fprintf ppf "%d row%s@\n" (cardinality r) (if cardinality r = 1 then "" else "s")
-
-let pp_brief ppf r =
-  Format.fprintf ppf "%a: %d rows" Schema.pp r.schema (cardinality r)

@@ -42,6 +42,3 @@ val equal_as_multiset : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Aligned ASCII table. *)
-
-val pp_brief : Format.formatter -> t -> unit
-(** Cardinality and schema only. *)

@@ -98,10 +98,6 @@ let check_tuple schema (t : Tuple.t) =
                (Value.ty_to_string a.Schema.ty)))
     t
 
-let encode_tuple_checked buf schema (t : Tuple.t) =
-  check_tuple schema t;
-  encode_tuple buf t
-
 let decode_tuple bytes ~pos ~arity = Array.init arity (fun _ -> decode_value bytes ~pos)
 
 let value_bytes = function
@@ -114,8 +110,6 @@ let tuple_bytes (t : Tuple.t) = Array.fold_left (fun acc v -> acc + value_bytes 
 (* ------------------------------------------------------------------ *)
 (* Schema-compiled codec plans                                          *)
 (* ------------------------------------------------------------------ *)
-
-type mode = Generic | Specialized
 
 type column = { ty : Value.ty; non_null : bool }
 

@@ -5,15 +5,15 @@
     sequence — the schema supplies the arity, so no per-tuple framing is
     needed beyond the page's tuple count.
 
-    Two codecs share that wire format.  The {e generic} functions
+    Heap files encode and decode every page through a {!plan}: a schema
+    compiled once into a per-column array, so the scan hot path runs a
+    fixed type-directed loop (one or two tag compares per cell, no
+    per-tuple closure) and validates the stored bytes against the
+    declared column types as it goes.  The {e generic} functions
     dispatch on the tag byte per cell and accept any well-formed value
-    in any column; they are the fallback and the oracle.  A
-    {e specialized} {!plan} compiles a schema once into a per-column
-    decoder array, so the scan hot path runs a fixed type-directed loop
-    (one or two tag compares per cell, no per-tuple closure) and
-    validates the stored bytes against the declared column types as it
-    goes.  Both produce byte-identical encodings for schema-conformant
-    tuples.
+    in any column; they are the test oracle and the baseline of the
+    codec benchmark.  Both produce byte-identical encodings for
+    schema-conformant tuples.
 
     Corrupt bytes raise {!Diag.Fail} with stable [STO0xx] codes rather
     than bare exceptions: [STO001] unknown value tag, [STO002] truncated
@@ -36,10 +36,6 @@ val check_tuple : Schema.t -> Tuple.t -> unit
     nullability is not tracked at this layer).
     @raise Invalid_argument describing the first offending column. *)
 
-val encode_tuple_checked : Buffer.t -> Schema.t -> Tuple.t -> unit
-(** {!check_tuple} then {!encode_tuple}: the ingest append path uses this
-    so malformed rows are rejected before any page is written. *)
-
 val decode_tuple : bytes -> pos:int ref -> arity:int -> Tuple.t
 (** Generic per-cell tag dispatch.
     @raise Diag.Fail ([STO001]/[STO002]) on corrupt bytes. *)
@@ -48,9 +44,6 @@ val tuple_bytes : Tuple.t -> int
 (** Encoded size, for page packing. *)
 
 (** {1 Schema-compiled codec plans} *)
-
-type mode = Generic | Specialized
-(** Which codec a heap-file handle runs its pages through. *)
 
 type column = { ty : Value.ty; non_null : bool }
 
@@ -99,7 +92,8 @@ val decode_rows_plan : plan -> bytes -> pos:int ref -> count:int -> Tuple.t arra
     @raise Diag.Fail as {!decode_tuple_plan}. *)
 
 val encode_tuple_plan : plan -> Buffer.t -> Tuple.t -> unit
-(** Single-pass validate-and-encode: the append path's replacement for
-    {!check_tuple} followed by {!encode_tuple}, walking the tuple once.
+(** Single-pass validate-and-encode, walking the tuple once: the page
+    encoder of the heap file's one write path ({!Heap_file.write} and
+    {!Heap_file.append}).
     @raise Invalid_argument on arity/type mismatch or a NULL in a
     non-NULL column, with the same messages as {!check_tuple}. *)

@@ -140,22 +140,6 @@ python3 scripts/check_bench.py certify "$certify_json"
 rm -f "$certify_json"
 
 echo
-echo "== static analysis: certified output is byte-stable under --domains =="
-# The per-worker Diag.Scratch buffers merge through the total order, so
-# the certified report may not depend on worker scheduling.
-c1=$(mktemp /tmp/check_certify1_XXXXXX.txt)
-c4=$(mktemp /tmp/check_certify4_XXXXXX.txt)
-dune exec bin/olap_cli.exe -- analyze --certify --zoo all --domains 1 > "$c1"
-dune exec bin/olap_cli.exe -- analyze --certify --zoo all --domains 4 > "$c4"
-cmp -s "$c1" "$c4" || {
-  echo "FAIL: analyze --certify output differs between --domains 1 and 4" >&2
-  diff "$c1" "$c4" | head -20 >&2
-  exit 1
-}
-rm -f "$c1" "$c4"
-echo "analyze --certify: --domains 1 and --domains 4 outputs identical"
-
-echo
 echo "== bench smoke test: mqo target keeps BENCH_mqo.json well-formed =="
 dune exec bench/main.exe -- mqo > /dev/null
 python3 scripts/check_bench.py mqo
@@ -325,7 +309,7 @@ echo "$dout" | grep -Eq "repaired [1-9][0-9]*" || {
 
 echo
 echo "== bench smoke test: codec target gates decode-specialization regressions =="
-# The codec benchmark self-verifies (both decode modes reconstruct the
+# The codec benchmark self-verifies (both decoders rebuild the
 # source relation exactly); on top of that, the schema-specialized
 # decode must beat the generic tag-dispatch codec by the 1.3x
 # acceptance floor and stay within 30% of the committed baseline.

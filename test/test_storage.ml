@@ -138,6 +138,18 @@ let test_codec_structured_errors () =
   let bad_tag = Bytes.of_string "\250" in
   ignore (expect_diag "STO001" (fun () -> Codec.decode_value bad_tag ~pos:(ref 0)));
   ignore (expect_diag "STO003" (fun () -> Codec.decode_tuple_plan int_plan bad_tag ~pos:(ref 0)));
+  (* The same faults in the middle of a tuple, under the generic tuple
+     decoder: an unknown tag is STO001, a string length running past
+     the end of the bytes is STO002. *)
+  let tuple_bytes = Buffer.create 32 in
+  Codec.encode_tuple tuple_bytes [| Value.Int 1; Value.Str "abcd"; Value.Int 7 |];
+  let corrupt at patch =
+    let b = Buffer.to_bytes tuple_bytes in
+    Bytes.blit_string patch 0 b at (String.length patch);
+    fun () -> Codec.decode_tuple b ~pos:(ref 0) ~arity:3
+  in
+  ignore (expect_diag "STO001" (corrupt 9 "\250"));
+  ignore (expect_diag "STO002" (corrupt 10 "\255\255"));
   (* Type lie: stored int bytes decoded under a float column. *)
   let buf = Buffer.create 16 in
   Codec.encode_tuple buf [| Value.Int 7 |];
@@ -185,16 +197,22 @@ let with_file rel ?page_size f =
       Sys.remove path)
     (fun () -> f path hf)
 
+(* Every read is a [source]: the whole file as a relation, or its row
+   count. *)
+let read hf ~pool = Chunk.Source.to_relation (Heap_file.source hf ~pool)
+
+let drain hf ~pool = Chunk.Source.fold (fun n c -> n + Chunk.length c) 0 (Heap_file.source hf ~pool)
+
 let test_heap_roundtrip () =
   let rel = mk_rel 1000 in
   with_file rel ~page_size:512 (fun path hf ->
       Alcotest.(check int) "row count" 1000 (Heap_file.row_count hf);
       Alcotest.(check bool) "multiple pages" true (Heap_file.pages hf > 10);
       let pool = Buffer_pool.create ~frames:4 in
-      Helpers.check_multiset_equal "write/scan roundtrip" rel (Heap_file.to_relation hf ~pool);
+      Helpers.check_multiset_equal "write/scan roundtrip" rel (read hf ~pool);
       (* Reopen from disk and scan again. *)
       let reopened = Heap_file.openfile ~path ~schema:(Relation.schema rel) () in
-      Helpers.check_multiset_equal "reopen roundtrip" rel (Heap_file.to_relation reopened ~pool);
+      Helpers.check_multiset_equal "reopen roundtrip" rel (read reopened ~pool);
       Heap_file.close reopened)
 
 let test_heap_errors () =
@@ -221,26 +239,64 @@ let test_heap_errors () =
         Heap_file.close hf2;
         Alcotest.fail "oversized tuple must be rejected")
 
-(* Both codec modes must read the same file identically — the format is
-   shared; only the decode loop differs. *)
-let test_codec_modes_agree () =
-  let rel = mk_rel 500 in
-  with_file rel ~page_size:512 (fun path _hf ->
-      let pool = Buffer_pool.create ~frames:8 in
-      let generic = Heap_file.openfile ~path ~codec:Codec.Generic ~schema:(Relation.schema rel) () in
-      let plan = Heap_file.openfile ~path ~codec:Codec.Specialized ~schema:(Relation.schema rel) () in
-      Alcotest.(check bool) "generic mode recorded" true (Heap_file.codec_mode generic = Codec.Generic);
-      Alcotest.(check bool) "specialized mode recorded" true
-        (Heap_file.codec_mode plan = Codec.Specialized);
-      Helpers.check_multiset_equal "generic reads the relation" rel
-        (Heap_file.to_relation generic ~pool);
-      Helpers.check_multiset_equal "specialized reads the relation" rel
-        (Heap_file.to_relation plan ~pool);
-      Heap_file.close generic;
-      Heap_file.close plan)
+(* [write] packs through the append path, so it type-checks every row
+   as it encodes it: a string in an int column is refused up front
+   instead of producing a file whose every scan fails with STO003. *)
+let test_write_rejects_mistyped_cell () =
+  let rel = mk_rel 20 in
+  let rows = Array.map Array.copy (Relation.rows rel) in
+  rows.(13).(2) <- Value.Str "not an int";
+  let bad = Relation.create ~check:false (Relation.schema rel) rows in
+  let path = tmp_path () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      match Heap_file.write ~path ~page_size:512 bad with
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "names the column" "Codec: string value in column R.y (int)" msg
+      | hf ->
+        let outcome =
+          match read hf ~pool:(Buffer_pool.create ~frames:4) with
+          | _ -> "scan succeeded"
+          | exception Diag.Fail d -> "scan failed with " ^ d.Diag.code
+        in
+        Heap_file.close hf;
+        Alcotest.failf "a mistyped cell must be rejected by write (%s)" outcome)
 
-(* Flip one stored tag byte on disk: both decoders must refuse the page
-   with a structured diagnostic that names the file and page. *)
+(* The generic decoder is the oracle of the plan decoder: on every page
+   [write] lays down, [Codec.decode_rows_plan] under the handle's
+   schema equals [Codec.decode_tuple] cell for cell, and both end at the
+   same byte offset. *)
+let test_plan_decode_matches_generic () =
+  let rel = mk_rel 500 in
+  let page_size = 512 in
+  with_file rel ~page_size (fun path hf ->
+      let plan = Codec.plan_of_schema (Relation.schema rel) in
+      let arity = Schema.arity (Relation.schema rel) in
+      let ic = open_in_bin path in
+      let rows = ref 0 in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          for page_no = 0 to Heap_file.pages hf - 1 do
+            seek_in ic ((page_no + 1) * page_size);
+            let page = Bytes.create page_size in
+            really_input ic page 0 page_size;
+            let count = Bytes.get_uint16_le page 0 in
+            let plan_pos = ref 2 and generic_pos = ref 2 in
+            let planned = Codec.decode_rows_plan plan page ~pos:plan_pos ~count in
+            let generic = Array.init count (fun _ -> Codec.decode_tuple page ~pos:generic_pos ~arity) in
+            Alcotest.(check int) (Printf.sprintf "page %d: same end offset" page_no) !generic_pos !plan_pos;
+            Alcotest.(check bool)
+              (Printf.sprintf "page %d: same tuples" page_no)
+              true
+              (Array.for_all2 (Array.for_all2 value_eq) generic planned);
+            rows := !rows + count
+          done);
+      Alcotest.(check int) "every row decoded" (Relation.cardinality rel) !rows)
+
+(* Flip one stored tag byte on disk: the scan must refuse the page with
+   a structured diagnostic that names the file and page. *)
 let test_corrupt_page_is_diagnosed () =
   let rel = mk_rel 50 in
   with_file rel ~page_size:512 (fun path _hf ->
@@ -250,25 +306,17 @@ let test_corrupt_page_is_diagnosed () =
       ignore (Unix.lseek fd 514 Unix.SEEK_SET);
       ignore (Unix.write fd (Bytes.make 1 '\250') 0 1);
       Unix.close fd;
-      let scan_with codec =
-        let hf = Heap_file.openfile ~path ~codec ~schema:(Relation.schema rel) () in
+      let hf = Heap_file.openfile ~path ~schema:(Relation.schema rel) () in
+      let d =
         Fun.protect
           ~finally:(fun () -> Heap_file.close hf)
-          (fun () -> Heap_file.scan hf ~pool:(Buffer_pool.create ~frames:4) (fun _ -> ()))
+          (fun () -> expect_diag "STO003" (fun () -> drain hf ~pool:(Buffer_pool.create ~frames:4)))
       in
-      let has_page_context d =
-        List.exists
-          (fun p -> String.length p > 0 && p = Printf.sprintf "%s: page 0" path)
-          d.Diag.path
-      in
-      let d = expect_diag "STO003" (fun () -> scan_with Codec.Specialized) in
-      Alcotest.(check bool) "specialized names the page" true (has_page_context d);
-      let d = expect_diag "STO001" (fun () -> scan_with Codec.Generic) in
-      Alcotest.(check bool) "generic names the page" true (has_page_context d))
+      Alcotest.(check bool) "names the page" true
+        (List.mem (Printf.sprintf "%s: page 0" path) d.Diag.path))
 
 (* Corrupt a cell of a column the scan skips: the pruned decode must
-   fail with the full decode's diagnostic (or, where the full decode
-   accepts the bytes, accept them too), in both codec modes. *)
+   fail with the full decode's diagnostic. *)
 let test_corrupt_skipped_column () =
   let schema =
     Schema.of_list
@@ -287,20 +335,20 @@ let test_corrupt_skipped_column () =
   let b_tag = 512 + 2 + 9 in
   let cases =
     [
-      ("unknown tag", b_tag, "\250", "STO003", "STO001");
-      ("payload past the page end", b_tag + 1, "\255\255", "STO002", "STO002");
-      ("tag/column clash", b_tag, "\001", "STO003", "");
+      ("unknown tag", b_tag, "\250", "STO003");
+      ("payload past the page end", b_tag + 1, "\255\255", "STO002");
+      ("tag/column clash", b_tag, "\001", "STO003");
     ]
   in
   List.iter
-    (fun (what, offset, bytes, specialized_code, generic_code) ->
+    (fun (what, offset, bytes, expected) ->
       with_file rel ~page_size:512 (fun path _hf ->
           let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
           ignore (Unix.lseek fd offset Unix.SEEK_SET);
           ignore (Unix.write_substring fd bytes 0 (String.length bytes));
           Unix.close fd;
-          let outcome codec columns =
-            let hf = Heap_file.openfile ~path ~codec ~schema () in
+          let outcome columns =
+            let hf = Heap_file.openfile ~path ~schema () in
             Fun.protect
               ~finally:(fun () -> Heap_file.close hf)
               (fun () ->
@@ -311,19 +359,12 @@ let test_corrupt_skipped_column () =
                 | _ -> ""
                 | exception Diag.Fail d -> d.Diag.code)
           in
-          List.iter
-            (fun (codec, name, expected) ->
-              let full = outcome codec None in
-              if expected <> "" then
-                Alcotest.(check string) (Printf.sprintf "%s, %s: full decode" what name) expected full;
-              Alcotest.(check string)
-                (Printf.sprintf "%s, %s: pruned decode fails as the full one" what name)
-                full
-                (outcome codec (Some [| 0; 2 |])))
-            [
-              (Codec.Specialized, "specialized", specialized_code);
-              (Codec.Generic, "generic", generic_code);
-            ]))
+          let full = outcome None in
+          Alcotest.(check string) (what ^ ": full decode") expected full;
+          Alcotest.(check string)
+            (what ^ ": pruned decode fails as the full one")
+            full
+            (outcome (Some [| 0; 2 |]))))
     cases
 
 (* Only the listed columns are decoded, in order, under the narrowed
@@ -358,42 +399,25 @@ let test_source_columns () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "unordered columns must be rejected")
 
-(* The three read paths — tuple-at-a-time [scan], page-at-a-time
-   [scan_pages] and the pull [source] — must deliver the same tuples in
-   the same (file) order, and the source must complete on a pool smaller
-   than the file without growing past its frame budget. *)
+(* The source delivers the written tuples in file order, and completes
+   on a pool smaller than the file without growing past its frame
+   budget. *)
 let test_source_matches_scan () =
   let rel = mk_rel 1200 in
   with_file rel ~page_size:512 (fun _path hf ->
       let frames = 3 in
       Alcotest.(check bool) "file exceeds pool" true (Heap_file.pages hf > frames);
-      let via_scan =
-        let pool = Buffer_pool.create ~frames in
-        let acc = ref [] in
-        Heap_file.scan hf ~pool (fun t -> acc := t :: !acc);
-        List.rev !acc
+      let pool = Buffer_pool.create ~frames in
+      let via_source =
+        Chunk.Source.fold
+          (fun acc chunk -> Chunk.fold (fun acc t -> t :: acc) acc chunk)
+          [] (Heap_file.source hf ~pool)
+        |> List.rev
       in
-      let via_pages =
-        let pool = Buffer_pool.create ~frames in
-        let acc = ref [] in
-        Heap_file.scan_pages hf ~pool (fun page ->
-            Array.iter (fun t -> acc := t :: !acc) page);
-        List.rev !acc
-      in
-      let via_source, resident =
-        let pool = Buffer_pool.create ~frames in
-        let rows =
-          Chunk.Source.fold
-            (fun acc chunk -> Chunk.fold (fun acc t -> t :: acc) acc chunk)
-            [] (Heap_file.source hf ~pool)
-        in
-        (List.rev rows, Buffer_pool.resident pool)
-      in
-      let same_order a b = List.length a = List.length b && List.for_all2 Tuple.equal a b in
-      Alcotest.(check bool) "scan_pages order matches scan" true (same_order via_scan via_pages);
-      Alcotest.(check bool) "source order matches scan" true (same_order via_scan via_source);
       Alcotest.(check int) "all rows delivered" 1200 (List.length via_source);
-      Alcotest.(check bool) "pool stays within frames" true (resident <= frames))
+      Alcotest.(check bool) "source order is write order" true
+        (List.for_all2 Tuple.equal (Array.to_list (Relation.rows rel)) via_source);
+      Alcotest.(check bool) "pool stays within frames" true (Buffer_pool.resident pool <= frames))
 
 (* --- Appends --------------------------------------------------------------- *)
 
@@ -426,13 +450,11 @@ let test_append_roundtrip () =
         Relation.of_list (Relation.schema rel)
           (Array.to_list (Array.append (rows_of rel) (fresh_rows ~from:100 403)))
       in
-      Helpers.check_multiset_equal "grown file scans whole relation" expected
-        (Heap_file.to_relation hf ~pool);
+      Helpers.check_multiset_equal "grown file scans whole relation" expected (read hf ~pool);
       (* Reopen from disk: the rewritten header and tail persisted. *)
       let reopened = Heap_file.openfile ~path ~schema:(Relation.schema rel) () in
       Alcotest.(check int) "reopened row count" 503 (Heap_file.row_count reopened);
-      Helpers.check_multiset_equal "reopen after append" expected
-        (Heap_file.to_relation reopened ~pool);
+      Helpers.check_multiset_equal "reopen after append" expected (read reopened ~pool);
       Heap_file.close reopened)
 
 let test_append_validates_batch () =
@@ -457,7 +479,7 @@ let test_append_validates_batch () =
       | _ -> Alcotest.fail "mixed batch must be rejected");
       Alcotest.(check int) "file untouched" 10 (Heap_file.row_count hf);
       let pool = Buffer_pool.create ~frames:4 in
-      Helpers.check_multiset_equal "contents untouched" rel (Heap_file.to_relation hf ~pool))
+      Helpers.check_multiset_equal "contents untouched" rel (read hf ~pool))
 
 (* Regression: a pool that cached the last page before an append must
    not serve the stale image afterwards — the append packed new rows
@@ -466,16 +488,14 @@ let test_append_invalidates_shared_pool () =
   let rel = mk_rel 100 in
   with_file rel ~page_size:512 (fun path hf ->
       let pool = Buffer_pool.create ~frames:64 in
-      Heap_file.scan hf ~pool (fun _ -> ());
+      ignore (drain hf ~pool);
       let before = (Buffer_pool.stats pool).Buffer_pool.page_reads in
       let d = Heap_file.append hf (fresh_rows ~from:100 50) in
       Alcotest.(check bool) "append reuses the cached tail page" true
         (d.Heap_file.first_page < Heap_file.pages hf);
-      let seen = ref 0 in
-      Heap_file.scan hf ~pool (fun _ -> incr seen);
       (* All 150 rows visible through the same pool: the stale frames were
          dropped and re-read, the untouched prefix stayed cached. *)
-      Alcotest.(check int) "no stale last-page image" 150 !seen;
+      Alcotest.(check int) "no stale last-page image" 150 (drain hf ~pool);
       let after = (Buffer_pool.stats pool).Buffer_pool.page_reads in
       Alcotest.(check bool) "only the rewritten tail was re-read" true
         (after - before >= 1 && after - before < Heap_file.pages hf);
@@ -483,24 +503,32 @@ let test_append_invalidates_shared_pool () =
       Alcotest.(check int) "unrelated path untouched" 0
         (Buffer_pool.invalidate pool ~path:(path ^ ".other") ~from_page:0))
 
-let test_source_range_streams_exact_delta () =
+(* [source ~from:delta] streams exactly the appended rows, in append
+   order — from inside the page the batch started in — narrows like a
+   full scan, and keeps the snapshot of its creation: a row a later
+   append packs into the snapshot's last page stays out of it. *)
+let test_source_from_streams_exact_delta () =
   let rel = mk_rel 100 in
   with_file rel ~page_size:512 (fun _path hf ->
       let pool = Buffer_pool.create ~frames:8 in
       let batch = fresh_rows ~from:100 123 in
       let d = Heap_file.append hf batch in
-      let streamed =
-        Chunk.Source.fold
-          (fun acc chunk -> Chunk.fold (fun acc t -> t :: acc) acc chunk)
-          []
-          (Heap_file.source_range hf ~pool ~first_page:d.Heap_file.first_page
-             ~skip:d.Heap_file.skip)
+      Alcotest.(check bool) "the batch starts inside a page" true (d.Heap_file.skip > 0);
+      let collect src =
+        Chunk.Source.fold (fun acc chunk -> Chunk.fold (fun acc t -> t :: acc) acc chunk) [] src
         |> List.rev
       in
-      Alcotest.(check int) "exactly the appended rows" (Array.length batch)
-        (List.length streamed);
+      let src = Heap_file.source ~from:d hf ~pool in
+      ignore (Heap_file.append hf (fresh_rows ~from:223 2));
+      let streamed = collect src in
+      Alcotest.(check int) "exactly the appended rows" (Array.length batch) (List.length streamed);
       Alcotest.(check bool) "in append order" true
-        (List.for_all2 Tuple.equal (Array.to_list batch) streamed))
+        (List.for_all2 Tuple.equal (Array.to_list batch) streamed);
+      let narrowed = collect (Heap_file.source ~columns:[| 2 |] ~from:d hf ~pool) in
+      Alcotest.(check bool) "narrowed to the appended column" true
+        (List.equal Tuple.equal
+           (List.map (fun t -> Tuple.project t [| 2 |]) (Array.to_list (fresh_rows ~from:100 125)))
+           narrowed))
 
 (* A live scan snapshots the row count too: an append that packs rows
    into the snapshot's last page in place stays invisible to it. *)
@@ -528,11 +556,11 @@ let test_pool_caching () =
       let n_pages = Heap_file.pages hf in
       (* Pool larger than the file: the second scan is all hits. *)
       let pool = Buffer_pool.create ~frames:(n_pages + 4) in
-      Heap_file.scan hf ~pool (fun _ -> ());
+      ignore (drain hf ~pool);
       let cold = Buffer_pool.stats pool in
       Alcotest.(check int) "cold scan reads every page" n_pages cold.Buffer_pool.page_reads;
       (* [stats] is a snapshot: the cold-scan copy must not change... *)
-      Heap_file.scan hf ~pool (fun _ -> ());
+      ignore (drain hf ~pool);
       Alcotest.(check int) "snapshot unaffected by warm scan" 0 cold.Buffer_pool.hits;
       (* ...while a fresh snapshot sees the warm scan. *)
       let warm = Buffer_pool.stats pool in
@@ -543,8 +571,8 @@ let test_pool_caching () =
       (* Pool smaller than the file: sequential scans miss every page but
          never grow beyond the frame budget. *)
       let small = Buffer_pool.create ~frames:4 in
-      Heap_file.scan hf ~pool:small (fun _ -> ());
-      Heap_file.scan hf ~pool:small (fun _ -> ());
+      ignore (drain hf ~pool:small);
+      ignore (drain hf ~pool:small);
       let s = Buffer_pool.stats small in
       Alcotest.(check int) "bounded residency" 4 (Buffer_pool.resident small);
       Alcotest.(check int) "two cold scans" (2 * n_pages) s.Buffer_pool.page_reads;
@@ -557,7 +585,7 @@ let test_pool_recycles_frames () =
       let frames = 4 in
       let pool = Buffer_pool.create ~frames in
       Alcotest.(check bool) "file exceeds pool" true (Heap_file.pages hf > 2 * frames);
-      Heap_file.scan hf ~pool (fun _ -> ());
+      ignore (drain hf ~pool);
       let s = Buffer_pool.stats pool in
       Alcotest.(check int) "every page read" (Heap_file.pages hf) s.Buffer_pool.page_reads;
       Alcotest.(check bool)
@@ -693,7 +721,10 @@ let () =
         [
           Alcotest.test_case "write/scan/reopen" `Quick test_heap_roundtrip;
           Alcotest.test_case "validation" `Quick test_heap_errors;
-          Alcotest.test_case "codec modes read identically" `Quick test_codec_modes_agree;
+          Alcotest.test_case "write rejects a mistyped cell" `Quick
+            test_write_rejects_mistyped_cell;
+          Alcotest.test_case "plan decode = generic decode on stored pages" `Quick
+            test_plan_decode_matches_generic;
           Alcotest.test_case "a corrupt page names its file and page" `Quick
             test_corrupt_page_is_diagnosed;
           Alcotest.test_case "source matches scan on a small pool" `Quick
@@ -710,8 +741,8 @@ let () =
             test_append_validates_batch;
           Alcotest.test_case "shared pool never serves a stale tail" `Quick
             test_append_invalidates_shared_pool;
-          Alcotest.test_case "source_range streams exactly the delta" `Quick
-            test_source_range_streams_exact_delta;
+          Alcotest.test_case "source ~from streams exactly the delta" `Quick
+            test_source_from_streams_exact_delta;
           Alcotest.test_case "a live source ignores rows appended mid-scan" `Quick
             test_source_ignores_rows_appended_mid_scan;
         ] );
