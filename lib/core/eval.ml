@@ -359,15 +359,12 @@ let run_group_by ctx ?keys ~aggs src =
     if ctx.config.domains > 1 && keys <> Some [] then begin
       let schema = Chunk.Source.schema src in
       let key_idxs, out_schema = Ops.group_schema ?keys ~aggs schema in
-      (* Route on the key a worker's group table hashes: the row itself
-         when the key is every column. *)
-      let whole_row = key_idxs = Array.init (Schema.arity schema) Fun.id in
       let rows =
         Chunk.Exchange.fold ~domains:ctx.config.domains
-          ~partition:(fun row -> Tuple.hash (if whole_row then row else Tuple.project row key_idxs))
+          ~partition:(fun row -> Index.key_hash row key_idxs)
           ~init:(fun _ -> Ops.Group_acc.create ?keys ~aggs schema)
           ~fold:(fun acc c ->
-            Chunk.iter (Ops.Group_acc.step acc) c;
+            Ops.Group_acc.fold_chunk acc ~capacity:max_int ~overflow:ignore c;
             acc)
           ~finish:(fun acc -> Relation.rows (Ops.Group_acc.result acc))
           src

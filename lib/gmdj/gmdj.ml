@@ -86,14 +86,14 @@ let output_schema ~base ~detail blocks =
 (* θ-plans                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The detail row being folded, read by every plan's match callback, so
-   that probing a row allocates no closure.  [apply] is
-   {!Aggregate.step} for evaluation and insertions, and
-   {!Aggregate.retract} for deletion maintenance. *)
+(* The detail row being folded and where it sits in its chunk's buffer,
+   read by every plan's match callback, so that probing a row allocates
+   no closure.  [retract] is set while a deletion delta is folded. *)
 type cursor = {
+  mutable buf : Tuple.t array;
+  mutable ri : int;
   mutable drow : Tuple.t;
-  mutable apply : Aggregate.states -> int -> Tuple.t array -> unit;
-  ctx : Tuple.t array;
+  mutable retract : bool;
 }
 
 (* A compiled plan for one θ-like condition over (base, detail):
@@ -102,11 +102,11 @@ type cursor = {
      (the invariants of Rao & Ross): they are tested once per detail row
      instead of once per (base, detail) pair;
    - [probe] either looks the detail row up in a hash index on the base
-     tuples (the [=]/[<=>] keys extracted, the residual tested per
-     candidate) or tests the remaining condition against every candidate
-     base tuple;
-   - [hit bi] records that base tuple [bi] satisfies the condition with
-     the cursor's detail row. *)
+     tuples (the [=]/[<=>] keys extracted: [Probe_key] when they are the
+     whole condition, the residual tested per candidate otherwise) or
+     tests the remaining condition against every candidate base tuple;
+   - [hit] records a match with the cursor's detail row: base tuple
+     [bi], or, for [Probe_key], the key's group in the index. *)
 type plan = {
   prefilter : (Tuple.t -> bool) option;
   probe : probe;
@@ -114,6 +114,7 @@ type plan = {
 }
 
 and probe =
+  | Probe_key of { index : Index.t; dcols : int array }
   | Probe_hash of {
       index : Index.t;
       dcols : int array;
@@ -139,8 +140,9 @@ let make_pair_test ~stats ~bs ~ds expr =
         s.theta_evals <- s.theta_evals + 1;
         test b r)
 
-(* [settled] marks base tuples a completion no longer needs to probe. *)
-let make_plan ~strategy ~stats ~bs ~ds ~base_rows ~cur ~settled theta hit =
+(* [settled] marks base tuples a completion no longer needs to probe;
+   [keyed] allows a [Probe_key] plan. *)
+let make_plan ~strategy ~stats ~bs ~ds ~base_rows ~cur ~settled ~keyed theta hit =
   Expr.typecheck_bool [| bs; ds |] theta;
   let detail_only, correlated =
     List.partition (Expr.refs_resolvable [| ds |]) (Expr.conjuncts theta)
@@ -168,17 +170,20 @@ let make_plan ~strategy ~stats ~bs ~ds ~base_rows ~cur ~settled theta hit =
     | `Hash, Some expr -> (
       match Expr.split_equi ~left:bs ~right:ds expr with
       | [], _ -> probe_all ()
-      | keys, residual ->
+      | keys, residual -> (
         let bcols, dcols, null_safe = Expr.key_columns keys in
         let index = Index.build_rows ~null_safe base_rows bcols in
-        let test = make_pair_test ~stats ~bs ~ds residual in
-        let candidate =
-          match settled with
-          | None -> fun bi -> if test base_rows.(bi) cur.drow then hit bi
-          | Some settled ->
-            fun bi -> if (not settled.(bi)) && test base_rows.(bi) cur.drow then hit bi
-        in
-        Probe_hash { index; dcols; candidate })
+        match residual, settled with
+        | None, None when keyed -> Probe_key { index; dcols }
+        | _ ->
+          let test = make_pair_test ~stats ~bs ~ds residual in
+          let candidate =
+            match settled with
+            | None -> fun bi -> if test base_rows.(bi) cur.drow then hit bi
+            | Some settled ->
+              fun bi -> if (not settled.(bi)) && test base_rows.(bi) cur.drow then hit bi
+          in
+          Probe_hash { index; dcols; candidate }))
   in
   { prefilter; probe; hit }
 
@@ -189,23 +194,19 @@ let prefilter_passes plan drow =
 (* Aggregate state                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One store per block, one slot per base tuple: [accs.(block)] holds
-   slot [bi] of base tuple [bi]. *)
-let block_states ~bs ~ds ~n_base blocks =
-  let compile b = Array.of_list (List.map (Aggregate.compile [| bs; ds |]) b.aggs) in
-  Array.of_list (List.map (fun b -> Aggregate.states (compile b) ~slots:n_base) blocks)
+let compile_block ~bs ~ds b = Array.of_list (List.map (Aggregate.compile [| bs; ds |]) b.aggs)
 
-(* Base row [bi] extended with every block's slot [bi], in one
+(* Base row [bi] extended with every block's slot for it, in one
    allocation; with no stores (aggregates skipped) the aggregate columns
-   stay NULL. *)
-let emit_row ~width accs bi (base_row : Tuple.t) : Tuple.t =
+   stay NULL.  [slot_of] maps a base tuple to its slot in [st]. *)
+let emit_row ~width stores bi (base_row : Tuple.t) : Tuple.t =
   let out = Array.make width Value.Null in
   Array.blit base_row 0 out 0 (Array.length base_row);
-  let write off st =
-    Aggregate.write st bi out off;
+  let write off (st, slot_of) =
+    Aggregate.write st (slot_of bi) out off;
     off + Aggregate.width st
   in
-  ignore (Array.fold_left write (Array.length base_row) accs);
+  ignore (Array.fold_left write (Array.length base_row) stores);
   out
 
 (* ------------------------------------------------------------------ *)
@@ -218,7 +219,12 @@ let reference ~base ~detail blocks =
   let frames = [| bs; ds |] in
   List.iter (fun b -> Expr.typecheck_bool frames b.theta) blocks;
   let thetas = Array.of_list (List.map (fun b -> Expr.compile_frames frames b.theta) blocks) in
-  let accs = block_states ~bs ~ds ~n_base:(Relation.cardinality base) blocks in
+  let n_base = Relation.cardinality base in
+  let accs =
+    Array.of_list
+      (List.map (fun b -> Aggregate.states (compile_block ~bs ~ds b) ~slots:n_base) blocks)
+  in
+  let stores = Array.map (fun st -> (st, Fun.id)) accs in
   let ctx = [| Tuple.empty; Tuple.empty |] in
   let width = Schema.arity out_schema in
   let rows =
@@ -234,7 +240,7 @@ let reference ~base ~detail blocks =
                 if Expr.is_true (theta ctx) then Aggregate.step accs.(i) bi ctx)
               detail)
           thetas;
-        emit_row ~width accs bi brow)
+        emit_row ~width stores bi brow)
       (Relation.rows base)
   in
   Relation.create ~check:false out_schema rows
@@ -245,24 +251,28 @@ let reference ~base ~detail blocks =
 
 exception Scan_done
 
+(* One block's aggregates.  Its plan's matches collect as (detail row,
+   slot) pairs that [flush] folds in once per chunk.  A slot is a base
+   tuple or — when θ is only keys, the aggregates read only the detail
+   and no completion checks [alive] — a θ-key group of the base, so a
+   detail row costs one probe and one update.  [slot_of bi] is base
+   tuple [bi]'s slot. *)
+type block_fold = { plan : plan; states : Aggregate.states; slot_of : int -> int; flush : unit -> unit }
+
 (* One in-flight evaluation on one domain: compiled θ-plans, one
-   aggregate store per block with a slot per base tuple and, for a completion
-   (Section 4.2), the kill/require verdicts.  Detail rows arrive as
-   chunks ([feed]); every domain of an exchange owns one state (compiled
-   closures, the cursor and hash indexes are per-evaluation) and the
-   states combine with [merge].  [stats] is the state's own record for
-   row/θ/block counts; detail passes and registry publication belong to
-   the coordinator. *)
+   aggregate store per block and, for a completion (Section 4.2), the
+   kill/require verdicts.  Detail rows arrive as chunks ([feed]); every
+   domain of an exchange owns one state (compiled closures, the cursor
+   and hash indexes are per-evaluation) and the states combine with
+   [merge].  [stats] is the state's own record for row/θ/block counts;
+   detail passes and registry publication belong to the coordinator. *)
 type state = {
   base_rows : Tuple.t array;
   out_schema : Schema.t;
   cur : cursor;
   kill_plans : plan array;
   fired_plans : plan array;
-  block_plans : plan array;  (** empty when aggregates are not maintained *)
-  accs : Aggregate.states array;
-      (** one store per block, slot [bi] for base tuple [bi]; empty when
-          aggregates are not maintained *)
+  blocks : block_fold array;  (** empty when aggregates are not maintained *)
   stats : stats;
   verdicts : verdicts option;
 }
@@ -290,17 +300,47 @@ let settle v bi =
     if v.early_exit_allowed && v.n_settled >= Array.length v.settled then raise Scan_done
   end
 
+(* [block_updates] counts matched (detail row, base tuple) pairs: a
+   match adds its slot's number of base tuples. *)
+let block_fold ~mk ~stats ~cur ~verdicts ~bs ~ds ~base_rows block_i b =
+  let args = List.filter_map (fun s -> Aggregate.arg s.Aggregate.func) b.aggs in
+  let detail_only = List.for_all (Expr.refs_resolvable [| ds |]) args in
+  let pairs = Aggregate.pairs () in
+  (* Both depend on the plan; set before any row is probed. *)
+  let weight = ref (fun _ -> 1) and flush = ref ignore in
+  let push slot =
+    stats.block_updates.(block_i) <- stats.block_updates.(block_i) + !weight slot;
+    if Aggregate.add_pair pairs cur.ri slot then !flush ()
+  in
+  let hit = match verdicts with None -> push | Some v -> fun bi -> if v.alive.(bi) then push bi in
+  let plan = mk ~keyed:(detail_only && Option.is_none verdicts) b.theta hit in
+  let slots, outer, slot_of =
+    match plan.probe with
+    | Probe_key { index; _ } ->
+      (* One slot per group, and a last one that stays at the identity
+         for the base tuples no key matches. *)
+      let groups = Index.cardinality index in
+      let slot_of bi = match Index.group_of index bi with -1 -> groups | g -> g in
+      let sizes = Array.make (groups + 1) 0 in
+      Array.iteri (fun bi _ -> sizes.(slot_of bi) <- sizes.(slot_of bi) + 1) base_rows;
+      (weight := fun g -> sizes.(g));
+      (groups + 1, [||], slot_of)
+    | Probe_hash _ | Probe_all _ -> (Array.length base_rows, base_rows, Fun.id)
+  in
+  let states = Aggregate.states (compile_block ~bs ~ds b) ~slots in
+  flush := (fun () -> Aggregate.fold_pairs ~retract:cur.retract states ~outer cur.buf pairs);
+  { plan; states; slot_of; flush = !flush }
+
 let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
   let stats = fresh_stats () in
   ensure_block_slots stats (List.length blocks);
   let bs = Relation.schema base and ds = detail_schema in
   let base_rows = Relation.rows base in
   let n_base = Array.length base_rows in
-  let cur = { drow = Tuple.empty; apply = Aggregate.step; ctx = [| Tuple.empty; Tuple.empty |] } in
+  let cur = { buf = [||]; ri = 0; drow = Tuple.empty; retract = false } in
   let maintain_aggregates =
     match completion with None -> true | Some c -> c.maintain_aggregates
   in
-  let accs = if maintain_aggregates then block_states ~bs ~ds ~n_base blocks else [||] in
   let verdicts =
     Option.map
       (fun c ->
@@ -330,17 +370,6 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
     make_plan ~strategy ~stats:(if theta then Some stats else None) ~bs ~ds ~base_rows ~cur
       ~settled:(Option.map (fun v -> v.settled) verdicts)
   in
-  let step_block block_i bi =
-    cur.ctx.(0) <- base_rows.(bi);
-    cur.ctx.(1) <- cur.drow;
-    stats.block_updates.(block_i) <- stats.block_updates.(block_i) + 1;
-    cur.apply accs.(block_i) bi cur.ctx
-  in
-  let block_hit block_i =
-    match verdicts with
-    | None -> step_block block_i
-    | Some v -> fun bi -> if v.alive.(bi) then step_block block_i bi
-  in
   let kill_plans, fired_plans =
     match completion, verdicts with
     | Some c, Some v ->
@@ -357,8 +386,9 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
           if v.positive_settles && v.unfired.(bi) = 0 then settle v bi
         end
       in
-      ( Array.of_list (List.map (fun theta -> mk theta kill) c.kill_when),
-        Array.of_list (List.mapi (fun pi theta -> mk theta (fire pi)) c.require_fired) )
+      ( Array.of_list (List.map (fun theta -> mk ~keyed:false theta kill) c.kill_when),
+        Array.of_list (List.mapi (fun pi theta -> mk ~keyed:false theta (fire pi)) c.require_fired)
+      )
     | _ -> ([||], [||])
   in
   {
@@ -367,21 +397,24 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
     cur;
     kill_plans;
     fired_plans;
-    block_plans =
+    blocks =
       (if maintain_aggregates then
-         Array.of_list (List.mapi (fun block_i b -> mk b.theta (block_hit block_i)) blocks)
+         Array.of_list
+           (List.mapi (block_fold ~mk ~stats ~cur ~verdicts ~bs ~ds ~base_rows) blocks)
        else [||]);
-    accs;
     stats;
     verdicts;
   }
 
 (* Offer the cursor's detail row [drow] to one plan: every base tuple
    that satisfies its condition (and, in a completion, is not settled)
-   gets a [hit]. *)
+   — or the one key group it matches — gets a [hit]. *)
 let probe_plan st plan drow =
   if prefilter_passes plan drow then
     match plan.probe with
+    | Probe_key { index; dcols } ->
+      let g = Index.find index drow dcols in
+      if g >= 0 then plan.hit g
     | Probe_hash { index; dcols; candidate } -> Index.probe_row_iter index drow dcols candidate
     | Probe_all { test } -> (
       let base_rows = st.base_rows in
@@ -402,16 +435,6 @@ let probe_plans st plans drow =
     probe_plan st plans.(p) drow
   done
 
-(* Plain accumulation of the rows [lo, hi) of [detail_rows]. *)
-let accumulate ~apply st detail_rows lo hi =
-  st.cur.apply <- apply;
-  for ri = lo to hi - 1 do
-    let drow = detail_rows.(ri) in
-    st.stats.detail_scanned <- st.stats.detail_scanned + 1;
-    st.cur.drow <- drow;
-    probe_plans st st.block_plans drow
-  done
-
 (* The scan probes of Probe_all plans iterate an explicit active list;
    it is compacted whenever at least a quarter of it has settled, so a
    mostly-decided base stops costing per-pair work (the paper's
@@ -424,30 +447,40 @@ let compact v =
     v.settled_at_compact <- v.n_settled
   end
 
-let feed_verdicts st v detail_rows lo hi =
-  st.cur.apply <- Aggregate.step;
+(* Phase 1 over the rows [lo, hi) of [buf]: verdicts are decided row by
+   row, and every block plan's matches collect in its pairs. *)
+let probe_rows st buf lo hi =
+  let cur = st.cur in
+  cur.buf <- buf;
   for ri = lo to hi - 1 do
-    let drow = detail_rows.(ri) in
+    let drow = buf.(ri) in
     st.stats.detail_scanned <- st.stats.detail_scanned + 1;
-    st.cur.drow <- drow;
+    cur.ri <- ri;
+    cur.drow <- drow;
     probe_plans st st.kill_plans drow;
     probe_plans st st.fired_plans drow;
-    probe_plans st st.block_plans drow;
-    compact v
+    for b = 0 to Array.length st.blocks - 1 do
+      probe_plan st st.blocks.(b).plan drow
+    done;
+    Option.iter compact st.verdicts
   done
 
-let feed ?(apply = Aggregate.step) st chunk =
+(* Fold one chunk: phase 1, then phase 2 — every block steps its
+   aggregates over the chunk's matches. *)
+let feed ~retract st chunk =
+  st.cur.retract <- retract;
   let lo = Chunk.offset chunk in
   let hi = lo + Chunk.length chunk in
-  match st.verdicts with
-  | None -> accumulate ~apply st (Chunk.buffer chunk) lo hi
+  (match st.verdicts with
+  | None -> probe_rows st (Chunk.buffer chunk) lo hi
   | Some v ->
     if not v.saturated then begin
-      try feed_verdicts st v (Chunk.buffer chunk) lo hi
+      try probe_rows st (Chunk.buffer chunk) lo hi
       with Scan_done ->
         v.saturated <- true;
         st.stats.early_exit <- true
-    end
+    end);
+  Array.iter (fun b -> b.flush ()) st.blocks
 
 let saturated st = match st.verdicts with Some v -> v.saturated | None -> false
 
@@ -458,7 +491,7 @@ let saturated st = match st.verdicts with Some v -> v.saturated | None -> false
    stepping aggregates for a base tuple another domain killed —
    harmless, the merged [alive] excludes that tuple from the output. *)
 let merge ~into:a b =
-  Array.iteri (fun block_i theirs -> Aggregate.merge ~into:a.accs.(block_i) theirs) b.accs;
+  Array.iteri (fun i theirs -> Aggregate.merge ~into:a.blocks.(i).states theirs.states) b.blocks;
   match (a.verdicts, b.verdicts) with
   | Some va, Some vb ->
     let n_preds = Array.length a.fired_plans in
@@ -477,7 +510,8 @@ let merge ~into:a b =
 (* The result in base order: every base row, or — for a completion —
    the surviving ones, extended with the aggregate columns. *)
 let finish st =
-  let emit = emit_row ~width:(Schema.arity st.out_schema) st.accs in
+  let stores = Array.map (fun b -> (b.states, b.slot_of)) st.blocks in
+  let emit = emit_row ~width:(Schema.arity st.out_schema) stores in
   let rows =
     match st.verdicts with
     | None -> Array.mapi emit st.base_rows
@@ -571,7 +605,7 @@ let eval ?(strategy = `Hash) ?stats ?completion ~domains ~base detail blocks =
       Chunk.Exchange.fold ~domains ~stop:saturated
         ~init:(fun _ -> start ())
         ~fold:(fun st chunk ->
-          feed st chunk;
+          feed ~retract:false st chunk;
           st)
         ~finish:Fun.id detail
     in
@@ -614,7 +648,7 @@ module Maintain = struct
   let create ?(strategy = `Hash) ?completion ~base ~detail blocks =
     let detail_schema = Relation.schema detail in
     let st = start ~strategy ~theta:false ?completion ~base ~detail_schema blocks in
-    feed st (Chunk.whole detail);
+    feed ~retract:false st (Chunk.whole detail);
     let retractable s = Aggregate.retractable s.Aggregate.func in
     let irretractable =
       List.find_opt (fun s -> not (retractable s)) (List.concat_map (fun b -> b.aggs) blocks)
@@ -628,7 +662,7 @@ module Maintain = struct
   let insert_chunk t chunk =
     check_delta t (Chunk.schema chunk);
     incr generation_counter;
-    feed t.st chunk
+    feed ~retract:false t.st chunk
 
   let insert_detail t delta = insert_chunk t (Chunk.whole delta)
 
@@ -654,7 +688,7 @@ module Maintain = struct
          ^ " cannot be maintained under deletions"))
       t.irretractable;
     incr generation_counter;
-    feed ~apply:Aggregate.retract t.st (Chunk.whole delta)
+    feed ~retract:true t.st (Chunk.whole delta)
 
   let result t = finish t.st
 end

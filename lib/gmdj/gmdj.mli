@@ -7,8 +7,11 @@
 
     {!eval} is the one evaluator: a single pass over a detail chunk
     stream, folded by one or more domains into mergeable aggregate state
-    with one slot per base tuple ({!Subql_relational.Aggregate.states}).
-    Its strategies:
+    ({!Subql_relational.Aggregate.states}) a chunk at a time: each block
+    collects its (detail row, slot) matches, then steps its aggregates
+    over them.  A slot is a base tuple or, when θ is only [=]/[<=>]
+    keys, the aggregates read only the detail and no completion checks
+    liveness, a θ-key group of the base.  Its strategies:
     - [`Scan] — every detail row updates every base tuple whose θ it
       satisfies.  Cost: |R| rows × |B| predicate tests per block.
     - [`Hash] — the hash-index strategy of the paper's GMDJ engine:
@@ -42,8 +45,8 @@ type stats = {
           whatever the domain count — the Prop. 4.1 coalescing argument
           as a number *)
   mutable block_updates : int array;
-      (** accumulator-update batches per block (grown on demand to the
-          widest block list seen) *)
+      (** matched (detail row, base tuple) pairs per block, a key group
+          counting its size (grown to the widest block list seen) *)
 }
 
 val fresh_stats : unit -> stats

@@ -254,15 +254,14 @@ and compile_iteration ~mode ~stats ~catalog ~frames ~frames' ~ctx ~d ~source s =
       let outer_fs = Array.of_list (List.map (fun (e, _) -> Expr.compile_frames frames e) equi) in
       let cols = Array.of_list (List.map snd equi) in
       let index = Index.build_rows rows cols in
+      let key_cols = Array.init (Array.length cols) Fun.id in
       {
         iterate =
           (fun on_row ->
             let key = Array.map (fun f -> f ctx) outer_fs in
-            let matches = Index.probe index key in
             let continue = ref true in
-            List.iter
-              (fun ri -> if !continue then visit on_row rows.(ri) continue)
-              matches);
+            Index.probe_row_iter index key key_cols (fun ri ->
+                if !continue then visit on_row rows.(ri) continue));
       })
 
 (* The SQL tail over the qualifying rows, with the whole-relation

@@ -36,72 +36,109 @@ let map_arg f = function
   | Avg e -> Avg (f e)
   | First e -> First (f e)
 
+(* ------------------------------------------------------------------ *)
+(* Aggregate kinds                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* What a kind keeps per slot beside its count, which also picks its
+   chunk loop: nothing (COUNT( * ) counts rows, COUNT non-NULL values), a
+   boxed value that a new one replaces when [replace n v current] holds
+   (MIN, MAX, FIRST), an unboxed int sum that turns boxed at the first
+   non-[Int] value (SUM), or an unboxed float sum (AVG). *)
+type shape =
+  | Rows
+  | Non_null
+  | Boxed of (int -> Value.t -> Value.t -> bool)
+  | Int_sum
+  | Float_sum
+
+type kind = { label : string; shape : shape; order_sensitive : bool; retractable : bool }
+
+(* One entry per kind.  FIRST keeps the earliest non-NULL value, so
+   which of two partial states came first decides its merge; every other
+   state is a commutative combination. *)
+let kind =
+  let k label shape ~retractable ~order_sensitive = { label; shape; order_sensitive; retractable } in
+  let extremum label sign =
+    let replace n v cur = n = 0 || sign * Value.compare v cur > 0 in
+    k label (Boxed replace) ~retractable:false ~order_sensitive:false
+  in
+  let count_star = k "count" Rows ~retractable:true ~order_sensitive:false
+  and count = k "count" Non_null ~retractable:true ~order_sensitive:false
+  and sum = k "sum" Int_sum ~retractable:true ~order_sensitive:false
+  and min = extremum "min" (-1)
+  and max = extremum "max" 1
+  and avg = k "avg" Float_sum ~retractable:true ~order_sensitive:false
+  and first = k "first" (Boxed (fun n _ _ -> n = 0)) ~retractable:false ~order_sensitive:true in
+  function
+  | Count_star -> count_star
+  | Count _ -> count
+  | Sum _ -> sum
+  | Min _ -> min
+  | Max _ -> max
+  | Avg _ -> avg
+  | First _ -> first
+
+let order_sensitive f = (kind f).order_sensitive
+
+let retractable f = (kind f).retractable
+
 let output_ty frames spec =
-  match spec.func with
-  | Count_star | Count _ -> Value.Tint
-  | Avg _ -> Value.Tfloat
-  | Sum e | Min e | Max e | First e -> (
+  match (kind spec.func).shape, arg spec.func with
+  | (Rows | Non_null), _ | _, None -> Value.Tint
+  | Float_sum, _ -> Value.Tfloat
+  | (Boxed _ | Int_sum), Some e -> (
     match Expr.infer frames e with
     | Some ty -> ty
     | None -> Value.Tint (* aggregating a NULL literal; any type will do *))
 
-let equal_func a b =
-  match a, b with
-  | Count_star, Count_star -> true
-  | Count x, Count y | Sum x, Sum y | Min x, Min y | Max x, Max y | Avg x, Avg y | First x, First y
-    ->
-    Expr.equal x y
-  | (Count_star | Count _ | Sum _ | Min _ | Max _ | Avg _ | First _), _ -> false
+let equal_func a b = kind a == kind b && Option.equal Expr.equal (arg a) (arg b)
 
-(* FIRST keeps the earliest non-NULL value, so which of two partial
-   states came first decides the merge; every other state is a
-   commutative combination. *)
-let order_sensitive = function
-  | First _ -> true
-  | Count_star | Count _ | Sum _ | Min _ | Max _ | Avg _ -> false
+let func_to_string f =
+  Printf.sprintf "%s(%s)" (kind f).label
+    (match arg f with None -> "*" | Some e -> Expr.to_string e)
 
-let retractable = function
-  | Min _ | Max _ | First _ -> false
-  | Count_star | Count _ | Sum _ | Avg _ -> true
-
-let func_to_string = function
-  | Count_star -> "count(*)"
-  | Count e -> Printf.sprintf "count(%s)" (Expr.to_string e)
-  | Sum e -> Printf.sprintf "sum(%s)" (Expr.to_string e)
-  | Min e -> Printf.sprintf "min(%s)" (Expr.to_string e)
-  | Max e -> Printf.sprintf "max(%s)" (Expr.to_string e)
-  | Avg e -> Printf.sprintf "avg(%s)" (Expr.to_string e)
-  | First e -> Printf.sprintf "first(%s)" (Expr.to_string e)
-
-let pp_spec ppf spec = Format.fprintf ppf "%s -> %s" (func_to_string spec.func) spec.name
-
-type compiled = { func : func; eval : Tuple.t array -> Value.t }
-
-let compile frames (spec : spec) =
-  let eval =
-    match arg spec.func with
-    | Some e -> Expr.compile_frames frames e
-    | None -> fun _ -> Value.Int 1 (* COUNT( * ): every row counts *)
-  in
-  { func = spec.func; eval }
+let pp_spec ppf (spec : spec) = Format.fprintf ppf "%s -> %s" (func_to_string spec.func) spec.name
 
 (* ------------------------------------------------------------------ *)
 (* The slot-addressed store                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One column of state per aggregate: [counts.(s)] is the rows seen
-   (COUNT( * )) or non-NULL values seen (every other kind) by slot [s];
-   [values.(s)] is its running sum / min / max / first value, and AVG
-   keeps its running sum unboxed in [sums.(s)] instead.  COUNT and
-   COUNT( * ) keep neither. *)
+(* An argument: none, a column of the innermost frame, or an expression. *)
+type read = No_arg | Column of int | Eval of (Tuple.t array -> Value.t)
+
+type compiled = { func : func; read : read; inner : int }
+
+let compile frames (spec : spec) =
+  let inner = Array.length frames - 1 in
+  let read =
+    match arg spec.func with
+    | None -> No_arg
+    | Some (Expr.Attr (rel, name) as e) -> (
+      match Expr.resolve frames (rel, name) with
+      | Some (f, pos) when f = inner -> Column pos
+      | _ -> Eval (Expr.compile_frames frames e))
+    | Some e -> Eval (Expr.compile_frames frames e)
+  in
+  { func = spec.func; read; inner }
+
+(* One column of state per aggregate (the layout of the .mli).  SUM's
+   sum is [ints.(s)] while [values.(s)] is [Null], [values.(s)] after. *)
 type column = {
   c : compiled;
+  kind : kind;
   mutable counts : int array;
   mutable values : Value.t array;
-  mutable sums : float array;
+  mutable ints : int array;
+  mutable floats : float array;
 }
 
-type states = { cols : column array; mutable slots : int; mutable capacity : int }
+type states = {
+  cols : column array;
+  ctx : Tuple.t array;
+  mutable slots : int;
+  mutable capacity : int;
+}
 
 let sized capacity col =
   let fit a fill =
@@ -110,21 +147,20 @@ let sized capacity col =
     b
   in
   col.counts <- fit col.counts 0;
-  (* AVG's sum starts at [0.0] and adds every value to it, so an AVG over
-     [-0.] is [0.]; the other kinds start empty. *)
-  (match col.c.func with
-  | Avg _ -> col.sums <- fit col.sums 0.0
-  | Sum _ | Min _ | Max _ | First _ -> col.values <- fit col.values Value.Null
-  | Count_star | Count _ -> ());
+  (match col.kind.shape with
+  | Rows | Non_null -> ()
+  | Boxed _ -> col.values <- fit col.values Value.Null
+  | Int_sum ->
+    col.values <- fit col.values Value.Null;
+    col.ints <- fit col.ints 0
+  | Float_sum -> col.floats <- fit col.floats 0.0);
   col
 
 let states compiled ~slots =
-  {
-    cols =
-      Array.map (fun c -> sized slots { c; counts = [||]; values = [||]; sums = [||] }) compiled;
-    slots;
-    capacity = slots;
-  }
+  let inner = Array.fold_left (fun m c -> max m c.inner) 0 compiled in
+  let column c = { c; kind = kind c.func; counts = [||]; values = [||]; ints = [||]; floats = [||] } in
+  { cols = Array.map (fun c -> sized slots (column c)) compiled; ctx = Array.make (inner + 1) Tuple.empty;
+    slots; capacity = slots }
 
 let width t = Array.length t.cols
 
@@ -136,57 +172,147 @@ let add_slot t =
   t.slots <- t.slots + 1;
   t.slots - 1
 
-let to_float = function
+let[@inline] to_float = function
   | Value.Int i -> float_of_int i
   | Value.Float f -> f
   | v -> Value.type_error "avg over non-numeric value %s" (Value.to_string v)
 
-(* Fold one non-NULL value [v] into slot [s] of [col], [n] values in —
-   or, merging, another partition's running value (not for AVG, whose
-   sums [merge] adds directly). *)
-let fold_value col s n v =
-  let values = col.values in
-  match col.c.func with
-  | Count_star | Count _ -> ()
-  | Sum _ -> values.(s) <- (if n = 0 then v else Value.add values.(s) v)
-  | Min _ -> if n = 0 || Value.compare v values.(s) < 0 then values.(s) <- v
-  | Max _ -> if n = 0 || Value.compare v values.(s) > 0 then values.(s) <- v
-  | Avg _ -> col.sums.(s) <- col.sums.(s) +. to_float v
-  | First _ -> if n = 0 then values.(s) <- v
+let sum_value col s = match col.values.(s) with Value.Null -> Value.Int col.ints.(s) | v -> v
 
-let step t s ctx =
-  let cols = t.cols in
-  for a = 0 to Array.length cols - 1 do
-    let col = cols.(a) in
-    let counts = col.counts in
-    match col.c.func with
-    | Count_star -> counts.(s) <- counts.(s) + 1
-    | Count _ | Sum _ | Min _ | Max _ | Avg _ | First _ ->
-      let v = col.c.eval ctx in
-      if not (Value.is_null v) then begin
-        let n = counts.(s) in
-        fold_value col s n v;
-        counts.(s) <- n + 1
-      end
-  done
+(* A non-empty slot's running state, as [fold] takes it when merging. *)
+let partial col s =
+  match col.kind.shape with
+  | Rows | Non_null -> Value.Null
+  | Boxed _ -> col.values.(s)
+  | Int_sum -> sum_value col s
+  | Float_sum -> Value.Float col.floats.(s)
 
-let retract t s ctx =
+(* Fold one non-NULL value — or another partition's [partial] — into
+   slot [s] holding [n] values.  The first value seeds a SUM: an [Int]
+   into [ints], anything else boxed, so a SUM over [-0.] is [-0.]; AVG's
+   sum starts at [0.0] and adds every value, so an AVG over [-0.] is
+   [0.]. *)
+let fold col s n v =
+  match col.kind.shape, col.values, v with
+  | (Rows | Non_null), _, _ -> ()
+  | Boxed replace, values, v -> if replace n v values.(s) then values.(s) <- v
+  | Int_sum, values, Value.Int i when n = 0 ->
+    values.(s) <- Value.Null;
+    col.ints.(s) <- i
+  | Int_sum, values, v when n = 0 -> values.(s) <- v
+  | Int_sum, values, Value.Int i when values.(s) == Value.Null -> col.ints.(s) <- col.ints.(s) + i
+  | Int_sum, values, v -> values.(s) <- Value.add (sum_value col s) v
+  | Float_sum, _, v -> col.floats.(s) <- col.floats.(s) +. to_float v
+
+let unfold col s v =
+  match col.kind.shape, v with
+  | (Rows | Non_null), _ -> ()
+  | Int_sum, Value.Int i when col.values.(s) == Value.Null -> col.ints.(s) <- col.ints.(s) - i
+  | Int_sum, v -> col.values.(s) <- Value.sub (sum_value col s) v
+  | Float_sum, v -> col.floats.(s) <- col.floats.(s) -. to_float v
+  | Boxed _, _ -> invalid_arg ("Aggregate: " ^ func_to_string col.c.func ^ " cannot be retracted")
+
+let final col s =
+  match col.kind.shape, col.counts.(s) with
+  | (Rows | Non_null), n -> Value.Int n
+  | _, 0 -> Value.Null
+  | Float_sum, n -> Value.Float (col.floats.(s) /. float_of_int n)
+  | (Boxed _ | Int_sum), _ -> partial col s
+
+let read col ctx =
+  match col.c.read with
+  | No_arg -> Value.Null
+  | Column c -> ctx.(col.c.inner).(c)
+  | Eval f -> f ctx
+
+(* Fold one argument value into slot [s]: NULLs are skipped, except by
+   COUNT( * ), which counts rows. *)
+let fold_in col s v =
+  let n = col.counts.(s) in
+  match col.kind.shape, v with
+  | Rows, _ -> col.counts.(s) <- n + 1
+  | _, Value.Null -> ()
+  | _, v ->
+    fold col s n v;
+    col.counts.(s) <- n + 1
+
+let step t s ctx = Array.iter (fun col -> fold_in col s (read col ctx)) t.cols
+
+(* ------------------------------------------------------------------ *)
+(* The per-chunk kernel                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type pairs = { rows : int array; pslots : int array; mutable n : int }
+
+(* Small enough to be allocated on the minor heap. *)
+let pairs () = { rows = Array.make 256 0; pslots = Array.make 256 0; n = 0 }
+
+let add_pair p row slot =
+  p.rows.(p.n) <- row;
+  p.pslots.(p.n) <- slot;
+  p.n <- p.n + 1;
+  p.n = Array.length p.rows
+
+(* Pair [i]'s argument for [col]: a bare column in place, anything else
+   in the context of its row innermost and, unless [outer] is empty,
+   its slot's outer row in frame 0. *)
+let arg_at t ~outer buf p i col =
+  match col.c.read with
+  | Column c -> buf.(p.rows.(i)).(c)
+  | No_arg | Eval _ ->
+    t.ctx.(col.c.inner) <- buf.(p.rows.(i));
+    if Array.length outer > 0 then t.ctx.(0) <- outer.(p.pslots.(i));
+    read col t.ctx
+
+(* Each column in one loop over the pairs, chosen by its kind's shape
+   and argument: an [Int] read in place adds into SUM's unboxed sum
+   while the slot has seen only [Int]s, and an [Int] or [Float] into
+   AVG's; everything else — and every retraction — goes value by
+   value. *)
+let fold_pairs ~retract t ~outer buf p =
+  let rows = p.rows and slots = p.pslots in
   Array.iter
     (fun col ->
-      if not (retractable col.c.func) then
-        invalid_arg ("Aggregate.retract: " ^ func_to_string col.c.func ^ " cannot be retracted"))
+      let counts = col.counts in
+      match retract, col.kind.shape, col.c.read with
+      | false, Rows, _ ->
+        for i = 0 to p.n - 1 do
+          counts.(slots.(i)) <- counts.(slots.(i)) + 1
+        done
+      | false, Int_sum, Column c ->
+        let ints = col.ints and values = col.values in
+        for i = 0 to p.n - 1 do
+          let s = slots.(i) in
+          match buf.(rows.(i)).(c), values.(s) with
+          | Value.Int x, Value.Null ->
+            ints.(s) <- ints.(s) + x;
+            counts.(s) <- counts.(s) + 1
+          | v, _ -> fold_in col s v
+        done
+      | false, Float_sum, Column c ->
+        let floats = col.floats in
+        for i = 0 to p.n - 1 do
+          let s = slots.(i) in
+          match buf.(rows.(i)).(c) with
+          | (Value.Int _ | Value.Float _) as v ->
+            floats.(s) <- floats.(s) +. to_float v;
+            counts.(s) <- counts.(s) + 1
+          | v -> fold_in col s v
+        done
+      | false, _, _ ->
+        for i = 0 to p.n - 1 do
+          fold_in col slots.(i) (arg_at t ~outer buf p i col)
+        done
+      | true, shape, _ ->
+        for i = 0 to p.n - 1 do
+          let s = slots.(i) and v = arg_at t ~outer buf p i col in
+          if (match shape with Rows -> true | _ -> not (Value.is_null v)) then begin
+            unfold col s v;
+            counts.(s) <- counts.(s) - 1
+          end
+        done)
     t.cols;
-  Array.iter
-    (fun col ->
-      let v = col.c.eval ctx and values = col.values in
-      if not (Value.is_null v) then begin
-        (match col.c.func with
-        | Sum _ -> values.(s) <- Value.sub values.(s) v
-        | Avg _ -> col.sums.(s) <- col.sums.(s) -. to_float v
-        | Count_star | Count _ | Min _ | Max _ | First _ -> ());
-        col.counts.(s) <- col.counts.(s) - 1
-      end)
-    t.cols
+  p.n <- 0
 
 (* Slot by slot, [into] taken as the earlier partition: a FIRST already
    set stays (see [order_sensitive]). *)
@@ -202,23 +328,10 @@ let merge ~into other =
         let m = src.counts.(s) in
         if m > 0 then begin
           let n = dst.counts.(s) in
-          (match dst.c.func with
-          | Avg _ -> dst.sums.(s) <- dst.sums.(s) +. src.sums.(s)
-          | Sum _ | Min _ | Max _ | First _ -> fold_value dst s n src.values.(s)
-          | Count_star | Count _ -> ());
+          fold dst s n (partial src s);
           dst.counts.(s) <- n + m
         end
       done)
     into.cols other.cols
 
-let write t s out off =
-  Array.iteri
-    (fun a col ->
-      let n = col.counts.(s) in
-      out.(off + a) <-
-        (match col.c.func with
-        | Count_star | Count _ -> Value.Int n
-        | _ when n = 0 -> Value.Null
-        | Sum _ | Min _ | Max _ | First _ -> col.values.(s)
-        | Avg _ -> Value.Float (col.sums.(s) /. float_of_int n)))
-    t.cols
+let write t s out off = Array.iteri (fun a col -> out.(off + a) <- final col s) t.cols

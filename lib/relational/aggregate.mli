@@ -40,6 +40,10 @@ val output_ty : Schema.t array -> spec -> Value.ty
 val equal_func : func -> func -> bool
 (** Same function over structurally equal arguments. *)
 
+(** Each kind has one table entry (label, per-slot state and the two
+    flags below) that stepping, merging, retraction, writing and the
+    chunk loop all read. *)
+
 val order_sensitive : func -> bool
 (** [true] iff the state merge depends on which partial state
     saw its rows first — today only [First].  Such a state merges
@@ -48,7 +52,7 @@ val order_sensitive : func -> bool
     and [Mergeable] reports it as non-commutative. *)
 
 val retractable : func -> bool
-(** [true] iff {!retract} can undo a step of this aggregate: COUNT,
+(** [true] iff {!fold_pairs} can retract a step of this aggregate: COUNT,
     COUNT( * ), SUM and AVG.  MIN, MAX and FIRST keep no state to fall
     back on once their current value is taken out. *)
 
@@ -59,18 +63,20 @@ val pp_spec : Format.formatter -> spec -> unit
 (** {1 Aggregate state}
 
     One store holds the state of a list of aggregates for many {e slots}:
-    GMDJ gives every base tuple a slot, GROUP BY adds one per new key,
-    and a correlated aggregate subquery uses a single slot.  Slots are
-    addressed by index; only this module knows the layout.
+    GMDJ gives every base tuple (or θ-key group) a slot, GROUP BY one
+    per key, and a correlated aggregate subquery uses a single slot.
+    Slots are addressed by index; only this module knows the layout.
 
     Layout: one column per aggregate, each an [int array] of counts
     over slots — rows seen for COUNT( * ), non-NULL values seen for
-    every other kind — plus, for SUM, MIN, MAX and FIRST, a [Value.t
-    array] of running values, and for AVG an unboxed [float array] of
-    running sums, folded from [0.0].  Per-kind rules: the first
-    non-NULL value seeds SUM; MIN and MAX replace only on a strict
-    comparison; FIRST keeps the earliest value; an empty or all-NULL
-    input gives NULL (COUNT gives 0). *)
+    every other kind — plus, for MIN, MAX and FIRST, a [Value.t array]
+    of running values, for AVG an unboxed [float array] of running sums
+    folded from [0.0], and for SUM an unboxed [int array] of sums that a
+    slot leaves for a boxed [Value.t] at its first non-[Int] value, so
+    additions keep their order and {!Value.add}'s exact results.
+    Per-kind rules: the first non-NULL value seeds SUM; MIN and MAX
+    replace only on a strict comparison; FIRST keeps the earliest
+    value; an empty or all-NULL input gives NULL (COUNT gives 0). *)
 
 type compiled
 (** One aggregate with its argument resolved against the frames. *)
@@ -92,14 +98,32 @@ val add_slot : states -> int
 
 val step : states -> int -> Tuple.t array -> unit
 (** [step t s ctx] folds one tuple stack (innermost frame = the detail
-    tuple) into slot [s] of every aggregate. *)
+    tuple) into slot [s] of every aggregate: the row-at-a-time path of
+    the oracles, apart from the kernel below. *)
 
-val retract : states -> int -> Tuple.t array -> unit
-(** Take one previously-stepped tuple stack back out of slot [s] — the
-    inverse of {!step}, for view maintenance under deletions.  A slot
-    whose count returns to zero reads NULL again.
-    @raise Invalid_argument before touching any slot unless every
-    aggregate is {!retractable}. *)
+(** {1 The per-chunk kernel}
+
+    A chunk's (row, slot) matches collect in a reused buffer; then each
+    aggregate steps over them in one loop chosen by its kind and
+    argument, reading a bare column in place and adding [Int]s
+    unboxed. *)
+
+type pairs
+
+val pairs : unit -> pairs
+
+val add_pair : pairs -> int -> int -> bool
+(** [add_pair p row slot] records that the chunk buffer's row [row]
+    matches [slot]; [true] when [p] is now full and must be folded. *)
+
+val fold_pairs : retract:bool -> states -> outer:Tuple.t array -> Tuple.t array -> pairs -> unit
+(** [fold_pairs ~retract:false t ~outer buf p] folds the pairs of [p] in
+    order, as {!step} would with [buf.(row)] innermost and, unless
+    [outer] is empty, [outer.(slot)] as frame 0; then empties [p].
+    [~retract:true] takes them back out (view maintenance under
+    deletions); a slot whose count returns to zero reads NULL again.
+    @raise Invalid_argument, possibly midway, when retracting an
+    aggregate that is not {!retractable}. *)
 
 val merge : into:states -> states -> unit
 (** Slot-wise fold of the second store into the first, with [into]

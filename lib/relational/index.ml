@@ -1,32 +1,29 @@
-(* A chained hash index over a row array.  Rows with equal keys form a
-   group, linked by [next] in ascending (insertion) order and entered
-   through its first row.  [heads] maps a bucket to the first row of one
-   of its groups, and [next_group] links a group's first row to the
-   bucket's next group.  A probe compares key values once per group it
-   passes (usually one), never per matching row, and a group's first row
-   keeps the key hash that comparison checks first.  Rows excluded by a
-   NULL in a non-null-safe key column sit in no group. *)
+(* A chained hash index of key groups, numbered densely.  Group [g] keeps its key in [keys.(g)] at [key_cols] and the
+   key's hash in [hashes.(g)]; [heads] maps a bucket to one of its groups
+   and [next_group] links the bucket's groups, so a probe compares values
+   only with a group whose hash matches.  A built index's group is keyed
+   by one of its rows, and its rows link in insertion order from
+   [first.(g)] through [next]; a growing index holds only groups,
+   numbered in first-seen order. *)
 type t = {
-  rows : Tuple.t array;
   cols : int array;
   null_safe : bool array;
-  ident : int array;  (** [0 .. k-1]: where a bare key tuple holds its columns *)
-  mask : int;
-  heads : int array;
-  next_group : int array;
+  key_cols : int array;
+  mutable keys : Tuple.t array;
+  mutable hashes : int array;
+  mutable next_group : int array;
+  mutable heads : int array;
+  mutable groups : int;
+  first : int array;
   next : int array;
-  hashes : int array;
-  distinct : int;
+  group_of : int array;
 }
 
-(* A NULL in a non-null-safe key column: such a row can match nothing. *)
-let excluded null_safe (row : Tuple.t) cols =
-  let hit = ref false and i = ref 0 in
-  while (not !hit) && !i < Array.length cols do
-    if (not null_safe.(!i)) && Value.is_null row.(cols.(!i)) then hit := true;
-    incr i
-  done;
-  !hit
+(* A NULL in a non-null-safe key column, from the [i]th on: such a row
+   can match nothing. *)
+let rec excluded null_safe (row : Tuple.t) cols i =
+  i < Array.length cols
+  && (((not null_safe.(i)) && Value.is_null row.(cols.(i))) || excluded null_safe row cols (i + 1))
 
 let key_hash (row : Tuple.t) cols =
   let h = ref 17 in
@@ -37,94 +34,104 @@ let key_hash (row : Tuple.t) cols =
 
 let bucket t h =
   let h = h * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 32)) land t.mask
+  (h lxor (h lsr 32)) land (Array.length t.heads - 1)
 
-let keys_equal (a : Tuple.t) acols (b : Tuple.t) bcols =
-  let eq = ref true and i = ref 0 in
-  while !eq && !i < Array.length acols do
-    if not (Value.equal a.(acols.(!i)) b.(bcols.(!i))) then eq := false;
-    incr i
-  done;
-  !eq
+let rec keys_equal (a : Tuple.t) acols (b : Tuple.t) bcols i =
+  i >= Array.length acols || (Value.equal a.(acols.(i)) b.(bcols.(i)) && keys_equal a acols b bcols (i + 1))
 
-(* The first row of the group in [t]'s bucket chain starting at [g]
-   whose key equals [row] at [cols] (hash [h]), or -1. *)
-let rec find_group t h row cols g =
-  if g < 0 || (t.hashes.(g) = h && keys_equal t.rows.(g) t.cols row cols) then g
-  else find_group t h row cols t.next_group.(g)
+(* The group in the bucket chain starting at [g] whose key equals [row]
+   at [cols] (hash [h]), or -1. *)
+let rec find_in t h row cols g =
+  if g < 0 || (t.hashes.(g) = h && keys_equal t.keys.(g) t.key_cols row cols 0) then g
+  else find_in t h row cols t.next_group.(g)
+
+let find t row cols =
+  if excluded t.null_safe row cols 0 then -1
+  else
+    let h = key_hash row cols in
+    find_in t h row cols t.heads.(bucket t h)
+
+let link t g =
+  let b = bucket t t.hashes.(g) in
+  t.next_group.(g) <- t.heads.(b);
+  t.heads.(b) <- g
+
+(* A new last group for [key] (hash [h]); a growing index doubles its
+   arrays when full, and its buckets once groups outnumber them. *)
+let grow a fill = Array.append a (Array.make (max 16 (Array.length a)) fill)
+
+let insert t h key =
+  let g = t.groups in
+  if g = Array.length t.keys then begin
+    t.keys <- grow t.keys Tuple.empty;
+    t.hashes <- grow t.hashes 0;
+    t.next_group <- grow t.next_group (-1)
+  end;
+  if g = Array.length t.heads then begin
+    t.heads <- Array.make (2 * g) (-1);
+    for j = 0 to g - 1 do
+      link t j
+    done
+  end;
+  t.keys.(g) <- key;
+  t.hashes.(g) <- h;
+  link t g;
+  t.groups <- g + 1;
+  g
+
+let make ~null_safe ~key_cols ~rows cols =
+  let per_row fill = Array.make rows fill in
+  let rec pow2 n = if n >= rows then n else pow2 (2 * n) in
+  { cols; null_safe; key_cols; keys = per_row Tuple.empty; hashes = per_row 0;
+    next_group = per_row (-1); heads = Array.make (pow2 16) (-1);
+    groups = 0; first = per_row (-1); next = per_row (-1); group_of = per_row (-1) }
 
 let build_rows ?null_safe rows cols =
-  let k = Array.length cols in
   let null_safe =
     match null_safe with
-    | None -> Array.make k false
-    | Some a when Array.length a = k -> a
+    | None -> Array.make (Array.length cols) false
+    | Some a when Array.length a = Array.length cols -> a
     | Some _ -> invalid_arg "Index.build_rows: one null-safety flag per key column"
   in
-  let n = Array.length rows in
-  let size = ref 16 in
-  while !size < n do
-    size := 2 * !size
-  done;
-  let t =
-    {
-      rows;
-      cols;
-      null_safe;
-      ident = Array.init k Fun.id;
-      mask = !size - 1;
-      heads = Array.make !size (-1);
-      next_group = Array.make n (-1);
-      next = Array.make n (-1);
-      hashes = Array.make n 0;
-      distinct = 0;
-    }
-  in
-  let distinct = ref 0 in
-  (* [last.(g)]: the latest row of the group first row [g] enters, where
-     the next equal row is appended. *)
-  let last = Array.make n (-1) in
-  for i = 0 to n - 1 do
+  let t = make ~null_safe ~key_cols:cols ~rows:(Array.length rows) cols in
+  (* Last row first, so that prepending links a group's rows in
+     ascending order. *)
+  for i = Array.length rows - 1 downto 0 do
     let row = rows.(i) in
-    if not (excluded null_safe row cols) then begin
+    if not (excluded null_safe row cols 0) then begin
       let h = key_hash row cols in
-      let b = bucket t h in
-      t.hashes.(i) <- h;
-      let g = find_group t h row cols t.heads.(b) in
-      if g < 0 then begin
-        incr distinct;
-        t.next_group.(i) <- t.heads.(b);
-        t.heads.(b) <- i;
-        last.(i) <- i
-      end
-      else begin
-        t.next.(last.(g)) <- i;
-        last.(g) <- i
-      end
+      let g = match find_in t h row cols t.heads.(bucket t h) with -1 -> insert t h row | g -> g in
+      t.next.(i) <- t.first.(g);
+      t.first.(g) <- i;
+      t.group_of.(i) <- g
     end
   done;
-  { t with distinct = !distinct }
+  t
 
-let build ?null_safe rel cols = build_rows ?null_safe (Relation.rows rel) cols
+let growing cols =
+  let k = Array.length cols in
+  make ~null_safe:(Array.make k true) ~key_cols:(Array.init k Fun.id) ~rows:0 cols
+
+let find_or_add t row =
+  let h = key_hash row t.cols in
+  match find_in t h row t.cols t.heads.(bucket t h) with
+  | -1 ->
+    let whole = Array.length row = Array.length t.cols && t.cols = t.key_cols in
+    insert t h (if whole then row else Tuple.project row t.cols)
+  | g -> g
+
+let group_of t i = t.group_of.(i)
+
+let keys t = Array.sub t.keys 0 t.groups
 
 let probe_row_iter t row cols f =
-  if not (excluded t.null_safe row cols) then begin
-    let h = key_hash row cols in
-    let j = ref (find_group t h row cols t.heads.(bucket t h)) in
+  let g = find t row cols in
+  if g >= 0 then begin
+    let j = ref t.first.(g) in
     while !j >= 0 do
       f !j;
       j := t.next.(!j)
     done
   end
 
-let probe_iter t key f = probe_row_iter t key t.ident f
-
-let probe t key =
-  let acc = ref [] in
-  probe_iter t key (fun i -> acc := i :: !acc);
-  List.rev !acc
-
-let key_of t row =
-  if excluded t.null_safe row t.cols then None else Some (Tuple.project row t.cols)
-
-let cardinality t = t.distinct
+let cardinality t = t.groups

@@ -1,41 +1,53 @@
-(** Hash indexes on column subsets.
+(** Hash indexes on column subsets, one group per distinct key.
 
-    Keys are projected value tuples compared with grouping equality
-    ({!Value.equal}).  Each key column is either plain or null-safe.  A
-    row with a NULL in a plain key column is excluded: an SQL
-    equi-condition can never be true on a NULL key, so such a row cannot
-    match through the index, and a probe with a NULL there finds
-    nothing.  On a null-safe column ([<=>]) NULL matches NULL.
+    Keys are compared with grouping equality ({!Value.equal}) where they
+    sit in a row: no key tuple is built to probe.  Each key column is
+    either plain or null-safe.  A row with a NULL in a plain key column
+    is excluded: an SQL equi-condition can never be true on a NULL key,
+    so such a row cannot match through the index, and a probe with a
+    NULL there finds nothing.  On a null-safe column ([<=>]) NULL
+    matches NULL.
 
-    The index is chained over the row array it was built from: bucket
-    heads plus one link per row, so probing allocates nothing and finds
-    matching rows in insertion order. *)
+    Groups are numbered densely, [0 .. cardinality - 1].  A {e built}
+    index is chained over its row array, so probing allocates nothing
+    and finds matching rows in insertion order.  A {e growing} index
+    holds only groups, in first-seen order — the slot table of GROUP
+    BY. *)
 
 type t
 
-val build : ?null_safe:bool array -> Relation.t -> int array -> t
-(** [build rel cols] indexes [rel] on the column positions [cols].
-    [null_safe] has one flag per key column (default: all plain).
+val build_rows : ?null_safe:bool array -> Tuple.t array -> int array -> t
+(** [build_rows rows cols] indexes [rows] (kept: do not mutate them) on
+    the columns [cols], with one null-safety flag per column (default:
+    all plain).
     @raise Invalid_argument if [null_safe] and [cols] differ in length. *)
 
-val build_rows : ?null_safe:bool array -> Tuple.t array -> int array -> t
-(** Index a bare row array, which the index keeps (do not mutate it). *)
+val growing : int array -> t
+(** An empty growing index over rows keyed at the given columns,
+    null-safe on every column (NULLs group together, as in GROUP BY). *)
+
+val find : t -> Tuple.t -> int array -> int
+(** [find idx row cols] is the group whose key equals the values of
+    [row] at [cols], or [-1]; its rows are not walked. *)
+
+val find_or_add : t -> Tuple.t -> int
+(** A growing index's group for [row]'s key, inserted last when new —
+    only then is the key projected out of [row] (or [row] kept whole). *)
 
 val probe_row_iter : t -> Tuple.t -> int array -> (int -> unit) -> unit
-(** [probe_row_iter idx row cols f] calls [f] on the position of every
-    indexed row whose key equals the values of [row] at [cols], in
-    insertion order.  The key is hashed and compared where it sits in
-    [row]: no key tuple is built. *)
-
-val probe : t -> Tuple.t -> int list
-(** [probe idx key] returns the row positions whose key equals [key]
-    (a tuple of exactly the key columns), in insertion order. *)
-
-val probe_iter : t -> Tuple.t -> (int -> unit) -> unit
-
-val key_of : t -> Tuple.t -> Tuple.t option
-(** Extract the key columns of a full row; [None] if a plain key column
-    is NULL. *)
+(** [probe_row_iter idx row cols f] calls [f] on every row position of
+    a built index whose key equals [row]'s at [cols], in order. *)
 
 val cardinality : t -> int
-(** Number of distinct keys among the indexed rows. *)
+(** Number of distinct keys: the groups. *)
+
+val group_of : t -> int -> int
+(** A built index's group of its row [i]; [-1] for an excluded row. *)
+
+val keys : t -> Tuple.t array
+(** Each group's key row: a growing index's projected keys. *)
+
+val key_hash : Tuple.t -> int array -> int
+(** The hash of [row]'s key at [cols], a positionwise fold of
+    {!Value.hash} — consistent with {!Value.equal}, which the spill
+    partitioner requires: equal keys land in the same partition. *)

@@ -152,27 +152,23 @@ let join ?(strategy = `Hash) ~kind cond ~build probe =
   | Semi -> probe_map ls (fun l push -> if has_match matches l then push l) probe
   | Anti -> probe_map ls (fun l push -> if not (has_match matches l) then push l) probe
 
-module Group_table = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-
-  let hash = Tuple.hash
-end)
-
+(* Each build row cancels one equal probe row: [budget.(g)] is what is
+   left of key group [g]'s build rows. *)
 let diff_all ~build probe =
-  check_compatible "diff_all" (Chunk.Source.schema probe) (Relation.schema build);
-  let budget = Group_table.create (max 16 (Relation.cardinality build)) in
+  let schema = Chunk.Source.schema probe in
+  check_compatible "diff_all" schema (Relation.schema build);
+  let cols = Array.init (Schema.arity schema) Fun.id in
+  let index = Index.growing cols in
+  let budget = Vec.create ~dummy:0 () in
   Relation.iter
     (fun row ->
-      let n = Option.value ~default:0 (Group_table.find_opt budget row) in
-      Group_table.replace budget row (n + 1))
+      let g = Index.find_or_add index row in
+      if g = Vec.length budget then Vec.push budget 1 else Vec.set budget g (Vec.get budget g + 1))
     build;
-  probe_map (Chunk.Source.schema probe)
+  probe_map schema
     (fun row push ->
-      match Group_table.find_opt budget row with
-      | Some n when n > 0 -> Group_table.replace budget row (n - 1)
-      | Some _ | None -> push row)
+      let g = Index.find index row cols in
+      if g >= 0 && Vec.get budget g > 0 then Vec.set budget g (Vec.get budget g - 1) else push row)
     probe
 
 (* ------------------------------------------------------------------ *)
@@ -192,75 +188,58 @@ let group_schema ?keys ~aggs schema =
   in
   (key_idxs, Schema.concat (Schema.project schema key_idxs) (Schema.of_list agg_attrs))
 
-(* Resumable grouping state: the hash table behind GROUP BY, DISTINCT
+(* Resumable grouping state: the slot table behind GROUP BY, DISTINCT
    (the zero-aggregate grouping on every column) and the global
    aggregate (the grouping on no column), exposed so the spill path can
    freeze the group set at a budget and route rows of unseen keys to
-   disk.  Each group is a slot of one {!Aggregate.states}: the table
-   maps a key to its slot, and [order] holds the keys by slot. *)
+   disk.  Each group is a slot of one {!Aggregate.states}, numbered as
+   its group in a growing {!Index} on the key columns. *)
 module Group_acc = struct
   type t = {
     key_idxs : int array;
-    whole_row : bool;  (* the key is every column in order: the row is its own key *)
-    keyless : bool;  (* the global aggregate: its one group is slot 0, seeded at [create] *)
     out_schema : Schema.t;
+    index : Index.t;
     states : Aggregate.states;
-    groups : int Group_table.t;
-    order : Tuple.t Vec.t;
-    ctx : Tuple.t array;
+    pairs : Aggregate.pairs;
   }
+
+  let size t = Index.cardinality t.index
+
+  let slot t row =
+    let n = size t in
+    let g = Index.find_or_add t.index row in
+    if g = n then ignore (Aggregate.add_slot t.states);
+    g
 
   let create ?keys ~aggs schema =
     let key_idxs, out_schema = group_schema ?keys ~aggs schema in
     let compiled = Array.of_list (List.map (Aggregate.compile [| schema |]) aggs) in
+    let t =
+      {
+        key_idxs;
+        out_schema;
+        index = Index.growing key_idxs;
+        states = Aggregate.states compiled ~slots:0;
+        pairs = Aggregate.pairs ();
+      }
+    in
     (* No keys: the one group exists before any row arrives, so an empty
        input still yields its row of aggregate identities. *)
-    let keyless = keys = Some [] in
-    let states = Aggregate.states compiled ~slots:(if keyless then 1 else 0) in
-    let order = Vec.create ~dummy:dummy_row () in
-    if keyless then Vec.push order Tuple.empty;
-    {
-      key_idxs;
-      whole_row = key_idxs = Array.init (Schema.arity schema) Fun.id;
-      keyless;
-      out_schema;
-      states;
-      groups = Group_table.create 64;
-      order;
-      ctx = [| Tuple.empty |];
-    }
+    if keys = Some [] then ignore (slot t Tuple.empty);
+    t
 
-  let key_of t row = if t.whole_row then row else Tuple.project row t.key_idxs
-
-  let size t = Vec.length t.order
-
-  let update t slot row =
-    t.ctx.(0) <- row;
-    Aggregate.step t.states slot t.ctx
-
-  (* Update only an already-present group: [false] means the key is new
-     and the row was not consumed — the spill path's overflow test. *)
-  let step_existing t row =
-    match if t.keyless then Some 0 else Group_table.find_opt t.groups (key_of t row) with
-    | Some slot ->
-      update t slot row;
-      true
-    | None -> false
-
-  let step t row =
-    if t.keyless then update t 0 row
-    else
-      let key = key_of t row in
-      match Group_table.find_opt t.groups key with
-      | Some slot -> update t slot row
-      | None ->
-        let slot = Aggregate.add_slot t.states in
-        Group_table.add t.groups key slot;
-        Vec.push t.order key;
-        update t slot row
+  let fold_chunk t ~capacity ~overflow chunk =
+    let buf = Chunk.buffer chunk and lo = Chunk.offset chunk in
+    let flush () = Aggregate.fold_pairs ~retract:false t.states ~outer:[||] buf t.pairs in
+    for ri = lo to lo + Chunk.length chunk - 1 do
+      let row = buf.(ri) in
+      let g = if size t < capacity then slot t row else Index.find t.index row t.key_idxs in
+      if g < 0 then overflow row else if Aggregate.add_pair t.pairs ri g then flush ()
+    done;
+    flush ()
 
   let rows t =
-    let keys = Vec.to_array t.order in
+    let keys = Index.keys t.index in
     match Aggregate.width t.states with
     | 0 -> keys
     | width ->
@@ -278,7 +257,7 @@ end
 
 let group_by ?keys ~aggs src =
   let acc = Group_acc.create ?keys ~aggs (Chunk.Source.schema src) in
-  Chunk.Source.iter (Chunk.iter (Group_acc.step acc)) src;
+  Chunk.Source.iter (Group_acc.fold_chunk acc ~capacity:max_int ~overflow:ignore) src;
   Group_acc.result acc
 
 let sort ~by ?limit src =

@@ -110,35 +110,32 @@ val sort :
 
 (** {1 Resumable grouping state}
 
-    The hash state behind GROUP BY and DISTINCT as a first-class value:
+    The slot table behind GROUP BY and DISTINCT as a first-class value:
     each group is one slot of an {!Subql_relational.Aggregate.states},
-    found through a hash table from key to slot.  The spill path
-    freezes one at a memory budget and routes overflow rows to temp
-    heap files; the parallel executor hash-partitions rows by key, runs
-    one per domain and concatenates their key-disjoint results.
-    {!group_by} is a thin wrapper over it. *)
+    numbered as its group in a growing {!Index}; a chunk's rows are
+    mapped to slots, then the aggregates step over the (row, slot)
+    pairs ({!Subql_relational.Aggregate.fold_pairs}).  The spill path freezes one at a memory budget and routes overflow
+    rows to temp heap files; the parallel executor hash-partitions rows
+    by key, runs one per domain and concatenates their key-disjoint
+    results.  {!group_by} is a thin wrapper over it. *)
 
 module Group_acc : sig
   type t
 
   val create : ?keys:(string option * string) list -> aggs:Aggregate.spec list -> Schema.t -> t
   (** [keys] as in {!group_by}; when the key is every column, a row is
-      its own key (no per-row projection), and with no aggregates a
-      group's output row is its key row.  With [~keys:\[\]] the one
-      group is slot 0 from the start and {!step} folds straight into it,
-      with no key projection or hash probe. *)
-
-  val key_of : t -> Tuple.t -> Tuple.t
+      its own key (never projected), and with no aggregates a group's
+      output row is its key row.  With [~keys:\[\]] the one group is
+      slot 0 from the start. *)
 
   val size : t -> int
   (** Groups held. *)
 
-  val step : t -> Tuple.t -> unit
-  (** Fold a row in, creating its group if needed. *)
-
-  val step_existing : t -> Tuple.t -> bool
-  (** Fold a row into an already-present group; [false] means the key is
-      new and the row was {e not} consumed — the spill overflow test. *)
+  val fold_chunk : t -> capacity:int -> overflow:(Tuple.t -> unit) -> Chunk.t -> unit
+  (** Fold a chunk's rows in, in order.  A row of a new key creates its
+      group while fewer than [capacity] groups are held; past that it
+      is {e not} consumed but handed to [overflow] — the spill path's
+      freeze. *)
 
   val result : t -> Relation.t
   (** Groups in first-seen order, keys then aggregate columns. *)

@@ -21,8 +21,6 @@ let compare (a : t) (b : t) =
   in
   loop 0
 
-let hash (t : t) = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
-
 let pp ppf (t : t) =
   Format.fprintf ppf "(%a)"
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Value.pp)

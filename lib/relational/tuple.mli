@@ -19,9 +19,4 @@ val compare : t -> t -> int
     deterministic {!Diag} ordering derived from it — is stable across
     runs. *)
 
-val hash : t -> int
-(** Positionwise fold of {!Value.hash}; consistent with {!equal}, which
-    the spill partitioner requires — tuples that compare equal must land
-    in the same hash partition. *)
-
 val pp : Format.formatter -> t -> unit

@@ -72,7 +72,9 @@ let compare a b =
   | Bool x, Bool y -> Bool.compare x y
   | _ -> Int.compare (rank a) (rank b)
 
-let equal a b = compare a b = 0
+(* [compare a b = 0], without the call for the common key types. *)
+let equal a b =
+  match a, b with Int x, Int y -> x = y | Str x, Str y -> String.equal x y | _ -> compare a b = 0
 
 (* Numbers strictly inside (-2^53, 2^53) are exact in both [Int] and
    [Float], so an [Int] there hashes as itself and an integral [Float]

@@ -139,38 +139,34 @@ let publish ~spilled_rows ~spilled_bytes =
     Subql_obs.Metrics.incr ~by:spilled_bytes (Lazy.force m_spilled_bytes)
   end
 
-let key_partition n key = Tuple.hash key land max_int mod n
+let key_partition n h = h land max_int mod n
 
 (* ------------------------------------------------------------------ *)
 (* GROUP BY                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* Fold a chunk into a grouping state, metering the groups it adds. *)
+let fold_groups meter acc ~capacity ~overflow c =
+  let before = Ops.Group_acc.size acc in
+  Ops.Group_acc.fold_chunk acc ~capacity ~overflow c;
+  meter_alloc meter (Ops.Group_acc.size acc - before)
 
 let group_by ?(partitions = default_partitions) ~budget ?keys ~aggs src =
   if budget <= 0 then invalid_arg "Spill.group_by: budget must be positive";
   let schema = Chunk.Source.schema src in
   let meter = meter_create () in
   let acc = Ops.Group_acc.create ?keys ~aggs schema in
+  let key_idxs, _ = Ops.group_schema ?keys ~aggs schema in
   let parts = lazy (parts_create ~meter ~schema partitions) in
   Fun.protect
     ~finally:(fun () -> if Lazy.is_val parts then parts_dispose (Lazy.force parts))
     (fun () ->
-      Chunk.Source.iter
-        (fun c ->
-          Chunk.iter
-            (fun row ->
-              (* Rows of resident groups keep folding in place even after
-                 the freeze; only rows of unseen keys go to disk. *)
-              if not (Ops.Group_acc.step_existing acc row) then
-                if Ops.Group_acc.size acc < budget then begin
-                  Ops.Group_acc.step acc row;
-                  meter_alloc meter 1
-                end
-                else
-                  parts_push (Lazy.force parts)
-                    (key_partition partitions (Ops.Group_acc.key_of acc row))
-                    row)
-            c)
-        src;
+      (* Rows of resident groups keep folding in place even after the
+         freeze; only rows of unseen keys go to disk. *)
+      let overflow row =
+        parts_push (Lazy.force parts) (key_partition partitions (Index.key_hash row key_idxs)) row
+      in
+      Chunk.Source.iter (fold_groups meter acc ~capacity:budget ~overflow) src;
       let resident = Ops.Group_acc.result acc in
       if not (Lazy.is_val parts) then
         {
@@ -189,13 +185,7 @@ let group_by ?(partitions = default_partitions) ~budget ?keys ~aggs src =
         let pieces = ref [ Relation.rows resident ] in
         parts_each_source ps ~pool (fun _ psrc ->
             let sub = Ops.Group_acc.create ?keys ~aggs schema in
-            Chunk.Source.iter
-              (Chunk.iter (fun row ->
-                   if not (Ops.Group_acc.step_existing sub row) then begin
-                     Ops.Group_acc.step sub row;
-                     meter_alloc meter 1
-                   end))
-              psrc;
+            Chunk.Source.iter (fold_groups meter sub ~capacity:max_int ~overflow:ignore) psrc;
             let rows = Relation.rows (Ops.Group_acc.result sub) in
             meter_release meter (Ops.Group_acc.size sub);
             pieces := rows :: !pieces);
@@ -215,14 +205,14 @@ let group_by ?(partitions = default_partitions) ~budget ?keys ~aggs src =
 
 (* One side of the join, collected with a row cap: in memory when it
    fits, hash-partitioned on its equi-key columns otherwise.  Partitions
-   hash the whole key with NULL included ({!Tuple.hash}), so a NULL on
+   hash the whole key with NULL included ({!Index.key_hash}), so a NULL on
    a null-safe ([<=>]) column lands with the NULLs it matches.  On a
    plain column a NULL matches nothing wherever it lands, and
    outer/anti semantics still see each left row exactly once. *)
 type side = In_mem of Tuple.t array | On_disk of parts
 
 let collect_side ~meter ~partitions ~budget ~schema ~cols src =
-  let route ps row = parts_push ps (key_partition partitions (Tuple.project row cols)) row in
+  let route ps row = parts_push ps (key_partition partitions (Index.key_hash row cols)) row in
   let buf = Vec.create ~dummy:[||] () in
   let spilled = ref None in
   Chunk.Source.iter
@@ -254,7 +244,7 @@ let collect_side ~meter ~partitions ~budget ~schema ~cols src =
 let partition_rows ~partitions ~cols rows =
   let out = Array.init partitions (fun _ -> Vec.create ~dummy:[||] ()) in
   Array.iter
-    (fun row -> Vec.push out.(key_partition partitions (Tuple.project row cols)) row)
+    (fun row -> Vec.push out.(key_partition partitions (Index.key_hash row cols)) row)
     rows;
   Array.map Vec.to_array out
 

@@ -125,6 +125,8 @@ GATES = {
                 msg="GROUP BY and the GMDJ fold over the same Flow rows disagree"),
             row("group_by_vs_gmdj.ratio", "number",
                 msg="BENCH_exec.json has no GROUP BY vs GMDJ timing (group_by_vs_gmdj.ratio)"),
+            row("group_by_vs_gmdj.ratio", "<=", const(1.2),
+                "GROUP BY took {value:.2f}x the GMDJ fold over the same rows (limit 1.2x)"),
         ],
         summary=lambda f, b: (
             "BENCH_exec.json: verified, peak %d rows (2x detail: %d), page reads %d chained / "

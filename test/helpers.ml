@@ -93,6 +93,13 @@ let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 (* GMDJ over an in-memory detail relation, serial unless told otherwise. *)
+(* [rel] in chunks of [n] rows, its whole-relation origin dropped so
+   that no operator re-slices it: chunk boundaries fall where [n] puts
+   them, at any domain count. *)
+let chunked n rel = Chunk.Source.map Fun.id (Chunk.Source.of_relation ~chunk_rows:n rel)
+
+let chunk_sizes = [ 1; 3; Chunk.default_rows ]
+
 let gmdj ?strategy ?stats ?completion ?(domains = 1) ~base ~detail blocks =
   Subql_gmdj.Gmdj.eval ?strategy ?stats ?completion ~domains ~base
     (Chunk.Source.of_relation detail) blocks

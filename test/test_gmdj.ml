@@ -264,8 +264,10 @@ let partitioned_prop (brows, drows) =
 
 (* The [`Hash] strategy keys on [<=>] as well as [=]: a null-safe key
    matches NULL with NULL, a plain one never does, and Int/Float keys
-   meet across representations (-0., NaN included).  Every domain count,
-   strategy and completion agrees with the definition. *)
+   meet across representations (-0., NaN included).  Base keys repeat,
+   so a θ-key group often stands for several base tuples.  Every domain
+   count, strategy, completion and chunk size (1, 3 and the default
+   rows) agrees with the definition. *)
 let null_safe_gen =
   let open QCheck2.Gen in
   let int_or_null = frequency [ (1, return Value.Null); (4, map (fun i -> Value.Int i) (int_range 0 3)) ] in
@@ -315,17 +317,21 @@ let null_safe_prop (brows, drows) =
         (fun strategy ->
           List.for_all
             (fun domains ->
-              Relation.equal_as_multiset expected
-                (Helpers.gmdj ~strategy ?completion ~domains ~base ~detail blocks))
+              List.for_all
+                (fun n ->
+                  Relation.equal_as_multiset expected
+                    (Gmdj.eval ~strategy ?completion ~domains ~base (Helpers.chunked n detail) blocks))
+                Helpers.chunk_sizes)
             [ 1; 2 ])
         [ `Scan; `Hash ])
     cases
 
 let test_partitioned_stats () =
+  (* Keys 0..4, key 4 on two base tuples. *)
   let base =
     Relation.of_list
       (Schema.of_list [ Schema.attr ~rel:"B" "k" Value.Tint ])
-      (List.init 5 (fun i -> [| Value.Int i |]))
+      (List.init 6 (fun i -> [| Value.Int (min i 4) |]))
   in
   let detail =
     Relation.of_list
@@ -335,9 +341,9 @@ let test_partitioned_stats () =
   let blocks =
     [ Gmdj.block [ Aggregate.count_star "cnt" ] (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k")) ]
   in
-  let run domains =
+  let run ?(strategy = `Scan) domains =
     let stats = Gmdj.fresh_stats () in
-    ignore (Helpers.gmdj ~strategy:`Scan ~stats ~domains ~base ~detail blocks);
+    ignore (Helpers.gmdj ~strategy ~stats ~domains ~base ~detail blocks);
     stats
   in
   let serial = run 1 and parallel = run 4 in
@@ -345,7 +351,18 @@ let test_partitioned_stats () =
   Alcotest.(check int) "one logical pass" 1 parallel.Gmdj.detail_passes;
   Alcotest.(check int) "θ counts do not depend on the domain count" serial.Gmdj.theta_evals
     parallel.Gmdj.theta_evals;
-  Alcotest.(check int) "every pair tested" 500 parallel.Gmdj.theta_evals;
+  Alcotest.(check int) "every pair tested" 600 parallel.Gmdj.theta_evals;
+  (* Block updates count matched (detail row, base tuple) pairs: the 20
+     detail rows of key 4 match two base tuples, whether the fold keeps
+     a slot per base tuple ([`Scan]) or one per θ-key group ([`Hash]). *)
+  List.iter
+    (fun (name, stats) -> Alcotest.(check int) name 120 stats.Gmdj.block_updates.(0))
+    [
+      ("block updates, scan, 1 domain", serial);
+      ("block updates, scan, 4 domains", parallel);
+      ("block updates, key groups, 1 domain", run ~strategy:`Hash 1);
+      ("block updates, key groups, 2 domains", run ~strategy:`Hash 2);
+    ];
   (match Helpers.gmdj ~domains:0 ~base ~detail blocks with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "domains 0 must be rejected")

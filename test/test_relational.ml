@@ -449,11 +449,18 @@ let test_add_rownum_and_limit () =
 
 (* --- Index ------------------------------------------------------------- *)
 
+(* The row positions whose key equals [key] (a tuple of exactly the key
+   columns), in insertion order. *)
+let probe idx key =
+  let acc = ref [] in
+  Index.probe_row_iter idx key (Array.init (Array.length key) Fun.id) (fun i -> acc := i :: !acc);
+  List.rev !acc
+
 let test_index_null_exclusion () =
   let r = rel_of [ "k"; "v" ] Value.[ [ Int 1; Int 0 ]; [ Null; Int 1 ]; [ Int 1; Int 2 ] ] "t" in
-  let idx = Index.build r [| 0 |] in
-  Alcotest.(check (list int)) "probe 1" [ 0; 2 ] (Index.probe idx [| Value.Int 1 |]);
-  Alcotest.(check (list int)) "probe null finds nothing" [] (Index.probe idx [| Value.Null |]);
+  let idx = Index.build_rows (Relation.rows r) [| 0 |] in
+  Alcotest.(check (list int)) "probe 1" [ 0; 2 ] (probe idx [| Value.Int 1 |]);
+  Alcotest.(check (list int)) "probe null finds nothing" [] (probe idx [| Value.Null |]);
   Alcotest.(check int) "one distinct key" 1 (Index.cardinality idx)
 
 (* Per-column null-safety: a [<=>] column finds its NULL rows, a plain
@@ -464,18 +471,17 @@ let test_index_null_safe () =
       Value.[ [ Null; Int 1 ]; [ Int 2; Null ]; [ Null; Int 1 ]; [ Null; Null ]; [ Int 2; Int 1 ] ]
       "t"
   in
-  let idx = Index.build ~null_safe:[| true; false |] r [| 0; 1 |] in
+  let idx = Index.build_rows ~null_safe:[| true; false |] (Relation.rows r) [| 0; 1 |] in
   Alcotest.(check (list int)) "NULL on the null-safe column" [ 0; 2 ]
-    (Index.probe idx Value.[| Null; Int 1 |]);
+    (probe idx Value.[| Null; Int 1 |]);
   Alcotest.(check (list int)) "NULL on the plain column" []
-    (Index.probe idx Value.[| Int 2; Null |]);
-  Alcotest.(check (list int)) "plain key" [ 4 ] (Index.probe idx Value.[| Int 2; Int 1 |]);
-  Alcotest.(check bool) "key_of keeps a null-safe NULL" true
-    (Index.key_of idx (Relation.row r 0) <> None);
-  Alcotest.(check bool) "key_of drops a plain NULL" true (Index.key_of idx (Relation.row r 1) = None);
-  let all_plain = Index.build r [| 0; 1 |] in
+    (probe idx Value.[| Int 2; Null |]);
+  Alcotest.(check (list int)) "plain key" [ 4 ] (probe idx Value.[| Int 2; Int 1 |]);
+  Alcotest.(check bool) "find keeps a null-safe NULL" true (Index.find idx (Relation.row r 0) [| 0; 1 |] >= 0);
+  Alcotest.(check int) "find drops a plain NULL" (-1) (Index.find idx (Relation.row r 1) [| 0; 1 |]);
+  let all_plain = Index.build_rows (Relation.rows r) [| 0; 1 |] in
   Alcotest.(check (list int)) "all plain: NULL finds nothing" []
-    (Index.probe all_plain Value.[| Null; Int 1 |]);
+    (probe all_plain Value.[| Null; Int 1 |]);
   (* In place: the probe row's columns 2 and 0 are the key. *)
   let found = ref [] in
   Index.probe_row_iter idx Value.[| Int 1; Int 9; Null |] [| 2; 0 |] (fun i -> found := i :: !found);
@@ -492,16 +498,16 @@ let test_index_order_and_cardinality () =
       List.filter (fun i -> i mod 7 <> 0 && i mod 5 = k) (List.init n Fun.id)
     in
     Alcotest.(check (list int)) (Printf.sprintf "key %d in insertion order" k) expected
-      (Index.probe idx [| Value.Int k |])
+      (probe idx [| Value.Int k |])
   done;
   Alcotest.(check (list int)) "NULL group in insertion order"
     (List.filter (fun i -> i mod 7 = 0) (List.init n Fun.id))
-    (Index.probe idx [| Value.Null |]);
+    (probe idx [| Value.Null |]);
   Alcotest.(check int) "five keys and NULL" 6 (Index.cardinality idx);
   Alcotest.(check int) "plain: NULL is no key" 5 (Index.cardinality (Index.build_rows rows [| 0 |]));
   (* Int and integral Float are one key. *)
   let mixed = Index.build_rows [| [| Value.Int 3 |]; [| Value.Float 3.0 |]; [| Value.Float 3.5 |] |] [| 0 |] in
-  Alcotest.(check (list int)) "3 = 3.0" [ 0; 1 ] (Index.probe mixed [| Value.Float 3.0 |]);
+  Alcotest.(check (list int)) "3 = 3.0" [ 0; 1 ] (probe mixed [| Value.Float 3.0 |]);
   Alcotest.(check int) "two distinct keys" 2 (Index.cardinality mixed)
 
 (* --- Vec ---------------------------------------------------------------- *)
