@@ -88,12 +88,17 @@ let output_schema ~base ~detail blocks =
 
 (* The detail row being folded and where it sits in its chunk's buffer,
    read by every plan's match callback, so that probing a row allocates
-   no closure.  [retract] is set while a deletion delta is folded. *)
+   no closure.  [mode] says whether the detail rows are folded in, taken
+   back out, or only checked for an exact retraction, which clears
+   [exact] when one would not be. *)
+type mode = Insert | Retract | Check_retract
+
 type cursor = {
   mutable buf : Tuple.t array;
   mutable ri : int;
   mutable drow : Tuple.t;
-  mutable retract : bool;
+  mutable mode : mode;
+  mutable exact : bool;
 }
 
 (* A compiled plan for one θ-like condition over (base, detail):
@@ -328,7 +333,13 @@ let block_fold ~mk ~stats ~cur ~verdicts ~bs ~ds ~base_rows block_i b =
     | Probe_hash _ | Probe_all _ -> (Array.length base_rows, base_rows, Fun.id)
   in
   let states = Aggregate.states (compile_block ~bs ~ds b) ~slots in
-  flush := (fun () -> Aggregate.fold_pairs ~retract:cur.retract states ~outer cur.buf pairs);
+  (flush :=
+     fun () ->
+       match cur.mode with
+       | Insert -> Aggregate.fold_pairs ~retract:false states ~outer cur.buf pairs
+       | Retract -> Aggregate.fold_pairs ~retract:true states ~outer cur.buf pairs
+       | Check_retract ->
+         if not (Aggregate.exact_retraction states ~outer cur.buf pairs) then cur.exact <- false);
   { plan; states; slot_of; flush = !flush }
 
 let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
@@ -337,7 +348,7 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
   let bs = Relation.schema base and ds = detail_schema in
   let base_rows = Relation.rows base in
   let n_base = Array.length base_rows in
-  let cur = { buf = [||]; ri = 0; drow = Tuple.empty; retract = false } in
+  let cur = { buf = [||]; ri = 0; drow = Tuple.empty; mode = Insert; exact = true } in
   let maintain_aggregates =
     match completion with None -> true | Some c -> c.maintain_aggregates
   in
@@ -467,8 +478,8 @@ let probe_rows st buf lo hi =
 
 (* Fold one chunk: phase 1, then phase 2 — every block steps its
    aggregates over the chunk's matches. *)
-let feed ~retract st chunk =
-  st.cur.retract <- retract;
+let feed ~mode st chunk =
+  st.cur.mode <- mode;
   let lo = Chunk.offset chunk in
   let hi = lo + Chunk.length chunk in
   (match st.verdicts with
@@ -605,7 +616,7 @@ let eval ?(strategy = `Hash) ?stats ?completion ~domains ~base detail blocks =
       Chunk.Exchange.fold ~domains ~stop:saturated
         ~init:(fun _ -> start ())
         ~fold:(fun st chunk ->
-          feed ~retract:false st chunk;
+          feed ~mode:Insert st chunk;
           st)
         ~finish:Fun.id detail
     in
@@ -648,7 +659,7 @@ module Maintain = struct
   let create ?(strategy = `Hash) ?completion ~base ~detail blocks =
     let detail_schema = Relation.schema detail in
     let st = start ~strategy ~theta:false ?completion ~base ~detail_schema blocks in
-    feed ~retract:false st (Chunk.whole detail);
+    feed ~mode:Insert st (Chunk.whole detail);
     let retractable s = Aggregate.retractable s.Aggregate.func in
     let irretractable =
       List.find_opt (fun s -> not (retractable s)) (List.concat_map (fun b -> b.aggs) blocks)
@@ -662,7 +673,7 @@ module Maintain = struct
   let insert_chunk t chunk =
     check_delta t (Chunk.schema chunk);
     incr generation_counter;
-    feed ~retract:false t.st chunk
+    feed ~mode:Insert t.st chunk
 
   let insert_detail t delta = insert_chunk t (Chunk.whole delta)
 
@@ -687,8 +698,20 @@ module Maintain = struct
           ("Gmdj.Maintain: a view with " ^ Aggregate.func_to_string s.Aggregate.func
          ^ " cannot be maintained under deletions"))
       t.irretractable;
+    (* A dry run first: the delta's matches are probed and checked, and
+       only the statistics move — put back before the real pass. *)
+    let stats = t.st.stats in
+    let scanned = stats.detail_scanned and updates = Array.copy stats.block_updates in
+    t.st.cur.exact <- true;
+    feed ~mode:Check_retract t.st (Chunk.whole delta);
+    stats.detail_scanned <- scanned;
+    stats.block_updates <- updates;
+    if not t.st.cur.exact then
+      invalid_arg
+        "Gmdj.Maintain: this deletion would retract from a SUM or AVG whose sum may have rounded \
+         (a float, or an int too large for an exact float sum); recompute the view instead";
     incr generation_counter;
-    feed ~retract:true t.st (Chunk.whole delta)
+    feed ~mode:Retract t.st (Chunk.whole delta)
 
   let result t = finish t.st
 end

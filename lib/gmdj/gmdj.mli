@@ -192,10 +192,15 @@ module Maintain : sig
       @raise Invalid_argument if the delta schema differs. *)
 
   val delete_detail : t -> Relation.t -> unit
-  (** Retract a batch of detail rows.
-      @raise Invalid_argument for completed views and views with a MIN,
-      MAX or FIRST aggregate; the view and {!generation} are left
-      unchanged. *)
+  (** Retract a batch of detail rows.  A retraction is done only when it
+      is exact — the view then equals a recompute over the remaining
+      detail ({!Subql_relational.Aggregate.exact_retraction}): COUNT
+      always, SUM while the slots it touches hold [Int] sums, AVG while
+      their float sums cannot have rounded.
+      @raise Invalid_argument for completed views, views with a MIN,
+      MAX or FIRST aggregate, and a deletion that would touch a SUM or
+      AVG slot whose sum may have rounded; the view and {!generation}
+      are left unchanged. *)
 
   val insert_chunk : t -> Chunk.t -> unit
   (** {!insert_detail} for one chunk of detail rows — the streaming

@@ -123,7 +123,8 @@ let compile frames (spec : spec) =
   { func = spec.func; read; inner }
 
 (* One column of state per aggregate (the layout of the .mli).  SUM's
-   sum is [ints.(s)] while [values.(s)] is [Null], [values.(s)] after. *)
+   sum is [ints.(s)] while [values.(s)] is [Null], [values.(s)] after.
+   AVG's [inexact.(s)] is set once its float sum may have rounded. *)
 type column = {
   c : compiled;
   kind : kind;
@@ -131,6 +132,7 @@ type column = {
   mutable values : Value.t array;
   mutable ints : int array;
   mutable floats : float array;
+  mutable inexact : bool array;
 }
 
 type states = {
@@ -153,12 +155,16 @@ let sized capacity col =
   | Int_sum ->
     col.values <- fit col.values Value.Null;
     col.ints <- fit col.ints 0
-  | Float_sum -> col.floats <- fit col.floats 0.0);
+  | Float_sum ->
+    col.floats <- fit col.floats 0.0;
+    col.inexact <- fit col.inexact false);
   col
 
 let states compiled ~slots =
   let inner = Array.fold_left (fun m c -> max m c.inner) 0 compiled in
-  let column c = { c; kind = kind c.func; counts = [||]; values = [||]; ints = [||]; floats = [||] } in
+  let column c =
+    { c; kind = kind c.func; counts = [||]; values = [||]; ints = [||]; floats = [||]; inexact = [||] }
+  in
   { cols = Array.map (fun c -> sized slots (column c)) compiled; ctx = Array.make (inner + 1) Tuple.empty;
     slots; capacity = slots }
 
@@ -176,6 +182,15 @@ let[@inline] to_float = function
   | Value.Int i -> float_of_int i
   | Value.Float f -> f
   | v -> Value.type_error "avg over non-numeric value %s" (Value.to_string v)
+
+(* An AVG sum is exact — every partial sum of any subset of its values
+   an integer below 2^53 in magnitude, so taking a value back out gives
+   what folding the rest afresh would — while it has taken only [Int]s
+   of magnitude at most 2^31 into at most 2^22 live values.  [n] is the
+   count after the value. *)
+let[@inline] exact_term n = function
+  | Value.Int i -> i <= 1 lsl 31 && i >= -(1 lsl 31) && n <= 1 lsl 22
+  | _ -> false
 
 let sum_value col s = match col.values.(s) with Value.Null -> Value.Int col.ints.(s) | v -> v
 
@@ -202,7 +217,9 @@ let fold col s n v =
   | Int_sum, values, v when n = 0 -> values.(s) <- v
   | Int_sum, values, Value.Int i when values.(s) == Value.Null -> col.ints.(s) <- col.ints.(s) + i
   | Int_sum, values, v -> values.(s) <- Value.add (sum_value col s) v
-  | Float_sum, _, v -> col.floats.(s) <- col.floats.(s) +. to_float v
+  | Float_sum, _, v ->
+    col.floats.(s) <- col.floats.(s) +. to_float v;
+    if not (exact_term (n + 1) v) then col.inexact.(s) <- true
 
 let unfold col s v =
   match col.kind.shape, v with
@@ -296,7 +313,8 @@ let fold_pairs ~retract t ~outer buf p =
           match buf.(rows.(i)).(c) with
           | (Value.Int _ | Value.Float _) as v ->
             floats.(s) <- floats.(s) +. to_float v;
-            counts.(s) <- counts.(s) + 1
+            counts.(s) <- counts.(s) + 1;
+            if not (exact_term counts.(s) v) then col.inexact.(s) <- true
           | v -> fold_in col s v
         done
       | false, _, _ ->
@@ -313,6 +331,26 @@ let fold_pairs ~retract t ~outer buf p =
         done)
     t.cols;
   p.n <- 0
+
+let exact_retraction t ~outer buf p =
+  let exact = ref true in
+  Array.iter
+    (fun col ->
+      for i = 0 to p.n - 1 do
+        let s = p.pslots.(i) in
+        match col.kind.shape with
+        | Rows | Non_null -> ()
+        | Boxed _ -> exact := false
+        | Int_sum -> (
+          if col.values.(s) != Value.Null then exact := false;
+          match arg_at t ~outer buf p i col with Value.Int _ | Value.Null -> () | _ -> exact := false)
+        | Float_sum ->
+          let v = arg_at t ~outer buf p i col in
+          if col.inexact.(s) || not (v == Value.Null || exact_term 0 v) then exact := false
+      done)
+    t.cols;
+  p.n <- 0;
+  !exact
 
 (* Slot by slot, [into] taken as the earlier partition: a FIRST already
    set stays (see [order_sensitive]). *)

@@ -125,6 +125,16 @@ val fold_pairs : retract:bool -> states -> outer:Tuple.t array -> Tuple.t array 
     @raise Invalid_argument, possibly midway, when retracting an
     aggregate that is not {!retractable}. *)
 
+val exact_retraction : states -> outer:Tuple.t array -> Tuple.t array -> pairs -> bool
+(** Whether [fold_pairs ~retract:true] over the pairs of [p] would leave
+    every slot as folding its remaining values afresh would; then
+    empties [p], touching no state.  COUNT always retracts exactly.  A
+    SUM slot does while it holds an unboxed [Int] sum (wrapping, as a
+    recompute wraps) and the value taken out is an [Int].  An AVG slot
+    does while its float sum cannot have rounded: it has taken only
+    [Int]s of magnitude at most 2^31, into at most 2^22 live values.
+    MIN, MAX and FIRST never do. *)
+
 val merge : into:states -> states -> unit
 (** Slot-wise fold of the second store into the first, with [into]
     taken as the earlier partition.  Every state but FIRST's merges

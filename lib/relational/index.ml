@@ -1,20 +1,23 @@
-(* A chained hash index of key groups, numbered densely.  Group [g] keeps its key in [keys.(g)] at [key_cols] and the
-   key's hash in [hashes.(g)]; [heads] maps a bucket to one of its groups
-   and [next_group] links the bucket's groups, so a probe compares values
-   only with a group whose hash matches.  A built index's group is keyed
-   by one of its rows, and its rows link in insertion order from
-   [first.(g)] through [next]; a growing index holds only groups,
-   numbered in first-seen order. *)
+(* A chained hash index of key groups, numbered densely.  Entries are
+   hashed into [heads] and linked through [next_entry]; a probe compares
+   values only with an entry whose hash matches.
+
+   A {e built} index has an entry per row, and the row array is its key
+   store: a group is entered under its first row, [group_of] numbers
+   rows' groups in the order of their first rows, and [next] links a
+   group's rows in insertion order — four row-sized arrays besides the
+   buckets.  A {e growing} index has an entry per group, holding the
+   group's projected key in [keys], numbered in first-seen order. *)
 type t = {
   cols : int array;
   null_safe : bool array;
-  key_cols : int array;
+  key_cols : int array;  (** where an entry's key sits in [keys] *)
+  built : bool;
   mutable keys : Tuple.t array;
   mutable hashes : int array;
-  mutable next_group : int array;
+  mutable next_entry : int array;
   mutable heads : int array;
   mutable groups : int;
-  first : int array;
   next : int array;
   group_of : int array;
 }
@@ -39,24 +42,89 @@ let bucket t h =
 let rec keys_equal (a : Tuple.t) acols (b : Tuple.t) bcols i =
   i >= Array.length acols || (Value.equal a.(acols.(i)) b.(bcols.(i)) && keys_equal a acols b bcols (i + 1))
 
-(* The group in the bucket chain starting at [g] whose key equals [row]
+(* The entry in the bucket chain starting at [e] whose key equals [row]
    at [cols] (hash [h]), or -1. *)
-let rec find_in t h row cols g =
-  if g < 0 || (t.hashes.(g) = h && keys_equal t.keys.(g) t.key_cols row cols 0) then g
-  else find_in t h row cols t.next_group.(g)
+let rec find_in t h row cols e =
+  if e < 0 || (t.hashes.(e) = h && keys_equal t.keys.(e) t.key_cols row cols 0) then e
+  else find_in t h row cols t.next_entry.(e)
 
-let find t row cols =
+let find_entry t row cols =
   if excluded t.null_safe row cols 0 then -1
   else
     let h = key_hash row cols in
     find_in t h row cols t.heads.(bucket t h)
 
-let link t g =
-  let b = bucket t t.hashes.(g) in
-  t.next_group.(g) <- t.heads.(b);
-  t.heads.(b) <- g
+let find t row cols =
+  match find_entry t row cols with -1 -> -1 | e -> if t.built then t.group_of.(e) else e
 
-(* A new last group for [key] (hash [h]); a growing index doubles its
+let link t e =
+  let b = bucket t t.hashes.(e) in
+  t.next_entry.(e) <- t.heads.(b);
+  t.heads.(b) <- e
+
+let rec pow2 rows n = if n >= rows then n else pow2 rows (2 * n)
+
+let build_rows ?null_safe rows cols =
+  let null_safe =
+    match null_safe with
+    | None -> Array.make (Array.length cols) false
+    | Some a when Array.length a = Array.length cols -> a
+    | Some _ -> invalid_arg "Index.build_rows: one null-safety flag per key column"
+  in
+  let n = Array.length rows in
+  let per_row fill = Array.make n fill in
+  let t =
+    { cols; null_safe; key_cols = cols; built = true; keys = rows; hashes = per_row 0;
+      next_entry = per_row (-1); heads = Array.make (pow2 n 16) (-1); groups = 0;
+      next = per_row (-1); group_of = per_row (-1) }
+  in
+  (* Last row first, so that prepending links a group's rows in
+     ascending order; each earlier row of a known group takes over its
+     bucket-chain place, so the group ends up entered under its first
+     row.  [group_of] is -2 on an included row until groups are
+     numbered. *)
+  for i = n - 1 downto 0 do
+    let row = rows.(i) in
+    if not (excluded null_safe row cols 0) then begin
+      let h = key_hash row cols in
+      let b = bucket t h in
+      t.hashes.(i) <- h;
+      t.group_of.(i) <- -2;
+      let rec walk prev e =
+        if e < 0 then begin
+          t.next_entry.(i) <- t.heads.(b);
+          t.heads.(b) <- i
+        end
+        else if t.hashes.(e) = h && keys_equal rows.(e) cols row cols 0 then begin
+          t.next.(i) <- e;
+          t.next_entry.(i) <- t.next_entry.(e);
+          if prev < 0 then t.heads.(b) <- i else t.next_entry.(prev) <- i
+        end
+        else walk e t.next_entry.(e)
+      in
+      walk (-1) t.heads.(b)
+    end
+  done;
+  for i = 0 to n - 1 do
+    if t.group_of.(i) = -2 then begin
+      let g = t.groups in
+      t.groups <- g + 1;
+      let j = ref i in
+      while !j >= 0 do
+        t.group_of.(!j) <- g;
+        j := t.next.(!j)
+      done
+    end
+  done;
+  t
+
+let growing cols =
+  let k = Array.length cols in
+  { cols; null_safe = Array.make k true; key_cols = Array.init k Fun.id; built = false; keys = [||];
+    hashes = [||]; next_entry = [||]; heads = Array.make 16 (-1); groups = 0; next = [||];
+    group_of = [||] }
+
+(* A growing index's new last group for [key] (hash [h]): it doubles its
    arrays when full, and its buckets once groups outnumber them. *)
 let grow a fill = Array.append a (Array.make (max 16 (Array.length a)) fill)
 
@@ -65,7 +133,7 @@ let insert t h key =
   if g = Array.length t.keys then begin
     t.keys <- grow t.keys Tuple.empty;
     t.hashes <- grow t.hashes 0;
-    t.next_group <- grow t.next_group (-1)
+    t.next_entry <- grow t.next_entry (-1)
   end;
   if g = Array.length t.heads then begin
     t.heads <- Array.make (2 * g) (-1);
@@ -79,39 +147,6 @@ let insert t h key =
   t.groups <- g + 1;
   g
 
-let make ~null_safe ~key_cols ~rows cols =
-  let per_row fill = Array.make rows fill in
-  let rec pow2 n = if n >= rows then n else pow2 (2 * n) in
-  { cols; null_safe; key_cols; keys = per_row Tuple.empty; hashes = per_row 0;
-    next_group = per_row (-1); heads = Array.make (pow2 16) (-1);
-    groups = 0; first = per_row (-1); next = per_row (-1); group_of = per_row (-1) }
-
-let build_rows ?null_safe rows cols =
-  let null_safe =
-    match null_safe with
-    | None -> Array.make (Array.length cols) false
-    | Some a when Array.length a = Array.length cols -> a
-    | Some _ -> invalid_arg "Index.build_rows: one null-safety flag per key column"
-  in
-  let t = make ~null_safe ~key_cols:cols ~rows:(Array.length rows) cols in
-  (* Last row first, so that prepending links a group's rows in
-     ascending order. *)
-  for i = Array.length rows - 1 downto 0 do
-    let row = rows.(i) in
-    if not (excluded null_safe row cols 0) then begin
-      let h = key_hash row cols in
-      let g = match find_in t h row cols t.heads.(bucket t h) with -1 -> insert t h row | g -> g in
-      t.next.(i) <- t.first.(g);
-      t.first.(g) <- i;
-      t.group_of.(i) <- g
-    end
-  done;
-  t
-
-let growing cols =
-  let k = Array.length cols in
-  make ~null_safe:(Array.make k true) ~key_cols:(Array.init k Fun.id) ~rows:0 cols
-
 let find_or_add t row =
   let h = key_hash row t.cols in
   match find_in t h row t.cols t.heads.(bucket t h) with
@@ -122,12 +157,21 @@ let find_or_add t row =
 
 let group_of t i = t.group_of.(i)
 
-let keys t = Array.sub t.keys 0 t.groups
+let keys t =
+  if not t.built then Array.sub t.keys 0 t.groups
+  else begin
+    (* Each group's first row: the last write for a group wins. *)
+    let out = Array.make t.groups Tuple.empty in
+    for i = Array.length t.keys - 1 downto 0 do
+      if t.group_of.(i) >= 0 then out.(t.group_of.(i)) <- t.keys.(i)
+    done;
+    out
+  end
 
 let probe_row_iter t row cols f =
-  let g = find t row cols in
-  if g >= 0 then begin
-    let j = ref t.first.(g) in
+  let e = find_entry t row cols in
+  if e >= 0 then begin
+    let j = ref e in
     while !j >= 0 do
       f !j;
       j := t.next.(!j)

@@ -9,8 +9,10 @@
     matches NULL.
 
     Groups are numbered densely, [0 .. cardinality - 1].  A {e built}
-    index is chained over its row array, so probing allocates nothing
-    and finds matching rows in insertion order.  A {e growing} index
+    index keys its groups by the row array itself and numbers them in
+    the order of their first rows; it is chained over the rows, so
+    probing allocates nothing and finds matching rows in insertion
+    order.  A {e growing} index
     holds only groups, in first-seen order — the slot table of GROUP
     BY. *)
 
@@ -45,7 +47,8 @@ val group_of : t -> int -> int
 (** A built index's group of its row [i]; [-1] for an excluded row. *)
 
 val keys : t -> Tuple.t array
-(** Each group's key row: a growing index's projected keys. *)
+(** Each group's key row: a growing index's projected keys, a built
+    index's first rows. *)
 
 val key_hash : Tuple.t -> int array -> int
 (** The hash of [row]'s key at [cols], a positionwise fold of

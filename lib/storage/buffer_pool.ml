@@ -1,5 +1,3 @@
-type frame = { bytes : bytes; mutable last_used : int }
-
 type stats = { page_reads : int; hits : int; evictions : int; allocations : int }
 
 (* The pool's own accounting is mutable; the exposed [stats] record is an
@@ -11,10 +9,42 @@ type live = {
   mutable allocations : int;
 }
 
+type file = { path : string; id : int }
+
+let next_file = Atomic.make 0
+
+let file path = { path; id = Atomic.fetch_and_add next_file 1 }
+
+(* A frame's key packs its file's id above its 32-bit page number, so a
+   lookup hashes one int. *)
+module Keys = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k = (k lxor (k lsr 32)) land max_int
+end)
+
+let key file page = (file.id lsl 32) lor page
+
+let page_of_key k = k land 0xFFFF_FFFF
+
+(* Frames are slots [0, capacity).  A resident slot is in [table] under
+   its key, names its file in [files] and sits on a doubly linked list
+   in recency order, [head] the most recently used and [tail] the next
+   victim; a free slot has key -1 and sits on the [free] stack. *)
 type t = {
   capacity : int;
-  table : (string * int, frame) Hashtbl.t;
-  mutable clock : int;
+  table : int Keys.t;
+  keys : int array;
+  files : file array;
+  buffers : bytes array;
+  prev : int array;
+  next : int array;
+  mutable head : int;
+  mutable tail : int;
+  free : int array;
+  mutable n_free : int;
   live : live;
 }
 
@@ -70,25 +100,56 @@ let create ~frames =
   let t =
     {
       capacity = frames;
-      table = Hashtbl.create (2 * frames);
-      clock = 0;
+      table = Keys.create (2 * frames);
+      keys = Array.make frames (-1);
+      files = Array.make frames { path = ""; id = -1 };
+      buffers = Array.make frames Bytes.empty;
+      prev = Array.make frames (-1);
+      next = Array.make frames (-1);
+      head = -1;
+      tail = -1;
+      free = Array.init frames (fun i -> frames - 1 - i);
+      n_free = frames;
       live = { page_reads = 0; hits = 0; evictions = 0; allocations = 0 };
     }
   in
   register t;
   t
 
+let unlink t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  if p >= 0 then t.next.(p) <- n else t.head <- n;
+  if n >= 0 then t.prev.(n) <- p else t.tail <- p
+
+let push_front t s =
+  t.prev.(s) <- -1;
+  t.next.(s) <- t.head;
+  if t.head >= 0 then t.prev.(t.head) <- s else t.tail <- s;
+  t.head <- s
+
+(* Take slot [s] out of the table and the recency list. *)
+let drop t s =
+  unlink t s;
+  Keys.remove t.table t.keys.(s);
+  t.keys.(s) <- -1
+
+let release t s =
+  t.buffers.(s) <- Bytes.empty;
+  t.free.(t.n_free) <- s;
+  t.n_free <- t.n_free + 1
+
 let invalidate t ~path ~from_page =
-  let victims =
-    Hashtbl.fold
-      (fun ((p, page) as key) _ acc ->
-        if String.equal p path && page >= from_page then key :: acc else acc)
-      t.table []
-  in
-  List.iter (Hashtbl.remove t.table) victims;
-  let n = List.length victims in
-  if n > 0 then Subql_obs.Metrics.incr ~by:n m_invalidations;
-  n
+  let n = ref 0 in
+  for s = 0 to t.capacity - 1 do
+    let k = t.keys.(s) in
+    if k >= 0 && page_of_key k >= from_page && String.equal t.files.(s).path path then begin
+      drop t s;
+      release t s;
+      incr n
+    end
+  done;
+  if !n > 0 then Subql_obs.Metrics.incr ~by:!n m_invalidations;
+  !n
 
 let invalidate_all ~path ~from_page =
   let total = ref 0 in
@@ -119,50 +180,53 @@ let reset_stats t =
   t.live.evictions <- 0;
   t.live.allocations <- 0
 
-let resident t = Hashtbl.length t.table
+let resident t = t.capacity - t.n_free
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
-
-(* Drop the least-recently-used frame and hand back its buffer for the
-   incoming page to reuse. *)
-let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key frame ->
-      match !victim with
-      | Some (_, f) when f.last_used <= frame.last_used -> ()
-      | _ -> victim := Some (key, frame))
-    t.table;
-  match !victim with
-  | Some (key, frame) ->
-    Hashtbl.remove t.table key;
-    t.live.evictions <- t.live.evictions + 1;
-    Subql_obs.Metrics.incr m_evictions;
-    Some frame.bytes
-  | None -> None
-
-let fetch t ~key ~size ~load =
-  match Hashtbl.find_opt t.table key with
-  | Some frame ->
-    frame.last_used <- tick t;
+let fetch t file ~page ~size ~load =
+  let k = key file page in
+  match Keys.find t.table k with
+  | s ->
+    if t.head <> s then begin
+      unlink t s;
+      push_front t s
+    end;
     t.live.hits <- t.live.hits + 1;
     Subql_obs.Metrics.incr m_hits;
-    frame.bytes
-  | None ->
-    let recycled = if Hashtbl.length t.table >= t.capacity then evict_lru t else None in
-    (* Pools are shared across files, so the victim's buffer is reused
-       only when it has the requested page size. *)
+    t.buffers.(s)
+  | exception Not_found ->
+    (* A full pool evicts its least recently used frame and hands the
+       victim's buffer to the incoming page when the sizes match (pools
+       are shared across files of different page sizes). *)
+    let s =
+      if t.n_free = 0 then begin
+        let s = t.tail in
+        drop t s;
+        t.live.evictions <- t.live.evictions + 1;
+        Subql_obs.Metrics.incr m_evictions;
+        s
+      end
+      else begin
+        t.n_free <- t.n_free - 1;
+        t.free.(t.n_free)
+      end
+    in
     let bytes =
-      match recycled with
-      | Some b when Bytes.length b = size -> b
-      | _ ->
+      if Bytes.length t.buffers.(s) = size then t.buffers.(s)
+      else begin
         t.live.allocations <- t.live.allocations + 1;
         Bytes.create size
+      end
     in
-    load bytes;
+    (match load bytes with
+    | () -> ()
+    | exception e ->
+      release t s;
+      raise e);
     t.live.page_reads <- t.live.page_reads + 1;
     Subql_obs.Metrics.incr m_reads;
-    Hashtbl.replace t.table key { bytes; last_used = tick t };
+    t.keys.(s) <- k;
+    t.files.(s) <- file;
+    t.buffers.(s) <- bytes;
+    Keys.replace t.table k s;
+    push_front t s;
     bytes

@@ -1,11 +1,13 @@
 (** A fixed-capacity page buffer pool with LRU replacement.
 
-    The pool caches pages from any number of files, keyed by
-    [(file_path, page_no)].  Misses call the supplied loader; when the
-    pool is full the least-recently-used page is evicted, and its
+    The pool caches pages from any number of files, keyed by a {!file}
+    identity and a page number.  Misses call the supplied loader; when
+    the pool is full the least-recently-used page is evicted, and its
     buffer is refilled in place for the incoming page when the two
     page sizes match — a scan through a full pool allocates no page
-    buffers at all.  Pages are never mutated through the pool (heap
+    buffers at all.  A hit, a miss and an eviction each cost O(1): the
+    frames sit on a doubly linked list in recency order, and a lookup
+    hashes one int.  Pages are never mutated through the pool (heap
     files rewrite pages directly), so eviction never writes back;
     instead a file append {e invalidates} the affected tail pages in
     every live pool ({!invalidate_all}), so a pool shared across an
@@ -48,8 +50,16 @@ val hit_rate : t -> float
 
 val reset_stats : t -> unit
 
-val fetch : t -> key:string * int -> size:int -> load:(bytes -> unit) -> bytes
-(** The page under [key].  On a miss, [load] fills a [size]-byte buffer
+type file
+(** The identity of one open file's pages. *)
+
+val file : string -> file
+(** A fresh identity for pages of the file at the given path: a heap
+    file handle takes one when it is opened, so two handles never share
+    frames, while {!invalidate} still finds every frame of the path. *)
+
+val fetch : t -> file -> page:int -> size:int -> load:(bytes -> unit) -> bytes
+(** Page [page] of [file].  On a miss, [load] fills a [size]-byte buffer
     — the evicted victim's when it has that size, a fresh one otherwise
     — which is then cached.  LRU order, residency and the statistics
     do not depend on which buffer was used.
@@ -63,7 +73,8 @@ val resident : t -> int
 (** Pages currently cached. *)
 
 val invalidate : t -> path:string -> from_page:int -> int
-(** Drop every cached frame of [path] with page number [>= from_page];
+(** Drop every cached frame of [path] (under any {!file} of that path)
+    with page number [>= from_page];
     returns the number of frames dropped.  Dropped frames count under
     the registry counter ["storage.buffer_pool.invalidations"], not as
     evictions. *)

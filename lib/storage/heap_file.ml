@@ -1,6 +1,6 @@
 open Subql_relational
 
-let magic = "SUBQLHF1"
+let magic = "SUBQLHF2"
 
 let header_bytes = 8 + 4 + 2 + 8 (* magic, page_size, arity, row_count *)
 
@@ -11,6 +11,7 @@ type t = {
   fd : Unix.file_descr;
   schema : Schema.t;
   plan : Codec.plan;  (** compiled once per open; every page is encoded and decoded through it *)
+  file : Buffer_pool.file;  (** this handle's pages in every pool *)
   page_size : int;
   writable : bool;
   mutable pages : int;
@@ -55,10 +56,7 @@ let read_page_into t page_no buf =
 (* Writing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let write_page_at t page_no ~count buf =
-  let page = Bytes.make t.page_size '\000' in
-  Bytes.set_uint16_le page 0 count;
-  Buffer.blit buf 0 page 2 (Buffer.length buf);
+let write_page_at t page_no page =
   ignore (Unix.lseek t.fd ((page_no + 1) * t.page_size) Unix.SEEK_SET);
   really_write t.fd page
 
@@ -68,59 +66,50 @@ let write_row_count t =
   ignore (Unix.lseek t.fd row_count_offset Unix.SEEK_SET);
   really_write t.fd b
 
-(* The one page-packing loop.  Rows are packed into the last existing
-   page first (its live payload is re-read from disk and extended),
-   then into fresh pages, each encoded and type-checked through the
-   handle's plan.  The header row count is rewritten and every live
-   buffer pool drops its frames for the rewritten tail, so no pool —
-   shared or not — can serve the pre-append last-page image afterwards. *)
-let append_feed t rows =
+(* The one page-packing loop.  The rows of the current last page are
+   decoded and packed again ahead of the batch, then the batch fills
+   that page and fresh ones.  Every row is type-checked and every page
+   boundary chosen ({!Codec.add}) before any page is written, so a
+   malformed row leaves the file untouched.  The header row count is
+   rewritten and every live buffer pool drops its frames for the
+   rewritten tail, so no pool — shared or not — can serve the
+   pre-append last-page image afterwards. *)
+let append t rows =
   if not t.writable then invalid_arg "Heap_file.append: file opened read-only";
-  let payload = t.page_size - 2 in
-  let buf = Buffer.create t.page_size in
+  let page = Bytes.create t.page_size in
   let first_page = if t.pages = 0 then 0 else t.pages - 1 in
-  let page_no = ref first_page in
-  let count = ref 0 in
-  if t.pages > 0 then begin
-    (* Resume packing inside the current last page: skip its tuples to
-       find the live payload prefix, then keep it verbatim. *)
-    let page = Bytes.create t.page_size in
-    read_page_into t (t.pages - 1) page;
-    count := Bytes.get_uint16_le page 0;
-    let pos = ref 2 in
-    ignore (Codec.decode_rows_plan (Codec.project t.plan [||]) page ~pos ~count:!count);
-    Buffer.add_subbytes buf page 2 (!pos - 2)
-  end;
-  let skip = !count in
-  let flush () =
-    write_page_at t !page_no ~count:!count buf;
-    Buffer.clear buf;
-    count := 0;
-    incr page_no
-  in
-  Array.iter
-    (fun row ->
-      let size = Codec.tuple_bytes row in
-      if size > payload then invalid_arg "Heap_file: tuple exceeds the page payload";
-      if Buffer.length buf + size > payload then flush ();
-      Codec.encode_tuple_plan t.plan buf row;
-      incr count)
-    rows;
+  if t.pages > 0 then read_page_into t first_page page;
+  let skip = if t.pages = 0 then 0 else Codec.page_rows page in
+  let resumed = if skip = 0 || Array.length rows = 0 then [||] else Codec.decode_page t.plan page in
+  let all = Array.append resumed rows in
+  let fill = Codec.fill t.plan ~page_size:t.page_size in
+  let too_big () = invalid_arg "Heap_file: tuple exceeds the page payload" in
+  (* [starts]: the first row of every page after the first. *)
+  let starts = ref [] in
+  Array.iteri
+    (fun i row ->
+      if not (Codec.add fill row) then begin
+        if Codec.filled fill = 0 then too_big ();
+        starts := i :: !starts;
+        Codec.clear fill;
+        if not (Codec.add fill row) then too_big ()
+      end)
+    all;
   let delta = { first_page; skip; first_row = t.row_count; rows = Array.length rows } in
   if delta.rows > 0 then begin
-    if !count > 0 then flush ();
-    t.pages <- !page_no;
+    let bounds = Array.of_list (List.rev (Array.length all :: !starts)) in
+    Array.iteri
+      (fun k stop ->
+        let off = if k = 0 then 0 else bounds.(k - 1) in
+        Codec.encode_page t.plan all ~off ~len:(stop - off) page;
+        write_page_at t (first_page + k) page)
+      bounds;
+    t.pages <- first_page + Array.length bounds;
     t.row_count <- t.row_count + delta.rows;
     write_row_count t;
     ignore (Buffer_pool.invalidate_all ~path:t.path ~from_page:first_page)
   end;
   delta
-
-let append t rows =
-  (* Validate the whole batch before touching any page: a mid-batch
-     encoding failure must not leave half-written tail pages behind. *)
-  Array.iter (Codec.check_tuple t.schema) rows;
-  append_feed t rows
 
 let write ~path ?(page_size = 8192) rel =
   if page_size < 64 then invalid_arg "Heap_file.write: page size too small";
@@ -136,6 +125,7 @@ let write ~path ?(page_size = 8192) rel =
       fd;
       schema;
       plan = Codec.plan_of_schema schema;
+      file = Buffer_pool.file path;
       page_size;
       writable = true;
       pages = 0;
@@ -144,7 +134,7 @@ let write ~path ?(page_size = 8192) rel =
   in
   match
     really_write fd header;
-    append_feed t (Relation.rows rel)
+    append t (Relation.rows rel)
   with
   | _ -> t
   | exception e ->
@@ -165,7 +155,17 @@ let openfile ~path ?(writable = false) ~schema () =
     invalid_arg "Heap_file.openfile: stored arity does not match the schema";
   let file_bytes = (Unix.fstat fd).Unix.st_size in
   let pages = (file_bytes / page_size) - 1 in
-  { path; fd; schema; plan = Codec.plan_of_schema schema; page_size; writable; pages; row_count }
+  {
+    path;
+    fd;
+    schema;
+    plan = Codec.plan_of_schema schema;
+    file = Buffer_pool.file path;
+    page_size;
+    writable;
+    pages;
+    row_count;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                              *)
@@ -176,12 +176,11 @@ let openfile ~path ?(writable = false) ~schema () =
    page is fully decoded here. *)
 let decode_page plan t page_no ~pool =
   let page =
-    Buffer_pool.fetch pool ~key:(t.path, page_no) ~size:t.page_size
-      ~load:(read_page_into t page_no)
+    Buffer_pool.fetch pool t.file ~page:page_no ~size:t.page_size ~load:(read_page_into t page_no)
   in
-  try Codec.decode_rows_plan plan page ~pos:(ref 2) ~count:(Bytes.get_uint16_le page 0)
+  try Codec.decode_page plan page
   with Diag.Fail d ->
-    (* A corrupt cell names only its byte offset; say which file and
+    (* A corrupt segment names only its byte offset; say which file and
        page it came from before the error escapes the storage layer. *)
     raise (Diag.Fail { d with Diag.path = Printf.sprintf "%s: page %d" t.path page_no :: d.Diag.path })
 

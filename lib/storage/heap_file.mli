@@ -1,25 +1,32 @@
 (** Appendable heap files: a relation stored as fixed-size pages.
 
-    Layout: a one-page header (magic, page size, arity, tuple count)
-    followed by data pages, each holding a 16-bit tuple count and the
-    tuples in {!Codec} encoding.  Reads go through a {!Buffer_pool}, so
-    scans account page I/O exactly.
+    Layout: a one-page header (the magic ["SUBQLHF2"], page size, arity,
+    tuple count) followed by data pages, each one {!Codec} page: a row
+    count, a directory of column segments, and one segment per column —
+    fixed-width cells behind a NULL bitmap, strings as end offsets plus
+    bytes.  A scan decodes only the segments of the columns it reads.
+    A file with another magic (such as the row-major ["SUBQLHF1"]) is
+    refused at {!openfile}.  Reads go through a {!Buffer_pool}, so scans
+    account page I/O exactly.
 
     A heap file has one write path and one read path.  {!write} lays
     down the header and then packs the relation exactly as {!append}
-    packs a batch: new rows fill the free payload of the current last
-    page, then fresh pages.  An append rewrites the tail in place and
-    {e invalidates} the affected frames in every live buffer pool
+    packs a batch: the current last page's rows are decoded and packed
+    again ahead of the new rows, which then fill that page and fresh
+    ones.  An append rewrites the tail in place and {e invalidates} the
+    affected frames in every live buffer pool
     ({!Buffer_pool.invalidate_all}), so a pool shared across an append
     never serves a stale last-page image.  Every read — a full scan, a
     column-pruned scan, or the rows of one append ({!delta}) — is a
     {!source}.
 
     Every handle carries a {!Codec.plan} compiled once from its schema
-    at open time; every page is encoded ({!Codec.encode_tuple_plan},
-    which type-checks each row) and decoded ({!Codec.decode_rows_plan})
-    through it.  Corrupt pages raise {!Diag.Fail} with an [STO0xx] code
-    whose [path] leads with ["<file>: page <n>"]. *)
+    at open time; every page is packed ({!Codec.add}, which type-checks
+    each row, and {!Codec.encode_page}) and decoded
+    ({!Codec.decode_page}) through it.  Every decode checks the
+    structure of every segment, read or skipped, so a corrupt page
+    raises {!Diag.Fail} with the same [STO0xx] code whichever columns a
+    scan keeps; its [path] leads with ["<file>: page <n>"]. *)
 
 open Subql_relational
 
@@ -47,7 +54,8 @@ val openfile : path:string -> ?writable:bool -> schema:Schema.t -> unit -> t
     read-write so {!append} works.  The stored arity must match [schema]
     (column names/types are the caller's contract, as with CSV — a type
     lie is caught at scan time as [STO003]).
-    @raise Invalid_argument on a bad magic or arity mismatch. *)
+    @raise Invalid_argument on a bad magic (including an older layout's)
+    or arity mismatch. *)
 
 val close : t -> unit
 
@@ -61,10 +69,11 @@ val pages : t -> int
 val row_count : t -> int
 
 val append : t -> Tuple.t array -> delta
-(** Append a batch of rows: fill the last page's free payload, then add
-    pages; rewrite the header row count; drop the rewritten tail from
-    every live buffer pool.  The whole batch is schema-checked before
-    any page is written, so a malformed row leaves the file untouched.
+(** Append a batch of rows: pack the last page's rows and the batch
+    into that page and fresh ones; rewrite the header row count; drop
+    the rewritten tail from every live buffer pool.  The whole batch is
+    schema-checked before any page is written, so a malformed row leaves
+    the file untouched.
     @raise Invalid_argument on a read-only handle, a schema-invalid row,
     or a tuple exceeding the page payload. *)
 
@@ -83,9 +92,9 @@ val source : ?columns:int array -> ?from:delta -> t -> pool:Buffer_pool.t -> Chu
     and every later one up to the snapshot.
 
     [columns] (strictly ascending stored positions; default: all)
-    decodes only those columns and streams the correspondingly narrowed
-    schema; the other cells are skipped by length with the full
-    decode's corruption checks ({!Codec.project}).  The source also
+    decodes only those columns' segments and streams the
+    correspondingly narrowed schema; the other segments get the full
+    decode's structural checks and are not decoded ({!Codec.project}).  The source also
     carries the {!Chunk.Source.narrow} capability, so an executor that
     knows which columns a plan reads can narrow it before the first
     pull.

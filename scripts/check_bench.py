@@ -211,8 +211,8 @@ GATES = {
                 "speedup regressed >30% vs baseline: {base:.2f}x -> {value:.2f}x"),
             row("pruned_speedup", "number",
                 msg="BENCH_codec.json has no column-pruned scan row (pruned_speedup)"),
-            row("pruned_speedup", ">=", const(1.5),
-                "column-pruned Flow scan {value:.2f}x < 1.5x the full decode"),
+            row("pruned_speedup", ">=", const(2.3),
+                "column-pruned Flow scan {value:.2f}x < 2.3x the full decode"),
             row("pruned_speedup", ">=", base(0.7),
                 "pruned speedup regressed >30% vs baseline: {base:.2f}x -> {value:.2f}x"),
         ],

@@ -849,22 +849,23 @@ let mixed_prop rows =
   in
   let sql q = Subql_sql.Parser.parse q |> fun stmt -> stmt.Subql_sql.Parser.query in
   let catalog = Catalog.of_list [ ("B", base); ("R", detail) ] in
-  (* Maintenance retracts exactly only what it added exactly: NaN and
-     the ints that round when a float joins them are left out. *)
-  let exact_rows =
-    List.filter
-      (fun r -> match r.(1) with Value.Float f -> not (Float.is_nan f) | Value.Int i -> i > -100 && i < 100 | _ -> true)
-      rows
-  in
-  let d1 = List.filteri (fun i _ -> i mod 2 = 0) exact_rows
-  and d2 = List.filteri (fun i _ -> i mod 2 = 1) exact_rows in
+  (* Maintenance takes a delta back out only when that is exact, and
+     refuses otherwise — a float, NaN, or an int that rounds once a
+     float joins it — leaving the view and the generation as they were. *)
+  let d1 = List.filteri (fun i _ -> i mod 2 = 0) rows
+  and d2 = List.filteri (fun i _ -> i mod 2 = 1) rows in
   let retractable = List.filter (fun s -> Aggregate.retractable s.Aggregate.func) aggs in
   let mblocks = [ Gmdj.block retractable key; Gmdj.block retractable plain ] in
   let recompute rows = of_rel (Gmdj.reference ~base ~detail:(detail_of rows) mblocks) in
   let view = Gmdj.Maintain.create ~base ~detail:(detail_of d1) mblocks in
   Gmdj.Maintain.insert_detail view (detail_of d2);
   let inserted = of_rel (Gmdj.Maintain.result view) in
-  Gmdj.Maintain.delete_detail view (detail_of d2);
+  let generation = Gmdj.Maintain.generation () in
+  let deleted =
+    match Gmdj.Maintain.delete_detail view (detail_of d2) with
+    | () -> Ok (of_rel (Gmdj.Maintain.result view))
+    | exception Invalid_argument _ -> Error (of_rel (Gmdj.Maintain.result view))
+  in
   check "reference, first block = list fold" (List.map folded base_rows)
     (List.map (fun r -> Array.sub r 0 (2 + width)) reference)
   && List.for_all
@@ -890,7 +891,13 @@ let mixed_prop rows =
          || QCheck2.Test.fail_reportf "%s: GMDJ and Naive_eval disagree" agg)
        [ "SUM"; "AVG"; "COUNT" ]
   && check ~exact:false "Maintain, inserted" (recompute (d1 @ d2)) inserted
-  && check ~exact:false "Maintain, deleted" (recompute d1) (of_rel (Gmdj.Maintain.result view))
+  &&
+  match deleted with
+  | Ok got -> check ~exact:false "Maintain, deleted" (recompute d1) got
+  | Error got ->
+    check "Maintain, refused delete leaves the view" inserted got
+    && (Gmdj.Maintain.generation () = generation
+       || QCheck2.Test.fail_report "a refused delete moved the generation")
 
 (* How edge values render, identical in every serial mode: signed zero,
    first-seen ties, int wrap-around, and the NULL / 0 of empty and

@@ -471,6 +471,51 @@ let test_maintain_minmax_rules () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "schema mismatch must be rejected"
 
+(* SUM and AVG retractions are exact or refused.  One key with [-2]
+   folded, then [min_int] and [0.5] inserted and deleted: the float
+   sum has rounded, so the view must equal a recompute over [-2] or
+   refuse, unchanged and with no generation bump.  Small ints alone
+   retract exactly. *)
+let test_maintain_inexact_retraction () =
+  let base =
+    Relation.of_list (Schema.of_list [ Schema.attr ~rel:"B" "k" Value.Tint ]) [ [| Value.Int 1 |] ]
+  in
+  let detail rows =
+    Relation.of_list ~check:false
+      (Schema.of_list [ Schema.attr ~rel:"R" "k" Value.Tint; Schema.attr ~rel:"R" "m" Value.Tfloat ])
+      (List.map (fun m -> [| Value.Int 1; m |]) rows)
+  in
+  let m = attr ~rel:"R" "m" in
+  let blocks =
+    [
+      Gmdj.block
+        [ Aggregate.count_star "n"; Aggregate.sum m "s"; Aggregate.avg m "a" ]
+        (Expr.eq (attr ~rel:"B" "k") (attr ~rel:"R" "k"));
+    ]
+  in
+  let recompute rows = Helpers.gmdj ~base ~detail:(detail rows) blocks in
+  let exact_or_refused name ~kept ~delta =
+    let view = Gmdj.Maintain.create ~base ~detail:(detail kept) blocks in
+    Gmdj.Maintain.insert_detail view (detail delta);
+    let before = Gmdj.Maintain.result view and generation = Gmdj.Maintain.generation () in
+    match Gmdj.Maintain.delete_detail view (detail delta) with
+    | () ->
+      Alcotest.(check bool) (name ^ ": equals recompute") true
+        (Helpers.equal_as_list (recompute kept) (Gmdj.Maintain.result view));
+      `Retracted
+    | exception Invalid_argument _ ->
+      Alcotest.(check bool) (name ^ ": refused delete leaves the view") true
+        (Helpers.equal_as_list before (Gmdj.Maintain.result view));
+      Alcotest.(check int) (name ^ ": refused delete bumps no generation") generation
+        (Gmdj.Maintain.generation ());
+      `Refused
+  in
+  ignore (exact_or_refused "min_int and 0.5" ~kept:[ Value.Int (-2) ] ~delta:[ Value.Int min_int; Value.Float 0.5 ]);
+  ignore (exact_or_refused "min_int" ~kept:[ Value.Int (-2) ] ~delta:[ Value.Int min_int ]);
+  Alcotest.(check bool) "small ints retract" true
+    (exact_or_refused "small ints" ~kept:[ Value.Int (-2); Value.Null ] ~delta:[ Value.Int 7; Value.Int (-9) ]
+    = `Retracted)
+
 let test_early_exit () =
   (* All base tuples get killed by the very first detail rows: the scan
      must stop early. *)
@@ -526,7 +571,11 @@ let () =
           Helpers.qtest ~count:120 "maintenance = recompute" pair_gen maintenance_prop;
         ] );
       ( "maintenance",
-        [ Alcotest.test_case "min/max and schema rules" `Quick test_maintain_minmax_rules ] );
+        [
+          Alcotest.test_case "min/max and schema rules" `Quick test_maintain_minmax_rules;
+          Alcotest.test_case "inexact SUM/AVG retraction is refused" `Quick
+            test_maintain_inexact_retraction;
+        ] );
       ( "partitioned",
         [ Alcotest.test_case "stats and bounds" `Quick test_partitioned_stats ] );
     ]

@@ -508,7 +508,16 @@ let test_index_order_and_cardinality () =
   (* Int and integral Float are one key. *)
   let mixed = Index.build_rows [| [| Value.Int 3 |]; [| Value.Float 3.0 |]; [| Value.Float 3.5 |] |] [| 0 |] in
   Alcotest.(check (list int)) "3 = 3.0" [ 0; 1 ] (probe mixed [| Value.Float 3.0 |]);
-  Alcotest.(check int) "two distinct keys" 2 (Index.cardinality mixed)
+  Alcotest.(check int) "two distinct keys" 2 (Index.cardinality mixed);
+  (* A built index numbers its groups in the order of their first rows,
+     and a group's key row is its first row. *)
+  let keyed = Array.map (fun k -> [| Value.Int k; Value.Int 0 |]) [| 3; 1; 3; 2; 1 |] in
+  let idx = Index.build_rows keyed [| 0 |] in
+  Alcotest.(check (list int)) "groups by first row" [ 0; 1; 0; 2; 1 ]
+    (List.init 5 (Index.group_of idx));
+  Alcotest.(check int) "find returns the group" 2 (Index.find idx [| Value.Int 2 |] [| 0 |]);
+  Alcotest.(check bool) "first rows are the keys" true
+    (Array.for_all2 ( == ) [| keyed.(0); keyed.(1); keyed.(3) |] (Index.keys idx))
 
 (* --- Vec ---------------------------------------------------------------- *)
 

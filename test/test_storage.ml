@@ -11,6 +11,42 @@ let tmp_path () = Filename.temp_file "subql_hf" ".dat"
 
 (* --- Codec ------------------------------------------------------------- *)
 
+let value_eq a b =
+  match a, b with
+  | Value.Float x, Value.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | _ -> Value.equal a b && Value.is_null a = Value.is_null b
+
+let tuples_eq a b = Array.length a = Array.length b && Array.for_all2 value_eq a b
+
+let rows_eq a b = Array.length a = Array.length b && Array.for_all2 tuples_eq a b
+
+let schema_of tys =
+  Schema.of_list (List.mapi (fun i ty -> Schema.attr (Printf.sprintf "c%d" i) ty) tys)
+
+(* Pack [rows] the way a heap file does: greedy pages of [page_size]
+   bytes, each returned as its exact image (filled to the last byte)
+   with its rows. *)
+let pack plan ~page_size rows =
+  let fill = Codec.fill plan ~page_size in
+  let pages = ref [] and first = ref 0 in
+  let close_page upto =
+    let image = Bytes.create (Codec.image_bytes fill) in
+    Codec.encode_page plan rows ~off:!first ~len:(upto - !first) image;
+    pages := (image, Array.sub rows !first (upto - !first)) :: !pages;
+    first := upto;
+    Codec.clear fill
+  in
+  Array.iteri
+    (fun i row ->
+      if not (Codec.add fill row) then begin
+        if Codec.filled fill = 0 then failwith "row exceeds an empty page";
+        close_page i;
+        if not (Codec.add fill row) then failwith "row exceeds an empty page"
+      end)
+    rows;
+  if Codec.filled fill > 0 then close_page (Array.length rows);
+  List.rev !pages
+
 let value_gen =
   QCheck2.Gen.(
     frequency
@@ -22,102 +58,129 @@ let value_gen =
         (1, map (fun b -> Value.Bool b) bool);
       ])
 
+(* One tuple of any values as a one-row page, under the schema its
+   values name (a NULL in an int column): both decoders return it, and
+   the page's image size is exact — one byte less does not hold it. *)
 let codec_roundtrip values =
-  let buf = Buffer.create 64 in
   let tuple = Array.of_list values in
-  Codec.encode_tuple buf tuple;
-  let bytes = Buffer.to_bytes buf in
-  let pos = ref 0 in
-  let decoded = Codec.decode_tuple bytes ~pos ~arity:(Array.length tuple) in
-  !pos = Bytes.length bytes
-  && Bytes.length bytes = Codec.tuple_bytes tuple
-  && Array.length decoded = Array.length tuple
-  && Array.for_all2
-       (fun a b ->
-         match a, b with
-         | Value.Float x, Value.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
-         | _ -> Value.equal a b && Value.is_null a = Value.is_null b)
-       tuple decoded
-
-(* --- Schema-compiled codec plans --------------------------------------- *)
-
-let value_eq a b =
-  match a, b with
-  | Value.Float x, Value.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
-  | _ -> Value.equal a b && Value.is_null a = Value.is_null b
+  let ty = function None -> Value.Tint | Some ty -> ty in
+  let plan = Codec.plan_of_schema (schema_of (List.map (fun v -> ty (Value.ty_of v)) values)) in
+  match pack plan ~page_size:1_000_000 [| tuple |] with
+  | [ (image, _) ] ->
+    let tight = Codec.fill plan ~page_size:(Bytes.length image - 1) in
+    tuples_eq tuple (Codec.decode_page plan image).(0)
+    && tuples_eq tuple (Codec.decode_page_reference ~arity:(Array.length tuple) image).(0)
+    && not (Codec.add tight tuple)
+  | _ -> false
 
 let ty_gen = QCheck2.Gen.oneofl [ Value.Tint; Value.Tfloat; Value.Tstring; Value.Tbool ]
 
-let typed_value_gen ty =
+(* The longest string a cell holds, and a string segment's bytes. *)
+let longest = String.make 65_535 'x'
+
+let typed_value_gen ?(long = false) ~non_null ty =
   QCheck2.Gen.(
     let v =
       match ty with
-      | Value.Tint -> map (fun i -> Value.Int i) int
-      | Value.Tfloat -> map (fun f -> Value.Float f) (float_range (-1e12) 1e12)
-      | Value.Tstring -> map (fun s -> Value.Str s) (string_size ~gen:char (int_range 0 12))
+      | Value.Tint -> map (fun i -> Value.Int i) (oneof [ int; int_range (-3) 1100 ])
+      | Value.Tfloat -> map (fun f -> Value.Float f) (oneof [ float; float_range (-1e12) 1e12 ])
+      | Value.Tstring ->
+        frequency
+          [
+            (6, map (fun s -> Value.Str s) (string_size ~gen:char (int_range 0 12)));
+            (2, return (Value.Str ""));
+            ((if long then 1 else 0), return (Value.Str longest));
+          ]
       | Value.Tbool -> map (fun b -> Value.Bool b) bool
     in
-    frequency [ (1, return Value.Null); (5, v) ])
+    if non_null then v else frequency [ (1, return Value.Null); (5, v) ])
 
-(* A random schema (arity 1-6) plus schema-conformant rows with NULLs. *)
-let plan_case_gen =
+(* A random schema (arity 1-6, some columns declared non-NULL) plus
+   conforming rows, NULLs only where allowed. *)
+let page_case_gen ?long ~max_rows () =
   QCheck2.Gen.(
-    list_size (int_range 1 6) ty_gen >>= fun tys ->
-    list_size (int_range 1 10) (flatten_l (List.map typed_value_gen tys)) >>= fun rows ->
-    return (tys, List.map Array.of_list rows))
+    list_size (int_range 1 6) (pair ty_gen bool) >>= fun cols ->
+    list_size (int_range 1 max_rows)
+      (flatten_l (List.map (fun (ty, non_null) -> typed_value_gen ?long ~non_null ty) cols))
+    >>= fun rows -> return (cols, List.map Array.of_list rows))
 
-(* The specialized codec must be a drop-in for the generic one on
-   schema-conformant data: byte-identical encodings, and every decode
-   path returns the original tuples. *)
-let plan_codec_agrees (tys, rows) =
-  let schema =
-    Schema.of_list (List.mapi (fun i ty -> Schema.attr (Printf.sprintf "c%d" i) ty) tys)
+let plan_of_cols cols =
+  Codec.plan_of_schema ~non_null:(Array.of_list (List.map snd cols)) (schema_of (List.map fst cols))
+
+(* The page round trip: rows packed into pages of a random size come
+   back from both decoders, from the exact image and from a zero-padded
+   page; the pages are full (the next page's first row would not have
+   fitted), no image exceeds the page size, and an image cut by one
+   byte fails as truncated. *)
+let page_roundtrip (page_size, (cols, rows)) =
+  let plan = plan_of_cols cols in
+  let rows = Array.of_list rows in
+  (* At least the widest row's one-row page. *)
+  let one_row r =
+    let f = Codec.fill plan ~page_size:max_int in
+    ignore (Codec.add f r);
+    Codec.image_bytes f
   in
-  let plan = Codec.plan_of_schema schema in
-  let generic = Buffer.create 256 in
-  let planned = Buffer.create 256 in
-  List.iter (Codec.encode_tuple generic) rows;
-  List.iter (Codec.encode_tuple_plan plan planned) rows;
-  let bytes = Buffer.to_bytes generic in
-  let same_bytes = Buffer.contents generic = Buffer.contents planned in
-  let tuples_eq a b = Array.length a = Array.length b && Array.for_all2 value_eq a b in
-  let pos = ref 0 in
-  let batch = Codec.decode_rows_plan plan bytes ~pos ~count:(List.length rows) in
-  let batch_ok =
-    !pos = Bytes.length bytes && List.for_all2 tuples_eq rows (Array.to_list batch)
+  let page_size = Array.fold_left (fun m r -> max m (one_row r)) page_size rows in
+  let arity = List.length cols in
+  let pages = pack plan ~page_size rows in
+  let rec full = function
+    | (image, page_rows) :: ((_, next) :: _ as rest) ->
+      let f = Codec.fill plan ~page_size in
+      Array.iter (fun r -> assert (Codec.add f r)) page_rows;
+      assert (Codec.image_bytes f = Bytes.length image);
+      (not (Codec.add f next.(0))) && full rest
+    | _ -> true
   in
-  let pos = ref 0 in
-  let one_ok =
-    List.for_all (fun row -> tuples_eq row (Codec.decode_tuple_plan plan bytes ~pos)) rows
+  let truncated_fails image =
+    match Codec.decode_page plan (Bytes.sub image 0 (Bytes.length image - 1)) with
+    | _ -> false
+    | exception Diag.Fail d -> d.Diag.code = "STO002"
   in
-  same_bytes && batch_ok && one_ok
+  Array.concat (List.map snd pages) = rows
+  && full pages
+  && List.for_all
+       (fun (image, page_rows) ->
+         let padded = Bytes.make page_size '\000' in
+         Bytes.blit image 0 padded 0 (Bytes.length image);
+         Bytes.length image <= page_size
+         && rows_eq page_rows (Codec.decode_page plan image)
+         && rows_eq page_rows (Codec.decode_page plan padded)
+         && rows_eq page_rows (Codec.decode_page_reference ~arity image)
+         && truncated_fails image)
+       pages
+
+let page_roundtrip_gen =
+  QCheck2.Gen.(pair (oneofl [ 64; 200; 4096 ]) (page_case_gen ~long:true ~max_rows:60 ()))
+
+(* The plan decoder is a drop-in for the reference decoder on every
+   page the packer lays down: the same tuples, cell for cell. *)
+let plan_codec_agrees (cols, rows) =
+  let plan = plan_of_cols cols in
+  List.for_all
+    (fun (image, _) ->
+      rows_eq (Codec.decode_page_reference ~arity:(List.length cols) image) (Codec.decode_page plan image))
+    (pack plan ~page_size:512 (Array.of_list rows))
 
 (* A column-pruned plan decodes exactly the projection of the full
-   decode, and ends at the same byte offset. *)
+   decode. *)
 let pruned_case_gen =
   QCheck2.Gen.(
-    plan_case_gen >>= fun (tys, rows) ->
-    list_repeat (List.length tys) bool >>= fun mask -> return (tys, rows, mask))
+    page_case_gen ~max_rows:40 () >>= fun (cols, rows) ->
+    list_repeat (List.length cols) bool >>= fun mask -> return (cols, rows, mask))
 
-let pruned_decode_is_projection (tys, rows, mask) =
-  let schema =
-    Schema.of_list (List.mapi (fun i ty -> Schema.attr (Printf.sprintf "c%d" i) ty) tys)
-  in
-  let keep =
-    Array.of_list (List.filteri (fun i _ -> List.nth mask i) (List.mapi (fun i _ -> i) tys))
-  in
-  let plan = Codec.plan_of_schema schema in
-  let buf = Buffer.create 256 in
-  List.iter (Codec.encode_tuple_plan plan buf) rows;
-  let bytes = Buffer.to_bytes buf in
-  let count = List.length rows in
-  let full_pos = ref 0 and pruned_pos = ref 0 in
-  let full = Codec.decode_rows_plan plan bytes ~pos:full_pos ~count in
-  let pruned = Codec.decode_rows_plan (Codec.project plan keep) bytes ~pos:pruned_pos ~count in
-  !full_pos = !pruned_pos
-  && Array.for_all2
-       (fun f p -> Array.length p = Array.length keep && Array.for_all2 value_eq (Tuple.project f keep) p)
-       full pruned
+let pruned_decode_is_projection (cols, rows, mask) =
+  let keep = Array.of_list (List.filteri (fun i _ -> List.nth mask i) (List.mapi (fun i _ -> i) cols)) in
+  let plan = plan_of_cols cols in
+  List.for_all
+    (fun (image, _) ->
+      let full = Codec.decode_page plan image in
+      let pruned = Codec.decode_page (Codec.project plan keep) image in
+      Array.length full = Array.length pruned
+      && Array.for_all2
+           (fun f p -> Array.length p = Array.length keep && tuples_eq (Tuple.project f keep) p)
+           full pruned)
+    (pack plan ~page_size:300 (Array.of_list rows))
 
 let expect_diag code f =
   match f () with
@@ -126,50 +189,65 @@ let expect_diag code f =
     d
   | _ -> Alcotest.failf "expected a %s failure" code
 
+(* One page of rows under [tys], as its exact image. *)
+let one_page ?non_null tys rows =
+  let plan = Codec.plan_of_schema ?non_null (schema_of tys) in
+  match pack plan ~page_size:4096 (Array.of_list rows) with
+  | [ (image, _) ] -> (plan, image)
+  | _ -> Alcotest.fail "expected one page"
+
+(* Where segment [i] of a page starts: its directory entry's offset. *)
+let segment_start page i = Int32.to_int (Bytes.get_int32_le page (2 + (5 * i) + 1))
+
 let test_codec_structured_errors () =
-  let int_schema = Schema.of_list [ Schema.attr "n" Value.Tint ] in
-  let int_plan = Codec.plan_of_schema int_schema in
-  (* Truncated payload: an int tag with only two payload bytes. *)
-  let truncated = Bytes.of_string "\001\042\000" in
-  ignore (expect_diag "STO002" (fun () -> Codec.decode_value truncated ~pos:(ref 0)));
-  ignore (expect_diag "STO002" (fun () -> Codec.decode_tuple_plan int_plan truncated ~pos:(ref 0)));
-  (* Unknown tag byte: generic says STO001, the plan reports the clash
-     against the declared column (STO003). *)
-  let bad_tag = Bytes.of_string "\250" in
-  ignore (expect_diag "STO001" (fun () -> Codec.decode_value bad_tag ~pos:(ref 0)));
-  ignore (expect_diag "STO003" (fun () -> Codec.decode_tuple_plan int_plan bad_tag ~pos:(ref 0)));
-  (* The same faults in the middle of a tuple, under the generic tuple
-     decoder: an unknown tag is STO001, a string length running past
-     the end of the bytes is STO002. *)
-  let tuple_bytes = Buffer.create 32 in
-  Codec.encode_tuple tuple_bytes [| Value.Int 1; Value.Str "abcd"; Value.Int 7 |];
-  let corrupt at patch =
-    let b = Buffer.to_bytes tuple_bytes in
-    Bytes.blit_string patch 0 b at (String.length patch);
-    fun () -> Codec.decode_tuple b ~pos:(ref 0) ~arity:3
+  let int_plan, int_page = one_page [ Value.Tint ] [ [| Value.Int 7 |]; [| Value.Int 8 |] ] in
+  let both code page =
+    ignore (expect_diag code (fun () -> Codec.decode_page int_plan page));
+    ignore (expect_diag code (fun () -> Codec.decode_page_reference ~arity:1 page))
   in
-  ignore (expect_diag "STO001" (corrupt 9 "\250"));
-  ignore (expect_diag "STO002" (corrupt 10 "\255\255"));
-  (* Type lie: stored int bytes decoded under a float column. *)
-  let buf = Buffer.create 16 in
-  Codec.encode_tuple buf [| Value.Int 7 |];
-  let int_bytes = Buffer.to_bytes buf in
-  let float_plan = Codec.plan_of_schema (Schema.of_list [ Schema.attr "n" Value.Tfloat ]) in
-  ignore (expect_diag "STO003" (fun () -> Codec.decode_tuple_plan float_plan int_bytes ~pos:(ref 0)));
+  (* Truncated: the directory, then the cells, run past the end. *)
+  both "STO002" (Bytes.sub int_page 0 4);
+  both "STO002" (Bytes.sub int_page 0 (Bytes.length int_page - 3));
+  (* An unknown type byte is STO001 under either decoder. *)
+  let patched page at s =
+    let b = Bytes.copy page in
+    Bytes.blit_string s 0 b at (String.length s);
+    b
+  in
+  both "STO001" (patched int_page 2 "\250");
+  both "STO001" (patched int_page 2 "\009");
+  (* A segment that does not start where the directory ends. *)
+  both "STO002" (patched int_page 3 "\001");
+  (* The same faults in a string segment: a decreasing end offset, and
+     an end offset past the page. *)
+  let str_plan, str_page =
+    one_page [ Value.Tint; Value.Tstring ] [ [| Value.Int 1; Value.Str "abcd" |]; [| Value.Int 2; Value.Str "ef" |] ]
+  in
+  let b_offsets = segment_start str_page 1 in
+  let str_both code page =
+    ignore (expect_diag code (fun () -> Codec.decode_page str_plan page));
+    ignore (expect_diag code (fun () -> Codec.decode_page_reference ~arity:2 page))
+  in
+  str_both "STO002" (patched str_page b_offsets "\007\000");
+  str_both "STO002" (patched str_page (b_offsets + 2) "\255\255");
+  (* Type lie: an int segment decoded under a float column. *)
+  let float_plan = Codec.plan_of_schema (schema_of [ Value.Tfloat ]) in
+  ignore (expect_diag "STO003" (fun () -> Codec.decode_page float_plan int_page));
   (* A NULL under a non-NULL plan is corruption on decode and
-     [Invalid_argument] on encode. *)
-  let nn_plan = Codec.plan_of_schema ~non_null:[| true |] int_schema in
-  let buf = Buffer.create 16 in
-  Codec.encode_tuple buf [| Value.Null |];
-  let null_bytes = Buffer.to_bytes buf in
-  ignore (expect_diag "STO003" (fun () -> Codec.decode_tuple_plan nn_plan null_bytes ~pos:(ref 0)));
-  (match Codec.encode_tuple_plan nn_plan (Buffer.create 16) [| Value.Null |] with
+     [Invalid_argument] when packed. *)
+  let _, null_page = one_page [ Value.Tint ] [ [| Value.Int 1 |]; [| Value.Null |] ] in
+  let nn_plan = Codec.plan_of_schema ~non_null:[| true |] (schema_of [ Value.Tint ]) in
+  ignore (expect_diag "STO003" (fun () -> Codec.decode_page nn_plan null_page));
+  (match Codec.add (Codec.fill nn_plan ~page_size:4096) [| Value.Null |] with
   | exception Invalid_argument msg ->
-    Alcotest.(check string) "encode message" "Codec: NULL in non-NULL column n" msg
-  | () -> Alcotest.fail "NULL under a non-NULL plan must be rejected");
-  (* The nullable default accepts the NULL. *)
+    Alcotest.(check string) "packing message" "Codec: NULL in non-NULL column c0" msg
+  | _ -> Alcotest.fail "NULL under a non-NULL plan must be rejected");
+  (* A NULL-free page decodes under the non-NULL plan, and the nullable
+     default accepts the NULL. *)
+  Alcotest.(check bool) "non-NULL plan reads a NULL-free page" true
+    (rows_eq [| [| Value.Int 7 |]; [| Value.Int 8 |] |] (Codec.decode_page nn_plan int_page));
   Alcotest.(check bool) "nullable plan accepts NULL" true
-    (Codec.decode_tuple_plan int_plan null_bytes ~pos:(ref 0) = [| Value.Null |])
+    (rows_eq [| [| Value.Int 1 |]; [| Value.Null |] |] (Codec.decode_page int_plan null_page))
 
 (* --- Heap files ---------------------------------------------------------- *)
 
@@ -263,60 +341,77 @@ let test_write_rejects_mistyped_cell () =
         Heap_file.close hf;
         Alcotest.failf "a mistyped cell must be rejected by write (%s)" outcome)
 
-(* The generic decoder is the oracle of the plan decoder: on every page
-   [write] lays down, [Codec.decode_rows_plan] under the handle's
-   schema equals [Codec.decode_tuple] cell for cell, and both end at the
-   same byte offset. *)
+(* The data pages of a heap file, read byte for byte from disk. *)
+let stored_pages path hf ~page_size =
+  In_channel.with_open_bin path (fun ic ->
+      List.init (Heap_file.pages hf) (fun page_no ->
+          In_channel.seek ic (Int64.of_int ((page_no + 1) * page_size));
+          let page = Bytes.create page_size in
+          really_input ic page 0 page_size;
+          page))
+
+(* The reference decoder is the oracle of the plan decoder: on every
+   page [write] lays down, [Codec.decode_page] under the handle's
+   schema equals [Codec.decode_page_reference] cell for cell. *)
 let test_plan_decode_matches_generic () =
   let rel = mk_rel 500 in
   let page_size = 512 in
   with_file rel ~page_size (fun path hf ->
       let plan = Codec.plan_of_schema (Relation.schema rel) in
       let arity = Schema.arity (Relation.schema rel) in
-      let ic = open_in_bin path in
-      let rows = ref 0 in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          for page_no = 0 to Heap_file.pages hf - 1 do
-            seek_in ic ((page_no + 1) * page_size);
-            let page = Bytes.create page_size in
-            really_input ic page 0 page_size;
-            let count = Bytes.get_uint16_le page 0 in
-            let plan_pos = ref 2 and generic_pos = ref 2 in
-            let planned = Codec.decode_rows_plan plan page ~pos:plan_pos ~count in
-            let generic = Array.init count (fun _ -> Codec.decode_tuple page ~pos:generic_pos ~arity) in
-            Alcotest.(check int) (Printf.sprintf "page %d: same end offset" page_no) !generic_pos !plan_pos;
+      let rows =
+        List.mapi
+          (fun page_no page ->
+            let planned = Codec.decode_page plan page in
             Alcotest.(check bool)
               (Printf.sprintf "page %d: same tuples" page_no)
               true
-              (Array.for_all2 (Array.for_all2 value_eq) generic planned);
-            rows := !rows + count
-          done);
-      Alcotest.(check int) "every row decoded" (Relation.cardinality rel) !rows)
+              (rows_eq (Codec.decode_page_reference ~arity page) planned);
+            Array.length planned)
+          (stored_pages path hf ~page_size)
+      in
+      Alcotest.(check int) "every row decoded" (Relation.cardinality rel) (List.fold_left ( + ) 0 rows))
 
-(* Flip one stored tag byte on disk: the scan must refuse the page with
-   a structured diagnostic that names the file and page. *)
+(* Overwrite [bytes] at [offset] of a file. *)
+let patch_file path offset bytes =
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  ignore (Unix.lseek fd offset Unix.SEEK_SET);
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  Unix.close fd
+
+(* The code a scan of the file at [path] fails with, [""] if none:
+   every column, or only [columns]. *)
+let scan_outcome ?columns path schema =
+  let hf = Heap_file.openfile ~path ~schema () in
+  Fun.protect
+    ~finally:(fun () -> Heap_file.close hf)
+    (fun () ->
+      match Chunk.Source.to_relation (Heap_file.source ?columns hf ~pool:(Buffer_pool.create ~frames:4)) with
+      | _ -> ""
+      | exception Diag.Fail d -> d.Diag.code)
+
+(* Corrupt the first segment's type byte on disk: the scan must refuse
+   the page with a structured diagnostic that names the file and page,
+   pruned or not. *)
 let test_corrupt_page_is_diagnosed () =
   let rel = mk_rel 50 in
   with_file rel ~page_size:512 (fun path _hf ->
-      (* First data page lives at [page_size]; its first tuple's first
-         tag byte sits right after the 2-byte tuple count. *)
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-      ignore (Unix.lseek fd 514 Unix.SEEK_SET);
-      ignore (Unix.write fd (Bytes.make 1 '\250') 0 1);
-      Unix.close fd;
+      (* The first data page lives at [page_size]; its directory starts
+         right after the 2-byte row count with column 0's type byte. *)
+      patch_file path 514 "\250";
       let hf = Heap_file.openfile ~path ~schema:(Relation.schema rel) () in
       let d =
         Fun.protect
           ~finally:(fun () -> Heap_file.close hf)
-          (fun () -> expect_diag "STO003" (fun () -> drain hf ~pool:(Buffer_pool.create ~frames:4)))
+          (fun () -> expect_diag "STO001" (fun () -> drain hf ~pool:(Buffer_pool.create ~frames:4)))
       in
       Alcotest.(check bool) "names the page" true
-        (List.mem (Printf.sprintf "%s: page 0" path) d.Diag.path))
+        (List.mem (Printf.sprintf "%s: page 0" path) d.Diag.path);
+      Alcotest.(check string) "a pruned scan fails alike" "STO001"
+        (scan_outcome ~columns:[| 2 |] path (Relation.schema rel)))
 
-(* Corrupt a cell of a column the scan skips: the pruned decode must
-   fail with the full decode's diagnostic. *)
+(* Corrupt the segment of a column the scan skips: the pruned decode
+   must fail with the full decode's diagnostic. *)
 let test_corrupt_skipped_column () =
   let schema =
     Schema.of_list
@@ -330,42 +425,42 @@ let test_corrupt_skipped_column () =
     Relation.of_list schema
       (List.init 40 (fun i -> [| Value.Int i; Value.Str "abcd"; Value.Int (i * 7) |]))
   in
-  (* Row 0 of page 0: the 2-byte tuple count, then a's 9 bytes, then
-     b's tag byte and its 16-bit length. *)
-  let b_tag = 512 + 2 + 9 in
-  let cases =
+  let page_size = 512 in
+  (* Page 0's directory entry of b (type byte, then its start), and the
+     end offset of its last string. *)
+  let b_entry = page_size + 2 + 5 in
+  let cases page =
+    let n = Codec.page_rows page in
+    let last_offset = page_size + segment_start page 1 + (2 * (n - 1)) in
     [
-      ("unknown tag", b_tag, "\250", "STO003");
-      ("payload past the page end", b_tag + 1, "\255\255", "STO002");
-      ("tag/column clash", b_tag, "\001", "STO003");
+      ("unknown type byte", b_entry, "\250", "STO001");
+      ("payload past the page end", last_offset, "\255\255", "STO002");
+      ("type/column clash", b_entry, "\001", "STO003");
     ]
   in
+  let page0 = with_file rel ~page_size (fun path hf -> List.hd (stored_pages path hf ~page_size)) in
   List.iter
     (fun (what, offset, bytes, expected) ->
-      with_file rel ~page_size:512 (fun path _hf ->
-          let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-          ignore (Unix.lseek fd offset Unix.SEEK_SET);
-          ignore (Unix.write_substring fd bytes 0 (String.length bytes));
-          Unix.close fd;
-          let outcome columns =
-            let hf = Heap_file.openfile ~path ~schema () in
-            Fun.protect
-              ~finally:(fun () -> Heap_file.close hf)
-              (fun () ->
-                match
-                  Chunk.Source.to_relation
-                    (Heap_file.source ?columns hf ~pool:(Buffer_pool.create ~frames:4))
-                with
-                | _ -> ""
-                | exception Diag.Fail d -> d.Diag.code)
-          in
-          let full = outcome None in
+      with_file rel ~page_size (fun path _hf ->
+          patch_file path offset bytes;
+          let full = scan_outcome path schema in
           Alcotest.(check string) (what ^ ": full decode") expected full;
           Alcotest.(check string)
             (what ^ ": pruned decode fails as the full one")
             full
-            (outcome (Some [| 0; 2 |]))))
-    cases
+            (scan_outcome ~columns:[| 0; 2 |] path schema)))
+    (cases page0)
+
+(* A file laid down in another layout is refused when opened. *)
+let test_old_magic_is_refused () =
+  with_file (mk_rel 20) (fun path _hf ->
+      patch_file path 0 "SUBQLHF1";
+      match Heap_file.openfile ~path ~schema:(Relation.schema (mk_rel 0)) () with
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "names the magic" "Heap_file.openfile: bad magic" msg
+      | hf ->
+        Heap_file.close hf;
+        Alcotest.fail "a row-major file must be refused")
 
 (* Only the listed columns are decoded, in order, under the narrowed
    schema — directly or through the source's narrowing capability. *)
@@ -548,6 +643,44 @@ let test_source_ignores_rows_appended_mid_scan () =
       let rest = Chunk.Source.fold (fun n c -> n + Chunk.length c) 0 src in
       Alcotest.(check int) "rows streamed" 10 (first + rest))
 
+(* Batches that start inside a partly filled last page re-pack it: each
+   one is visible through a pool that cached the old tail, [source
+   ~from] streams exactly it, and the file ends byte for byte as one
+   [write] of all the rows would lay it down. *)
+let test_append_resumes_last_page () =
+  let page_size = 512 in
+  let rel = mk_rel 30 in
+  with_file rel ~page_size (fun path hf ->
+      let pool = Buffer_pool.create ~frames:8 in
+      let collect src =
+        Chunk.Source.fold (fun acc chunk -> Chunk.fold (fun acc t -> t :: acc) acc chunk) [] src
+        |> List.rev
+      in
+      let all = ref (Array.to_list (rows_of rel)) in
+      List.iteri
+        (fun k n ->
+          ignore (drain hf ~pool);
+          let batch = fresh_rows ~from:(List.length !all) n in
+          let d = Heap_file.append hf batch in
+          Alcotest.(check bool) (Printf.sprintf "batch %d starts inside a page" k) true (d.Heap_file.skip > 0);
+          all := !all @ Array.to_list batch;
+          Alcotest.(check bool)
+            (Printf.sprintf "batch %d: the shared pool sees every row" k)
+            true
+            (List.equal Tuple.equal !all (collect (Heap_file.source hf ~pool)));
+          Alcotest.(check bool)
+            (Printf.sprintf "batch %d: source ~from streams it" k)
+            true
+            (List.equal Tuple.equal (Array.to_list batch) (collect (Heap_file.source ~from:d hf ~pool))))
+        [ 1; 2; 5; 40; 3 ];
+      let once = Relation.of_list (Relation.schema rel) !all in
+      with_file once ~page_size (fun once_path once_hf ->
+          Alcotest.(check int) "as many pages as one write" (Heap_file.pages once_hf) (Heap_file.pages hf);
+          Alcotest.(check bool) "the same pages as one write" true
+            (List.equal Bytes.equal
+               (stored_pages once_path once_hf ~page_size)
+               (stored_pages path hf ~page_size))))
+
 (* --- Buffer pool ---------------------------------------------------------- *)
 
 let test_pool_caching () =
@@ -623,6 +756,71 @@ let test_pool_mixed_page_sizes () =
           in
           Alcotest.(check bool) "512-byte file intact" true (same a !out_a);
           Alcotest.(check bool) "256-byte file intact" true (same b !out_b)))
+
+(* The pool against a naive exact-LRU model over random fetches and
+   invalidations: two files (one path opened twice, so two identities),
+   two page sizes, one to four frames.  After every step the stats,
+   the residency and the bytes a fetch returns agree. *)
+type pool_op = Fetch of int * int | Invalidate of int * int
+
+let pool_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (8, map2 (fun f p -> Fetch (f, p)) (int_range 0 2) (int_range 0 5));
+        (1, map2 (fun f p -> Invalidate (f, p)) (int_range 0 2) (int_range 0 5));
+      ])
+
+let pool_matches_model (frames, ops) =
+  let paths = [| "pool-a"; "pool-a"; "pool-b" |] and sizes = [| 16; 16; 32 |] in
+  let files = Array.map Buffer_pool.file paths in
+  let pool = Buffer_pool.create ~frames in
+  (* The model: resident (file, page, buffer size), most recent first. *)
+  let lru = ref [] and reads = ref 0 and hits = ref 0 and evictions = ref 0 and allocations = ref 0 in
+  let step op =
+    match op with
+    | Fetch (f, p) ->
+      let got =
+        Buffer_pool.fetch pool files.(f) ~page:p ~size:sizes.(f) ~load:(fun b ->
+            Bytes.fill b 0 (Bytes.length b) (Char.chr ((16 * f) + p)))
+      in
+      (match List.partition (fun (f', p', _) -> f' = f && p' = p) !lru with
+      | [ hit ], rest ->
+        incr hits;
+        lru := hit :: rest
+      | _ ->
+        incr reads;
+        let victim_size =
+          if List.length !lru < frames then None
+          else begin
+            let rev = List.rev !lru in
+            let _, _, size = List.hd rev in
+            lru := List.rev (List.tl rev);
+            incr evictions;
+            Some size
+          end
+        in
+        if victim_size <> Some sizes.(f) then incr allocations;
+        lru := (f, p, sizes.(f)) :: !lru);
+      Bytes.length got = sizes.(f) && Bytes.for_all (fun c -> c = Char.chr ((16 * f) + p)) got
+    | Invalidate (f, from_page) ->
+      let dropped, kept =
+        List.partition (fun (f', p', _) -> paths.(f') = paths.(f) && p' >= from_page) !lru
+      in
+      lru := kept;
+      Buffer_pool.invalidate pool ~path:paths.(f) ~from_page = List.length dropped
+  in
+  List.for_all
+    (fun op ->
+      let ok = step op in
+      let s = Buffer_pool.stats pool in
+      ok
+      && s.Buffer_pool.page_reads = !reads
+      && s.Buffer_pool.hits = !hits
+      && s.Buffer_pool.evictions = !evictions
+      && s.Buffer_pool.allocations = !allocations
+      && Buffer_pool.resident pool = List.length !lru)
+    ops
 
 (* --- Paged GMDJ ------------------------------------------------------------ *)
 
@@ -710,8 +908,11 @@ let () =
           Helpers.qtest ~count:300 "tuple roundtrip"
             (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 8) value_gen)
             codec_roundtrip;
-          Helpers.qtest ~count:300 "specialized plan agrees with the generic codec" plan_case_gen
-            plan_codec_agrees;
+          Helpers.qtest ~count:200
+            "page roundtrip: every type, NULLs, non-NULL plans, 64 KiB strings, full pages"
+            page_roundtrip_gen page_roundtrip;
+          Helpers.qtest ~count:300 "specialized plan agrees with the generic codec"
+            (page_case_gen ~max_rows:60 ()) plan_codec_agrees;
           Alcotest.test_case "corruption raises structured diagnostics" `Quick
             test_codec_structured_errors;
           Helpers.qtest ~count:300 "pruned decode is the projection of the full decode"
@@ -732,6 +933,7 @@ let () =
           Alcotest.test_case "column-pruned source" `Quick test_source_columns;
           Alcotest.test_case "a corrupt skipped column fails as when read" `Quick
             test_corrupt_skipped_column;
+          Alcotest.test_case "a file of the old layout is refused" `Quick test_old_magic_is_refused;
         ] );
       ( "append",
         [
@@ -745,12 +947,17 @@ let () =
             test_source_from_streams_exact_delta;
           Alcotest.test_case "a live source ignores rows appended mid-scan" `Quick
             test_source_ignores_rows_appended_mid_scan;
+          Alcotest.test_case "appends re-pack a partly filled last page" `Quick
+            test_append_resumes_last_page;
         ] );
       ( "buffer-pool",
         [
           Alcotest.test_case "caching and eviction" `Quick test_pool_caching;
           Alcotest.test_case "a cold scan recycles its frames" `Quick test_pool_recycles_frames;
           Alcotest.test_case "mixed page sizes share a pool" `Quick test_pool_mixed_page_sizes;
+          Helpers.qtest ~count:500 "stats equal an exact-LRU model"
+            QCheck2.Gen.(pair (int_range 1 4) (list_size (int_range 0 60) pool_op_gen))
+            pool_matches_model;
         ] );
       ( "paged-gmdj",
         [
