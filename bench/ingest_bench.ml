@@ -72,11 +72,12 @@ let headline (options : Figures.options) ~outer ~inner ~batch_rows ~batches =
   let append ing b =
     Ingest.append ing ~table:"I" (Zoo.detail_rows ~seed:(batch_seed b) batch_rows)
   in
-  (* Both sides pay the same write path (heap append + catalog
-     re-registration), so the write is left untimed and the clocks
-     compare exactly what the planner chooses between: folding the
-     appended suffix into live accumulators and repairing the cache
-     entry, versus re-evaluating the plan from scratch. *)
+  (* Both sides pay the same write path (the schema check and the
+     catalog registration of the grown relation), so the write is left
+     untimed and the clocks compare exactly what the planner chooses
+     between: folding the appended suffix into live accumulators and
+     repairing the cache entry, versus re-evaluating the plan from
+     scratch. *)
   let timed seconds f =
     let r, dt = Subql_obs.Clock.time f in
     seconds := !seconds +. dt;

@@ -93,132 +93,156 @@ let block_hashable theta =
       | _ -> false)
     (Expr.conjuncts theta)
 
-let estimate stats ~config alg =
+(* The estimated output rows of every node of a plan: [point] is the
+   node's, [inputs] its inputs' in {!Algebra.children} order.  A node's
+   estimate depends on its subtree alone, so its [point] is exactly
+   [(estimate stats ~config node).rows]. *)
+type point = { point : float; inputs : point list }
+
+let estimate_points stats ~config alg =
   let hash_joins = config.Eval.join_strategy = `Hash in
   let hash_gmdj = config.Eval.gmdj_strategy = `Hash in
-  let rec go alg =
-    match alg with
-    | Algebra.Table name ->
-      let rows = Stats.table_rows stats name in
-      { est = { rows; cost = rows }; origins = [ (name, name) ] }
-    | Algebra.Rename (alias, x) ->
-      let i = go x in
-      let origins =
-        match x with Algebra.Table t -> [ (alias, t) ] | _ -> []
-      in
-      { i with origins }
-    | Algebra.Select (e, x) ->
-      let i = go x in
-      let sel = selectivity_with stats i.origins e in
-      {
-        i with
-        est = { rows = i.est.rows *. sel; cost = i.est.cost +. i.est.rows };
-      }
-    | Algebra.Project (_, x)
-    | Algebra.Project_cols { input = x; _ }
-    | Algebra.Project_rel (_, x)
-    | Algebra.Add_rownum (_, x) ->
-      let i = go x in
-      { est = { rows = i.est.rows; cost = i.est.cost +. i.est.rows }; origins = i.origins }
-    | Algebra.Sort { by; limit; input } ->
-      let i = go input in
-      let n = i.est.rows in
-      let rows = match limit with Some l -> Float.min n (float_of_int l) | None -> n in
-      let work = match by with [] -> n | _ -> n *. Float.log2 (Float.max 2.0 n) in
-      { est = { rows; cost = i.est.cost +. work }; origins = i.origins }
-    | Algebra.Product (l, r) ->
-      let li = go l and ri = go r in
-      let rows = li.est.rows *. ri.est.rows in
-      {
-        est = { rows; cost = li.est.cost +. ri.est.cost +. rows };
-        origins = li.origins @ ri.origins;
-      }
-    | Algebra.Join { kind; cond; left; right } ->
-      let li = go left and ri = go right in
-      let origins = li.origins @ ri.origins in
-      let sel = selectivity_with stats origins cond in
-      let l = li.est.rows and r = ri.est.rows in
-      let inputs = li.est.cost +. ri.est.cost in
-      let pair_work = if hash_joins then l +. r +. (l *. r *. sel) else l *. r in
-      let est =
-        match kind with
-        | Algebra.Inner -> { rows = l *. r *. sel; cost = inputs +. pair_work }
-        | Algebra.Left_outer ->
-          { rows = Float.max l (l *. r *. sel); cost = inputs +. pair_work }
-        | Algebra.Semi ->
-          (* P(some right row matches) ≈ min(1, sel·r); nested loops stop
-             at the first match, hash probes one bucket. *)
-          let hit = Float.min 1.0 (sel *. r) in
-          let cost =
-            if hash_joins then inputs +. l +. r else inputs +. (l *. r *. 0.5)
-          in
-          { rows = l *. hit; cost }
-        | Algebra.Anti ->
-          let hit = Float.min 1.0 (sel *. r) in
-          let cost =
-            if hash_joins then inputs +. l +. r else inputs +. (l *. r *. 0.75)
-          in
-          { rows = l *. (1.0 -. hit); cost }
-      in
-      { est; origins }
-    | Algebra.Group_by { keys; input; _ } ->
-      (* One row per group: the distinct-count product of the qualified
-         keys, capped by the input; a fixed fraction of the input when no
-         key has statistics (unqualified keys, or every column). *)
-      let i = go input in
-      let ndvs =
-        List.filter_map Fun.id (key_ndvs stats i.origins (Option.value keys ~default:[]))
-      in
-      let groups =
-        match keys, ndvs with
-        | Some [], _ -> 1.0
-        | _, [] -> Float.max 1.0 (i.est.rows *. 0.3)
-        | _ -> Float.min i.est.rows (List.fold_left ( *. ) 1.0 ndvs)
-      in
-      { est = { rows = groups; cost = i.est.cost +. i.est.rows }; origins = i.origins }
-    | Algebra.Md { base; detail; blocks; completion } ->
-      let bi = go base and di = go detail in
-      let b = bi.est.rows and d = di.est.rows in
-      let origins = bi.origins @ di.origins in
-      let block_cost block =
-        let theta = block.Gmdj.theta in
-        if hash_gmdj && block_hashable theta then
-          (* One probe per detail row plus the matched updates. *)
-          d +. (b *. d *. selectivity_with stats origins theta)
-        else b *. d
-      in
-      let scan_cost = List.fold_left (fun acc blk -> acc +. block_cost blk) 0.0 blocks in
-      let completion_factor = match completion with Some _ -> 0.5 | None -> 1.0 in
-      {
-        est =
-          {
-            rows = b;
-            cost = bi.est.cost +. di.est.cost +. (scan_cost *. completion_factor) +. b;
-          };
-        origins;
-      }
-    | Algebra.Union_all (l, r) ->
-      let li = go l and ri = go r in
-      {
-        est =
-          {
-            rows = li.est.rows +. ri.est.rows;
-            cost = li.est.cost +. ri.est.cost +. li.est.rows +. ri.est.rows;
-          };
-        origins = [];
-      }
-    | Algebra.Diff_all (l, r) ->
-      let li = go l and ri = go r in
-      {
-        est =
-          {
-            rows = li.est.rows;
-            cost = li.est.cost +. ri.est.cost +. li.est.rows +. ri.est.rows;
-          };
-        origins = [];
-      }
+  let rec node alg =
+    let inputs = ref [] in
+    (* Inputs are estimated in {!Algebra.children} order. *)
+    let go x =
+      let i, p = node x in
+      inputs := p :: !inputs;
+      i
+    in
+    let i =
+      match alg with
+      | Algebra.Table name ->
+        let rows = Stats.table_rows stats name in
+        { est = { rows; cost = rows }; origins = [ (name, name) ] }
+      | Algebra.Rename (alias, x) ->
+        let i = go x in
+        let origins =
+          match x with Algebra.Table t -> [ (alias, t) ] | _ -> []
+        in
+        { i with origins }
+      | Algebra.Select (e, x) ->
+        let i = go x in
+        let sel = selectivity_with stats i.origins e in
+        {
+          i with
+          est = { rows = i.est.rows *. sel; cost = i.est.cost +. i.est.rows };
+        }
+      | Algebra.Project (_, x)
+      | Algebra.Project_cols { input = x; _ }
+      | Algebra.Project_rel (_, x)
+      | Algebra.Add_rownum (_, x) ->
+        let i = go x in
+        { est = { rows = i.est.rows; cost = i.est.cost +. i.est.rows }; origins = i.origins }
+      | Algebra.Sort { by; limit; input } ->
+        let i = go input in
+        let n = i.est.rows in
+        let rows = match limit with Some l -> Float.min n (float_of_int l) | None -> n in
+        let work = match by with [] -> n | _ -> n *. Float.log2 (Float.max 2.0 n) in
+        { est = { rows; cost = i.est.cost +. work }; origins = i.origins }
+      | Algebra.Product (l, r) ->
+        let li = go l in
+        let ri = go r in
+        let rows = li.est.rows *. ri.est.rows in
+        {
+          est = { rows; cost = li.est.cost +. ri.est.cost +. rows };
+          origins = li.origins @ ri.origins;
+        }
+      | Algebra.Join { kind; cond; left; right } ->
+        let li = go left in
+        let ri = go right in
+        let origins = li.origins @ ri.origins in
+        let sel = selectivity_with stats origins cond in
+        let l = li.est.rows and r = ri.est.rows in
+        let inputs = li.est.cost +. ri.est.cost in
+        let pair_work = if hash_joins then l +. r +. (l *. r *. sel) else l *. r in
+        let est =
+          match kind with
+          | Algebra.Inner -> { rows = l *. r *. sel; cost = inputs +. pair_work }
+          | Algebra.Left_outer ->
+            { rows = Float.max l (l *. r *. sel); cost = inputs +. pair_work }
+          | Algebra.Semi ->
+            (* P(some right row matches) ≈ min(1, sel·r); nested loops stop
+               at the first match, hash probes one bucket. *)
+            let hit = Float.min 1.0 (sel *. r) in
+            let cost =
+              if hash_joins then inputs +. l +. r else inputs +. (l *. r *. 0.5)
+            in
+            { rows = l *. hit; cost }
+          | Algebra.Anti ->
+            let hit = Float.min 1.0 (sel *. r) in
+            let cost =
+              if hash_joins then inputs +. l +. r else inputs +. (l *. r *. 0.75)
+            in
+            { rows = l *. (1.0 -. hit); cost }
+        in
+        { est; origins }
+      | Algebra.Group_by { keys; input; _ } ->
+        (* One row per group: the distinct-count product of the qualified
+           keys, capped by the input; a fixed fraction of the input when no
+           key has statistics (unqualified keys, or every column). *)
+        let i = go input in
+        let ndvs =
+          List.filter_map Fun.id (key_ndvs stats i.origins (Option.value keys ~default:[]))
+        in
+        let groups =
+          match keys, ndvs with
+          | Some [], _ -> 1.0
+          | _, [] -> Float.max 1.0 (i.est.rows *. 0.3)
+          | _ -> Float.min i.est.rows (List.fold_left ( *. ) 1.0 ndvs)
+        in
+        { est = { rows = groups; cost = i.est.cost +. i.est.rows }; origins = i.origins }
+      | Algebra.Md { base; detail; blocks; completion } ->
+        let bi = go base in
+        let di = go detail in
+        let b = bi.est.rows and d = di.est.rows in
+        let origins = bi.origins @ di.origins in
+        let block_cost block =
+          let theta = block.Gmdj.theta in
+          if hash_gmdj && block_hashable theta then
+            (* One probe per detail row plus the matched updates. *)
+            d +. (b *. d *. selectivity_with stats origins theta)
+          else b *. d
+        in
+        let scan_cost = List.fold_left (fun acc blk -> acc +. block_cost blk) 0.0 blocks in
+        let completion_factor = match completion with Some _ -> 0.5 | None -> 1.0 in
+        {
+          est =
+            {
+              rows = b;
+              cost = bi.est.cost +. di.est.cost +. (scan_cost *. completion_factor) +. b;
+            };
+          origins;
+        }
+      | Algebra.Union_all (l, r) ->
+        let li = go l in
+        let ri = go r in
+        {
+          est =
+            {
+              rows = li.est.rows +. ri.est.rows;
+              cost = li.est.cost +. ri.est.cost +. li.est.rows +. ri.est.rows;
+            };
+          origins = [];
+        }
+      | Algebra.Diff_all (l, r) ->
+        let li = go l in
+        let ri = go r in
+        {
+          est =
+            {
+              rows = li.est.rows;
+              cost = li.est.cost +. ri.est.cost +. li.est.rows +. ri.est.rows;
+            };
+          origins = [];
+        }
+    in
+    (i, { point = i.est.rows; inputs = List.rev !inputs })
   in
-  (go alg).est
+  let i, p = node alg in
+  (i.est, p)
+
+let estimate stats ~config alg = fst (estimate_points stats ~config alg)
 
 (* ------------------------------------------------------------------ *)
 (* Certified cardinality intervals (abstract interpretation)           *)
@@ -449,13 +473,15 @@ let join_partitionable cond = block_hashable cond
      charging it, Sort and the GMDJ base collect theirs first.
    - The root's result is collected once more at the end.
 
-   [rows] reads a node's cardinality: a point estimate, or a certified
-   interval's upper bound, which makes the result a sound ceiling.
-   [budget] is the spill cap: state a spilling operator bounds (GROUP BY
-   hash state, a partitionable join's inputs) is charged at most
+   A node's cardinality is the upper bound of its interval in [tree]:
+   a certified interval, which makes the result a sound ceiling, or a
+   point estimate ({!at_points}).  [budget] is the spill cap: state a
+   spilling operator bounds (GROUP BY hash state, a partitionable
+   join's inputs) is charged at most
    [budget], the excess accumulating as spill volume; every spilling
    join collects both inputs. *)
-let height ~rows ~budget alg tree =
+let height ~budget alg tree =
+  let rows (t : Interval.tree) = t.Interval.ival.Interval.hi in
   let spilled = ref 0.0 in
   let cap r =
     match budget with
@@ -471,7 +497,7 @@ let height ~rows ~budget alg tree =
   in
   let ( ++ ) = Float.max in
   let rec go alg (t : Interval.tree) =
-    let n = rows alg t in
+    let n = rows t in
     let breaker own peak =
       note own t;
       (peak ++ own, n, 0.0)
@@ -508,8 +534,7 @@ let height ~rows ~budget alg tree =
       let lpeak, llive, _ = go left lt in
       let rpeak, rlive, _ = go right rt in
       let resident =
-        if join_partitionable cond then cap (rows left lt) +. cap (rows right rt)
-        else rows right rt
+        if join_partitionable cond then cap (rows lt) +. cap (rows rt) else rows rt
       in
       breaker ((llive +. rpeak) ++ (llive +. rlive +. resident) ++ n) lpeak
     | ( ( Algebra.Product (left, right)
@@ -538,18 +563,25 @@ let height ~rows ~budget alg tree =
     tree;
   }
 
-let point_rows stats ~config alg _ = (estimate stats ~config alg).rows
+(* The interval tree with every node's interval narrowed to its point
+   estimate, for [height] to read estimates where it reads bounds. *)
+let rec at_points (t : Interval.tree) (p : point) =
+  {
+    t with
+    Interval.ival = { Interval.lo = p.point; hi = p.point };
+    children = List.map2 at_points t.Interval.children p.inputs;
+  }
+
+let point_tree stats ~config alg tree = at_points tree (snd (estimate_points stats ~config alg))
+
+let spill_budget config = Option.map float_of_int config.Eval.spill_budget_rows
 
 let memory_height stats ~config alg =
-  (height ~rows:(point_rows stats ~config) ~budget:None alg (intervals stats alg)).bound
-
-let memory_height_spill stats ~config alg =
-  let budget = Option.map float_of_int config.Eval.spill_budget_rows in
-  let h = height ~rows:(point_rows stats ~config) ~budget alg (intervals stats alg) in
-  (h.bound, h.spill_bound)
+  (height ~budget:None alg (point_tree stats ~config alg (intervals stats alg))).bound
 
 let memory_height_certified stats ~config alg =
-  height
-    ~rows:(fun _ t -> t.Interval.ival.Interval.hi)
-    ~budget:(Option.map float_of_int config.Eval.spill_budget_rows)
-    alg (intervals stats alg)
+  height ~budget:(spill_budget config) alg (intervals stats alg)
+
+let memory_heights stats ~config alg =
+  let tree = intervals stats alg and budget = spill_budget config in
+  ((height ~budget alg (point_tree stats ~config alg tree)).bound, height ~budget alg tree)

@@ -44,7 +44,7 @@ val memory_height : Stats.t -> config:Eval.config -> Algebra.t -> float
     running the plan — the planning-time counterpart of the measured
     ["eval.peak_materialized_rows"] gauge — from point estimates and
     without a spill cap.  One recursion (shared with
-    {!memory_height_spill} and {!memory_height_certified}) models what
+    {!memory_height_certified} and {!memory_heights}) models what
     {!Eval} holds: pipelined operators (Select, Project, Rename,
     Add_rownum, Union_all, the GMDJ detail side) add nothing of their
     own; Join, Product and Diff_all hold their right input while the
@@ -52,16 +52,6 @@ val memory_height : Stats.t -> config:Eval.config -> Algebra.t -> float
     also their collected input); tables (and aliases over tables) are
     zero-copy inputs and free; and the root's result is collected once
     more.  Heuristic, like {!estimate}. *)
-
-val memory_height_spill : Stats.t -> config:Eval.config -> Algebra.t -> float * float
-(** [(resident, spilled)] under the config's spill budget: breaker state
-    the spilling operators bound (GROUP BY / DISTINCT hash state,
-    partitionable join inputs) is capped at [spill_budget_rows], with
-    the excess accumulated as predicted spill volume in rows — disk, not
-    resident memory.  With no budget configured, equals
-    [(memory_height ..., 0.0)].  Admission gates on the resident
-    component ({!Subql_server.Admission}); the spill component prices
-    the temp-file I/O the plan would do instead. *)
 
 val selectivity : Stats.t -> origins:(string * string) list -> Expr.t -> float
 (** Predicate selectivity.  [origins] maps relation aliases to base
@@ -142,10 +132,22 @@ type certificate = {
 }
 
 val memory_height_certified : Stats.t -> config:Eval.config -> Algebra.t -> certificate
-(** The {!memory_height_spill} recursion evaluated over interval upper
-    bounds instead of point estimates: without a spill budget, a sound
-    ceiling on the executor's ["eval.peak_materialized_rows"] whenever
-    true cardinalities respect their intervals.  Infinite when the plan
+(** The {!memory_height} recursion under the config's spill budget,
+    evaluated over interval upper bounds instead of point estimates.
+    Breaker state the spilling operators bound (GROUP BY / DISTINCT
+    hash state, partitionable join inputs) is charged at most
+    [spill_budget_rows], the excess accumulating as [spill_bound].
+    Without a spill budget, a sound ceiling on the executor's
+    ["eval.peak_materialized_rows"] whenever true cardinalities respect
+    their intervals.  Infinite when the plan
     reads a table the statistics don't cover.  The argmax names the
     operator holding the most rows of its own — what an [ADM001]
     rejection should point at. *)
+
+val memory_heights : Stats.t -> config:Eval.config -> Algebra.t -> float * certificate
+(** [(resident, certificate)]: the {!memory_height_certified}
+    recursion, under the spill budget, over point estimates and over
+    certified bounds — what admission gates on
+    ({!Subql_server.Admission}).  Both come from one interval tree and
+    one {!estimate} pass.  With no spill budget, [resident] equals
+    {!memory_height}. *)

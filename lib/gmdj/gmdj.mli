@@ -210,9 +210,9 @@ module Maintain : sig
 
   val insert_source : t -> Chunk.Source.t -> int
   (** Drain a chunk stream into the view, one {!insert_chunk} per chunk;
-      returns the number of rows folded.  With a paged delta source
-      (e.g. [Heap_file.source ~from]) an appended batch is maintained
-      without ever materializing it. *)
+      returns the number of rows folded.  Fed the appended suffix of a
+      detail table (as [Ingest] does), an append is maintained without
+      touching the rows folded before it. *)
 
   val stats : t -> stats
   (** Lifetime accumulation counts for this view: the initial

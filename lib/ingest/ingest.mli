@@ -2,13 +2,11 @@
     catalog registration and incremental maintenance of cached GMDJ
     results.
 
-    Each ingested table is backed by an appendable heap file
-    ({!Subql_storage.Heap_file}): an [append] batch packs the new rows
-    onto the file's tail pages (schema-checked), re-registers the grown
-    relation in the catalog — bumping that table's epoch exactly once
-    per batch — and remembers where the batch landed, so the appended
-    suffix can later be replayed as a chunk stream without ever being
-    materialized.
+    An ingested table lives once, as the relation registered in the
+    catalog.  An [append] batch is schema-checked, then the grown
+    relation is registered in the catalog — bumping that table's epoch
+    exactly once per batch.  Maintenance later folds just the appended
+    suffix of that relation, streamed as chunks.
 
     Staleness policy decides {e when} cached results are repaired:
 
@@ -43,8 +41,6 @@ type t
 
 val create :
   ?policy:policy ->
-  ?page_size:int ->
-  ?frames:int ->
   ?config:Subql.Eval.config ->
   ?delta_row_cost:float ->
   ?registry:Subql_obs.Metrics.t ->
@@ -52,8 +48,7 @@ val create :
   cache:Subql_mqo.Result_cache.t ->
   unit ->
   t
-(** [policy] defaults to {!Maintain_on_write}; [frames] (default 64)
-    sizes the private buffer pool delta replays read through. *)
+(** [policy] defaults to {!Maintain_on_write}. *)
 
 val policy : t -> policy
 
@@ -64,13 +59,17 @@ val register_query : t -> Subql_nested.Nested_ast.query -> bool
 val maintenance : t -> Maintenance.t
 
 val append : t -> table:string -> Tuple.t array -> Maintenance.report option
-(** Append one batch: write the rows to the table's heap file (attached
-    on first use — the catalog relation is spilled to a temp file),
-    re-register the grown relation (one epoch bump), and under
+(** Append one batch: check every row against the table's schema,
+    register the table's relation grown by the batch in the catalog
+    (one epoch bump), and under
     {!Maintain_on_write} synchronously repair registered plans,
-    returning the maintenance report.  An empty batch changes nothing.
+    returning the maintenance report.  The relation grown is the one
+    this module last registered for the table (the catalog's on the
+    first append), so a [Catalog.add] of an ingested table in between
+    is overwritten.  An empty batch changes nothing.
     @raise Subql_relational.Catalog.Unknown_table for an unregistered table.
-    @raise Invalid_argument for rows that do not fit the table schema. *)
+    @raise Invalid_argument for rows that do not fit the table schema;
+    nothing has changed then. *)
 
 val sync : t -> Maintenance.report option
 (** Repair registered plans now if any append happened since the last
@@ -87,7 +86,7 @@ val before_batch : t -> now:float -> unit
     repaired entries; a no-op under the other policies. *)
 
 val table_rows : t -> string -> int option
-(** Current row count of an attached table ([None] before any append). *)
+(** Current row count of an ingested table ([None] before any append). *)
 
 val close : t -> unit
-(** Close and delete the backing temp heap files. *)
+(** Forget the ingested tables; the catalog keeps their relations. *)

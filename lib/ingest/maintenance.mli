@@ -9,8 +9,8 @@
     - {b restamp} — no dependency changed; the relation is still the
       answer and only its epoch stamp is stale;
     - {b delta maintenance} — the only changed dependency is the plan's
-      GMDJ detail table: the appended rows are streamed (never
-      materialized) through the view's
+      GMDJ detail table: the appended rows are streamed through the
+      view's
       {!Subql_analysis.Deltaable.maintainable.delta_pipeline} — the
       detail side's row-local operator chain — into the live fold state
       (accumulators and, for a completed GMDJ, its kill/require

@@ -17,8 +17,7 @@ let check_budget policy ~stats ~config ~label plan =
      are disk, not resident memory — only the resident component is
      gated.  With no spill budget configured this is exactly the old
      [memory_height] gate. *)
-  let height, _spilled = Subql.Cost.memory_height_spill stats ~config plan in
-  let cert = Subql.Cost.memory_height_certified stats ~config plan in
+  let height, cert = Subql.Cost.memory_heights stats ~config plan in
   (* Gate on the smaller of the point estimate and the certified sound
      bound (when finite): a proven-small certificate admits plans the
      point estimate over-rejects — e.g. a distinct-count product proving

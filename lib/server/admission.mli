@@ -6,9 +6,9 @@
 
     - {b memory budget} — the solo plan's predicted {e resident}
       footprint (in materialized rows) must fit the per-query budget.
-      The gate takes the {e smaller} of the point estimate
-      ({!Subql.Cost.memory_height_spill}) and the certified sound bound
-      ({!Subql.Cost.memory_height_certified}) when the latter is finite
+      The gate takes the {e smaller} of the point estimate and the
+      certified sound bound ({!Subql.Cost.memory_heights}, one cost
+      pass for both) when the latter is finite
       — a proven-small certificate admits plans the point estimate
       over-rejects, and an infinite certificate (statistics-less table)
       degrades to the estimate alone, so certification only ever admits

@@ -18,8 +18,6 @@ type t = {
   mutable row_count : int;
 }
 
-type delta = { first_page : int; skip : int; first_row : int; rows : int }
-
 let really_read fd buf =
   let n = Bytes.length buf in
   let rec loop off =
@@ -95,8 +93,7 @@ let append t rows =
         if not (Codec.add fill row) then too_big ()
       end)
     all;
-  let delta = { first_page; skip; first_row = t.row_count; rows = Array.length rows } in
-  if delta.rows > 0 then begin
+  if Array.length rows > 0 then begin
     let bounds = Array.of_list (List.rev (Array.length all :: !starts)) in
     Array.iteri
       (fun k stop ->
@@ -105,11 +102,10 @@ let append t rows =
         write_page_at t (first_page + k) page)
       bounds;
     t.pages <- first_page + Array.length bounds;
-    t.row_count <- t.row_count + delta.rows;
+    t.row_count <- t.row_count + Array.length rows;
     write_row_count t;
     ignore (Buffer_pool.invalidate_all ~path:t.path ~from_page:first_page)
-  end;
-  delta
+  end
 
 let write ~path ?(page_size = 8192) rel =
   if page_size < 64 then invalid_arg "Heap_file.write: page size too small";
@@ -136,7 +132,7 @@ let write ~path ?(page_size = 8192) rel =
     really_write fd header;
     append t (Relation.rows rel)
   with
-  | _ -> t
+  | () -> t
   | exception e ->
     close t;
     raise e
@@ -184,11 +180,11 @@ let decode_page plan t page_no ~pool =
        page it came from before the error escapes the storage layer. *)
     raise (Diag.Fail { d with Diag.path = Printf.sprintf "%s: page %d" t.path page_no :: d.Diag.path })
 
-(* The one page-reading loop: [rows] rows from page [page] on, less the
-   first [skip] rows of that page, stopping before page [pages] and
-   decoding the stored columns [columns] (all of them when [None]).
-   Its narrowing capability composes positions onto [columns]. *)
-let rec snapshot t ~pool ~page ~skip ~pages ~rows columns =
+(* The one page-reading loop: the first [rows] rows of the file,
+   stopping before page [pages] and decoding the stored columns
+   [columns] (all of them when [None]).  Its narrowing capability
+   composes positions onto [columns]. *)
+let rec snapshot t ~pool ~pages ~rows columns =
   let plan, schema =
     match columns with
     | None -> (t.plan, t.schema)
@@ -196,31 +192,25 @@ let rec snapshot t ~pool ~page ~skip ~pages ~rows columns =
   in
   let narrow cols =
     let cols = match columns with None -> cols | Some outer -> Array.map (Array.get outer) cols in
-    snapshot t ~pool ~page ~skip ~pages ~rows (Some cols)
+    snapshot t ~pool ~pages ~rows (Some cols)
   in
-  let page_no = ref page in
-  let skip = ref skip in
+  let page_no = ref 0 in
   let left = ref rows in
   let rec pull () =
     if !page_no >= pages || !left <= 0 then None
     else begin
       let decoded = decode_page plan t !page_no ~pool in
       incr page_no;
-      let off = min !skip (Array.length decoded) in
-      skip := 0;
-      let len = min (Array.length decoded - off) !left in
+      let len = min (Array.length decoded) !left in
       left := !left - len;
-      if len = 0 then pull () else Some (Chunk.of_array ~off ~len schema decoded)
+      if len = 0 then pull () else Some (Chunk.of_array ~len schema decoded)
     end
   in
   Chunk.Source.create ~narrow ~schema pull
 
-let source ?columns ?from t ~pool =
+let source ?columns t ~pool =
   (* Snapshot the page and row counts: an append after the source is
      created — even one that packs rows into the snapshot's last page
      in place — is not part of this scan (statement-level snapshot
      semantics). *)
-  let page, skip, first_row =
-    match from with None -> (0, 0, 0) | Some d -> (d.first_page, d.skip, d.first_row)
-  in
-  snapshot t ~pool ~page ~skip ~pages:t.pages ~rows:(t.row_count - first_row) columns
+  snapshot t ~pool ~pages:t.pages ~rows:t.row_count columns

@@ -16,9 +16,8 @@
     ones.  An append rewrites the tail in place and {e invalidates} the
     affected frames in every live buffer pool
     ({!Buffer_pool.invalidate_all}), so a pool shared across an append
-    never serves a stale last-page image.  Every read — a full scan, a
-    column-pruned scan, or the rows of one append ({!delta}) — is a
-    {!source}.
+    never serves a stale last-page image.  Every read — a full scan or
+    a column-pruned one — is a {!source}.
 
     Every handle carries a {!Codec.plan} compiled once from its schema
     at open time; every page is packed ({!Codec.add}, which type-checks
@@ -31,15 +30,6 @@
 open Subql_relational
 
 type t
-
-type delta = {
-  first_page : int;  (** first page the append touched (or would touch) *)
-  skip : int;  (** pre-existing rows in that page — skip them when streaming the delta *)
-  first_row : int;  (** the file's row count before the append *)
-  rows : int;  (** rows actually appended *)
-}
-(** Where an append landed: [source ~from:delta] streams the rows from
-    the append's first row on. *)
 
 val write : path:string -> ?page_size:int -> Relation.t -> t
 (** Serialize the relation to [path] (page size defaults to 8192 bytes)
@@ -68,7 +58,7 @@ val pages : t -> int
 
 val row_count : t -> int
 
-val append : t -> Tuple.t array -> delta
+val append : t -> Tuple.t array -> unit
 (** Append a batch of rows: pack the last page's rows and the batch
     into that page and fresh ones; rewrite the header row count; drop
     the rewritten tail from every live buffer pool.  The whole batch is
@@ -77,7 +67,7 @@ val append : t -> Tuple.t array -> delta
     @raise Invalid_argument on a read-only handle, a schema-invalid row,
     or a tuple exceeding the page payload. *)
 
-val source : ?columns:int array -> ?from:delta -> t -> pool:Buffer_pool.t -> Chunk.Source.t
+val source : ?columns:int array -> t -> pool:Buffer_pool.t -> Chunk.Source.t
 (** A pull-based stream over the file: one chunk per data page, each
     fetched through the pool as it is pulled.  The page count and the
     row count are snapshotted at creation, and the stream stops after
@@ -86,10 +76,6 @@ val source : ?columns:int array -> ?from:delta -> t -> pool:Buffer_pool.t -> Chu
     page in place.  Closing the source early simply stops fetching (the
     handle stays open) — peak memory is one decoded page, not the
     relation.
-
-    [from] starts the stream at an {!append}'s first row instead of the
-    file's, so [source ~from:delta] streams exactly that append's rows
-    and every later one up to the snapshot.
 
     [columns] (strictly ascending stored positions; default: all)
     decodes only those columns' segments and streams the

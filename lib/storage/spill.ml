@@ -86,7 +86,7 @@ let part_of ps i =
 let part_flush ps p =
   let n = Vec.length p.batch in
   if n > 0 then begin
-    ignore (Heap_file.append p.file (Vec.to_array p.batch));
+    Heap_file.append p.file (Vec.to_array p.batch);
     Vec.clear p.batch;
     meter_release ps.pmeter n
   end

@@ -274,21 +274,48 @@ echo "$dout" | grep -q "latency p50" || {
 
 echo
 echo "== CLI smoke test: ingest maintains cached results across appends =="
-iout=$(dune exec bin/olap_cli.exe -- ingest --flows 4000 --users 300 --batches 3 --batch-rows 200)
-echo "$iout"
-echo "$iout" | grep -q "ingested 600 rows in 3 batches" || {
-  echo "FAIL: expected the ingest summary to count 3 batches of 200 rows" >&2
+# Under every staleness policy, with TMPDIR a fresh directory: a temp
+# file the run leaves behind there (subql_*) fails the check.
+ingest_fail() {
+  echo "FAIL: ingest --staleness $staleness: $1" >&2
   exit 1
 }
-echo "$iout" | grep -Eq "maintain: [1-9][0-9]* delta" || {
-  echo "FAIL: expected at least one append to be delta-maintained" >&2
-  exit 1
-}
-# Every post-append query must be answered from the repaired entry.
-if [ "$(echo "$iout" | grep -c "query: .*cache hit")" != 3 ]; then
-  echo "FAIL: expected all 3 post-append queries to hit the repaired cache" >&2
-  exit 1
-fi
+ingest_tmp=$(mktemp -d /tmp/check_ingest_XXXXXX)
+trap 'rm -f "$batch_sql"; rm -rf "$ingest_tmp"' EXIT
+for staleness in on-write on-read recompute; do
+  iout=$(TMPDIR="$ingest_tmp" dune exec bin/olap_cli.exe -- ingest --flows 4000 --users 300 \
+    --batches 3 --batch-rows 200 --staleness "$staleness")
+  echo "$iout"
+  echo "$iout" | grep -q "ingested 600 rows in 3 batches" \
+    || ingest_fail "expected the summary to count 3 batches of 200 rows"
+  case "$staleness" in
+    recompute)
+      # No repair: every append invalidates the entry, and every
+      # post-append query evaluates again.
+      [ "$(echo "$iout" | grep -c "maintenance deferred (recompute)")" = 3 ] \
+        || ingest_fail "expected all 3 appends to defer maintenance"
+      [ "$(echo "$iout" | grep -c "query: .*(evaluated)")" = 3 ] \
+        || ingest_fail "expected all 3 post-append queries to evaluate"
+      echo "$iout" | grep -q "cache repaired 0, invalidated 3" \
+        || ingest_fail "expected 3 invalidations and no repair"
+      ;;
+    *)
+      # The first append rebuilds the fold state; the next two fold
+      # exactly their 200 rows.
+      [ "$(echo "$iout" | grep -c "maintain: 0 delta (0 rows folded, 0 scan rows avoided), 1 recompute")" = 1 ] \
+        || ingest_fail "expected the first append to recompute"
+      [ "$(echo "$iout" | grep -c "maintain: 1 delta (200 rows folded")" = 2 ] \
+        || ingest_fail "expected the later appends to fold exactly their rows"
+      # Every post-append query must be answered from the repaired entry.
+      [ "$(echo "$iout" | grep -c "query: .*cache hit")" = 3 ] \
+        || ingest_fail "expected all 3 post-append queries to hit the repaired cache"
+      ;;
+  esac
+  if ls "$ingest_tmp" | grep -q '^subql_'; then
+    ingest_fail "left temp files behind: $(ls "$ingest_tmp")"
+  fi
+done
+rm -rf "$ingest_tmp"
 
 echo
 echo "== CLI smoke test: drive interleaves ingest with live traffic =="

@@ -155,6 +155,91 @@ let test_maintain_on_read_is_lazy () =
   | None -> Alcotest.fail "dirty sync must report");
   Alcotest.(check bool) "sync with nothing pending is a no-op" true
     (Ingest.sync ing = None);
+  Ingest.close ing;
+  (* With the fold priced free, a coalesced refresh folds exactly the
+     rows both appends added — the suffix past the last sync — and the
+     entry equals recompute. *)
+  let c = mini_catalog () in
+  let cache = Cache.create ~min_cost:0. () in
+  let ing =
+    Ingest.create ~policy:Ingest.Maintain_on_read ~delta_row_cost:0. ~catalog:c ~cache ()
+  in
+  ignore (Ingest.register_query ing q);
+  ignore (Subql_mqo.Batch.run ~cache c [ q ]);
+  ignore (Ingest.append ing ~table:"I" [| row 2 6 |]);
+  ignore (Ingest.sync ing);
+  ignore (Ingest.append ing ~table:"I" [| row 3 1 |]);
+  ignore (Ingest.append ing ~table:"I" [| row 4 2 |]);
+  (match Ingest.sync ing with
+  | Some rep ->
+    Alcotest.(check int) "one delta fold covers both appends" 1
+      rep.Maintenance.delta_maintained;
+    Alcotest.(check int) "exactly the two appended rows folded" 2 rep.Maintenance.delta_rows
+  | None -> Alcotest.fail "dirty sync must report");
+  (match Cache.lookup cache (fp_of q) with
+  | None -> Alcotest.fail "coalesced fold did not repair the entry"
+  | Some rel ->
+    Alcotest.(check bool) "coalesced delta fold equals recompute" true
+      (Relation.equal_as_multiset (solo c q) rel));
+  Ingest.close ing
+
+(* A malformed batch raises before anything changes: a mistyped row, a
+   wrong-arity row, or a good row ahead of a bad one leave the catalog
+   relation and epochs, the global epoch, the ingested row count, the
+   dirty flag and the cached entry as they were; a good append after
+   them still delta-maintains to the recomputed answer. *)
+let test_malformed_batch_changes_nothing () =
+  let c = mini_catalog () in
+  let cache = Cache.create ~min_cost:0. () in
+  let ing =
+    Ingest.create ~policy:Ingest.Maintain_on_read ~delta_row_cost:0. ~catalog:c ~cache ()
+  in
+  let q = Zoo.find_query "not-exists" in
+  let fp = fp_of q in
+  ignore (Ingest.register_query ing q);
+  ignore (Subql_mqo.Batch.run ~cache c [ q ]);
+  (* A good append and its sync build the fold state. *)
+  ignore (Ingest.append ing ~table:"I" [| row 2 6 |]);
+  ignore (Ingest.sync ing);
+  let rel = Catalog.find c "I" and entry = Cache.peek cache fp in
+  let epoch = Catalog.epoch c "I" and global = Subql_mqo.Epoch.current () in
+  List.iter
+    (fun (what, batch) ->
+      (match Ingest.append ing ~table:"I" batch with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: must raise Invalid_argument" what);
+      Alcotest.(check bool) (what ^ ": catalog relation unchanged") true
+        (Catalog.find c "I" == rel);
+      Alcotest.(check int) (what ^ ": table epoch unchanged") epoch (Catalog.epoch c "I");
+      Alcotest.(check int) (what ^ ": global epoch unchanged") global
+        (Subql_mqo.Epoch.current ());
+      Alcotest.(check (option int)) (what ^ ": ingested rows unchanged") (Some 2)
+        (Ingest.table_rows ing "I");
+      Alcotest.(check bool) (what ^ ": still clean") false (Ingest.dirty ing);
+      Alcotest.(check bool) (what ^ ": cached entry unchanged") true
+        (match (Cache.peek cache fp, entry) with
+        | Some a, Some b -> a == b
+        | None, None -> true
+        | _ -> false);
+      Alcotest.(check bool) (what ^ ": entry still served") true
+        (Option.is_some (Cache.lookup cache fp)))
+    [
+      ("mistyped row", [| [| Value.Int 3; Value.Str "not an int" |] |]);
+      ("wrong-arity row", [| [| Value.Int 3 |] |]);
+      ("good row ahead of a bad one", [| row 3 1; [| Value.Int 3 |] |]);
+    ];
+  ignore (Ingest.append ing ~table:"I" [| row 3 1 |]);
+  (match Ingest.sync ing with
+  | Some rep ->
+    Alcotest.(check int) "the next good append delta-maintains" 1
+      rep.Maintenance.delta_maintained;
+    Alcotest.(check int) "folding just its row" 1 rep.Maintenance.delta_rows
+  | None -> Alcotest.fail "dirty sync must report");
+  (match Cache.lookup cache fp with
+  | None -> Alcotest.fail "entry not served after the good append"
+  | Some rel ->
+    Alcotest.(check bool) "delta-maintained entry equals recompute" true
+      (Relation.equal_as_multiset (solo c q) rel));
   Ingest.close ing
 
 (* --- the delta-vs-recompute decision ---------------------------------- *)
@@ -366,6 +451,8 @@ let () =
             test_append_bumps_epoch_once_per_batch;
           Alcotest.test_case "stale entries are never served" `Quick
             test_stale_entry_never_served;
+          Alcotest.test_case "a malformed batch changes nothing" `Quick
+            test_malformed_batch_changes_nothing;
         ] );
       ( "maintenance",
         [
