@@ -526,11 +526,10 @@ let print_server_summary registry =
   if c "ingest.batches" > 0 then
     Format.printf
       "ingested %d rows in %d batches; cache repaired %d, invalidated %d \
-       (maintain: %d delta, %d recompute, %d restamp)@."
+       (maintain: %d delta, %d recompute)@."
       (c "ingest.rows_appended") (c "ingest.batches") (c "mqo.cache.repaired")
       (c "mqo.cache.invalidated")
       (c "ingest.maintain.delta") (c "ingest.maintain.recompute")
-      (c "ingest.maintain.restamp")
 
 let serve_cmd =
   let run data workload flows users scale seed domains spill_budget window bmax mem_budget
@@ -665,7 +664,7 @@ let drive_cmd =
   let staleness_arg =
     Arg.(value & opt string "on-write" & info [ "staleness" ]
            ~docv:"on-write|on-read|recompute"
-           ~doc:"When cached results are brought back to the current epoch: \
+           ~doc:"When cached results over an appended table are brought up to date: \
                  synchronously on every append, lazily before the next query \
                  batch, or never (stale entries drop and queries recompute).")
   in
@@ -866,11 +865,9 @@ let ingest_cmd =
     in
     let print_report (r : Subql_ingest.Maintenance.report) =
       Format.printf
-        "  maintain: %d delta (%d rows folded, %d scan rows avoided), %d recompute, \
-         %d restamp@."
+        "  maintain: %d delta (%d rows folded, %d scan rows avoided), %d recompute@."
         r.Subql_ingest.Maintenance.delta_maintained r.Subql_ingest.Maintenance.delta_rows
         r.Subql_ingest.Maintenance.avoided_rows r.Subql_ingest.Maintenance.recomputed
-        r.Subql_ingest.Maintenance.restamped
     in
     for b = 1 to batches do
       let rows =
@@ -900,7 +897,7 @@ let ingest_cmd =
   Cmd.v
     (Cmd.info "ingest"
        ~doc:"Append batches to the Flow table and watch cached subquery results \
-             being maintained incrementally (delta vs recompute vs restamp) under \
+             being maintained incrementally (delta vs recompute) under \
              the chosen staleness policy")
     Term.(
       const run $ data_arg $ workload_arg $ flows_arg $ users_arg $ scale_arg $ seed_arg

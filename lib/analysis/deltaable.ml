@@ -15,17 +15,6 @@ type verdict = { maintainable : maintainable option; diags : Diag.t list }
 
 (* --- Plan walks ------------------------------------------------------- *)
 
-let plan_tables plan =
-  let tbls = ref [] in
-  let rec walk p =
-    (match p with
-    | Algebra.Table name -> if not (List.mem name !tbls) then tbls := name :: !tbls
-    | _ -> ());
-    List.iter walk (Algebra.children p)
-  in
-  walk plan;
-  List.sort String.compare !tbls
-
 (* Every MD node, completed or not, with its plan path and fields. *)
 let md_nodes plan =
   let nodes = ref [] in
@@ -108,7 +97,7 @@ let analyze plan =
     match detail_chain ~path:(path @ [ "detail" ]) detail with
     | Error d -> not_maintainable [ d ]
     | Ok (detail_table, delta_pipeline) ->
-      if List.mem detail_table (plan_tables base) then
+      if List.mem detail_table (Algebra.tables base) then
         not_maintainable
           [
             Diag.makef ~path:(path @ [ "base" ]) ~subject:detail_table Diag.Info

@@ -50,6 +50,3 @@ type verdict = { maintainable : maintainable option; diags : Diag.t list }
 
 val analyze : Subql.Algebra.t -> verdict
 (** The delta-maintainability verdict for an (optimized) plan. *)
-
-val plan_tables : Subql.Algebra.t -> string list
-(** Every base table scanned by the plan, sorted, deduplicated. *)

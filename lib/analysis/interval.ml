@@ -12,7 +12,7 @@ type certified = {
 let unknown_tables stats plan =
   List.filter
     (fun t -> Cost.Stats.table_rows_opt stats t = None)
-    (Deltaable.plan_tables plan)
+    (Algebra.tables plan)
 
 let certify ?(config = Eval.default_config) stats plan =
   let certificate = Cost.memory_height_certified stats ~config plan in

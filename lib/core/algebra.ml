@@ -66,6 +66,13 @@ let map_children f = function
   | Diff_all (l, r) -> Diff_all (f l, f r)
   | Sort srt -> Sort { srt with input = f srt.input }
 
+let tables plan =
+  let rec walk acc = function
+    | Table name -> name :: acc
+    | p -> List.fold_left walk acc (children p)
+  in
+  List.sort_uniq String.compare (walk [] plan)
+
 (* Schema inference.
 
    [schema_diag] is the primary implementation: failures come back as a

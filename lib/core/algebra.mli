@@ -69,6 +69,9 @@ val children : t -> t list
 val map_children : (t -> t) -> t -> t
 (** Rebuild a node with [f] applied to each operand. *)
 
+val tables : t -> string list
+(** Every base table the plan scans, sorted, deduplicated. *)
+
 val schema_of : lookup:(string -> Schema.t) -> t -> Schema.t
 (** Output schema; [lookup] resolves base-table names. *)
 

@@ -639,15 +639,6 @@ let eval ?(strategy = `Hash) ?stats ?completion ~domains ~base detail blocks =
 (* ------------------------------------------------------------------ *)
 
 module Maintain = struct
-  (* Process-wide delta generation: every fold/retract of detail rows
-     bumps it, so fingerprint-keyed result caches (Subql_mqo) can treat
-     any maintained-view mutation as an invalidation epoch.  Maintained
-     views change the effective detail content without going through the
-     catalog, so the catalog's own generation cannot see them. *)
-  let generation_counter = ref 0
-
-  let generation () = !generation_counter
-
   (* The view is one live fold state: its [stats] are the lifetime
      counts over the materialization and every delta since. *)
   type t = { st : state; detail_schema : Schema.t; irretractable : Aggregate.spec option }
@@ -672,7 +663,6 @@ module Maintain = struct
 
   let insert_chunk t chunk =
     check_delta t (Chunk.schema chunk);
-    incr generation_counter;
     feed ~mode:Insert t.st chunk
 
   let insert_detail t delta = insert_chunk t (Chunk.whole delta)
@@ -710,7 +700,6 @@ module Maintain = struct
       invalid_arg
         "Gmdj.Maintain: this deletion would retract from a SUM or AVG whose sum may have rounded \
          (a float, or an int too large for an exact float sum); recompute the view instead";
-    incr generation_counter;
     feed ~mode:Retract t.st (Chunk.whole delta)
 
   let result t = finish t.st

@@ -169,13 +169,6 @@ val eval :
 module Maintain : sig
   type t
 
-  val generation : unit -> int
-  (** A process-wide delta counter, bumped by every successful
-      {!insert_detail} / {!delete_detail} on any view.  Maintained views
-      mutate the effective detail content without touching the catalog,
-      so fingerprint-keyed result caches ([Subql_mqo]) fold this into
-      their invalidation epoch alongside {!Subql_relational.Catalog.generation}. *)
-
   val create :
     ?strategy:strategy ->
     ?completion:completion ->
@@ -199,8 +192,9 @@ module Maintain : sig
       their float sums cannot have rounded.
       @raise Invalid_argument for completed views, views with a MIN,
       MAX or FIRST aggregate, and a deletion that would touch a SUM or
-      AVG slot whose sum may have rounded; the view and {!generation}
-      are left unchanged. *)
+      AVG slot whose sum may have rounded; the view and the row counts
+      of its {!stats} ([detail_scanned], [block_updates]) are left
+      unchanged. *)
 
   val insert_chunk : t -> Chunk.t -> unit
   (** {!insert_detail} for one chunk of detail rows — the streaming

@@ -19,10 +19,10 @@
       the cache on lookup and queries recompute from scratch (the
       baseline delta maintenance is measured against).
 
-    All three policies are {b stale-read free}: the global epoch bumps
+    All three policies are {b stale-read free}: the table's epoch bumps
     with the catalog registration inside [append], so a cached entry
-    computed before the batch can never be served after it.  The
-    policies differ only in how the freshness is restored.
+    that read the table before the batch can never be served after it.
+    The policies differ only in how the freshness is restored.
 
     Batches and rows are counted under ["ingest.batches"] and
     ["ingest.rows_appended"]. *)

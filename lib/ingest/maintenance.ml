@@ -38,12 +38,10 @@ type t = {
       (* stats + total catalog rows at snapshot time *)
   m_delta : Subql_obs.Metrics.counter;
   m_recompute : Subql_obs.Metrics.counter;
-  m_restamp : Subql_obs.Metrics.counter;
 }
 
 type report = {
   views : int;
-  restamped : int;
   delta_maintained : int;
   recomputed : int;
   delta_rows : int;
@@ -62,7 +60,6 @@ let create ?(config = Subql.Eval.default_config) ?(delta_row_cost = 4.)
     stats_cache = None;
     m_delta = Subql_obs.Metrics.counter registry "ingest.maintain.delta";
     m_recompute = Subql_obs.Metrics.counter registry "ingest.maintain.recompute";
-    m_restamp = Subql_obs.Metrics.counter registry "ingest.maintain.restamp";
   }
 
 (* ------------------------------------------------------------------ *)
@@ -79,7 +76,7 @@ let register_query (t : t) q =
     (* The plan the batch layer caches and serves, completion included:
        repairs land on exactly the answer the cache holds. *)
     let plan = Batch.solo_plan e in
-    let deps = Deltaable.plan_tables plan in
+    let deps = Subql.Algebra.tables plan in
     let verdict = Deltaable.analyze plan in
     Hashtbl.replace t.views fingerprint
       {
@@ -168,8 +165,7 @@ let decide_delta (t : t) ~stats (m : Deltaable.maintainable) ~delta_n =
 
 let sync (t : t) ~rows ~delta =
   let stats = lazy (stats t) in
-  let restamped = ref 0
-  and delta_maintained = ref 0
+  let delta_maintained = ref 0
   and recomputed = ref 0
   and delta_rows = ref 0
   and recompute_rows = ref 0
@@ -179,90 +175,73 @@ let sync (t : t) ~rows ~delta =
     Hashtbl.fold (fun _ v acc -> v :: acc) t.views []
     |> List.sort (fun a b -> String.compare a.fingerprint b.fingerprint)
   in
-  (* Phase 1: bring every view's relation up to date.  Folding a delta
-     bumps the maintenance generation (and with it the global epoch), so
-     no entry may be restamped until all folds are done. *)
-  let repairs =
-    List.filter_map
-      (fun v ->
-        let changed =
-          List.filter (fun (d, e) -> Catalog.epoch t.catalog d <> e) v.synced
-          |> List.map fst
-        in
+  List.iter
+    (fun v ->
+      let changed =
+        List.filter (fun (d, e) -> Catalog.epoch t.catalog d <> e) v.synced |> List.map fst
+      in
+      (* A view whose tables did not move is still the answer its entry
+         holds, and that entry is still current: nothing to do. *)
+      if changed <> [] then begin
         v.synced <- snapshot_epochs t v.deps;
-        if changed = [] then begin
-          (* Dependencies untouched: the cached relation is still the
-             answer; only its epoch stamp is stale. *)
-          incr restamped;
-          Subql_obs.Metrics.incr t.m_restamp;
-          Option.map (fun rel -> (v, rel)) (Result_cache.peek t.cache v.fingerprint)
-        end
-        else begin
-          let via_delta =
-            match (v.maintainable, v.state) with
-            | Some m, Some state when changed = [ m.Deltaable.detail_table ] -> (
-              match rows m.Deltaable.detail_table with
-              | Some total when total >= v.maintained_rows ->
-                let delta_n = total - v.maintained_rows in
-                if not (decide_delta t ~stats:(Lazy.force stats) m ~delta_n) then None
-                else
-                  Option.map
-                    (fun src ->
-                      (* Count the raw suffix as it streams past, then
-                         fold it through the detail chain: the offset
-                         advances by rows {e consumed}, the accumulators
-                         by rows that {e survive} the pipeline. *)
-                      let raw = ref 0 in
-                      let src = Chunk.Source.tap (fun n -> raw := !raw + n) src in
-                      let folded =
-                        Gmdj.Maintain.insert_source state
-                          (m.Deltaable.delta_pipeline src)
-                      in
-                      v.maintained_rows <- v.maintained_rows + !raw;
-                      delta_rows := !delta_rows + folded;
-                      avoided_rows := !avoided_rows + (total - !raw);
-                      eval_via_state t v m state)
-                    (delta ~table:m.Deltaable.detail_table ~from_row:v.maintained_rows)
-              | _ -> None)
-            | _ -> None
-          in
-          let rel =
-            match via_delta with
-            | Some rel ->
-              incr delta_maintained;
-              Subql_obs.Metrics.incr t.m_delta;
+        let via_delta =
+          match (v.maintainable, v.state) with
+          | Some m, Some state when changed = [ m.Deltaable.detail_table ] -> (
+            match rows m.Deltaable.detail_table with
+            | Some total when total >= v.maintained_rows ->
+              let delta_n = total - v.maintained_rows in
+              if not (decide_delta t ~stats:(Lazy.force stats) m ~delta_n) then None
+              else
+                Option.map
+                  (fun src ->
+                    (* Count the raw suffix as it streams past, then
+                       fold it through the detail chain: the offset
+                       advances by rows {e consumed}, the accumulators
+                       by rows that {e survive} the pipeline. *)
+                    let raw = ref 0 in
+                    let src = Chunk.Source.tap (fun n -> raw := !raw + n) src in
+                    let folded =
+                      Gmdj.Maintain.insert_source state (m.Deltaable.delta_pipeline src)
+                    in
+                    v.maintained_rows <- v.maintained_rows + !raw;
+                    delta_rows := !delta_rows + folded;
+                    avoided_rows := !avoided_rows + (total - !raw);
+                    eval_via_state t v m state)
+                  (delta ~table:m.Deltaable.detail_table ~from_row:v.maintained_rows)
+            | _ -> None)
+          | _ -> None
+        in
+        let rel =
+          match via_delta with
+          | Some rel ->
+            incr delta_maintained;
+            Subql_obs.Metrics.incr t.m_delta;
+            rel
+          | None -> (
+            incr recomputed;
+            Subql_obs.Metrics.incr t.m_recompute;
+            match v.maintainable with
+            | Some m ->
+              let rel = rebuild t v m in
+              recompute_rows := !recompute_rows + v.maintained_rows;
               rel
             | None ->
-              incr recomputed;
-              Subql_obs.Metrics.incr t.m_recompute;
-              (match v.maintainable with
-              | Some m ->
-                let rel = rebuild t v m in
-                recompute_rows := !recompute_rows + v.maintained_rows;
-                rel
-              | None ->
-                let rel = Subql.Eval.eval ~config:t.config t.catalog v.plan in
-                List.iter
-                  (fun d ->
-                    match rows d with
-                    | Some n -> recompute_rows := !recompute_rows + n
-                    | None -> ())
-                  v.deps;
-                rel)
-          in
-          Some (v, rel)
-        end)
-      views
-  in
-  (* Phase 2: restamp every refreshed relation at the final epoch.  A
-     view never admitted to the cache stays out — repair is not
-     admission — so the cache's cost policy is preserved. *)
-  List.iter
-    (fun (v, rel) -> ignore (Result_cache.repair t.cache ~fingerprint:v.fingerprint rel))
-    repairs;
+              let rel = Subql.Eval.eval ~config:t.config t.catalog v.plan in
+              List.iter
+                (fun d ->
+                  match rows d with
+                  | Some n -> recompute_rows := !recompute_rows + n
+                  | None -> ())
+                v.deps;
+              rel)
+        in
+        (* A view never admitted to the cache stays out — repair is not
+           admission — so the cache's cost policy is preserved. *)
+        ignore (Result_cache.repair t.cache ~catalog:t.catalog ~fingerprint:v.fingerprint rel)
+      end)
+    views;
   {
     views = List.length views;
-    restamped = !restamped;
     delta_maintained = !delta_maintained;
     recomputed = !recomputed;
     delta_rows = !delta_rows;

@@ -1,13 +1,10 @@
 (** Incremental maintenance planning for cached GMDJ results.
 
     The planner tracks registered query plans (one per fingerprint: the
-    plan the result cache serves under it) and,
-    when ingest bumps table epochs ({!Subql_relational.Catalog.epoch}),
-    brings each plan's cached result back to the current epoch by the
-    cheapest applicable route:
+    plan the result cache serves under it) and, when ingest bumps the
+    epoch ({!Subql_relational.Catalog.epoch}) of a table a plan reads,
+    brings that plan's cached result up to date by the cheaper route:
 
-    - {b restamp} — no dependency changed; the relation is still the
-      answer and only its epoch stamp is stale;
     - {b delta maintenance} — the only changed dependency is the plan's
       GMDJ detail table: the appended rows are streamed through the
       view's
@@ -20,12 +17,13 @@
     - {b full recompute} — everything else, with the rebuilt accumulator
       state serving the recomputation scan for maintainable plans.
 
-    The delta-vs-recompute choice is cost-based: the delta fold is
-    priced per row per block against {!Subql.Cost.estimate} of the MD
-    node.  Repairs go through {!Subql_mqo.Result_cache.repair}, so warm
-    entries survive appends in place instead of being dropped and
-    rebuilt on the next miss.  Decisions are counted under
-    ["ingest.maintain.delta" / "recompute" / "restamp"]. *)
+    A plan none of whose tables moved needs nothing: its cached entry is
+    still current.  The delta-vs-recompute choice is cost-based: the
+    delta fold is priced per row per block against
+    {!Subql.Cost.estimate} of the MD node.  Repairs go through
+    {!Subql_mqo.Result_cache.repair}, so warm entries survive appends in
+    place instead of being dropped and rebuilt on the next miss.
+    Decisions are counted under ["ingest.maintain.delta" / "recompute"]. *)
 
 open Subql_relational
 open Subql_mqo
@@ -34,7 +32,6 @@ type t
 
 type report = {
   views : int;  (** registered plans considered *)
-  restamped : int;
   delta_maintained : int;
   recomputed : int;
   delta_rows : int;  (** detail rows folded by delta maintenance *)
@@ -76,12 +73,12 @@ val sync :
   rows:(string -> int option) ->
   delta:(table:string -> from_row:int -> Chunk.Source.t option) ->
   report
-(** Bring every registered plan's cached entry to the current epoch.
-    [rows table] is the table's current cardinality; [delta ~table
-    ~from_row] streams exactly the rows appended since [from_row]
-    ([None] when that suffix cannot be reproduced — forces recompute).
-    Runs in two phases: all relations are refreshed first (delta folds
-    bump the global epoch), then every refreshed entry is restamped at
-    the final epoch via {!Subql_mqo.Result_cache.repair}.  Plans absent
-    from the cache are still maintained (their accumulators advance) but
-    never admitted — repair is not admission. *)
+(** Bring the cached entry of every registered plan whose tables moved
+    since the last sync up to date.  [rows table] is the table's current
+    cardinality; [delta ~table ~from_row] streams exactly the rows
+    appended since [from_row] ([None] when that suffix cannot be
+    reproduced — forces recompute).  Each refreshed relation replaces
+    its entry through {!Subql_mqo.Result_cache.repair}, current at the
+    tables' new epochs.  Plans absent from the cache are still
+    maintained (their accumulators advance) but never admitted — repair
+    is not admission. *)

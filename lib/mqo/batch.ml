@@ -45,7 +45,7 @@ let run_prepared ?(config = Eval.default_config) ?cache
   let stats = Cost.Stats.of_catalog catalog in
   (* Phase 1: consult the cache under the prepared fingerprints. *)
   let looked =
-    List.mapi (fun i e -> (i, e, Result_cache.lookup cache e.e_fp)) entries
+    List.mapi (fun i e -> (i, e, Result_cache.lookup cache ~catalog e.e_fp)) entries
   in
   let hits =
     List.filter_map (fun (i, _, r) -> Option.map (fun r -> (i, r)) r) looked
@@ -78,7 +78,9 @@ let run_prepared ?(config = Eval.default_config) ?cache
       match List.assoc_opt i computed with
       | Some result ->
         let cost = (Cost.estimate stats ~config e.e_solo).Cost.cost in
-        ignore (Result_cache.store cache ~fingerprint:e.e_fp ~cost result)
+        ignore
+          (Result_cache.store cache ~catalog ~tables:(Algebra.tables e.e_solo)
+             ~fingerprint:e.e_fp ~cost result)
       | None -> ())
     reps;
   let dup_results = List.map (fun (i, rep) -> (i, List.assoc rep computed)) dups in

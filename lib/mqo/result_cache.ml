@@ -3,7 +3,8 @@ open Subql_relational
 type entry = {
   relation : Relation.t;
   bytes : int;
-  epoch : int;
+  catalog : Catalog.t;  (* the catalog the relation was computed from *)
+  epochs : (string * int) list;  (* each table the plan reads, at its epoch then *)
   mutable last_used : int;
 }
 
@@ -66,15 +67,21 @@ let remove t fp =
     t.total_bytes <- t.total_bytes - e.bytes
   | None -> ()
 
-let lookup t fp =
+let snapshot catalog tables = List.map (fun name -> (name, Catalog.epoch catalog name)) tables
+
+let current e catalog =
+  e.catalog == catalog
+  && List.for_all (fun (name, epoch) -> Catalog.epoch catalog name = epoch) e.epochs
+
+let lookup t ~catalog fp =
   match Hashtbl.find_opt t.table fp with
-  | Some e when e.epoch = Epoch.current () ->
+  | Some e when current e catalog ->
     e.last_used <- tick t;
     Subql_obs.Metrics.incr t.m_hits;
     Some e.relation
   | Some _ ->
-    (* Stale: some table or maintained view changed since this was
-       computed.  Drop eagerly so the space is reusable. *)
+    (* Stale: asked of another catalog, or a table the plan reads changed
+       since this was computed.  Drop eagerly so the space is reusable. *)
     remove t fp;
     publish t;
     Subql_obs.Metrics.incr t.m_invalidated;
@@ -98,7 +105,7 @@ let evict_lru t =
     Subql_obs.Metrics.incr t.m_evictions
   | None -> ()
 
-let store t ~fingerprint ~cost relation =
+let store t ~catalog ~tables ~fingerprint ~cost relation =
   let bytes = approx_bytes relation in
   if cost < t.min_cost || bytes > t.max_bytes then false
   else begin
@@ -107,7 +114,13 @@ let store t ~fingerprint ~cost relation =
       evict_lru t
     done;
     Hashtbl.replace t.table fingerprint
-      { relation; bytes; epoch = Epoch.current (); last_used = tick t };
+      {
+        relation;
+        bytes;
+        catalog;
+        epochs = snapshot catalog tables;
+        last_used = tick t;
+      };
     t.total_bytes <- t.total_bytes + bytes;
     publish t;
     true
@@ -116,14 +129,19 @@ let store t ~fingerprint ~cost relation =
 let peek t fp =
   Option.map (fun e -> e.relation) (Hashtbl.find_opt t.table fp)
 
-let repair t ~fingerprint relation =
+let repair t ~catalog ~fingerprint relation =
   match Hashtbl.find_opt t.table fingerprint with
-  | None -> false
-  | Some old ->
+  | Some old when old.catalog == catalog ->
     let bytes = approx_bytes relation in
     t.total_bytes <- t.total_bytes - old.bytes + bytes;
     Hashtbl.replace t.table fingerprint
-      { relation; bytes; epoch = Epoch.current (); last_used = tick t };
+      {
+        old with
+        relation;
+        bytes;
+        epochs = snapshot catalog (List.map fst old.epochs);
+        last_used = tick t;
+      };
     (* The repaired entry just got the freshest tick, so LRU eviction
        spares it; the > 1 guard keeps an over-budget repair from spinning
        on its own entry. *)
@@ -133,6 +151,7 @@ let repair t ~fingerprint relation =
     publish t;
     Subql_obs.Metrics.incr t.m_repaired;
     true
+  | _ -> false
 
 let entries t = Hashtbl.length t.table
 

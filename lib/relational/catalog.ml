@@ -7,16 +7,7 @@ exception Unknown_table of string
 
 let create () = { tables = Hashtbl.create 16; epochs = Hashtbl.create 16 }
 
-(* A process-wide mutation generation.  Result caches keyed on plan
-   shape (not on catalog identity) use this to invalidate conservatively:
-   any table registration anywhere bumps it, so a cached result can never
-   outlive the data it was computed from. *)
-let generation_counter = ref 0
-
-let generation () = !generation_counter
-
 let add t name rel =
-  incr generation_counter;
   Hashtbl.replace t.epochs name
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.epochs name));
   Hashtbl.replace t.tables name (Relation.rename name rel)

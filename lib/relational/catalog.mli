@@ -25,13 +25,8 @@ val epoch : t -> string -> int
 (** The per-table mutation epoch: [0] while [name] has never been
     registered in this catalog, and bumped by every {!add} of [name]
     (the initial registration included).  One ingest batch bumps the
-    epoch exactly once, so maintenance planners can tell precisely
-    {e which} tables changed between two syncs — the fine-grained
-    counterpart of {!generation}. *)
-
-val generation : unit -> int
-(** A process-wide mutation counter, bumped by every {!add} on any
-    catalog.  Consumers that cache derived results (see [Subql_mqo])
-    compare generations to detect that {e some} table changed; the
-    granularity is deliberately coarse — over-invalidation is safe,
-    staleness is not. *)
+    epoch exactly once.  A derived result is current while every table
+    it read is at the epoch it was computed at: the result cache
+    ([Subql_mqo.Result_cache]) serves an entry on exactly that
+    condition, and maintenance planners compare epochs to tell which
+    tables changed between two syncs. *)

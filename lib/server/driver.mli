@@ -68,8 +68,8 @@ val replay_mixed : Server.t -> mixed_event list -> mixed_summary
     queued are answered against the pre-append snapshot first — and
     then occupies the loop for its measured apply time, delaying
     subsequent batches.  No query admitted after an append can be
-    answered from a pre-append cache entry: the write bumps the epoch
-    before the query's batch seals. *)
+    answered from a pre-append cache entry over the appended table: the
+    write bumps its epoch before the query's batch seals. *)
 
 val run_closed :
   Server.t ->

@@ -119,8 +119,8 @@ val ingest :
     answered against the pre-append snapshot, then [apply] performs the
     write (e.g. [Subql_ingest.Ingest.append]) and the cost statistics
     are refreshed to the grown catalog.  Queries submitted afterwards
-    can never observe pre-append cached results — the append bumps the
-    epoch.  Rejected with [ADM003] after {!shutdown}. *)
+    can never observe pre-append cached results that read the appended
+    table — the append bumps its epoch.  Rejected with [ADM003] after {!shutdown}. *)
 
 val refresh_stats : t -> unit
 (** Recompute admission-pricing statistics from the (mutated) catalog;

@@ -860,7 +860,9 @@ let mixed_prop rows =
   let view = Gmdj.Maintain.create ~base ~detail:(detail_of d1) mblocks in
   Gmdj.Maintain.insert_detail view (detail_of d2);
   let inserted = of_rel (Gmdj.Maintain.result view) in
-  let generation = Gmdj.Maintain.generation () in
+  let stats = Gmdj.Maintain.stats view in
+  let counts () = (stats.Gmdj.detail_scanned, Array.to_list stats.Gmdj.block_updates) in
+  let inserted_counts = counts () in
   let deleted =
     match Gmdj.Maintain.delete_detail view (detail_of d2) with
     | () -> Ok (of_rel (Gmdj.Maintain.result view))
@@ -896,8 +898,8 @@ let mixed_prop rows =
   | Ok got -> check ~exact:false "Maintain, deleted" (recompute d1) got
   | Error got ->
     check "Maintain, refused delete leaves the view" inserted got
-    && (Gmdj.Maintain.generation () = generation
-       || QCheck2.Test.fail_report "a refused delete moved the generation")
+    && (counts () = inserted_counts
+       || QCheck2.Test.fail_report "a refused delete moved the view's stats")
 
 (* How edge values render, identical in every serial mode: signed zero,
    first-seen ties, int wrap-around, and the NULL / 0 of empty and

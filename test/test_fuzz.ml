@@ -644,11 +644,12 @@ let gen_append_case =
 
 (* Query-level closure: register a random query with the maintenance
    planner, seed the cache, append random batches to the detail tables,
-   and require the repaired cache entry to match the naive oracle on the
-   grown catalog after every sync.  Which route the planner takes (delta
-   fold, accumulator rebuild, or plain recompute for unmaintainable
-   plans — nested or several GMDJs, detail tables that also feed the
-   base) is its own business; the answer may not drift.  Maintenance
+   and require the cache to serve an entry matching the naive oracle on
+   the grown catalog after every sync: one left stale fails as surely as
+   one that drifted.  Which route the planner takes (delta fold,
+   accumulator rebuild, or plain recompute for unmaintainable plans —
+   nested or several GMDJs, detail tables that also feed the base) is
+   its own business; the answer may not drift.  Maintenance
    keeps the very plan the batch layer admitted, completion included, so
    a delta folded into its verdicts must match the oracle too. *)
 let maintained_cache_matches_oracle (query, db, batches) =
@@ -679,9 +680,10 @@ let maintained_cache_matches_oracle (query, db, batches) =
       Catalog.add catalog table (Relation.create ~check:false (Relation.schema rel) grown);
       ignore (Subql_ingest.Maintenance.sync maint ~rows ~delta);
       let oracle = Naive_eval.eval catalog query in
-      match Subql_mqo.Result_cache.peek cache fp with
+      match Subql_mqo.Result_cache.lookup cache ~catalog fp with
       | None ->
-        Format.eprintf "@.maintained entry vanished on:@.%a@." N.pp_query query;
+        Format.eprintf "@.maintained entry vanished or went stale on:@.%a@." N.pp_query
+          query;
         false
       | Some served ->
         if Relation.equal_as_multiset oracle served then true

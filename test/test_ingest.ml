@@ -73,47 +73,51 @@ let test_stale_entry_never_served () =
   let cache = Cache.create ~min_cost:0. ~registry () in
   let ing = Ingest.create ~policy:Ingest.Recompute_on_miss ~catalog:c ~cache () in
   let fp = "stale-entry-test" in
-  ignore (Cache.store cache ~fingerprint:fp ~cost:1e9 (Catalog.find c "O"));
-  Alcotest.(check bool) "served while fresh" true (Option.is_some (Cache.lookup cache fp));
+  ignore (Cache.store cache ~catalog:c ~tables:[ "I" ] ~fingerprint:fp ~cost:1e9 (Catalog.find c "O"));
+  Alcotest.(check bool) "served while fresh" true (Option.is_some (Cache.lookup cache ~catalog:c fp));
   ignore (Ingest.append ing ~table:"I" [| row 9 9 |]);
   (* Planners may peek at the stale body; queries must never get it. *)
   Alcotest.(check bool) "peek still sees the stale body" true
     (Option.is_some (Cache.peek cache fp));
   Alcotest.(check bool) "never served after the append" true
-    (Option.is_none (Cache.lookup cache fp));
+    (Option.is_none (Cache.lookup cache ~catalog:c fp));
   Alcotest.(check int) "the drop is counted as an invalidation" 1
     (Metrics.counter_value_by_name registry "mqo.cache.invalidated");
   Ingest.close ing
 
-(* --- repair and restamp ----------------------------------------------- *)
+(* --- repair in place ---------------------------------------------------- *)
 
-let test_repair_and_restamp () =
+let test_repair_in_place () =
   let c = mini_catalog () in
-  let cache = Cache.create ~min_cost:0. () in
+  let registry = Metrics.create () in
+  let cache = Cache.create ~min_cost:0. ~registry () in
   let q = Zoo.find_query "not-exists" in
   let fp = fp_of q in
   let ing = Ingest.create ~policy:Ingest.Maintain_on_write ~catalog:c ~cache () in
   ignore (Ingest.register_query ing q);
   ignore (Subql_mqo.Batch.run ~cache c [ q ]);
-  (* An append to the detail table re-answers the plan and restamps the
+  (* An append to the detail table re-answers the plan and repairs the
      entry in place — the next lookup is a hit with the new answer. *)
   ignore (Ingest.append ing ~table:"I" [| row 2 6 |]);
-  (match Cache.lookup cache fp with
+  (match Cache.lookup cache ~catalog:c fp with
   | None -> Alcotest.fail "entry was dropped instead of repaired"
   | Some rel ->
     if not (Relation.equal_as_multiset (solo c q) rel) then
       Alcotest.fail "repaired entry differs from recomputation");
-  (* An append to a table the plan never reads only restamps. *)
+  (* An append to a table the plan never reads needs nothing. *)
+  let repaired () = Metrics.counter_value_by_name registry "mqo.cache.repaired" in
+  let before = repaired () in
   (match Ingest.append ing ~table:"J" [| row 5 5 |] with
   | Some rep ->
-    Alcotest.(check int) "restamped, not recomputed" 1 rep.Maintenance.restamped;
+    Alcotest.(check int) "no delta" 0 rep.Maintenance.delta_maintained;
     Alcotest.(check int) "no recompute" 0 rep.Maintenance.recomputed
   | None -> Alcotest.fail "maintain-on-write append must report");
+  Alcotest.(check int) "no repair" before (repaired ());
   Alcotest.(check bool) "still served after the unrelated append" true
-    (Option.is_some (Cache.lookup cache fp));
+    (Option.is_some (Cache.lookup cache ~catalog:c fp));
   (* Repair is not admission. *)
   Alcotest.(check bool) "repair refuses unknown fingerprints" false
-    (Cache.repair cache ~fingerprint:"absent" (Catalog.find c "O"));
+    (Cache.repair cache ~catalog:c ~fingerprint:"absent" (Catalog.find c "O"));
   Ingest.close ing
 
 (* --- staleness policies ----------------------------------------------- *)
@@ -140,7 +144,7 @@ let test_maintain_on_read_is_lazy () =
   Ingest.before_batch ing ~now:0.;
   Alcotest.(check bool) "the serving hook repairs" false (Ingest.dirty ing);
   (* The repaired entry serves the post-append answer. *)
-  (match Cache.lookup cache (fp_of q) with
+  (match Cache.lookup cache ~catalog:c (fp_of q) with
   | None -> Alcotest.fail "hook did not repair the entry"
   | Some rel ->
     if not (Relation.equal_as_multiset (solo c q) rel) then
@@ -176,7 +180,7 @@ let test_maintain_on_read_is_lazy () =
       rep.Maintenance.delta_maintained;
     Alcotest.(check int) "exactly the two appended rows folded" 2 rep.Maintenance.delta_rows
   | None -> Alcotest.fail "dirty sync must report");
-  (match Cache.lookup cache (fp_of q) with
+  (match Cache.lookup cache ~catalog:c (fp_of q) with
   | None -> Alcotest.fail "coalesced fold did not repair the entry"
   | Some rel ->
     Alcotest.(check bool) "coalesced delta fold equals recompute" true
@@ -185,7 +189,7 @@ let test_maintain_on_read_is_lazy () =
 
 (* A malformed batch raises before anything changes: a mistyped row, a
    wrong-arity row, or a good row ahead of a bad one leave the catalog
-   relation and epochs, the global epoch, the ingested row count, the
+   relation and epoch, the ingested row count, the
    dirty flag and the cached entry as they were; a good append after
    them still delta-maintains to the recomputed answer. *)
 let test_malformed_batch_changes_nothing () =
@@ -202,7 +206,7 @@ let test_malformed_batch_changes_nothing () =
   ignore (Ingest.append ing ~table:"I" [| row 2 6 |]);
   ignore (Ingest.sync ing);
   let rel = Catalog.find c "I" and entry = Cache.peek cache fp in
-  let epoch = Catalog.epoch c "I" and global = Subql_mqo.Epoch.current () in
+  let epoch = Catalog.epoch c "I" in
   List.iter
     (fun (what, batch) ->
       (match Ingest.append ing ~table:"I" batch with
@@ -211,8 +215,6 @@ let test_malformed_batch_changes_nothing () =
       Alcotest.(check bool) (what ^ ": catalog relation unchanged") true
         (Catalog.find c "I" == rel);
       Alcotest.(check int) (what ^ ": table epoch unchanged") epoch (Catalog.epoch c "I");
-      Alcotest.(check int) (what ^ ": global epoch unchanged") global
-        (Subql_mqo.Epoch.current ());
       Alcotest.(check (option int)) (what ^ ": ingested rows unchanged") (Some 2)
         (Ingest.table_rows ing "I");
       Alcotest.(check bool) (what ^ ": still clean") false (Ingest.dirty ing);
@@ -222,7 +224,7 @@ let test_malformed_batch_changes_nothing () =
         | None, None -> true
         | _ -> false);
       Alcotest.(check bool) (what ^ ": entry still served") true
-        (Option.is_some (Cache.lookup cache fp)))
+        (Option.is_some (Cache.lookup cache ~catalog:c fp)))
     [
       ("mistyped row", [| [| Value.Int 3; Value.Str "not an int" |] |]);
       ("wrong-arity row", [| [| Value.Int 3 |] |]);
@@ -235,7 +237,7 @@ let test_malformed_batch_changes_nothing () =
       rep.Maintenance.delta_maintained;
     Alcotest.(check int) "folding just its row" 1 rep.Maintenance.delta_rows
   | None -> Alcotest.fail "dirty sync must report");
-  (match Cache.lookup cache fp with
+  (match Cache.lookup cache ~catalog:c fp with
   | None -> Alcotest.fail "entry not served after the good append"
   | Some rel ->
     Alcotest.(check bool) "delta-maintained entry equals recompute" true
@@ -259,7 +261,7 @@ let test_delta_decision_is_cost_based () =
     (* ...the second is where the planner has a real choice. *)
     let r = Option.get (Ingest.append ing ~table:"I" (Zoo.detail_rows ~seed:2L 20)) in
     let served =
-      match Cache.lookup cache (fp_of q) with
+      match Cache.lookup cache ~catalog (fp_of q) with
       | Some rel -> Relation.equal_as_multiset (solo catalog q) rel
       | None -> false
     in
@@ -315,7 +317,7 @@ let test_widened_detail_chain () =
     (r.Maintenance.delta_rows <= 25);
   Alcotest.(check bool) "avoided rescanning the detail table" true
     (r.Maintenance.avoided_rows > 1_000);
-  (match Cache.lookup cache fp with
+  (match Cache.lookup cache ~catalog fp with
   | None -> Alcotest.fail "entry not served after the delta fold"
   | Some rel ->
     Alcotest.(check bool) "delta-folded entry equals recompute" true
@@ -378,7 +380,7 @@ let test_zoo_maintained_on_served_plans () =
     List.iter
       (fun t ->
         let q = Zoo.find_query t in
-        match Cache.lookup cache (fp_of q) with
+        match Cache.lookup cache ~catalog (fp_of q) with
         | None -> Alcotest.failf "%s: %s entry not served" stage t
         | Some rel ->
           if not (Relation.equal_as_multiset (solo catalog q) rel) then
@@ -394,7 +396,7 @@ let test_zoo_maintained_on_served_plans () =
      i.k = o.k, i.y > 2) and kill (an I row with i2.k = o.x).  Pick a
      surviving tuple — its require has fired — and append its killer. *)
   let kill_after_fire = Zoo.find_query "two-subqueries-same-table" in
-  let answer () = Relation.rows (Option.get (Cache.lookup cache (fp_of kill_after_fire))) in
+  let answer () = Relation.rows (Option.get (Cache.lookup cache ~catalog (fp_of kill_after_fire))) in
   let victim =
     match
       List.find_opt
@@ -436,9 +438,7 @@ let test_metrics_surfaced () =
   Alcotest.(check int) "ingest.batches" 2 (v "ingest.batches");
   Alcotest.(check int) "mqo.cache.repaired" 2 (v "mqo.cache.repaired");
   Alcotest.(check bool) "maintenance decisions counted" true
-    (v "ingest.maintain.delta" + v "ingest.maintain.recompute"
-     + v "ingest.maintain.restamp"
-    >= 2);
+    (v "ingest.maintain.delta" + v "ingest.maintain.recompute" >= 2);
   Ingest.close ing
 
 let () =
@@ -456,8 +456,8 @@ let () =
         ] );
       ( "maintenance",
         [
-          Alcotest.test_case "repair in place, restamp when unrelated" `Quick
-            test_repair_and_restamp;
+          Alcotest.test_case "repair in place, unrelated append is a hit" `Quick
+            test_repair_in_place;
           Alcotest.test_case "delta vs recompute is cost-based" `Quick
             test_delta_decision_is_cost_based;
           Alcotest.test_case "row-local detail chains delta-maintain" `Quick

@@ -5,7 +5,6 @@ open Subql_relational
 module N = Subql_nested.Nested_ast
 module Zoo = Subql_workload.Zoo
 module Fingerprint = Subql_mqo.Fingerprint
-module Epoch = Subql_mqo.Epoch
 module Result_cache = Subql_mqo.Result_cache
 module Share = Subql_mqo.Share
 module Batch = Subql_mqo.Batch
@@ -154,75 +153,93 @@ let int_rel name n =
   Relation.of_list (int_schema name)
     (List.init n (fun i -> [| Value.Int i |]))
 
+(* A catalog holding [T], for entries whose plan reads only [T]. *)
+let t_catalog rel = Catalog.of_list [ ("T", rel) ]
+
 let test_cache_admission_is_cost_aware () =
   let cache = Result_cache.create ~min_cost:1000. () in
   let rel = int_rel "T" 4 in
-  Alcotest.(check bool) "cheap result rejected" false
-    (Result_cache.store cache ~fingerprint:"cheap" ~cost:1. rel);
+  let catalog = t_catalog rel in
+  let store fingerprint cost =
+    Result_cache.store cache ~catalog ~tables:[ "T" ] ~fingerprint ~cost rel
+  in
+  Alcotest.(check bool) "cheap result rejected" false (store "cheap" 1.);
   Alcotest.(check int) "nothing admitted" 0 (Result_cache.entries cache);
-  Alcotest.(check bool) "expensive result admitted" true
-    (Result_cache.store cache ~fingerprint:"dear" ~cost:5000. rel);
+  Alcotest.(check bool) "expensive result admitted" true (store "dear" 5000.);
   Alcotest.(check bool) "admitted result served" true
-    (Option.is_some (Result_cache.lookup cache "dear"))
+    (Option.is_some (Result_cache.lookup cache ~catalog "dear"))
 
 let test_cache_lru_eviction () =
   let r = int_rel "T" 10 in
+  let catalog = t_catalog r in
   let bytes = Result_cache.approx_bytes r in
   (* Room for exactly two entries. *)
   let cache = Result_cache.create ~min_cost:0. ~max_bytes:((2 * bytes) + 1) () in
-  assert (Result_cache.store cache ~fingerprint:"a" ~cost:1. r);
-  assert (Result_cache.store cache ~fingerprint:"b" ~cost:1. r);
-  ignore (Result_cache.lookup cache "a");
+  let store fingerprint =
+    assert (Result_cache.store cache ~catalog ~tables:[ "T" ] ~fingerprint ~cost:1. r)
+  in
+  let resident fp = Option.is_some (Result_cache.lookup cache ~catalog fp) in
+  store "a";
+  store "b";
+  ignore (resident "a");
   (* "b" is now least recently used; storing "c" must evict it. *)
-  assert (Result_cache.store cache ~fingerprint:"c" ~cost:1. r);
+  store "c";
   Alcotest.(check int) "still two entries" 2 (Result_cache.entries cache);
-  Alcotest.(check bool) "recently used entry survives" true
-    (Option.is_some (Result_cache.lookup cache "a"));
-  Alcotest.(check bool) "LRU entry evicted" false
-    (Option.is_some (Result_cache.lookup cache "b"));
-  Alcotest.(check bool) "new entry resident" true
-    (Option.is_some (Result_cache.lookup cache "c"))
+  Alcotest.(check bool) "recently used entry survives" true (resident "a");
+  Alcotest.(check bool) "LRU entry evicted" false (resident "b");
+  Alcotest.(check bool) "new entry resident" true (resident "c")
 
 let test_cache_invalidated_by_catalog_mutation () =
   let cache = Result_cache.create ~min_cost:0. () in
   let rel = int_rel "T" 4 in
-  assert (Result_cache.store cache ~fingerprint:"fp" ~cost:1. rel);
+  let catalog = t_catalog rel in
+  assert (Result_cache.store cache ~catalog ~tables:[ "T" ] ~fingerprint:"fp" ~cost:1. rel);
   Alcotest.(check bool) "hit before mutation" true
-    (Option.is_some (Result_cache.lookup cache "fp"));
-  Catalog.add (Catalog.create ()) "T" rel;
-  Alcotest.(check bool) "stale after Catalog.add" false
-    (Option.is_some (Result_cache.lookup cache "fp"));
+    (Option.is_some (Result_cache.lookup cache ~catalog "fp"));
+  Catalog.add catalog "T" rel;
+  Alcotest.(check bool) "stale after Catalog.add of its table" false
+    (Option.is_some (Result_cache.lookup cache ~catalog "fp"));
   Alcotest.(check int) "stale entry dropped" 0 (Result_cache.entries cache)
 
-let test_cache_invalidated_by_manual_bump () =
-  let cache = Result_cache.create ~min_cost:0. () in
-  assert (Result_cache.store cache ~fingerprint:"fp" ~cost:1. (int_rel "T" 2));
-  Epoch.bump ();
-  Alcotest.(check bool) "stale after Epoch.bump" false
-    (Option.is_some (Result_cache.lookup cache "fp"))
+(* "exists" reads O and I.  Re-registering J, which its plan never
+   reads, leaves the entry current; re-registering I drops it. *)
+let test_cache_ignores_unread_tables () =
+  let catalog = small_catalog () in
+  let registry = Subql_obs.Metrics.create () in
+  let cache = Result_cache.create ~min_cost:0. ~registry () in
+  let q = Zoo.find_query "exists" in
+  let invalidated () = Subql_obs.Metrics.counter_value_by_name registry "mqo.cache.invalidated" in
+  ignore (Batch.run ~cache catalog [ q ]);
+  Catalog.add catalog "J" (Catalog.find catalog "J");
+  let after_j = Batch.run ~cache catalog [ q ] in
+  Alcotest.(check int) "an unread table's mutation keeps the hit" 1 after_j.Batch.cache_hits;
+  Alcotest.(check int) "nothing invalidated" 0 (invalidated ());
+  Catalog.add catalog "I" (Catalog.find catalog "I");
+  let after_i = Batch.run ~cache catalog [ q ] in
+  Alcotest.(check int) "a read table's mutation misses" 0 after_i.Batch.cache_hits;
+  Alcotest.(check int) "the entry was dropped" 1 (invalidated ());
+  check_rel "recomputed answer" (reference catalog q) (List.assoc 0 after_i.Batch.results)
 
-(* Satellite: view maintenance changes the effective detail content, so
-   fold/retract must advance the epoch — a cached result computed before
-   the delta can never be served after it. *)
-let test_cache_invalidated_by_view_maintenance () =
-  let open Subql_gmdj in
-  let base = int_rel "B" 3 in
-  let detail_schema = int_schema "D" in
-  let detail = Relation.of_list detail_schema [ [| Value.Int 1 |] ] in
-  let view =
-    Gmdj.Maintain.create ~base ~detail
-      [ Gmdj.block [ Aggregate.count_star "c" ] (Expr.bool true) ]
-  in
+(* One cache shared by two catalogs, both built before the first query:
+   the same query on B must be answered from B, not with A's entry. *)
+let test_cache_never_crosses_catalogs () =
+  let a = Zoo.catalog ~outer:16 ~inner:256 ~seed:1L ()
+  and b = Zoo.catalog ~outer:16 ~inner:256 ~seed:2L () in
+  let q = Zoo.find_query "exists" in
+  let oracle_b = Subql_nested.Naive_eval.eval b q in
+  if Relation.equal_as_multiset (Subql_nested.Naive_eval.eval a q) oracle_b then
+    Alcotest.fail "the two catalogs must answer differently for this test to bite";
   let cache = Result_cache.create ~min_cost:0. () in
-  let delta = Relation.of_list detail_schema [ [| Value.Int 7 |] ] in
-  assert (Result_cache.store cache ~fingerprint:"fold" ~cost:1. base);
-  Gmdj.Maintain.insert_detail view delta;
-  Alcotest.(check bool) "stale after insert_detail" false
-    (Option.is_some (Result_cache.lookup cache "fold"));
-  assert (Result_cache.store cache ~fingerprint:"retract" ~cost:1. base);
-  Gmdj.Maintain.delete_detail view delta;
-  Alcotest.(check bool) "stale after delete_detail" false
-    (Option.is_some (Result_cache.lookup cache "retract"))
+  ignore (Batch.run ~cache a [ q ]);
+  let on_b = Batch.run ~cache b [ q ] in
+  Alcotest.(check int) "B misses" 1 on_b.Batch.cache_misses;
+  check_rel "B's answer is B's oracle" oracle_b (List.assoc 0 on_b.Batch.results);
+  (* Nor may an answer computed from A repair B's entry. *)
+  let fingerprint = Batch.fingerprint (Batch.prepare q) in
+  Alcotest.(check bool) "repair from A refuses B's entry" false
+    (Result_cache.repair cache ~catalog:a ~fingerprint (reference a q));
+  check_rel "B still answered from B" oracle_b
+    (List.assoc 0 (Batch.run ~cache b [ q ]).Batch.results)
 
 let () =
   Alcotest.run "mqo"
@@ -255,9 +272,9 @@ let () =
           Alcotest.test_case "LRU eviction by bytes" `Quick test_cache_lru_eviction;
           Alcotest.test_case "catalog mutation invalidates" `Quick
             test_cache_invalidated_by_catalog_mutation;
-          Alcotest.test_case "manual bump invalidates" `Quick
-            test_cache_invalidated_by_manual_bump;
-          Alcotest.test_case "view maintenance invalidates" `Quick
-            test_cache_invalidated_by_view_maintenance;
+          Alcotest.test_case "unread table mutation keeps the entry" `Quick
+            test_cache_ignores_unread_tables;
+          Alcotest.test_case "a shared cache never crosses catalogs" `Quick
+            test_cache_never_crosses_catalogs;
         ] );
     ]
