@@ -3,16 +3,15 @@
    Headline: a warm, cached, maintainable template ("not-exists" — its
    detail side is a plain base-table scan) absorbs a stream of append
    batches sized at ~1% of the detail table.  The delta path folds just
-   the appended suffix into live accumulators and repairs the cache
+   the appended batch into live accumulators and repairs the cache
    entry in place; the baseline re-evaluates the full plan from scratch
    after every batch, which is exactly what a stale-entry cache miss
    costs.  Both sides see identical appends; the maintained result is
    verified against from-scratch evaluation of the grown catalog.
 
    Staleness sweep: the mixed virtual-time driver replays one query
-   trace with 1x/4x/16x append schedules overlaid, under all three
-   staleness policies (maintain-on-write / maintain-on-read /
-   recompute-on-miss), reporting p99 latency, cache hit rates, detail
+   trace with 1x/4x/16x append schedules overlaid, under both
+   staleness policies (maintain-on-write / recompute-on-miss), reporting p99 latency, cache hit rates, detail
    scans per query, and maintenance time.  Every cell ends with a
    freshness check: the served state must equal solo evaluation of the
    final catalog — no stale reads under any policy.
@@ -34,8 +33,7 @@ let headline_template = "not-exists"
 
 let skew = 0.85
 
-let policies =
-  [ Ingest.Maintain_on_write; Ingest.Maintain_on_read; Ingest.Recompute_on_miss ]
+let policies = [ Ingest.Maintain_on_write; Ingest.Recompute_on_miss ]
 
 let multipliers = [ 1; 4; 16 ]
 
@@ -69,15 +67,21 @@ let headline (options : Figures.options) ~outer ~inner ~batch_rows ~batches =
   let batch_seed b =
     Int64.add (Int64.mul options.Figures.seed 1_000L) (Int64.of_int b)
   in
-  let append ing b =
-    Ingest.append ing ~table:"I" (Zoo.detail_rows ~seed:(batch_seed b) batch_rows)
+  (* Both sides pay the same write — the catalog registration of the
+     grown relation — so it is left untimed and the clocks compare
+     exactly what the planner chooses between: folding the appended
+     batch into live accumulators and repairing the cache entry, versus
+     re-evaluating the plan from scratch.  Returns the table's epoch
+     before the write and the batch, as [Maintenance.sync] takes them. *)
+  let append catalog b =
+    let rows = Zoo.detail_rows ~seed:(batch_seed b) batch_rows in
+    let before = Subql_relational.Catalog.epoch catalog "I" in
+    let old = Subql_relational.Catalog.find catalog "I" in
+    Subql_relational.Catalog.add catalog "I"
+      (Relation.create ~check:false (Relation.schema old)
+         (Array.append (Relation.rows old) rows));
+    (before, rows)
   in
-  (* Both sides pay the same write path (the schema check and the
-     catalog registration of the grown relation), so the write is left
-     untimed and the clocks compare exactly what the planner chooses
-     between: folding the appended suffix into live accumulators and
-     repairing the cache entry, versus re-evaluating the plan from
-     scratch. *)
   let timed seconds f =
     let r, dt = Subql_obs.Clock.time f in
     seconds := !seconds +. dt;
@@ -87,23 +91,19 @@ let headline (options : Figures.options) ~outer ~inner ~batch_rows ~batches =
      full rebuild, untimed), then one timed [sync] per append batch. *)
   let catalog_d = Zoo.catalog ~outer ~inner ~seed:options.Figures.seed () in
   let cache_d = Subql_mqo.Result_cache.create ~min_cost:0. () in
-  let ing_d =
-    Ingest.create ~policy:Ingest.Maintain_on_read ~catalog:catalog_d ~cache:cache_d ()
-  in
-  ignore (Ingest.register_query ing_d q);
+  let maint = Maintenance.create ~catalog:catalog_d ~cache:cache_d () in
+  ignore (Maintenance.register_query maint q);
   ignore (Subql_mqo.Batch.run ~cache:cache_d catalog_d [ q ]);
-  ignore (append ing_d 0);
-  ignore (Ingest.sync ing_d);
+  (let before, rows = append catalog_d 0 in
+   ignore (Maintenance.sync maint ~table:"I" ~before rows));
   let delta_rows = ref 0 and avoided = ref 0 and deltas = ref 0 in
   let delta_seconds = ref 0. in
   for b = 1 to batches do
-    ignore (append ing_d b);
-    match timed delta_seconds (fun () -> Ingest.sync ing_d) with
-    | Some r ->
-      delta_rows := !delta_rows + r.Maintenance.delta_rows;
-      avoided := !avoided + r.Maintenance.avoided_rows;
-      deltas := !deltas + r.Maintenance.delta_maintained
-    | None -> ()
+    let before, rows = append catalog_d b in
+    let r = timed delta_seconds (fun () -> Maintenance.sync maint ~table:"I" ~before rows) in
+    delta_rows := !delta_rows + r.Maintenance.delta_rows;
+    avoided := !avoided + r.Maintenance.avoided_rows;
+    deltas := !deltas + r.Maintenance.delta_maintained
   done;
   let delta_seconds = !delta_seconds in
   (* The repaired entry must equal from-scratch evaluation of the grown
@@ -118,16 +118,13 @@ let headline (options : Figures.options) ~outer ~inner ~batch_rows ~batches =
      re-evaluated from scratch — the cost a stale cache miss pays. *)
   let catalog_r = Zoo.catalog ~outer ~inner ~seed:options.Figures.seed () in
   let cache_r = Subql_mqo.Result_cache.create ~min_cost:0. () in
-  let ing_r =
-    Ingest.create ~policy:Ingest.Recompute_on_miss ~catalog:catalog_r ~cache:cache_r ()
-  in
   ignore (Subql_mqo.Batch.run ~cache:cache_r catalog_r [ q ]);
-  ignore (append ing_r 0);
+  ignore (append catalog_r 0);
   ignore (fresh_eval catalog_r q);
   let recompute_rows = ref 0 in
   let recompute_seconds = ref 0. in
   for b = 1 to batches do
-    ignore (append ing_r b);
+    ignore (append catalog_r b);
     ignore (timed recompute_seconds (fun () -> fresh_eval catalog_r q));
     recompute_rows :=
       !recompute_rows
@@ -136,8 +133,6 @@ let headline (options : Figures.options) ~outer ~inner ~batch_rows ~batches =
   let recompute_seconds = !recompute_seconds in
   (* Both sides appended the same rows: their answers must agree. *)
   let verified = verified && Relation.equal_as_multiset reference_d (fresh_eval catalog_r q) in
-  Ingest.close ing_d;
-  Ingest.close ing_r;
   {
     h_batches = batches;
     h_batch_rows = batch_rows;
@@ -183,8 +178,6 @@ let sweep_cell (options : Figures.options) ~outer ~inner ~rate ~count ~every ~ro
   List.iter
     (fun t -> ignore (Ingest.register_query ing (Zoo.find_query t)))
     Zoo.same_detail_templates;
-  if policy = Ingest.Maintain_on_read then
-    Server.set_before_batch server (Some (fun ~now -> Ingest.before_batch ing ~now));
   let arrivals = Traffic.open_loop ~seed:options.Figures.seed ~rate ~count ~skew () in
   let batch_no = ref 0 in
   let events =
@@ -218,12 +211,11 @@ let sweep_cell (options : Figures.options) ~outer ~inner ~rate ~count ~every ~ro
   (* No stale reads: whatever state the run left behind, serving each
      registered template now must equal solo evaluation of the final
      catalog.  (Under recompute-on-miss this exercises the lazy drop;
-     under the maintain policies it exercises repaired entries.) *)
+     under maintain-on-write it exercises repaired entries.) *)
   let fresh =
     List.for_all (fun t -> served_matches_solo catalog cache (Zoo.find_query t))
       Zoo.same_detail_templates
   in
-  Ingest.close ing;
   { c_policy = policy; c_multiplier = multiplier; c_every = every; c_summary = summary; c_fresh = fresh }
 
 (* --- reporting -------------------------------------------------------- *)

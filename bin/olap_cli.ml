@@ -663,10 +663,10 @@ let drive_cmd =
   in
   let staleness_arg =
     Arg.(value & opt string "on-write" & info [ "staleness" ]
-           ~docv:"on-write|on-read|recompute"
-           ~doc:"When cached results over an appended table are brought up to date: \
-                 synchronously on every append, lazily before the next query \
-                 batch, or never (stale entries drop and queries recompute).")
+           ~docv:"on-write|recompute"
+           ~doc:"Whether cached results over an appended table are brought up to \
+                 date: synchronously on every append, or never (stale entries drop \
+                 and queries recompute).")
   in
   let run outer inner seed domains spill_budget window bmax mem_budget qcap min_cost
       metrics rate queries skew mode clients think ingest_rate ingest_batch staleness =
@@ -683,7 +683,7 @@ let drive_cmd =
           | Some p -> p
           | None ->
             failwith
-              (Printf.sprintf "unknown staleness %S (use on-write, on-read or recompute)"
+              (Printf.sprintf "unknown staleness %S (use on-write or recompute)"
                  staleness)
         in
         let ing = Subql_ingest.Ingest.create ~policy ~catalog ~cache () in
@@ -691,11 +691,6 @@ let drive_cmd =
           (fun t ->
             ignore (Subql_ingest.Ingest.register_query ing (Subql_workload.Zoo.find_query t)))
           Subql_workload.Zoo.same_detail_templates;
-        (match policy with
-        | Subql_ingest.Ingest.Maintain_on_read ->
-          Server.set_before_batch server
-            (Some (fun ~now -> Subql_ingest.Ingest.before_batch ing ~now))
-        | _ -> ());
         let arrivals =
           Subql_workload.Traffic.open_loop ~seed:tseed ~rate ~count:queries ~skew ()
         in
@@ -816,8 +811,9 @@ let ingest_cmd =
   in
   let staleness_arg =
     Arg.(value & opt string "on-write" & info [ "staleness" ]
-           ~docv:"on-write|on-read|recompute"
-           ~doc:"Maintenance policy for cached results across appends.")
+           ~docv:"on-write|recompute"
+           ~doc:"Maintenance policy for cached results across appends: repair on \
+                 every append, or never (stale entries drop and queries recompute).")
   in
   let run data workload flows users scale seed batches batch_rows staleness min_cost
       metrics =
@@ -827,7 +823,7 @@ let ingest_cmd =
       | Some p -> p
       | None ->
         failwith
-          (Printf.sprintf "unknown staleness %S (use on-write, on-read or recompute)"
+          (Printf.sprintf "unknown staleness %S (use on-write or recompute)"
              staleness)
     in
     let cache = Subql_mqo.Result_cache.create ~min_cost () in
@@ -878,10 +874,6 @@ let ingest_cmd =
       (match Subql_ingest.Ingest.append ing ~table:"Flow" rows with
       | Some r -> print_report r
       | None -> Format.printf "  maintenance deferred (%s)@." staleness);
-      (match policy with
-      | Subql_ingest.Ingest.Maintain_on_read -> (
-        match Subql_ingest.Ingest.sync ing with Some r -> print_report r | None -> ())
-      | _ -> ());
       ask "query"
     done;
     let c name = Subql_obs.Metrics.counter_value_by_name Subql_obs.Metrics.default name in

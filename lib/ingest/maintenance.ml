@@ -10,7 +10,7 @@ open Subql_analysis
    row-local operator chain over one base table the base side does not
    read.  The analysis also compiles the proof into
    a runnable [delta_pipeline] — the detail chain as a stream
-   transformer — which is what [sync] feeds each append suffix through.
+   transformer — which is what [sync] feeds each appended batch through.
    The refused plans keep their ING diagnostics, so a caller can see
    {e why} a view recomputes. *)
 
@@ -21,10 +21,6 @@ type view = {
   maintainable : Deltaable.maintainable option;
   why_not : Diag.t list;  (* ING diagnostics when not maintainable *)
   mutable state : Gmdj.Maintain.t option;
-  mutable maintained_rows : int;
-      (* raw detail-table rows folded into [state] — the [from_row]
-         offset for the next delta, counted {e before} the pipeline
-         (a selective pipeline folds fewer rows than it consumes) *)
   mutable synced : (string * int) list;  (* table -> epoch at last sync *)
 }
 
@@ -45,7 +41,6 @@ type report = {
   delta_maintained : int;
   recomputed : int;
   delta_rows : int;
-  recompute_rows : int;
   avoided_rows : int;
 }
 
@@ -86,7 +81,6 @@ let register_query (t : t) q =
         maintainable = verdict.Deltaable.maintainable;
         why_not = verdict.Deltaable.diags;
         state = None;
-        maintained_rows = 0;
         synced = snapshot_epochs t deps;
       };
     true
@@ -126,10 +120,6 @@ let rebuild (t : t) v (m : Deltaable.maintainable) =
       ?completion:m.Deltaable.completion ~base ~detail m.Deltaable.blocks
   in
   v.state <- Some state;
-  (* The offset is counted in {e raw} table rows, not pipeline output
-     rows: the next delta replays the raw suffix from here. *)
-  v.maintained_rows <-
-    Relation.cardinality (Catalog.find t.catalog m.Deltaable.detail_table);
   eval_via_state t v m state
 
 (* Cost stats are only consulted to price delta folds against full MD
@@ -163,12 +153,11 @@ let decide_delta (t : t) ~stats (m : Deltaable.maintainable) ~delta_n =
   in
   cost_delta < cost_full
 
-let sync (t : t) ~rows ~delta =
+let sync (t : t) ~table ~before batch =
   let stats = lazy (stats t) in
   let delta_maintained = ref 0
   and recomputed = ref 0
   and delta_rows = ref 0
-  and recompute_rows = ref 0
   and avoided_rows = ref 0 in
   (* Deterministic view order, so costs and metrics are reproducible. *)
   let views =
@@ -183,34 +172,32 @@ let sync (t : t) ~rows ~delta =
       (* A view whose tables did not move is still the answer its entry
          holds, and that entry is still current: nothing to do. *)
       if changed <> [] then begin
-        v.synced <- snapshot_epochs t v.deps;
+        (* Fold [batch] only when it is all that moved the view since its
+           last sync: its detail table alone moved, and from the epoch the
+           fold state was synced at.  Any other registration of the table
+           in between leaves state that predates the catalog's relation,
+           so the view rebuilds. *)
         let via_delta =
           match (v.maintainable, v.state) with
-          | Some m, Some state when changed = [ m.Deltaable.detail_table ] -> (
-            match rows m.Deltaable.detail_table with
-            | Some total when total >= v.maintained_rows ->
-              let delta_n = total - v.maintained_rows in
-              if not (decide_delta t ~stats:(Lazy.force stats) m ~delta_n) then None
-              else
-                Option.map
-                  (fun src ->
-                    (* Count the raw suffix as it streams past, then
-                       fold it through the detail chain: the offset
-                       advances by rows {e consumed}, the accumulators
-                       by rows that {e survive} the pipeline. *)
-                    let raw = ref 0 in
-                    let src = Chunk.Source.tap (fun n -> raw := !raw + n) src in
-                    let folded =
-                      Gmdj.Maintain.insert_source state (m.Deltaable.delta_pipeline src)
-                    in
-                    v.maintained_rows <- v.maintained_rows + !raw;
-                    delta_rows := !delta_rows + folded;
-                    avoided_rows := !avoided_rows + (total - !raw);
-                    eval_via_state t v m state)
-                  (delta ~table:m.Deltaable.detail_table ~from_row:v.maintained_rows)
-            | _ -> None)
+          | Some m, Some state
+            when changed = [ table ]
+                 && String.equal m.Deltaable.detail_table table
+                 && List.assoc table v.synced = before
+                 && decide_delta t ~stats:(Lazy.force stats) m ~delta_n:(Array.length batch) ->
+            let rel = Catalog.find t.catalog table in
+            let src =
+              Chunk.Source.of_relation
+                (Relation.create ~check:false (Relation.schema rel) batch)
+            in
+            (* The accumulators advance by the rows that survive the
+               detail chain. *)
+            let folded = Gmdj.Maintain.insert_source state (m.Deltaable.delta_pipeline src) in
+            delta_rows := !delta_rows + folded;
+            avoided_rows := !avoided_rows + (Relation.cardinality rel - Array.length batch);
+            Some (eval_via_state t v m state)
           | _ -> None
         in
+        v.synced <- snapshot_epochs t v.deps;
         let rel =
           match via_delta with
           | Some rel ->
@@ -221,19 +208,8 @@ let sync (t : t) ~rows ~delta =
             incr recomputed;
             Subql_obs.Metrics.incr t.m_recompute;
             match v.maintainable with
-            | Some m ->
-              let rel = rebuild t v m in
-              recompute_rows := !recompute_rows + v.maintained_rows;
-              rel
-            | None ->
-              let rel = Subql.Eval.eval ~config:t.config t.catalog v.plan in
-              List.iter
-                (fun d ->
-                  match rows d with
-                  | Some n -> recompute_rows := !recompute_rows + n
-                  | None -> ())
-                v.deps;
-              rel)
+            | Some m -> rebuild t v m
+            | None -> Subql.Eval.eval ~config:t.config t.catalog v.plan)
         in
         (* A view never admitted to the cache stays out — repair is not
            admission — so the cache's cost policy is preserved. *)
@@ -245,6 +221,5 @@ let sync (t : t) ~rows ~delta =
     delta_maintained = !delta_maintained;
     recomputed = !recomputed;
     delta_rows = !delta_rows;
-    recompute_rows = !recompute_rows;
     avoided_rows = !avoided_rows;
   }

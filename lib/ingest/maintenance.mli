@@ -6,8 +6,9 @@
     brings that plan's cached result up to date by the cheaper route:
 
     - {b delta maintenance} — the only changed dependency is the plan's
-      GMDJ detail table: the appended rows are streamed through the
-      view's
+      GMDJ detail table, and the append being synced is the only
+      registration of it since the view's last sync: the appended batch
+      is streamed through the view's
       {!Subql_analysis.Deltaable.maintainable.delta_pipeline} — the
       detail side's row-local operator chain — into the live fold state
       (accumulators and, for a completed GMDJ, its kill/require
@@ -35,7 +36,6 @@ type report = {
   delta_maintained : int;
   recomputed : int;
   delta_rows : int;  (** detail rows folded by delta maintenance *)
-  recompute_rows : int;  (** rows scanned by full recomputes *)
   avoided_rows : int;  (** scan rows delta maintenance saved *)
 }
 
@@ -68,17 +68,17 @@ val why_not_maintainable : t -> fingerprint:string -> Diag.t list
 (** The [ING00x] diagnostics explaining why the plan recomputes on
     append; empty when it is maintainable (or unknown). *)
 
-val sync :
-  t ->
-  rows:(string -> int option) ->
-  delta:(table:string -> from_row:int -> Chunk.Source.t option) ->
-  report
-(** Bring the cached entry of every registered plan whose tables moved
-    since the last sync up to date.  [rows table] is the table's current
-    cardinality; [delta ~table ~from_row] streams exactly the rows
-    appended since [from_row] ([None] when that suffix cannot be
-    reproduced — forces recompute).  Each refreshed relation replaces
-    its entry through {!Subql_mqo.Result_cache.repair}, current at the
-    tables' new epochs.  Plans absent from the cache are still
-    maintained (their accumulators advance) but never admitted — repair
-    is not admission. *)
+val sync : t -> table:string -> before:int -> Tuple.t array -> report
+(** [sync t ~table ~before batch] brings the cached entry of every
+    registered plan whose tables moved since its last sync up to date,
+    right after [batch] was appended to [table] by one
+    {!Subql_relational.Catalog.add} that moved the table's epoch from
+    [before].  A view folds [batch] through its delta pipeline only when
+    [table] is its detail table and the only dependency that moved, it
+    has fold state, and it last synced [table] at epoch [before]; any
+    other registration of the table in between (or of another table it
+    reads) makes it rebuild or recompute from the catalog.  Each
+    refreshed relation replaces its entry through
+    {!Subql_mqo.Result_cache.repair}, current at the tables' new epochs.
+    Plans absent from the cache are still maintained (their accumulators
+    advance) but never admitted — repair is not admission. *)

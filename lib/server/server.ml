@@ -45,7 +45,6 @@ type t = {
   queue : pending Queue.t;
   mutable next_id : int;
   mutable shut_down : bool;
-  mutable before_batch : (now:float -> unit) option;
 }
 
 let create ?(config = default_config) ?cache ?(registry = Metrics.default) cat =
@@ -84,7 +83,6 @@ let create ?(config = default_config) ?cache ?(registry = Metrics.default) cat =
     queue = Queue.create ();
     next_id = 0;
     shut_down = false;
-    before_batch = None;
   }
 
 let queue_depth t = Queue.length t.queue
@@ -96,8 +94,6 @@ let catalog t = t.cat
 let cache t = t.result_cache
 
 let refresh_stats t = t.stats <- Subql.Cost.Stats.of_catalog t.cat
-
-let set_before_batch t hook = t.before_batch <- hook
 
 let publish_depth t =
   Metrics.set t.ins.queue_depth (float_of_int (Queue.length t.queue))
@@ -168,10 +164,6 @@ let seal t ~now =
   publish_depth t;
   let report, exec_seconds =
     Clock.time (fun () ->
-        (* Lazy-maintenance hook (e.g. Subql_ingest under maintain-on-read):
-           repairs run inside the measured window, so reads pay for the
-           freshness they consume. *)
-        (match t.before_batch with Some hook -> hook ~now | None -> ());
         Subql_mqo.Batch.run_prepared ~config:t.config.eval_config ~cache:t.result_cache
           ~registry:t.registry t.cat
           (List.map (fun p -> p.entry) members))

@@ -126,11 +126,6 @@ val refresh_stats : t -> unit
 (** Recompute admission-pricing statistics from the (mutated) catalog;
     {!ingest} calls this after every applied write. *)
 
-val set_before_batch : t -> (now:float -> unit) option -> unit
-(** Install a hook that runs inside every sealed batch's measured
-    window, just before evaluation — the attachment point for lazy
-    (maintain-on-read) ingest maintenance. *)
-
 val queue_depth : t -> int
 
 val is_shut_down : t -> bool

@@ -274,7 +274,7 @@ echo "$dout" | grep -q "latency p50" || {
 
 echo
 echo "== CLI smoke test: ingest maintains cached results across appends =="
-# Under every staleness policy, with TMPDIR a fresh directory: a temp
+# Under both staleness policies, with TMPDIR a fresh directory: a temp
 # file the run leaves behind there (subql_*) fails the check.
 ingest_fail() {
   echo "FAIL: ingest --staleness $staleness: $1" >&2
@@ -282,7 +282,7 @@ ingest_fail() {
 }
 ingest_tmp=$(mktemp -d /tmp/check_ingest_XXXXXX)
 trap 'rm -f "$batch_sql"; rm -rf "$ingest_tmp"' EXIT
-for staleness in on-write on-read recompute; do
+for staleness in on-write recompute; do
   iout=$(TMPDIR="$ingest_tmp" dune exec bin/olap_cli.exe -- ingest --flows 4000 --users 300 \
     --batches 3 --batch-rows 200 --staleness "$staleness")
   echo "$iout"
@@ -320,7 +320,7 @@ rm -rf "$ingest_tmp"
 echo
 echo "== CLI smoke test: drive interleaves ingest with live traffic =="
 dout=$(dune exec bin/olap_cli.exe -- drive --queries 60 --rate 200 --outer 24 --inner 1000 \
-  --ingest-rate 20 --ingest-batch 100 --staleness on-read)
+  --ingest-rate 20 --ingest-batch 100)
 echo "$dout"
 echo "$dout" | grep -Eq "ingest: [1-9][0-9]* batches" || {
   echo "FAIL: expected interleaved append batches in the drive output" >&2
@@ -331,7 +331,7 @@ echo "$dout" | grep -q "completed 60" || {
   exit 1
 }
 echo "$dout" | grep -Eq "repaired [1-9][0-9]*" || {
-  echo "FAIL: expected lazy maintenance to repair cached results" >&2
+  echo "FAIL: expected on-write maintenance to repair cached results" >&2
   exit 1
 }
 

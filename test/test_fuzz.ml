@@ -628,57 +628,52 @@ let maintain_matches_recompute (brows, drows, batches, bi, completion) =
       end)
     batches
 
-let relation_rows rel =
-  let acc = ref [] in
-  Relation.iter (fun t -> acc := t :: !acc) rel;
-  Array.of_list (List.rev !acc)
-
 let gen_append_case =
   let row2 = G.list_repeat 2 Helpers.Gen.value_with_nulls in
   let* query = gen_query in
   let* db = Query_zoo.db_gen in
   let* batches =
-    G.list_size (G.int_range 1 4) (G.pair G.bool (G.list_size (G.int_range 0 8) row2))
+    G.list_size (G.int_range 1 4)
+      (G.triple G.bool
+         (G.opt ~ratio:0.3 (G.int_range 0 4))
+         (G.list_size (G.int_range 0 8) row2))
   in
   G.return (query, db, batches)
 
-(* Query-level closure: register a random query with the maintenance
-   planner, seed the cache, append random batches to the detail tables,
-   and require the cache to serve an entry matching the naive oracle on
-   the grown catalog after every sync: one left stale fails as surely as
-   one that drifted.  Which route the planner takes (delta fold,
-   accumulator rebuild, or plain recompute for unmaintainable plans —
-   nested or several GMDJs, detail tables that also feed the base) is
-   its own business; the answer may not drift.  Maintenance
-   keeps the very plan the batch layer admitted, completion included, so
-   a delta folded into its verdicts must match the oracle too. *)
+(* Query-level closure: register a random query for maintenance, seed
+   the cache, append random batches to the detail tables through
+   [Ingest.append], and require the cache to serve an entry matching the
+   naive oracle on the grown catalog after every append: one left stale
+   fails as surely as one that drifted.  Before a non-empty append the
+   table is sometimes replaced out of band by its first [keep] rows, a
+   registration the fold state never saw.  Which route maintenance takes
+   (delta fold, accumulator rebuild, or plain recompute for
+   unmaintainable plans — nested or several GMDJs, detail tables that
+   also feed the base) is its own business; the answer may not drift.
+   The fold is priced free, so every append the planner may fold, it
+   does.  Maintenance keeps the very plan the batch layer admitted,
+   completion included, so a delta folded into its verdicts must match
+   the oracle too. *)
 let maintained_cache_matches_oracle (query, db, batches) =
   let catalog = Query_zoo.mk_catalog db in
   let cache = Subql_mqo.Result_cache.create ~min_cost:0. () in
-  let maint = Subql_ingest.Maintenance.create ~catalog ~cache () in
-  ignore (Subql_ingest.Maintenance.register_query maint query);
+  let ing = Subql_ingest.Ingest.create ~delta_row_cost:0. ~catalog ~cache () in
+  ignore (Subql_ingest.Ingest.register_query ing query);
   let fp = Subql_mqo.Batch.fingerprint (Subql_mqo.Batch.prepare query) in
   ignore (Subql_mqo.Batch.run ~cache catalog [ query ]);
-  let rows table = Some (Relation.cardinality (Catalog.find catalog table)) in
-  let delta ~table ~from_row =
-    let rel = Catalog.find catalog table in
-    let all = relation_rows rel in
-    if from_row > Array.length all then None
-    else
-      Some
-        (Chunk.Source.of_relation ~chunk_rows:3
-           (Relation.create ~check:false (Relation.schema rel)
-              (Array.sub all from_row (Array.length all - from_row))))
-  in
   List.for_all
-    (fun (to_i, batch) ->
+    (fun (to_i, keep, batch) ->
       let table = if to_i then "I" else "J" in
-      let rel = Catalog.find catalog table in
-      let grown =
-        Array.append (relation_rows rel) (Array.of_list (List.map Array.of_list batch))
-      in
-      Catalog.add catalog table (Relation.create ~check:false (Relation.schema rel) grown);
-      ignore (Subql_ingest.Maintenance.sync maint ~rows ~delta);
+      (match keep with
+      | Some keep when batch <> [] ->
+        let rel = Catalog.find catalog table in
+        let rows = Relation.rows rel in
+        Catalog.add catalog table
+          (Relation.create (Relation.schema rel)
+             (Array.sub rows 0 (min keep (Array.length rows))))
+      | _ -> ());
+      ignore
+        (Subql_ingest.Ingest.append ing ~table (Array.of_list (List.map Array.of_list batch)));
       let oracle = Naive_eval.eval catalog query in
       match Subql_mqo.Result_cache.lookup cache ~catalog fp with
       | None ->
