@@ -55,7 +55,7 @@ let rates scan_a scan_b =
   (per_sec rows_a !best_a, per_sec rows_b !best_b)
 
 (* The data pages [Hf.write] lays down for [rel], read back byte for
-   byte. *)
+   byte, with the handle's plan (whose dictionaries decode them). *)
 let stored_pages rel =
   let page_size = 8192 in
   let path = Filename.temp_file "subql_codec" ".heap" in
@@ -65,12 +65,13 @@ let stored_pages rel =
       let hf = Hf.write ~path ~page_size rel in
       let n = Hf.pages hf in
       Hf.close hf;
-      In_channel.with_open_bin path (fun ic ->
-          Array.init n (fun i ->
-              In_channel.seek ic (Int64.of_int ((i + 1) * page_size));
-              let page = Bytes.create page_size in
-              really_input ic page 0 page_size;
-              page)))
+      ( Hf.plan hf,
+        In_channel.with_open_bin path (fun ic ->
+            Array.init n (fun i ->
+                In_channel.seek ic (Int64.of_int ((i + 1) * page_size));
+                let page = Bytes.create page_size in
+                really_input ic page 0 page_size;
+                page)) ))
 
 (* A pool that holds every page, so timed scans measure decode only. *)
 let resident_pool hf = Subql_storage.Buffer_pool.create ~frames:(Hf.pages hf + 8)
@@ -93,6 +94,7 @@ let bench_pruned ~flows ~seed verified =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let hf = Hf.write ~path rel in
+      let pages = Hf.pages hf in
       let pool = resident_pool hf in
       let full, pruned =
         rates (fun () -> drain hf pool) (fun () -> drain ~columns:pruned_columns hf pool)
@@ -104,13 +106,15 @@ let bench_pruned ~flows ~seed verified =
               && Array.for_all2 Tuple.equal expected (Relation.rows got))
       then verified := false;
       let speedup = pruned /. full in
-      Format.printf "  Flow %8d rows  full %10.0f rows/s  [SourceIP; NumBytes] %10.0f rows/s  %.2fx@."
-        (Relation.cardinality rel) full pruned speedup;
+      Format.printf
+        "  Flow %8d rows on %d pages  full %10.0f rows/s  [SourceIP; NumBytes] %10.0f rows/s  %.2fx@."
+        (Relation.cardinality rel) pages full pruned speedup;
       ( speedup,
         J.Obj
           [
             ("table", J.Str "Flow");
             ("rows", J.Int (Relation.cardinality rel));
+            ("pages", J.Int pages);
             ("columns", J.List [ J.Str "SourceIP"; J.Str "NumBytes" ]);
             ("full_rows_per_sec", J.Float full);
             ("pruned_rows_per_sec", J.Float pruned);
@@ -124,10 +128,8 @@ let run (options : Figures.options) =
   let verified = ref true in
   let bench_table name =
     let rel = Catalog.find catalog name in
-    let pages = stored_pages rel in
-    let arity = Schema.arity (Relation.schema rel) in
-    let plan = Subql_storage.Codec.plan_of_schema (Relation.schema rel) in
-    let generic page = Subql_storage.Codec.decode_page_reference ~arity page in
+    let plan, pages = stored_pages rel in
+    let generic page = Subql_storage.Codec.decode_page_reference plan page in
     let planned page = Subql_storage.Codec.decode_page plan page in
     let decode_all decode () = Array.fold_left (fun n page -> n + Array.length (decode page)) 0 pages in
     let generic_rate, specialized = rates (decode_all generic) (decode_all planned) in

@@ -519,10 +519,6 @@ let print_server_summary registry =
   Format.printf "served %d queries in %d batches; rejected %d (budget %d, shed %d)@."
     (c "server.queries_served") (c "server.batches") (c "server.rejected")
     (c "server.rejected.budget") (c "server.rejected.queue");
-  if c "server.queries_served" > 0 then
-    Format.printf "latency p50 %.1fms, p99 %.1fms@."
-      (1000. *. latency_quantile registry 0.5)
-      (1000. *. latency_quantile registry 0.99);
   if c "ingest.batches" > 0 then
     Format.printf
       "ingested %d rows in %d batches; cache repaired %d, invalidated %d \
@@ -607,6 +603,14 @@ let serve_cmd =
     if tail <> "" then submit_stmt tail;
     List.iter print_batch (Server.shutdown server ~now:(now ()));
     print_server_summary Subql_obs.Metrics.default;
+    (* serve keeps no latency samples, only the histogram: its
+       percentiles are bucket bounds, and the line says so.  drive
+       prints exact ones. *)
+    let registry = Subql_obs.Metrics.default in
+    if Subql_obs.Metrics.counter_value_by_name registry "server.queries_served" > 0 then
+      Format.printf "latency (histogram buckets) p50 %.1fms, p99 %.1fms@."
+        (1000. *. latency_quantile registry 0.5)
+        (1000. *. latency_quantile registry 0.99);
     if metrics then
       Format.printf "@.== metrics ==@.%s"
         (Subql_obs.Metrics.render Subql_obs.Metrics.default)

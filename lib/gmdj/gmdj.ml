@@ -10,6 +10,7 @@ type stats = {
   mutable early_exit : bool;
   mutable detail_passes : int;
   mutable block_updates : int array;
+  mutable key_probes : int;
 }
 
 let fresh_stats () =
@@ -19,6 +20,7 @@ let fresh_stats () =
     early_exit = false;
     detail_passes = 0;
     block_updates = [||];
+    key_probes = 0;
   }
 
 let ensure_block_slots s n =
@@ -31,13 +33,14 @@ let strategy_name = function `Scan -> "scan" | `Hash -> "hash"
    {!Subql_obs.Metrics.default}.  Only coordinator-side code calls this
    — exchange workers accumulate into local stats records which are
    merged before publication (the registry is single-domain). *)
-let publish ~owned ~passes0 ~rows0 ~thetas0 =
+let publish ~owned ~passes0 ~rows0 ~thetas0 ~probes0 =
   let open Subql_obs in
   let c name = Metrics.counter Metrics.default ("gmdj." ^ name) in
   Metrics.incr (c "evals");
   Metrics.incr ~by:(owned.detail_passes - passes0) (c "detail_passes");
   Metrics.incr ~by:(owned.detail_scanned - rows0) (c "detail_rows_scanned");
-  Metrics.incr ~by:(owned.theta_evals - thetas0) (c "theta_evals")
+  Metrics.incr ~by:(owned.theta_evals - thetas0) (c "theta_evals");
+  Metrics.incr ~by:(owned.key_probes - probes0) (c "key_probes")
 
 (* Run [f] over an owned stats record (the caller's, or a private one so
    pass/row counting is always on), publishing the deltas. *)
@@ -45,9 +48,10 @@ let with_owned_stats ?attrs ~span stats f =
   let owned = match stats with Some s -> s | None -> fresh_stats () in
   let passes0 = owned.detail_passes
   and rows0 = owned.detail_scanned
-  and thetas0 = owned.theta_evals in
+  and thetas0 = owned.theta_evals
+  and probes0 = owned.key_probes in
   let result = Subql_obs.Trace.with_ ?attrs span (fun () -> f owned) in
-  publish ~owned ~passes0 ~rows0 ~thetas0;
+  publish ~owned ~passes0 ~rows0 ~thetas0 ~probes0;
   result
 
 let block aggs theta = { aggs; theta }
@@ -111,11 +115,14 @@ type cursor = {
      whole condition, the residual tested per candidate otherwise) or
      tests the remaining condition against every candidate base tuple;
    - [hit] records a match with the cursor's detail row: base tuple
-     [bi], or, for [Probe_key], the key's group in the index. *)
+     [bi], or, for [Probe_key], the key's group in the index;
+   - [memo], for an index probe on one key column, keeps the index's
+     answer per dictionary code of that column. *)
 type plan = {
   prefilter : (Tuple.t -> bool) option;
   probe : probe;
   hit : int -> unit;
+  memo : memo option;
 }
 
 and probe =
@@ -126,6 +133,19 @@ and probe =
       candidate : int -> unit;  (** skip check, residual test, then [hit] *)
     }
   | Probe_all of { test : Tuple.t -> Tuple.t -> bool }
+
+(* When a chunk carries the codes of the key column [col], a row's
+   index lookup is the one made for the first row with its code: [table]
+   holds it per code of [dictionary] ([unknown] until then), and [codes]
+   are the current chunk's ([||] when it carries none). *)
+and memo = {
+  col : int;
+  mutable dictionary : int;
+  mutable table : int array;
+  mutable codes : int array;
+}
+
+let unknown = -2
 
 let make_pair_test ~stats ~bs ~ds expr =
   match expr with
@@ -190,7 +210,13 @@ let make_plan ~strategy ~stats ~bs ~ds ~base_rows ~cur ~settled ~keyed theta hit
           in
           Probe_hash { index; dcols; candidate }))
   in
-  { prefilter; probe; hit }
+  let memo =
+    match probe with
+    | (Probe_key { dcols; _ } | Probe_hash { dcols; _ }) when Array.length dcols = 1 ->
+      Some { col = dcols.(0); dictionary = -1; table = [||]; codes = [||] }
+    | _ -> None
+  in
+  { prefilter; probe; hit; memo }
 
 let prefilter_passes plan drow =
   match plan.prefilter with None -> true | Some f -> f drow
@@ -417,6 +443,39 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
     verdicts;
   }
 
+(* Point a plan's memo at the chunk's codes of its key column, starting
+   an empty table when they index another dictionary. *)
+let attach chunk plan =
+  match plan.memo with
+  | None -> ()
+  | Some m -> (
+    match Chunk.codes chunk m.col with
+    | None -> m.codes <- [||]
+    | Some k ->
+      if k.Chunk.dictionary <> m.dictionary || Array.length m.table < k.Chunk.bound then begin
+        m.dictionary <- k.Chunk.dictionary;
+        m.table <- Array.make k.Chunk.bound unknown
+      end;
+      m.codes <- k.Chunk.codes)
+
+(* [find index drow dcols], made once per code when the chunk carries
+   codes for the key column and once per row otherwise. *)
+let lookup st plan find index drow dcols =
+  match plan.memo with
+  | Some m when Array.length m.codes > 0 ->
+    let c = m.codes.(st.cur.ri) in
+    let r = m.table.(c) in
+    if r <> unknown then r
+    else begin
+      st.stats.key_probes <- st.stats.key_probes + 1;
+      let r = find index drow dcols in
+      m.table.(c) <- r;
+      r
+    end
+  | _ ->
+    st.stats.key_probes <- st.stats.key_probes + 1;
+    find index drow dcols
+
 (* Offer the cursor's detail row [drow] to one plan: every base tuple
    that satisfies its condition (and, in a completion, is not settled)
    — or the one key group it matches — gets a [hit]. *)
@@ -424,9 +483,10 @@ let probe_plan st plan drow =
   if prefilter_passes plan drow then
     match plan.probe with
     | Probe_key { index; dcols } ->
-      let g = Index.find index drow dcols in
+      let g = lookup st plan Index.find index drow dcols in
       if g >= 0 then plan.hit g
-    | Probe_hash { index; dcols; candidate } -> Index.probe_row_iter index drow dcols candidate
+    | Probe_hash { index; dcols; candidate } ->
+      Index.iter_entry index (lookup st plan Index.find_entry index drow dcols) candidate
     | Probe_all { test } -> (
       let base_rows = st.base_rows in
       match st.verdicts with
@@ -480,6 +540,9 @@ let probe_rows st buf lo hi =
    aggregates over the chunk's matches. *)
 let feed ~mode st chunk =
   st.cur.mode <- mode;
+  Array.iter (attach chunk) st.kill_plans;
+  Array.iter (attach chunk) st.fired_plans;
+  Array.iter (fun b -> attach chunk b.plan) st.blocks;
   let lo = Chunk.offset chunk in
   let hi = lo + Chunk.length chunk in
   (match st.verdicts with
@@ -626,6 +689,7 @@ let eval ?(strategy = `Hash) ?stats ?completion ~domains ~base detail blocks =
         if i > 0 then merge ~into:merged st;
         owned.detail_scanned <- owned.detail_scanned + st.stats.detail_scanned;
         owned.theta_evals <- owned.theta_evals + st.stats.theta_evals;
+        owned.key_probes <- owned.key_probes + st.stats.key_probes;
         Array.iteri
           (fun block_i n -> owned.block_updates.(block_i) <- owned.block_updates.(block_i) + n)
           st.stats.block_updates)
@@ -691,10 +755,13 @@ module Maintain = struct
     (* A dry run first: the delta's matches are probed and checked, and
        only the statistics move — put back before the real pass. *)
     let stats = t.st.stats in
-    let scanned = stats.detail_scanned and updates = Array.copy stats.block_updates in
+    let scanned = stats.detail_scanned
+    and probes = stats.key_probes
+    and updates = Array.copy stats.block_updates in
     t.st.cur.exact <- true;
     feed ~mode:Check_retract t.st (Chunk.whole delta);
     stats.detail_scanned <- scanned;
+    stats.key_probes <- probes;
     stats.block_updates <- updates;
     if not t.st.cur.exact then
       invalid_arg

@@ -47,6 +47,11 @@ type stats = {
   mutable block_updates : int array;
       (** matched (detail row, base tuple) pairs per block, a key group
           counting its size (grown to the widest block list seen) *)
+  mutable key_probes : int;
+      (** base-index lookups of detail keys: one per detail row probed,
+          except that a probe on one key column whose chunk carries that
+          column's dictionary codes ({!Subql_relational.Chunk.codes}) looks
+          each code up once *)
 }
 
 val fresh_stats : unit -> stats
@@ -54,7 +59,7 @@ val fresh_stats : unit -> stats
 (** Every evaluation also publishes its pass / scanned-row / θ-count
     deltas to the process registry ({!Subql_obs.Metrics.default}) under
     ["gmdj.evals"], ["gmdj.detail_passes"], ["gmdj.detail_rows_scanned"],
-    ["gmdj.theta_evals"] and ["gmdj.early_exits"].  Per-pair θ counting
+    ["gmdj.theta_evals"], ["gmdj.key_probes"] and ["gmdj.early_exits"].  Per-pair θ counting
     stays opt-in (a [stats] record must be supplied) because it wraps
     the hottest predicate path; pass and row counts are always exact. *)
 

@@ -1,4 +1,12 @@
-type t = { schema : Schema.t; buffer : Tuple.t array; off : int; len : int }
+type codes = { dictionary : int; bound : int; codes : int array }
+
+type t = {
+  schema : Schema.t;
+  buffer : Tuple.t array;
+  off : int;
+  len : int;
+  coded : codes option array;  (** per column, or [||] when no column is coded *)
+}
 
 let default_rows = 1024
 
@@ -6,9 +14,21 @@ let of_array ?(off = 0) ?len schema buffer =
   let len = match len with Some l -> l | None -> Array.length buffer - off in
   if off < 0 || len < 0 || off + len > Array.length buffer then
     invalid_arg "Chunk.of_array: range out of bounds";
-  { schema; buffer; off; len }
+  { schema; buffer; off; len; coded = [||] }
 
-let of_rows schema rows = { schema; buffer = rows; off = 0; len = Array.length rows }
+let of_rows schema rows = { schema; buffer = rows; off = 0; len = Array.length rows; coded = [||] }
+
+let with_codes coded c =
+  if Array.length coded <> Schema.arity c.schema then invalid_arg "Chunk.with_codes: arity mismatch";
+  Array.iter
+    (function
+      | Some k when Array.length k.codes <> Array.length c.buffer ->
+        invalid_arg "Chunk.with_codes: codes not aligned with the buffer"
+      | _ -> ())
+    coded;
+  { c with coded }
+
+let codes c i = if Array.length c.coded = 0 then None else c.coded.(i)
 
 let whole r = of_rows (Relation.schema r) (Relation.rows r)
 
@@ -107,7 +127,7 @@ module Source = struct
           if !pos >= n then None
           else begin
             let len = min chunk_rows (n - !pos) in
-            let c = { schema; buffer = rows; off = !pos; len } in
+            let c = { schema; buffer = rows; off = !pos; len; coded = [||] } in
             pos := !pos + len;
             Some c
           end)

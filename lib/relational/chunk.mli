@@ -12,6 +12,16 @@
 
 type t
 
+(** The codes of one dictionary-coded column, as a heap-file scan
+    decodes them: equal codes under one [dictionary] are equal values,
+    so a consumer may key per-value work by code instead of hashing the
+    value. *)
+type codes = {
+  dictionary : int;  (** identity of the dictionary the codes index *)
+  bound : int;  (** every code is below it *)
+  codes : int array;  (** one per row of the backing buffer, aligned with it *)
+}
+
 val default_rows : int
 (** Rows per chunk when a relation is sliced ([1024]). *)
 
@@ -21,6 +31,16 @@ val of_array : ?off:int -> ?len:int -> Schema.t -> Tuple.t array -> t
 
 val of_rows : Schema.t -> Tuple.t array -> t
 (** The whole array as one chunk. *)
+
+val with_codes : codes option array -> t -> t
+(** The chunk carrying, per column, the codes of its cells.  Chunks
+    carry no codes unless given them here; {!with_schema} keeps them,
+    and every operator that builds new rows drops them.
+    @raise Invalid_argument unless there is one entry per column and
+    every code array is as long as the backing buffer. *)
+
+val codes : t -> int -> codes option
+(** The codes of column [i], if the chunk carries them. *)
 
 val whole : Relation.t -> t
 (** A relation's rows as one chunk (zero-copy). *)
@@ -41,7 +61,8 @@ val get : t -> int -> Tuple.t
 (** @raise Invalid_argument if the index is out of bounds. *)
 
 val with_schema : Schema.t -> t -> t
-(** Re-label the rows (e.g. alias renaming) without copying.
+(** Re-label the rows (e.g. alias renaming) without copying; the codes
+    stay.
     @raise Invalid_argument on arity mismatch. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit

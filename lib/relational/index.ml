@@ -168,14 +168,13 @@ let keys t =
     out
   end
 
-let probe_row_iter t row cols f =
-  let e = find_entry t row cols in
-  if e >= 0 then begin
-    let j = ref e in
-    while !j >= 0 do
-      f !j;
-      j := t.next.(!j)
-    done
-  end
+let iter_entry t e f =
+  let j = ref e in
+  while !j >= 0 do
+    f !j;
+    j := t.next.(!j)
+  done
+
+let probe_row_iter t row cols f = iter_entry t (find_entry t row cols) f
 
 let cardinality t = t.groups

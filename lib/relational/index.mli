@@ -36,6 +36,15 @@ val find_or_add : t -> Tuple.t -> int
 (** A growing index's group for [row]'s key, inserted last when new —
     only then is the key projected out of [row] (or [row] kept whole). *)
 
+val find_entry : t -> Tuple.t -> int array -> int
+(** [find_entry idx row cols] is the entry of a built index under which
+    the rows whose key equals [row]'s at [cols] are chained, or [-1]:
+    what {!probe_row_iter} walks, found once. *)
+
+val iter_entry : t -> int -> (int -> unit) -> unit
+(** [iter_entry idx e f] calls [f] on every row position chained under
+    entry [e] of a built index, in order; nothing for [-1]. *)
+
 val probe_row_iter : t -> Tuple.t -> int array -> (int -> unit) -> unit
 (** [probe_row_iter idx row cols f] calls [f] on every row position of
     a built index whose key equals [row]'s at [cols], in order. *)

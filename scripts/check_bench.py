@@ -127,14 +127,20 @@ GATES = {
                 msg="BENCH_exec.json has no GROUP BY vs GMDJ timing (group_by_vs_gmdj.ratio)"),
             row("group_by_vs_gmdj.ratio", "<=", const(1.2),
                 "GROUP BY took {value:.2f}x the GMDJ fold over the same rows (limit 1.2x)"),
+            row("keyed_probes.verified", "true",
+                msg="the Fig. 3 fold over the Flow heap file disagrees with the in-memory fold"),
+            row("keyed_probes.key_probes", "<=", key("keyed_probes.bound"),
+                "the Fig. 3 fold made {value} key probes, over the {limit:.0f} distinct codes + "
+                "pages of its Flow heap file: it looked up rows, not codes"),
         ],
         summary=lambda f, b: (
             "BENCH_exec.json: verified, peak %d rows (2x detail: %d), page reads %d chained / "
             "%d coalesced, θ-evals <= detail rows <= |I| + |J| on %d template runs, "
-            "GROUP BY %.1f ms = %.2fx the GMDJ fold"
+            "GROUP BY %.1f ms = %.2fx the GMDJ fold, Fig. 3 fold %d key probes <= %d"
             % (f["peak_rows"], f["peak_rows_2x"], f["chained_page_reads"],
                f["coalesced_page_reads"], len(f["theta_counts"]),
-               f["group_by_vs_gmdj"]["group_by_ms"], f["group_by_vs_gmdj"]["ratio"])
+               f["group_by_vs_gmdj"]["group_by_ms"], f["group_by_vs_gmdj"]["ratio"],
+               f["keyed_probes"]["key_probes"], f["keyed_probes"]["bound"])
         ),
     ),
     "par": dict(

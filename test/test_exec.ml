@@ -617,6 +617,156 @@ let test_pruned_heap_scans_agree () =
       ("double NOT EXISTS", double_not_exists, [ [ 2 ]; [ 3 ] ]);
     ]
 
+(* --- Dictionary-coded string keys ------------------------------------ *)
+
+module N = Subql_nested.Nested_ast
+
+(* A string key with NULLs, an empty string and values only one side
+   has: B(k, q) probes D(k, v). *)
+let coded_key ?(prefix = "key") i =
+  if i mod 9 = 0 then Value.Null
+  else if i mod 13 = 0 then Value.Str ""
+  else Value.Str (Printf.sprintf "%s-%02d" prefix (i mod 37))
+
+(* [n] rows of D, their keys named [prefix]; B's keys include some of
+   the "late" ones too. *)
+let coded_catalog ?(from = 0) ?prefix n =
+  let schema name cols = Schema.of_list (List.map (fun (c, ty) -> Schema.attr ~rel:name c ty) cols) in
+  let d =
+    Relation.create
+      (schema "D" [ ("k", Value.Tstring); ("v", Value.Tint) ])
+      (Array.init n (fun i ->
+           [| coded_key ?prefix ((7 * (from + i)) + 3); Value.Int ((from + i) mod 50) |]))
+  in
+  let b =
+    Relation.create
+      (schema "B" [ ("k", Value.Tstring); ("q", Value.Tint) ])
+      (Array.init 60 (fun i ->
+           [| coded_key ?prefix:(if i mod 5 = 4 then Some "late" else None) (i * 2); Value.Int (i * 700) |]))
+  in
+  Catalog.of_list [ ("B", b); ("D", d) ]
+
+(* Keyed folds under [=] and [<=>]: a keyed SUM (one probe per detail
+   row, or per code), EXISTS (a completion's candidate walk) and NOT
+   EXISTS (a kill). *)
+let coded_queries =
+  let dk = Expr.attr ~rel:"d" "k" and bk = Expr.attr ~rel:"b" "k" in
+  let q where = N.query ~base:(N.table "B") ~alias:"b" where in
+  List.concat_map
+    (fun (op, key) ->
+      [
+        ( "sum " ^ op,
+          q
+            (N.agg_cmp (Expr.attr ~rel:"b" "q") Expr.Lt
+               (Aggregate.Sum (Expr.attr ~rel:"d" "v"))
+               ~where:(N.atom key) (N.table "D") "d") );
+        ("exists " ^ op, q (N.exists ~where:(N.atom key) (N.table "D") "d"));
+        ("not-exists " ^ op, q (N.not_exists ~where:(N.atom key) (N.table "D") "d"));
+      ])
+    [ ("=", Expr.eq dk bk); ("<=>", Expr.Null_safe_eq (dk, bk)) ]
+
+let coded_modes =
+  List.concat_map
+    (fun domains ->
+      List.concat_map
+        (fun gmdj_strategy ->
+          List.map
+            (fun spill_budget_rows ->
+              { Subql.Eval.default_config with domains; gmdj_strategy; spill_budget_rows })
+            [ None; Some 16 ])
+        [ `Scan; `Hash ])
+    [ 1; 2 ]
+
+let mode_name (c : Subql.Eval.config) =
+  Printf.sprintf "%d domains, %s, budget %s" c.Subql.Eval.domains
+    (match c.Subql.Eval.gmdj_strategy with `Scan -> "scan" | `Hash -> "hash")
+    (match c.Subql.Eval.spill_budget_rows with Some b -> string_of_int b | None -> "none")
+
+let with_coded_file ?page_size rel f =
+  let path = Filename.temp_file "subql_coded" ".heap" in
+  let hf = Heap_file.write ~path ?page_size rel in
+  Fun.protect
+    ~finally:(fun () ->
+      Heap_file.close hf;
+      Sys.remove path)
+    (fun () -> f path hf)
+
+(* D on a heap file, its key column dictionary-coded, against the naive
+   oracle over the same rows: in memory and off the file, in every
+   mode.  Off the file at one domain under the hash strategy, a keyed
+   fold looks each code up once per scan. *)
+let test_coded_keys_agree_with_oracle () =
+  let catalog = coded_catalog 2000 in
+  with_coded_file ~page_size:1024 (Catalog.find catalog "D") (fun _path hf ->
+      let pool = Subql_storage.Buffer_pool.create ~frames:4 in
+      let sources name = if name = "D" then Some (Heap_file.source hf ~pool) else None in
+      List.iter
+        (fun (name, q) ->
+          let p = plan q in
+          let oracle = Subql_nested.Naive_eval.eval catalog q in
+          List.iter
+            (fun config ->
+              Helpers.check_multiset_equal
+                (Printf.sprintf "%s in memory: %s" name (mode_name config))
+                oracle (Subql.Eval.eval ~config catalog p);
+              let stats = Subql_gmdj.Gmdj.fresh_stats () in
+              Helpers.check_multiset_equal
+                (Printf.sprintf "%s off a heap file: %s" name (mode_name config))
+                oracle
+                (fst (Subql.Eval.eval_exec ~config ~gmdj_stats:stats ~sources catalog p));
+              if config.Subql.Eval.domains = 1 && config.Subql.Eval.gmdj_strategy = `Hash then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: %d key probes for %d coded rows" name
+                     stats.Subql_gmdj.Gmdj.key_probes stats.Subql_gmdj.Gmdj.detail_scanned)
+                  true
+                  (stats.Subql_gmdj.Gmdj.key_probes <= 40 + Heap_file.pages hf))
+            coded_modes)
+        coded_queries)
+
+(* Two file histories.  A source created before an append that rewrote
+   its last page — now holding codes its snapshot never saw — still
+   reads its own rows; and a file reopened after an append reads every
+   row, its dictionary loaded from its pages. *)
+let test_coded_file_histories () =
+  let before = coded_catalog 700
+  and appended = Catalog.find (coded_catalog ~from:700 ~prefix:"late" 500) "D" in
+  let after =
+    Catalog.of_list
+      [
+        ("B", Catalog.find before "B");
+        ( "D",
+          Relation.create (Relation.schema appended)
+            (Array.append (Relation.rows (Catalog.find before "D")) (Relation.rows appended)) );
+      ]
+  in
+  List.iter
+    (fun (name, q) ->
+      let p = plan q in
+      with_coded_file ~page_size:512 (Catalog.find before "D") (fun path hf ->
+          let pool = Subql_storage.Buffer_pool.create ~frames:4 in
+          let snapshot = Heap_file.source hf ~pool in
+          Heap_file.append hf (Relation.rows appended);
+          Helpers.check_multiset_equal
+            (name ^ ": a snapshot taken before the append")
+            (Subql_nested.Naive_eval.eval before q)
+            (fst
+               (Subql.Eval.eval_exec
+                  ~sources:(fun t -> if t = "D" then Some snapshot else None)
+                  before p));
+          let reopened = Heap_file.openfile ~path ~schema:(Heap_file.schema hf) () in
+          Fun.protect
+            ~finally:(fun () -> Heap_file.close reopened)
+            (fun () ->
+              Helpers.check_multiset_equal
+                (name ^ ": the file reopened after the append")
+                (Subql_nested.Naive_eval.eval after q)
+                (fst
+                   (Subql.Eval.eval_exec
+                      ~sources:(fun t ->
+                        if t = "D" then Some (Heap_file.source reopened ~pool) else None)
+                      after p)))))
+    coded_queries
+
 (* ------------------------------------------------------------------ *)
 (* GROUP BY with aggregates against an oracle that does not use         *)
 (* [Aggregate]                                                          *)
@@ -961,6 +1111,10 @@ let () =
             test_heap_streaming_bounded;
           Alcotest.test_case "pruned heap-file scans = in-memory, every mode" `Quick
             test_pruned_heap_scans_agree;
+          Alcotest.test_case "coded string keys = oracle, every mode" `Quick
+            test_coded_keys_agree_with_oracle;
+          Alcotest.test_case "coded keys across appends and a reopen" `Quick
+            test_coded_file_histories;
         ] );
       ( "overrides",
         [
