@@ -90,15 +90,15 @@ let output_schema ~base ~detail blocks =
 (* θ-plans                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The detail row being folded and where it sits in its chunk's buffer,
-   read by every plan's match callback, so that probing a row allocates
-   no closure.  [mode] says whether the detail rows are folded in, taken
-   back out, or only checked for an exact retraction, which clears
-   [exact] when one would not be. *)
+(* The detail row being folded, its chunk and where it sits in the
+   chunk's buffer, read by every plan's match callback, so that probing
+   a row allocates no closure.  [mode] says whether the detail rows are
+   folded in, taken back out, or only checked for an exact retraction,
+   which clears [exact] when one would not be. *)
 type mode = Insert | Retract | Check_retract
 
 type cursor = {
-  mutable buf : Tuple.t array;
+  mutable chunk : Chunk.t;
   mutable ri : int;
   mutable drow : Tuple.t;
   mutable mode : mode;
@@ -117,7 +117,9 @@ type cursor = {
    - [hit] records a match with the cursor's detail row: base tuple
      [bi], or, for [Probe_key], the key's group in the index;
    - [memo], for an index probe on one key column, keeps the index's
-     answer per dictionary code of that column. *)
+     answer per dictionary code of that column; a [Probe_key] plan with
+     no prefilter folds a chunk whose key column is coded by its codes
+     alone ([fold_by_code]). *)
 type plan = {
   prefilter : (Tuple.t -> bool) option;
   probe : probe;
@@ -134,15 +136,15 @@ and probe =
     }
   | Probe_all of { test : Tuple.t -> Tuple.t -> bool }
 
-(* When a chunk carries the codes of the key column [col], a row's
-   index lookup is the one made for the first row with its code: [table]
-   holds it per code of [dictionary] ([unknown] until then), and [codes]
-   are the current chunk's ([||] when it carries none). *)
+(* When a chunk's key column [col] is coded, a row's index lookup is
+   the one made for its code's value: [table] holds it per code of
+   [dictionary] ([unknown] until then), and [coded] are the current
+   chunk's codes ([None] when its key column has none). *)
 and memo = {
   col : int;
   mutable dictionary : int;
   mutable table : int array;
-  mutable codes : int array;
+  mutable coded : Chunk.codes option;
 }
 
 let unknown = -2
@@ -213,7 +215,7 @@ let make_plan ~strategy ~stats ~bs ~ds ~base_rows ~cur ~settled ~keyed theta hit
   let memo =
     match probe with
     | (Probe_key { dcols; _ } | Probe_hash { dcols; _ }) when Array.length dcols = 1 ->
-      Some { col = dcols.(0); dictionary = -1; table = [||]; codes = [||] }
+      Some { col = dcols.(0); dictionary = -1; table = [||]; coded = None }
     | _ -> None
   in
   { prefilter; probe; hit; memo }
@@ -288,7 +290,15 @@ exception Scan_done
    and no completion checks [alive] — a θ-key group of the base, so a
    detail row costs one probe and one update.  [slot_of bi] is base
    tuple [bi]'s slot. *)
-type block_fold = { plan : plan; states : Aggregate.states; slot_of : int -> int; flush : unit -> unit }
+type block_fold = {
+  index : int;  (** the block's place in the list, for [block_updates] *)
+  plan : plan;
+  states : Aggregate.states;
+  pairs : Aggregate.pairs;
+  sizes : int array;  (** a keyed block's base tuples per slot; [||] when a slot is one *)
+  slot_of : int -> int;
+  flush : unit -> unit;
+}
 
 (* One in-flight evaluation on one domain: compiled θ-plans, one
    aggregate store per block and, for a completion (Section 4.2), the
@@ -345,7 +355,7 @@ let block_fold ~mk ~stats ~cur ~verdicts ~bs ~ds ~base_rows block_i b =
   in
   let hit = match verdicts with None -> push | Some v -> fun bi -> if v.alive.(bi) then push bi in
   let plan = mk ~keyed:(detail_only && Option.is_none verdicts) b.theta hit in
-  let slots, outer, slot_of =
+  let slots, outer, slot_of, sizes =
     match plan.probe with
     | Probe_key { index; _ } ->
       (* One slot per group, and a last one that stays at the identity
@@ -355,18 +365,18 @@ let block_fold ~mk ~stats ~cur ~verdicts ~bs ~ds ~base_rows block_i b =
       let sizes = Array.make (groups + 1) 0 in
       Array.iteri (fun bi _ -> sizes.(slot_of bi) <- sizes.(slot_of bi) + 1) base_rows;
       (weight := fun g -> sizes.(g));
-      (groups + 1, [||], slot_of)
-    | Probe_hash _ | Probe_all _ -> (Array.length base_rows, base_rows, Fun.id)
+      (groups + 1, [||], slot_of, sizes)
+    | Probe_hash _ | Probe_all _ -> (Array.length base_rows, base_rows, Fun.id, [||])
   in
   let states = Aggregate.states (compile_block ~bs ~ds b) ~slots in
   (flush :=
      fun () ->
        match cur.mode with
-       | Insert -> Aggregate.fold_pairs ~retract:false states ~outer cur.buf pairs
-       | Retract -> Aggregate.fold_pairs ~retract:true states ~outer cur.buf pairs
+       | Insert -> Aggregate.fold_pairs ~retract:false states ~outer cur.chunk pairs
+       | Retract -> Aggregate.fold_pairs ~retract:true states ~outer cur.chunk pairs
        | Check_retract ->
-         if not (Aggregate.exact_retraction states ~outer cur.buf pairs) then cur.exact <- false);
-  { plan; states; slot_of; flush = !flush }
+         if not (Aggregate.exact_retraction states ~outer cur.chunk pairs) then cur.exact <- false);
+  { index = block_i; plan; states; pairs; sizes; slot_of; flush = !flush }
 
 let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
   let stats = fresh_stats () in
@@ -374,7 +384,9 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
   let bs = Relation.schema base and ds = detail_schema in
   let base_rows = Relation.rows base in
   let n_base = Array.length base_rows in
-  let cur = { buf = [||]; ri = 0; drow = Tuple.empty; mode = Insert; exact = true } in
+  let cur =
+    { chunk = Chunk.of_rows bs [||]; ri = 0; drow = Tuple.empty; mode = Insert; exact = true }
+  in
   let maintain_aggregates =
     match completion with None -> true | Some c -> c.maintain_aggregates
   in
@@ -443,38 +455,72 @@ let start ~strategy ~theta ?completion ~base ~detail_schema blocks =
     verdicts;
   }
 
-(* Point a plan's memo at the chunk's codes of its key column, starting
-   an empty table when they index another dictionary. *)
+(* Point a plan's memo at the chunk's codes of its key column,
+   starting an empty table when they index another dictionary. *)
 let attach chunk plan =
   match plan.memo with
   | None -> ()
   | Some m -> (
-    match Chunk.codes chunk m.col with
-    | None -> m.codes <- [||]
-    | Some k ->
+    match Chunk.column chunk m.col with
+    | Some (Chunk.Coded k) ->
       if k.Chunk.dictionary <> m.dictionary || Array.length m.table < k.Chunk.bound then begin
         m.dictionary <- k.Chunk.dictionary;
         m.table <- Array.make k.Chunk.bound unknown
       end;
-      m.codes <- k.Chunk.codes)
+      m.coded <- Some k
+    | _ -> m.coded <- None)
 
-(* [find index drow dcols], made once per code when the chunk carries
-   codes for the key column and once per row otherwise. *)
+let key0 = [| 0 |]
+
+(* [find index] of code [c]'s value, made once per code: a NULL's code
+   is looked up as NULL, which a null-safe key matches. *)
+let by_code st m find index (k : Chunk.codes) c =
+  let r = Array.unsafe_get m.table c in
+  if r <> unknown then r
+  else begin
+    st.stats.key_probes <- st.stats.key_probes + 1;
+    let v = if c = k.Chunk.bound - 1 then Value.Null else k.Chunk.values.(c) in
+    let r = find index [| v |] key0 in
+    m.table.(c) <- r;
+    r
+  end
+
+(* [find index drow dcols], made once per code when the chunk's key
+   column is coded and once per row otherwise. *)
 let lookup st plan find index drow dcols =
   match plan.memo with
-  | Some m when Array.length m.codes > 0 ->
-    let c = m.codes.(st.cur.ri) in
-    let r = m.table.(c) in
-    if r <> unknown then r
-    else begin
-      st.stats.key_probes <- st.stats.key_probes + 1;
-      let r = find index drow dcols in
-      m.table.(c) <- r;
-      r
-    end
+  | Some ({ coded = Some k; _ } as m) -> by_code st m find index k k.Chunk.codes.(st.cur.ri)
   | _ ->
     st.stats.key_probes <- st.stats.key_probes + 1;
     find index drow dcols
+
+(* A keyed block with no prefilter, when the chunk its memo is attached
+   to has its key column coded. *)
+let codable b =
+  match b.plan with
+  | { probe = Probe_key _; prefilter = None; memo = Some { coded = Some _; _ }; _ } -> true
+  | _ -> false
+
+(* A {!codable} block over the rows [lo, hi): every row's group, in one
+   loop over the codes, collected as the block's pairs with no row
+   built. *)
+let fold_by_code st b lo hi =
+  match b.plan with
+  | { probe = Probe_key { index; _ }; memo = Some ({ coded = Some k; _ } as m); _ } ->
+    (* [attach] sized the table past every code of the chunk. *)
+    let codes = k.Chunk.codes and table = m.table and sizes = b.sizes in
+    let updates = ref 0 in
+    for ri = lo to hi - 1 do
+      let c = codes.(ri) in
+      let g = Array.unsafe_get table c in
+      let g = if g = unknown then by_code st m Index.find index k c else g in
+      if g >= 0 then begin
+        updates := !updates + sizes.(g);
+        if Aggregate.add_pair b.pairs ri g then b.flush ()
+      end
+    done;
+    st.stats.block_updates.(b.index) <- st.stats.block_updates.(b.index) + !updates
+  | _ -> invalid_arg "Gmdj.fold_by_code: the block cannot fold by code"
 
 (* Offer the cursor's detail row [drow] to one plan: every base tuple
    that satisfies its condition (and, in a completion, is not settled)
@@ -518,11 +564,12 @@ let compact v =
     v.settled_at_compact <- v.n_settled
   end
 
-(* Phase 1 over the rows [lo, hi) of [buf]: verdicts are decided row by
-   row, and every block plan's matches collect in its pairs. *)
-let probe_rows st buf lo hi =
+(* Phase 1 over the rows [lo, hi) of the cursor's chunk, built now if
+   they were not: verdicts are decided row by row, and the plan matches
+   of [blocks] collect in their pairs. *)
+let probe_rows st blocks lo hi =
   let cur = st.cur in
-  cur.buf <- buf;
+  let buf = Chunk.buffer cur.chunk in
   for ri = lo to hi - 1 do
     let drow = buf.(ri) in
     st.stats.detail_scanned <- st.stats.detail_scanned + 1;
@@ -530,26 +577,38 @@ let probe_rows st buf lo hi =
     cur.drow <- drow;
     probe_plans st st.kill_plans drow;
     probe_plans st st.fired_plans drow;
-    for b = 0 to Array.length st.blocks - 1 do
-      probe_plan st st.blocks.(b).plan drow
+    for b = 0 to Array.length blocks - 1 do
+      probe_plan st blocks.(b).plan drow
     done;
     Option.iter compact st.verdicts
   done
 
 (* Fold one chunk: phase 1, then phase 2 — every block steps its
-   aggregates over the chunk's matches. *)
+   aggregates over the chunk's matches.  Without verdicts, a block that
+   can fold by code does, and the chunk's rows are built only for the
+   others. *)
 let feed ~mode st chunk =
   st.cur.mode <- mode;
+  st.cur.chunk <- chunk;
   Array.iter (attach chunk) st.kill_plans;
   Array.iter (attach chunk) st.fired_plans;
   Array.iter (fun b -> attach chunk b.plan) st.blocks;
   let lo = Chunk.offset chunk in
   let hi = lo + Chunk.length chunk in
   (match st.verdicts with
-  | None -> probe_rows st (Chunk.buffer chunk) lo hi
+  | None when Array.exists codable st.blocks -> (
+    let by_row = ref [] in
+    for i = Array.length st.blocks - 1 downto 0 do
+      let b = st.blocks.(i) in
+      if codable b then fold_by_code st b lo hi else by_row := b :: !by_row
+    done;
+    match !by_row with
+    | [] -> st.stats.detail_scanned <- st.stats.detail_scanned + (hi - lo)
+    | blocks -> probe_rows st (Array.of_list blocks) lo hi)
+  | None -> probe_rows st st.blocks lo hi
   | Some v ->
     if not v.saturated then begin
-      try probe_rows st (Chunk.buffer chunk) lo hi
+      try probe_rows st st.blocks lo hi
       with Scan_done ->
         v.saturated <- true;
         st.stats.early_exit <- true

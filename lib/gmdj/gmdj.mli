@@ -49,9 +49,11 @@ type stats = {
           counting its size (grown to the widest block list seen) *)
   mutable key_probes : int;
       (** base-index lookups of detail keys: one per detail row probed,
-          except that a probe on one key column whose chunk carries that
-          column's dictionary codes ({!Subql_relational.Chunk.codes}) looks
-          each code up once *)
+          except that a probe on one key column whose chunk holds that
+          column's dictionary codes ({!Subql_relational.Chunk.Coded}) looks
+          each code's value up once.  A keyed block with no detail-only
+          conjunct then folds such a chunk by its codes and column
+          vectors alone, building none of its rows *)
 }
 
 val fresh_stats : unit -> stats

@@ -188,9 +188,9 @@ let[@inline] to_float = function
    what folding the rest afresh would — while it has taken only [Int]s
    of magnitude at most 2^31 into at most 2^22 live values.  [n] is the
    count after the value. *)
-let[@inline] exact_term n = function
-  | Value.Int i -> i <= 1 lsl 31 && i >= -(1 lsl 31) && n <= 1 lsl 22
-  | _ -> false
+let[@inline] exact_int n i = i <= 1 lsl 31 && i >= -(1 lsl 31) && n <= 1 lsl 22
+
+let[@inline] exact_term n = function Value.Int i -> exact_int n i | _ -> false
 
 let sum_value col s = match col.values.(s) with Value.Null -> Value.Int col.ints.(s) | v -> v
 
@@ -270,44 +270,81 @@ let add_pair p row slot =
   p.n <- p.n + 1;
   p.n = Array.length p.rows
 
-(* Pair [i]'s argument for [col]: a bare column in place, anything else
-   in the context of its row innermost and, unless [outer] is empty,
-   its slot's outer row in frame 0. *)
-let arg_at t ~outer buf p i col =
+(* Pair [i]'s argument for [col], read per chunk: a bare column from
+   the chunk's vector when it has one, else in place in its row;
+   anything else in the context of its row innermost and, unless
+   [outer] is empty, its slot's outer row in frame 0. *)
+let arg_reader t ~outer chunk p col =
   match col.c.read with
-  | Column c -> buf.(p.rows.(i)).(c)
+  | Column c -> (
+    match Chunk.column chunk c with
+    | Some v -> fun i -> Chunk.cell v p.rows.(i)
+    | None ->
+      let buf = Chunk.buffer chunk in
+      fun i -> buf.(p.rows.(i)).(c))
   | No_arg | Eval _ ->
-    t.ctx.(col.c.inner) <- buf.(p.rows.(i));
-    if Array.length outer > 0 then t.ctx.(0) <- outer.(p.pslots.(i));
-    read col t.ctx
+    let buf = Chunk.buffer chunk in
+    fun i ->
+      t.ctx.(col.c.inner) <- buf.(p.rows.(i));
+      if Array.length outer > 0 then t.ctx.(0) <- outer.(p.pslots.(i));
+      read col t.ctx
+
+(* An [Int] cell [x] into SUM's unboxed sum while its slot has seen
+   only [Int]s. *)
+let[@inline] add_int col s x =
+  if col.values.(s) == Value.Null then begin
+    col.ints.(s) <- col.ints.(s) + x;
+    col.counts.(s) <- col.counts.(s) + 1
+  end
+  else fold_in col s (Value.Int x)
 
 (* Each column in one loop over the pairs, chosen by its kind's shape
-   and argument: an [Int] read in place adds into SUM's unboxed sum
-   while the slot has seen only [Int]s, and an [Int] or [Float] into
-   AVG's; everything else — and every retraction — goes value by
-   value. *)
-let fold_pairs ~retract t ~outer buf p =
+   and argument: an [Int] read from an int vector or in place adds into
+   SUM's unboxed sum while the slot has seen only [Int]s, and an [Int]
+   (or, in place, a [Float]) into AVG's; everything else — and every
+   retraction — goes value by value. *)
+let fold_pairs ~retract t ~outer chunk p =
   let rows = p.rows and slots = p.pslots in
   Array.iter
     (fun col ->
       let counts = col.counts in
-      match retract, col.kind.shape, col.c.read with
-      | false, Rows, _ ->
+      let vector = match col.c.read with Column c -> Chunk.column chunk c | _ -> None in
+      match retract, col.kind.shape, col.c.read, vector with
+      | false, Rows, _, _ ->
         for i = 0 to p.n - 1 do
           counts.(slots.(i)) <- counts.(slots.(i)) + 1
         done
-      | false, Int_sum, Column c ->
-        let ints = col.ints and values = col.values in
-        for i = 0 to p.n - 1 do
-          let s = slots.(i) in
-          match buf.(rows.(i)).(c), values.(s) with
-          | Value.Int x, Value.Null ->
-            ints.(s) <- ints.(s) + x;
-            counts.(s) <- counts.(s) + 1
-          | v, _ -> fold_in col s v
-        done
-      | false, Float_sum, Column c ->
+      | false, Int_sum, Column _, Some (Chunk.Ints { ints; nulls }) ->
+        if Bytes.length nulls = 0 then
+          for i = 0 to p.n - 1 do
+            add_int col slots.(i) ints.(rows.(i))
+          done
+        else
+          for i = 0 to p.n - 1 do
+            let r = rows.(i) in
+            if not (Chunk.null_at nulls r) then add_int col slots.(i) ints.(r)
+          done
+      | false, Float_sum, Column _, Some (Chunk.Ints { ints; nulls }) ->
         let floats = col.floats in
+        for i = 0 to p.n - 1 do
+          let r = rows.(i) in
+          if not (Chunk.null_at nulls r) then begin
+            let s = slots.(i) and x = ints.(r) in
+            let n = counts.(s) + 1 in
+            floats.(s) <- floats.(s) +. float_of_int x;
+            counts.(s) <- n;
+            if not (exact_int n x) then col.inexact.(s) <- true
+          end
+        done
+      | false, Int_sum, Column c, None ->
+        let buf = Chunk.buffer chunk in
+        for i = 0 to p.n - 1 do
+          match buf.(rows.(i)).(c) with
+          | Value.Int x -> add_int col slots.(i) x
+          | v -> fold_in col slots.(i) v
+        done
+      | false, Float_sum, Column c, None ->
+        let buf = Chunk.buffer chunk and floats = col.floats in
         for i = 0 to p.n - 1 do
           let s = slots.(i) in
           match buf.(rows.(i)).(c) with
@@ -317,13 +354,15 @@ let fold_pairs ~retract t ~outer buf p =
             if not (exact_term counts.(s) v) then col.inexact.(s) <- true
           | v -> fold_in col s v
         done
-      | false, _, _ ->
+      | false, _, _, _ ->
+        let arg = arg_reader t ~outer chunk p col in
         for i = 0 to p.n - 1 do
-          fold_in col slots.(i) (arg_at t ~outer buf p i col)
+          fold_in col slots.(i) (arg i)
         done
-      | true, shape, _ ->
+      | true, shape, _, _ ->
+        let arg = arg_reader t ~outer chunk p col in
         for i = 0 to p.n - 1 do
-          let s = slots.(i) and v = arg_at t ~outer buf p i col in
+          let s = slots.(i) and v = arg i in
           if (match shape with Rows -> true | _ -> not (Value.is_null v)) then begin
             unfold col s v;
             counts.(s) <- counts.(s) - 1
@@ -332,10 +371,11 @@ let fold_pairs ~retract t ~outer buf p =
     t.cols;
   p.n <- 0
 
-let exact_retraction t ~outer buf p =
+let exact_retraction t ~outer chunk p =
   let exact = ref true in
   Array.iter
     (fun col ->
+      let arg = arg_reader t ~outer chunk p col in
       for i = 0 to p.n - 1 do
         let s = p.pslots.(i) in
         match col.kind.shape with
@@ -343,9 +383,9 @@ let exact_retraction t ~outer buf p =
         | Boxed _ -> exact := false
         | Int_sum -> (
           if col.values.(s) != Value.Null then exact := false;
-          match arg_at t ~outer buf p i col with Value.Int _ | Value.Null -> () | _ -> exact := false)
+          match arg i with Value.Int _ | Value.Null -> () | _ -> exact := false)
         | Float_sum ->
-          let v = arg_at t ~outer buf p i col in
+          let v = arg i in
           if col.inexact.(s) || not (v == Value.Null || exact_term 0 v) then exact := false
       done)
     t.cols;

@@ -105,27 +105,30 @@ val step : states -> int -> Tuple.t array -> unit
 
     A chunk's (row, slot) matches collect in a reused buffer; then each
     aggregate steps over them in one loop chosen by its kind and
-    argument, reading a bare column in place and adding [Int]s
-    unboxed. *)
+    argument, reading a bare column from the chunk's column vector when
+    it has one ({!Chunk.column}) and in place in its row otherwise, and
+    adding [Int]s unboxed.  A chunk's rows are built only for an
+    argument that is not a bare column. *)
 
 type pairs
 
 val pairs : unit -> pairs
 
 val add_pair : pairs -> int -> int -> bool
-(** [add_pair p row slot] records that the chunk buffer's row [row]
-    matches [slot]; [true] when [p] is now full and must be folded. *)
+(** [add_pair p row slot] records that the chunk's row at [row] of its
+    backing buffer ([Chunk.offset] + its index) matches [slot]; [true]
+    when [p] is now full and must be folded. *)
 
-val fold_pairs : retract:bool -> states -> outer:Tuple.t array -> Tuple.t array -> pairs -> unit
-(** [fold_pairs ~retract:false t ~outer buf p] folds the pairs of [p] in
-    order, as {!step} would with [buf.(row)] innermost and, unless
-    [outer] is empty, [outer.(slot)] as frame 0; then empties [p].
-    [~retract:true] takes them back out (view maintenance under
+val fold_pairs : retract:bool -> states -> outer:Tuple.t array -> Chunk.t -> pairs -> unit
+(** [fold_pairs ~retract:false t ~outer chunk p] folds the pairs of [p]
+    in order, as {!step} would with the chunk's row innermost and,
+    unless [outer] is empty, [outer.(slot)] as frame 0; then empties
+    [p].  [~retract:true] takes them back out (view maintenance under
     deletions); a slot whose count returns to zero reads NULL again.
     @raise Invalid_argument, possibly midway, when retracting an
     aggregate that is not {!retractable}. *)
 
-val exact_retraction : states -> outer:Tuple.t array -> Tuple.t array -> pairs -> bool
+val exact_retraction : states -> outer:Tuple.t array -> Chunk.t -> pairs -> bool
 (** Whether [fold_pairs ~retract:true] over the pairs of [p] would leave
     every slot as folding its remaining values afresh would; then
     empties [p], touching no state.  COUNT always retracts exactly.  A

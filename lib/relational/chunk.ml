@@ -1,12 +1,19 @@
-type codes = { dictionary : int; bound : int; codes : int array }
+type codes = { dictionary : int; bound : int; values : Value.t array; codes : int array }
 
-type t = {
-  schema : Schema.t;
-  buffer : Tuple.t array;
-  off : int;
-  len : int;
-  coded : codes option array;  (** per column, or [||] when no column is coded *)
-}
+type column =
+  | Coded of codes
+  | Ints of { ints : int array; nulls : Bytes.t }
+  | Floats of { floats : float array; nulls : Bytes.t }
+  | Cells of Value.t array
+
+(* A chunk holds rows, or column vectors whose rows are built the first
+   time they are asked for; a chunk and its {!with_schema} relabelling
+   share the vectors, and so build them at most once between them. *)
+type vectors = { columns : column array; mutable rows : Tuple.t array option }
+
+type data = Rows of Tuple.t array | Vectors of vectors
+
+type t = { schema : Schema.t; data : data; off : int; len : int }
 
 let default_rows = 1024
 
@@ -14,21 +21,109 @@ let of_array ?(off = 0) ?len schema buffer =
   let len = match len with Some l -> l | None -> Array.length buffer - off in
   if off < 0 || len < 0 || off + len > Array.length buffer then
     invalid_arg "Chunk.of_array: range out of bounds";
-  { schema; buffer; off; len; coded = [||] }
+  { schema; data = Rows buffer; off; len }
 
-let of_rows schema rows = { schema; buffer = rows; off = 0; len = Array.length rows; coded = [||] }
+let of_rows schema rows = { schema; data = Rows rows; off = 0; len = Array.length rows }
 
-let with_codes coded c =
-  if Array.length coded <> Schema.arity c.schema then invalid_arg "Chunk.with_codes: arity mismatch";
-  Array.iter
-    (function
-      | Some k when Array.length k.codes <> Array.length c.buffer ->
-        invalid_arg "Chunk.with_codes: codes not aligned with the buffer"
-      | _ -> ())
-    coded;
-  { c with coded }
+let column_length = function
+  | Coded k -> Array.length k.codes
+  | Ints { ints; _ } -> Array.length ints
+  | Floats { floats; _ } -> Array.length floats
+  | Cells a -> Array.length a
 
-let codes c i = if Array.length c.coded = 0 then None else c.coded.(i)
+let of_columns schema ~len columns =
+  if Array.length columns <> Schema.arity schema then invalid_arg "Chunk.of_columns: arity mismatch";
+  if len < 0 || Array.exists (fun c -> column_length c < len) columns then
+    invalid_arg "Chunk.of_columns: a column shorter than the chunk";
+  { schema; data = Vectors { columns; rows = None }; off = 0; len }
+
+let column c i = match c.data with Rows _ -> None | Vectors v -> Some v.columns.(i)
+
+let[@inline] null_at nulls r =
+  Bytes.length nulls > 0 && Char.code (Bytes.get nulls (r lsr 3)) land (1 lsl (r land 7)) <> 0
+
+(* Interned small ints: dimension keys and flag-like measures dominate
+   OLAP detail tables, so most [Int] cells can reuse a preallocated cell
+   instead of boxing a fresh [Value.Int] per row built.  [Value.t] is
+   immutable, so physical sharing is unobservable. *)
+let small_ints = Array.init 1024 (fun i -> Value.Int i)
+
+let[@inline] v_int v = if v >= 0 && v < 1024 then Array.unsafe_get small_ints v else Value.Int v
+
+let cell col r =
+  match col with
+  | Coded k ->
+    let c = k.codes.(r) in
+    if c = k.bound - 1 then Value.Null else k.values.(c)
+  | Ints { ints; nulls } -> if null_at nulls r then Value.Null else v_int ints.(r)
+  | Floats { floats; nulls } -> if null_at nulls r then Value.Null else Value.Float floats.(r)
+  | Cells a -> a.(r)
+
+let built = Atomic.make 0
+
+let rows_built () = Atomic.get built
+
+(* A row of [width] NULL cells.  [Array.make] is a C call; a literal
+   allocates inline, which matters once per row built. *)
+let[@inline] null_row width : Tuple.t =
+  match width with
+  | 0 -> [||]
+  | 1 -> [| Value.Null |]
+  | 2 -> [| Value.Null; Value.Null |]
+  | 3 -> [| Value.Null; Value.Null; Value.Null |]
+  | 4 -> [| Value.Null; Value.Null; Value.Null; Value.Null |]
+  | 5 -> [| Value.Null; Value.Null; Value.Null; Value.Null; Value.Null |]
+  | 6 -> [| Value.Null; Value.Null; Value.Null; Value.Null; Value.Null; Value.Null |]
+  | 7 -> [| Value.Null; Value.Null; Value.Null; Value.Null; Value.Null; Value.Null; Value.Null |]
+  | _ -> Array.make width Value.Null
+
+(* The rows of [len] cells of every column: each column fills its slot
+   of every row in one loop specialised to its kind, leaving NULLs as
+   the empty row has them. *)
+let build columns len =
+  let rows : Tuple.t array = Array.make len [||] in
+  let width = Array.length columns in
+  for r = 0 to len - 1 do
+    Array.unsafe_set rows r (null_row width)
+  done;
+  for s = 0 to width - 1 do
+    match columns.(s) with
+    | Coded { bound; values; codes; _ } ->
+      for r = 0 to len - 1 do
+        let c = Array.unsafe_get codes r in
+        if c <> bound - 1 then Array.unsafe_set (Array.unsafe_get rows r) s values.(c)
+      done
+    | Ints { ints; nulls } ->
+      if Bytes.length nulls = 0 then
+        for r = 0 to len - 1 do
+          Array.unsafe_set (Array.unsafe_get rows r) s (v_int (Array.unsafe_get ints r))
+        done
+      else
+        for r = 0 to len - 1 do
+          if not (null_at nulls r) then
+            Array.unsafe_set (Array.unsafe_get rows r) s (v_int (Array.unsafe_get ints r))
+        done
+    | Floats { floats; nulls } ->
+      for r = 0 to len - 1 do
+        if not (null_at nulls r) then
+          Array.unsafe_set (Array.unsafe_get rows r) s (Value.Float (Array.unsafe_get floats r))
+      done
+    | Cells a ->
+      for r = 0 to len - 1 do
+        Array.unsafe_set (Array.unsafe_get rows r) s (Array.unsafe_get a r)
+      done
+  done;
+  ignore (Atomic.fetch_and_add built len);
+  rows
+
+let buffer c =
+  match c.data with
+  | Rows b -> b
+  | Vectors ({ rows = Some b; _ }) -> b
+  | Vectors v ->
+    let b = build v.columns c.len in
+    v.rows <- Some b;
+    b
 
 let whole r = of_rows (Relation.schema r) (Relation.rows r)
 
@@ -38,13 +133,11 @@ let length c = c.len
 
 let is_empty c = c.len = 0
 
-let buffer c = c.buffer
-
 let offset c = c.off
 
 let get c i =
   if i < 0 || i >= c.len then invalid_arg "Chunk.get: index out of bounds";
-  c.buffer.(c.off + i)
+  (buffer c).(c.off + i)
 
 let with_schema schema c =
   if Schema.arity schema <> Schema.arity c.schema then
@@ -52,20 +145,22 @@ let with_schema schema c =
   { c with schema }
 
 let iter f c =
+  let buffer = buffer c in
   for i = c.off to c.off + c.len - 1 do
-    f c.buffer.(i)
+    f buffer.(i)
   done
 
 let fold f init c =
+  let buffer = buffer c in
   let acc = ref init in
   for i = c.off to c.off + c.len - 1 do
-    acc := f !acc c.buffer.(i)
+    acc := f !acc buffer.(i)
   done;
   !acc
 
 let to_rows c =
-  if c.off = 0 && c.len = Array.length c.buffer then c.buffer
-  else Array.sub c.buffer c.off c.len
+  let buffer = buffer c in
+  if c.off = 0 && c.len = Array.length buffer then buffer else Array.sub buffer c.off c.len
 
 let to_relation c = Relation.create ~check:false c.schema (to_rows c)
 
@@ -127,7 +222,7 @@ module Source = struct
           if !pos >= n then None
           else begin
             let len = min chunk_rows (n - !pos) in
-            let c = { schema; buffer = rows; off = !pos; len; coded = [||] } in
+            let c = { schema; data = Rows rows; off = !pos; len } in
             pos := !pos + len;
             Some c
           end)
@@ -184,7 +279,7 @@ module Source = struct
       r
     | None ->
       let out = Vec.create ~dummy:([||] : Tuple.t) () in
-      iter (fun c -> Vec.blit c.buffer c.off out (Vec.length out) c.len) s;
+      iter (fun c -> Vec.blit (buffer c) c.off out (Vec.length out) c.len) s;
       Relation.create ~check:false s.schema (Vec.to_array out)
 end
 

@@ -1,26 +1,41 @@
 (** Tuple batches and pull-based streams of them.
 
     A {!t} is a read-only window ([off], [len]) over a backing tuple
-    array, so slicing a relation or a decoded heap-file page into chunks
-    never copies rows.  A {!Source.t} is a pull-based stream of chunks —
-    the unit of work of the streaming executor: operators consume a
-    source chunk-at-a-time instead of materializing whole relations
-    between plan nodes.
+    array, so slicing a relation into chunks never copies rows.  A chunk
+    may instead hold its rows as column vectors, as a heap-file scan
+    decodes a page ({!of_columns}): its rows are then built from the
+    vectors the first time an operator asks for them ({!buffer}, {!get},
+    {!iter}, {!fold}, {!to_rows}), at most once per chunk, and a
+    consumer that reads the vectors ({!column}) builds none.  (Two
+    domains asking at once may each build them; the rows are equal.)  A
+    {!Source.t} is a pull-based stream of chunks — the unit of work of
+    the streaming executor: operators consume a source chunk-at-a-time
+    instead of materializing whole relations between plan nodes.
 
     Chunks alias their backing array; treat the rows as immutable, as
     with {!Relation.rows}. *)
 
 type t
 
-(** The codes of one dictionary-coded column, as a heap-file scan
-    decodes them: equal codes under one [dictionary] are equal values,
-    so a consumer may key per-value work by code instead of hashing the
-    value. *)
+(** The codes of one dictionary-coded column: equal codes under one
+    [dictionary] are equal values, so a consumer may key per-value work
+    by code instead of hashing the value. *)
 type codes = {
   dictionary : int;  (** identity of the dictionary the codes index *)
-  bound : int;  (** every code is below it *)
-  codes : int array;  (** one per row of the backing buffer, aligned with it *)
+  bound : int;  (** every code is below it; a NULL cell's code is [bound - 1] *)
+  values : Value.t array;  (** per code of a non-NULL cell, its value, shared *)
+  codes : int array;  (** one per row *)
 }
+
+(** One column of a vector chunk, a cell per row from row 0 (a vector
+    chunk's offset is 0, so its row [r] is also its buffer's); a NULL
+    bitmap ([nulls]) has bit [r] set when row [r] is NULL, and is empty
+    when no row is. *)
+type column =
+  | Coded of codes
+  | Ints of { ints : int array; nulls : Bytes.t }  (** a NULL cell holds 0 *)
+  | Floats of { floats : float array; nulls : Bytes.t }
+  | Cells of Value.t array  (** any other column, its cells as values *)
 
 val default_rows : int
 (** Rows per chunk when a relation is sliced ([1024]). *)
@@ -32,15 +47,25 @@ val of_array : ?off:int -> ?len:int -> Schema.t -> Tuple.t array -> t
 val of_rows : Schema.t -> Tuple.t array -> t
 (** The whole array as one chunk. *)
 
-val with_codes : codes option array -> t -> t
-(** The chunk carrying, per column, the codes of its cells.  Chunks
-    carry no codes unless given them here; {!with_schema} keeps them,
-    and every operator that builds new rows drops them.
-    @raise Invalid_argument unless there is one entry per column and
-    every code array is as long as the backing buffer. *)
+val of_columns : Schema.t -> len:int -> column array -> t
+(** The first [len] rows of the columns, one per attribute of the
+    schema, as a chunk whose rows are not built yet.  {!with_schema}
+    keeps the columns; every operator that builds new rows drops them.
+    @raise Invalid_argument on an arity mismatch or a column shorter
+    than [len]. *)
 
-val codes : t -> int -> codes option
-(** The codes of column [i], if the chunk carries them. *)
+val column : t -> int -> column option
+(** Column [i] of a vector chunk; [None] for a chunk of rows. *)
+
+val cell : column -> int -> Value.t
+(** Row [r]'s cell of a column, as the built row would hold it. *)
+
+val null_at : Bytes.t -> int -> bool
+(** Whether a NULL bitmap marks row [r]: never when it is empty. *)
+
+val rows_built : unit -> int
+(** Rows built from column vectors since the process started, over
+    every domain. *)
 
 val whole : Relation.t -> t
 (** A relation's rows as one chunk (zero-copy). *)
@@ -52,8 +77,9 @@ val length : t -> int
 val is_empty : t -> bool
 
 val buffer : t -> Tuple.t array
-(** The backing array — rows live at [offset .. offset + length - 1].
-    Exposed so hot accumulation loops (GMDJ) can index directly. *)
+(** The backing array — rows live at [offset .. offset + length - 1];
+    a vector chunk's rows, built now if they were not.  Exposed so hot
+    accumulation loops (GMDJ) can index directly. *)
 
 val offset : t -> int
 
@@ -61,8 +87,8 @@ val get : t -> int -> Tuple.t
 (** @raise Invalid_argument if the index is out of bounds. *)
 
 val with_schema : Schema.t -> t -> t
-(** Re-label the rows (e.g. alias renaming) without copying; the codes
-    stay.
+(** Re-label the rows (e.g. alias renaming) without copying; the
+    columns stay, shared with [t].
     @raise Invalid_argument on arity mismatch. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit

@@ -230,7 +230,7 @@ module Group_acc = struct
 
   let fold_chunk t ~capacity ~overflow chunk =
     let buf = Chunk.buffer chunk and lo = Chunk.offset chunk in
-    let flush () = Aggregate.fold_pairs ~retract:false t.states ~outer:[||] buf t.pairs in
+    let flush () = Aggregate.fold_pairs ~retract:false t.states ~outer:[||] chunk t.pairs in
     for ri = lo to lo + Chunk.length chunk - 1 do
       let row = buf.(ri) in
       let g = if size t < capacity then slot t row else Index.find t.index row t.key_idxs in

@@ -123,7 +123,7 @@ type plan = {
   schema : Schema.t;
   columns : column array;
   slots : int array;
-  width : int;
+  decoded : Schema.t;
   dicts : dict array;
 }
 
@@ -144,7 +144,7 @@ let plan_of_schema ?non_null schema =
     schema;
     columns;
     slots = Array.init arity Fun.id;
-    width = arity;
+    decoded = schema;
     dicts = Array.map (fun c -> if c.ty = Value.Tstring then dict () else no_dict) columns;
   }
 
@@ -157,7 +157,7 @@ let project plan keep =
         invalid_arg "Codec.project: positions must be strictly ascending and within the arity";
       slots.(c) <- k)
     keep;
-  { plan with slots; width = Array.length keep }
+  { plan with slots; decoded = Schema.project plan.schema keep }
 
 let column_name plan i = Schema.qualified_name (Schema.attr_at plan.schema i)
 
@@ -516,15 +516,6 @@ let v_true = Value.Bool true
 
 let v_false = Value.Bool false
 
-(* Interned small ints: dimension keys and flag-like measures dominate
-   OLAP detail tables, so most [Tint] cells can reuse a preallocated
-   cell instead of boxing a fresh [Value.Int] per decode.  [Value.t] is
-   immutable, so physical sharing is unobservable. *)
-let small_ints = Array.init 1024 (fun i -> Value.Int i)
-
-let[@inline] v_int v =
-  if v >= 0 && v < 1024 then Array.unsafe_get small_ints v else Value.Int v
-
 (* Raw native-endian 64-bit load: every segment is bounds-checked before
    its loop runs, and the primitive's unboxed result feeds
    [Int64.to_int]/[float_of_bits] without materializing a boxed [int64]. *)
@@ -539,20 +530,6 @@ let[@inline] get16_le bytes q =
   if Sys.big_endian then Bytes.get_uint16_le bytes q else unsafe_get16_ne bytes q
 
 let u32 page p = Int32.to_int (Bytes.get_int32_le page p) land 0xFFFF_FFFF
-
-(* A row of [width] NULL cells.  [Array.make] is a C call; a literal
-   allocates inline, which matters once per decoded row. *)
-let[@inline] null_row width : Tuple.t =
-  match width with
-  | 0 -> [||]
-  | 1 -> [| Value.Null |]
-  | 2 -> [| Value.Null; Value.Null |]
-  | 3 -> [| Value.Null; Value.Null; Value.Null |]
-  | 4 -> [| Value.Null; Value.Null; Value.Null; Value.Null |]
-  | 5 -> [| Value.Null; Value.Null; Value.Null; Value.Null; Value.Null |]
-  | 6 -> [| Value.Null; Value.Null; Value.Null; Value.Null; Value.Null; Value.Null |]
-  | 7 -> [| Value.Null; Value.Null; Value.Null; Value.Null; Value.Null; Value.Null; Value.Null |]
-  | _ -> Array.make width Value.Null
 
 let past_end ~offset ~len what stop =
   sto ~code:"STO002" ~offset "%s runs %d bytes past the page end" what (stop - len)
@@ -633,43 +610,46 @@ let any_null page at n =
   done;
   !found
 
-(* The kept segment's cells into slot [s] of every row, in one loop
-   specialised to its type and to whether it has a bitmap. *)
-let decode_ints page rows s ~nulls ~bitmap ~payload n =
-  if nulls then
-    for r = 0 to n - 1 do
-      if not (bit page bitmap r) then
-        Array.unsafe_set (Array.unsafe_get rows r) s
-          (v_int (Int64.to_int (get64_le page (payload + (8 * r)))))
-    done
-  else
-    for r = 0 to n - 1 do
-      Array.unsafe_set (Array.unsafe_get rows r) s
-        (v_int (Int64.to_int (get64_le page (payload + (8 * r)))))
-    done
+(* The kept segment's cells copied out of the page into a column
+   vector, in one loop specialised to its type: the pool recycles the
+   page's bytes, the vector outlives them.  A NULL bitmap is copied as
+   it stands ([Bytes.empty] when the segment has none). *)
+let nulls_copy page ~nulls ~bitmap n =
+  if nulls then Bytes.sub page bitmap (bitmap_bytes n) else Bytes.empty
 
-let decode_floats page rows s ~nulls ~bitmap ~payload n =
+let decode_ints page ~nulls ~bitmap ~payload n =
+  let ints = Array.make n 0 in
+  for r = 0 to n - 1 do
+    Array.unsafe_set ints r (Int64.to_int (get64_le page (payload + (8 * r))))
+  done;
+  Chunk.Ints { ints; nulls = nulls_copy page ~nulls ~bitmap n }
+
+let decode_floats page ~nulls ~bitmap ~payload n =
+  let floats = Array.create_float n in
+  for r = 0 to n - 1 do
+    Array.unsafe_set floats r (Int64.float_of_bits (get64_le page (payload + (8 * r))))
+  done;
+  Chunk.Floats { floats; nulls = nulls_copy page ~nulls ~bitmap n }
+
+let decode_bools page ~nulls ~bitmap ~payload n =
+  let cells = Array.make n Value.Null in
   for r = 0 to n - 1 do
     if not (nulls && bit page bitmap r) then
-      Array.unsafe_set (Array.unsafe_get rows r) s
-        (Value.Float (Int64.float_of_bits (get64_le page (payload + (8 * r)))))
-  done
+      Array.unsafe_set cells r (if bit page payload r then v_true else v_false)
+  done;
+  Chunk.Cells cells
 
-let decode_bools page rows s ~nulls ~bitmap ~payload n =
-  for r = 0 to n - 1 do
-    if not (nulls && bit page bitmap r) then
-      Array.unsafe_set (Array.unsafe_get rows r) s (if bit page payload r then v_true else v_false)
-  done
-
-let decode_strings page rows s ~nulls ~bitmap ~payload n =
+let decode_strings page ~nulls ~bitmap ~payload n =
   let data = payload + (2 * n) in
+  let cells = Array.make n Value.Null in
   let lo = ref 0 in
   for r = 0 to n - 1 do
     let hi = get16_le page (payload + (2 * r)) in
     if not (nulls && bit page bitmap r) then
-      Array.unsafe_set (Array.unsafe_get rows r) s (Value.Str (Bytes.sub_string page (data + !lo) (hi - !lo)));
+      Array.unsafe_set cells r (Value.Str (Bytes.sub_string page (data + !lo) (hi - !lo)));
     lo := hi
-  done
+  done;
+  Chunk.Cells cells
 
 let directory page arity =
   let len = Bytes.length page in
@@ -678,35 +658,25 @@ let directory page arity =
   if dir > len then past_end ~offset:2 ~len "segment directory" dir;
   dir
 
-(* A coded segment's cells are the dictionary's own; [codes] gets each
-   row's code, [null_code] for a NULL. *)
-let decode_coded page rows s ~nulls ~bitmap ~payload n (d : dict) codes =
-  let values = d.values in
+(* A coded segment's codes, [null_code] for a NULL, over the
+   dictionary's values as they are now: a code, once given, names its
+   value for good. *)
+let decode_coded page ~nulls ~bitmap ~payload n (d : dict) =
+  let codes = Array.make n null_code in
   for r = 0 to n - 1 do
-    if nulls && bit page bitmap r then Array.unsafe_set codes r null_code
-    else begin
-      let c = get16_le page (payload + (2 * r)) in
-      Array.unsafe_set codes r c;
-      Array.unsafe_set (Array.unsafe_get rows r) s (Array.unsafe_get values c)
-    end
-  done
+    if not (nulls && bit page bitmap r) then
+      Array.unsafe_set codes r (get16_le page (payload + (2 * r)))
+  done;
+  Chunk.Coded { Chunk.dictionary = d.id; bound = null_code + 1; values = d.values; codes }
 
-let no_codes : Chunk.codes option array = [||]
-
-(* The one decode loop: the page's rows under [plan], the codes of its
-   kept coded segments (per kept column, [no_codes] when there are
-   none) and where its last segment ends. *)
+(* The one decode loop: the page's kept columns as vectors under
+   [plan], its row count and where its last segment ends. *)
 let decode plan page =
   let cols = plan.columns in
   let arity = Array.length cols in
   let start = ref (directory page arity) in
   let n = page_rows page in
-  let width = plan.width in
-  let rows : Tuple.t array = Array.make n [||] in
-  for r = 0 to n - 1 do
-    Array.unsafe_set rows r (null_row width)
-  done;
-  let coded = ref no_codes in
+  let kept = Array.make (Schema.arity plan.decoded) (Chunk.Cells [||]) in
   for i = 0 to arity - 1 do
     let c = cols.(i) in
     let bitmap = !start in
@@ -716,31 +686,24 @@ let decode plan page =
       sto ~code:"STO003" ~offset:bitmap "NULL in column %s (declared %s, non-NULL)"
         (column_name plan i) (Value.ty_to_string c.ty);
     let s = plan.slots.(i) in
-    if s >= 0 then begin
-      match c.ty with
-      | Value.Tint -> decode_ints page rows s ~nulls ~bitmap ~payload n
-      | Value.Tfloat -> decode_floats page rows s ~nulls ~bitmap ~payload n
-      | Value.Tbool -> decode_bools page rows s ~nulls ~bitmap ~payload n
-      | Value.Tstring when coded_at page i ->
-        let d = plan.dicts.(i) in
-        let codes = Array.make n 0 in
-        decode_coded page rows s ~nulls ~bitmap ~payload n d codes;
-        if !coded == no_codes then coded := Array.make width None;
-        !coded.(s) <- Some { Chunk.dictionary = d.id; bound = null_code + 1; codes }
-      | Value.Tstring -> decode_strings page rows s ~nulls ~bitmap ~payload n
-    end;
+    if s >= 0 then
+      kept.(s) <-
+        (match c.ty with
+        | Value.Tint -> decode_ints page ~nulls ~bitmap ~payload n
+        | Value.Tfloat -> decode_floats page ~nulls ~bitmap ~payload n
+        | Value.Tbool -> decode_bools page ~nulls ~bitmap ~payload n
+        | Value.Tstring when coded_at page i ->
+          decode_coded page ~nulls ~bitmap ~payload n plan.dicts.(i)
+        | Value.Tstring -> decode_strings page ~nulls ~bitmap ~payload n);
     start := stop
   done;
-  (rows, !coded, !start)
+  (kept, n, !start)
 
-let decode_page plan page =
-  let rows, _, _ = decode plan page in
-  rows
+let decode_chunk plan ~len page =
+  let kept, n, _ = decode plan page in
+  Chunk.of_columns plan.decoded ~len:(min len n) kept
 
-let decode_chunk plan schema ~len page =
-  let rows, coded, _ = decode plan page in
-  let chunk = Chunk.of_array ~len schema rows in
-  if coded == no_codes then chunk else Chunk.with_codes coded chunk
+let decode_page plan page = Chunk.to_rows (decode_chunk plan ~len:max_int page)
 
 (* The oracle: every segment, by the type its own byte names, one
    [Value.t] at a time through the checked [Bytes] accessors; a code
@@ -780,22 +743,23 @@ let decode_page_reference plan page =
 let resume f page =
   let plan = f.fplan in
   if f.total > 0 then invalid_arg "Codec.resume: the fill has counted rows";
-  if plan.width <> Array.length plan.columns then invalid_arg "Codec.resume: a projected plan";
-  let rows, coded, stop = decode plan page in
-  let n = Array.length rows in
+  if Schema.arity plan.decoded <> Array.length plan.columns then
+    invalid_arg "Codec.resume: a projected plan";
+  let kept, n, stop = decode plan page in
+  let rows = Chunk.to_rows (Chunk.of_columns plan.decoded ~len:n kept) in
   reserve f n;
   Array.iteri
     (fun i c ->
       f.has_null.(i) <- nulls_of page i;
       if c.ty = Value.Tstring then begin
-        let from_page = if Array.length coded = 0 then None else coded.(i) in
+        let from_page = match kept.(i) with Chunk.Coded k -> Some k.Chunk.codes | _ -> None in
         f.coded.(i) <- Option.is_some from_page;
         let bytes = ref 0 in
         for r = 0 to n - 1 do
           match rows.(r).(i) with
           | Value.Str s ->
             bytes := !bytes + String.length s;
-            set_code f i r (match from_page with Some k -> k.Chunk.codes.(r) | None -> no_code)
+            set_code f i r (match from_page with Some codes -> codes.(r) | None -> no_code)
           | _ -> set_code f i r 0
         done;
         f.str_bytes.(i) <- !bytes

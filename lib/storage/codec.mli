@@ -43,8 +43,8 @@
     compiled once into a per-column array, with its dictionaries.
     {!fill} sizes a page as rows are offered, finding each string's
     code, {!encode_page} lays it down with those codes, and
-    {!decode_page} decodes the plan's kept columns, each segment in one
-    loop specialised to its type.  {!decode_page_reference}, which reads
+    {!decode_chunk} copies the plan's kept columns out of the page into
+    column vectors, each segment in one loop specialised to its type.  {!decode_page_reference}, which reads
     every segment by its own type byte one [Value.t] at a time, is the
     test oracle and the baseline of the codec benchmark.
 
@@ -75,7 +75,7 @@ type plan = private {
   slots : int array;
       (** per stored column, its position in a decoded tuple, or [-1]
           when decodes skip it *)
-  width : int;  (** arity of a decoded tuple *)
+  decoded : Schema.t;  (** the schema of a decoded tuple: the kept columns *)
   dicts : dict array;  (** per stored column; only a string column's ever grows *)
 }
 (** A schema compiled for decoding: one {!column} per attribute, fixed
@@ -168,20 +168,23 @@ val encode_page : fill -> Tuple.t array -> off:int -> len:int -> bytes -> unit
 val page_rows : bytes -> int
 (** The row count of a page image. *)
 
-val decode_page : plan -> bytes -> Tuple.t array
-(** The page's rows, each with the plan's kept columns.  A kept int is
-    shared for values in [0, 1024), and NULL, boolean and coded string
-    cells are shared (a coded cell is its dictionary entry), so a
-    decoded tuple allocates only itself, its other ints, floats and
-    plain strings.
+val decode_chunk : plan -> len:int -> bytes -> Chunk.t
+(** The page's first [len] rows (all of them when it holds fewer), each
+    with the plan's kept columns, under the plan's [decoded] schema, as
+    a chunk of column vectors copied out of the page
+    ({!Chunk.of_columns}): an int column's unboxed ints, a float
+    column's floats, each beside the segment's NULL bitmap; a coded
+    string column's codes ({!Chunk.Coded}: a NULL has code
+    {!dictionary_cap}, the bound is [dictionary_cap + 1], the values are
+    the dictionary's own and its identity the plan's); a plain string or
+    bool column's cells.  Its rows are built only when asked for.
     @raise Diag.Fail as described above. *)
 
-val decode_chunk : plan -> Schema.t -> len:int -> bytes -> Chunk.t
-(** The first [len] rows of {!decode_page} as a chunk under the given
-    schema, carrying the codes of every kept coded segment
-    ({!Chunk.codes}): a NULL has code {!dictionary_cap}, every code is
-    below [dictionary_cap + 1], and the dictionary's identity is the
-    plan's own. *)
+val decode_page : plan -> bytes -> Tuple.t array
+(** Every row of {!decode_chunk}, built.  A kept int is shared for
+    values in [0, 1024), and NULL, boolean and coded string cells are
+    shared (a coded cell is its dictionary entry).
+    @raise Diag.Fail as described above. *)
 
 val decode_page_reference : plan -> bytes -> Tuple.t array
 (** Every column of every row, each segment decoded by the type its own

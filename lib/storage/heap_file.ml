@@ -274,12 +274,12 @@ let openfile ~path ?(writable = false) ~schema () =
 
 (* Decode one page under [plan] — the handle's own, or a projection of
    it.  The pool's bytes are only valid until its next fetch, so the
-   page is fully decoded here. *)
-let decode_page plan schema t page_no ~len ~pool =
+   kept segments are copied out here, into the chunk's vectors. *)
+let decode_page plan t page_no ~len ~pool =
   let page =
     Buffer_pool.fetch pool t.file ~page:page_no ~size:t.page_size ~load:(read_page_into t page_no)
   in
-  try Codec.decode_chunk plan schema ~len:(min len (Codec.page_rows page)) page
+  try Codec.decode_chunk plan ~len page
   with Diag.Fail d ->
     (* A corrupt segment names only its byte offset; say which file and
        page it came from before the error escapes the storage layer. *)
@@ -290,11 +290,7 @@ let decode_page plan schema t page_no ~len ~pool =
    [columns] (all of them when [None]).  Its narrowing capability
    composes positions onto [columns]. *)
 let rec snapshot t ~pool ~pages ~rows columns =
-  let plan, schema =
-    match columns with
-    | None -> (t.plan, t.schema)
-    | Some cols -> (Codec.project t.plan cols, Schema.project t.schema cols)
-  in
+  let plan = match columns with None -> t.plan | Some cols -> Codec.project t.plan cols in
   let narrow cols =
     let cols = match columns with None -> cols | Some outer -> Array.map (Array.get outer) cols in
     snapshot t ~pool ~pages ~rows (Some cols)
@@ -304,14 +300,14 @@ let rec snapshot t ~pool ~pages ~rows columns =
   let rec pull () =
     if !page_no >= pages || !left <= 0 then None
     else begin
-      let chunk = decode_page plan schema t !page_no ~len:!left ~pool in
+      let chunk = decode_page plan t !page_no ~len:!left ~pool in
       incr page_no;
       let len = Chunk.length chunk in
       left := !left - len;
       if len = 0 then pull () else Some chunk
     end
   in
-  Chunk.Source.create ~narrow ~schema pull
+  Chunk.Source.create ~narrow ~schema:plan.Codec.decoded pull
 
 let source ?columns t ~pool =
   (* Snapshot the page and row counts: an append after the source is

@@ -16,7 +16,10 @@
     data and the dictionary pages the header names — with a gap of an
     eighth of the data for later appends to grow into — and names them
     in the header before it writes a data page, so an append cut short
-    leaves the pages the header names readable.  A scan
+    leaves the pages the header names readable.  That order holds when
+    the process dies mid-append, not after a power loss: no write is
+    followed by an [fsync], so the kernel may put the pages on disk in
+    another order.  A scan
     decodes only the segments of the columns it reads, and a decoded
     coded cell is its dictionary entry, shared by every row that has it.
     A file with another magic (such as the row-major ["SUBQLHF1"] or the
@@ -37,7 +40,7 @@
     Every handle carries a {!Codec.plan} compiled once from its schema
     at open time, holding its dictionaries; every page is packed
     ({!Codec.add}, which type-checks each row, and {!Codec.encode_page})
-    and decoded ({!Codec.decode_page}) through it.  Every decode checks
+    and decoded ({!Codec.decode_chunk}) through it.  Every decode checks
     the structure of every segment, read or skipped, so a corrupt page
     raises {!Diag.Fail} with the same [STO0xx] code whichever columns a
     scan keeps; its [path] leads with ["<file>: page <n>"] (or
@@ -99,8 +102,10 @@ val source : ?columns:int array -> t -> pool:Buffer_pool.t -> Chunk.Source.t
     not included, even those an append packs into the snapshot's last
     page in place.  Closing the source early simply stops fetching (the
     handle stays open) — peak memory is one decoded page, not the
-    relation.  Each chunk carries the codes of its coded columns
-    ({!Chunk.codes}).  Pages are decoded against the handle's
+    relation.  Each chunk holds its kept columns as vectors copied out of
+    the page ({!Chunk.column}: a coded column's codes, an int column's
+    ints) and builds its rows only when an operator asks for them.
+    Pages are decoded against the handle's
     dictionaries as they are when pulled, so a snapshot whose last page
     an append rewrote with new codes still reads its own rows.
 

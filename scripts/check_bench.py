@@ -132,15 +132,20 @@ GATES = {
             row("keyed_probes.key_probes", "<=", key("keyed_probes.bound"),
                 "the Fig. 3 fold made {value} key probes, over the {limit:.0f} distinct codes + "
                 "pages of its Flow heap file: it looked up rows, not codes"),
+            row("keyed_probes.rows_materialized", "==", const(0),
+                "the Fig. 3 fold built {value} rows from its Flow chunks' column vectors: it "
+                "read rows, not the codes and the int vector"),
         ],
         summary=lambda f, b: (
             "BENCH_exec.json: verified, peak %d rows (2x detail: %d), page reads %d chained / "
             "%d coalesced, θ-evals <= detail rows <= |I| + |J| on %d template runs, "
-            "GROUP BY %.1f ms = %.2fx the GMDJ fold, Fig. 3 fold %d key probes <= %d"
+            "GROUP BY %.1f ms = %.2fx the GMDJ fold, Fig. 3 fold %d key probes <= %d, "
+            "%d rows built"
             % (f["peak_rows"], f["peak_rows_2x"], f["chained_page_reads"],
                f["coalesced_page_reads"], len(f["theta_counts"]),
                f["group_by_vs_gmdj"]["group_by_ms"], f["group_by_vs_gmdj"]["ratio"],
-               f["keyed_probes"]["key_probes"], f["keyed_probes"]["bound"])
+               f["keyed_probes"]["key_probes"], f["keyed_probes"]["bound"],
+               f["keyed_probes"]["rows_materialized"])
         ),
     ),
     "par": dict(

@@ -566,6 +566,87 @@ let test_dictionary_fills_mid_file () =
         (rows_eq (rows 0 (total + 300)) (Relation.rows (read reopened ~pool)));
       Heap_file.close reopened)
 
+(* A relation of every column kind a page vector holds: an int column
+   NULL-free on its first pages and NULL now and then after — always, in
+   the rows keyed "nulls-only" — a float, a coded string key, a string
+   coded on some pages and plain on others (a string longer than a
+   dictionary entry keeps its page plain), a bool, and an int that is
+   never NULL. *)
+let vector_rel n =
+  Relation.of_list
+    (Schema.of_list
+       [
+         Schema.attr ~rel:"R" "i" Value.Tint;
+         Schema.attr ~rel:"R" "f" Value.Tfloat;
+         Schema.attr ~rel:"R" "k" Value.Tstring;
+         Schema.attr ~rel:"R" "p" Value.Tstring;
+         Schema.attr ~rel:"R" "b" Value.Tbool;
+         Schema.attr ~rel:"R" "n" Value.Tint;
+       ])
+    (List.init n (fun r ->
+         [|
+           (if r >= 150 && (r mod 7 = 0 || r mod 10 = 1) then Value.Null
+            else Value.Int ((r * 37) - 2000));
+           (if r mod 11 = 0 then Value.Null else Value.Float (float_of_int r /. 4.));
+           (if r mod 9 = 0 then Value.Null
+            else if r >= 150 && r mod 10 = 1 then Value.Str "nulls-only"
+            else Value.Str (Printf.sprintf "key-%d" (r mod 23)));
+           (if r mod 60 = 0 then Value.Str (String.make 300 'p')
+            else if r mod 13 = 0 then Value.Null
+            else Value.Str (Printf.sprintf "p%d" (r mod 5)));
+           (if r mod 17 = 0 then Value.Null else Value.Bool (r mod 3 = 0));
+           Value.Int (r * 5000);
+         |]))
+
+(* Every stored page decodes to a chunk of column vectors, one per kept
+   column, whose rows are built the first time they are asked for and
+   once only, and equal the reference decoder's — over the full plan
+   and over pruned ones. *)
+let test_lazy_rows_match_reference () =
+  let rel = vector_rel 700 in
+  let page_size = 1024 in
+  with_file rel ~page_size (fun path hf ->
+      let plan = Heap_file.plan hf in
+      let pages = stored_pages path hf ~page_size in
+      Alcotest.(check bool) "column p is coded on a page" true
+        (List.exists (fun page -> coded_segment page 3) pages);
+      Alcotest.(check bool) "column p is plain on a page" true
+        (List.exists (fun page -> not (coded_segment page 3)) pages);
+      Alcotest.(check bool) "column i has a page without a NULL bitmap" true
+        (List.exists (fun page -> Bytes.get_uint8 page 2 land 0x80 = 0) pages);
+      List.iter
+        (fun keep ->
+          let pruned = Codec.project plan keep in
+          List.iteri
+            (fun page_no page ->
+              let name = Printf.sprintf "page %d, columns [%s]" page_no
+                  (String.concat ";" (Array.to_list (Array.map string_of_int keep))) in
+              let chunk = Codec.decode_chunk pruned ~len:max_int page in
+              let n = Codec.page_rows page in
+              Alcotest.(check int) (name ^ ": rows") n (Chunk.length chunk);
+              Alcotest.(check bool) (name ^ ": a vector per column") true
+                (Array.for_all Option.is_some
+                   (Array.init (Array.length keep) (Chunk.column chunk)));
+              let before = Chunk.rows_built () in
+              let rows = Chunk.to_rows chunk in
+              Alcotest.(check bool) (name ^ ": built once") true (Chunk.buffer chunk == rows);
+              Alcotest.(check int) (name ^ ": rows built") n (Chunk.rows_built () - before);
+              let reference =
+                Array.map (fun t -> Tuple.project t keep) (Codec.decode_page_reference plan page)
+              in
+              Alcotest.(check bool) (name ^ ": rows = reference decode") true
+                (rows_eq reference rows);
+              Alcotest.(check bool) (name ^ ": cells = reference decode") true
+                (Array.for_all
+                   (fun s ->
+                     let col = Option.get (Chunk.column chunk s) in
+                     Array.for_all Fun.id
+                       (Array.init n (fun r ->
+                            value_eq reference.(r).(s) (Chunk.cell col r))))
+                   (Array.init (Array.length keep) Fun.id)))
+            pages)
+        [ [| 0; 1; 2; 3; 4; 5 |]; [| 0 |]; [| 2; 5 |]; [| 1; 3; 4 |]; [||] ])
+
 (* A dictionary page that names an unknown or a foreign type byte is
    refused when the file is opened, naming the dictionary page. *)
 let test_corrupt_dictionary_page () =
@@ -1076,6 +1157,51 @@ let test_codes_of_two_dictionaries () =
               ("<=>", Expr.Null_safe_eq (attr ~rel:"R" "s", attr ~rel:"B" "s"));
             ]))
 
+(* Keyed folds over a heap file whose key column is coded read the
+   codes and the vectors, building no row, and agree with the
+   definition: SUM, AVG, COUNT, COUNT( * ), MIN and MAX of an int column
+   with NULLs on some pages only and a key whose values are all NULL,
+   and SUM and AVG of a float column,
+   under [=] and [<=>] with NULL keys on both sides, at 1 and 2
+   domains.  The floats are quarters, so every order of adding them
+   gives the same sum. *)
+let test_vector_folds_match_definition () =
+  let rel = vector_rel 2000 in
+  let base =
+    Relation.of_list
+      (Schema.of_list [ Schema.attr ~rel:"B" "k" Value.Tstring ])
+      (Value.Null :: Value.Str "absent" :: Value.Str "nulls-only"
+      :: List.init 20 (fun i -> Value.Str (Printf.sprintf "key-%d" i))
+      |> List.map (fun k -> [| k |]))
+  in
+  let r name = attr ~rel:"R" name in
+  let aggs =
+    Aggregate.
+      [
+        sum (r "i") "si"; avg (r "i") "ai"; count (r "i") "ci"; count_star "n"; min_ (r "i") "mi";
+        max_ (r "i") "xi"; sum (r "f") "sf"; avg (r "f") "af"; count (r "f") "cf";
+      ]
+  in
+  with_file rel ~page_size:1024 (fun _path hf ->
+      List.iter
+        (fun (op, theta) ->
+          let blocks = [ Gmdj.block aggs theta ] in
+          let expected = Gmdj.reference ~base ~detail:rel blocks in
+          List.iter
+            (fun domains ->
+              let pool = Buffer_pool.create ~frames:4 in
+              let before = Chunk.rows_built () in
+              let got = gmdj_over_file ~domains ~pool ~base hf blocks in
+              let name = Printf.sprintf "%s, %d domains" op domains in
+              Alcotest.(check int) (name ^ ": no row built") 0 (Chunk.rows_built () - before);
+              Alcotest.(check bool) (name ^ ": = definition") true
+                (rows_eq (Relation.rows expected) (Relation.rows got)))
+            [ 1; 2 ])
+        [
+          ("=", Expr.eq (attr ~rel:"B" "k") (r "k"));
+          ("<=>", Expr.Null_safe_eq (attr ~rel:"B" "k", r "k"));
+        ])
+
 (* A completion over an empty base is decided before the scan: at any
    domain count it counts no detail pass and reads no page. *)
 let test_empty_base_completion_reads_nothing () =
@@ -1144,6 +1270,8 @@ let () =
             test_dictionary_fills_mid_file;
           Alcotest.test_case "a corrupt dictionary page is refused" `Quick
             test_corrupt_dictionary_page;
+          Alcotest.test_case "lazily built rows = reference decode, full and pruned" `Quick
+            test_lazy_rows_match_reference;
         ] );
       ( "append",
         [
@@ -1177,5 +1305,7 @@ let () =
             test_codes_of_two_dictionaries;
           Alcotest.test_case "empty-base completion reads no page" `Quick
             test_empty_base_completion_reads_nothing;
+          Alcotest.test_case "keyed folds over vectors = the definition, no row built" `Quick
+            test_vector_folds_match_definition;
         ] );
     ]
